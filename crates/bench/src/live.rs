@@ -88,11 +88,12 @@ pub struct LiveBenchReport {
     pub combos: Vec<LiveCombo>,
 }
 
-/// End-to-end latencies of every served request in a run, simulated ms.
+/// End-to-end latencies of every served request in a run, simulated ms
+/// — read off the shard tallies, the definition `aggregate` uses.
 fn latencies_ms(run: &ServeRun) -> Vec<f64> {
     run.reports
         .iter()
-        .flat_map(|r| r.requests.iter().map(|q| q.completion_ms - q.arrival_ms))
+        .flat_map(|r| r.tally.latencies_ms().iter().copied())
         .collect()
 }
 

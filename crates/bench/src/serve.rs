@@ -547,29 +547,47 @@ struct ComboSpec {
     config: EngineConfig,
 }
 
-/// Runs the full benchmark matrix over one scenario — the legacy block
-/// under [`EngineConfig::legacy`], the online block under an unbounded
-/// and a bounded plan cache, then the fault block ({no-fault,
-/// crash-heavy, degrade-heavy} × {retry, retry+hedge} under the EDF
-/// policy and health-weighted placement), then the control block
-/// ({static, autoscaled} × {no-preempt, preempt} × {fixed,
-/// traffic-mix reconfig}, fault-free, same EDF × health-weighted
-/// cell) — fanning the combos across `threads` sweep workers. Each combo's engine run is
-/// single-threaded, so the thread count affects wall-clock only, never
-/// a value.
-///
-/// # Errors
-///
-/// Propagates the first [`RuntimeError`] from a backend rejecting a
-/// batched plan compile mid-run.
-///
-/// # Panics
-///
-/// Panics if the sweep driver loses a combo slot (a driver bug).
-pub fn run_matrix(
-    scenario: &ServeScenario,
-    threads: usize,
-) -> Result<ServeBenchReport, RuntimeError> {
+impl ComboSpec {
+    /// This cell's report row for one run's outcome.
+    fn report(&self, placement: String, outcome: ServeOutcome) -> ComboReport {
+        ComboReport {
+            policy: self.policy.label(),
+            placement,
+            admission: self.admission,
+            cache_budget: self.cache_budget.clone(),
+            fault: self.fault,
+            recovery: self.recovery,
+            control: self.control,
+            outcome,
+        }
+    }
+}
+
+impl ServeBenchReport {
+    /// The report of `combos` run over `scenario`.
+    fn new(scenario: &ServeScenario, combos: Vec<ComboReport>) -> Self {
+        ServeBenchReport {
+            requests: scenario.trace.len(),
+            seed: scenario.seed,
+            mean_interarrival_ms: scenario.mean_interarrival_ms,
+            slo_ms: scenario.slo_ms,
+            bounded_cache_bytes: scenario.bounded_cache_bytes,
+            compile_ms_per_layer: scenario.compile_ms_per_layer,
+            shard_platforms: scenario.cluster.platforms().to_vec(),
+            network_names: scenario
+                .cluster
+                .networks()
+                .iter()
+                .map(|n| n.name().to_string())
+                .collect(),
+            combos,
+        }
+    }
+}
+
+/// The matrix rows, in report order: the legacy block, the online
+/// block, the fault block and the control block (see [`run_matrix`]).
+fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
     let max_wait_ms = scenario.mean_unit_service_ms;
     let mut specs: Vec<ComboSpec> = Vec::new();
     // Legacy block: pinned value-identical to the pre-engine pipeline.
@@ -726,7 +744,33 @@ pub fn run_matrix(
             config,
         });
     }
+    specs
+}
 
+/// Runs the full benchmark matrix over one scenario — the legacy block
+/// under [`EngineConfig::legacy`], the online block under an unbounded
+/// and a bounded plan cache, then the fault block ({no-fault,
+/// crash-heavy, degrade-heavy} × {retry, retry+hedge} under the EDF
+/// policy and health-weighted placement), then the control block
+/// ({static, autoscaled} × {no-preempt, preempt} × {fixed,
+/// traffic-mix reconfig}, fault-free, same EDF × health-weighted
+/// cell) — fanning the combos across `threads` sweep workers. Each combo's engine run is
+/// single-threaded, so the thread count affects wall-clock only, never
+/// a value.
+///
+/// # Errors
+///
+/// Propagates the first [`RuntimeError`] from a backend rejecting a
+/// batched plan compile mid-run.
+///
+/// # Panics
+///
+/// Panics if the sweep driver loses a combo slot (a driver bug).
+pub fn run_matrix(
+    scenario: &ServeScenario,
+    threads: usize,
+) -> Result<ServeBenchReport, RuntimeError> {
+    let specs = matrix_specs(scenario);
     type Slot = Option<Result<ComboReport, RuntimeError>>;
     let slots: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(vec![None; specs.len()]));
     // One shared copy of the trace across all combo closures (each
@@ -757,19 +801,7 @@ pub fn run_matrix(
             );
             let mut placement = (spec.placement)();
             let result = match sim.try_run(placement.as_mut()) {
-                Ok(run) => {
-                    let outcome = sim.outcome(&run);
-                    Ok(ComboReport {
-                        policy: spec.policy.label(),
-                        placement: placement.label(),
-                        admission: spec.admission,
-                        cache_budget: spec.cache_budget.clone(),
-                        fault: spec.fault,
-                        recovery: spec.recovery,
-                        control: spec.control,
-                        outcome,
-                    })
-                }
+                Ok(run) => Ok(spec.report(placement.label(), sim.outcome(&run))),
                 Err(error) => Err(error),
             };
             let line = match &result {
@@ -803,27 +835,13 @@ pub fn run_matrix(
             .collect::<Result<Vec<ComboReport>, RuntimeError>>()?
     };
 
-    Ok(ServeBenchReport {
-        requests: scenario.trace.len(),
-        seed: scenario.seed,
-        mean_interarrival_ms: scenario.mean_interarrival_ms,
-        slo_ms: scenario.slo_ms,
-        bounded_cache_bytes: scenario.bounded_cache_bytes,
-        compile_ms_per_layer: scenario.compile_ms_per_layer,
-        shard_platforms: scenario.cluster.platforms().to_vec(),
-        network_names: scenario
-            .cluster
-            .networks()
-            .iter()
-            .map(|n| n.name().to_string())
-            .collect(),
-        combos,
-    })
+    Ok(ServeBenchReport::new(scenario, combos))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sma_runtime::serve::ShardTally;
 
     fn tiny_scenario() -> ServeScenario {
         default_scenario(150, 9).expect("default scenario compiles")
@@ -876,6 +894,53 @@ mod tests {
         for combo in &report.combos {
             let cache = &combo.outcome.cache;
             assert_eq!(cache.hits + cache.misses, cache.lookups);
+        }
+    }
+
+    /// Records are pure overhead for an outcome: over a ~500-request
+    /// trace, every online, fault and control row renders the same
+    /// one-combo JSON with records on and off, and the tally rebuilt
+    /// from a recorded run's records equals the engine's own tally.
+    #[test]
+    fn records_never_change_an_outcome_and_rebuild_the_tally() {
+        let scenario = default_scenario(500, 0x7A11).expect("default scenario compiles");
+        let specs = matrix_specs(&scenario);
+        let online: Vec<&ComboSpec> = specs.iter().filter(|s| s.admission == "online").collect();
+        assert_eq!(online.len(), 30, "online, fault and control rows");
+        for spec in online {
+            let run_row = |config: EngineConfig| {
+                let sim = ServeSim::with_cluster(
+                    Arc::clone(&scenario.cluster),
+                    Arc::clone(&spec.policy),
+                    &scenario.trace,
+                    config,
+                );
+                let mut placement = (spec.placement)();
+                let run = sim.try_run(placement.as_mut()).expect("row runs");
+                let combo = spec.report(placement.label(), sim.outcome(&run));
+                (ServeBenchReport::new(&scenario, vec![combo]).to_json(), run)
+            };
+            let (lean_json, lean) = run_row(spec.config.clone());
+            let (full_json, full) = run_row(spec.config.clone().with_records());
+            let row = format!(
+                "{} {}/{}/{} @{}",
+                spec.policy.label(),
+                spec.fault,
+                spec.recovery,
+                spec.control,
+                spec.cache_budget
+            );
+            assert_eq!(lean_json, full_json, "{row}: records changed the outcome");
+            for (x, y) in lean.reports.iter().zip(&full.reports) {
+                assert!(x.requests.is_empty() && x.batches.is_empty(), "{row}");
+                assert_eq!(x.tally, y.tally, "{row}: records changed the tally");
+                assert_eq!(
+                    ShardTally::from_records(&y.requests, &y.batches),
+                    y.tally,
+                    "{row}: s{} tally differs from its records",
+                    y.shard
+                );
+            }
         }
     }
 

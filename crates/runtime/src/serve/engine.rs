@@ -48,7 +48,7 @@ use super::placement::{ClusterView, Placement};
 use super::policy::{BatchPolicy, PolicyDecision};
 use super::scale::{AutoscalePolicy, EnergyFrontier, ReconfigPolicy, ReconfigStats, ScaleStats};
 use super::slo::PreemptPolicy;
-use super::{BatchRecord, ServeCluster, ServedRequest, ShardReport};
+use super::{BatchRecord, ServeCluster, ServedRequest, ShardReport, ShardTally};
 use crate::backend::RuntimeError;
 use sma_energy::EnergyModel;
 use std::cmp::Ordering;
@@ -146,6 +146,11 @@ pub struct EngineConfig {
     /// configuration selection, the compile-time default). Only shards
     /// whose backend implements `Reconfigurable` participate.
     pub reconfig: Option<ReconfigPolicy>,
+    /// Keep every [`ServedRequest`] and [`BatchRecord`] in the shard
+    /// reports (`false` = only the always-on
+    /// [`ShardTally`](super::ShardTally), which is all
+    /// [`aggregate`](super::aggregate) reads).
+    pub records: bool,
 }
 
 impl Default for EngineConfig {
@@ -161,6 +166,7 @@ impl Default for EngineConfig {
             preempt: None,
             scale: None,
             reconfig: None,
+            records: false,
         }
     }
 }
@@ -239,6 +245,15 @@ impl EngineConfig {
     #[must_use]
     pub fn with_reconfig(mut self, reconfig: ReconfigPolicy) -> Self {
         self.reconfig = Some(reconfig);
+        self
+    }
+
+    /// This configuration keeping full per-request and per-batch
+    /// records. Outcomes are identical either way; records cost 64
+    /// bytes per served request and 40 per batch.
+    #[must_use]
+    pub fn with_records(mut self) -> Self {
+        self.records = true;
         self
     }
 }
@@ -566,9 +581,12 @@ struct ShardState {
     /// Earliest batch-close timer currently scheduled (dedup only —
     /// stale timers are harmless, they just re-evaluate).
     pending_timer: f64,
-    /// Memoized `(network, batch) → service ms`; first touch compiles
-    /// the plan through the executor.
-    service_ms: BTreeMap<(usize, usize), f64>,
+    /// Memoized service ms, `[network][batch]` (`None` = not yet
+    /// compiled); first touch compiles the plan through the executor.
+    service_ms: Vec<Vec<Option<f64>>>,
+    /// The last finished batch's request buffer, emptied and kept for
+    /// the next dispatch.
+    spare: Vec<Request>,
     cache: PlanCache,
     /// Live queued-request count (all networks).
     depth: usize,
@@ -652,6 +670,11 @@ struct Engine<'a> {
     /// frontier weighs shard costs by.
     mix_counts: Vec<u64>,
     reconfig_stats: ReconfigStats,
+    /// Scratch for [`Engine::attempt_dispatch`]'s ready queues, reused
+    /// across calls.
+    ready: Vec<(u8, f64, usize, usize)>,
+    /// Scratch for the ids one completion serves (hedge cancellation).
+    newly_served: Vec<u64>,
     // Scratch buffers for the live view (rebuilt per consultation).
     live_queued: Vec<usize>,
     live_in_flight: Vec<usize>,
@@ -802,9 +825,9 @@ impl<'a> Engine<'a> {
                 // compile).
                 service_ms: cluster.unit_service_ms()[shard]
                     .iter()
-                    .enumerate()
-                    .map(|(net, &ms)| ((net, 1), ms))
+                    .map(|&ms| vec![None, Some(ms)])
                     .collect(),
+                spare: Vec::new(),
                 cache: PlanCache::new(config.cache_budget.for_shard(shard)),
                 depth: 0,
                 depth_max: 0,
@@ -814,6 +837,7 @@ impl<'a> Engine<'a> {
                 report: ShardReport {
                     shard,
                     platform: cluster.platforms()[shard],
+                    tally: ShardTally::default(),
                     requests: Vec::new(),
                     batches: Vec::new(),
                     busy_ms: 0.0,
@@ -865,6 +889,8 @@ impl<'a> Engine<'a> {
             frontier,
             mix_counts: vec![0; net_count],
             reconfig_stats: ReconfigStats::default(),
+            ready: Vec::new(),
+            newly_served: Vec::new(),
             live_queued: vec![0; shard_count],
             live_in_flight: vec![0; shard_count],
             live_resident: vec![0; shard_count],
@@ -1302,7 +1328,7 @@ impl<'a> Engine<'a> {
             state.report.fault.preemptions += 1;
             state.report.fault.preempted_busy_ms += elapsed_ms;
             state.report.fault.preempted_requests += batch.requests.len() as u64;
-            let victims = batch.requests;
+            let mut victims = batch.requests;
             for victim in &victims {
                 self.class_stats[usize::from(victim.class)].preempted += 1;
                 self.preempted_ids.insert(victim.id);
@@ -1316,6 +1342,8 @@ impl<'a> Engine<'a> {
                 queue.insert(pos, *victim);
             }
             state.note_depth(now_ms, state.depth + victims.len());
+            victims.clear();
+            state.spare = victims;
         }
         self.attempt_dispatch(shard, now_ms)
     }
@@ -1416,18 +1444,23 @@ impl<'a> Engine<'a> {
     /// A batch finished (unless a crash aborted it first — then the
     /// epoch is stale and the event is a no-op).
     fn on_complete(&mut self, shard: usize, now_ms: f64, epoch: u64) -> Result<(), RuntimeError> {
+        let state = &mut self.shards[shard];
+        let Some(batch) = state.in_flight.take() else {
+            return Ok(()); // aborted by a crash, shard idle since
+        };
+        if batch.epoch != epoch {
+            state.in_flight = Some(batch); // stale event, newer batch running
+            return Ok(());
+        }
         let track = self.track_ids();
-        let mut newly_served: Vec<u64> = Vec::new();
-        {
-            let state = &mut self.shards[shard];
-            let Some(batch) = state.in_flight.take() else {
-                return Ok(()); // aborted by a crash, shard idle since
-            };
-            if batch.epoch != epoch {
-                state.in_flight = Some(batch); // stale event, newer batch running
-                return Ok(());
-            }
-            let size = batch.requests.len();
+        let record = self.config.records;
+        let mut newly_served = std::mem::take(&mut self.newly_served);
+        newly_served.clear();
+        let state = &mut self.shards[shard];
+        let mut requests = batch.requests;
+        let size = requests.len();
+        state.report.tally.note_batch(size);
+        if record {
             state.report.batches.push(BatchRecord {
                 network: batch.network,
                 size,
@@ -1435,35 +1468,42 @@ impl<'a> Engine<'a> {
                 service_ms: batch.service_ms,
                 compile_ms: batch.compile_ms,
             });
-            for request in &batch.requests {
-                if track {
-                    if !self.served.insert(request.id) {
-                        // A hedge twin already won: this completion is
-                        // billed (busy time above) but not served.
-                        continue;
-                    }
-                    newly_served.push(request.id);
-                    self.failed_ids.remove(&request.id);
-                }
-                state.report.requests.push(ServedRequest {
-                    id: request.id,
-                    network: request.network,
-                    arrival_ms: request.arrival_ms,
-                    deadline_ms: request.deadline_ms,
-                    class: request.class,
-                    start_ms: batch.start_ms,
-                    completion_ms: now_ms,
-                    batch_size: size,
-                });
-            }
-            state.report.busy_ms += batch.compile_ms + batch.service_ms;
-            state.report.makespan_ms = now_ms;
         }
+        for request in &requests {
+            if track {
+                if !self.served.insert(request.id) {
+                    // A hedge twin already won: this completion is
+                    // billed (busy time below) but not served.
+                    continue;
+                }
+                newly_served.push(request.id);
+                self.failed_ids.remove(&request.id);
+            }
+            let served = ServedRequest {
+                id: request.id,
+                network: request.network,
+                arrival_ms: request.arrival_ms,
+                deadline_ms: request.deadline_ms,
+                class: request.class,
+                start_ms: batch.start_ms,
+                completion_ms: now_ms,
+                batch_size: size,
+            };
+            state.report.tally.note_served(&served);
+            if record {
+                state.report.requests.push(served);
+            }
+        }
+        state.report.busy_ms += batch.compile_ms + batch.service_ms;
+        state.report.makespan_ms = now_ms;
+        requests.clear();
+        state.spare = requests;
         // First completion wins: queued hedge twins of the ids just
         // served are cancelled cluster-wide.
         if self.config.hedge.is_some() && !newly_served.is_empty() {
             self.cancel_queued(&newly_served, now_ms);
         }
+        self.newly_served = newly_served;
         self.attempt_dispatch(shard, now_ms)
     }
 
@@ -1511,9 +1551,11 @@ impl<'a> Engine<'a> {
             self.shards[shard].report.fault.aborted_batches += 1;
             // Aborted work is lost: not billed as busy time, no batch
             // or request records. The victims follow the retry policy.
-            for request in batch.requests {
+            let mut victims = batch.requests;
+            for request in victims.drain(..) {
                 self.retry_or_fail(request, now_ms, shard);
             }
+            self.shards[shard].spare = victims;
         }
     }
 
@@ -1648,7 +1690,8 @@ impl<'a> Engine<'a> {
         // the sort below degenerates to the historical (urgency, net)
         // rule byte for byte.
         let strict = self.config.preempt.is_some();
-        let mut ready: Vec<(u8, f64, usize, usize)> = Vec::new();
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
         let mut wake_ms = f64::INFINITY;
         {
             let state = &mut self.shards[shard];
@@ -1676,16 +1719,22 @@ impl<'a> Engine<'a> {
             }
         }
         // Strict class order first (preemption only), then most urgent
-        // first; stable sort keeps the lowest network index on ties —
-        // the pre-engine drain's rule.
-        ready.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        // first, then the lowest network index — the pre-engine
+        // drain's rule. Networks are distinct, so the order is total.
+        ready.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
         let fail_active = now_ms < self.shards[shard].compile_fail_until;
         let mut blocked = false;
+        let mut chosen = None;
         for &(_, _, net, take) in &ready {
             if fail_active && !self.shards[shard].cache.contains(&(net, take)) {
                 blocked = true; // compile would fail; try the next queue
                 continue;
             }
+            chosen = Some((net, take));
+            break;
+        }
+        self.ready = ready;
+        if let Some((net, take)) = chosen {
             return self.dispatch(shard, now_ms, net, take);
         }
         if blocked {
@@ -1720,15 +1769,21 @@ impl<'a> Engine<'a> {
     ) -> Result<(), RuntimeError> {
         let cluster = self.cluster;
         let state = &mut self.shards[shard];
-        let service_base = match state.service_ms.entry((net, take)) {
-            std::collections::btree_map::Entry::Occupied(hit) => *hit.get(),
-            std::collections::btree_map::Entry::Vacant(slot) => {
+        let memo = &mut state.service_ms[net];
+        let service_base = match memo.get(take).copied().flatten() {
+            Some(ms) => ms,
+            None => {
                 let plan = cluster
                     .shard_executor(shard)
                     .with_batch(take)
                     .try_plan(&cluster.networks()[net])?;
                 state.report.plans_compiled.push((net, take));
-                *slot.insert(plan.run().total_ms)
+                let ms = plan.run().total_ms;
+                if memo.len() <= take {
+                    memo.resize(take + 1, None);
+                }
+                memo[take] = Some(ms);
+                ms
             }
         };
         // FlexSA-style reduced mode: inside a degrade window the batch
@@ -1760,7 +1815,8 @@ impl<'a> Engine<'a> {
             compile_charge,
         );
         let completion_ms = now_ms + compile_ms + service_ms;
-        let requests: Vec<Request> = state.queues[net].drain(..take).collect();
+        let mut requests = std::mem::take(&mut state.spare);
+        requests.extend(state.queues[net].drain(..take));
         state.note_depth(now_ms, state.depth - take);
         state.epoch += 1;
         let epoch = state.epoch;

@@ -50,7 +50,9 @@ use super::metrics::PlanCacheStats;
 use super::placement::{ClusterView, Placement};
 use super::policy::{BatchPolicy, PolicyDecision};
 use super::transport::TransportModel;
-use super::{BatchRecord, EngineConfig, ServeCluster, ServeRun, ServedRequest, ShardReport};
+use super::{
+    BatchRecord, EngineConfig, ServeCluster, ServeRun, ServedRequest, ShardReport, ShardTally,
+};
 use crate::backend::RuntimeError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -423,6 +425,7 @@ impl LiveServer {
             .map(|(shard, output)| ShardReport {
                 shard,
                 platform: self.cluster.platforms()[shard],
+                tally: ShardTally::from_records(&output.requests, &output.batches),
                 requests: output.requests,
                 batches: output.batches,
                 busy_ms: output.busy_ms,

@@ -6,7 +6,6 @@
 
 use super::engine::ServeRun;
 use super::fault::ShardFaultStats;
-use super::ShardReport;
 
 /// Exact counters of one shard's simulated plan cache.
 ///
@@ -171,52 +170,79 @@ pub struct ServeOutcome {
     pub batch_histogram: Vec<(usize, u64)>,
 }
 
-/// Percentile of an unsorted latency set (`p` in 0..=100): the sorted
-/// element at the rounded fractional index `p/100 · (n-1)` (no
-/// interpolation). Returns 0 for an empty set.
+/// Percentile of an unsorted latency set (`p` in 0..=100): the element
+/// an ascending [`f64::total_cmp`] sort would hold at the rounded
+/// fractional index `p/100 · (n-1)` (no interpolation). Returns 0 for
+/// an empty set.
 #[must_use]
 pub fn percentile_ms(latencies: &[f64], p: f64) -> f64 {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    percentile_of_sorted(&sorted, p)
+    let [value] = select_percentiles(&mut latencies.to_vec(), [p]);
+    value
 }
 
-/// [`percentile_ms`] without the sort — `sorted` must be ascending.
-fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// The nearest-rank order statistics of [`percentile_ms`] for every
+/// `p` in `ps`, by selection instead of a full sort: each rank is
+/// selected inside the prefix the previous selection left below it,
+/// so listing `ps` in descending order does the whole set in about one
+/// pass over `values` (any order is still exact). Reorders `values`;
+/// zeros for an empty set.
+fn select_percentiles<const N: usize>(values: &mut [f64], ps: [f64; N]) -> [f64; N] {
+    let mut out = [0.0; N];
+    let Some(last) = values.len().checked_sub(1) else {
+        return out;
+    };
+    // After selecting rank `k`, `values[..k]` holds the `k` smallest
+    // elements and `values[k]` the rank-`k` one; `end` is that `k`.
+    let mut end = values.len();
+    for (slot, p) in out.iter_mut().zip(ps) {
+        // sma-lint: allow(float-cast) — p is a percentile in [0, 100] and the
+        // result is clamped by the min() below; the cast cannot escape bounds.
+        let rank = ((p / 100.0 * last as f64).round() as usize).min(last);
+        if rank != end {
+            let region = if rank < end { end } else { values.len() };
+            values[..region].select_nth_unstable_by(rank, f64::total_cmp);
+            end = rank;
+        }
+        *slot = values[rank];
     }
-    // sma-lint: allow(float-cast) — p is a percentile in [0, 100] and the
-    // result is clamped by the min() below; the cast cannot escape bounds.
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+    out
 }
 
 /// Folds one engine run into the cluster-wide outcome: latency
 /// percentiles over the served set, goodput against everything offered
 /// (served + rejected + shed + failed), and the fault/recovery
-/// counters rolled up per shard and per SLO class.
+/// counters rolled up per shard and per SLO class. Reads only the
+/// shards' [`ShardTally`](super::ShardTally)s, never the optional
+/// records.
 #[must_use]
 pub fn aggregate(run: &ServeRun) -> ServeOutcome {
     let reports = &run.reports;
-    let mut latencies: Vec<f64> = reports
-        .iter()
-        .flat_map(|r| r.requests.iter().map(|req| req.latency_ms()))
-        .collect();
+    let mut latencies: Vec<f64> =
+        Vec::with_capacity(reports.iter().map(|r| r.tally.served()).sum());
+    for report in reports {
+        latencies.extend_from_slice(report.tally.latencies_ms());
+    }
+    // Summed in shard-major completion order, before selection
+    // reorders the buffer.
     let total_latency_ms: f64 = latencies.iter().sum();
-    latencies.sort_by(f64::total_cmp);
+    let [max_ms, p999_ms, p99_ms, p50_ms] =
+        select_percentiles(&mut latencies, [100.0, 99.9, 99.0, 50.0]);
     let makespan_ms = reports
         .iter()
         .map(|r| r.makespan_ms)
         .fold(0.0_f64, f64::max);
     let busy_ms: f64 = reports.iter().map(|r| r.busy_ms).sum();
-    let deadline_misses: u64 = reports.iter().map(shard_misses).sum();
+    let deadline_misses: u64 = reports.iter().map(|r| r.tally.deadline_misses()).sum();
     let downtime_ms: f64 = reports.iter().map(|r| r.fault.downtime_ms).sum();
 
-    let mut histogram = std::collections::BTreeMap::new();
+    let mut batch_sizes: Vec<u64> = Vec::new();
     for report in reports {
-        for batch in &report.batches {
-            *histogram.entry(batch.size).or_insert(0u64) += 1;
+        let sizes = &report.tally.batch_sizes;
+        if batch_sizes.len() < sizes.len() {
+            batch_sizes.resize(sizes.len(), 0);
+        }
+        for (total, &count) in batch_sizes.iter_mut().zip(sizes) {
+            *total += count;
         }
     }
 
@@ -227,7 +253,7 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
         fault_totals.absorb(&report.fault);
     }
 
-    // Per-class rollup: served/misses off the reports, shed/failed off
+    // Per-class rollup: served/misses off the tallies, shed/failed off
     // the run's buckets, recovery counters off the engine's per-class
     // stats. `class_stats` already spans every class in the trace.
     let mut classes: Vec<ClassSummary> = run
@@ -243,32 +269,35 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
             ..ClassSummary::default()
         })
         .collect();
-    let class_slot = |classes: &mut Vec<ClassSummary>, class: u8| -> usize {
-        let index = usize::from(class);
-        while classes.len() <= index {
+    let class_slot = |classes: &mut Vec<ClassSummary>, class: usize| -> usize {
+        while classes.len() <= class {
             let next = classes.len() as u8;
             classes.push(ClassSummary {
                 class: next,
                 ..ClassSummary::default()
             });
         }
-        index
+        class
     };
     for report in reports {
-        for request in &report.requests {
-            let slot = class_slot(&mut classes, request.class);
-            classes[slot].served += 1;
-            if request.completion_ms > request.deadline_ms {
-                classes[slot].deadline_misses += 1;
-            }
+        let tally = &report.tally;
+        for (class, (&served, &misses)) in tally
+            .class_served
+            .iter()
+            .zip(&tally.class_misses)
+            .enumerate()
+        {
+            let slot = class_slot(&mut classes, class);
+            classes[slot].served += served as usize;
+            classes[slot].deadline_misses += misses;
         }
     }
     for request in &run.shed {
-        let slot = class_slot(&mut classes, request.class);
+        let slot = class_slot(&mut classes, usize::from(request.class));
         classes[slot].shed += 1;
     }
     for request in &run.failed {
-        let slot = class_slot(&mut classes, request.class);
+        let slot = class_slot(&mut classes, usize::from(request.class));
         classes[slot].failed += 1;
     }
 
@@ -282,15 +311,15 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
         rejected,
         shed,
         failed,
-        p50_ms: percentile_of_sorted(&latencies, 50.0),
-        p99_ms: percentile_of_sorted(&latencies, 99.0),
-        p999_ms: percentile_of_sorted(&latencies, 99.9),
+        p50_ms,
+        p99_ms,
+        p999_ms,
         mean_ms: if latencies.is_empty() {
             0.0
         } else {
             total_latency_ms / served as f64
         },
-        max_ms: latencies.last().copied().unwrap_or(0.0).max(0.0),
+        max_ms: max_ms.max(0.0),
         makespan_ms,
         busy_ms,
         deadline_misses,
@@ -316,15 +345,15 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
             .map(|r| ShardSummary {
                 shard: r.shard,
                 platform: r.platform,
-                requests: r.requests.len(),
-                batches: r.batches.len(),
+                requests: r.tally.served(),
+                batches: r.tally.batches() as usize,
                 busy_ms: r.busy_ms,
                 utilization: if makespan_ms > 0.0 {
                     r.busy_ms / makespan_ms
                 } else {
                     0.0
                 },
-                deadline_misses: shard_misses(r),
+                deadline_misses: r.tally.deadline_misses(),
                 queue_depth_mean: r.queue_depth_mean,
                 queue_depth_max: r.queue_depth_max,
                 cache: r.cache.clone(),
@@ -332,17 +361,12 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
             })
             .collect(),
         classes,
-        batch_histogram: histogram.into_iter().collect(),
+        batch_histogram: batch_sizes
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, count)| count > 0)
+            .collect(),
     }
-}
-
-/// Served requests of one shard that finished after their deadline.
-fn shard_misses(report: &ShardReport) -> u64 {
-    report
-        .requests
-        .iter()
-        .filter(|r| r.completion_ms > r.deadline_ms)
-        .count() as u64
 }
 
 #[cfg(test)]
@@ -352,6 +376,8 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use crate::serve::SeededRng;
+    use proptest::prelude::*;
 
     #[test]
     fn percentile_nearest_rank() {
@@ -361,6 +387,59 @@ mod tests {
         assert_eq!(percentile_ms(&v, 99.9), 5.0);
         assert_eq!(percentile_ms(&v, 100.0), 5.0);
         assert_eq!(percentile_ms(&[], 50.0), 0.0);
+    }
+
+    /// A value set with heavy duplication, both zeros and arbitrary bit
+    /// patterns (infinities and NaNs included: `total_cmp` orders them
+    /// all).
+    fn draw_values(seed: u64, len: usize, pool: u64) -> Vec<f64> {
+        let mut rng = SeededRng::new(seed);
+        (0..len)
+            .map(|_| match rng.next_u64() % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => (rng.next_u64() % pool) as f64 * 0.25,
+                _ => f64::from_bits(rng.next_u64()),
+            })
+            .collect()
+    }
+
+    /// The full-sort reference: the sorted element at the rounded
+    /// fractional index.
+    fn sorted_lookup(values: &[f64], p: f64) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        match sorted.len().checked_sub(1) {
+            None => 0.0,
+            Some(last) => sorted[((p / 100.0 * last as f64).round() as usize).min(last)],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Selection returns exactly the element the full sort would,
+        /// bit for bit, for one rank at a time and for several ranks
+        /// selected in one buffer, in either order.
+        #[test]
+        fn selection_matches_the_full_sort_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            len in 0usize..300,
+            pool in 1u64..16,
+        ) {
+            let values = draw_values(seed, len, pool);
+            let ps = [0.0, 50.0, 99.0, 99.9, 100.0];
+            let expected = ps.map(|p| sorted_lookup(&values, p).to_bits());
+            for (p, bits) in ps.iter().zip(expected) {
+                prop_assert_eq!(percentile_ms(&values, *p).to_bits(), bits, "p{}", p);
+            }
+            let ascending = select_percentiles(&mut values.clone(), ps);
+            prop_assert_eq!(ascending.map(f64::to_bits), expected);
+            let mut descending =
+                select_percentiles(&mut values.clone(), [100.0, 99.9, 99.0, 50.0, 0.0]);
+            descending.reverse();
+            prop_assert_eq!(descending.map(f64::to_bits), expected);
+        }
     }
 
     #[test]

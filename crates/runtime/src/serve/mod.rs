@@ -18,6 +18,13 @@
 //! byte-identical across repeat runs and across any worker-thread
 //! count.
 //!
+//! Every run keeps a [`ShardTally`] per shard — latencies in
+//! completion order, batch sizes, per-class served and missed counts —
+//! which is all [`aggregate`] reads. The full per-request
+//! [`ServedRequest`] and per-batch [`BatchRecord`] records are opt-in
+//! ([`EngineConfig::with_records`]); the live twin and [`replay`]
+//! always keep them.
+//!
 //! On top of the engine sit:
 //!
 //! * **SLO accounting**: the [`LoadGenerator`] stamps per-request
@@ -115,7 +122,7 @@ use crate::plan::NetworkPlan;
 use sma_models::Network;
 use std::sync::Arc;
 
-/// One request after the drain: when it arrived, started and finished.
+/// One served request: when it arrived, started and finished.
 #[derive(Debug, Clone, Copy)]
 pub struct ServedRequest {
     /// Trace identity.
@@ -172,6 +179,87 @@ pub struct BatchRecord {
     pub compile_ms: f64,
 }
 
+/// The always-on summary of one shard's served work: everything
+/// [`aggregate`] folds, kept whether or not per-request records are on
+/// ([`EngineConfig::with_records`]). It costs 8 bytes per served
+/// request plus a few counters, against 64 + 40/batch for the records.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardTally {
+    /// End-to-end latency ([`ServedRequest::latency_ms`]) of each
+    /// served request, ms, in completion order.
+    latencies_ms: Vec<f64>,
+    /// `batch_sizes[k]`: completed batches of `k` requests.
+    batch_sizes: Vec<u64>,
+    /// `class_served[c]`: served requests of SLO class `c`.
+    class_served: Vec<u64>,
+    /// `class_misses[c]`: served requests of SLO class `c` that
+    /// finished after their deadline (same length as `class_served`).
+    class_misses: Vec<u64>,
+}
+
+impl ShardTally {
+    /// Rebuilds the tally a run with these records kept — the engine
+    /// tallies completions exactly this way, record or not.
+    #[must_use]
+    pub fn from_records(requests: &[ServedRequest], batches: &[BatchRecord]) -> Self {
+        let mut tally = ShardTally::default();
+        for batch in batches {
+            tally.note_batch(batch.size);
+        }
+        for request in requests {
+            tally.note_served(request);
+        }
+        tally
+    }
+
+    /// Counts one completed batch of `size` requests.
+    pub(crate) fn note_batch(&mut self, size: usize) {
+        if self.batch_sizes.len() <= size {
+            self.batch_sizes.resize(size + 1, 0);
+        }
+        self.batch_sizes[size] += 1;
+    }
+
+    /// Counts one served request.
+    pub(crate) fn note_served(&mut self, request: &ServedRequest) {
+        self.latencies_ms.push(request.latency_ms());
+        let class = usize::from(request.class);
+        if self.class_served.len() <= class {
+            self.class_served.resize(class + 1, 0);
+            self.class_misses.resize(class + 1, 0);
+        }
+        self.class_served[class] += 1;
+        if request.completion_ms > request.deadline_ms {
+            self.class_misses[class] += 1;
+        }
+    }
+
+    /// End-to-end latency ([`ServedRequest::latency_ms`]) of each
+    /// served request, ms, in completion order.
+    #[must_use]
+    pub fn latencies_ms(&self) -> &[f64] {
+        &self.latencies_ms
+    }
+
+    /// Served requests.
+    #[must_use]
+    pub fn served(&self) -> usize {
+        self.latencies_ms.len()
+    }
+
+    /// Completed batches.
+    #[must_use]
+    pub fn batches(&self) -> u64 {
+        self.batch_sizes.iter().sum()
+    }
+
+    /// Served requests that finished after their deadline.
+    #[must_use]
+    pub fn deadline_misses(&self) -> u64 {
+        self.class_misses.iter().sum()
+    }
+}
+
 /// Everything one shard did during the run.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
@@ -179,9 +267,14 @@ pub struct ShardReport {
     pub shard: usize,
     /// Backend name of the shard's executor.
     pub platform: &'static str,
-    /// Served requests, in completion order.
+    /// Always-on tally of the served requests and batches.
+    pub tally: ShardTally,
+    /// Served requests, in completion order. Kept only under
+    /// [`EngineConfig::with_records`] (always by the live twin and
+    /// [`replay`]); empty otherwise.
     pub requests: Vec<ServedRequest>,
-    /// Executed batches, in launch order.
+    /// Executed batches, in launch order. Kept only under
+    /// [`EngineConfig::with_records`]; empty otherwise.
     pub batches: Vec<BatchRecord>,
     /// Simulated milliseconds spent executing (compiles included).
     pub busy_ms: f64,
@@ -502,7 +595,7 @@ mod tests {
 
     #[test]
     fn every_request_is_served_exactly_once() {
-        let sim = small_sim(Arc::new(Immediate), EngineConfig::default());
+        let sim = small_sim(Arc::new(Immediate), EngineConfig::default().with_records());
         let run = sim.try_run(&mut RoundRobin::default()).unwrap();
         let mut ids: Vec<u64> = run
             .reports
@@ -525,8 +618,63 @@ mod tests {
     }
 
     #[test]
+    fn records_are_opt_in_and_the_tally_matches_them() {
+        let policy: Arc<dyn BatchPolicy> = Arc::new(Deadline::new(5.0, 8));
+        let lean = small_sim(Arc::clone(&policy), EngineConfig::default());
+        let full = small_sim(policy, EngineConfig::default().with_records());
+        let a = lean.try_run(&mut RoundRobin::default()).unwrap();
+        let b = full.try_run(&mut RoundRobin::default()).unwrap();
+        for (x, y) in a.reports.iter().zip(&b.reports) {
+            assert!(x.requests.is_empty() && x.batches.is_empty());
+            assert!(y.tally.served() > 0);
+            assert_eq!(y.requests.len(), y.tally.served());
+            assert_eq!(x.tally, y.tally, "records never change the tally");
+            assert_eq!(ShardTally::from_records(&y.requests, &y.batches), y.tally);
+        }
+        assert_eq!(
+            format!("{:?}", lean.outcome(&a)),
+            format!("{:?}", full.outcome(&b))
+        );
+    }
+
+    #[test]
+    fn tally_grows_its_tables_on_demand() {
+        let served = |class, completion_ms| ServedRequest {
+            id: 0,
+            network: 0,
+            arrival_ms: 1.0,
+            deadline_ms: 10.0,
+            class,
+            start_ms: 1.0,
+            completion_ms,
+            batch_size: 1,
+        };
+        let mut tally = ShardTally::default();
+        tally.note_batch(3);
+        tally.note_batch(3);
+        tally.note_batch(1);
+        tally.note_served(&served(2, 5.0));
+        tally.note_served(&served(2, 12.0));
+        tally.note_served(&served(0, 10.0));
+        assert_eq!(tally.batch_sizes, vec![0, 1, 0, 2]);
+        assert_eq!(tally.batches(), 3);
+        assert_eq!(tally.class_served, vec![1, 0, 2]);
+        assert_eq!(
+            tally.class_misses,
+            vec![0, 0, 1],
+            "10.0 meets a 10.0 deadline"
+        );
+        assert_eq!(tally.deadline_misses(), 1);
+        assert_eq!(tally.latencies_ms, vec![4.0, 11.0, 9.0]);
+        assert_eq!(tally.served(), 3);
+    }
+
+    #[test]
     fn batches_never_start_before_their_requests_arrive() {
-        let sim = small_sim(Arc::new(Deadline::new(5.0, 8)), EngineConfig::default());
+        let sim = small_sim(
+            Arc::new(Deadline::new(5.0, 8)),
+            EngineConfig::default().with_records(),
+        );
         let run = sim.try_run(&mut LeastOutstanding::default()).unwrap();
         for report in &run.reports {
             for request in &report.requests {
@@ -545,7 +693,10 @@ mod tests {
 
     #[test]
     fn size_k_forms_full_batches_until_the_tail() {
-        let sim = small_sim(Arc::new(SizeK::new(4)), EngineConfig::default());
+        let sim = small_sim(
+            Arc::new(SizeK::new(4)),
+            EngineConfig::default().with_records(),
+        );
         let run = sim.try_run(&mut RoundRobin::default()).unwrap();
         let sizes: Vec<usize> = run
             .reports
@@ -561,7 +712,10 @@ mod tests {
 
     #[test]
     fn repeat_runs_are_identical_with_fresh_placements() {
-        for config in [EngineConfig::default(), EngineConfig::legacy()] {
+        for config in [
+            EngineConfig::default().with_records(),
+            EngineConfig::legacy().with_records(),
+        ] {
             let sim = small_sim(Arc::new(Deadline::new(3.0, 16)), config);
             let a = sim.try_run(&mut PlatformAffinity::default()).unwrap();
             let b = sim.try_run(&mut PlatformAffinity::default()).unwrap();
@@ -579,7 +733,7 @@ mod tests {
 
     #[test]
     fn affinity_places_each_network_on_one_platform() {
-        let sim = small_sim(Arc::new(Immediate), EngineConfig::default());
+        let sim = small_sim(Arc::new(Immediate), EngineConfig::default().with_records());
         let run = sim.try_run(&mut PlatformAffinity::default()).unwrap();
         for net in 0..sim.networks().len() {
             let hosts: std::collections::BTreeSet<&str> = run
@@ -599,7 +753,7 @@ mod tests {
         let sim = small_sim(Arc::new(Immediate), EngineConfig::default());
         let run = sim.try_run(&mut LeastBacklog).unwrap();
         assert!(
-            run.reports.iter().all(|r| !r.requests.is_empty()),
+            run.reports.iter().all(|r| r.tally.served() > 0),
             "both shards serve under least-backlog"
         );
     }

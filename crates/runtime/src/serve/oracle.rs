@@ -73,7 +73,10 @@ impl DiscreteOutcomes {
     }
 }
 
-/// Projects a run onto its discrete outcomes.
+/// Projects a run onto its discrete outcomes. Served ids and batch
+/// sequences come from the run's records, so `run` must keep them: a
+/// live run or a [`replay`] always does, an engine run only under
+/// [`EngineConfig::with_records`].
 #[must_use]
 pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
     let mut batch_sizes: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
@@ -116,7 +119,10 @@ pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
 }
 
 /// Replays a realized trace through the discrete-event engine: the
-/// oracle half of the live/replay agreement check.
+/// oracle half of the live/replay agreement check. The replay always
+/// keeps full records ([`EngineConfig::with_records`]), whatever
+/// `config` says: [`discrete_outcomes`] reads served ids and batch
+/// sequences off them.
 ///
 /// `placement` must be fresh (strategies carry cursor state); pass the
 /// same strategy, newly constructed, that the live run used.
@@ -141,7 +147,7 @@ pub fn replay(
         cluster.clone(),
         policy.clone(),
         realized_trace,
-        config.clone(),
+        config.clone().with_records(),
     )
     .try_run(placement)
 }
@@ -260,6 +266,28 @@ mod tests {
         assert_eq!(oa, ob);
         assert!(diff_outcomes(&oa, &ob).is_empty());
         assert_eq!(oa.served_total(), 80);
+    }
+
+    #[test]
+    fn replay_keeps_records_even_when_the_config_does_not() {
+        let cluster = cluster();
+        let policy: Arc<dyn BatchPolicy> = Arc::new(SizeK::new(4));
+        let trace = LoadGenerator::new(13, 2.0).trace(60, 2);
+        let config = EngineConfig::default();
+        assert!(!config.records);
+        let run = replay(
+            &cluster,
+            &policy,
+            &trace,
+            &config,
+            &mut RoundRobin::default(),
+        )
+        .unwrap();
+        for report in &run.reports {
+            assert_eq!(report.requests.len(), report.tally.served());
+            assert_eq!(report.batches.len() as u64, report.tally.batches());
+        }
+        assert_eq!(discrete_outcomes(&run).served_total(), 60);
     }
 
     #[test]

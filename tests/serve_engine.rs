@@ -205,7 +205,7 @@ fn engine_reproduces_the_three_phase_pipeline_bit_for_bit() {
                 Arc::clone(&cluster),
                 Arc::clone(&policy),
                 &trace,
-                EngineConfig::legacy(),
+                EngineConfig::legacy().with_records(),
             );
             let mut fresh = legacy_placements().swap_remove(which);
             let run = sim.try_run(fresh.as_mut()).unwrap();
@@ -258,7 +258,10 @@ fn deadline_batch_closes_at_expiry_not_at_the_next_arrival() {
         class: 0,
     };
     let trace = vec![request(0, 10.0), request(1, 1000.0)];
-    for config in [EngineConfig::default(), EngineConfig::legacy()] {
+    for config in [
+        EngineConfig::default().with_records(),
+        EngineConfig::legacy().with_records(),
+    ] {
         let sim = ServeSim::try_new(
             vec![Executor::new(Platform::Sma3)],
             vec![sma::models::zoo::alexnet()],
@@ -314,7 +317,8 @@ fn bounded_plan_cache_evicts_and_charges_compiles() {
         .unwrap();
     let bounded = EngineConfig::default()
         .with_cache_budget(CacheBudget::Uniform(max_plan + max_plan / 4))
-        .with_compile_cost(0.05);
+        .with_compile_cost(0.05)
+        .with_records();
     let unbounded = EngineConfig::default().with_compile_cost(0.05);
     let policy: Arc<dyn BatchPolicy> = Arc::new(Deadline::new(4.0, 16));
 
@@ -389,8 +393,8 @@ fn admission_controller_replaces_then_rejects() {
     let sim = ServeSim::with_cluster(Arc::clone(&cluster), Arc::new(Immediate), &trace, replace);
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
     assert!(run.rejected.is_empty(), "shard 1 admits every plan");
-    assert_eq!(run.reports[0].requests.len(), 0, "shard 0 admits nothing");
-    assert_eq!(run.reports[1].requests.len(), trace.len());
+    assert_eq!(run.reports[0].tally.served(), 0, "shard 0 admits nothing");
+    assert_eq!(run.reports[1].tally.served(), trace.len());
 
     // No shard can hold any plan: everything is rejected, loudly.
     let reject = EngineConfig::default().with_cache_budget(CacheBudget::Uniform(1));
@@ -428,7 +432,7 @@ fn edf_deadline_miss_accounting_reconciles() {
         Arc::clone(&cluster),
         Arc::new(EarliestDeadlineFirst::new(8.0, 16)),
         &trace,
-        EngineConfig::default(),
+        EngineConfig::default().with_records(),
     );
     assert_eq!(sim.config().admission, Admission::Online);
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
@@ -478,7 +482,8 @@ fn bounded_edf_runs_are_bit_identical_across_repeats() {
         .trace(500, cluster.networks().len());
     let config = EngineConfig::default()
         .with_cache_budget(CacheBudget::Uniform(16 * 1024))
-        .with_compile_cost(0.05);
+        .with_compile_cost(0.05)
+        .with_records();
     let sim = ServeSim::with_cluster(
         Arc::clone(&cluster),
         Arc::new(EarliestDeadlineFirst::new(10.0, 16)),
@@ -491,6 +496,7 @@ fn bounded_edf_runs_are_bit_identical_across_repeats() {
     for (x, y) in a.reports.iter().zip(&b.reports) {
         assert_eq!(x.busy_ms.to_bits(), y.busy_ms.to_bits());
         assert_eq!(x.cache, y.cache);
+        assert_eq!(x.tally, y.tally);
         assert_eq!(x.requests.len(), y.requests.len());
         for (p, q) in x.requests.iter().zip(&y.requests) {
             assert_eq!(p.id, q.id);

@@ -59,6 +59,7 @@ fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
         );
         assert_eq!(x.cache, y.cache, "{label} s{shard} cache");
         assert_eq!(x.fault, y.fault, "{label} s{shard} fault stats");
+        assert_eq!(x.tally, y.tally, "{label} s{shard} tally");
         assert_eq!(
             x.plans_compiled, y.plans_compiled,
             "{label} s{shard} compiles"
@@ -198,6 +199,7 @@ proptest! {
         for (which, (policy, placement, config)) in
             fault_free_grid(max_plan + max_plan / 4).into_iter().enumerate()
         {
+            let config = config.with_records();
             let plain = ServeSim::with_cluster(
                 Arc::clone(&cluster), Arc::clone(&policy), &trace, config.clone(),
             );
@@ -252,6 +254,7 @@ proptest! {
         );
         let (hedge_on, shed_on) = (hedge_sel == 1, shed_sel == 1);
         let mut config = EngineConfig::default()
+            .with_records()
             .with_faults(plan)
             .with_retry(RetryPolicy {
                 max_attempts: 3,
@@ -338,7 +341,10 @@ fn one_request_sim(
         vec![sma::models::zoo::alexnet()],
         Arc::new(Immediate),
         &trace,
-        EngineConfig::default().with_faults(plan).with_retry(retry),
+        EngineConfig::default()
+            .with_records()
+            .with_faults(plan)
+            .with_retry(retry),
     )
     .unwrap();
     (sim, trace)
@@ -437,7 +443,7 @@ fn hedge_bills_the_loser_but_serves_exactly_once() {
     .unwrap();
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
 
-    let served: usize = run.reports.iter().map(|r| r.requests.len()).sum();
+    let served: usize = run.reports.iter().map(|r| r.tally.served()).sum();
     assert_eq!(served, 1, "first completion wins; the duplicate is dropped");
     let hedges: u64 = run.reports.iter().map(|r| r.fault.hedges).sum();
     assert_eq!(hedges, 1);

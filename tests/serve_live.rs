@@ -102,7 +102,7 @@ fn mean_latency_ms(run: &sma::runtime::serve::ServeRun) -> f64 {
     let latencies: Vec<f64> = run
         .reports
         .iter()
-        .flat_map(|r| r.requests.iter().map(|q| q.completion_ms - q.arrival_ms))
+        .flat_map(|r| r.tally.latencies_ms().iter().copied())
         .collect();
     if latencies.is_empty() {
         0.0

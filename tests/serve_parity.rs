@@ -76,7 +76,7 @@ proptest! {
             networks,
             policy,
             &trace,
-            EngineConfig::default(),
+            EngineConfig::default().with_records(),
         )
         .unwrap();
         let run = sim.try_run(placement_for(placement_sel).as_mut()).unwrap();
@@ -183,7 +183,7 @@ fn serve_batches_are_bit_identical_to_direct_executor_runs() {
         serve_networks(),
         Arc::new(Deadline::new(4.0, 16)),
         &serve_trace(0x0D0C_5EED, 400, 1.0),
-        EngineConfig::default(),
+        EngineConfig::default().with_records(),
     )
     .unwrap();
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();

@@ -62,6 +62,7 @@ fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
             "{label} s{shard} busy"
         );
         assert_eq!(x.fault, y.fault, "{label} s{shard} fault stats");
+        assert_eq!(x.tally, y.tally, "{label} s{shard} tally");
         assert_eq!(x.batches.len(), y.batches.len(), "{label} s{shard} batches");
         for (p, q) in x.batches.iter().zip(&y.batches) {
             assert_eq!(p.network, q.network, "{label} s{shard} batch net");
@@ -222,7 +223,9 @@ fn preemption_evicts_the_running_batch_and_bills_the_partial_slice() {
         networks(),
         policy,
         &trace,
-        EngineConfig::default().with_preempt(PreemptPolicy::new(1)),
+        EngineConfig::default()
+            .with_records()
+            .with_preempt(PreemptPolicy::new(1)),
     )
     .unwrap();
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
@@ -280,16 +283,18 @@ fn autoscaler_drains_the_idle_fleet_and_reactivates_on_a_burst() {
     // shard leaps far over the high watermark and stays there while
     // the queue serializes, so the scaler re-activates capacity.
     trace.extend((10..70).map(|i| request(i, 500.0 + 0.01 * (i - 10) as f64)));
-    let config = EngineConfig::default().with_scale(AutoscalePolicy {
-        period_ms: 10.0,
-        high_watermark: 3.0,
-        low_watermark: 0.5,
-        hysteresis_ticks: 2,
-        min_active: 1,
-        // A generous budget: every parked shard stays frontier-eligible,
-        // so this test exercises the scaling cycle, not the gate.
-        energy_headroom: 10.0,
-    });
+    let config = EngineConfig::default()
+        .with_records()
+        .with_scale(AutoscalePolicy {
+            period_ms: 10.0,
+            high_watermark: 3.0,
+            low_watermark: 0.5,
+            hysteresis_ticks: 2,
+            min_active: 1,
+            // A generous budget: every parked shard stays frontier-eligible,
+            // so this test exercises the scaling cycle, not the gate.
+            energy_headroom: 10.0,
+        });
     let policy: Arc<dyn BatchPolicy> = Arc::new(SizeK::new(4));
     let sim = ServeSim::with_cluster(Arc::clone(&cluster), policy, &trace, config);
     let run = sim.try_run(&mut LeastBacklog).unwrap();
@@ -345,6 +350,7 @@ proptest! {
             &FaultMix::balanced(),
         );
         let mut config = EngineConfig::default()
+            .with_records()
             .with_faults(plan)
             .with_retry(RetryPolicy {
                 max_attempts: 3,
@@ -405,7 +411,7 @@ proptest! {
             .with_slo(SLO_MS)
             .with_classes(3)
             .trace(count, cluster.networks().len());
-        let config = EngineConfig::default().with_scale(AutoscalePolicy {
+        let config = EngineConfig::default().with_records().with_scale(AutoscalePolicy {
             period_ms: period_tenths as f64 / 10.0,
             high_watermark: 3.0,
             low_watermark: 0.5,
@@ -460,13 +466,13 @@ proptest! {
             Arc::clone(&cluster),
             Arc::clone(&policy),
             &trace,
-            EngineConfig::default(),
+            EngineConfig::default().with_records(),
         );
         let degenerate = ServeSim::with_cluster(
             Arc::clone(&cluster),
             Arc::clone(&policy),
             &trace,
-            EngineConfig::default().with_scale(AutoscalePolicy {
+            EngineConfig::default().with_records().with_scale(AutoscalePolicy {
                 energy_headroom: 0.0,
                 ..AutoscalePolicy::default()
             }),

@@ -204,7 +204,7 @@ fn shared_gemm_cache_counters_stay_exact_through_concurrent_serve_runs() {
 
     // And every serve run itself stayed coherent.
     for run in &runs {
-        let served: usize = run.reports.iter().map(|r| r.requests.len()).sum();
+        let served: usize = run.reports.iter().map(|r| r.tally.served()).sum();
         assert_eq!(served, 600);
     }
 }
