@@ -1,9 +1,9 @@
 //! Criterion benches of the DSE hot path: grid compilation (plan
-//! families into the shared arena) and point evaluation (arena replay +
-//! residency fold), reported so the headline points/sec is tracked
-//! across PRs. CI runs this with `CRITERION_SAMPLE_SIZE=1` and uploads
-//! the timing JSON as an artifact — wall-derived numbers never land in
-//! the committed tree.
+//! families into an arena, one replay per plan, the cell table) and
+//! point evaluation (cell lookup + residency count), reported so the
+//! headline points/sec is tracked across PRs. CI runs this with
+//! `CRITERION_SAMPLE_SIZE=1` and uploads the timing JSON as an artifact
+//! — wall-derived numbers never land in the committed tree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sma_bench::dse::DseGrid;
@@ -20,7 +20,7 @@ fn bench_dse(c: &mut Criterion) {
     });
 
     let compiled = DseGrid::smoke().compile();
-    g.bench_function("row_replay", |b| {
+    g.bench_function("row_eval", |b| {
         let mut i = 0;
         b.iter(|| {
             let row = std::hint::black_box(compiled.row(i));

@@ -1,8 +1,8 @@
 //! Sweeps the 5 040-point design-space grid — ArrayFlex pipeline span ×
-//! FlexSA tile mode × batch × weight-cache budget × network — through
-//! the incremental-plan/arena hot path (see `sma_bench::dse`), fanning
-//! point evaluation across the sweep module's work-stealing driver and
-//! streaming rows through the order-preserving writer.
+//! FlexSA tile mode × batch × weight-cache budget × network — as lookups
+//! in the cell table `DseGrid::compile` builds (see `sma_bench::dse`),
+//! fanning point evaluation across the sweep module's work-stealing
+//! driver and streaming rows through the order-preserving writer.
 //!
 //! Three files come out:
 //!
@@ -56,15 +56,15 @@ fn fail(file: &str, e: &std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// Renders row `index` of `count` as its slice of the rows JSON array.
+/// Renders row `index` of `count` as its slice of the rows JSON array,
+/// into one exactly sized buffer.
 fn render_row(row: &DseRow, index: usize, count: usize) -> String {
-    let mut out = String::with_capacity(300);
-    if index == 0 {
-        out.push_str("[\n");
-    }
-    out.push_str("  ");
-    out.push_str(&row.to_json());
-    out.push_str(if index + 1 == count { "\n]\n" } else { ",\n" });
+    let head = if index == 0 { "[\n  " } else { "  " };
+    let tail = if index + 1 == count { "\n]\n" } else { ",\n" };
+    let mut out = String::with_capacity(head.len() + row.json_len() + tail.len());
+    out.push_str(head);
+    row.write_json(&mut out);
+    out.push_str(tail);
     out
 }
 

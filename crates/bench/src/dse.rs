@@ -13,19 +13,25 @@
 //! * all seven evaluation **networks**,
 //!
 //! 5 040 points in all — ~50× the 98-task sweep grid — at the same
-//! order of wall-clock, because every point rides the incremental-plan
-//! hot path instead of re-planning from scratch:
+//! order of wall-clock, because every point is a table lookup instead
+//! of a re-plan:
 //!
 //! 1. [`DseGrid::compile`] builds one [`PlanFamily`](sma_runtime::PlanFamily)
-//!    per pinned backend
-//!    × network (35 families) and instantiates each at every batch
-//!    point straight into one shared bump [`PlanArena`] (350 plans,
-//!    only the GEMM steps re-estimated per batch).
-//! 2. [`DseCompiled::row`] is then a pure function: it replays the two
-//!    candidate arena plans (lock-free aggregation over `&[PlannedStep]`)
-//!    and folds the budget axis over precomputed per-layer weight
-//!    footprints — no planning, no locking, no allocation beyond the
-//!    profile itself.
+//!    per pinned backend × network (35 families), instantiates each at
+//!    every batch point into a bump [`PlanArena`] that lives as long as
+//!    the family (350 plans in all, only the GEMM steps re-estimated per
+//!    batch) and replays each plan **once**. It then builds one *cell*
+//!    per span × mode × network × batch (420 cells): both candidates'
+//!    outcomes, the winner, its throughput, and the row's JSON with
+//!    everything that does not depend on the budget already rendered.
+//!    The arenas are compile-time scratch; only their step count
+//!    survives ([`DseCompiled::arena_steps`]).
+//! 2. [`DseCompiled::row`] is then a lookup: it decodes the index once,
+//!    counts each candidate's budget-resident GEMM layers (a binary
+//!    search over its sorted weight footprints) and shares the cell.
+//!    [`DseRow::write_json`] splices the index, the budget, the two
+//!    resident counts and the two `fits` flags into the cell's
+//!    fragments — no planning, no replay, no float formatting.
 //!
 //! The budget axis is descriptive, not predictive: a GEMM layer is
 //! *resident* when its full weight panel (`k × n` at f16) fits the
@@ -44,9 +50,10 @@
 //! **points/sec**.
 
 use crate::stream::fnv1a64_chain;
+use crate::sweep::escape_json;
 use sma_models::{zoo, Network};
 use sma_runtime::backend::{ArrayFlexBackend, FlexSaBackend, FlexSaMode, PipelineConfig};
-use sma_runtime::{ArenaPlan, Executor, PlanArena, Platform};
+use sma_runtime::{Executor, PlanArena, Platform};
 use sma_tensor::{GemmShape, GemmShapeBatch};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -139,7 +146,10 @@ impl DseGrid {
     /// Panics if `index >= self.len()`.
     #[must_use]
     pub fn point(&self, index: usize) -> DsePoint {
-        let slots = self.slots(index);
+        self.point_at(self.slots(index))
+    }
+
+    fn point_at(&self, slots: AxisSlots) -> DsePoint {
         DsePoint {
             span: self.spans[slots.span],
             mode: self.modes[slots.mode],
@@ -170,8 +180,17 @@ impl DseGrid {
         }
     }
 
-    /// Compiles the grid's plan families into one shared arena (see the
-    /// module docs); the result evaluates points with `&self` only.
+    /// Index of the cell holding every point at these slots but the
+    /// budget: the point nesting with the budget axis left out.
+    fn cell_index(&self, slots: AxisSlots) -> usize {
+        ((slots.span * self.modes.len() + slots.mode) * self.batches.len() + slots.batch)
+            * self.networks.len()
+            + slots.network
+    }
+
+    /// Plans and replays every candidate once, then builds the cell
+    /// table (see the module docs); the result evaluates points with
+    /// `&self` only.
     #[must_use]
     pub fn compile(self) -> DseCompiled {
         let executors: Vec<Executor> = self
@@ -189,34 +208,61 @@ impl DseGrid {
             }))
             .collect();
 
-        let mut arena = PlanArena::new();
-        let mut candidates = Vec::with_capacity(executors.len());
+        let mut arena_steps = 0;
+        // outcomes[backend][network][batch]; backends are the spans
+        // followed by the modes.
+        let mut outcomes = Vec::with_capacity(executors.len());
         for exec in &executors {
             let name = exec.backend().name();
             let mut per_network = Vec::with_capacity(self.networks.len());
             for net in &self.networks {
                 let family = exec.plan_family(net);
+                // Scratch for this family's plans only: each plan is
+                // replayed right after it is planned, so a grid-wide
+                // arena (megabytes, grown by doubling) would only raise
+                // peak memory.
+                let mut arena = PlanArena::new();
                 let mut per_batch = Vec::with_capacity(self.batches.len());
                 for &batch in &self.batches {
                     let shapes = family.gemm_shapes(batch);
                     let stats = GemmShapeBatch::from_shapes(&shapes);
-                    per_batch.push(Candidate {
+                    let mut weight_bytes: Vec<u64> = shapes.iter().map(weight_footprint).collect();
+                    weight_bytes.sort_unstable();
+                    let total_ms = family
+                        .try_plan_into(batch, &mut arena)
+                        .map(|plan| arena.replay(&plan).total_ms)
+                        .map_err(|e| e.to_string());
+                    per_batch.push(Arc::new(DseOutcome {
                         name,
-                        plan: family
-                            .try_plan_into(batch, &mut arena)
-                            .map_err(|e| e.to_string()),
-                        weight_bytes: shapes.iter().map(weight_footprint).collect(),
+                        total_ms,
+                        weight_bytes: weight_bytes.into(),
                         intensity_f16: stats.arithmetic_intensity(WEIGHT_ELEM_BYTES as usize),
-                    });
+                    }));
                 }
+                arena_steps += arena.len();
                 per_network.push(per_batch);
             }
-            candidates.push(per_network);
+            outcomes.push(per_network);
+        }
+
+        let mut cells = Vec::with_capacity(self.len() / self.budgets_kib.len().max(1));
+        for (s, &span) in self.spans.iter().enumerate() {
+            for (m, &mode) in self.modes.iter().enumerate() {
+                let flexsa = &outcomes[self.spans.len() + m];
+                for (b, &batch) in self.batches.iter().enumerate() {
+                    for (n, net) in self.networks.iter().enumerate() {
+                        let candidates =
+                            [Arc::clone(&outcomes[s][n][b]), Arc::clone(&flexsa[n][b])];
+                        let cell = DseCell::new(net.name_shared(), span, mode, batch, candidates);
+                        cells.push(Arc::new(cell));
+                    }
+                }
+            }
         }
         DseCompiled {
+            arena_steps,
             grid: self,
-            arena,
-            candidates,
+            cells,
         }
     }
 }
@@ -238,141 +284,271 @@ const fn weight_footprint(shape: &GemmShape) -> u64 {
     (shape.k as u64) * (shape.n as u64) * WEIGHT_ELEM_BYTES
 }
 
-/// One pinned backend × network × batch, planned into the shared arena.
+/// One pinned backend × network × batch, planned and replayed once at
+/// compile. Nothing here depends on the budget.
 #[derive(Debug)]
-struct Candidate {
+pub struct DseOutcome {
     name: &'static str,
-    plan: Result<ArenaPlan, String>,
-    /// Per-GEMM-layer weight-panel bytes, in layer order.
-    weight_bytes: Vec<u64>,
-    /// Aggregate f16 arithmetic intensity of the batch-stacked GEMMs.
+    total_ms: Result<f64, String>,
+    /// Per-GEMM-layer weight-panel bytes, ascending.
+    weight_bytes: Box<[u64]>,
     intensity_f16: f64,
 }
 
-/// A compiled grid: the shared arena plus the candidate table. Point
-/// evaluation ([`DseCompiled::row`]) takes `&self` and is thread-safe.
-#[derive(Debug)]
-pub struct DseCompiled {
-    grid: DseGrid,
-    arena: PlanArena,
-    /// `candidates[backend][network][batch]`; backends are the spans
-    /// followed by the modes, matching [`DseGrid::compile`].
-    candidates: Vec<Vec<Vec<Candidate>>>,
-}
-
-/// One candidate's outcome at a point.
-#[derive(Debug, Clone)]
-pub struct DseOutcome {
-    /// Pinned backend name (e.g. `ArrayFlex-span2`, `FlexSA-sub`).
-    pub name: &'static str,
-    /// `Ok(total_ms)` or the planning rejection.
-    pub total_ms: Result<f64, String>,
-    /// GEMM layers whose weight panel fits the budget.
-    pub resident_gemms: usize,
-    /// Total GEMM layers.
-    pub gemms: usize,
-    /// Aggregate f16 arithmetic intensity of the candidate's GEMMs.
-    pub intensity_f16: f64,
-}
-
 impl DseOutcome {
-    /// True when every GEMM layer's weights are budget-resident.
+    /// Pinned backend name (e.g. `ArrayFlex-span2`, `FlexSA-sub`).
     #[must_use]
-    pub fn fits(&self) -> bool {
-        self.resident_gemms == self.gemms
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The modelled latency, or the planning rejection.
+    ///
+    /// # Errors
+    ///
+    /// The rejection reason when the candidate failed to plan.
+    pub fn total_ms(&self) -> Result<f64, &str> {
+        self.total_ms.as_ref().copied().map_err(String::as_str)
+    }
+
+    /// Total GEMM layers.
+    #[must_use]
+    pub fn gemms(&self) -> usize {
+        self.weight_bytes.len()
+    }
+
+    /// Aggregate f16 arithmetic intensity of the batch-stacked GEMMs.
+    #[must_use]
+    pub fn intensity_f16(&self) -> f64 {
+        self.intensity_f16
+    }
+
+    /// GEMM layers whose weight panel fits `budget_bytes`.
+    fn resident_gemms(&self, budget_bytes: u64) -> usize {
+        self.weight_bytes.partition_point(|&w| w <= budget_bytes)
     }
 }
 
-/// One evaluated grid point.
+/// Everything the rows of one span × mode × network × batch share —
+/// i.e. all but the budget (see the module docs).
+#[derive(Debug)]
+struct DseCell {
+    network: Arc<str>,
+    /// `[arrayflex, flexsa]`.
+    candidates: [Arc<DseOutcome>; 2],
+    /// Index into `candidates` of the lowest latency among those that
+    /// planned (`None` if both were rejected).
+    winner: Option<usize>,
+    /// Winner inferences per second (`batch / total_ms`), 0 without one.
+    throughput_ips: f64,
+    /// The row's JSON with the per-row values cut out; `cuts[k]` is the
+    /// byte offset where value `k` of `DseRow::spliced` goes.
+    json: String,
+    cuts: [usize; 6],
+}
+
+impl DseCell {
+    fn new(
+        network: Arc<str>,
+        span: PipelineConfig,
+        mode: FlexSaMode,
+        batch: usize,
+        candidates: [Arc<DseOutcome>; 2],
+    ) -> Self {
+        let winner = match (&candidates[0].total_ms, &candidates[1].total_ms) {
+            (Ok(a), Ok(f)) => Some(if *a <= *f { 0 } else { 1 }),
+            (Ok(_), Err(_)) => Some(0),
+            (Err(_), Ok(_)) => Some(1),
+            (Err(_), Err(_)) => None,
+        };
+        let throughput_ips = match winner.map(|w| &candidates[w].total_ms) {
+            Some(Ok(ms)) if *ms > 0.0 => batch as f64 * 1e3 / ms,
+            _ => 0.0,
+        };
+
+        let mut json = String::from("{\"i\": ");
+        let mut cuts = [0; 6];
+        cuts[0] = json.len();
+        let _ = write!(
+            json,
+            ", \"span\": {}, \"mode\": \"{}\", \"batch\": {batch}, \"budget_kib\": ",
+            span.span(),
+            mode_label(mode),
+        );
+        cuts[1] = json.len();
+        let _ = write!(json, ", \"network\": \"{}\", ", escape_json(&network));
+        for (k, (key, o)) in [("arrayflex", &candidates[0]), ("flexsa", &candidates[1])]
+            .into_iter()
+            .enumerate()
+        {
+            if k > 0 {
+                json.push_str(", ");
+            }
+            let _ = write!(json, "\"{key}\": {{\"backend\": \"{}\", ", o.name);
+            let _ = match &o.total_ms {
+                Ok(ms) => write!(json, "\"total_ms\": {ms:.6}, "),
+                Err(reason) => write!(json, "\"rejected\": \"{}\", ", escape_json(reason)),
+            };
+            json.push_str("\"resident_gemms\": ");
+            cuts[2 + 2 * k] = json.len();
+            let _ = write!(json, ", \"gemms\": {}, \"fits\": ", o.gemms());
+            cuts[3 + 2 * k] = json.len();
+            let _ = write!(json, ", \"ai_f16\": {:.3}}}", o.intensity_f16);
+        }
+        let _ = write!(
+            json,
+            ", \"winner\": \"{}\", \"throughput_ips\": {throughput_ips:.3}}}",
+            winner.map_or("none", |w| candidates[w].name),
+        );
+        DseCell {
+            network,
+            candidates,
+            winner,
+            throughput_ips,
+            json,
+            cuts,
+        }
+    }
+}
+
+/// One evaluated grid point: its budget-dependent values plus a shared
+/// handle on its cell.
 #[derive(Debug, Clone)]
 pub struct DseRow {
-    /// Point index in enumeration order.
-    pub index: usize,
-    /// The point's coordinates.
-    pub point: DsePoint,
-    /// Network name (shared with the grid's [`Network`], not copied
-    /// per row).
-    pub network: Arc<str>,
-    /// The ArrayFlex candidate at the point's span.
-    pub arrayflex: DseOutcome,
-    /// The FlexSA candidate at the point's mode.
-    pub flexsa: DseOutcome,
+    index: usize,
+    point: DsePoint,
+    /// Budget-resident GEMM layers, `[arrayflex, flexsa]`.
+    resident_gemms: [usize; 2],
+    cell: Arc<DseCell>,
+}
+
+/// A value [`DseRow::write_json`] splices into a cell's fragments.
+#[derive(Clone, Copy)]
+enum Spliced {
+    Uint(u64),
+    Bool(bool),
+}
+
+const fn json_bool(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+impl Spliced {
+    fn len(self) -> usize {
+        match self {
+            Spliced::Uint(n) => n.checked_ilog10().map_or(1, |d| d as usize + 1),
+            Spliced::Bool(b) => json_bool(b).len(),
+        }
+    }
+
+    fn write(self, out: &mut String) {
+        match self {
+            Spliced::Uint(n) => {
+                let mut unit = 10u64.pow(n.checked_ilog10().unwrap_or(0));
+                while unit > 0 {
+                    out.push(char::from(b'0' + (n / unit % 10) as u8));
+                    unit /= 10;
+                }
+            }
+            Spliced::Bool(b) => out.push_str(json_bool(b)),
+        }
+    }
 }
 
 impl DseRow {
+    /// The point's coordinates.
+    #[must_use]
+    pub fn point(&self) -> DsePoint {
+        self.point
+    }
+
+    /// The ArrayFlex candidate at the point's span.
+    #[must_use]
+    pub fn arrayflex(&self) -> &DseOutcome {
+        &self.cell.candidates[0]
+    }
+
+    /// The FlexSA candidate at the point's mode.
+    #[must_use]
+    pub fn flexsa(&self) -> &DseOutcome {
+        &self.cell.candidates[1]
+    }
+
+    /// GEMM layers whose weight panel fits the point's budget,
+    /// `[arrayflex, flexsa]`.
+    #[must_use]
+    pub fn resident_gemms(&self) -> [usize; 2] {
+        self.resident_gemms
+    }
+
+    /// Whether each candidate is fully weight-resident,
+    /// `[arrayflex, flexsa]`.
+    fn fits(&self) -> [bool; 2] {
+        [0, 1].map(|k| self.resident_gemms[k] == self.cell.candidates[k].gemms())
+    }
+
     /// The winning candidate — lowest modelled latency among the
     /// candidates that planned successfully (`None` if both rejected).
     #[must_use]
     pub fn winner(&self) -> Option<&DseOutcome> {
-        match (&self.arrayflex.total_ms, &self.flexsa.total_ms) {
-            (Ok(a), Ok(f)) => Some(if *a <= *f {
-                &self.arrayflex
-            } else {
-                &self.flexsa
-            }),
-            (Ok(_), Err(_)) => Some(&self.arrayflex),
-            (Err(_), Ok(_)) => Some(&self.flexsa),
-            (Err(_), Err(_)) => None,
-        }
+        self.cell.winner.map(|w| &*self.cell.candidates[w])
+    }
+
+    /// True when the winner exists and is fully weight-resident.
+    fn winner_fits(&self) -> bool {
+        self.cell.winner.is_some_and(|w| self.fits()[w])
     }
 
     /// Winner inferences per second (`batch / total_ms`), 0 if both
     /// candidates were rejected.
     #[must_use]
     pub fn throughput_ips(&self) -> f64 {
-        match self.winner().map(|w| &w.total_ms) {
-            Some(Ok(ms)) if *ms > 0.0 => self.point.batch as f64 * 1e3 / ms,
-            _ => 0.0,
+        self.cell.throughput_ips
+    }
+
+    /// The per-row values in cut order: index, budget, then each
+    /// candidate's resident count and `fits` flag.
+    fn spliced(&self) -> [Spliced; 6] {
+        let [resident_a, resident_f] = self.resident_gemms;
+        let [fits_a, fits_f] = self.fits();
+        [
+            Spliced::Uint(self.index as u64),
+            Spliced::Uint(self.point.budget_kib),
+            Spliced::Uint(resident_a as u64),
+            Spliced::Bool(fits_a),
+            Spliced::Uint(resident_f as u64),
+            Spliced::Bool(fits_f),
+        ]
+    }
+
+    /// Bytes [`DseRow::write_json`] appends.
+    #[must_use]
+    pub fn json_len(&self) -> usize {
+        self.cell.json.len() + self.spliced().iter().map(|v| v.len()).sum::<usize>()
+    }
+
+    /// Appends the row as one JSON object (no trailing newline). Size
+    /// `out` with [`DseRow::json_len`] to write without reallocating.
+    pub fn write_json(&self, out: &mut String) {
+        let json = &self.cell.json;
+        let mut from = 0;
+        for (value, &cut) in self.spliced().into_iter().zip(&self.cell.cuts) {
+            out.push_str(&json[from..cut]);
+            value.write(out);
+            from = cut;
         }
+        out.push_str(&json[from..]);
     }
 
     /// Renders the row as one JSON object (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn outcome(out: &mut String, key: &str, o: &DseOutcome) {
-            let _ = write!(out, "\"{key}\": {{\"backend\": \"{}\", ", o.name);
-            match &o.total_ms {
-                Ok(ms) => {
-                    let _ = write!(out, "\"total_ms\": {ms:.6}, ");
-                }
-                Err(reason) => {
-                    let _ = write!(
-                        out,
-                        "\"rejected\": \"{}\", ",
-                        crate::sweep::escape_json(reason)
-                    );
-                }
-            }
-            let _ = write!(
-                out,
-                "\"resident_gemms\": {}, \"gemms\": {}, \"fits\": {}, \"ai_f16\": {:.3}}}",
-                o.resident_gemms,
-                o.gemms,
-                o.fits(),
-                o.intensity_f16
-            );
-        }
-
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"i\": {}, \"span\": {}, \"mode\": \"{}\", \"batch\": {}, \"budget_kib\": {}, \"network\": \"{}\", ",
-            self.index,
-            self.point.span.span(),
-            mode_label(self.point.mode),
-            self.point.batch,
-            self.point.budget_kib,
-            crate::sweep::escape_json(&self.network),
-        );
-        outcome(&mut out, "arrayflex", &self.arrayflex);
-        out.push_str(", ");
-        outcome(&mut out, "flexsa", &self.flexsa);
-        let _ = write!(
-            out,
-            ", \"winner\": \"{}\", \"throughput_ips\": {:.3}}}",
-            self.winner().map_or("none", |w| w.name),
-            self.throughput_ips()
-        );
+        let mut out = String::with_capacity(self.json_len());
+        self.write_json(&mut out);
         out
     }
 }
@@ -386,6 +562,17 @@ pub fn mode_label(mode: FlexSaMode) -> &'static str {
     }
 }
 
+/// A compiled grid: the cell table. Point evaluation
+/// ([`DseCompiled::row`]) takes `&self` and is thread-safe.
+#[derive(Debug)]
+pub struct DseCompiled {
+    grid: DseGrid,
+    /// One cell per span × mode × batch × network, in
+    /// `DseGrid::cell_index` order.
+    cells: Vec<Arc<DseCell>>,
+    arena_steps: usize,
+}
+
 impl DseCompiled {
     /// The grid this table was compiled from.
     #[must_use]
@@ -393,9 +580,9 @@ impl DseCompiled {
         &self.grid
     }
 
-    /// Evaluates point `index`: replays the two candidate arena plans
-    /// and folds the budget over the precomputed weight footprints.
-    /// Pure and lock-free — safe to call from any number of threads.
+    /// Evaluates point `index`: looks up its cell and counts each
+    /// candidate's GEMM layers resident at the point's budget. Pure and
+    /// lock-free — safe to call from any number of threads.
     ///
     /// # Panics
     ///
@@ -403,43 +590,23 @@ impl DseCompiled {
     /// [`DseGrid::point`]).
     #[must_use]
     pub fn row(&self, index: usize) -> DseRow {
-        let point = self.grid.point(index);
         let slots = self.grid.slots(index);
+        let point = self.grid.point_at(slots);
+        let cell = &self.cells[self.grid.cell_index(slots)];
         let budget_bytes = point.budget_kib * 1024;
-        let arrayflex = &self.candidates[slots.span][slots.network][slots.batch];
-        let flexsa =
-            &self.candidates[self.grid.spans.len() + slots.mode][slots.network][slots.batch];
         DseRow {
             index,
             point,
-            network: self.grid.networks[point.network].name_shared(),
-            arrayflex: self.outcome(arrayflex, budget_bytes),
-            flexsa: self.outcome(flexsa, budget_bytes),
+            resident_gemms: [0, 1].map(|k| cell.candidates[k].resident_gemms(budget_bytes)),
+            cell: Arc::clone(cell),
         }
     }
 
-    fn outcome(&self, candidate: &Candidate, budget_bytes: u64) -> DseOutcome {
-        DseOutcome {
-            name: candidate.name,
-            total_ms: candidate
-                .plan
-                .as_ref()
-                .map(|plan| self.arena.replay(plan).total_ms)
-                .map_err(Clone::clone),
-            resident_gemms: candidate
-                .weight_bytes
-                .iter()
-                .filter(|&&w| w <= budget_bytes)
-                .count(),
-            gemms: candidate.weight_bytes.len(),
-            intensity_f16: candidate.intensity_f16,
-        }
-    }
-
-    /// Arena steps held for the whole grid (all 350 plans).
+    /// Arena steps the compile planned (all 350 plans of the full
+    /// grid).
     #[must_use]
     pub fn arena_steps(&self) -> usize {
-        self.arena.len()
+        self.arena_steps
     }
 }
 
@@ -476,13 +643,14 @@ impl DseReport {
                 Some((_, count)) => *count += 1,
                 None => winners.push((name, 1)),
             }
-            if row.winner().is_some_and(DseOutcome::fits) {
+            if row.winner_fits() {
                 resident_points += 1;
             }
-            let net_slot = match per_network.iter().position(|(n, _, _)| **n == *row.network) {
+            let network = &row.cell.network;
+            let net_slot = match per_network.iter().position(|(n, _, _)| n == network) {
                 Some(slot) => slot,
                 None => {
-                    per_network.push((Arc::clone(&row.network), 0, 0));
+                    per_network.push((Arc::clone(network), 0, 0));
                     per_network.len() - 1
                 }
             };
@@ -515,10 +683,7 @@ impl DseReport {
             join_with(&grid.modes, |&m| format!("\"{}\"", mode_label(m))),
             join_with(&grid.batches, ToString::to_string),
             join_with(&grid.budgets_kib, ToString::to_string),
-            join_with(grid.networks(), |n| format!(
-                "\"{}\"",
-                crate::sweep::escape_json(n.name())
-            )),
+            join_with(grid.networks(), |n| format!("\"{}\"", escape_json(n.name()))),
         );
         let _ = write!(
             out,
@@ -539,7 +704,7 @@ impl DseReport {
             let _ = writeln!(
                 out,
                 "    \"{}\": {{\"arrayflex_wins\": {af}, \"flexsa_wins\": {fs}}}{comma}",
-                crate::sweep::escape_json(name)
+                escape_json(name)
             );
         }
         out.push_str("  }\n}\n");
@@ -554,6 +719,89 @@ fn join_with<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The full grid, compiled once for every test that walks it.
+    fn full() -> &'static DseCompiled {
+        static FULL: OnceLock<DseCompiled> = OnceLock::new();
+        FULL.get_or_init(|| DseGrid::full().compile())
+    }
+
+    /// The `write!`-based renderer the spliced rows replaced, kept as
+    /// their oracle: it re-derives the winner and the throughput from
+    /// the outcomes and formats every value at render time.
+    fn reference_json(row: &DseRow) -> String {
+        fn outcome(out: &mut String, key: &str, o: &DseOutcome, resident: usize) {
+            let _ = write!(out, "\"{key}\": {{\"backend\": \"{}\", ", o.name());
+            match o.total_ms() {
+                Ok(ms) => {
+                    let _ = write!(out, "\"total_ms\": {ms:.6}, ");
+                }
+                Err(reason) => {
+                    let _ = write!(out, "\"rejected\": \"{}\", ", escape_json(reason));
+                }
+            }
+            let _ = write!(
+                out,
+                "\"resident_gemms\": {}, \"gemms\": {}, \"fits\": {}, \"ai_f16\": {:.3}}}",
+                resident,
+                o.gemms(),
+                resident == o.gemms(),
+                o.intensity_f16()
+            );
+        }
+
+        let (point, a, f) = (row.point(), row.arrayflex(), row.flexsa());
+        let winner = match (a.total_ms(), f.total_ms()) {
+            (Ok(x), Ok(y)) => Some(if x <= y { a } else { f }),
+            (Ok(_), Err(_)) => Some(a),
+            (Err(_), Ok(_)) => Some(f),
+            (Err(_), Err(_)) => None,
+        };
+        let throughput = match winner.map(DseOutcome::total_ms) {
+            Some(Ok(ms)) if ms > 0.0 => point.batch as f64 * 1e3 / ms,
+            _ => 0.0,
+        };
+        let mut out = String::with_capacity(256);
+        let _ = write!(
+            out,
+            "{{\"i\": {}, \"span\": {}, \"mode\": \"{}\", \"batch\": {}, \"budget_kib\": {}, \"network\": \"{}\", ",
+            row.index,
+            point.span.span(),
+            mode_label(point.mode),
+            point.batch,
+            point.budget_kib,
+            escape_json(&row.cell.network),
+        );
+        let [resident_a, resident_f] = row.resident_gemms();
+        outcome(&mut out, "arrayflex", a, resident_a);
+        out.push_str(", ");
+        outcome(&mut out, "flexsa", f, resident_f);
+        let _ = write!(
+            out,
+            ", \"winner\": \"{}\", \"throughput_ips\": {throughput:.3}}}",
+            winner.map_or("none", DseOutcome::name),
+        );
+        out
+    }
+
+    /// Asserts the spliced row equals the oracle and fills an exactly
+    /// sized buffer.
+    fn assert_splices_like_the_oracle(row: &DseRow) {
+        let json = row.to_json();
+        assert_eq!(json, reference_json(row), "row {} diverged", row.index);
+        assert_eq!(json.len(), row.json_len());
+        assert_eq!(json.capacity(), json.len(), "row {} reallocated", row.index);
+    }
+
+    fn outcome(name: &'static str, total_ms: Result<f64, String>, weights: &[u64]) -> DseOutcome {
+        DseOutcome {
+            name,
+            total_ms,
+            weight_bytes: weights.into(),
+            intensity_f16: 12.3456,
+        }
+    }
 
     #[test]
     fn full_grid_meets_the_issue_floor() {
@@ -591,6 +839,7 @@ mod tests {
         for index in [0, 7, 23, 47] {
             let row = compiled.row(index);
             let point = compiled.grid().point(index);
+            assert_eq!(row.point(), point);
             let net = &compiled.grid().networks()[point.network];
             let arrayflex = Executor::builder(Platform::ArrayFlex)
                 .backend(Arc::new(ArrayFlexBackend::pinned(point.span)))
@@ -603,17 +852,12 @@ mod tests {
             let expect_a = arrayflex.try_plan(net).expect("plans").run().total_ms;
             let expect_f = flexsa.try_plan(net).expect("plans").run().total_ms;
             assert_eq!(
-                row.arrayflex
-                    .total_ms
-                    .as_ref()
-                    .copied()
-                    .expect("ok")
-                    .to_bits(),
+                row.arrayflex().total_ms().expect("ok").to_bits(),
                 expect_a.to_bits(),
                 "point {index} arrayflex diverged"
             );
             assert_eq!(
-                row.flexsa.total_ms.as_ref().copied().expect("ok").to_bits(),
+                row.flexsa().total_ms().expect("ok").to_bits(),
                 expect_f.to_bits(),
                 "point {index} flexsa diverged"
             );
@@ -624,14 +868,26 @@ mod tests {
     fn residency_grows_with_the_budget() {
         let compiled = DseGrid::smoke().compile();
         // Points 0 and 0+len(networks) differ only in budget (8 → 64
-        // KiB) under the axis nesting.
+        // KiB) under the axis nesting, so they share a cell.
         let nets = compiled.grid().networks().len();
         let small = compiled.row(0);
         let large = compiled.row(nets);
-        assert_eq!(small.point.batch, large.point.batch);
-        assert!(small.point.budget_kib < large.point.budget_kib);
-        assert!(large.arrayflex.resident_gemms >= small.arrayflex.resident_gemms);
-        assert!(large.flexsa.resident_gemms >= small.flexsa.resident_gemms);
+        assert!(Arc::ptr_eq(&small.cell, &large.cell));
+        assert_eq!(small.point().batch, large.point().batch);
+        assert!(small.point().budget_kib < large.point().budget_kib);
+        let ([small_a, small_f], [large_a, large_f]) =
+            (small.resident_gemms(), large.resident_gemms());
+        assert!(large_a >= small_a);
+        assert!(large_f >= small_f);
+    }
+
+    #[test]
+    fn resident_count_is_the_layers_within_budget() {
+        let o = outcome("x", Ok(1.0), &[512, 1024, 1024, 4096]);
+        assert_eq!(o.resident_gemms(0), 0);
+        assert_eq!(o.resident_gemms(1023), 1);
+        assert_eq!(o.resident_gemms(1024), 3);
+        assert_eq!(o.resident_gemms(u64::MAX), 4);
     }
 
     #[test]
@@ -664,11 +920,84 @@ mod tests {
     }
 
     #[test]
+    fn spliced_rows_match_the_reference_renderer() {
+        let smoke = DseGrid::smoke().compile();
+        for i in 0..smoke.grid().len() {
+            assert_splices_like_the_oracle(&smoke.row(i));
+        }
+        // A prime stride walks every axis of the full grid, and the
+        // last point carries a four-digit index and the widest budget.
+        let full = full();
+        let last = full.grid().len() - 1;
+        for i in (0..last).step_by(37).chain([last]) {
+            assert_splices_like_the_oracle(&full.row(i));
+        }
+    }
+
+    #[test]
+    fn rejected_candidates_render_escaped_reasons() {
+        let reason = "no \"fit\" for\tbatch \\ 64".to_string();
+        let cases = [
+            (Err(reason.clone()), Ok(2.5)),
+            (Ok(2.5), Err(reason.clone())),
+            (Err(reason.clone()), Err(reason)),
+        ];
+        for (a, f) in cases {
+            let rejected = [a.is_err(), f.is_err()];
+            let candidates = [
+                Arc::new(outcome("ArrayFlex-span2", a, &[100, 5000])),
+                Arc::new(outcome("FlexSA-sub", f, &[100, 200, 300])),
+            ];
+            let cell = DseCell::new(
+                Arc::from("Net \"q\""),
+                PipelineConfig::ALL[1],
+                FlexSaMode::SubArrays,
+                64,
+                candidates,
+            );
+            let row = DseRow {
+                index: 1234,
+                point: DsePoint {
+                    span: PipelineConfig::ALL[1],
+                    mode: FlexSaMode::SubArrays,
+                    batch: 64,
+                    budget_kib: 4,
+                    network: 0,
+                },
+                resident_gemms: [1, 3],
+                cell: Arc::new(cell),
+            };
+            assert_splices_like_the_oracle(&row);
+            let json = row.to_json();
+            assert!(json.contains(r#""rejected": "no \"fit\" for\u0009batch \\ 64""#));
+            assert!(json.contains(r#""network": "Net \"q\"""#));
+            match rejected {
+                [true, true] => {
+                    assert!(row.winner().is_none());
+                    assert!(json.ends_with(r#""winner": "none", "throughput_ips": 0.000}"#));
+                }
+                [true, false] => assert_eq!(row.winner().map(DseOutcome::name), Some("FlexSA-sub")),
+                _ => assert_eq!(row.winner().map(DseOutcome::name), Some("ArrayFlex-span2")),
+            }
+        }
+    }
+
+    #[test]
+    fn full_grid_reproduces_the_committed_summary() {
+        let full = full();
+        let rows: Vec<DseRow> = (0..full.grid().len()).map(|i| full.row(i)).collect();
+        let report = DseReport::from_rows(&rows).to_json(full.grid());
+        assert_eq!(report, include_str!("../../../BENCH_dse.json"));
+    }
+
+    #[test]
     fn arena_holds_every_candidate_plan() {
         let compiled = DseGrid::smoke().compile();
-        // 5 backends × 2 networks × 2 batches = 20 plans in one arena.
-        assert!(compiled.arena_steps() > 0);
-        let per_plan_floor = 1; // every network has at least one layer
-        assert!(compiled.arena_steps() >= 20 * per_plan_floor);
+        // 5 backends × 2 networks × 2 batches = 20 plans, each at
+        // least one layer deep.
+        assert!(compiled.arena_steps() >= 20);
+        // One cell per span × mode × batch × network.
+        assert_eq!(compiled.cells.len(), 3 * 2 * 2 * 2);
+        assert_eq!(full().arena_steps(), 18_200);
     }
 }

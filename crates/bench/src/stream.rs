@@ -3,13 +3,17 @@
 //! The DSE grid (`crates/bench/src/dse.rs`) evaluates thousands of
 //! points on work-stealing workers, so rows complete out of order. The
 //! committed artifacts must nevertheless be byte-identical across runs
-//! and thread counts, and the writer must not buffer the whole grid:
-//! [`StreamWriter`] writes each row the moment every earlier row has
-//! been written, parking only the out-of-order suffix in a
-//! [`BTreeMap`]. Peak parked rows is bounded by how far the fastest
-//! worker runs ahead of the slowest — roughly `threads` rows, not
-//! `points` rows — and is reported as [`StreamStats::peak_pending`] so
-//! the bound is observable, not assumed.
+//! and thread counts: [`StreamWriter`] writes each row the moment every
+//! earlier row has been written, parking only the out-of-order suffix
+//! in a [`BTreeMap`]. Peak parked rows is bounded by how far the fastest
+//! worker runs ahead of the slowest. That is a few rows while every
+//! worker keeps running, but up to every row but one while the worker
+//! holding the next index is descheduled: the others run on through the
+//! grid and every row they finish parks. On the 5 040-point DSE grid
+//! with two workers on a 2-core host, measured peaks range from a few
+//! dozen rows in most `dse` bin runs to 1 509 in one, and reach 5 019
+//! in `perfbench` runs. The peak is reported as
+//! [`StreamStats::peak_pending`] so the bound is observed, not assumed.
 //!
 //! Byte-identity between streamed and buffered output is by
 //! construction: the buffered mode (`SMA_SWEEP_STREAM=0`) drives the
@@ -87,8 +91,8 @@ impl<W: Write> StreamInner<W> {
     }
 }
 
-/// An order-preserving, bounded-memory row sink shared by work-stealing
-/// workers (see the module docs).
+/// An order-preserving row sink shared by work-stealing workers; it
+/// parks out-of-order rows (see the module docs for how many).
 pub struct StreamWriter<W: Write> {
     inner: Mutex<StreamInner<W>>,
 }
