@@ -1,6 +1,6 @@
 //! Criterion benches of the serving hot path introduced by the plan
-//! layer: step-by-step execution vs compiled-plan replay, plan
-//! compilation itself, and the parallel sweep driver end to end.
+//! layer: compiled-plan replay, plan compilation itself, and the
+//! parallel sweep driver end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sma_bench::sweep::{grid_executors, Sweep};
@@ -15,10 +15,7 @@ fn bench_plan_replay(c: &mut Criterion) {
 
     let exec = Executor::kernel_study(Platform::Sma3);
     let net = zoo::mask_rcnn();
-    let plan = exec.plan(&net); // warms the shared cache for both sides
-    g.bench_function("stepwise_run/mask_rcnn_3sma", |b| {
-        b.iter(|| std::hint::black_box(exec.run(&net)))
-    });
+    let plan = exec.plan(&net); // warms the shared cache
     g.bench_function("plan_replay/mask_rcnn_3sma", |b| {
         b.iter(|| std::hint::black_box(plan.run()))
     });
@@ -36,9 +33,6 @@ fn bench_sweep_driver(c: &mut Criterion) {
 
     let execs = grid_executors(&Platform::gpu_family(), &[1, 16]);
     let nets = zoo::table2_models();
-    g.bench_function("grid_stepwise_serial", |b| {
-        b.iter(|| std::hint::black_box(Sweep::grid_stepwise(&execs, &nets, 8).run_serial()))
-    });
     g.bench_function("grid_planned_serial", |b| {
         b.iter(|| std::hint::black_box(Sweep::grid_planned(&execs, &nets, 8).run_serial()))
     });

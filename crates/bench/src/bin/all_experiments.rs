@@ -1,30 +1,24 @@
-//! Runs the full evaluation through the sweep driver, two ways:
+//! Runs the full evaluation through the sweep driver: the figure/table
+//! regenerators plus the platform × network × batch grid, each grid
+//! cell compiled once into a `NetworkPlan` and replayed, fanned across
+//! scoped worker threads over the sharded GEMM caches.
 //!
-//! 1. **Serial reference** — the figure/table regenerators plus the
-//!    platform × network × batch grid on the legacy step-by-step path
-//!    (`Executor::try_run` per inference: every layer re-resolved, the
-//!    GEMM cache re-queried per run), one task after another.
-//! 2. **Planned-parallel** — the same tasks with each grid cell
-//!    compiled once into a `NetworkPlan` and replayed, fanned across
-//!    scoped worker threads against the warm sharded GEMM caches.
-//!
-//! Both passes render identical reports (plans replay bit-identically).
-//! The comparison lands in two files: the committed `BENCH_sweep.json`
-//! holds only the deterministic side (task names, FNV-1a output
-//! digests, GEMM-cache counters — CI byte-diffs it across two runs),
-//! while everything wall-clock derived (`wall_ms`, per-task `ms`,
-//! `speedup`) goes to the gitignored `BENCH_sweep_timing.json` next to
-//! it, so the perf trajectory is tracked without committing noise.
+//! The run lands in two files: the committed `BENCH_sweep.json` holds
+//! only the deterministic side (task names, FNV-1a output digests,
+//! GEMM-cache counters — CI byte-diffs it across two runs), while
+//! everything wall-clock derived (`wall_ms`, thread count, per-task
+//! `ms`) goes to the gitignored `BENCH_sweep_timing.json` next to it,
+//! so the perf trajectory is tracked without committing noise.
 //!
 //! Environment:
-//! * `SMA_SWEEP_THREADS` — worker threads for the parallel pass
-//!   (default: available parallelism).
+//! * `SMA_SWEEP_THREADS` — worker threads (default: available
+//!   parallelism).
 //! * `SMA_SWEEP_REPS` — inference replays per grid cell (default 200).
 //! * `SMA_SWEEP_JSON` — committed report path (default:
 //!   `BENCH_sweep.json`); the timing side-file derives its name from it
 //!   (`_timing` before the extension).
 
-use sma_bench::sweep::{self, PassReport, Sweep, SweepReport};
+use sma_bench::sweep::{self, Sweep, SweepReport};
 
 fn main() {
     let execs = sweep::grid_executors(&sweep::all_platforms(), &[1, 16]);
@@ -32,32 +26,17 @@ fn main() {
     let reps = sweep::default_reps();
     let threads = sweep::default_threads();
 
-    let serial_sweep = Sweep::figures().extend(Sweep::grid_stepwise(&execs, &nets, reps));
-    let parallel_sweep = Sweep::figures().extend(Sweep::grid_planned(&execs, &nets, reps));
-
+    let tasks = Sweep::figures().extend(Sweep::grid_planned(&execs, &nets, reps));
     let before = sweep::cache_snapshot();
-    let serial = serial_sweep.run_serial();
-    let mid = sweep::cache_snapshot();
-    let parallel = parallel_sweep.run_parallel(threads);
+    let run = tasks.run_parallel(threads);
     let after = sweep::cache_snapshot();
 
-    for task in &serial.tasks {
+    for task in &run.tasks {
         println!("===== {} =====", task.name);
         println!("{}", task.output);
     }
 
-    let diverged = serial
-        .tasks
-        .iter()
-        .zip(&parallel.tasks)
-        .filter(|(s, p)| s.output != p.output)
-        .count();
-    assert_eq!(diverged, 0, "parallel pass diverged on {diverged} tasks");
-
-    let report = SweepReport {
-        serial: PassReport::new(&serial, &before, &mid),
-        parallel: PassReport::new(&parallel, &mid, &after),
-    };
+    let report = SweepReport::new(&run, &before, &after);
     let path = sma_bench::knobs::sweep_json_path();
     let timing = sweep::timing_path(&path);
     for (file, result) in [
@@ -77,16 +56,14 @@ fn main() {
     }
 
     println!(
-        "\nsweep: {} tasks | serial {:.1} ms (cold) | planned-parallel {:.1} ms on {} threads (warm) | speedup {:.2}x",
-        serial.tasks.len(),
-        report.serial.wall_ms,
-        report.parallel.wall_ms,
-        report.parallel.threads,
-        report.speedup(),
+        "\nsweep: {} tasks | planned-parallel {:.1} ms on {} threads",
+        report.tasks.len(),
+        report.wall_ms,
+        report.threads,
     );
-    for (backend, stats) in &report.parallel.cache {
+    for (backend, stats) in &report.cache {
         println!(
-            "  {backend}: parallel-pass GEMM cache {} hits / {} misses ({:.1}% hit rate)",
+            "  {backend}: GEMM cache {} hits / {} misses ({:.1}% hit rate)",
             stats.hits,
             stats.misses,
             stats.hit_rate() * 100.0

@@ -30,7 +30,7 @@
 use sma_bench::dse::{DseGrid, DseReport, DseRow};
 use sma_bench::knobs;
 use sma_bench::stream::StreamWriter;
-use sma_bench::sweep::{self, timing_path};
+use sma_bench::sweep::{self, side_path, timing_path};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
@@ -39,15 +39,6 @@ use std::sync::Mutex;
 // points/sec lands in the gitignored timing file, never in model state
 // or the committed summary.
 use std::time::Instant;
-
-/// The rows file path paired with the committed summary path:
-/// `BENCH_dse.json` → `BENCH_dse_rows.json`.
-fn rows_path(report_path: &str) -> String {
-    match report_path.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() => format!("{stem}_rows.{ext}"),
-        _ => format!("{report_path}_rows"),
-    }
-}
 
 fn fail(file: &str, e: &std::io::Error) -> ! {
     // The artifacts are the point of this binary; a missing file must
@@ -79,7 +70,7 @@ fn main() {
     let count = knobs::dse_points().map_or(total, |cap| cap.min(total));
     let threads = sweep::default_threads();
     let path = knobs::dse_json_path();
-    let rows_file = rows_path(&path);
+    let rows_file = side_path(&path, "_rows");
     let timing_file = timing_path(&path);
 
     // sma-lint: allow(wallclock) — compile time is reported, not modeled.

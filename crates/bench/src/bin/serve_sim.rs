@@ -3,11 +3,9 @@
 //! Generates one seeded open-loop trace (SLO deadlines stamped) over
 //! the default cluster (six shards on five platforms, three Table-II
 //! networks), then serves it through the discrete-event engine under
-//! every matrix cell: the legacy policy × placement block (preplaced
-//! admission, unbounded plan cache — pinned value-identical to the
-//! pre-engine pipeline) plus the online block (live-view placement,
-//! EDF, bounded plan cache with LRU eviction and compile-on-miss
-//! latency). Combos fan across the sweep driver's worker threads;
+//! every matrix cell, starting with the online block (live-view
+//! placement, EDF, unbounded and bounded plan caches with LRU eviction
+//! and compile-on-miss latency). Combos fan across the sweep driver's worker threads;
 //! per-combo latency percentiles (p50/p99/p99.9), goodput,
 //! deadline-miss, queue-depth and plan-cache stats land in
 //! `BENCH_serve.json`.
@@ -17,7 +15,7 @@
 //! seed regardless of thread count or machine speed (the determinism
 //! suite and the CI double-run diff pin this).
 //!
-//! A fault block rides behind the two fault-free blocks: the same
+//! A fault block rides behind the online block: the same
 //! engine under seeded crash/degrade/stall/compile-fail schedules with
 //! retry, hedging, failover and class-striped shedding — equally
 //! deterministic (the chaos CI step double-runs with a nonzero fault

@@ -169,7 +169,7 @@ pub fn serve_cache_bytes() -> Option<u64> {
 /// Fault-schedule seed for the fault block: `SMA_SERVE_FAULT_SEED`,
 /// default derived from the trace seed when unset. The fault stream is
 /// independent of the arrival stream, so changing this never perturbs
-/// the legacy or online blocks.
+/// the online block.
 #[must_use]
 pub fn serve_fault_seed() -> Option<u64> {
     opt("SMA_SERVE_FAULT_SEED")

@@ -5,8 +5,8 @@
 //! across scoped threads; the `src/bin/figN_*` binaries print the same
 //! reports standalone; `benches/` wraps the hot paths in Criterion for
 //! regression tracking. `all_experiments` runs the whole evaluation
-//! serial and planned-parallel, writing the deterministic comparison
-//! (task digests + cache counters) to the committed `BENCH_sweep.json`
+//! planned-parallel, writing the deterministic side (task digests +
+//! cache counters) to the committed `BENCH_sweep.json`
 //! and the wall-clock side to the gitignored `BENCH_sweep_timing.json`;
 //! `dse` sweeps the [`dse`] design-space grid — pinned pipeline span ×
 //! tile mode × batch × cache budget × network — through the
@@ -33,5 +33,5 @@ pub use experiments::{
     Fig8Row, Fig9LeftRow, Fig9RightRow,
 };
 pub use stream::{fnv1a64, StreamStats, StreamWriter};
-pub use sweep::{PassReport, Sweep, SweepReport, SweepRun, SweepTask, TaskReport, TaskSummary};
+pub use sweep::{Sweep, SweepReport, SweepRun, SweepTask, TaskReport, TaskSummary};
 pub use table::{render_table, write_csv};

@@ -2,13 +2,8 @@
 //! matrix over one seeded trace, combos fanned through the [`Sweep`]
 //! driver, results rendered into `BENCH_serve.json`.
 //!
-//! The matrix has four blocks:
+//! The matrix has three blocks:
 //!
-//! * **Legacy block** (preplaced admission, unbounded plan cache, free
-//!   compiles): the three pre-engine policies × placements, running
-//!   under [`EngineConfig::legacy`]. These rows are pinned
-//!   value-identical to the pre-engine three-phase pipeline — the
-//!   refactor's honesty check.
 //! * **Online block**: the event engine proper — online placement with
 //!   a live [`ClusterView`](sma_runtime::serve::ClusterView), the EDF
 //!   SLO policy, and both an unbounded and a capacity-bounded plan
@@ -18,13 +13,13 @@
 //!   {no-fault, crash-heavy, degrade-heavy} × {retry, retry+hedge} —
 //!   with the EDF policy, the health-weighted placement, class-striped
 //!   SLO shedding and the retry/hedge recovery policies. The fault
-//!   schedule draws from its own splitmix64 stream, so the first two
-//!   blocks stay value-identical whether or not this block exists.
+//!   schedule draws from its own splitmix64 stream, so the online
+//!   block stays value-identical whether or not this block exists.
 //! * **Control block**: the serve-time control plane — {static,
 //!   autoscaled fleet} × {no-preempt, SLO preemption} × {fixed
 //!   fabric, traffic-mix reconfiguration} at EDF × health-weighted,
 //!   fault-free. Every control-plane feature defaults off in
-//!   [`EngineConfig`], so the three blocks above stay value-identical
+//!   [`EngineConfig`], so the two blocks above stay value-identical
 //!   whether or not this block exists.
 //!
 //! Everything in the report comes from the **simulated** clock — no
@@ -39,8 +34,8 @@ use sma_models::zoo;
 use sma_runtime::serve::{
     percentile_ms, AutoscalePolicy, BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst,
     EngineConfig, FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate, LeastBacklog,
-    LeastOutstanding, LoadGenerator, Placement, PlatformAffinity, PreemptPolicy, ReconfigPolicy,
-    Request, RetryPolicy, RoundRobin, ServeCluster, ServeOutcome, ServeSim, ShedPolicy, SizeK,
+    LoadGenerator, Placement, PreemptPolicy, ReconfigPolicy, Request, RetryPolicy, RoundRobin,
+    ServeCluster, ServeOutcome, ServeSim, ShedPolicy, SizeK,
 };
 use sma_runtime::{Executor, Platform, RuntimeError};
 use std::fmt::Write as _;
@@ -70,10 +65,10 @@ pub struct ServeScenario {
     /// Plan-cache budget of the bounded-cache rows, bytes per shard.
     pub bounded_cache_bytes: u64,
     /// Simulated compile cost billed per network layer on a plan-cache
-    /// miss (online rows; the legacy block compiles for free).
+    /// miss.
     pub compile_ms_per_layer: f64,
     /// Seed of the fault block's [`FaultPlan`] stream (independent of
-    /// the trace seed — the first two blocks never see it).
+    /// the trace seed — the online block never sees it).
     pub fault_seed: u64,
     /// Expected faults per shard in the fault block's schedules.
     pub fault_rate: f64,
@@ -144,14 +139,6 @@ pub fn mean_unit_service_ms(cluster: &ServeCluster) -> f64 {
 ///   default matrix) but a shard hosting all three networks must
 ///   evict.
 ///
-/// The reconfigurable shards make the platform-affinity rows a
-/// cautionary tale on purpose: ArrayFlex is the fastest batch-1 shard
-/// for *every* hosted network (narrowly over FlexSA), so load-blind
-/// affinity routes the entire trace to that one shard and starves the
-/// other five — the benchmark shows the hotspot (p99 two orders above
-/// `least-work`) rather than hiding it. The online block's
-/// `least-backlog` placement is the load-aware answer.
-///
 /// # Errors
 ///
 /// Propagates a backend rejecting a network during calibration.
@@ -194,7 +181,7 @@ pub fn scenario(
         .unwrap_or(max_plan_bytes + max_plan_bytes / 4);
     // Three SLO classes, striped by id — a pure function of the id, so
     // the arrivals/networks/deadlines are bit-identical to a class-free
-    // trace and the first two blocks never notice.
+    // trace and the online block never notices.
     let trace = LoadGenerator::new(seed, mean_interarrival_ms)
         .with_slo(slo_ms)
         .with_classes(3)
@@ -231,8 +218,8 @@ pub fn scenario(
     })
 }
 
-/// The three pre-engine batching policies (the legacy block).
-/// `max_wait_ms` parameterises the deadline policy (a sensible value
+/// The three size/time batching policies (immediate, size-k,
+/// deadline). `max_wait_ms` parameterises the deadline policy (a sensible value
 /// is one mean batch-1 service time).
 #[must_use]
 pub fn policy_matrix(max_wait_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
@@ -243,7 +230,7 @@ pub fn policy_matrix(max_wait_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
     ]
 }
 
-/// The online block's policies: the legacy three plus EDF with
+/// The online block's policies: [`policy_matrix`] plus EDF with
 /// `slack_ms` of SLO headroom.
 #[must_use]
 pub fn online_policy_matrix(max_wait_ms: f64, slack_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
@@ -255,16 +242,6 @@ pub fn online_policy_matrix(max_wait_ms: f64, slack_ms: f64) -> Vec<Arc<dyn Batc
 /// A factory per placement strategy (placements carry cursor/backlog
 /// state, so every combo — and every engine run — needs a fresh one).
 pub type PlacementFactory = fn() -> Box<dyn Placement>;
-
-/// The legacy block's placements.
-#[must_use]
-pub fn placement_matrix() -> Vec<PlacementFactory> {
-    vec![
-        || Box::new(RoundRobin::default()),
-        || Box::new(LeastOutstanding::default()),
-        || Box::new(PlatformAffinity::default()),
-    ]
-}
 
 /// The online block's placements: the state-blind cycle and the
 /// live-backlog router the event engine makes possible.
@@ -282,7 +259,9 @@ pub struct ComboReport {
     pub policy: String,
     /// The placement strategy's label.
     pub placement: String,
-    /// Admission mode label (`preplaced` legacy shim / `online`).
+    /// Admission mode label, always `online` (the engine's only mode).
+    /// The field stays so every committed `BENCH_serve.json` row keeps
+    /// its `"admission": "online"` key and value byte for byte.
     pub admission: &'static str,
     /// Plan-cache budget label (`unbounded` / `NKiB`).
     pub cache_budget: String,
@@ -317,7 +296,7 @@ pub struct ServeBenchReport {
     pub shard_platforms: Vec<&'static str>,
     /// Hosted network names.
     pub network_names: Vec<String>,
-    /// One entry per matrix cell, legacy block first.
+    /// One entry per matrix cell, online block first.
     pub combos: Vec<ComboReport>,
 }
 
@@ -539,7 +518,6 @@ impl ServeBenchReport {
 struct ComboSpec {
     policy: Arc<dyn BatchPolicy>,
     placement: PlacementFactory,
-    admission: &'static str,
     cache_budget: String,
     fault: &'static str,
     recovery: &'static str,
@@ -553,7 +531,7 @@ impl ComboSpec {
         ComboReport {
             policy: self.policy.label(),
             placement,
-            admission: self.admission,
+            admission: "online",
             cache_budget: self.cache_budget.clone(),
             fault: self.fault,
             recovery: self.recovery,
@@ -585,26 +563,11 @@ impl ServeBenchReport {
     }
 }
 
-/// The matrix rows, in report order: the legacy block, the online
-/// block, the fault block and the control block (see [`run_matrix`]).
+/// The matrix rows, in report order: the online block, the fault
+/// block and the control block (see [`run_matrix`]).
 fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
     let max_wait_ms = scenario.mean_unit_service_ms;
     let mut specs: Vec<ComboSpec> = Vec::new();
-    // Legacy block: pinned value-identical to the pre-engine pipeline.
-    for policy in policy_matrix(max_wait_ms) {
-        for placement in placement_matrix() {
-            specs.push(ComboSpec {
-                policy: Arc::clone(&policy),
-                placement,
-                admission: "preplaced",
-                cache_budget: CacheBudget::Unbounded.label(),
-                fault: "none",
-                recovery: "none",
-                control: "none",
-                config: EngineConfig::legacy(),
-            });
-        }
-    }
     // Online block: live-view placement, EDF, bounded plan memory.
     let budgets = [
         CacheBudget::Unbounded,
@@ -619,7 +582,6 @@ fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
                 specs.push(ComboSpec {
                     policy: Arc::clone(&policy),
                     placement,
-                    admission: "online",
                     cache_budget: budget.label(),
                     fault: "none",
                     recovery: "none",
@@ -631,8 +593,8 @@ fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
     }
     // Fault block: EDF × health-weighted under injected faults, with
     // class-striped shedding and the retry/hedge recovery policies.
-    // The schedules draw from their own seeded stream, so the blocks
-    // above are value-identical with or without these rows.
+    // The schedules draw from their own seeded stream, so the block
+    // above is value-identical with or without these rows.
     let horizon_ms = scenario.trace.last().map_or(0.0, |r| r.arrival_ms);
     let shard_count = scenario.cluster.shard_count();
     let retry = RetryPolicy {
@@ -690,7 +652,6 @@ fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
             specs.push(ComboSpec {
                 policy: Arc::clone(&edf),
                 placement: || Box::new(HealthWeighted),
-                admission: "online",
                 cache_budget: CacheBudget::Unbounded.label(),
                 fault: fault_label,
                 recovery: recovery_label,
@@ -702,7 +663,7 @@ fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
     // Control block: the serve-time control plane at EDF ×
     // health-weighted, fault-free — {static, autoscaled} ×
     // {no-preempt, preempt} × {fixed fabric, traffic-mix reconfig}.
-    // Every feature here defaults off in EngineConfig, so the three
+    // Every feature here defaults off in EngineConfig, so the two
     // blocks above never see these code paths.
     let autoscale = AutoscalePolicy {
         period_ms: scenario.scale_period_ms,
@@ -736,7 +697,6 @@ fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
         specs.push(ComboSpec {
             policy: Arc::clone(&edf),
             placement: || Box::new(HealthWeighted),
-            admission: "online",
             cache_budget: CacheBudget::Unbounded.label(),
             fault: "none",
             recovery: "none",
@@ -747,16 +707,15 @@ fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
     specs
 }
 
-/// Runs the full benchmark matrix over one scenario — the legacy block
-/// under [`EngineConfig::legacy`], the online block under an unbounded
-/// and a bounded plan cache, then the fault block ({no-fault,
-/// crash-heavy, degrade-heavy} × {retry, retry+hedge} under the EDF
-/// policy and health-weighted placement), then the control block
-/// ({static, autoscaled} × {no-preempt, preempt} × {fixed,
-/// traffic-mix reconfig}, fault-free, same EDF × health-weighted
-/// cell) — fanning the combos across `threads` sweep workers. Each combo's engine run is
-/// single-threaded, so the thread count affects wall-clock only, never
-/// a value.
+/// Runs the full benchmark matrix over one scenario — the online block
+/// under an unbounded and a bounded plan cache, then the fault block
+/// ({no-fault, crash-heavy, degrade-heavy} × {retry, retry+hedge}
+/// under the EDF policy and health-weighted placement), then the
+/// control block ({static, autoscaled} × {no-preempt, preempt} ×
+/// {fixed, traffic-mix reconfig}, fault-free, same EDF ×
+/// health-weighted cell) — fanning the combos across `threads` sweep
+/// workers. Each combo's engine run is single-threaded, so the thread
+/// count affects wall-clock only, never a value.
 ///
 /// # Errors
 ///
@@ -783,10 +742,9 @@ pub fn run_matrix(
         let trace = Arc::clone(&shared_trace);
         let slots = Arc::clone(&slots);
         let name = format!(
-            "serve/{}x{}@{}-{}-{}-{}-{}",
+            "serve/{}x{}@{}-{}-{}-{}",
             spec.policy.label(),
             (spec.placement)().label(),
-            spec.admission,
             spec.cache_budget,
             spec.fault,
             spec.recovery,
@@ -850,19 +808,14 @@ mod tests {
     #[test]
     fn matrix_covers_all_blocks_and_reconciles_every_request() {
         let report = run_matrix(&tiny_scenario(), 4).expect("matrix runs");
-        // 9 legacy + 4 policies x 2 placements x 2 budgets + 3 faults
-        // x 2 recovery policies + 8 control-plane rows.
-        assert_eq!(report.combos.len(), 39);
+        // 4 policies x 2 placements x 2 budgets + 3 faults x 2
+        // recovery policies + 8 control-plane rows.
+        assert_eq!(report.combos.len(), 30);
         assert!(report.combos.iter().all(|c| {
             let o = &c.outcome;
             o.requests + o.rejected + o.shed + o.failed == 150
         }));
-        let legacy = report
-            .combos
-            .iter()
-            .filter(|c| c.admission == "preplaced")
-            .count();
-        assert_eq!(legacy, 9);
+        assert!(report.combos.iter().all(|c| c.admission == "online"));
         let fault_rows = report
             .combos
             .iter()
@@ -871,24 +824,26 @@ mod tests {
         assert_eq!(fault_rows, 6);
         let control_rows = report.combos.iter().filter(|c| c.control != "none").count();
         assert_eq!(control_rows, 8);
-        let labels: std::collections::BTreeSet<(String, String, String, String, String)> = report
+        let labels: std::collections::BTreeSet<(String, String, String, String)> = report
             .combos
             .iter()
             .map(|c| {
                 (
                     c.policy.clone(),
                     c.placement.clone(),
-                    c.admission.to_string(),
                     c.cache_budget.clone(),
                     format!("{}-{}-{}", c.fault, c.recovery, c.control),
                 )
             })
             .collect();
-        assert_eq!(labels.len(), 39, "every combo labelled distinctly");
-        // The legacy block compiles for free and never evicts.
-        for combo in report.combos.iter().filter(|c| c.admission == "preplaced") {
+        assert_eq!(labels.len(), 30, "every combo labelled distinctly");
+        // Unbounded rows never evict.
+        for combo in report
+            .combos
+            .iter()
+            .filter(|c| c.cache_budget == "unbounded")
+        {
             assert_eq!(combo.outcome.cache.evictions, 0);
-            assert_eq!(combo.outcome.rejected, 0);
         }
         // Cache counters balance everywhere.
         for combo in &report.combos {
@@ -905,9 +860,8 @@ mod tests {
     fn records_never_change_an_outcome_and_rebuild_the_tally() {
         let scenario = default_scenario(500, 0x7A11).expect("default scenario compiles");
         let specs = matrix_specs(&scenario);
-        let online: Vec<&ComboSpec> = specs.iter().filter(|s| s.admission == "online").collect();
-        assert_eq!(online.len(), 30, "online, fault and control rows");
-        for spec in online {
+        assert_eq!(specs.len(), 30, "online, fault and control rows");
+        for spec in &specs {
             let run_row = |config: EngineConfig| {
                 let sim = ServeSim::with_cluster(
                     Arc::clone(&scenario.cluster),
@@ -1021,11 +975,11 @@ mod tests {
         // Per-shard rows carry the exact gauge, and at least one shard
         // in the online block actually caches something.
         assert!(json.contains("\"cache_peak_bytes\""));
-        assert!(report
-            .combos
+        assert!(report.combos.iter().any(|c| c
+            .outcome
+            .shards
             .iter()
-            .filter(|c| c.admission == "online")
-            .any(|c| c.outcome.shards.iter().any(|s| s.cache.peak_bytes > 0)));
+            .any(|s| s.cache.peak_bytes > 0)));
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! the workers off each other's locks.
 //!
 //! [`Sweep::run_serial`] and [`Sweep::run_parallel`] produce identical
-//! outputs (tasks are deterministic); `all_experiments` times both and
-//! writes the comparison in two files: the committed `BENCH_sweep.json`
-//! holds only what is a pure function of the source tree (task names,
-//! FNV-1a output digests, GEMM-cache counters) so CI can byte-diff it
-//! across runs, while everything wall-clock derived (`wall_ms`,
-//! per-task `ms`, `speedup`) lands in the gitignored
-//! `BENCH_sweep_timing.json`.
+//! outputs (tasks are deterministic). `all_experiments` runs the
+//! evaluation in parallel and writes a [`SweepReport`] in two files: the
+//! committed `BENCH_sweep.json` holds only what is a pure function of
+//! the source tree (task names, FNV-1a output digests, GEMM-cache
+//! counters) so CI can byte-diff it across runs, while everything
+//! wall-clock derived (`wall_ms`, thread count, per-task `ms`) lands in
+//! the gitignored `BENCH_sweep_timing.json`.
 //!
 //! The work-stealing loop behind [`Sweep::run_parallel`] is exported as
 //! [`run_work_stealing`] so other drivers (the `dse` grid) reuse the
@@ -212,33 +212,12 @@ impl Sweep {
         Self::grid_planned(executors, networks, 1)
     }
 
-    /// The grid on the compile-once path: each cell compiles its
-    /// [`NetworkPlan`](sma_runtime::NetworkPlan) once and replays it
-    /// `reps` times (a serving burst). Cell outputs are identical to
-    /// [`Sweep::grid_stepwise`] — plans replay bit-identically.
+    /// The grid with each cell compiling its
+    /// [`NetworkPlan`](sma_runtime::NetworkPlan) once and replaying it
+    /// `reps` times (a serving burst). A backend that rejects a cell's
+    /// shapes renders a `rejected:` line instead of a profile.
     #[must_use]
     pub fn grid_planned(executors: &[Executor], networks: &[Network], reps: usize) -> Sweep {
-        Self::grid_with(executors, networks, move |exec, net| {
-            grid_cell_planned(exec, net, reps)
-        })
-    }
-
-    /// The grid on the legacy step-by-step path: each cell calls
-    /// [`Executor::try_run`] `reps` times, re-resolving every layer and
-    /// re-querying the GEMM cache on each run — the serial reference the
-    /// `BENCH_sweep.json` report compares the planned path against.
-    #[must_use]
-    pub fn grid_stepwise(executors: &[Executor], networks: &[Network], reps: usize) -> Sweep {
-        Self::grid_with(executors, networks, move |exec, net| {
-            grid_cell_stepwise(exec, net, reps)
-        })
-    }
-
-    fn grid_with(
-        executors: &[Executor],
-        networks: &[Network],
-        cell: impl Fn(&Executor, &Network) -> String + Clone + Send + Sync + 'static,
-    ) -> Sweep {
         let mut sweep = Sweep::new();
         for exec in executors {
             for net in networks {
@@ -248,8 +227,10 @@ impl Sweep {
                     exec.batch(),
                     net.name()
                 );
-                let (exec, net, cell) = (exec.clone(), net.clone(), cell.clone());
-                sweep.push(SweepTask::new(name, move || cell(&exec, &net)));
+                let (exec, net) = (exec.clone(), net.clone());
+                sweep.push(SweepTask::new(name, move || {
+                    grid_cell_planned(&exec, &net, reps)
+                }));
             }
         }
         sweep
@@ -343,19 +324,6 @@ fn grid_cell_planned(exec: &Executor, net: &Network, reps: usize) -> String {
                 std::hint::black_box(plan.run());
             }
             grid_line(exec, &plan.run())
-        }
-        Err(e) => grid_rejection(exec, net, &e),
-    }
-}
-
-fn grid_cell_stepwise(exec: &Executor, net: &Network, reps: usize) -> String {
-    match exec.try_run(net) {
-        Ok(first) => {
-            let mut last = first;
-            for _ in 1..reps {
-                last = exec.try_run(net).expect("first run succeeded");
-            }
-            grid_line(exec, &last)
         }
         Err(e) => grid_rejection(exec, net, &e),
     }
@@ -631,7 +599,7 @@ fn tables_report() -> String {
 // ---------------------------------------------------------------------
 
 /// One task's name, wall cost, and output fingerprint inside a
-/// [`PassReport`].
+/// [`SweepReport`].
 #[derive(Debug, Clone)]
 pub struct TaskSummary {
     /// Task name.
@@ -642,21 +610,23 @@ pub struct TaskSummary {
     pub digest: u64,
 }
 
-/// One pass of [`SweepReport`]: wall-clock, per-task timing and output
-/// digests, and the GEMM-cache activity the pass generated.
+/// One sweep run as `all_experiments` renders it in two files: a
+/// committed deterministic report (task names + output digests +
+/// GEMM-cache counters — a pure function of the source tree) and a
+/// gitignored timing side-file carrying everything wall-clock derived.
 #[derive(Debug, Clone)]
-pub struct PassReport {
-    /// Wall-clock milliseconds of the pass.
+pub struct SweepReport {
+    /// Wall-clock milliseconds of the run.
     pub wall_ms: f64,
     /// Worker threads.
     pub threads: usize,
     /// Per-task summaries in task order.
     pub tasks: Vec<TaskSummary>,
-    /// Per-platform GEMM-cache counter deltas for this pass.
+    /// Per-platform GEMM-cache counter deltas for this run.
     pub cache: Vec<(&'static str, CacheStats)>,
 }
 
-impl PassReport {
+impl SweepReport {
     /// Summarises a run, attributing it the cache deltas between two
     /// [`cache_snapshot`]s taken around it.
     #[must_use]
@@ -675,7 +645,7 @@ impl PassReport {
                 (name, stats.since(earlier))
             })
             .collect();
-        PassReport {
+        SweepReport {
             wall_ms: run.wall_ms,
             threads: run.threads,
             tasks: run
@@ -690,117 +660,57 @@ impl PassReport {
             cache,
         }
     }
-}
-
-/// The serial-vs-planned-parallel comparison `all_experiments` renders
-/// as two files: a committed deterministic report (task names + output
-/// digests + GEMM-cache counters — a pure function of the source tree)
-/// and a gitignored timing side-file carrying everything wall-clock
-/// derived.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// The serial reference pass (cold caches: every estimate computed).
-    pub serial: PassReport,
-    /// The planned-parallel pass (plans replay against warm caches).
-    pub parallel: PassReport,
-}
-
-impl SweepReport {
-    /// Wall-clock speedup of the planned-parallel pass over the serial
-    /// reference.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.parallel.wall_ms > 0.0 {
-            self.serial.wall_ms / self.parallel.wall_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// True when both passes rendered bitwise-identical outputs for
-    /// every task (compared by digest, in task order).
-    #[must_use]
-    pub fn outputs_match(&self) -> bool {
-        self.serial.tasks.len() == self.parallel.tasks.len()
-            && self
-                .serial
-                .tasks
-                .iter()
-                .zip(&self.parallel.tasks)
-                .all(|(s, p)| s.name == p.name && s.digest == p.digest)
-    }
 
     /// Renders the committed deterministic report as JSON (hand-rolled:
     /// the serde shim carries no serialiser). Contains no wall-derived
     /// field — CI byte-diffs this file across two runs.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn pass(out: &mut String, name: &str, p: &PassReport) {
-            let _ = write!(out, "  \"{name}\": {{\n    \"tasks\": [\n");
-            for (i, task) in p.tasks.iter().enumerate() {
-                let comma = if i + 1 == p.tasks.len() { "" } else { "," };
-                let _ = writeln!(
-                    out,
-                    "      {{\"name\": \"{}\", \"digest\": \"{:016x}\"}}{comma}",
-                    escape_json(&task.name),
-                    task.digest
-                );
-            }
-            out.push_str("    ],\n    \"gemm_cache\": {\n");
-            for (i, (backend, stats)) in p.cache.iter().enumerate() {
-                let comma = if i + 1 == p.cache.len() { "" } else { "," };
-                let _ = writeln!(
-                    out,
-                    "      \"{}\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}}{comma}",
-                    escape_json(backend),
-                    stats.hits,
-                    stats.misses,
-                    stats.hit_rate()
-                );
-            }
-            out.push_str("    }\n  }");
+        let mut out = String::from("{\n  \"tasks\": [\n");
+        for (i, task) in self.tasks.iter().enumerate() {
+            let comma = if i + 1 == self.tasks.len() { "" } else { "," };
+            let _ = writeln!(
+                out,
+                "    {{\"name\": \"{}\", \"digest\": \"{:016x}\"}}{comma}",
+                escape_json(&task.name),
+                task.digest
+            );
         }
-
-        let mut out = String::from("{\n");
-        pass(&mut out, "serial", &self.serial);
-        out.push_str(",\n");
-        pass(&mut out, "parallel", &self.parallel);
-        let _ = write!(
-            out,
-            ",\n  \"outputs_match\": {}\n}}\n",
-            self.outputs_match()
-        );
+        out.push_str("  ],\n  \"gemm_cache\": {\n");
+        for (i, (backend, stats)) in self.cache.iter().enumerate() {
+            let comma = if i + 1 == self.cache.len() { "" } else { "," };
+            let _ = writeln!(
+                out,
+                "    \"{}\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}}{comma}",
+                escape_json(backend),
+                stats.hits,
+                stats.misses,
+                stats.hit_rate()
+            );
+        }
+        out.push_str("  }\n}\n");
         out
     }
 
-    /// Renders the wall-derived timing side-file as JSON: pass
-    /// wall-clock, thread counts, per-task `ms`, and the speedup. Never
-    /// committed (machine- and load-dependent by nature).
+    /// Renders the wall-derived timing side-file as JSON: wall-clock,
+    /// thread count and per-task `ms`. Never committed (machine- and
+    /// load-dependent by nature).
     #[must_use]
     pub fn timing_json(&self) -> String {
-        fn pass(out: &mut String, name: &str, p: &PassReport) {
-            let _ = write!(
+        let mut out = format!(
+            "{{\n  \"wall_ms\": {:.3},\n  \"threads\": {},\n  \"tasks\": [\n",
+            self.wall_ms, self.threads
+        );
+        for (i, task) in self.tasks.iter().enumerate() {
+            let comma = if i + 1 == self.tasks.len() { "" } else { "," };
+            let _ = writeln!(
                 out,
-                "  \"{name}\": {{\n    \"wall_ms\": {:.3},\n    \"threads\": {},\n    \"tasks\": [\n",
-                p.wall_ms, p.threads
+                "    {{\"name\": \"{}\", \"ms\": {:.3}}}{comma}",
+                escape_json(&task.name),
+                task.ms
             );
-            for (i, task) in p.tasks.iter().enumerate() {
-                let comma = if i + 1 == p.tasks.len() { "" } else { "," };
-                let _ = writeln!(
-                    out,
-                    "      {{\"name\": \"{}\", \"ms\": {:.3}}}{comma}",
-                    escape_json(&task.name),
-                    task.ms
-                );
-            }
-            out.push_str("    ]\n  }");
         }
-
-        let mut out = String::from("{\n");
-        pass(&mut out, "serial", &self.serial);
-        out.push_str(",\n");
-        pass(&mut out, "parallel", &self.parallel);
-        let _ = write!(out, ",\n  \"speedup\": {:.3}\n}}\n", self.speedup());
+        out.push_str("  ]\n}\n");
         out
     }
 
@@ -823,15 +733,29 @@ impl SweepReport {
     }
 }
 
+/// A side-file path paired with a committed report path: `suffix`
+/// inserted before the extension of the *file name*
+/// (`BENCH_sweep.json` + `_timing` → `BENCH_sweep_timing.json`), or
+/// appended when the file name has no extension. Dots in directory
+/// names and a file name's leading dot never count as an extension, so
+/// the side-file always lands next to the report.
+#[must_use]
+pub fn side_path(report_path: &str, suffix: &str) -> String {
+    let name_start = report_path.rfind(['/', '\\']).map_or(0, |i| i + 1);
+    match report_path[name_start..].rfind('.') {
+        Some(dot) if dot > 0 => {
+            let (stem, ext) = report_path.split_at(name_start + dot);
+            format!("{stem}{suffix}{ext}")
+        }
+        _ => format!("{report_path}{suffix}"),
+    }
+}
+
 /// The timing side-file path paired with a committed report path:
-/// `BENCH_sweep.json` → `BENCH_sweep_timing.json` (a `_timing` suffix
-/// before the extension; appended when there is no extension).
+/// `BENCH_sweep.json` → `BENCH_sweep_timing.json` (see [`side_path`]).
 #[must_use]
 pub fn timing_path(report_path: &str) -> String {
-    match report_path.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() => format!("{stem}_timing.{ext}"),
-        _ => format!("{report_path}_timing"),
-    }
+    side_path(report_path, "_timing")
 }
 
 /// Minimal JSON string escaping shared by the report writers.
@@ -869,16 +793,80 @@ mod tests {
         }
     }
 
+    /// The error arm of the one compile path: a backend that refuses
+    /// deep GEMMs (every `k` above conv1's) fails every compile entry
+    /// point with the same error, leaves an arena exactly as it was
+    /// even though the failing derivation had already resolved conv1,
+    /// and renders as a rejected grid cell instead of panicking.
     #[test]
-    fn stepwise_and_planned_cells_render_identically() {
-        let execs = grid_executors(&[Platform::GpuTensorCore, Platform::TpuHost], &[16]);
-        let nets = [zoo::deeplab()];
-        let planned = Sweep::grid_planned(&execs, &nets, 3).run_serial();
-        let stepwise = Sweep::grid_stepwise(&execs, &nets, 3).run_serial();
-        for (p, s) in planned.tasks.iter().zip(&stepwise.tasks) {
-            assert_eq!(p.name, s.name);
-            assert_eq!(p.output, s.output, "planned vs stepwise: {}", p.name);
+    fn rejecting_backend_fails_every_compile_path_alike() {
+        use sma_core::model::GemmEstimate;
+        use sma_core::{SmaConfig, SmaGemmModel};
+        use sma_runtime::backend::{
+            gpu_irregular_estimate, Backend, IrregularEstimate, IrregularWork,
+        };
+        use sma_runtime::{PlanArena, RuntimeError};
+        use sma_tensor::GemmShape;
+
+        #[derive(Debug)]
+        struct ShallowOnly(SmaGemmModel);
+        impl Backend for ShallowOnly {
+            fn name(&self) -> &'static str {
+                "Shallow"
+            }
+            fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
+                if shape.k > 512 {
+                    return Err(RuntimeError::UnsupportedOnBackend {
+                        backend: "Shallow",
+                        operation: "GEMM with k > 512",
+                    });
+                }
+                Ok(self.0.estimate(shape))
+            }
+            fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
+                gpu_irregular_estimate(&sma_sim::GpuConfig::volta(), &work)
+            }
+            fn transfer_ms(&self, _bytes: u64) -> f64 {
+                0.0
+            }
+            fn simd_mode_boost(&self) -> f64 {
+                1.0
+            }
         }
+
+        let exec = Executor::builder(Platform::Sma3)
+            .backend(std::sync::Arc::new(ShallowOnly(SmaGemmModel::new(
+                SmaConfig::iso_area_3sma(),
+            ))))
+            .build();
+        let net = zoo::alexnet();
+        let expected = RuntimeError::UnsupportedOnBackend {
+            backend: "Shallow",
+            operation: "GEMM with k > 512",
+        };
+        assert_eq!(exec.try_run(&net).unwrap_err(), expected);
+        assert_eq!(exec.try_plan(&net).unwrap_err(), expected);
+        let family = exec.plan_family(&net);
+        assert_eq!(family.try_plan(exec.batch()).unwrap_err(), expected);
+
+        let mut arena = PlanArena::new();
+        let resident = Executor::new(Platform::Sma3)
+            .plan_family(&net)
+            .try_plan_into(1, &mut arena)
+            .expect("the built-in backend accepts AlexNet");
+        let steps = arena.len();
+        assert_eq!(
+            family.try_plan_into(exec.batch(), &mut arena).unwrap_err(),
+            expected
+        );
+        assert_eq!(arena.len(), steps, "a failed derivation leaves no steps");
+        assert_eq!(arena.steps(&resident).len(), resident.step_count());
+
+        let run = Sweep::grid(&[exec], &[net]).run_serial();
+        assert_eq!(
+            run.tasks[0].output,
+            format!("Shallow   b1  AlexNet     rejected: {expected}")
+        );
     }
 
     #[test]
@@ -906,28 +894,15 @@ mod tests {
         let nets = [zoo::alexnet()];
         let sweep = Sweep::grid(&execs, &nets);
         let before = cache_snapshot();
-        let serial = sweep.run_serial();
-        let mid = cache_snapshot();
-        let parallel = sweep.run_parallel(2);
+        let run = sweep.run_parallel(2);
         let after = cache_snapshot();
-        let report = SweepReport {
-            serial: PassReport::new(&serial, &before, &mid),
-            parallel: PassReport::new(&parallel, &mid, &after),
-        };
+        let report = SweepReport::new(&run, &before, &after);
         let json = report.to_json();
-        for key in [
-            "\"serial\"",
-            "\"parallel\"",
-            "\"tasks\"",
-            "\"digest\"",
-            "\"gemm_cache\"",
-            "\"hit_rate\"",
-            "\"outputs_match\": true",
-        ] {
+        for key in ["\"tasks\"", "\"digest\"", "\"gemm_cache\"", "\"hit_rate\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // The committed report must carry nothing wall-derived.
-        for banned in ["wall_ms", "\"ms\"", "threads", "speedup"] {
+        for banned in ["wall_ms", "\"ms\"", "threads"] {
             assert!(!json.contains(banned), "wall-derived {banned} in {json}");
         }
         assert_eq!(
@@ -936,24 +911,22 @@ mod tests {
             "unbalanced braces"
         );
         let timing = report.timing_json();
-        for key in ["\"wall_ms\"", "\"threads\"", "\"ms\"", "\"speedup\""] {
+        for key in ["\"wall_ms\"", "\"threads\"", "\"ms\""] {
             assert!(timing.contains(key), "missing {key} in {timing}");
         }
         assert!(!timing.contains("digest"));
-        assert!(report.speedup() > 0.0);
+        assert_eq!(
+            timing.matches('{').count(),
+            timing.matches('}').count(),
+            "unbalanced braces"
+        );
     }
 
     #[test]
     fn committed_report_is_identical_across_repeat_runs() {
         let execs = grid_executors(&[Platform::Sma2], &[4]);
         let nets = [zoo::goturn()];
-        let render = |run: &SweepRun| {
-            SweepReport {
-                serial: PassReport::new(run, &[], &[]),
-                parallel: PassReport::new(run, &[], &[]),
-            }
-            .to_json()
-        };
+        let render = |run: &SweepRun| SweepReport::new(run, &[], &[]).to_json();
         let first = render(&Sweep::grid(&execs, &nets).run_serial());
         let second = render(&Sweep::grid(&execs, &nets).run_parallel(2));
         assert_eq!(first, second, "committed bytes must not depend on timing");
@@ -976,6 +949,17 @@ mod tests {
         assert_eq!(timing_path("BENCH_sweep.json"), "BENCH_sweep_timing.json");
         assert_eq!(timing_path("out/d.se.json"), "out/d.se_timing.json");
         assert_eq!(timing_path("report"), "report_timing");
+        // Only the file name's extension counts: dots in directories
+        // and a leading dot stay put, so the side-file lands next to
+        // the report.
+        assert_eq!(timing_path("../report"), "../report_timing");
+        assert_eq!(timing_path("out.d/report"), "out.d/report_timing");
+        assert_eq!(timing_path("./report"), "./report_timing");
+        assert_eq!(timing_path("out.d/.report"), "out.d/.report_timing");
+        assert_eq!(
+            side_path("out.d/BENCH_dse.json", "_rows"),
+            "out.d/BENCH_dse_rows.json"
+        );
     }
 
     #[test]

@@ -236,21 +236,15 @@ impl Executor {
             .expect("backend rejected a layer; use try_run for fallible dispatch")
     }
 
-    /// Profiles one inference, surfacing backend rejections.
+    /// Profiles one inference, surfacing backend rejections: compiles
+    /// the network ([`Executor::try_plan`]) and replays the plan once.
     ///
     /// # Errors
     ///
     /// Propagates [`RuntimeError`] from the backend (e.g. a GEMM-only
     /// engine refusing a shape).
     pub fn try_run(&self, network: &Network) -> Result<NetworkProfile, RuntimeError> {
-        let mut profile =
-            NetworkProfile::empty(self.platform, network.name_shared(), network.layers().len());
-        for (index, layer) in network.layers().iter().enumerate() {
-            if let Some(step) = self.step_for(index, layer)? {
-                step.apply(&mut profile);
-            }
-        }
-        Ok(profile)
+        Ok(self.try_plan(network)?.run())
     }
 
     /// Compiles the network into a [`NetworkPlan`]: resolves every
@@ -272,24 +266,16 @@ impl Executor {
     }
 
     /// Compiles the network into a [`NetworkPlan`], surfacing backend
-    /// rejections.
+    /// rejections: the network's [`PlanFamily`] derived at this
+    /// executor's batch size, so every plan — from-scratch or
+    /// family-derived — is built by the same code.
     ///
     /// # Errors
     ///
     /// Propagates [`RuntimeError`] from the backend (e.g. a GEMM-only
     /// engine refusing a shape).
     pub fn try_plan(&self, network: &Network) -> Result<NetworkPlan, RuntimeError> {
-        let mut steps = Vec::with_capacity(network.layers().len());
-        for (index, layer) in network.layers().iter().enumerate() {
-            if let Some(step) = self.step_for(index, layer)? {
-                steps.push(step);
-            }
-        }
-        Ok(NetworkPlan::new(
-            self.platform,
-            network.name_shared(),
-            steps,
-        ))
+        self.plan_family(network).try_plan(self.batch)
     }
 
     /// Compiles the batch-*independent* template of a network once: a
@@ -317,31 +303,12 @@ impl Executor {
         )
     }
 
-    /// Resolves one layer into its frozen contribution, dispatching
-    /// through the backend. `None` for a stage the configuration skips
-    /// outright (an excluded CRF on an on-die backend).
-    ///
-    /// Both [`Executor::try_run`] and [`Executor::try_plan`] go through
-    /// this — and both fold the result with [`PlannedStep::apply`] — so
-    /// plans replay bit-identically to step-by-step runs. The layer
-    /// resolution itself is [`Executor::template_for`] followed by
-    /// [`TemplateStep::instantiate`] at this executor's batch size, the
-    /// same two calls [`Executor::plan_family`] splits across
-    /// family-compile and batch-derive time — which is what pins
-    /// family-derived plans bit-identical to from-scratch compilation.
-    fn step_for(&self, index: usize, layer: &Layer) -> Result<Option<PlannedStep>, RuntimeError> {
-        match self.template_for(index, layer) {
-            None => Ok(None),
-            Some(template) => template
-                .instantiate(self.backend.as_ref(), self.batch)
-                .map(Some),
-        }
-    }
-
     /// Resolves one layer into its batch-independent template step:
     /// everything except the GEMM batch stacking and the backend's GEMM
     /// dispatch, which [`TemplateStep::instantiate`] performs per batch
-    /// size.
+    /// size. `None` for a stage the configuration skips outright (an
+    /// excluded CRF on an on-die backend). This and `instantiate` are
+    /// the only way a layer is resolved.
     fn template_for(&self, index: usize, layer: &Layer) -> Option<TemplateStep> {
         if !self.include_postprocessing && matches!(layer, Layer::Crf { .. }) {
             // The CRF *compute* is reported separately (paper §II-B),

@@ -1,32 +1,28 @@
 //! Compile-once/replay-many execution plans.
 //!
-//! [`Executor::try_run`](crate::Executor::try_run) re-derives every
-//! layer's work, re-stacks the batch and re-queries the backend's GEMM
-//! cache on *every* invocation. The expensive part — resolving
-//! [`LayerWork`](sma_models::LayerWork) and estimating GEMM latency — is
-//! shape-determined and identical across invocations, so a serving loop
-//! should pay it once. [`Executor::plan`](crate::Executor::plan) does
-//! exactly that: it walks the network once, applies the batch stacking,
-//! pre-warms the backend's GEMM estimates, and freezes each layer's
-//! `(ms, path, mem, sm_cycles)` contribution into a [`NetworkPlan`].
-//! [`NetworkPlan::run`] is then pure aggregation over the frozen steps:
-//! no locks, no `layer.work()` recomputation, no backend dispatch, and a
-//! single exactly-sized allocation for the per-layer records.
+//! Resolving [`LayerWork`](sma_models::LayerWork) and estimating GEMM
+//! latency is shape-determined and identical across invocations, so a
+//! serving loop should pay it once.
+//! [`Executor::plan`](crate::Executor::plan) does exactly that: it walks
+//! the network once, applies the batch stacking, pre-warms the backend's
+//! GEMM estimates, and freezes each layer's `(ms, path, mem,
+//! sm_cycles)` contribution into a [`NetworkPlan`]. [`NetworkPlan::run`]
+//! is then pure aggregation over the frozen steps: no locks, no
+//! `layer.work()` recomputation, no backend dispatch, and a single
+//! exactly-sized allocation for the per-layer records.
+//! [`Executor::try_run`](crate::Executor::try_run) is a compile plus one
+//! replay (pinned by `tests/golden_profiles.txt`).
 //!
-//! Replays are bit-identical to the step-by-step executor — both paths
-//! fold the same [`PlannedStep`]s in the same order (pinned by
-//! `tests/golden_profiles.txt` and the plan-parity suite).
-//!
-//! Two further layers serve sweeps that compile *thousands* of plans:
+//! Every plan is built one way:
 //!
 //! * [`PlanFamily`] — incremental compilation. A family resolves the
 //!   batch-*independent* work (layer lowering, irregular estimates, CRF
 //!   hand-off) exactly once; [`PlanFamily::plan`] then derives a
 //!   sibling plan for any batch size by rewriting only the
-//!   batch-dependent GEMM steps. Derived plans are bit-identical to
-//!   from-scratch [`Executor::plan`](crate::Executor::plan) because the
-//!   per-step arithmetic is literally the same code
-//!   ([`TemplateStep::instantiate`] is the executor's GEMM arm).
+//!   batch-dependent GEMM steps ([`TemplateStep::instantiate`]).
+//!   [`Executor::plan`](crate::Executor::plan) is a family derived at the
+//!   executor's batch size, so sweeps that compile *thousands* of plans
+//!   and one-off compiles run the same code.
 //! * [`PlanArena`] — a bump-allocated step table. Thousands of plans
 //!   share one contiguous `Vec<PlannedStep>` instead of a `Vec` each;
 //!   [`PlanArena::replay`] takes `&self`, so replay stays lock-free
@@ -40,8 +36,8 @@
 //! let net = zoo::vgg_a();
 //! let plan = exec.plan(&net); // resolves work + warms the GEMM cache
 //! let replay = plan.run(); // lock-free aggregation
-//! let stepwise = exec.run(&net);
-//! assert_eq!(replay.total_ms.to_bits(), stepwise.total_ms.to_bits());
+//! let once = exec.run(&net); // compile + one replay
+//! assert_eq!(replay.total_ms.to_bits(), once.total_ms.to_bits());
 //! ```
 
 use crate::backend::{Backend, ExecPath, RuntimeError};
@@ -55,9 +51,7 @@ use std::sync::Arc;
 /// One frozen contribution of a [`NetworkPlan`].
 ///
 /// Steps carry everything a replay needs; folding them into a
-/// [`NetworkProfile`] performs the same additions in the same order as
-/// [`Executor::try_run`](crate::Executor::try_run), so replays are
-/// bit-identical to step-by-step execution.
+/// [`NetworkProfile`] in order is the whole of a replay.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PlannedStep {
     /// A post-processing stage excluded from the profile whose host
@@ -85,11 +79,8 @@ pub enum PlannedStep {
 }
 
 impl PlannedStep {
-    /// Folds this step into a profile.
-    ///
-    /// The accumulation order mirrors the executor's per-layer loop
-    /// exactly — both paths call this — which is what keeps plans and
-    /// step-by-step runs bit-identical.
+    /// Folds this step into a profile (the one accumulation every
+    /// replay path shares).
     pub(crate) fn apply(&self, profile: &mut NetworkProfile) {
         match *self {
             PlannedStep::CrfHandoff { transfer_ms } => {
@@ -241,10 +232,10 @@ fn fold_steps(
 /// batch-independent [`PlannedStep`], or a symbolic GEMM awaiting its
 /// batch dimension.
 ///
-/// [`TemplateStep::instantiate`] IS the executor's GEMM arm — both
-/// [`Executor::try_run`](crate::Executor::try_run) and
-/// [`PlanFamily::plan`] resolve GEMM layers through it, which is what
-/// pins family-derived plans bit-identical to from-scratch compilation.
+/// [`TemplateStep::instantiate`] is the one place a GEMM layer is
+/// resolved at a batch size: every plan, from
+/// [`Executor::try_plan`](crate::Executor::try_plan) or
+/// [`PlanFamily::plan`], is built through it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TemplateStep {
     /// Batch-independent work, frozen verbatim at family-compile time
@@ -266,8 +257,8 @@ pub enum TemplateStep {
 
 impl TemplateStep {
     /// Resolves the template at a batch size, dispatching GEMM steps
-    /// through the backend. The arithmetic (`shape.m *= batch`, then
-    /// `est.time_ms + glue`) is the executor's GEMM arm verbatim.
+    /// through the backend (`shape.m *= batch`, then
+    /// `est.time_ms + glue`).
     ///
     /// # Errors
     ///
@@ -312,10 +303,9 @@ impl TemplateStep {
 /// costs one full compile plus `B` sets of memoised GEMM lookups
 /// instead of `B` full compiles.
 ///
-/// Derived plans are pinned bit-identical to from-scratch
-/// [`Executor::plan`](crate::Executor::plan) (the plan-parity suite and
-/// `tests/plan_family.rs` enforce this): both paths build their steps
-/// with [`TemplateStep::instantiate`].
+/// [`Executor::plan`](crate::Executor::plan) is itself a family derived
+/// at the executor's batch size, so family-derived and from-scratch
+/// plans are one code path.
 #[derive(Debug, Clone)]
 pub struct PlanFamily {
     platform: Platform,

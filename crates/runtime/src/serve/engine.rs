@@ -14,19 +14,10 @@
 //! function of its inputs: byte-identical across repeats, machines and
 //! worker-thread counts, with or without faults.
 //!
-//! Two admission modes bound the refactor:
-//!
-//! * [`Admission::Online`] (default): placement sees the live cluster
-//!   (backlog, in-flight batches, plan-cache residency, shard health)
-//!   at each arrival, and the admission controller re-places or
-//!   rejects requests whose plan cannot fit the target shard's cache
-//!   budget.
-//! * [`Admission::Preplaced`] is the legacy-parity shim: placement
-//!   runs over the whole trace up front against a zeroed view, exactly
-//!   like the pre-engine sequential admission pass. Under an unbounded
-//!   cache and zero compile cost the engine reproduces the
-//!   three-phase pipeline's outcomes bit for bit (pinned by
-//!   `tests/serve_engine.rs`).
+//! Admission is online: placement sees the live cluster (backlog,
+//! in-flight batches, plan-cache residency, shard health) at each
+//! arrival, and the admission controller re-places or rejects requests
+//! whose plan cannot fit the target shard's cache budget.
 //!
 //! Plan memory is simulated per shard by a capacity-bounded LRU cache
 //! keyed on `(network, batch)` and charged with
@@ -54,26 +45,10 @@ use sma_energy::EnergyModel;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
-/// When the [`Placement`] is consulted and what it may see.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Placement runs at each request's arrival event with the live
-    /// [`ClusterView`]; requests whose plan cannot fit the chosen
-    /// shard's cache budget are re-placed (first fitting shard in
-    /// index order) or rejected.
-    Online,
-    /// Legacy-parity shim: placement runs over the whole trace before
-    /// the clock starts, against a view whose live fields are zero —
-    /// the pre-engine sequential admission pass. No admission control,
-    /// no shedding, no hedging; retries return to the failed shard.
-    Preplaced,
-}
-
 /// Per-shard plan-cache capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheBudget {
-    /// No bound: every compiled plan stays resident (the legacy
-    /// behaviour).
+    /// No bound: every compiled plan stays resident (the default).
     Unbounded,
     /// The same byte budget on every shard.
     Uniform(u64),
@@ -110,15 +85,12 @@ impl CacheBudget {
     }
 }
 
-/// Engine knobs: admission mode, plan-cache capacity, compile cost,
-/// and the fault-tolerance layer (fault schedule, retry/hedge/shed
-/// policies — all default to no-ops, so `EngineConfig::default()` and
-/// [`EngineConfig::legacy`] behave byte-identically to the fault-free
-/// engine).
+/// Engine knobs: plan-cache capacity, compile cost, and the
+/// fault-tolerance layer (fault schedule, retry/hedge/shed policies —
+/// all default to no-ops, so `EngineConfig::default()` behaves
+/// byte-identically to the fault-free engine).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// When placement decides and what it sees.
-    pub admission: Admission,
     /// Per-shard plan-cache capacity.
     pub cache_budget: CacheBudget,
     /// Simulated milliseconds billed per network layer when a batch's
@@ -128,17 +100,15 @@ pub struct EngineConfig {
     pub faults: FaultPlan,
     /// Retry policy for requests whose batch a crash aborts.
     pub retry: RetryPolicy,
-    /// Opt-in request hedging (`None` = never hedge). Online admission
-    /// only.
+    /// Opt-in request hedging (`None` = never hedge).
     pub hedge: Option<HedgePolicy>,
     /// Opt-in admission shedding by SLO class (`None` = never shed).
-    /// Online admission only.
     pub shed: Option<ShedPolicy>,
     /// Opt-in strict-priority preemption between SLO classes (`None` =
-    /// never preempt). Online admission only.
+    /// never preempt).
     pub preempt: Option<PreemptPolicy>,
-    /// Opt-in cost-aware autoscaling (`None` = static fleet). Online
-    /// admission only. A policy whose headroom is `<= 0` is inert:
+    /// Opt-in cost-aware autoscaling (`None` = static fleet). A policy
+    /// whose headroom is `<= 0` is inert:
     /// no tick events are scheduled and the run stays byte-identical
     /// to `scale: None`.
     pub scale: Option<AutoscalePolicy>,
@@ -156,7 +126,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            admission: Admission::Online,
             cache_budget: CacheBudget::Unbounded,
             compile_ms_per_layer: 0.0,
             faults: FaultPlan::none(),
@@ -172,18 +141,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The legacy-parity shim: preplaced admission, unbounded cache,
-    /// free compiles, no faults. Under this configuration the event
-    /// engine reproduces the pre-engine three-phase pipeline bit for
-    /// bit.
-    #[must_use]
-    pub fn legacy() -> Self {
-        EngineConfig {
-            admission: Admission::Preplaced,
-            ..EngineConfig::default()
-        }
-    }
-
     /// This configuration with a different cache budget.
     #[must_use]
     pub fn with_cache_budget(mut self, budget: CacheBudget) -> Self {
@@ -268,8 +225,8 @@ pub struct ServeRun {
     /// One report per shard, in shard order.
     pub reports: Vec<ShardReport>,
     /// Requests rejected at admission (no shard's cache budget could
-    /// ever hold their plan), in arrival order. Empty under
-    /// [`Admission::Preplaced`] or an unbounded budget.
+    /// ever hold their plan), in arrival order. Empty under an
+    /// unbounded budget.
     pub rejected: Vec<Request>,
     /// Requests shed by the [`ShedPolicy`] watermark, in arrival
     /// order. Empty without a shed policy.
@@ -326,10 +283,9 @@ impl PlanCache {
     /// Looks up (and on miss admits) a plan, returning the simulated
     /// compile charge: 0 on a hit, `compile_ms` on a miss. Eviction is
     /// LRU until the new plan fits; a plan larger than the whole
-    /// budget empties the cache and is admitted anyway (the admission
-    /// controller keeps such requests out under [`Admission::Online`],
-    /// so this only arises when a caller opts out of admission
-    /// control).
+    /// budget empties the cache and is admitted anyway (the engine's
+    /// admission controller keeps such requests out, so this arises
+    /// only when the cache is driven directly).
     pub(super) fn access(&mut self, key: (usize, usize), bytes: u64, compile_ms: f64) -> f64 {
         self.stats.lookups += 1;
         self.tick += 1;
@@ -376,8 +332,8 @@ impl PlanCache {
 
 /// Event classes, in same-instant processing order: arrivals (class 0,
 /// merged straight from the sorted trace rather than the heap) enqueue
-/// before a completion evaluates (the pre-engine drain admitted
-/// `arrival_ms <= now` before deciding), completions free the shard
+/// before a completion evaluates (every `arrival_ms <= now` is queued
+/// before the policy decides), completions free the shard
 /// before a stale timer re-evaluates, and the fault family fires last:
 /// a batch completing at the exact instant of a crash completes,
 /// recovery lands before a same-instant retry re-places, and hedges go
@@ -555,9 +511,6 @@ fn best_config(cycles: &[Vec<u64>], counts: &[u64]) -> usize {
 struct ShardState {
     /// Per-network FIFO queues of admitted-but-undispatched requests.
     queues: Vec<VecDeque<Request>>,
-    /// Preplaced mode: arrivals still to come for this shard, per
-    /// network (the oracle the legacy drain exposed to policies).
-    future_per_net: Vec<usize>,
     /// The executing batch (`None` = idle).
     in_flight: Option<InFlightBatch>,
     /// Monotone dispatch counter backing [`InFlightBatch::epoch`].
@@ -644,10 +597,8 @@ struct Engine<'a> {
     failed_ids: BTreeSet<u64>,
     /// Retries scheduled so far, per request id.
     attempts: BTreeMap<u64, u32>,
-    /// Online mode: arrivals still to come, per network.
+    /// Arrivals still to come, per network.
     global_future: Vec<usize>,
-    /// Preplaced mode: the up-front assignment, per trace index.
-    preassigned: Option<Vec<usize>>,
     /// Number of SLO classes in the trace (max class + 1).
     num_classes: usize,
     /// Ids preempted at least once (maintained only with preemption
@@ -702,13 +653,6 @@ pub(super) fn run_engine(
             "per-shard cache budget needs one entry per shard"
         );
     }
-    if config.preempt.is_some() || config.scale.is_some() {
-        assert_eq!(
-            config.admission,
-            Admission::Online,
-            "preemption and autoscaling are online-admission features"
-        );
-    }
     if let Some(scale) = &config.scale {
         scale.validate(shard_count);
     }
@@ -716,7 +660,6 @@ pub(super) fn run_engine(
         reconfig.validate();
     }
     let mut engine = Engine::new(cluster, policy, config, trace);
-    engine.preassign(placement, trace);
     engine.schedule_faults();
     engine.schedule_first_scale_tick();
 
@@ -734,9 +677,8 @@ pub(super) fn run_engine(
         };
         if take_arrival {
             let request = trace[cursor];
-            let pre = engine.preassigned.as_ref().map(|a| a[cursor]);
             cursor += 1;
-            engine.on_arrival(placement, request, pre)?;
+            engine.on_arrival(placement, request)?;
         } else if let Some(event) = engine.heap.pop() {
             engine.on_event(placement, event)?;
         } else {
@@ -809,7 +751,6 @@ impl<'a> Engine<'a> {
         let shards: Vec<ShardState> = (0..shard_count)
             .map(|shard| ShardState {
                 queues: vec![VecDeque::new(); net_count],
-                future_per_net: vec![0; net_count],
                 in_flight: None,
                 epoch: 0,
                 down_until: None,
@@ -878,7 +819,6 @@ impl<'a> Engine<'a> {
             failed_ids: BTreeSet::new(),
             attempts: BTreeMap::new(),
             global_future,
-            preassigned: None,
             num_classes,
             preempted_ids: BTreeSet::new(),
             active: vec![true; shard_count],
@@ -914,45 +854,6 @@ impl<'a> Engine<'a> {
         if let Some(scale) = self.config.scale.filter(AutoscalePolicy::enabled) {
             self.push_event(scale.period_ms, CLASS_SCALE, 0, EventKind::ScaleTick);
         }
-    }
-
-    /// Legacy shim: run the placement over the whole trace up front,
-    /// against a view whose live fields are all zero — exactly the
-    /// pre-engine sequential admission pass.
-    fn preassign(&mut self, placement: &mut dyn Placement, trace: &[Request]) {
-        if self.config.admission != Admission::Preplaced {
-            return;
-        }
-        let shard_count = self.shards.len();
-        let zero_counts = vec![0usize; shard_count];
-        let zero_bytes = vec![0u64; shard_count];
-        let all_up = vec![true; shard_count];
-        let no_degrade = vec![1.0f64; shard_count];
-        let view = ClusterView {
-            platforms: self.cluster.platforms(),
-            unit_service_ms: self.cluster.unit_service_ms(),
-            queued: &zero_counts,
-            in_flight: &zero_counts,
-            resident_plan_bytes: &zero_bytes,
-            healthy: &all_up,
-            degrade: &no_degrade,
-        };
-        let assigned: Vec<usize> = trace
-            .iter()
-            .map(|request| {
-                let shard = placement.assign(request, &view);
-                assert!(
-                    shard < shard_count,
-                    "placement routed request {} to shard {shard} of {shard_count}",
-                    request.id
-                );
-                shard
-            })
-            .collect();
-        for (request, &shard) in trace.iter().zip(&assigned) {
-            self.shards[shard].future_per_net[request.network] += 1;
-        }
-        self.preassigned = Some(assigned);
     }
 
     /// Seeds the event queue with the configured fault schedule.
@@ -1100,91 +1001,77 @@ impl<'a> Engine<'a> {
     }
 
     /// One arrival: shed check, placement/admission, enqueue, hedge
-    /// scheduling, preemption check, dispatch, and the online tail
-    /// flush.
+    /// scheduling, preemption check, dispatch, and the tail flush.
     fn on_arrival(
         &mut self,
         placement: &mut dyn Placement,
         request: Request,
-        pre: Option<usize>,
     ) -> Result<(), RuntimeError> {
         let now_ms = request.arrival_ms;
         let shard_count = self.shards.len();
         self.global_future[request.network] -= 1;
         self.mix_counts[request.network] += 1;
-        let online = pre.is_none();
 
         // Graceful degradation: under backlog pressure, shed by SLO
-        // class before placement even runs (online admission only —
-        // the legacy shim admits everything).
-        let shed_now = online
-            && self
-                .config
-                .shed
-                .as_ref()
-                .is_some_and(|p| p.sheds(request.class, self.num_classes, self.backlog()));
+        // class before placement even runs.
+        let shed_now = self
+            .config
+            .shed
+            .as_ref()
+            .is_some_and(|p| p.sheds(request.class, self.num_classes, self.backlog()));
 
         let mut target: Option<usize> = None;
         if shed_now {
             self.shed.push(request);
         } else {
-            target = match pre {
-                Some(shard) => {
-                    self.shards[shard].future_per_net[request.network] -= 1;
-                    Some(shard)
-                }
-                // Admission control: the chosen shard must be able to
-                // ever hold the request's plan (and, under
-                // autoscaling, still be accepting); otherwise re-place
-                // onto the first shard that can, else reject.
-                None => self.replace_online(placement, &request),
-            };
+            // Admission control: the chosen shard must be able to ever
+            // hold the request's plan (and, under autoscaling, still be
+            // accepting); otherwise re-place onto the first shard that
+            // can, else reject.
+            target = self.replace_online(placement, &request);
             match target {
                 Some(shard) => {
                     self.enqueue(shard, request, now_ms);
-                    if online {
-                        // The traffic-mix window sees admissions only
-                        // (never retries, hedges or preemption
-                        // re-queues): decisions stay a pure function
-                        // of (trace, placement).
-                        if let Some(rc) = &mut self.shards[shard].reconfig {
-                            rc.observe(request.network, &mut self.reconfig_stats);
-                        }
-                        if let Some(hedge) = self.config.hedge {
+                    // The traffic-mix window sees admissions only
+                    // (never retries, hedges or preemption re-queues):
+                    // decisions stay a pure function of (trace,
+                    // placement).
+                    if let Some(rc) = &mut self.shards[shard].reconfig {
+                        rc.observe(request.network, &mut self.reconfig_stats);
+                    }
+                    if let Some(hedge) = self.config.hedge {
+                        self.push_event(
+                            now_ms + hedge.delay_ms,
+                            CLASS_HEDGE,
+                            shard,
+                            EventKind::Hedge {
+                                request,
+                                origin: shard,
+                            },
+                        );
+                    }
+                    // Preemption: an arrival urgent enough to displace
+                    // the running batch claims the shard via a
+                    // fixed-slot event, so every same-instant
+                    // completion/fault/recovery settles first (a batch
+                    // completing at this exact instant completes — its
+                    // Preempt goes stale).
+                    if let (Some(preempt), Some(batch)) =
+                        (self.config.preempt, &self.shards[shard].in_flight)
+                    {
+                        let victim_class = batch
+                            .requests
+                            .iter()
+                            .map(|r| r.class)
+                            .fold(u8::MAX, u8::min);
+                        if preempt.preempts(request.class, victim_class) {
+                            let epoch = batch.epoch;
                             self.push_event(
-                                now_ms + hedge.delay_ms,
-                                CLASS_HEDGE,
+                                now_ms,
+                                CLASS_PREEMPT,
                                 shard,
-                                EventKind::Hedge {
-                                    request,
-                                    origin: shard,
-                                },
+                                EventKind::Preempt { epoch },
                             );
-                        }
-                        // Preemption: an arrival urgent enough to
-                        // displace the running batch claims the shard
-                        // via a fixed-slot event, so every
-                        // same-instant completion/fault/recovery
-                        // settles first (a batch completing at this
-                        // exact instant completes — its Preempt goes
-                        // stale).
-                        if let (Some(preempt), Some(batch)) =
-                            (self.config.preempt, &self.shards[shard].in_flight)
-                        {
-                            let victim_class = batch
-                                .requests
-                                .iter()
-                                .map(|r| r.class)
-                                .fold(u8::MAX, u8::min);
-                            if preempt.preempts(request.class, victim_class) {
-                                let epoch = batch.epoch;
-                                self.push_event(
-                                    now_ms,
-                                    CLASS_PREEMPT,
-                                    shard,
-                                    EventKind::Preempt { epoch },
-                                );
-                            }
                         }
                     }
                     if self.idle_and_up(shard) {
@@ -1194,12 +1081,12 @@ impl<'a> Engine<'a> {
                 None => self.rejected.push(request),
             }
         }
-        // Online tail flush: the last arrival of a network is an
-        // event for *every* shard still holding that network —
-        // `more_arrivals` just flipped false cluster-wide, and
-        // without this re-evaluation a size-triggered policy would
-        // strand its stragglers.
-        if online && self.global_future[request.network] == 0 {
+        // Tail flush: the last arrival of a network is an event for
+        // *every* shard still holding that network — `more_arrivals`
+        // just flipped false cluster-wide, and without this
+        // re-evaluation a size-triggered policy would strand its
+        // stragglers.
+        if self.global_future[request.network] == 0 {
             for shard in 0..shard_count {
                 if target == Some(shard) {
                     continue; // already evaluated above
@@ -1603,9 +1490,8 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// A retry fires: re-place the request (online: against the live
-    /// view, so healthy siblings win — failover; preplaced: back to
-    /// the same shard) and enqueue it.
+    /// A retry fires: re-place the request against the live view (so
+    /// healthy siblings win — failover) and enqueue it.
     fn on_retry(
         &mut self,
         placement: &mut dyn Placement,
@@ -1616,11 +1502,7 @@ impl<'a> Engine<'a> {
         if self.served.contains(&request.id) {
             return Ok(()); // a twin won while the backoff elapsed
         }
-        let target = match &self.preassigned {
-            Some(_) => Some(from_shard),
-            None => self.replace_online(placement, &request),
-        };
-        let Some(target) = target else {
+        let Some(target) = self.replace_online(placement, &request) else {
             if self.failed_ids.insert(request.id) {
                 self.failed.push(request);
             }
@@ -1674,8 +1556,7 @@ impl<'a> Engine<'a> {
 
     /// Evaluates every non-empty queue of an idle, healthy shard at
     /// `now_ms` and either launches the most urgent ready batch or
-    /// schedules the earliest batch-close timer. The decision rule
-    /// matches the pre-engine drain exactly: ready queues race on
+    /// schedules the earliest batch-close timer. Ready queues race on
     /// [`BatchPolicy::urgency`] (default: head arrival — FIFO across
     /// networks), ties to the lowest network index. During a transient
     /// compile-failure window, ready batches whose plan is not
@@ -1699,10 +1580,7 @@ impl<'a> Engine<'a> {
                 if state.queues[net].is_empty() {
                     continue;
                 }
-                let more_arrivals = match &self.preassigned {
-                    Some(_) => state.future_per_net[net] > 0,
-                    None => self.global_future[net] > 0,
-                };
+                let more_arrivals = self.global_future[net] > 0;
                 // O(1) when the ring has not wrapped since the last
                 // front drain; policies see a plain FIFO slice.
                 let contiguous: &[Request] = state.queues[net].make_contiguous();
@@ -1719,8 +1597,8 @@ impl<'a> Engine<'a> {
             }
         }
         // Strict class order first (preemption only), then most urgent
-        // first, then the lowest network index — the pre-engine
-        // drain's rule. Networks are distinct, so the order is total.
+        // first, then the lowest network index. Networks are distinct,
+        // so the order is total.
         ready.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
         let fail_active = now_ms < self.shards[shard].compile_fail_until;
         let mut blocked = false;
@@ -1802,7 +1680,7 @@ impl<'a> Engine<'a> {
             service_ms *= rc.penalty[rc.pinned][net];
         }
         // Simulated plan residency: a miss bills the compile before
-        // the batch starts (0 under the legacy shim's free compiles);
+        // the batch starts (0 with free compiles);
         // an active stall window adds its surcharge per miss.
         let mut compile_charge =
             self.config.compile_ms_per_layer * cluster.unit_plan(shard, net).layer_count() as f64;
@@ -1951,7 +1829,7 @@ mod tests {
         cache.access((0, 1), 30, 1.0);
         cache.access((1, 1), 30, 1.0);
         // 100 > 64: everything is evicted, the plan is admitted anyway
-        // (admission control keeps this out of online runs).
+        // (admission control keeps this out of engine runs).
         assert_eq!(cache.access((2, 1), 100, 1.0), 1.0);
         let stats = cache.into_stats();
         assert_eq!(stats.evictions, 2);

@@ -348,9 +348,7 @@ pub struct HedgePolicy {
 /// (queued + in flight) reaches the watermark, admission starts
 /// shedding the **lowest-priority** class (the highest class number);
 /// every further watermark of backlog sheds one class more. Class 0 is
-/// shed only at `watermark · num_classes`. Only online admission
-/// sheds — the legacy preplaced shim admits everything, preserving
-/// bit-parity.
+/// shed only at `watermark · num_classes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShedPolicy {
     /// Cluster-wide outstanding-request count at which the lowest

@@ -8,8 +8,8 @@
 //!
 //! * A **front-door thread** paces the seeded trace onto wall-clock
 //!   time (`time_scale` wall-ms per simulated ms), runs placement and
-//!   admission control per request exactly as the engine's online
-//!   admission does, and records every *realized* admission instant.
+//!   admission control per request exactly as the engine
+//!   does, and records every *realized* admission instant.
 //! * **Shard worker threads** each own their executor, plan cache
 //!   (the engine's own [`PlanCache`] type) and per-network FIFO
 //!   queues, fed over MPSC channels; batches form by the same
@@ -227,7 +227,7 @@ impl LiveServer {
     /// finite, the transport and stamp quantum well-formed, a closed
     /// loop's window non-zero), or if the engine config asks for
     /// features the live twin does not implement: hedging, shedding,
-    /// preplaced admission, or fault kinds other than
+    /// preemption, autoscaling, or fault kinds other than
     /// [`FaultKind::Degrade`] / [`FaultKind::StallCompile`].
     #[must_use]
     pub fn new(
@@ -262,10 +262,6 @@ impl LiveServer {
         if let LiveMode::ClosedLoop { window } = live.mode {
             assert!(window > 0, "closed-loop window must be non-zero");
         }
-        assert!(
-            engine.admission == super::Admission::Online,
-            "the live twin is online admission only"
-        );
         assert!(
             engine.hedge.is_none() && engine.shed.is_none(),
             "hedging and shedding are engine-only features"
@@ -312,7 +308,7 @@ impl LiveServer {
     ///
     /// `placement` is consulted once per request, in admission order,
     /// on the front-door thread — the same discipline as the engine's
-    /// online admission.
+    /// admission.
     ///
     /// # Errors
     ///

@@ -35,9 +35,6 @@
 //!   budget ([`CacheBudget`]) with LRU eviction, compile-on-miss
 //!   is charged as simulated latency, and the admission controller
 //!   re-places or rejects requests whose plan can never fit.
-//! * **A legacy-parity shim** ([`EngineConfig::legacy`]): preplaced
-//!   admission, unbounded cache, free compiles — bit-for-bit the
-//!   pre-engine three-phase (admit → drain → aggregate) pipeline.
 //! * **Fault tolerance**: a seeded [`FaultPlan`] injects crashes,
 //!   degrade windows, compile stalls and transient compile failures
 //!   as first-class events; [`RetryPolicy`], [`HedgePolicy`] and
@@ -96,7 +93,7 @@ mod scale;
 mod slo;
 mod transport;
 
-pub use engine::{Admission, CacheBudget, EngineConfig, ServeRun};
+pub use engine::{CacheBudget, EngineConfig, ServeRun};
 pub use fault::{
     ClassFaultStats, FaultEvent, FaultKind, FaultMix, FaultPlan, HedgePolicy, RetryPolicy,
     ShardFaultStats, ShedPolicy,
@@ -712,21 +709,19 @@ mod tests {
 
     #[test]
     fn repeat_runs_are_identical_with_fresh_placements() {
-        for config in [
+        let sim = small_sim(
+            Arc::new(Deadline::new(3.0, 16)),
             EngineConfig::default().with_records(),
-            EngineConfig::legacy().with_records(),
-        ] {
-            let sim = small_sim(Arc::new(Deadline::new(3.0, 16)), config);
-            let a = sim.try_run(&mut PlatformAffinity::default()).unwrap();
-            let b = sim.try_run(&mut PlatformAffinity::default()).unwrap();
-            for (x, y) in a.reports.iter().zip(&b.reports) {
-                assert_eq!(x.busy_ms.to_bits(), y.busy_ms.to_bits());
-                assert_eq!(x.makespan_ms.to_bits(), y.makespan_ms.to_bits());
-                assert_eq!(x.requests.len(), y.requests.len());
-                for (p, q) in x.requests.iter().zip(&y.requests) {
-                    assert_eq!(p.id, q.id);
-                    assert_eq!(p.completion_ms.to_bits(), q.completion_ms.to_bits());
-                }
+        );
+        let a = sim.try_run(&mut PlatformAffinity::default()).unwrap();
+        let b = sim.try_run(&mut PlatformAffinity::default()).unwrap();
+        for (x, y) in a.reports.iter().zip(&b.reports) {
+            assert_eq!(x.busy_ms.to_bits(), y.busy_ms.to_bits());
+            assert_eq!(x.makespan_ms.to_bits(), y.makespan_ms.to_bits());
+            assert_eq!(x.requests.len(), y.requests.len());
+            for (p, q) in x.requests.iter().zip(&y.requests) {
+                assert_eq!(p.id, q.id);
+                assert_eq!(p.completion_ms.to_bits(), q.completion_ms.to_bits());
             }
         }
     }
@@ -748,7 +743,7 @@ mod tests {
 
     #[test]
     fn least_backlog_uses_the_live_view() {
-        // Online admission: the live-backlog placement spreads load
+        // The live-backlog placement spreads load
         // across both shards even though round-robin state is absent.
         let sim = small_sim(Arc::new(Immediate), EngineConfig::default());
         let run = sim.try_run(&mut LeastBacklog).unwrap();

@@ -6,9 +6,7 @@
 //! *and* its live state at that instant — per-shard backlog, in-flight
 //! batch sizes and plan-cache residency. Strategies may keep mutable
 //! state (cursors, load estimates); the event order is deterministic,
-//! so the assignment is too. (Under the legacy-parity admission mode
-//! the live fields are all zero — exactly what the pre-engine
-//! sequential admission pass exposed.)
+//! so the assignment is too.
 
 use super::load::Request;
 
@@ -33,9 +31,9 @@ pub struct ClusterView<'a> {
     /// admitted).
     pub resident_plan_bytes: &'a [u64],
     /// Live health per shard: `false` while a [`FaultPlan`] crash has
-    /// the shard down. All `true` in a fault-free run (and under the
-    /// legacy preplaced shim), so health-aware strategies degenerate to
-    /// their fault-free behaviour bit for bit.
+    /// the shard down. All `true` in a fault-free run, so health-aware
+    /// strategies degenerate to their fault-free behaviour bit for
+    /// bit.
     ///
     /// [`FaultPlan`]: super::FaultPlan
     pub healthy: &'a [bool],
@@ -279,7 +277,7 @@ mod tests {
         }
     }
 
-    /// A view with all-zero live state (what offline admission sees).
+    /// A view with all-zero live state (an idle cluster).
     fn static_view<'a>(
         platforms: &'a [&'static str],
         costs: &'a [Vec<f64>],

@@ -1,9 +1,9 @@
 //! Fault-tolerance system tests for the serving engine.
 //!
-//! Two property suites pin the contract of `ISSUE 7`'s fault layer:
-//! a **zero-rate fault plan is free** — wiring a generated-but-empty
+//! Two property suites pin the contract of the fault layer: a
+//! **zero-rate fault plan is free** — wiring a generated-but-empty
 //! [`FaultPlan`] (plus a live [`RetryPolicy`]) into the engine leaves
-//! every report of the full legacy + online combo grid bit-identical
+//! every report of the full fault-free combo grid bit-identical
 //! to the fault-free run — and **no request is ever lost or
 //! double-counted** — under arbitrary crash/degrade/stall/compile-fail
 //! schedules with retries, hedging and shedding, the final buckets
@@ -16,9 +16,9 @@
 use proptest::prelude::*;
 use sma::runtime::serve::{
     BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst, EngineConfig, FaultEvent, FaultKind,
-    FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate, LeastBacklog, LeastOutstanding,
-    LoadGenerator, Placement, PlatformAffinity, Request, RetryPolicy, RoundRobin, ServeCluster,
-    ServeRun, ServeSim, ShedPolicy, SizeK,
+    FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate, LeastBacklog, LoadGenerator,
+    Placement, Request, RetryPolicy, RoundRobin, ServeCluster, ServeRun, ServeSim, ShedPolicy,
+    SizeK,
 };
 use sma::runtime::{Executor, Platform};
 use std::collections::BTreeSet;
@@ -106,9 +106,9 @@ fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
     }
 }
 
-/// The benchmark's 25 fault-free combos: the 3x3 legacy block plus the
-/// 4 policy x 2 placement x 2 budget online block, as (policy,
-/// placement, config) constructors so each run gets fresh state.
+/// The benchmark's 16 fault-free combos, the 4 policy x 2 placement x
+/// 2 budget block, as (policy, placement, config) constructors so each
+/// run gets fresh state.
 #[allow(clippy::type_complexity)]
 fn fault_free_grid(
     bounded_bytes: u64,
@@ -117,16 +117,6 @@ fn fault_free_grid(
     fn() -> Box<dyn Placement>,
     EngineConfig,
 )> {
-    let legacy_policies: Vec<Arc<dyn BatchPolicy>> = vec![
-        Arc::new(Immediate),
-        Arc::new(SizeK::new(6)),
-        Arc::new(Deadline::new(5.0, 16)),
-    ];
-    let legacy_placements: Vec<fn() -> Box<dyn Placement>> = vec![
-        || Box::new(RoundRobin::default()),
-        || Box::new(LeastOutstanding::default()),
-        || Box::new(PlatformAffinity::default()),
-    ];
     let online_policies: Vec<Arc<dyn BatchPolicy>> = vec![
         Arc::new(Immediate),
         Arc::new(SizeK::new(8)),
@@ -138,11 +128,6 @@ fn fault_free_grid(
             Box::new(LeastBacklog)
         }];
     let mut grid = Vec::new();
-    for policy in &legacy_policies {
-        for placement in &legacy_placements {
-            grid.push((Arc::clone(policy), *placement, EngineConfig::legacy()));
-        }
-    }
     for policy in &online_policies {
         for placement in &online_placements {
             for config in [
@@ -155,7 +140,7 @@ fn fault_free_grid(
             }
         }
     }
-    assert_eq!(grid.len(), 25);
+    assert_eq!(grid.len(), 16);
     grid
 }
 

@@ -1,8 +1,8 @@
 //! Serving-simulation system tests: byte-identical `BENCH_serve.json`
 //! across runs and thread counts, the acceptance pins on the benchmark
-//! matrix (legacy rows distinct and eviction/SLO activity in the
-//! online rows), and exact GEMM-cache invariants under concurrent
-//! engine runs sharing one backend.
+//! matrix (distinct policy × placement profiles and eviction/SLO
+//! activity in the online rows), and exact GEMM-cache invariants under
+//! concurrent engine runs sharing one backend.
 
 use sma::runtime::backend::{Backend, SmaBackend};
 use sma::runtime::serve::{EngineConfig, RoundRobin, ServeSim, SizeK};
@@ -34,15 +34,15 @@ fn bench_serve_json_is_byte_identical_across_runs_and_threads() {
     assert_ne!(first.to_json(), other.to_json());
 }
 
-/// The acceptance grid: the legacy block serves the same trace to
+/// The acceptance grid: the online block serves the same trace to
 /// distinct, explainable latency profiles (deterministic, so exact
-/// comparison is safe), and the online block shows the new machinery
-/// working — eviction activity under the bounded cache and nonzero
-/// deadline-miss accounting under EDF.
+/// comparison is safe) and shows the engine's machinery working —
+/// eviction activity under the bounded cache and nonzero deadline-miss
+/// accounting under EDF.
 #[test]
 fn matrix_blocks_pin_the_acceptance_criteria() {
     let report = run_matrix(&default_scenario(1200, 0xDAC2_0020).unwrap(), 2).expect("matrix runs");
-    assert_eq!(report.combos.len(), 39);
+    assert_eq!(report.combos.len(), 30);
 
     // Control block: eight fault-free rows exercising the control
     // plane ({static, auto} x {preempt} x {mix}); everything else
@@ -53,21 +53,22 @@ fn matrix_blocks_pin_the_acceptance_criteria() {
         8
     );
 
-    // Legacy block: nine pairwise-distinct p50/p99 profiles.
-    let legacy: Vec<_> = report
+    // Unbounded fault-free online rows: eight pairwise-distinct
+    // p50/p99 profiles, one per policy x placement.
+    let unbounded: Vec<_> = report
         .combos
         .iter()
-        .filter(|c| c.admission == "preplaced")
+        .filter(|c| c.cache_budget == "unbounded" && c.recovery == "none" && c.control == "none")
         .collect();
-    assert_eq!(legacy.len(), 9);
-    let profiles: BTreeSet<(u64, u64)> = legacy
+    assert_eq!(unbounded.len(), 8);
+    let profiles: BTreeSet<(u64, u64)> = unbounded
         .iter()
         .map(|c| (c.outcome.p50_ms.to_bits(), c.outcome.p99_ms.to_bits()))
         .collect();
     assert_eq!(
         profiles.len(),
-        9,
-        "two legacy combos produced identical p50/p99"
+        8,
+        "two policy x placement combos produced identical p50/p99"
     );
 
     for combo in &report.combos {
@@ -83,10 +84,10 @@ fn matrix_blocks_pin_the_acceptance_criteria() {
         assert!((0.0..=1.0).contains(&o.goodput));
         let batched: u64 = o.batch_histogram.iter().map(|&(_, n)| n).sum();
         assert!(batched > 0);
-        if combo.policy == "immediate" && combo.admission == "preplaced" {
+        if combo.policy == "immediate" {
             assert_eq!(
                 o.batch_histogram,
-                vec![(1, 1200)],
+                vec![(1, o.requests as u64)],
                 "immediate dispatch must never form a batch"
             );
         }
@@ -97,7 +98,7 @@ fn matrix_blocks_pin_the_acceptance_criteria() {
     let bounded: Vec<_> = report
         .combos
         .iter()
-        .filter(|c| c.admission == "online" && c.cache_budget != "unbounded")
+        .filter(|c| c.cache_budget != "unbounded")
         .collect();
     assert_eq!(bounded.len(), 8);
     assert!(
