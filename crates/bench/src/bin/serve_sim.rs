@@ -5,9 +5,9 @@
 //! networks), then serves it through the discrete-event engine under
 //! every matrix cell, starting with the online block (live-view
 //! placement, EDF, unbounded and bounded plan caches with LRU eviction
-//! and compile-on-miss latency). Combos fan across the sweep driver's worker threads;
-//! per-combo latency percentiles (p50/p99/p99.9), goodput,
-//! deadline-miss, queue-depth and plan-cache stats land in
+//! and compile-on-miss latency). Combos fan across the sweep driver's
+//! worker threads; per-combo latency percentiles (p50/p99/p99.9),
+//! goodput, deadline-miss, queue-depth and plan-cache stats land in
 //! `BENCH_serve.json`.
 //!
 //! Every reported number is simulated-clock and each combo's engine
