@@ -15,12 +15,14 @@ fn bench_plan_replay(c: &mut Criterion) {
 
     let exec = Executor::kernel_study(Platform::Sma3);
     let net = zoo::mask_rcnn();
-    let plan = exec.plan(&net); // warms the shared cache
+    let plan = exec
+        .try_plan(&net) // warms the shared cache
+        .expect("3-SMA accepts every Mask R-CNN layer");
     g.bench_function("plan_replay/mask_rcnn_3sma", |b| {
         b.iter(|| std::hint::black_box(plan.run()))
     });
     g.bench_function("plan_compile/mask_rcnn_3sma", |b| {
-        b.iter(|| std::hint::black_box(exec.plan(&net)))
+        b.iter(|| std::hint::black_box(exec.try_plan(&net)))
     });
     g.finish();
 }
@@ -33,9 +35,6 @@ fn bench_sweep_driver(c: &mut Criterion) {
 
     let execs = grid_executors(&Platform::gpu_family(), &[1, 16]);
     let nets = zoo::table2_models();
-    g.bench_function("grid_planned_serial", |b| {
-        b.iter(|| std::hint::black_box(Sweep::grid_planned(&execs, &nets, 8).run_serial()))
-    });
     g.bench_function("grid_planned_parallel", |b| {
         let threads = sma_bench::sweep::default_threads();
         b.iter(|| std::hint::black_box(Sweep::grid_planned(&execs, &nets, 8).run_parallel(threads)))

@@ -1,8 +1,9 @@
 //! Sweeps the 5 040-point design-space grid — ArrayFlex pipeline span ×
 //! FlexSA tile mode × batch × weight-cache budget × network — as lookups
 //! in the cell table `DseGrid::compile` builds (see `sma_bench::dse`),
-//! fanning point evaluation across the sweep module's work-stealing
-//! driver and streaming rows through the order-preserving writer.
+//! fanning point evaluation across the sweep module's ordered fan-out
+//! and streaming rows to disk through the order-preserving writer as
+//! points complete.
 //!
 //! Three files come out:
 //!
@@ -16,9 +17,6 @@
 //! Environment:
 //! * `SMA_DSE_POINTS` — evaluate only the first N points (default: the
 //!   full grid; `--smoke` below caps harder).
-//! * `SMA_SWEEP_STREAM` — `1` (default) streams rows to disk as points
-//!   complete; `0` buffers in memory and writes at the end
-//!   (byte-identical output, bisection aid).
 //! * `SMA_SWEEP_THREADS` — worker threads (default: available
 //!   parallelism).
 //! * `SMA_DSE_JSON` — committed summary path (default:
@@ -34,7 +32,6 @@ use sma_bench::sweep::{self, side_path, timing_path};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
-use std::sync::Mutex;
 // sma-lint: allow(wallclock) — wall time IS this binary's measurand:
 // points/sec lands in the gitignored timing file, never in model state
 // or the committed summary.
@@ -84,65 +81,26 @@ fn main() {
         count,
     );
 
-    // Streamed and buffered modes drive the same writer; only the sink
-    // differs, so the bytes on disk cannot.
-    let streaming = knobs::sweep_stream();
-    let file_sink = if streaming {
-        Some(match File::create(&rows_file) {
-            Ok(f) => BufWriter::new(f),
-            Err(e) => fail(&rows_file, &e),
-        })
-    } else {
-        None
+    let writer = match File::create(&rows_file) {
+        Ok(f) => StreamWriter::new(BufWriter::new(f)),
+        Err(e) => fail(&rows_file, &e),
     };
-    enum Sink {
-        Disk(StreamWriter<BufWriter<File>>),
-        Memory(StreamWriter<Vec<u8>>),
-    }
-    let writer = match file_sink {
-        Some(f) => Sink::Disk(StreamWriter::new(f)),
-        None => Sink::Memory(StreamWriter::new(Vec::new())),
-    };
-    let rows: Mutex<Vec<Option<DseRow>>> = Mutex::new(vec![None; count]);
 
     // sma-lint: allow(wallclock) — points/sec is the headline metric.
     let start = Instant::now();
-    let workers = sweep::run_work_stealing(count, threads, |i| {
+    let (rows, workers) = sweep::run_ordered(count, threads, |i| {
         let row = compiled.row(i);
-        let rendered = render_row(&row, i, count);
-        let pushed = match &writer {
-            Sink::Disk(w) => w.push(i, rendered),
-            Sink::Memory(w) => w.push(i, rendered),
-        };
-        if let Err(e) = pushed {
+        if let Err(e) = writer.push(i, render_row(&row, i, count)) {
             fail(&rows_file, &e);
         }
-        rows.lock().expect("dse rows poisoned")[i] = Some(row);
+        row
     });
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let stats = match writer {
-        Sink::Disk(w) => match w.finish() {
-            Ok((stats, _)) => stats,
-            Err(e) => fail(&rows_file, &e),
-        },
-        Sink::Memory(w) => match w.finish() {
-            Ok((stats, bytes)) => {
-                if let Err(e) = std::fs::write(&rows_file, bytes) {
-                    fail(&rows_file, &e);
-                }
-                stats
-            }
-            Err(e) => fail(&rows_file, &e),
-        },
+    let stats = match writer.finish() {
+        Ok((stats, _)) => stats,
+        Err(e) => fail(&rows_file, &e),
     };
 
-    let rows: Vec<DseRow> = rows
-        .into_inner()
-        .expect("dse rows poisoned")
-        .into_iter()
-        .map(|r| r.expect("every row slot is filled before the scope exits"))
-        .collect();
     let report = DseReport::from_rows(&rows);
     if let Err(e) = std::fs::write(&path, report.to_json(compiled.grid())) {
         fail(&path, &e);
@@ -156,7 +114,7 @@ fn main() {
     let mut timing = String::from("{\n");
     let _ = write!(
         timing,
-        "  \"points\": {count},\n  \"threads\": {workers},\n  \"compile_ms\": {compile_ms:.3},\n  \"wall_ms\": {wall_ms:.3},\n  \"points_per_sec\": {points_per_sec:.1},\n  \"streaming\": {streaming},\n  \"peak_pending_rows\": {}\n}}\n",
+        "  \"points\": {count},\n  \"threads\": {workers},\n  \"compile_ms\": {compile_ms:.3},\n  \"wall_ms\": {wall_ms:.3},\n  \"points_per_sec\": {points_per_sec:.1},\n  \"peak_pending_rows\": {}\n}}\n",
         stats.peak_pending
     );
     if let Err(e) = std::fs::write(&timing_file, timing) {

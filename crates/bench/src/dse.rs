@@ -161,9 +161,8 @@ impl DseGrid {
 
     /// Raw axis slots of point `index` under the documented nesting.
     fn slots(&self, index: usize) -> AxisSlots {
-        // sma-lint: allow(no-panic) — an out-of-range index is a driver
-        // bug; the work-stealing cursor never exceeds the count it is
-        // given.
+        // An out-of-range index is a driver bug; the work-stealing
+        // cursor never exceeds the count it is given.
         assert!(index < self.len(), "point {index} out of range");
         let network = index % self.networks.len();
         let rest = index / self.networks.len();

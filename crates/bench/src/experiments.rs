@@ -56,6 +56,10 @@ pub struct Fig3Row {
 
 /// Fig. 3: TPU vs GPU on Mask R-CNN and DeepLab, plus the CRF CPU/GPU
 /// comparison (returned as two extra rows with model "CRF").
+///
+/// # Panics
+///
+/// Panics if a built-in backend rejects a zoo layer (a model bug).
 #[must_use]
 pub fn fig3() -> Vec<Fig3Row> {
     let mut rows = Vec::new();
@@ -66,7 +70,9 @@ pub fn fig3() -> Vec<Fig3Row> {
         for platform in [Platform::GpuSimd, Platform::TpuHost] {
             // Fig. 3 separates the CRF; the TPU still pays its hand-off.
             let exec = Executor::builder(platform).postprocessing(false).build();
-            let p = exec.run(&net);
+            let p = exec
+                .try_run(&net)
+                .expect("built-in backends accept every Fig. 3 layer");
             rows.push(Fig3Row {
                 model,
                 platform: platform.label(),
@@ -165,13 +171,21 @@ pub struct Fig8Row {
 
 /// Fig. 8: iso-area comparison on the Table II networks (kernel study:
 /// batch 16, CNN+head portion).
+///
+/// # Panics
+///
+/// Panics if a built-in backend rejects a zoo layer (a model bug).
 #[must_use]
 pub fn fig8() -> Vec<Fig8Row> {
     let model = EnergyModel::volta();
     zoo::table2_models()
         .into_iter()
         .map(|net| {
-            let run = |p: Platform| Executor::kernel_study(p).run(&net);
+            let run = |p: Platform| {
+                Executor::kernel_study(p)
+                    .try_run(&net)
+                    .expect("built-in GPU-family backends accept every Table II layer")
+            };
             let simd = run(Platform::GpuSimd);
             let tc = run(Platform::GpuTensorCore);
             let sma2 = run(Platform::Sma2);
@@ -205,12 +219,16 @@ pub struct Fig9LeftRow {
 }
 
 /// Fig. 9 (left): DET+TRA+LOC on GPU, TC and SMA.
+///
+/// # Panics
+///
+/// Panics if a Fig. 9 platform lacks programmable lanes (a model bug).
 #[must_use]
 pub fn fig9_left() -> Vec<Fig9LeftRow> {
     [Platform::GpuSimd, Platform::GpuTensorCore, Platform::Sma3]
         .into_iter()
         .map(|p| {
-            let pipe = DrivingPipeline::new(p);
+            let pipe = DrivingPipeline::try_new(p).expect("Fig. 9 platforms have SIMD lanes");
             let s = pipe.schedule();
             Fig9LeftRow {
                 platform: p.label(),
@@ -235,10 +253,15 @@ pub struct Fig9RightRow {
 }
 
 /// Fig. 9 (right): frame latency for N = 2..9.
+///
+/// # Panics
+///
+/// Panics if a Fig. 9 platform lacks programmable lanes (a model bug).
 #[must_use]
 pub fn fig9_right() -> Vec<Fig9RightRow> {
-    let tc = DrivingPipeline::new(Platform::GpuTensorCore);
-    let sma = DrivingPipeline::new(Platform::Sma3);
+    let pipeline = |p| DrivingPipeline::try_new(p).expect("Fig. 9 platforms have SIMD lanes");
+    let tc = pipeline(Platform::GpuTensorCore);
+    let sma = pipeline(Platform::Sma3);
     (2..=9)
         .map(|n| Fig9RightRow {
             skip: n,

@@ -109,21 +109,6 @@ pub fn dse_points() -> Option<usize> {
     }
 }
 
-/// Streaming results writer toggle: `SMA_SWEEP_STREAM`, default `1`
-/// (rows are written to the artifact as points complete, bounded
-/// memory). `0` buffers the whole report before writing — byte-for-byte
-/// the same file, kept as the bisection aid for writer bugs.
-#[must_use]
-pub fn sweep_stream() -> bool {
-    match parse("SMA_SWEEP_STREAM", 1u8) {
-        0 => false,
-        1 => true,
-        other => abort(&format!(
-            "SMA_SWEEP_STREAM={other} is malformed (expected 0 or 1)"
-        )),
-    }
-}
-
 /// DSE report path: `SMA_DSE_JSON`, default `BENCH_dse.json` (the
 /// committed deterministic summary). The gitignored row stream and
 /// timing side-files derive their names from this path
@@ -160,10 +145,17 @@ pub fn serve_slo_ms() -> Option<f64> {
 }
 
 /// Bounded plan-cache budget per shard in bytes: `SMA_SERVE_CACHE_KB`
-/// (the knob is in KiB), default derived from the largest plan.
+/// (the knob is in KiB), default derived from the largest plan. A
+/// budget whose byte count overflows `u64` is rejected as malformed.
 #[must_use]
 pub fn serve_cache_bytes() -> Option<u64> {
-    opt::<u64>("SMA_SERVE_CACHE_KB").map(|kb| kb * 1024)
+    opt::<u64>("SMA_SERVE_CACHE_KB").map(|kb| {
+        kb.checked_mul(1024).unwrap_or_else(|| {
+            abort(&format!(
+                "SMA_SERVE_CACHE_KB={kb} is malformed (the byte count overflows u64)"
+            ))
+        })
+    })
 }
 
 /// Fault-schedule seed for the fault block: `SMA_SERVE_FAULT_SEED`,
@@ -178,10 +170,17 @@ pub fn serve_fault_seed() -> Option<u64> {
 /// Expected faults per shard in the fault block's schedules:
 /// `SMA_SERVE_FAULT_RATE`, default 2.0, floored at 0 (0 = empty
 /// schedules — the fault rows then match a fault-free engine bit for
-/// bit).
+/// bit). NaN and infinite rates are rejected as malformed.
 #[must_use]
 pub fn serve_fault_rate() -> Option<f64> {
-    opt::<f64>("SMA_SERVE_FAULT_RATE").map(|rate| rate.max(0.0))
+    opt::<f64>("SMA_SERVE_FAULT_RATE").map(|rate| {
+        if !rate.is_finite() {
+            abort(&format!(
+                "SMA_SERVE_FAULT_RATE={rate} is malformed (must be a finite number)"
+            ));
+        }
+        rate.max(0.0)
+    })
 }
 
 /// Hedge delay of the `retry+hedge` rows in milliseconds:
@@ -361,19 +360,6 @@ mod tests {
         // Zero aborts in the accessor (a 0-point sweep is not a default);
         // the parse layer itself accepts it, so pin the malformed text arm.
         assert_malformed::<usize>("SMA_DSE_POINTS", "all");
-    }
-
-    #[test]
-    fn sweep_stream_knob() {
-        with_env("SMA_SWEEP_STREAM", None, || assert!(super::sweep_stream()));
-        with_env("SMA_SWEEP_STREAM", Some("1"), || {
-            assert!(super::sweep_stream())
-        });
-        with_env("SMA_SWEEP_STREAM", Some("0"), || {
-            assert!(!super::sweep_stream())
-        });
-        // `true`/`false` are rejected: the knob is documented as 0/1.
-        assert_malformed::<u8>("SMA_SWEEP_STREAM", "true");
     }
 
     #[test]

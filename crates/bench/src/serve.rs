@@ -1,6 +1,7 @@
 //! Serving-simulation benchmark: the policy × placement × cache-budget
-//! matrix over one seeded trace, combos fanned through the [`Sweep`]
-//! driver, results rendered into `BENCH_serve.json`.
+//! matrix over one seeded trace, combos fanned across worker threads by
+//! the sweep module's [`run_ordered`], results rendered into
+//! `BENCH_serve.json`.
 //!
 //! The matrix has three blocks:
 //!
@@ -29,7 +30,7 @@
 //! worker threads only decide which combo runs where). The determinism
 //! suite and a CI double-run `diff` pin exactly that.
 
-use crate::sweep::{escape_json, Sweep, SweepTask};
+use crate::sweep::{escape_json, run_ordered};
 use sma_models::zoo;
 use sma_runtime::serve::{
     percentile_ms, AutoscalePolicy, BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst,
@@ -41,7 +42,7 @@ use sma_runtime::{Executor, Platform, RuntimeError};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A serving workload: the compiled cluster, the trace over it, and
 /// the engine parameters every combo shares.
@@ -719,80 +720,26 @@ fn matrix_specs(scenario: &ServeScenario) -> Vec<ComboSpec> {
 ///
 /// # Errors
 ///
-/// Propagates the first [`RuntimeError`] from a backend rejecting a
-/// batched plan compile mid-run.
-///
-/// # Panics
-///
-/// Panics if the sweep driver loses a combo slot (a driver bug).
+/// Propagates the first [`RuntimeError`] (in combo order) from a
+/// backend rejecting a batched plan compile mid-run.
 pub fn run_matrix(
     scenario: &ServeScenario,
     threads: usize,
 ) -> Result<ServeBenchReport, RuntimeError> {
     let specs = matrix_specs(scenario);
-    type Slot = Option<Result<ComboReport, RuntimeError>>;
-    let slots: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(vec![None; specs.len()]));
-    // One shared copy of the trace across all combo closures (each
-    // ServeSim still snapshots it, but transiently inside its task —
-    // never N copies held live at once).
-    let shared_trace: Arc<Vec<Request>> = Arc::new(scenario.trace.clone());
-    let mut sweep = Sweep::new();
-    for (index, spec) in specs.into_iter().enumerate() {
-        let cluster = Arc::clone(&scenario.cluster);
-        let trace = Arc::clone(&shared_trace);
-        let slots = Arc::clone(&slots);
-        let name = format!(
-            "serve/{}x{}@{}-{}-{}-{}",
-            spec.policy.label(),
-            (spec.placement)().label(),
-            spec.cache_budget,
-            spec.fault,
-            spec.recovery,
-            spec.control,
+    let (results, _) = run_ordered(specs.len(), threads, |i| {
+        let spec = &specs[i];
+        let sim = ServeSim::with_cluster(
+            Arc::clone(&scenario.cluster),
+            Arc::clone(&spec.policy),
+            &scenario.trace,
+            spec.config.clone(),
         );
-        sweep.push(SweepTask::new(name, move || {
-            let sim = ServeSim::with_cluster(
-                Arc::clone(&cluster),
-                Arc::clone(&spec.policy),
-                &trace,
-                spec.config.clone(),
-            );
-            let mut placement = (spec.placement)();
-            let result = match sim.try_run(placement.as_mut()) {
-                Ok(run) => Ok(spec.report(placement.label(), sim.outcome(&run))),
-                Err(error) => Err(error),
-            };
-            let line = match &result {
-                Ok(combo) => format!(
-                    "{} x {}: {} served / {} rejected / p99 {:.2} ms",
-                    combo.policy,
-                    combo.placement,
-                    combo.outcome.requests,
-                    combo.outcome.rejected,
-                    combo.outcome.p99_ms
-                ),
-                Err(error) => format!(
-                    "{} x {}: FAILED: {error}",
-                    spec.policy.label(),
-                    placement.label()
-                ),
-            };
-            slots.lock().expect("serve slots poisoned")[index] = Some(result);
-            line
-        }));
-    }
-    let _ = sweep.run_parallel(threads);
-    let combos: Vec<ComboReport> = {
-        // sma-lint: allow(nested-lock) — the per-task lock above lives in a
-        // closure that has finished by the time run_parallel returns; this
-        // re-acquisition is strictly after, never nested.
-        let mut slots = slots.lock().expect("serve slots poisoned");
-        slots
-            .iter_mut()
-            .map(|slot| slot.take().expect("every combo slot is filled"))
-            .collect::<Result<Vec<ComboReport>, RuntimeError>>()?
-    };
-
+        let mut placement = (spec.placement)();
+        let run = sim.try_run(placement.as_mut())?;
+        Ok(spec.report(placement.label(), sim.outcome(&run)))
+    });
+    let combos = results.into_iter().collect::<Result<_, RuntimeError>>()?;
     Ok(ServeBenchReport::new(scenario, combos))
 }
 

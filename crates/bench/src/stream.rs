@@ -15,12 +15,11 @@
 //! in `perfbench` runs. The peak is reported as
 //! [`StreamStats::peak_pending`] so the bound is observed, not assumed.
 //!
-//! Byte-identity between streamed and buffered output is by
-//! construction: the buffered mode (`SMA_SWEEP_STREAM=0`) drives the
-//! same writer over an in-memory sink and writes the file at the end,
-//! so the bytes on disk are produced by exactly one code path either
-//! way. The chained [`fnv1a64`] digest over rows (in index order)
-//! gives a cheap cross-run fingerprint for the CI double-run diff.
+//! The writer is generic over its sink: the `dse` bin streams to a
+//! buffered file, while tests and the benchmark harness collect the
+//! same bytes in a `Vec<u8>`. The chained [`fnv1a64`] digest over rows
+//! (in index order) gives a cheap cross-run fingerprint for the CI
+//! double-run diff.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -126,8 +125,8 @@ impl<W: Write> StreamWriter<W> {
     /// producer by construction of the work-stealing cursor) or the
     /// mutex was poisoned by a panicking worker.
     pub fn push(&self, index: usize, row: String) -> io::Result<()> {
-        // sma-lint: allow(no-panic) — double-push and poisoning are
-        // driver bugs; corrupting the committed artifact would be worse.
+        // Double-push and poisoning are driver bugs; corrupting the
+        // committed artifact would be worse.
         let mut inner = self.inner.lock().expect("stream writer poisoned");
         assert!(
             index >= inner.next && !inner.pending.contains_key(&index),
@@ -161,7 +160,7 @@ impl<W: Write> StreamWriter<W> {
     /// Panics if rows are still parked — i.e. some earlier index was
     /// never pushed, which means the driver lost a point.
     pub fn finish(self) -> io::Result<(StreamStats, W)> {
-        // sma-lint: allow(no-panic) — a lost row is a driver bug; see push.
+        // A lost row is a driver bug; see push.
         let mut inner = self.inner.into_inner().expect("stream writer poisoned");
         assert!(
             inner.pending.is_empty(),

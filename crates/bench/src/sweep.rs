@@ -8,9 +8,9 @@
 //! compile-once [`NetworkPlan`](sma_runtime::NetworkPlan) layer keeping
 //! the workers off each other's locks.
 //!
-//! [`Sweep::run_serial`] and [`Sweep::run_parallel`] produce identical
-//! outputs (tasks are deterministic). `all_experiments` runs the
-//! evaluation in parallel and writes a [`SweepReport`] in two files: the
+//! [`Sweep::run_parallel`] produces identical outputs at every thread
+//! count (tasks are deterministic). `all_experiments` runs the
+//! evaluation and writes a [`SweepReport`] in two files: the
 //! committed `BENCH_sweep.json` holds only what is a pure function of
 //! the source tree (task names, FNV-1a output digests, GEMM-cache
 //! counters) so CI can byte-diff it across runs, while everything
@@ -18,8 +18,10 @@
 //! the gitignored `BENCH_sweep_timing.json`.
 //!
 //! The work-stealing loop behind [`Sweep::run_parallel`] is exported as
-//! [`run_work_stealing`] so other drivers (the `dse` grid) reuse the
-//! same sanctioned thread-spawn site instead of growing their own.
+//! [`run_work_stealing`], and [`run_ordered`] layers index-ordered
+//! results on top of it, so other drivers (the `dse` grid, the serve
+//! matrix) reuse the same sanctioned thread-spawn site instead of
+//! growing their own.
 //!
 //! # Sweeping a custom backend
 //!
@@ -140,14 +142,14 @@ pub struct TaskReport {
     pub ms: f64,
 }
 
-/// One timed execution of a [`Sweep`] (serial or parallel).
+/// One timed execution of a [`Sweep`].
 #[derive(Debug, Clone)]
 pub struct SweepRun {
     /// Per-task reports, in task order regardless of completion order.
     pub tasks: Vec<TaskReport>,
     /// Wall-clock milliseconds for the whole pass.
     pub wall_ms: f64,
-    /// Worker threads the pass ran on (1 for serial).
+    /// Worker threads the pass ran on.
     pub threads: usize,
 }
 
@@ -236,39 +238,17 @@ impl Sweep {
         sweep
     }
 
-    /// Runs every task on the calling thread, in order.
-    #[must_use]
-    pub fn run_serial(&self) -> SweepRun {
-        // sma-lint: allow(wallclock) — timing the serial pass is the point.
-        let start = Instant::now();
-        let tasks = self.tasks.iter().map(run_task).collect();
-        SweepRun {
-            tasks,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            threads: 1,
-        }
-    }
-
-    /// Fans the tasks across up to `threads` scoped worker threads.
+    /// Fans the tasks across up to `threads` scoped worker threads
+    /// (`1` runs them in order on one worker).
     ///
     /// Workers pull from a shared atomic cursor (cheap work stealing for
-    /// uneven task costs); results land in task order. Outputs are
-    /// identical to [`Sweep::run_serial`] — tasks are deterministic.
+    /// uneven task costs); results land in task order. Outputs are the
+    /// same at every thread count — tasks are deterministic.
     #[must_use]
     pub fn run_parallel(&self, threads: usize) -> SweepRun {
         // sma-lint: allow(wallclock) — timing the parallel pass is the point.
         let start = Instant::now();
-        let slots: Mutex<Vec<Option<TaskReport>>> = Mutex::new(vec![None; self.tasks.len()]);
-        let workers = run_work_stealing(self.tasks.len(), threads, |i| {
-            let report = run_task(&self.tasks[i]);
-            slots.lock().expect("sweep slots poisoned")[i] = Some(report);
-        });
-        let tasks = slots
-            .into_inner()
-            .expect("sweep slots poisoned")
-            .into_iter()
-            .map(|r| r.expect("every task slot is filled before the scope exits"))
-            .collect();
+        let (tasks, workers) = run_ordered(self.tasks.len(), threads, |i| run_task(&self.tasks[i]));
         SweepRun {
             tasks,
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
@@ -288,7 +268,8 @@ impl Sweep {
 /// `thread-spawn`) has exactly one loop to review. `work` receives each
 /// index exactly once; completion order is unspecified, so `work` must
 /// route any ordered output through an order-restoring sink such as
-/// [`StreamWriter`](crate::stream::StreamWriter).
+/// [`StreamWriter`](crate::stream::StreamWriter) — or use
+/// [`run_ordered`], which collects return values in index order.
 pub fn run_work_stealing(count: usize, threads: usize, work: impl Fn(usize) + Sync) -> usize {
     let workers = threads.clamp(1, count.max(1));
     let cursor = AtomicUsize::new(0);
@@ -304,6 +285,32 @@ pub fn run_work_stealing(count: usize, threads: usize, work: impl Fn(usize) + Sy
         }
     });
     workers
+}
+
+/// Runs `job(0..count)` through [`run_work_stealing`] and returns the
+/// results in index order, whatever order the workers finished them in,
+/// plus the worker count actually used.
+///
+/// # Panics
+///
+/// Re-raises a panic from `job` once every worker has stopped.
+pub fn run_ordered<T: Send>(
+    count: usize,
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> (Vec<T>, usize) {
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
+    let workers = run_work_stealing(count, threads, |i| {
+        let result = job(i);
+        slots.lock().expect("a worker panicked")[i] = Some(result);
+    });
+    let results = slots
+        .into_inner()
+        .expect("a worker panicked")
+        .into_iter()
+        .map(|slot| slot.expect("the cursor visits every index"))
+        .collect();
+    (results, workers)
 }
 
 fn run_task(task: &SweepTask) -> TaskReport {
@@ -784,7 +791,7 @@ mod tests {
         let nets = [zoo::alexnet(), zoo::vgg_a()];
         let sweep = Sweep::grid(&execs, &nets);
         assert_eq!(sweep.len(), 8);
-        let serial = sweep.run_serial();
+        let serial = sweep.run_parallel(1);
         let parallel = sweep.run_parallel(4);
         assert_eq!(serial.tasks.len(), parallel.tasks.len());
         for (s, p) in serial.tasks.iter().zip(&parallel.tasks) {
@@ -862,7 +869,7 @@ mod tests {
         assert_eq!(arena.len(), steps, "a failed derivation leaves no steps");
         assert_eq!(arena.steps(&resident).len(), resident.step_count());
 
-        let run = Sweep::grid(&[exec], &[net]).run_serial();
+        let run = Sweep::grid(&[exec], &[net]).run_parallel(1);
         assert_eq!(
             run.tasks[0].output,
             format!("Shallow   b1  AlexNet     rejected: {expected}")
@@ -927,7 +934,7 @@ mod tests {
         let execs = grid_executors(&[Platform::Sma2], &[4]);
         let nets = [zoo::goturn()];
         let render = |run: &SweepRun| SweepReport::new(run, &[], &[]).to_json();
-        let first = render(&Sweep::grid(&execs, &nets).run_serial());
+        let first = render(&Sweep::grid(&execs, &nets).run_parallel(1));
         let second = render(&Sweep::grid(&execs, &nets).run_parallel(2));
         assert_eq!(first, second, "committed bytes must not depend on timing");
     }
@@ -942,6 +949,20 @@ mod tests {
         assert!((1..=8).contains(&workers));
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         assert_eq!(run_work_stealing(0, 4, |_| unreachable!()), 1);
+    }
+
+    #[test]
+    fn ordered_fan_out_returns_results_in_index_order() {
+        let job = |i: usize| format!("job-{i}");
+        let expected: Vec<String> = (0..40).map(|i| format!("job-{i}")).collect();
+        for threads in [1, 3, 8] {
+            let (results, workers) = run_ordered(40, threads, job);
+            assert_eq!(results, expected, "{threads} threads");
+            assert_eq!(workers, threads);
+        }
+        let (empty, workers) = run_ordered(0, 4, |_| -> Box<u8> { unreachable!() });
+        assert!(empty.is_empty());
+        assert_eq!(workers, 1);
     }
 
     #[test]

@@ -47,25 +47,13 @@ impl DrivingPipeline {
     /// workloads: DET = DeepLab (CNN portion), TRA = GOTURN,
     /// LOC = ORB-SLAM.
     ///
-    /// # Panics
-    ///
-    /// Panics for backends without programmable SIMD lanes (the TPU):
-    /// see [`DrivingPipeline::try_new`].
-    #[must_use]
-    pub fn new(platform: Platform) -> Self {
-        // sma-lint: allow(no-panic) — documented panic; try_new is the
-        // fallible form and the panic is this constructor's contract.
-        Self::try_new(platform).expect("driving pipeline needs programmable lanes")
-    }
-
-    /// Fallible form of [`DrivingPipeline::new`].
-    ///
     /// # Errors
     ///
     /// [`RuntimeError::UnsupportedOnBackend`] when the platform's
     /// backend reports a [`simd_mode_boost`] of zero — ORB-SLAM's
     /// localisation kernels need programmable lanes, which is precisely
-    /// the §V-C argument against fixed-function offload engines.
+    /// the §V-C argument against fixed-function offload engines. Any
+    /// [`RuntimeError`] from compiling DET or TRA propagates.
     ///
     /// [`simd_mode_boost`]: crate::Backend::simd_mode_boost
     pub fn try_new(platform: Platform) -> Result<Self, RuntimeError> {
@@ -77,8 +65,8 @@ impl DrivingPipeline {
         }
         // The driving stack skips CRF post-processing.
         let exec = Executor::builder(platform).postprocessing(false).build();
-        let det = exec.run(&zoo::deeplab()).total_ms;
-        let tra = exec.run(&zoo::goturn()).total_ms;
+        let det = exec.try_run(&zoo::deeplab())?.total_ms;
+        let tra = exec.try_run(&zoo::goturn())?.total_ms;
         let loc = Self::loc_ms(platform, &zoo::orb_slam(), 1.0);
         let loc_boosted = Self::loc_ms(
             platform,
@@ -92,7 +80,7 @@ impl DrivingPipeline {
             Executor::builder(Platform::Sma2)
                 .postprocessing(false)
                 .build()
-                .run(&zoo::deeplab())
+                .try_run(&zoo::deeplab())?
                 .total_ms
         } else {
             det
@@ -196,9 +184,9 @@ mod tests {
     fn gpu_misses_target_accelerators_meet_it() {
         // Fig. 9 (left): the GPU exceeds the 100 ms single-frame target;
         // TC and SMA meet it.
-        let gpu = DrivingPipeline::new(Platform::GpuSimd);
-        let tc = DrivingPipeline::new(Platform::GpuTensorCore);
-        let sma = DrivingPipeline::new(Platform::Sma3);
+        let gpu = DrivingPipeline::try_new(Platform::GpuSimd).unwrap();
+        let tc = DrivingPipeline::try_new(Platform::GpuTensorCore).unwrap();
+        let sma = DrivingPipeline::try_new(Platform::Sma3).unwrap();
         assert!(
             gpu.frame_latency_ms() > 100.0,
             "GPU {:.1} ms",
@@ -219,7 +207,7 @@ mod tests {
     #[test]
     fn skipping_reduces_latency_monotonically() {
         for p in [Platform::GpuTensorCore, Platform::Sma3] {
-            let pipe = DrivingPipeline::new(p);
+            let pipe = DrivingPipeline::try_new(p).unwrap();
             let mut last = f64::INFINITY;
             for n in 1..=9 {
                 let t = pipe.frame_latency_skipping_ms(n);
@@ -233,14 +221,14 @@ mod tests {
     fn sma_benefits_more_from_skipping_than_tc() {
         // Fig. 9 (right): with N=4 the SMA frame latency drops by almost
         // 50% relative to no skipping, and sits below the TC curve.
-        let sma = DrivingPipeline::new(Platform::Sma3);
+        let sma = DrivingPipeline::try_new(Platform::Sma3).unwrap();
         let reduction = 1.0 - sma.frame_latency_skipping_ms(4) / sma.frame_latency_skipping_ms(1);
         assert!(
             (0.35..0.65).contains(&reduction),
             "SMA N=4 reduction {reduction:.2}"
         );
 
-        let tc = DrivingPipeline::new(Platform::GpuTensorCore);
+        let tc = DrivingPipeline::try_new(Platform::GpuTensorCore).unwrap();
         for n in 2..=9 {
             assert!(
                 sma.frame_latency_skipping_ms(n) < tc.frame_latency_skipping_ms(n),
@@ -253,16 +241,20 @@ mod tests {
 
     #[test]
     fn loc_boost_only_on_sma() {
-        let sma = DrivingPipeline::new(Platform::Sma3).schedule();
+        let sma = DrivingPipeline::try_new(Platform::Sma3).unwrap().schedule();
         assert!(sma.loc_boosted_ms < sma.loc_ms);
-        let gpu = DrivingPipeline::new(Platform::GpuSimd).schedule();
+        let gpu = DrivingPipeline::try_new(Platform::GpuSimd)
+            .unwrap()
+            .schedule();
         assert!((gpu.loc_boosted_ms - gpu.loc_ms).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "skip")]
     fn zero_skip_panics() {
-        let _ = DrivingPipeline::new(Platform::Sma3).frame_latency_skipping_ms(0);
+        let _ = DrivingPipeline::try_new(Platform::Sma3)
+            .unwrap()
+            .frame_latency_skipping_ms(0);
     }
 
     #[test]

@@ -78,7 +78,7 @@
 //! (compiled and tested as the `sma_bench::sweep` module doctest; the
 //! bench crate sits above this one, so the snippet cannot run here).
 //! Prefer handing sweep workers a compiled plan
-//! ([`Executor::plan`](crate::Executor::plan)): replays never call back
+//! ([`Executor::try_plan`](crate::Executor::try_plan)): replays never call back
 //! into the backend, so workers cannot contend on your [`GemmCache`] no
 //! matter how many threads the sweep fans across.
 

@@ -1,4 +1,9 @@
 //! Network-on-platform execution profiles.
+//!
+//! [`Executor::try_run`] profiles one inference and
+//! [`Executor::try_plan`] compiles a reusable [`NetworkPlan`]; both
+//! return the backend's [`RuntimeError`] when it rejects a layer, and
+//! there is no panicking twin of either.
 
 use crate::backend::{Backend, IrregularWork, RuntimeError, CRF_HANDOFF_BYTES};
 use crate::plan::{NetworkPlan, PlanFamily, PlannedStep, TemplateStep};
@@ -77,13 +82,16 @@ impl NetworkProfile {
 /// use sma_runtime::{Executor, Platform};
 /// use sma_models::zoo;
 ///
+/// # fn main() -> Result<(), sma_runtime::RuntimeError> {
 /// let exec = Executor::builder(Platform::Sma3)
 ///     .batch(1)
 ///     .postprocessing(true)
 ///     .build();
-/// let profile = exec.run(&zoo::alexnet());
+/// let profile = exec.try_run(&zoo::alexnet())?;
 /// assert!(profile.total_ms > 0.0);
 /// assert!(profile.gemm_ms > profile.irregular_ms);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -220,29 +228,14 @@ impl Executor {
         executor
     }
 
-    /// Profiles one inference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend rejects a layer
-    /// ([`Backend::gemm`] returning an error); use [`Executor::try_run`]
-    /// to handle that as a value. The five built-in backends accept every
-    /// zoo layer.
-    #[must_use]
-    pub fn run(&self, network: &Network) -> NetworkProfile {
-        self.try_run(network)
-            // sma-lint: allow(no-panic) — documented panic; try_run is
-            // the fallible form and the message routes callers to it.
-            .expect("backend rejected a layer; use try_run for fallible dispatch")
-    }
-
-    /// Profiles one inference, surfacing backend rejections: compiles
-    /// the network ([`Executor::try_plan`]) and replays the plan once.
+    /// Profiles one inference: compiles the network
+    /// ([`Executor::try_plan`]) and replays the plan once.
     ///
     /// # Errors
     ///
     /// Propagates [`RuntimeError`] from the backend (e.g. a GEMM-only
-    /// engine refusing a shape).
+    /// engine refusing a shape). The built-in backends accept every zoo
+    /// layer.
     pub fn try_run(&self, network: &Network) -> Result<NetworkProfile, RuntimeError> {
         Ok(self.try_plan(network)?.run())
     }
@@ -253,20 +246,7 @@ impl Executor {
     /// [`NetworkPlan::run`] then replays the profile without touching
     /// the backend (no locks, no recomputation).
     ///
-    /// # Panics
-    ///
-    /// Panics if the backend rejects a layer; use [`Executor::try_plan`]
-    /// to handle that as a value.
-    #[must_use]
-    pub fn plan(&self, network: &Network) -> NetworkPlan {
-        self.try_plan(network)
-            // sma-lint: allow(no-panic) — documented panic; try_plan is
-            // the fallible form and the message routes callers to it.
-            .expect("backend rejected a layer; use try_plan for fallible compilation")
-    }
-
-    /// Compiles the network into a [`NetworkPlan`], surfacing backend
-    /// rejections: the network's [`PlanFamily`] derived at this
+    /// The plan is the network's [`PlanFamily`] derived at this
     /// executor's batch size, so every plan — from-scratch or
     /// family-derived — is built by the same code.
     ///
@@ -279,7 +259,7 @@ impl Executor {
     }
 
     /// Compiles the batch-*independent* template of a network once: a
-    /// [`PlanFamily`] from which [`PlanFamily::plan`] derives the plan
+    /// [`PlanFamily`] from which [`PlanFamily::try_plan`] derives the plan
     /// for any batch size by rewriting only the batch-dependent GEMM
     /// steps. The executor's own batch setting is irrelevant here — the
     /// family leaves the batch dimension symbolic.
@@ -370,7 +350,7 @@ mod tests {
         for net in [zoo::alexnet(), zoo::vgg_a(), zoo::googlenet()] {
             let times: Vec<f64> = Platform::gpu_family()
                 .iter()
-                .map(|&p| Executor::new(p).run(&net).total_ms)
+                .map(|&p| Executor::new(p).try_run(&net).unwrap().total_ms)
                 .collect();
             assert!(
                 times[0] > times[1] && times[1] > times[2] && times[2] > times[3],
@@ -385,11 +365,14 @@ mod tests {
         // Fig. 8 (top): 4-TC ≈4.4-4.6×, 3-SMA ≈6.9-8.4× over SIMD,
         // network portion only (CRF excluded).
         for net in zoo::table2_models() {
-            let base = Executor::kernel_study(Platform::GpuSimd).run(&net).total_ms;
+            let base = Executor::kernel_study(Platform::GpuSimd)
+                .try_run(&net)
+                .unwrap()
+                .total_ms;
             let tc = Executor::kernel_study(Platform::GpuTensorCore);
             let sma3 = Executor::kernel_study(Platform::Sma3);
-            let s_tc = base / tc.run(&net).total_ms;
-            let s_sma3 = base / sma3.run(&net).total_ms;
+            let s_tc = base / tc.try_run(&net).unwrap().total_ms;
+            let s_sma3 = base / sma3.try_run(&net).unwrap().total_ms;
             assert!(
                 (3.2..5.4).contains(&s_tc),
                 "{}: 4-TC speedup {s_tc:.2}",
@@ -416,7 +399,7 @@ mod tests {
         let tpu_exec = Executor::new(Platform::TpuHost);
 
         let mr = zoo::mask_rcnn();
-        let ratio_mr = tpu_exec.run(&mr).total_ms / gpu.run(&mr).total_ms;
+        let ratio_mr = tpu_exec.try_run(&mr).unwrap().total_ms / gpu.try_run(&mr).unwrap().total_ms;
         assert!(
             (1.3..2.6).contains(&ratio_mr),
             "Mask R-CNN TPU/GPU {ratio_mr:.2}"
@@ -432,7 +415,8 @@ mod tests {
         let tpu_np = Executor::builder(Platform::TpuHost)
             .postprocessing(false)
             .build();
-        let ratio_dl = tpu_np.run(&dl).total_ms / gpu_np.run(&dl).total_ms;
+        let ratio_dl =
+            tpu_np.try_run(&dl).unwrap().total_ms / gpu_np.try_run(&dl).unwrap().total_ms;
         assert!(
             (1.3..2.6).contains(&ratio_dl),
             "DeepLab TPU/GPU {ratio_dl:.2}"
@@ -456,16 +440,17 @@ mod tests {
 
         // …while on a pure CNN the TPU wins (>1.6× on GEMM per §II-B).
         let vgg = zoo::vgg_a();
-        let ratio_vgg = tpu_exec.run(&vgg).total_ms / gpu.run(&vgg).total_ms;
+        let ratio_vgg =
+            tpu_exec.try_run(&vgg).unwrap().total_ms / gpu.try_run(&vgg).unwrap().total_ms;
         assert!(ratio_vgg < 1.0, "VGG TPU/GPU {ratio_vgg:.2}");
     }
 
     #[test]
     fn transfer_appears_only_on_tpu() {
         let dl = zoo::deeplab();
-        let t = Executor::new(Platform::TpuHost).run(&dl);
+        let t = Executor::new(Platform::TpuHost).try_run(&dl).unwrap();
         assert!(t.transfer_ms > 0.0);
-        let g = Executor::new(Platform::GpuSimd).run(&dl);
+        let g = Executor::new(Platform::GpuSimd).try_run(&dl).unwrap();
         assert_eq!(g.transfer_ms, 0.0);
     }
 
@@ -475,7 +460,7 @@ mod tests {
         let model = EnergyModel::volta();
         let net = zoo::vgg_a();
         let run = |p: Platform| {
-            let prof = Executor::kernel_study(p).run(&net);
+            let prof = Executor::kernel_study(p).try_run(&net).unwrap();
             prof.energy(&model).total()
         };
         let tc = run(Platform::GpuTensorCore);
@@ -497,9 +482,14 @@ mod tests {
             .postprocessing(false)
             .build();
         let dl = zoo::deeplab();
-        assert!(with.run(&dl).total_ms > without.run(&dl).total_ms + 30.0);
+        assert!(
+            with.try_run(&dl).unwrap().total_ms > without.try_run(&dl).unwrap().total_ms + 30.0
+        );
         let ax = zoo::alexnet();
-        assert!((with.run(&ax).total_ms - without.run(&ax).total_ms).abs() < 1e-9);
+        assert!(
+            (with.try_run(&ax).unwrap().total_ms - without.try_run(&ax).unwrap().total_ms).abs()
+                < 1e-9
+        );
     }
 
     #[test]
@@ -508,14 +498,14 @@ mod tests {
         let b = Executor::builder(Platform::Sma3).build();
         let net = zoo::alexnet();
         assert_eq!(
-            a.run(&net).total_ms.to_bits(),
-            b.run(&net).total_ms.to_bits()
+            a.try_run(&net).unwrap().total_ms.to_bits(),
+            b.try_run(&net).unwrap().total_ms.to_bits()
         );
     }
 
     #[test]
     fn executor_dispatches_through_injected_backend() {
-        // A custom backend reaches run() without any Platform variant.
+        // A custom backend reaches try_run() without any Platform variant.
         use crate::backend::{Backend, GemmCache, IrregularEstimate, IrregularWork, RuntimeError};
         use sma_core::model::GemmEstimate;
         use sma_core::{SmaConfig, SmaGemmModel};
@@ -562,7 +552,10 @@ mod tests {
             .build();
         let stock = Executor::builder(Platform::Sma3).framework_ms(0.0).build();
         let net = zoo::alexnet();
-        let (c, s) = (custom.run(&net).gemm_ms, stock.run(&net).gemm_ms);
+        let (c, s) = (
+            custom.try_run(&net).unwrap().gemm_ms,
+            stock.try_run(&net).unwrap().gemm_ms,
+        );
         assert!((c / s - 2.0).abs() < 1e-9, "custom {c} vs stock {s}");
     }
 }

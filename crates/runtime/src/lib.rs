@@ -14,14 +14,19 @@
 //!   [`Platform::backend`];
 //! * [`Executor`] — runs a [`sma_models::Network`] by dispatching every
 //!   layer through `dyn Backend`, configured with a builder
-//!   (`Executor::builder(p).batch(16).framework_ms(0.0).build()`);
-//! * [`plan`] — the compile-once/replay-many layer: [`Executor::plan`]
-//!   resolves every layer once into a [`NetworkPlan`] whose
-//!   [`NetworkPlan::run`] replays the profile with no locking and no
-//!   recomputation (the serving/sweep hot path), plus the sweep-scale
-//!   machinery above it — [`PlanFamily`] (batch-incremental
-//!   compilation) and [`PlanArena`] (one shared step region for
-//!   thousands of plans);
+//!   (`Executor::builder(p).batch(16).framework_ms(0.0).build()`). Every
+//!   entry point that can meet a backend rejection returns
+//!   `Result<_, RuntimeError>` ([`Executor::try_run`],
+//!   [`Executor::try_plan`]); callers decide at their own boundary
+//!   whether a rejection is an error to report or a bug to panic on;
+//! * [`plan`] — the compile-once/replay-many layer:
+//!   [`Executor::try_plan`] resolves every layer once into a
+//!   [`NetworkPlan`] whose [`NetworkPlan::run`] replays the profile with
+//!   no locking and no recomputation (the serving/sweep hot path), plus
+//!   the sweep-scale machinery above it — [`PlanFamily`]
+//!   (batch-incremental compilation) and [`PlanArena`] (one shared step
+//!   region for thousands of plans), both filled by one instantiate loop
+//!   and read by one step fold;
 //! * [`serve`] — the simulated multi-shard serving layer above the
 //!   plans: seeded open-loop load generation, pluggable batching
 //!   policies and shard placement strategies, all on a deterministic

@@ -1,6 +1,7 @@
 //! Event-driven multi-shard serving over compiled [`NetworkPlan`]s.
 //!
-//! The compile-once layer ([`Executor::plan`](crate::Executor::plan) →
+//! The compile-once layer
+//! ([`Executor::try_plan`](crate::Executor::try_plan) →
 //! [`NetworkPlan::run`]) gives the runtime a lock-free replay
 //! primitive; this module builds the distribution layer above it: N
 //! shards, each an [`Executor`] holding pre-compiled plans for the

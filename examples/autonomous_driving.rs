@@ -10,10 +10,12 @@ use sma::runtime::{DrivingPipeline, Platform};
 
 fn main() {
     const TARGET_MS: f64 = 100.0;
+    let pipeline =
+        |p| DrivingPipeline::try_new(p).expect("GPU, TC and SMA all have programmable SIMD lanes");
 
     println!("Single-frame latency (DET + TRA + LOC), target {TARGET_MS} ms:\n");
     for p in [Platform::GpuSimd, Platform::GpuTensorCore, Platform::Sma3] {
-        let pipe = DrivingPipeline::new(p);
+        let pipe = pipeline(p);
         let s = pipe.schedule();
         let frame = pipe.frame_latency_ms();
         println!(
@@ -33,8 +35,8 @@ fn main() {
 
     println!("\nDetection every N frames (tracking covers the gaps):\n");
     println!("  N    4-TC ms   3-SMA ms   SMA advantage");
-    let tc = DrivingPipeline::new(Platform::GpuTensorCore);
-    let sma = DrivingPipeline::new(Platform::Sma3);
+    let tc = pipeline(Platform::GpuTensorCore);
+    let sma = pipeline(Platform::Sma3);
     for n in 1..=9 {
         let t = tc.frame_latency_skipping_ms(n);
         let s = sma.frame_latency_skipping_ms(n);

@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = zoo::deeplab();
     for p in Platform::ALL {
         let exec = Executor::builder(p).postprocessing(false).build();
-        let prof = exec.run(&net);
+        let prof = exec.try_run(&net)?;
         println!(
             "  {:<9} {:>7.1} ms (gemm {:>6.1} + irregular {:>5.1} + transfer {:>5.1})",
             p.label(),

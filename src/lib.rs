@@ -58,3 +58,8 @@ pub use sma_runtime as runtime;
 pub use sma_sim as sim;
 pub use sma_systolic as systolic;
 pub use sma_tensor as tensor;
+
+// Compiles and runs the README's code blocks as doc tests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -9,7 +9,7 @@
 
 use sma::models::{zoo, Network};
 use sma::runtime::serve::{LoadGenerator, Request};
-use sma::runtime::{Executor, Platform};
+use sma::runtime::{Executor, NetworkProfile, Platform};
 
 /// The seven evaluated platforms, in golden-file order
 /// ([`Platform::ALL`] is the single source of truth, shared with the
@@ -27,12 +27,6 @@ pub fn networks() -> Vec<Network> {
     zoo::evaluation_networks()
 }
 
-/// The batch points the plan-parity and serving grids iterate.
-#[must_use]
-pub fn batches() -> [usize; 2] {
-    [1, 16]
-}
-
 /// The executor configurations of the golden-parity grid, in
 /// golden-file order.
 #[must_use]
@@ -48,6 +42,34 @@ pub fn executor(platform: Platform, config: &str) -> Executor {
         "kernel" => Executor::kernel_study(platform),
         "nopost" => Executor::builder(platform).postprocessing(false).build(),
         other => panic!("unknown config {other}"),
+    }
+}
+
+/// Asserts two profiles are identical bit for bit: every `f64` through
+/// `to_bits`, every counter and per-layer record exactly.
+pub fn assert_bit_identical(context: &str, a: &NetworkProfile, b: &NetworkProfile) {
+    assert_eq!(a.platform, b.platform, "{context}: platform");
+    assert_eq!(a.network, b.network, "{context}: network name");
+    for (field, x, y) in [
+        ("total_ms", a.total_ms, b.total_ms),
+        ("gemm_ms", a.gemm_ms, b.gemm_ms),
+        ("irregular_ms", a.irregular_ms, b.irregular_ms),
+        ("transfer_ms", a.transfer_ms, b.transfer_ms),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{context}: {field} {x} vs {y}");
+    }
+    assert_eq!(a.sm_cycles, b.sm_cycles, "{context}: sm_cycles");
+    assert_eq!(a.mem, b.mem, "{context}: access ledger");
+    assert_eq!(a.layers.len(), b.layers.len(), "{context}: layer count");
+    for (x, y) in a.layers.iter().zip(&b.layers) {
+        assert_eq!(x.index, y.index, "{context}: layer index");
+        assert_eq!(x.path, y.path, "{context}: layer {} path", x.index);
+        assert_eq!(
+            x.ms.to_bits(),
+            y.ms.to_bits(),
+            "{context}: layer {} ms",
+            x.index
+        );
     }
 }
 

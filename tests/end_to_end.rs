@@ -53,8 +53,12 @@ fn headline_claim_3sma_vs_4tc() {
     let mut total_speedup = 0.0;
     let mut count = 0.0;
     for net in zoo::table2_models() {
-        let tc = Executor::kernel_study(Platform::GpuTensorCore).run(&net);
-        let sma = Executor::kernel_study(Platform::Sma3).run(&net);
+        let tc = Executor::kernel_study(Platform::GpuTensorCore)
+            .try_run(&net)
+            .unwrap();
+        let sma = Executor::kernel_study(Platform::Sma3)
+            .try_run(&net)
+            .unwrap();
         let speedup = tc.total_ms / sma.total_ms;
         assert!(speedup > 1.4, "{}: 3-SMA/4-TC {speedup:.2}", net.name());
         assert!(
@@ -79,9 +83,9 @@ fn headline_claim_3sma_vs_4tc() {
 #[test]
 fn hybrid_model_flexibility() {
     let mr = zoo::mask_rcnn();
-    let gpu = Executor::new(Platform::GpuSimd).run(&mr);
-    let tpu = Executor::new(Platform::TpuHost).run(&mr);
-    let sma = Executor::new(Platform::Sma3).run(&mr);
+    let gpu = Executor::new(Platform::GpuSimd).try_run(&mr).unwrap();
+    let tpu = Executor::new(Platform::TpuHost).try_run(&mr).unwrap();
+    let sma = Executor::new(Platform::Sma3).try_run(&mr).unwrap();
     // TPU loses end-to-end despite a much faster GEMM engine.
     assert!(tpu.total_ms > gpu.total_ms);
     assert!(tpu.gemm_ms < gpu.gemm_ms);
@@ -106,8 +110,8 @@ fn estimates_are_physical() {
 /// The driving pipeline's scheduling claims hold together as a system.
 #[test]
 fn driving_pipeline_system_check() {
-    let gpu = DrivingPipeline::new(Platform::GpuSimd);
-    let sma = DrivingPipeline::new(Platform::Sma3);
+    let gpu = DrivingPipeline::try_new(Platform::GpuSimd).unwrap();
+    let sma = DrivingPipeline::try_new(Platform::Sma3).unwrap();
     // SMA's frame latency is under half the GPU's.
     assert!(sma.frame_latency_ms() < gpu.frame_latency_ms() / 2.0);
     // Skipping always helps, and converges toward the no-DET floor.
@@ -139,7 +143,7 @@ fn gemm_cache_accelerates_repeated_zoo_profiles() {
 
     let t0 = Instant::now();
     for net in &nets {
-        let _ = exec.run(net);
+        exec.try_run(net).unwrap();
     }
     let cold = t0.elapsed();
     let after_cold = backend.gemm_cache_stats();
@@ -147,7 +151,7 @@ fn gemm_cache_accelerates_repeated_zoo_profiles() {
 
     let t1 = Instant::now();
     for net in &nets {
-        let _ = exec.run(net);
+        exec.try_run(net).unwrap();
     }
     let warm = t1.elapsed();
     let after_warm = backend.gemm_cache_stats();

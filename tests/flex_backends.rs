@@ -15,20 +15,23 @@ use common::networks;
 
 const FLEX_PLATFORMS: [Platform; 2] = [Platform::ArrayFlex, Platform::FlexSa];
 
-/// Compiled plans replay bit-identically to step-by-step execution on
-/// both new platforms, across the zoo and both evaluation batch points
-/// (the same standard `tests/plan_parity.rs` holds the original five
-/// to — restated here so a regression in the new models fails with a
-/// targeted name).
+/// Plans derived from a batch-1 family replay bit-identically to plans
+/// compiled from scratch at the batch on both new platforms, across the
+/// zoo and both evaluation batch points (the standard
+/// `tests/plan_family.rs` samples over every platform — restated here
+/// so a regression in the new models fails with a targeted name).
 #[test]
 fn plan_replay_is_bit_identical_on_reconfigurable_platforms() {
     for platform in FLEX_PLATFORMS {
         for network in networks() {
             for batch in [1usize, 16] {
-                let exec = Executor::builder(platform).batch(batch).build();
-                let plan = exec.plan(&network);
-                let replay = plan.run();
-                let stepwise = exec.run(&network);
+                let family = Executor::new(platform).plan_family(&network);
+                let replay = family.try_plan(batch).unwrap().run();
+                let stepwise = Executor::builder(platform)
+                    .batch(batch)
+                    .build()
+                    .try_run(&network)
+                    .unwrap();
                 assert_eq!(
                     replay.total_ms.to_bits(),
                     stepwise.total_ms.to_bits(),
@@ -130,13 +133,13 @@ fn batch_stacking_flips_the_selected_configuration() {
 #[test]
 fn pruning_aware_irregular_path_beats_fixed_arrays_end_to_end() {
     let net = zoo::mask_rcnn();
-    let flexsa = Executor::new(Platform::FlexSa).run(&net);
+    let flexsa = Executor::new(Platform::FlexSa).try_run(&net).unwrap();
     for fixed in [
         Platform::GpuSimd,
         Platform::GpuTensorCore,
         Platform::ArrayFlex,
     ] {
-        let profile = Executor::new(fixed).run(&net);
+        let profile = Executor::new(fixed).try_run(&net).unwrap();
         assert!(
             flexsa.irregular_ms < profile.irregular_ms,
             "{fixed}: {} <= {}",

@@ -60,7 +60,7 @@ fn profile_line(platform: Platform, network: &Network, config: &str, p: &Network
 }
 
 fn driving_line(platform: Platform) -> String {
-    let pipe = DrivingPipeline::new(platform);
+    let pipe = DrivingPipeline::try_new(platform).unwrap();
     let s = pipe.schedule();
     let skips = (1..=9)
         .map(|n| format!("{:016x}", pipe.frame_latency_skipping_ms(n).to_bits()))
@@ -84,7 +84,7 @@ fn current_lines() -> Vec<String> {
     for network in networks() {
         for platform in platforms() {
             for config in configs() {
-                let p = executor(platform, config).run(&network);
+                let p = executor(platform, config).try_run(&network).unwrap();
                 lines.push(profile_line(platform, &network, config, &p));
             }
         }

@@ -1,43 +1,17 @@
 //! Plan-family parity: incremental batch-derived plans
 //! ([`PlanFamily::try_plan`](sma::runtime::PlanFamily)) must be
 //! `to_bits`-identical to from-scratch compilation
-//! ([`Executor::plan`](sma::runtime::Executor)) for every platform ×
+//! ([`Executor::try_plan`](sma::runtime::Executor)) for every platform ×
 //! zoo network × batch point, and arena-backed replay
 //! ([`PlanArena::replay`](sma::runtime::PlanArena)) must match
 //! heap-plan replay bit-for-bit — including under concurrent replay
 //! from eight threads, which is exactly how the `dse` grid uses it.
 
 use proptest::prelude::*;
-use sma::runtime::{Executor, NetworkProfile, PlanArena};
+use sma::runtime::{Executor, PlanArena};
 
 mod common;
-use common::{networks, platforms};
-
-fn assert_bit_identical(context: &str, a: &NetworkProfile, b: &NetworkProfile) {
-    assert_eq!(a.platform, b.platform, "{context}: platform");
-    assert_eq!(a.network, b.network, "{context}: network name");
-    for (field, x, y) in [
-        ("total_ms", a.total_ms, b.total_ms),
-        ("gemm_ms", a.gemm_ms, b.gemm_ms),
-        ("irregular_ms", a.irregular_ms, b.irregular_ms),
-        ("transfer_ms", a.transfer_ms, b.transfer_ms),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "{context}: {field} {x} vs {y}");
-    }
-    assert_eq!(a.sm_cycles, b.sm_cycles, "{context}: sm_cycles");
-    assert_eq!(a.mem, b.mem, "{context}: access ledger");
-    assert_eq!(a.layers.len(), b.layers.len(), "{context}: layer count");
-    for (x, y) in a.layers.iter().zip(&b.layers) {
-        assert_eq!(x.index, y.index, "{context}: layer index");
-        assert_eq!(x.path, y.path, "{context}: layer {} path", x.index);
-        assert_eq!(
-            x.ms.to_bits(),
-            y.ms.to_bits(),
-            "{context}: layer {} ms",
-            x.index
-        );
-    }
-}
+use common::{assert_bit_identical, networks, platforms};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -60,10 +34,6 @@ proptest! {
                 let context =
                     format!("{platform:?}/{}/b{batch}", network.name());
                 assert_bit_identical(&context, &from_scratch.run(), &derived.run());
-                prop_assert_eq!(
-                    from_scratch.total_ms().to_bits(),
-                    derived.total_ms().to_bits()
-                );
             }
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (scratch, derived) => {
@@ -76,8 +46,8 @@ proptest! {
         }
     }
 
-    /// Arena-interned plans replay bit-identically to the heap plans
-    /// they were instantiated from, for arbitrary batch points.
+    /// Plans derived into an arena replay bit-identically to the heap
+    /// plans the same family derives, for arbitrary batch points.
     #[test]
     fn arena_replay_matches_heap_replay(
         platform_slot in 0usize..7,
@@ -94,15 +64,11 @@ proptest! {
         ) {
             let context = format!("{platform:?}/{}/b{batch}", network.name());
             assert_bit_identical(&context, &heap.run(), &arena.replay(&interned));
-            prop_assert_eq!(
-                arena.total_ms(&interned).to_bits(),
-                heap.total_ms().to_bits()
-            );
         }
     }
 }
 
-/// The ISSUE's pinned grid: every platform × zoo network × batches
+/// The pinned grid: every platform × zoo network × batches
 /// {1, 4, 16, 64}, family-derived vs from-scratch, exhaustively (the
 /// proptests above sample; this enumerates).
 #[test]

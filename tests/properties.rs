@@ -229,8 +229,8 @@ proptest! {
         for platform in Platform::ALL {
             let small = Executor::builder(platform).batch(batch).build();
             let large = Executor::builder(platform).batch(batch + delta).build();
-            let t_small = small.run(&net).total_ms;
-            let t_large = large.run(&net).total_ms;
+            let t_small = small.try_run(&net).unwrap().total_ms;
+            let t_large = large.try_run(&net).unwrap().total_ms;
             prop_assert!(
                 t_large >= t_small,
                 "{platform}: batch {} took {t_large} ms < batch {batch} at {t_small} ms",

@@ -199,7 +199,8 @@ fn serve_batches_are_bit_identical_to_direct_executor_runs() {
             let direct = sim
                 .shard_executor(report.shard)
                 .with_batch(batch.size)
-                .run(&sim.networks()[batch.network]);
+                .try_run(&sim.networks()[batch.network])
+                .unwrap();
             assert_eq!(
                 direct.total_ms.to_bits(),
                 batch.service_ms.to_bits(),
