@@ -2,10 +2,8 @@
 //! TPU cannot run (§II-B: the CRF runs on one CPU core, 10× slower than
 //! the GPU).
 
-use serde::{Deserialize, Serialize};
-
 /// A one-core host CPU with SIMD units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Clock in GHz.
     pub clock_ghz: f64,

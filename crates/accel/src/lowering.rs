@@ -10,11 +10,10 @@
 //! of GEMM/elementwise jobs the TPU then executes at its native speed.
 
 use crate::tpu::TpuSim;
-use serde::{Deserialize, Serialize};
 use sma_tensor::GemmShape;
 
 /// One unit of lowered TPU work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TpuWork {
     /// A GEMM on the systolic array.
     Gemm(GemmShapeDef),
@@ -29,7 +28,7 @@ pub enum TpuWork {
 }
 
 /// Serialisable mirror of [`GemmShape`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmShapeDef {
     /// Rows of A/C.
     pub m: usize,
@@ -56,7 +55,7 @@ impl From<GemmShapeDef> for GemmShape {
 }
 
 /// A lowered operation: the original op's name plus the TPU work list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredOp {
     /// Original operation ("nms", "roialign", "argmax").
     pub name: &'static str,

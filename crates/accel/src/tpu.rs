@@ -1,13 +1,12 @@
 //! TPU-class accelerator: one large weight-stationary systolic array
 //! behind a unified buffer, attached to the host over PCIe.
 
-use serde::{Deserialize, Serialize};
 use sma_sim::calib;
 use sma_systolic::{SystolicGemm, WeightStationaryArray};
 use sma_tensor::{GemmShape, Matrix, TensorError};
 
 /// TPU chip configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TpuConfig {
     /// Systolic array edge (256 on TPU-v1, 128 per core on TPU-v2).
     pub array_dim: usize,
@@ -53,7 +52,7 @@ impl Default for TpuConfig {
 }
 
 /// Latency estimate of one operation on the TPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TpuEstimate {
     /// Device cycles.
     pub cycles: u64,

@@ -57,6 +57,22 @@ fn parse<T: FromStr>(key: &str, default: T) -> T {
     opt(key).unwrap_or(default)
 }
 
+/// `key` parsed as a finite `f64`, and above zero when `positive`;
+/// `None` when unset, abort when malformed. NaN and ±∞ parse as `f64`,
+/// but no knob can honour them.
+fn finite(key: &str, positive: bool) -> Option<f64> {
+    let value = opt::<f64>(key)?;
+    let (ok, expected) = if positive {
+        (value > 0.0 && value.is_finite(), "a positive finite number")
+    } else {
+        (value.is_finite(), "a finite number")
+    };
+    if !ok {
+        abort(&format!("{key}={value} is malformed (must be {expected})"));
+    }
+    Some(value)
+}
+
 /// Hard exit for a malformed knob. Exit code 2 distinguishes operator
 /// error from benchmark failures (which exit 1).
 fn abort(message: &str) -> ! {
@@ -131,17 +147,18 @@ pub fn serve_requests() -> usize {
     parse("SMA_SERVE_REQUESTS", 10_000usize).max(1)
 }
 
-/// Trace seed for `serve_sim`: `SMA_SERVE_SEED`, default `0xDAC2_0020`.
+/// Trace seed for `serve_sim` and `live_serve`: `SMA_SERVE_SEED`,
+/// default `0xDAC2_0020`.
 #[must_use]
 pub fn serve_seed() -> u64 {
     parse("SMA_SERVE_SEED", 0xDAC2_0020u64)
 }
 
 /// SLO override in milliseconds: `SMA_SERVE_SLO_MS`, default derived
-/// from the scenario when unset.
+/// from the scenario when unset. Must be positive and finite when set.
 #[must_use]
 pub fn serve_slo_ms() -> Option<f64> {
-    opt("SMA_SERVE_SLO_MS")
+    finite("SMA_SERVE_SLO_MS", true)
 }
 
 /// Bounded plan-cache budget per shard in bytes: `SMA_SERVE_CACHE_KB`
@@ -173,22 +190,15 @@ pub fn serve_fault_seed() -> Option<u64> {
 /// bit). NaN and infinite rates are rejected as malformed.
 #[must_use]
 pub fn serve_fault_rate() -> Option<f64> {
-    opt::<f64>("SMA_SERVE_FAULT_RATE").map(|rate| {
-        if !rate.is_finite() {
-            abort(&format!(
-                "SMA_SERVE_FAULT_RATE={rate} is malformed (must be a finite number)"
-            ));
-        }
-        rate.max(0.0)
-    })
+    finite("SMA_SERVE_FAULT_RATE", false).map(|rate| rate.max(0.0))
 }
 
 /// Hedge delay of the `retry+hedge` rows in milliseconds:
 /// `SMA_SERVE_HEDGE_MS`, default derived (p99 of the cluster's batch-1
-/// service-time cells).
+/// service-time cells). Must be positive and finite when set.
 #[must_use]
 pub fn serve_hedge_ms() -> Option<f64> {
-    opt("SMA_SERVE_HEDGE_MS")
+    finite("SMA_SERVE_HEDGE_MS", true)
 }
 
 /// Autoscaler evaluation period of the control block in simulated
@@ -196,24 +206,16 @@ pub fn serve_hedge_ms() -> Option<f64> {
 /// interarrival gaps). Must be positive and finite when set.
 #[must_use]
 pub fn serve_scale_period_ms() -> Option<f64> {
-    let period = opt::<f64>("SMA_SERVE_SCALE_PERIOD_MS");
-    if let Some(period) = period {
-        if !(period > 0.0 && period.is_finite()) {
-            abort(&format!(
-                "SMA_SERVE_SCALE_PERIOD_MS={period} is malformed (must be a positive finite number)"
-            ));
-        }
-    }
-    period
+    finite("SMA_SERVE_SCALE_PERIOD_MS", true)
 }
 
 /// Energy headroom of the control block's autoscaled rows:
 /// `SMA_SERVE_SCALE_HEADROOM`, default 0.25. Zero (or negative)
 /// disables the autoscaler — those rows then match the static fleet
-/// bit for bit.
+/// bit for bit. NaN and infinite headrooms are rejected as malformed.
 #[must_use]
 pub fn serve_scale_headroom() -> Option<f64> {
-    opt("SMA_SERVE_SCALE_HEADROOM")
+    finite("SMA_SERVE_SCALE_HEADROOM", false)
 }
 
 /// SLO-class gap of the control block's preemption rows:
@@ -236,16 +238,10 @@ pub fn live_requests() -> usize {
 
 /// Wall-milliseconds per simulated millisecond for `live_serve`:
 /// `SMA_LIVE_TIME_SCALE`, default 0.02 (a 50× fast-forward). Must be
-/// positive; values at or below zero are rejected as malformed.
+/// positive and finite; other values are rejected as malformed.
 #[must_use]
 pub fn live_time_scale() -> f64 {
-    let scale = parse("SMA_LIVE_TIME_SCALE", 0.02f64);
-    if !(scale > 0.0 && scale.is_finite()) {
-        abort(&format!(
-            "SMA_LIVE_TIME_SCALE={scale} is malformed (must be a positive finite number)"
-        ));
-    }
-    scale
+    finite("SMA_LIVE_TIME_SCALE", true).unwrap_or(0.02)
 }
 
 /// Live drive mode: `SMA_LIVE_MODE`, `open` (default — pace the seeded
@@ -487,10 +483,13 @@ mod tests {
         with_env("SMA_SERVE_SCALE_HEADROOM", Some("0.5"), || {
             assert_eq!(super::serve_scale_headroom(), Some(0.5));
         });
-        // Zero is well-formed: it disables the autoscaler (the rows
-        // then match the static fleet bit for bit).
+        // Zero and below are well-formed: they disable the autoscaler
+        // (the rows then match the static fleet bit for bit).
         with_env("SMA_SERVE_SCALE_HEADROOM", Some("0"), || {
             assert_eq!(super::serve_scale_headroom(), Some(0.0));
+        });
+        with_env("SMA_SERVE_SCALE_HEADROOM", Some("-1"), || {
+            assert_eq!(super::serve_scale_headroom(), Some(-1.0));
         });
         assert_malformed::<f64>("SMA_SERVE_SCALE_HEADROOM", "25%");
     }

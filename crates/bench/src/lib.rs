@@ -3,9 +3,9 @@
 //! Each `figN` function computes the figure's data as structured rows;
 //! [`sweep`] renders them as report tasks and fans the full evaluation
 //! across scoped threads; the `src/bin/figN_*` binaries print the same
-//! reports standalone; `benches/` wraps the hot paths in Criterion for
-//! regression tracking. `all_experiments` runs the whole evaluation
-//! planned-parallel, writing the deterministic side (task digests +
+//! reports standalone; `benches/` wraps the figure regenerators and the
+//! compute kernels in Criterion. `all_experiments` runs the whole
+//! evaluation planned-parallel, writing the deterministic side (task digests +
 //! cache counters) to the committed `BENCH_sweep.json`
 //! and the wall-clock side to the gitignored `BENCH_sweep_timing.json`;
 //! `dse` sweeps the [`dse`] design-space grid — pinned pipeline span ×

@@ -302,9 +302,9 @@ pub struct ServeBenchReport {
 }
 
 impl ServeBenchReport {
-    /// Renders the report as JSON (hand-rolled: the serde shim carries
-    /// no serialiser). Only simulated-clock quantities appear, so the
-    /// output is a pure function of the scenario.
+    /// Renders the report as JSON (hand-rolled: the workspace has no
+    /// serialisation dependency). Only simulated-clock quantities
+    /// appear, so the output is a pure function of the scenario.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"config\": {\n");

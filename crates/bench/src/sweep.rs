@@ -669,8 +669,8 @@ impl SweepReport {
     }
 
     /// Renders the committed deterministic report as JSON (hand-rolled:
-    /// the serde shim carries no serialiser). Contains no wall-derived
-    /// field — CI byte-diffs this file across two runs.
+    /// the workspace has no serialisation dependency). Contains no
+    /// wall-derived field — CI byte-diffs this file across two runs.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"tasks\": [\n");

@@ -42,3 +42,27 @@ fn non_finite_fault_rate_aborts() {
     assert_aborts("SMA_SERVE_FAULT_RATE", "nan");
     assert_aborts("SMA_SERVE_FAULT_RATE", "inf");
 }
+
+/// A NaN SLO used to exit 0 and write `"slo_ms": NaN`, which is not JSON.
+#[test]
+fn non_positive_or_non_finite_slo_aborts() {
+    assert_aborts("SMA_SERVE_SLO_MS", "nan");
+    assert_aborts("SMA_SERVE_SLO_MS", "inf");
+    assert_aborts("SMA_SERVE_SLO_MS", "0");
+}
+
+#[test]
+fn non_positive_or_non_finite_hedge_delay_aborts() {
+    assert_aborts("SMA_SERVE_HEDGE_MS", "nan");
+    assert_aborts("SMA_SERVE_HEDGE_MS", "inf");
+    assert_aborts("SMA_SERVE_HEDGE_MS", "-1");
+}
+
+/// A non-finite headroom used to panic inside the autoscaler's
+/// validation (exit 101).
+#[test]
+fn non_finite_scale_headroom_aborts() {
+    assert_aborts("SMA_SERVE_SCALE_HEADROOM", "nan");
+    assert_aborts("SMA_SERVE_SCALE_HEADROOM", "inf");
+    assert_aborts("SMA_SERVE_SCALE_HEADROOM", "-inf");
+}

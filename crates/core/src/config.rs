@@ -1,6 +1,5 @@
 //! SMA configurations (paper Table I and §V-B).
 
-use serde::{Deserialize, Serialize};
 use sma_sim::{GpuConfig, SchedulerKind};
 use sma_systolic::DataflowKind;
 
@@ -13,7 +12,7 @@ use sma_systolic::DataflowKind;
 /// * **3-SMA** (iso-area): three units = 384 FP16 MACs, the temporal
 ///   integration reusing *both* the 64 FP32 SIMD lanes (128 FP16-paired
 ///   MACs) *and* the TC area — the configuration that beats 4-TC by 63%.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmaConfig {
     /// Number of 8×8 SMA units per SM (2 or 3).
     pub units: u32,

@@ -11,7 +11,6 @@
 //! become visible after an explicit synchronisation.
 
 use crate::SmaError;
-use serde::{Deserialize, Serialize};
 use sma_isa::{Instr, Reg};
 
 /// A validated `LSMA` operation descriptor.
@@ -29,7 +28,7 @@ use sma_isa::{Instr, Reg};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LsmaOp {
     unit: u8,
     a_base: u64,

@@ -9,7 +9,6 @@
 //! declared in [`sma_sim::calib`] and below with their provenance.
 
 use crate::config::SmaConfig;
-use serde::{Deserialize, Serialize};
 use sma_mem::MemStats;
 use sma_sim::GpuConfig;
 use sma_systolic::DataflowKind;
@@ -45,7 +44,7 @@ pub const TC_TB_OVERHEAD_CYCLES: u64 = 3_000;
 pub const SIMD_TB_OVERHEAD_CYCLES: u64 = 1_500;
 
 /// Performance/energy estimate of one GEMM on one platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GemmEstimate {
     /// Total cycles on the GPU clock.
     pub cycles: u64,

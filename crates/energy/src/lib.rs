@@ -32,14 +32,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use sma_mem::MemStats;
 use std::fmt;
 
 /// Per-access/per-operation energies in picojoules.
 ///
 /// Field names mirror the event categories of [`MemStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyTable {
     /// One FP32 fused multiply-add.
     pub fma_fp32_pj: f64,
@@ -105,7 +104,7 @@ impl Default for EnergyTable {
 }
 
 /// Energy broken into the five Fig. 8 categories, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Global-memory path: L1 + L2 + DRAM.
     pub global: f64,
@@ -180,7 +179,7 @@ impl std::iter::Sum for EnergyBreakdown {
 }
 
 /// The energy model: a table applied to an access ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyModel {
     /// The per-access energy table in force.
     pub table: EnergyTable,

@@ -2,8 +2,8 @@
 //!
 //! The workspace policy file is a deliberately small TOML subset —
 //! sections, `key = "value"` and `key = ["a", "b"]` — parsed by hand
-//! (the serde shim carries no deserialiser and the container has no
-//! registry access). Recognised sections:
+//! (the workspace has no serialisation dependency). Recognised
+//! sections:
 //!
 //! ```toml
 //! [default]              # severity per rule, workspace-wide

@@ -116,8 +116,8 @@ impl Report {
         out
     }
 
-    /// Renders the machine-readable report (hand-rolled JSON: the serde
-    /// shim carries no serialiser).
+    /// Renders the machine-readable report (hand-rolled JSON: the
+    /// workspace has no serialisation dependency).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");

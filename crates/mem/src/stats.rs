@@ -1,6 +1,5 @@
 //! The access ledger consumed by the energy model.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Counts of every energy-relevant event in a simulated kernel.
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign};
 /// b.rf_reads = 5;
 /// assert_eq!((a + b).rf_reads, 15);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemStats {
     /// Register-file read transactions (warp-wide vectors).
     pub rf_reads: u64,

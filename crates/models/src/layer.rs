@@ -1,10 +1,9 @@
 //! Layer descriptors and their work characterisation.
 
-use serde::{Deserialize, Serialize};
 use sma_tensor::{Conv2dParams, GemmShape, TensorShape};
 
 /// One network layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Layer {
     /// 2-D convolution on a given input shape (im2col → GEMM).
     Conv2d {
@@ -86,7 +85,7 @@ pub enum Layer {
 }
 
 /// Non-CNN algorithm stages characterised by [`Layer::Custom`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CustomStage {
     /// Image-pyramid feature extraction (FAST/ORB).
     FeatureExtraction,
@@ -97,7 +96,7 @@ pub enum CustomStage {
 }
 
 /// How a layer's work presents to a platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LayerWork {
     /// GEMM-compatible: runs on systolic/TC hardware.
     Gemm(GemmShape),

@@ -1,7 +1,6 @@
 //! Network descriptions: ordered layer tables with aggregate queries.
 
 use crate::layer::{Layer, LayerWork};
-use serde::{Deserialize, Serialize};
 use sma_tensor::GemmShape;
 use std::sync::Arc;
 
@@ -9,7 +8,7 @@ use std::sync::Arc;
 ///
 /// The name is reference-counted so profiles and execution plans can
 /// carry it without copying the string on every run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     name: Arc<str>,
     layers: Vec<Layer>,

@@ -15,11 +15,10 @@
 use crate::backend::{IrregularWork, RuntimeError};
 use crate::executor::Executor;
 use crate::platform::Platform;
-use serde::{Deserialize, Serialize};
 use sma_models::{zoo, Network};
 
 /// Latency of one algorithm on one platform, milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameSchedule {
     /// Detection CNN latency with every unit in systolic mode.
     pub det_ms: f64,

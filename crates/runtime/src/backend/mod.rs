@@ -100,7 +100,6 @@ pub use gpu::{
 pub use tpu_host::TpuHostBackend;
 
 use crate::platform::Platform;
-use serde::{Deserialize, Serialize};
 use sma_core::model::GemmEstimate;
 use sma_mem::MemStats;
 use sma_models::{Layer, LayerWork};
@@ -117,7 +116,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 pub const CRF_HANDOFF_BYTES: u64 = 45 << 20;
 
 /// Errors surfaced by the execution API.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RuntimeError {
     /// The backend cannot perform the requested operation — e.g. asking
@@ -144,7 +143,7 @@ impl std::fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// Where a layer executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
     /// The backend's matrix engine (systolic array / TC / SIMD GEMM).
     MatrixEngine,
@@ -161,7 +160,7 @@ pub enum ExecPath {
 /// Backends with native programmability ignore the kind and run the
 /// FLOP/byte profile on their lanes; lowering backends (the TPU) pick a
 /// rewrite per kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IrregularOp {
     /// Region-proposal non-maximum suppression over `boxes` candidates.
@@ -193,7 +192,7 @@ pub enum IrregularOp {
 
 /// One irregular op characterised for a backend: what it is plus its
 /// execution profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IrregularWork {
     /// The op kind (drives lowering decisions).
     pub op: IrregularOp,
@@ -259,7 +258,7 @@ impl IrregularWork {
 }
 
 /// A backend's answer for one irregular op.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IrregularEstimate {
     /// Milliseconds end to end, including any transfer.
     pub time_ms: f64,
@@ -275,7 +274,7 @@ pub struct IrregularEstimate {
 }
 
 /// Hit/miss counters of a backend's memoized GEMM cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Estimates served from the cache.
     pub hits: u64,

@@ -8,7 +8,6 @@
 use crate::backend::{Backend, IrregularWork, RuntimeError, CRF_HANDOFF_BYTES};
 use crate::plan::{NetworkPlan, PlanFamily, PlannedStep, TemplateStep};
 use crate::platform::Platform;
-use serde::{Deserialize, Serialize};
 use sma_energy::{EnergyBreakdown, EnergyModel};
 use sma_mem::MemStats;
 use sma_models::{Layer, LayerWork, Network};
@@ -17,7 +16,7 @@ use std::sync::Arc;
 pub use crate::backend::ExecPath;
 
 /// Per-layer timing record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerProfile {
     /// Index in the network's layer table.
     pub index: usize,
@@ -28,7 +27,7 @@ pub struct LayerProfile {
 }
 
 /// Complete profile of one network inference on one platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkProfile {
     /// Platform executed on.
     pub platform: Platform,

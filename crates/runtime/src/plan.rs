@@ -54,7 +54,6 @@
 use crate::backend::{Backend, ExecPath, RuntimeError};
 use crate::executor::{LayerProfile, NetworkProfile};
 use crate::platform::Platform;
-use serde::{Deserialize, Serialize};
 use sma_mem::MemStats;
 use sma_tensor::GemmShape;
 use std::sync::Arc;
@@ -63,7 +62,7 @@ use std::sync::Arc;
 ///
 /// Steps carry everything a replay needs; folding them into a
 /// [`NetworkProfile`] in order is the whole of a replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlannedStep {
     /// A post-processing stage excluded from the profile whose host
     /// hand-off still bills (offload backends cannot finish without the
@@ -132,7 +131,7 @@ impl PlannedStep {
 /// result without touching the backend at all, so replays take no locks
 /// and record zero cache misses — the shape a high-traffic serving loop
 /// or a parallel sweep wants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkPlan {
     platform: Platform,
     network: Arc<str>,

@@ -9,13 +9,12 @@
 //! match on the variant.
 
 use crate::backend::{self, Backend, RuntimeError};
-use serde::{Deserialize, Serialize};
 use sma_core::model::GemmEstimate;
 use sma_tensor::GemmShape;
 use std::sync::Arc;
 
 /// The seven platforms of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Baseline Volta SIMD lanes (FP32 CUTLASS-style GEMM).
     GpuSimd,

@@ -296,12 +296,6 @@ impl LiveServer {
         &self.cluster
     }
 
-    /// The engine configuration shared with the oracle replay.
-    #[must_use]
-    pub fn engine_config(&self) -> &EngineConfig {
-        &self.engine
-    }
-
     /// Runs the live twin: spawns one worker thread per shard, drives
     /// the front door on the calling thread, and assembles the
     /// engine-shaped result.

@@ -486,48 +486,6 @@ impl ServeSim {
         &self.cluster
     }
 
-    /// The engine configuration.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The batching policy.
-    #[must_use]
-    pub fn policy(&self) -> &Arc<dyn BatchPolicy> {
-        &self.policy
-    }
-
-    /// The arrival trace, in arrival order.
-    #[must_use]
-    pub fn trace(&self) -> &[Request] {
-        &self.trace
-    }
-
-    /// Number of shards in the cluster.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.cluster.shard_count()
-    }
-
-    /// The hosted network table, in request-index order.
-    #[must_use]
-    pub fn networks(&self) -> &[Network] {
-        self.cluster.networks()
-    }
-
-    /// The executor behind a shard.
-    #[must_use]
-    pub fn shard_executor(&self, shard: usize) -> &Executor {
-        self.cluster.shard_executor(shard)
-    }
-
-    /// The batch-1 cost matrix (`[shard][network]`, ms).
-    #[must_use]
-    pub fn unit_service_ms(&self) -> &[Vec<f64>] {
-        self.cluster.unit_service_ms()
-    }
-
     /// Runs the discrete-event engine over the trace, surfacing
     /// backend rejections as values.
     ///
@@ -563,7 +521,7 @@ impl ServeSim {
     pub fn outcome(&self, run: &ServeRun) -> ServeOutcome {
         assert_eq!(
             run.reports.len(),
-            self.shard_count(),
+            self.cluster.shard_count(),
             "one report per shard"
         );
         for (i, report) in run.reports.iter().enumerate() {
@@ -731,7 +689,7 @@ mod tests {
     fn affinity_places_each_network_on_one_platform() {
         let sim = small_sim(Arc::new(Immediate), EngineConfig::default().with_records());
         let run = sim.try_run(&mut PlatformAffinity::default()).unwrap();
-        for net in 0..sim.networks().len() {
+        for net in 0..sim.cluster().networks().len() {
             let hosts: std::collections::BTreeSet<&str> = run
                 .reports
                 .iter()

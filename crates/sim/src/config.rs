@@ -1,12 +1,10 @@
 //! GPU configurations (paper Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Pipeline and memory latencies in core cycles.
 ///
 /// Values follow the Volta microbenchmarking literature (Jia et al. 2018),
 /// which is also what GPGPU-Sim 4.0's Volta config uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Latencies {
     /// FP32/INT ALU dependent-issue latency.
     pub alu: u32,
@@ -41,7 +39,7 @@ impl Latencies {
 }
 
 /// Configuration of one simulated GPU (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Streaming multiprocessors.
     pub sms: u32,

@@ -119,7 +119,7 @@ impl WarpScheduler for SmaRoundRobin {
 }
 
 /// Value-level scheduler selection (serialisable into experiment configs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Greedy-then-oldest.
     Gto,

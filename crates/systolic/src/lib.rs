@@ -53,13 +53,12 @@ pub use timing::{DataflowTiming, PassTiming};
 pub use trace::{CDrainKind, PassTrace};
 pub use weight_stationary::WeightStationaryArray;
 
-use serde::{Deserialize, Serialize};
 use sma_tensor::{Matrix, Scalar};
 use std::error::Error;
 use std::fmt;
 
 /// Which dataflow an engine implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataflowKind {
     /// TPU-style weight stationary (Fig. 4 left).
     WeightStationary,

@@ -19,7 +19,7 @@ use crate::TensorError;
 /// let s = GemmShape::new(128, 128, 64);
 /// assert_eq!(s.flops(), 2 * 128 * 128 * 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Rows of `A` and `C`.
     pub m: usize,

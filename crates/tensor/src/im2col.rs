@@ -9,10 +9,9 @@ use crate::gemm::{self, GemmShape};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::TensorError;
-use serde::{Deserialize, Serialize};
 
 /// Shape of a CHW feature-map tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
     /// Channels.
     pub c: usize,
@@ -58,7 +57,7 @@ impl std::fmt::Display for TensorShape {
 /// assert_eq!(g.n, 64);           // output channels
 /// assert_eq!(g.k, 3 * 11 * 11);  // receptive field
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dParams {
     /// Input channels.
     pub in_channels: usize,

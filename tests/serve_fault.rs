@@ -341,7 +341,7 @@ fn one_request_sim(
 #[test]
 fn crash_aborts_the_batch_and_retry_lands_the_victim() {
     let probe = one_request_sim(FaultPlan::none(), RetryPolicy::default(), 0.0).0;
-    let unit_ms = probe.unit_service_ms()[0][0];
+    let unit_ms = probe.cluster().unit_service_ms()[0][0];
 
     let crash_at = 0.25 * unit_ms;
     let recover_ms = 0.5 * unit_ms;
@@ -384,7 +384,7 @@ fn crash_aborts_the_batch_and_retry_lands_the_victim() {
 #[test]
 fn degrade_window_scales_service_time_by_its_factor() {
     let probe = one_request_sim(FaultPlan::none(), RetryPolicy::default(), 1.0).0;
-    let unit_ms = probe.unit_service_ms()[0][0];
+    let unit_ms = probe.cluster().unit_service_ms()[0][0];
 
     let plan = FaultPlan::none().with_event(FaultEvent {
         shard: 0,

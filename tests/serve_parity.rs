@@ -97,7 +97,7 @@ proptest! {
         for (shard, report) in run.reports.iter().enumerate() {
             let mut busy = 0.0;
             for batch in &report.batches {
-                let unit = sim.unit_service_ms()[shard][batch.network];
+                let unit = sim.cluster().unit_service_ms()[shard][batch.network];
                 prop_assert!(
                     batch.service_ms >= unit - 1e-9,
                     "shard {shard}: batch of {} cheaper than one inference ({} < {unit})",
@@ -116,7 +116,7 @@ proptest! {
             // network, and the shard's drain can never stretch past
             // last-arrival + bounded-wait + total-busy.
             for request in &report.requests {
-                let unit = sim.unit_service_ms()[shard][request.network];
+                let unit = sim.cluster().unit_service_ms()[shard][request.network];
                 prop_assert!(request.latency_ms() >= unit - 1e-9);
                 prop_assert!(request.wait_ms() >= -1e-12);
                 prop_assert!(request.completion_ms <= report.makespan_ms + 1e-9);
@@ -197,9 +197,10 @@ fn serve_batches_are_bit_identical_to_direct_executor_runs() {
                 continue;
             }
             let direct = sim
+                .cluster()
                 .shard_executor(report.shard)
                 .with_batch(batch.size)
-                .try_run(&sim.networks()[batch.network])
+                .try_run(&sim.cluster().networks()[batch.network])
                 .unwrap();
             assert_eq!(
                 direct.total_ms.to_bits(),
@@ -207,7 +208,7 @@ fn serve_batches_are_bit_identical_to_direct_executor_runs() {
                 "shard {} ({}): {} at batch {} diverged from the direct run",
                 report.shard,
                 report.platform,
-                sim.networks()[batch.network].name(),
+                sim.cluster().networks()[batch.network].name(),
                 batch.size
             );
             checked += 1;

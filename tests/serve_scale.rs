@@ -199,7 +199,7 @@ fn preemption_evicts_the_running_batch_and_bills_the_partial_slice() {
         EngineConfig::default(),
     )
     .unwrap();
-    let unit_ms = probe.unit_service_ms()[0][0];
+    let unit_ms = probe.cluster().unit_service_ms()[0][0];
 
     let preempt_at = 0.25 * unit_ms;
     let trace = vec![
