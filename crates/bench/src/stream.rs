@@ -15,6 +15,25 @@
 //! in `perfbench` runs. The peak is reported as
 //! [`StreamStats::peak_pending`] so the bound is observed, not assumed.
 //!
+//! Rows are hashed and written in index order under one mutex, by the
+//! worker whose push makes them next: its own row, then any parked
+//! successors it unblocks. That critical section is short (~0.6 µs of
+//! serial FNV for a ~411-byte DSE row), so a worker that finds the lock
+//! held spins on `try_lock` for a bounded number of rounds
+//! (`SPIN_ROUNDS`) before it falls back to a blocking `lock()`. Blocking
+//! at once puts the waiter to sleep in the kernel for far longer than
+//! the holder needs; with two workers that handoff made the grid's row
+//! phase slower than one worker alone. The fallback keeps a descheduled
+//! holder, or a host with more workers than cores, from costing the
+//! waiter more than the bounded spin. A dedicated drainer thread that
+//! hashes and writes every row was measured and rejected: it must read
+//! each row from the producing core's cache, which left it only 4–9%
+//! ahead, and copying parked rows into a staging buffer for it raised
+//! peak memory by about a third.
+//!
+//! The first sink error is remembered: every later [`StreamWriter::push`]
+//! and [`StreamWriter::finish`] returns it, and no row parks after it.
+//!
 //! The writer is generic over its sink: the `dse` bin streams to a
 //! buffered file, while tests and the benchmark harness collect the
 //! same bytes in a `Vec<u8>`. The chained [`fnv1a64`] digest over rows
@@ -23,7 +42,12 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, TryLockError};
+
+/// `try_lock` rounds a pushing worker spins before it blocks: enough to
+/// cover one row's write and hash, bounded so a descheduled holder
+/// costs the waiter tens of microseconds at most, not a core.
+const SPIN_ROUNDS: u32 = 1 << 10;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -77,6 +101,8 @@ struct StreamInner<W: Write> {
     digest: u64,
     rows: usize,
     peak_pending: usize,
+    /// The first sink error; once set, nothing more is written.
+    failed: Option<io::Error>,
 }
 
 impl<W: Write> StreamInner<W> {
@@ -88,6 +114,23 @@ impl<W: Write> StreamInner<W> {
         self.next += 1;
         Ok(())
     }
+
+    /// Writes `row` (index `next`) and every parked row it unblocks.
+    fn emit_run(&mut self, row: &str) -> io::Result<()> {
+        self.emit(row)?;
+        loop {
+            let next = self.next;
+            let Some(parked) = self.pending.remove(&next) else {
+                return Ok(());
+            };
+            self.emit(&parked)?;
+        }
+    }
+}
+
+/// A copy of `err` (`io::Error` is not `Clone`) with its kind and message.
+fn copy_error(err: &io::Error) -> io::Error {
+    io::Error::new(err.kind(), err.to_string())
 }
 
 /// An order-preserving row sink shared by work-stealing workers; it
@@ -107,8 +150,24 @@ impl<W: Write> StreamWriter<W> {
                 digest: fnv1a64_seed(),
                 rows: 0,
                 peak_pending: 0,
+                failed: None,
             }),
         }
+    }
+
+    /// Takes the lock, spinning briefly before blocking (see the module
+    /// docs).
+    fn lock(&self) -> MutexGuard<'_, StreamInner<W>> {
+        for _ in 0..SPIN_ROUNDS {
+            match self.inner.try_lock() {
+                Ok(inner) => return inner,
+                Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
+                Err(TryLockError::Poisoned(_)) => break,
+            }
+        }
+        // Poisoning means a worker panicked mid-write; corrupting the
+        // committed artifact would be worse than propagating it.
+        self.inner.lock().expect("stream writer poisoned")
     }
 
     /// Accepts row `index`; writes it now if it is the next row in
@@ -117,7 +176,8 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying sink.
+    /// Propagates I/O errors from the underlying sink. After the first
+    /// one, every push returns a copy of it and drops its row.
     ///
     /// # Panics
     ///
@@ -125,9 +185,12 @@ impl<W: Write> StreamWriter<W> {
     /// producer by construction of the work-stealing cursor) or the
     /// mutex was poisoned by a panicking worker.
     pub fn push(&self, index: usize, row: String) -> io::Result<()> {
-        // Double-push and poisoning are driver bugs; corrupting the
-        // committed artifact would be worse.
-        let mut inner = self.inner.lock().expect("stream writer poisoned");
+        let mut inner = self.lock();
+        if let Some(err) = &inner.failed {
+            return Err(copy_error(err));
+        }
+        // A double push is a driver bug; corrupting the committed
+        // artifact would be worse.
         assert!(
             index >= inner.next && !inner.pending.contains_key(&index),
             "row {index} pushed twice"
@@ -137,15 +200,12 @@ impl<W: Write> StreamWriter<W> {
             inner.peak_pending = inner.peak_pending.max(inner.pending.len());
             return Ok(());
         }
-        inner.emit(&row)?;
-        loop {
-            let next = inner.next;
-            let Some(parked) = inner.pending.remove(&next) else {
-                break;
-            };
-            inner.emit(&parked)?;
+        let written = inner.emit_run(&row);
+        if let Err(err) = &written {
+            inner.failed = Some(copy_error(err));
+            inner.pending.clear();
         }
-        Ok(())
+        written
     }
 
     /// Flushes the sink and returns the pass counters plus the sink
@@ -153,7 +213,8 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates flush errors.
+    /// Returns the first error any push met, else propagates flush
+    /// errors.
     ///
     /// # Panics
     ///
@@ -162,6 +223,9 @@ impl<W: Write> StreamWriter<W> {
     pub fn finish(self) -> io::Result<(StreamStats, W)> {
         // A lost row is a driver bug; see push.
         let mut inner = self.inner.into_inner().expect("stream writer poisoned");
+        if let Some(err) = inner.failed.take() {
+            return Err(err);
+        }
         assert!(
             inner.pending.is_empty(),
             "stream writer finished with {} rows parked (first gap at index {})",
@@ -247,6 +311,80 @@ mod tests {
         let writer = StreamWriter::new(Vec::new());
         writer.push(1, "b".into()).expect("vec write");
         let _ = writer.finish();
+    }
+
+    /// A sink that accepts `budget` bytes, then fails every write.
+    #[derive(Debug)]
+    struct FailAfter {
+        budget: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sink_error_is_remembered_and_returned_by_finish() {
+        let all = rows(6);
+        let writer = StreamWriter::new(FailAfter {
+            budget: all[0].len() + 2,
+        });
+        // Row 2 parks; row 0 writes; row 1 fails mid-row, taking the
+        // parked row 2 down with it.
+        writer.push(2, all[2].clone()).expect("parks");
+        writer.push(0, all[0].clone()).expect("fits the budget");
+        let first = writer.push(1, all[1].clone()).expect_err("sink is full");
+        assert_eq!(first.to_string(), "sink full");
+        // Later rows, in order or not, get the same error and never park.
+        for i in [4, 3, 5] {
+            let later = writer.push(i, all[i].clone()).expect_err("remembered");
+            assert_eq!(later.kind(), first.kind());
+            assert_eq!(later.to_string(), "sink full");
+        }
+        let err = writer.finish().expect_err("finish reports, not panics");
+        assert_eq!(err.to_string(), "sink full");
+    }
+
+    #[test]
+    fn a_failing_first_row_is_reported_by_finish() {
+        let writer = StreamWriter::new(FailAfter { budget: 0 });
+        writer.push(1, "b".into()).expect("parks");
+        assert!(writer.push(0, "a".into()).is_err());
+        assert!(writer.finish().is_err());
+    }
+
+    #[test]
+    fn concurrent_workers_write_the_in_order_bytes() {
+        // Four and eight workers oversubscribe a small host, so pushes
+        // run out of spin and take the blocking fallback.
+        const N: usize = 3000;
+        let all: Vec<String> = (0..N)
+            .map(|i| format!("{{\"index\": {i}, \"pad\": \"{}\"}}\n", "x".repeat(i % 97)))
+            .collect();
+        let expected = all.concat().into_bytes();
+        for threads in [2, 4, 8] {
+            let writer = StreamWriter::new(Vec::new());
+            let workers = crate::sweep::run_work_stealing(N, threads, |i| {
+                writer.push(i, all[i].clone()).expect("vec write");
+            });
+            assert_eq!(workers, threads);
+            let (stats, bytes) = writer.finish().expect("finish");
+            assert!(bytes == expected, "{threads} workers reordered bytes");
+            assert_eq!(stats.digest, fnv1a64(&bytes));
+            assert_eq!(stats.rows, N);
+            assert!(stats.peak_pending < N, "peak {}", stats.peak_pending);
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ use sma_tensor::GemmShape;
 // sma-lint: allow(hash-collection) — the GEMM cache is keyed-only
 // (get/insert by GemmShape, never iterated), so hash order is unobservable.
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -310,6 +310,71 @@ impl CacheStats {
 /// they touch the same shard *and* at least one of them is writing.
 const CACHE_SHARDS: usize = 8;
 
+/// Where a [`GemmCache`] takes its shard index in a [`ShapeHasher`]
+/// hash: the three bits just below the top seven. Hashbrown takes a
+/// table's bucket from the low bits and its 7-bit control tag from the
+/// top seven, so the shard bits overlap neither.
+const SHARD_SHIFT: u32 = 54;
+
+/// [`ShapeHasher`]'s multiplier: the 64-bit golden ratio (odd, so the
+/// multiply is a bijection).
+const SHAPE_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The [`GemmCache`] hash: a fixed-key multiply-mix over a
+/// [`GemmShape`]'s three words, then a fold of the product's high half
+/// into its low half.
+///
+/// A product's low bits depend only on its inputs' low bits, and many
+/// GEMM dimensions are multiples of a power of two (channel counts,
+/// batch-stacked rows), so without the fold many shapes would share
+/// their low bits: hashbrown, which takes the bucket from the low bits,
+/// would pile them into a few buckets.
+///
+/// The key is fixed, not random like SipHash's: a lookup is the
+/// estimate layer's hot path, where SipHash cost two ~20 ns passes
+/// (shard, then map). The keys are the shapes of the caller's own
+/// networks, never input from a peer, so shapes crafted to collide
+/// could only slow their own author's lookups.
+#[derive(Debug, Default, Clone, Copy)]
+struct ShapeHasher(u64);
+
+impl Hasher for ShapeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `GemmShape` hashes through `write_usize`; this only keeps the
+        // hasher total.
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(SHAPE_MIX);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+// sma-lint: allow(hash-collection) — keyed-only; never iterated.
+type ShapeMap = HashMap<GemmShape, GemmEstimate, BuildHasherDefault<ShapeHasher>>;
+
+/// `shape`'s [`ShapeHasher`] hash, as the shard maps compute it.
+fn shape_hash(shape: &GemmShape) -> u64 {
+    let mut hasher = ShapeHasher::default();
+    shape.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The shard a [`ShapeHasher`] hash maps to.
+fn shard_index(hash: u64) -> usize {
+    (hash >> SHARD_SHIFT) as usize % CACHE_SHARDS
+}
+
 /// A memoized `GemmShape → GemmEstimate` map, sharded for readers.
 ///
 /// The experiment zoo re-runs identical conv shapes thousands of times
@@ -321,10 +386,16 @@ const CACHE_SHARDS: usize = 8;
 /// never serialise on one global lock, and misses are computed *outside*
 /// any lock with a recheck on insert (estimates are pure, so a lost race
 /// costs one redundant computation, never a wrong answer).
+///
+/// Shards and maps share one cheap fixed-key hash (`ShapeHasher`): the
+/// shard comes from its high bits and each map's bucket from its low
+/// bits, which the hash's final fold mixes. Were the shard taken from
+/// the low bits, every shape in a shard would share them and fill only
+/// an eighth of its map's buckets. The maps are keyed-only and never
+/// iterated, so the hash order is unobservable.
 #[derive(Debug)]
 pub struct GemmCache {
-    // sma-lint: allow(hash-collection) — keyed-only; never iterated.
-    shards: [RwLock<HashMap<GemmShape, GemmEstimate>>; CACHE_SHARDS],
+    shards: [RwLock<ShapeMap>; CACHE_SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -332,8 +403,7 @@ pub struct GemmCache {
 impl Default for GemmCache {
     fn default() -> Self {
         GemmCache {
-            // sma-lint: allow(hash-collection) — keyed-only; never iterated.
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| RwLock::new(ShapeMap::default())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -341,11 +411,8 @@ impl Default for GemmCache {
 }
 
 impl GemmCache {
-    // sma-lint: allow(hash-collection) — keyed-only; never iterated.
-    fn shard(&self, shape: &GemmShape) -> &RwLock<HashMap<GemmShape, GemmEstimate>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        shape.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % CACHE_SHARDS]
+    fn shard(&self, shape: &GemmShape) -> &RwLock<ShapeMap> {
+        &self.shards[shard_index(shape_hash(shape))]
     }
 
     /// Returns the cached estimate for `shape`, computing and inserting
@@ -599,6 +666,50 @@ mod tests {
         assert_eq!(stats.misses, SHAPES, "one insert per distinct shape");
         assert_eq!(stats.hits + stats.misses, THREADS * LOOKUPS);
         assert_eq!(cache.len() as u64, SHAPES);
+    }
+
+    #[test]
+    fn dse_grid_shapes_spread_over_shards_and_buckets() {
+        // The distinct GEMM shapes one pinned backend caches over the
+        // DSE grid (`sma_bench::dse::DseGrid::full`): its seven networks
+        // at its ten batch sizes.
+        let executor = crate::Executor::new(Platform::ArrayFlex);
+        let mut shapes = std::collections::BTreeSet::new();
+        for network in sma_models::zoo::evaluation_networks() {
+            let family = executor.plan_family(&network);
+            for batch in [1, 2, 4, 8, 12, 16, 24, 32, 48, 64] {
+                shapes.extend(family.gemm_shapes(batch).iter().map(|s| (s.m, s.n, s.k)));
+            }
+        }
+        assert_eq!(shapes.len(), 1_104);
+
+        let mut shards = vec![Vec::new(); CACHE_SHARDS];
+        for &(m, n, k) in &shapes {
+            let hash = shape_hash(&GemmShape::new(m, n, k));
+            shards[shard_index(hash)].push(hash);
+        }
+        let mean = shapes.len() / CACHE_SHARDS;
+        for (i, hashes) in shards.iter().enumerate() {
+            assert!(
+                !hashes.is_empty() && hashes.len() <= 2 * mean,
+                "shard {i} holds {} of {} shapes",
+                hashes.len(),
+                shapes.len()
+            );
+            // Within a shard the map's bucket bits must spread too. A
+            // uniform hash puts ~138 keys in ~107 distinct buckets of
+            // the 256 a table that size grows to; shard bits that
+            // overlap the bucket bits, or low bits left unmixed, leave
+            // far fewer.
+            let buckets: std::collections::BTreeSet<u64> =
+                hashes.iter().map(|h| h & 0xff).collect();
+            assert!(
+                2 * buckets.len() >= hashes.len(),
+                "shard {i}: {} keys in {} buckets",
+                hashes.len(),
+                buckets.len()
+            );
+        }
     }
 
     #[test]
