@@ -155,9 +155,11 @@ pub fn run_live(options: &LiveOptions) -> Result<LiveBenchReport, String> {
     // exercised: 50µs per hop, 1 MiB/ms.
     let transport = TransportModel::symmetric(0.05, 1024.0 * 1024.0);
     let mode = if options.mode == "closed" {
-        // The window must keep the size-8 policy fed on every shard.
+        // The window must keep the size-8 policy fed: batches form
+        // per (shard, network) queue, so a window of 8 per queue always
+        // lets one fill.
         LiveMode::ClosedLoop {
-            window: 8 * cluster.shard_count(),
+            window: 8 * cluster.shard_count() * cluster.networks().len(),
         }
     } else {
         LiveMode::OpenLoop

@@ -128,6 +128,16 @@ pub enum RuntimeError {
         /// What was asked of it.
         operation: &'static str,
     },
+    /// A serving [`Placement`](crate::serve::Placement) routed a
+    /// request to a shard the cluster does not have.
+    PlacementOutOfRange {
+        /// The routed request's id.
+        request: u64,
+        /// The shard the placement returned.
+        shard: usize,
+        /// The cluster's shard count.
+        shard_count: usize,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -136,6 +146,14 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::UnsupportedOnBackend { backend, operation } => {
                 write!(f, "backend {backend} does not support {operation}")
             }
+            RuntimeError::PlacementOutOfRange {
+                request,
+                shard,
+                shard_count,
+            } => write!(
+                f,
+                "placement routed request {request} to shard {shard} of {shard_count}"
+            ),
         }
     }
 }

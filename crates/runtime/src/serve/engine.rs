@@ -19,31 +19,30 @@
 //! arrival, and the admission controller re-places or rejects requests
 //! whose plan cannot fit the target shard's cache budget.
 //!
-//! Plan memory is simulated per shard by a capacity-bounded LRU cache
-//! keyed on `(network, batch)` and charged with
+//! Each shard's queues, batch choice, batch pricing and accounting live
+//! in the shard core (`serve/shard.rs`), which the live twin's workers
+//! run too. Its plan memory is a capacity-bounded LRU keyed on
+//! `(network, batch)` and charged with
 //! [`NetworkPlan::mem_bytes`](crate::NetworkPlan::mem_bytes); a miss
-//! bills `compile_ms_per_layer × layers` of simulated latency before
-//! the batch starts executing.
+//! bills `compile_ms_per_layer × layers` before the batch starts.
 //!
 //! The fault model, injected-event ordering and recovery semantics are
 //! specified in `docs/FAULT_TOLERANCE.md`; an empty [`FaultPlan`] (the
 //! default) leaves every byte of the fault-free engine's output
 //! untouched, pinned by `tests/serve_fault.rs`.
 
-use super::fault::{
-    ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, RetryPolicy, ShardFaultStats, ShedPolicy,
-};
+use super::fault::{ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, RetryPolicy, ShedPolicy};
 use super::load::Request;
-use super::metrics::PlanCacheStats;
 use super::placement::{ClusterView, Placement};
-use super::policy::{BatchPolicy, PolicyDecision};
+use super::policy::BatchPolicy;
 use super::scale::{AutoscalePolicy, EnergyFrontier, ReconfigPolicy, ReconfigStats, ScaleStats};
+use super::shard::{self, NextBatch, ShardCore};
 use super::slo::PreemptPolicy;
-use super::{BatchRecord, ServeCluster, ServedRequest, ShardReport, ShardTally};
+use super::{BatchRecord, ServeCluster, ShardReport};
 use crate::backend::RuntimeError;
 use sma_energy::EnergyModel;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Per-shard plan-cache capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,9 +115,9 @@ pub struct EngineConfig {
     /// configuration selection, the compile-time default). Only shards
     /// whose backend implements `Reconfigurable` participate.
     pub reconfig: Option<ReconfigPolicy>,
-    /// Keep every [`ServedRequest`] and [`BatchRecord`] in the shard
-    /// reports (`false` = only the always-on
-    /// [`ShardTally`](super::ShardTally), which is all
+    /// Keep every [`ServedRequest`](super::ServedRequest) and
+    /// [`BatchRecord`] in the shard reports (`false` = only the
+    /// always-on [`ShardTally`](super::ShardTally), which is all
     /// [`aggregate`](super::aggregate) reads).
     pub records: bool,
 }
@@ -250,86 +249,6 @@ pub struct ServeRun {
     pub reconfig: ReconfigStats,
 }
 
-/// Capacity-bounded LRU over simulated plan residency, keyed on
-/// `(network, batch)`.
-#[derive(Debug)]
-pub(super) struct PlanCache {
-    budget: Option<u64>,
-    /// `(bytes, last_use)` per resident plan; `last_use` ticks are
-    /// unique, so the LRU victim is always unambiguous.
-    entries: BTreeMap<(usize, usize), (u64, u64)>,
-    resident_bytes: u64,
-    tick: u64,
-    stats: PlanCacheStats,
-}
-
-impl PlanCache {
-    pub(super) fn new(budget: Option<u64>) -> Self {
-        PlanCache {
-            budget,
-            entries: BTreeMap::new(),
-            resident_bytes: 0,
-            tick: 0,
-            stats: PlanCacheStats::default(),
-        }
-    }
-
-    /// Whether a plan is resident right now (no stats side effects —
-    /// the transient-compile-fail gate peeks without billing).
-    pub(super) fn contains(&self, key: &(usize, usize)) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Looks up (and on miss admits) a plan, returning the simulated
-    /// compile charge: 0 on a hit, `compile_ms` on a miss. Eviction is
-    /// LRU until the new plan fits; a plan larger than the whole
-    /// budget empties the cache and is admitted anyway (the engine's
-    /// admission controller keeps such requests out, so this arises
-    /// only when the cache is driven directly).
-    pub(super) fn access(&mut self, key: (usize, usize), bytes: u64, compile_ms: f64) -> f64 {
-        self.stats.lookups += 1;
-        self.tick += 1;
-        if let Some((_, last_use)) = self.entries.get_mut(&key) {
-            *last_use = self.tick;
-            self.stats.hits += 1;
-            return 0.0;
-        }
-        self.stats.misses += 1;
-        if let Some(budget) = self.budget {
-            while self.resident_bytes + bytes > budget && !self.entries.is_empty() {
-                let victim = *self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, &(_, last_use))| last_use)
-                    .map(|(k, _)| k)
-                    // sma-lint: allow(no-panic) — the loop guard
-                    // just checked !entries.is_empty().
-                    .expect("non-empty cache has an LRU victim");
-                // sma-lint: allow(no-panic) — victim was read out of
-                // this map two lines up; no intervening mutation.
-                let (evicted_bytes, _) = self.entries.remove(&victim).expect("victim resident");
-                self.resident_bytes -= evicted_bytes;
-                self.stats.evictions += 1;
-            }
-        }
-        self.entries.insert(key, (bytes, self.tick));
-        self.resident_bytes += bytes;
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.resident_bytes);
-        compile_ms
-    }
-
-    /// Bytes currently resident (the live gauge behind
-    /// [`ClusterView::resident_plan_bytes`](super::ClusterView)).
-    pub(super) fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    pub(super) fn into_stats(mut self) -> PlanCacheStats {
-        self.stats.resident_bytes = self.resident_bytes;
-        self.stats
-    }
-}
-
 /// Event classes, in same-instant processing order: arrivals (class 0,
 /// merged straight from the sorted trace rather than the heap) enqueue
 /// before a completion evaluates (every `arrival_ms <= now` is queued
@@ -427,90 +346,17 @@ impl Ord for Event {
 /// completion (not dispatch), so a crash can abort the batch without
 /// leaving phantom records behind.
 struct InFlightBatch {
-    network: usize,
-    start_ms: f64,
-    compile_ms: f64,
-    service_ms: f64,
+    record: BatchRecord,
     /// Dispatch epoch: a crash bumps past it, invalidating the
     /// completion event already in the queue.
     epoch: u64,
     requests: Vec<Request>,
 }
 
-/// Per-shard reconfiguration state: the admission window and the
-/// pinned fabric configuration, priced once per run from the backend's
-/// `Reconfigurable` capability.
-///
-/// Decisions read only the shard's *admission* history (arrival-event
-/// enqueues — never retries, hedges or preemption re-queues, and never
-/// completion timing), so the pinned configuration at any point is a
-/// pure function of (trace, placement): trace-deterministic, inside
-/// the live-twin oracle's timing-robust envelope.
-struct ReconfigShard {
-    /// Sliding window of admitted network ids, newest at the back.
-    window: VecDeque<usize>,
-    window_cap: usize,
-    every: u64,
-    admissions: u64,
-    /// The currently pinned configuration index.
-    pinned: usize,
-    /// `cycles[config][network]`: whole-network compute cycles under a
-    /// pinned configuration (pure integers — no float ties).
-    cycles: Vec<Vec<u64>>,
-    /// `penalty[config][network]`: pinned service-time multiplier
-    /// relative to per-shape-best (always >= 1).
-    penalty: Vec<Vec<f64>>,
-}
-
-impl ReconfigShard {
-    /// Feeds one admission into the window; every `every` admissions,
-    /// re-pins the configuration minimising total cycles over the
-    /// window's shape histogram (ties to the lowest index).
-    fn observe(&mut self, net: usize, stats: &mut ReconfigStats) {
-        self.window.push_back(net);
-        if self.window.len() > self.window_cap {
-            self.window.pop_front();
-        }
-        self.admissions += 1;
-        if !self.admissions.is_multiple_of(self.every) {
-            return;
-        }
-        stats.evaluations += 1;
-        let mut counts = vec![0u64; self.cycles[0].len()];
-        for &observed in &self.window {
-            counts[observed] += 1;
-        }
-        let best = best_config(&self.cycles, &counts);
-        if best != self.pinned {
-            self.pinned = best;
-            stats.reconfigs += 1;
-        }
-    }
-}
-
-/// The configuration minimising `Σ counts[net] × cycles[config][net]`
-/// (ties to the lowest index; u128 accumulation cannot overflow).
-fn best_config(cycles: &[Vec<u64>], counts: &[u64]) -> usize {
-    let mut best = 0usize;
-    let mut best_cost = u128::MAX;
-    for (config, row) in cycles.iter().enumerate() {
-        let cost: u128 = row
-            .iter()
-            .zip(counts)
-            .map(|(&c, &k)| u128::from(c) * u128::from(k))
-            .sum();
-        if cost < best_cost {
-            best_cost = cost;
-            best = config;
-        }
-    }
-    best
-}
-
-/// Live state of one shard inside the event loop.
+/// Live state of one shard inside the event loop: the shared
+/// [`ShardCore`] plus what only the event loop tracks.
 struct ShardState {
-    /// Per-network FIFO queues of admitted-but-undispatched requests.
-    queues: Vec<VecDeque<Request>>,
+    core: ShardCore,
     /// The executing batch (`None` = idle).
     in_flight: Option<InFlightBatch>,
     /// Monotone dispatch counter backing [`InFlightBatch::epoch`].
@@ -534,34 +380,12 @@ struct ShardState {
     /// Earliest batch-close timer currently scheduled (dedup only —
     /// stale timers are harmless, they just re-evaluate).
     pending_timer: f64,
-    /// Memoized service ms, `[network][batch]` (`None` = not yet
-    /// compiled); first touch compiles the plan through the executor.
-    service_ms: Vec<Vec<Option<f64>>>,
     /// The last finished batch's request buffer, emptied and kept for
     /// the next dispatch.
     spare: Vec<Request>,
-    cache: PlanCache,
-    /// Live queued-request count (all networks).
-    depth: usize,
-    depth_max: usize,
-    /// `∫ depth dt` for the time-weighted mean queue depth.
-    depth_integral_ms: f64,
-    depth_last_ms: f64,
-    /// Serve-time reconfiguration state (`None` = the backend is not
-    /// reconfigurable, or the feature is off).
-    reconfig: Option<ReconfigShard>,
-    report: ShardReport,
 }
 
 impl ShardState {
-    /// Records a queue-depth change at `now` (time-weighted).
-    fn note_depth(&mut self, now_ms: f64, depth: usize) {
-        self.depth_integral_ms += self.depth as f64 * (now_ms - self.depth_last_ms);
-        self.depth_last_ms = now_ms;
-        self.depth = depth;
-        self.depth_max = self.depth_max.max(depth);
-    }
-
     /// Size of the in-flight batch (0 when idle).
     fn in_flight_len(&self) -> usize {
         self.in_flight.as_ref().map_or(0, |b| b.requests.len())
@@ -571,7 +395,7 @@ impl ShardState {
     /// engine-side twin of [`ClusterView::outstanding`], and the one
     /// definition the backlog gauge and the autoscaler both read.
     fn outstanding(&self) -> usize {
-        self.depth + self.in_flight_len()
+        self.core.depth() + self.in_flight_len()
     }
 }
 
@@ -620,10 +444,6 @@ struct Engine<'a> {
     /// Cumulative arrivals per network: the observed traffic mix the
     /// frontier weighs shard costs by.
     mix_counts: Vec<u64>,
-    reconfig_stats: ReconfigStats,
-    /// Scratch for [`Engine::attempt_dispatch`]'s ready queues, reused
-    /// across calls.
-    ready: Vec<(u8, f64, usize, usize)>,
     /// Scratch for the ids one completion serves (hedge cancellation).
     newly_served: Vec<u64>,
     // Scratch buffers for the live view (rebuilt per consultation).
@@ -645,19 +465,8 @@ pub(super) fn run_engine(
     trace: &[Request],
     config: &EngineConfig,
 ) -> Result<ServeRun, RuntimeError> {
-    let shard_count = cluster.shard_count();
-    if let CacheBudget::PerShard(budgets) = &config.cache_budget {
-        assert_eq!(
-            budgets.len(),
-            shard_count,
-            "per-shard cache budget needs one entry per shard"
-        );
-    }
     if let Some(scale) = &config.scale {
-        scale.validate(shard_count);
-    }
-    if let Some(reconfig) = &config.reconfig {
-        reconfig.validate();
+        scale.validate(cluster.shard_count());
     }
     let mut engine = Engine::new(cluster, policy, config, trace);
     engine.schedule_faults();
@@ -697,60 +506,10 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let shard_count = cluster.shard_count();
         let net_count = cluster.networks().len();
-        // Reconfiguration pricing: pure integers off the backend's
-        // cycle model, computed once per run (and only when the
-        // feature is on — the default path never touches it).
-        let net_shapes: Vec<Vec<sma_tensor::GemmShape>> = if config.reconfig.is_some() {
-            cluster
-                .networks()
-                .iter()
-                .map(sma_models::Network::gemm_shapes)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let reconfig_shard = |shard: usize| -> Option<ReconfigShard> {
-            let policy = config.reconfig?;
-            let executor = cluster.shard_executor(shard);
-            let backend = executor.backend();
-            let rc = backend.as_reconfigurable()?;
-            let cycles: Vec<Vec<u64>> = (0..rc.config_count())
-                .map(|cfg| {
-                    net_shapes
-                        .iter()
-                        .map(|shapes| rc.pinned_cycles(shapes, cfg))
-                        .collect()
-                })
-                .collect();
-            let penalty: Vec<Vec<f64>> = cycles
-                .iter()
-                .map(|row| {
-                    net_shapes
-                        .iter()
-                        .zip(row)
-                        .map(|(shapes, &pinned)| {
-                            let flexible = rc.flexible_cycles(shapes).max(1);
-                            pinned.max(flexible) as f64 / flexible as f64
-                        })
-                        .collect()
-                })
-                .collect();
-            // The initial pin assumes a uniform mix (not counted as a
-            // reconfiguration).
-            let uniform = vec![1u64; net_count];
-            Some(ReconfigShard {
-                window: VecDeque::new(),
-                window_cap: policy.window,
-                every: policy.every as u64,
-                admissions: 0,
-                pinned: best_config(&cycles, &uniform),
-                cycles,
-                penalty,
-            })
-        };
-        let shards: Vec<ShardState> = (0..shard_count)
-            .map(|shard| ShardState {
-                queues: vec![VecDeque::new(); net_count],
+        let shards: Vec<ShardState> = ShardCore::fleet(cluster, config)
+            .into_iter()
+            .map(|core| ShardState {
+                core,
                 in_flight: None,
                 epoch: 0,
                 down_until: None,
@@ -761,34 +520,7 @@ impl<'a> Engine<'a> {
                 stall_extra_ms: 0.0,
                 compile_fail_until: f64::NEG_INFINITY,
                 pending_timer: f64::INFINITY,
-                // Batch-1 service times come off the cluster's
-                // pre-compiled plans (bit-identical to a fresh
-                // compile).
-                service_ms: cluster.unit_service_ms()[shard]
-                    .iter()
-                    .map(|&ms| vec![None, Some(ms)])
-                    .collect(),
                 spare: Vec::new(),
-                cache: PlanCache::new(config.cache_budget.for_shard(shard)),
-                depth: 0,
-                depth_max: 0,
-                depth_integral_ms: 0.0,
-                depth_last_ms: 0.0,
-                reconfig: reconfig_shard(shard),
-                report: ShardReport {
-                    shard,
-                    platform: cluster.platforms()[shard],
-                    tally: ShardTally::default(),
-                    requests: Vec::new(),
-                    batches: Vec::new(),
-                    busy_ms: 0.0,
-                    makespan_ms: 0.0,
-                    plans_compiled: Vec::new(),
-                    cache: PlanCacheStats::default(),
-                    queue_depth_mean: 0.0,
-                    queue_depth_max: 0,
-                    fault: ShardFaultStats::default(),
-                },
             })
             .collect();
         let mut global_future = vec![0usize; net_count];
@@ -828,8 +560,6 @@ impl<'a> Engine<'a> {
             scale_stats: ScaleStats::default(),
             frontier,
             mix_counts: vec![0; net_count],
-            reconfig_stats: ReconfigStats::default(),
-            ready: Vec::new(),
             newly_served: Vec::new(),
             live_queued: vec![0; shard_count],
             live_in_flight: vec![0; shard_count],
@@ -902,13 +632,6 @@ impl<'a> Engine<'a> {
         state.in_flight.is_none() && state.down_until.is_none()
     }
 
-    /// Whether `shard`'s cache budget can ever hold `network`'s plan.
-    fn fits(&self, shard: usize, network: usize) -> bool {
-        self.config
-            .cache_budget
-            .admits(shard, self.cluster.unit_plan_bytes()[shard][network])
-    }
-
     /// Whether the autoscaler lets a shard take *new* placements
     /// (always true for the static fleet; draining and parked shards
     /// decline).
@@ -921,12 +644,18 @@ impl<'a> Engine<'a> {
         self.shards.iter().map(ShardState::outstanding).sum()
     }
 
-    /// Rebuilds the live-view scratch buffers from shard state.
-    fn refresh_live(&mut self) {
+    /// Re-places a request online by the shared admission rule
+    /// ([`shard::place`]) against a live view rebuilt from shard state;
+    /// `None` rejects.
+    fn replace_online(
+        &mut self,
+        placement: &mut dyn Placement,
+        request: &Request,
+    ) -> Result<Option<usize>, RuntimeError> {
         for (shard, state) in self.shards.iter().enumerate() {
-            self.live_queued[shard] = state.depth;
+            self.live_queued[shard] = state.core.depth();
             self.live_in_flight[shard] = state.in_flight_len();
-            self.live_resident[shard] = state.cache.resident_bytes;
+            self.live_resident[shard] = state.core.resident_bytes();
             // Draining/parked shards read as unhealthy so
             // health-aware placements steer around them; the static
             // fleet (scale off) leaves this the pure crash gauge.
@@ -938,12 +667,7 @@ impl<'a> Engine<'a> {
                 1.0
             };
         }
-    }
-
-    /// The live view over the scratch buffers ([`Engine::refresh_live`]
-    /// first).
-    fn live_view(&self) -> ClusterView<'_> {
-        ClusterView {
+        let view = ClusterView {
             platforms: self.cluster.platforms(),
             unit_service_ms: self.cluster.unit_service_ms(),
             queued: &self.live_queued,
@@ -951,53 +675,15 @@ impl<'a> Engine<'a> {
             resident_plan_bytes: &self.live_resident,
             healthy: &self.live_healthy,
             degrade: &self.live_degrade,
-        }
-    }
-
-    /// Enqueues one request on a shard. Without preemption this is the
-    /// historical FIFO push; with preemption on, queues hold strict
-    /// class order (stable FIFO within a class), so the dispatch head
-    /// is always the most urgent admitted work.
-    fn enqueue(&mut self, shard: usize, request: Request, now_ms: f64) {
-        let strict = self.config.preempt.is_some();
-        let state = &mut self.shards[shard];
-        state.note_depth(now_ms, state.depth + 1);
-        let queue = &mut state.queues[request.network];
-        if strict {
-            let pos = queue
-                .iter()
-                .take_while(|r| r.class <= request.class)
-                .count();
-            queue.insert(pos, request);
-        } else {
-            queue.push_back(request);
-        }
-    }
-
-    /// Re-places a request online: the placement's choice if it fits
-    /// and accepts, else the first fitting shard the autoscaler still
-    /// lets accept, else any fitting shard (scaling never causes a
-    /// rejection), else `None` (admission rejects).
-    fn replace_online(
-        &mut self,
-        placement: &mut dyn Placement,
-        request: &Request,
-    ) -> Option<usize> {
-        let shard_count = self.shards.len();
-        self.refresh_live();
-        let chosen = placement.assign(request, &self.live_view());
-        assert!(
-            chosen < shard_count,
-            "placement routed request {} to shard {chosen} of {shard_count}",
-            request.id
-        );
-        if self.fits(chosen, request.network) && self.accepting(chosen) {
-            Some(chosen)
-        } else {
-            (0..shard_count)
-                .find(|&shard| self.fits(shard, request.network) && self.accepting(shard))
-                .or_else(|| (0..shard_count).find(|&shard| self.fits(shard, request.network)))
-        }
+        };
+        shard::place(
+            placement,
+            request,
+            &view,
+            self.cluster,
+            &self.config.cache_budget,
+            |shard| self.accepting(shard),
+        )
     }
 
     /// One arrival: shed check, placement/admission, enqueue, hedge
@@ -1024,21 +710,10 @@ impl<'a> Engine<'a> {
         if shed_now {
             self.shed.push(request);
         } else {
-            // Admission control: the chosen shard must be able to ever
-            // hold the request's plan (and, under autoscaling, still be
-            // accepting); otherwise re-place onto the first shard that
-            // can, else reject.
-            target = self.replace_online(placement, &request);
+            target = self.replace_online(placement, &request)?;
             match target {
                 Some(shard) => {
-                    self.enqueue(shard, request, now_ms);
-                    // The traffic-mix window sees admissions only
-                    // (never retries, hedges or preemption re-queues):
-                    // decisions stay a pure function of (trace,
-                    // placement).
-                    if let Some(rc) = &mut self.shards[shard].reconfig {
-                        rc.observe(request.network, &mut self.reconfig_stats);
-                    }
+                    self.shards[shard].core.admit(request, now_ms);
                     if let Some(hedge) = self.config.hedge {
                         self.push_event(
                             now_ms + hedge.delay_ms,
@@ -1074,9 +749,7 @@ impl<'a> Engine<'a> {
                             );
                         }
                     }
-                    if self.idle_and_up(shard) {
-                        self.attempt_dispatch(shard, now_ms)?;
-                    }
+                    self.attempt_dispatch(shard, now_ms)?;
                 }
                 None => self.rejected.push(request),
             }
@@ -1091,8 +764,7 @@ impl<'a> Engine<'a> {
                 if target == Some(shard) {
                     continue; // already evaluated above
                 }
-                if self.idle_and_up(shard) && !self.shards[shard].queues[request.network].is_empty()
-                {
+                if self.idle_and_up(shard) && self.shards[shard].core.has_queued(request.network) {
                     self.attempt_dispatch(shard, now_ms)?;
                 }
             }
@@ -1119,11 +791,7 @@ impl<'a> Engine<'a> {
                 if now_ms.to_bits() == state.pending_timer.to_bits() {
                     state.pending_timer = f64::INFINITY;
                 }
-                if self.idle_and_up(shard) {
-                    self.attempt_dispatch(shard, now_ms)
-                } else {
-                    Ok(())
-                }
+                self.attempt_dispatch(shard, now_ms)
             }
             EventKind::Crash { recover_ms } => {
                 self.on_crash(shard, now_ms, recover_ms);
@@ -1210,25 +878,18 @@ impl<'a> Engine<'a> {
             // A same-instant completion (class 1 < 6) would have fired
             // first, so the eviction always lands strictly before the
             // batch's completion: elapsed < compile + service.
-            let elapsed_ms = now_ms - batch.start_ms;
-            state.report.busy_ms += elapsed_ms;
-            state.report.fault.preemptions += 1;
-            state.report.fault.preempted_busy_ms += elapsed_ms;
-            state.report.fault.preempted_requests += batch.requests.len() as u64;
+            let elapsed_ms = now_ms - batch.record.start_ms;
+            let report = &mut state.core.report;
+            report.busy_ms += elapsed_ms;
+            report.fault.preemptions += 1;
+            report.fault.preempted_busy_ms += elapsed_ms;
+            report.fault.preempted_requests += batch.requests.len() as u64;
             let mut victims = batch.requests;
             for victim in &victims {
                 self.class_stats[usize::from(victim.class)].preempted += 1;
                 self.preempted_ids.insert(victim.id);
             }
-            // Reverse insertion at the class boundary keeps the
-            // victims' mutual order while landing them after the
-            // urgent work that displaced them.
-            for victim in victims.iter().rev() {
-                let queue = &mut state.queues[victim.network];
-                let pos = queue.iter().take_while(|r| r.class < victim.class).count();
-                queue.insert(pos, *victim);
-            }
-            state.note_depth(now_ms, state.depth + victims.len());
+            state.core.requeue(&victims, now_ms);
             victims.clear();
             state.spare = victims;
         }
@@ -1288,7 +949,7 @@ impl<'a> Engine<'a> {
                 self.scale_stats.scale_ups += 1;
                 self.up_streak = 0;
                 self.down_streak = 0;
-                if self.shards[shard].depth > 0 && self.idle_and_up(shard) {
+                if self.shards[shard].core.depth() > 0 && self.idle_and_up(shard) {
                     self.attempt_dispatch(shard, now_ms)?;
                 }
             }
@@ -1340,73 +1001,37 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         let track = self.track_ids();
-        let record = self.config.records;
         let mut newly_served = std::mem::take(&mut self.newly_served);
         newly_served.clear();
         let state = &mut self.shards[shard];
         let mut requests = batch.requests;
-        let size = requests.len();
-        state.report.tally.note_batch(size);
-        if record {
-            state.report.batches.push(BatchRecord {
-                network: batch.network,
-                size,
-                start_ms: batch.start_ms,
-                service_ms: batch.service_ms,
-                compile_ms: batch.compile_ms,
-            });
-        }
+        let record = batch.record;
+        state.core.note_batch(record, now_ms);
         for request in &requests {
             if track {
                 if !self.served.insert(request.id) {
                     // A hedge twin already won: this completion is
-                    // billed (busy time below) but not served.
+                    // billed (busy time above) but not served.
                     continue;
                 }
                 newly_served.push(request.id);
                 self.failed_ids.remove(&request.id);
             }
-            let served = ServedRequest {
-                id: request.id,
-                network: request.network,
-                arrival_ms: request.arrival_ms,
-                deadline_ms: request.deadline_ms,
-                class: request.class,
-                start_ms: batch.start_ms,
-                completion_ms: now_ms,
-                batch_size: size,
-            };
-            state.report.tally.note_served(&served);
-            if record {
-                state.report.requests.push(served);
-            }
+            state
+                .core
+                .note_served(request, record.start_ms, now_ms, record.size);
         }
-        state.report.busy_ms += batch.compile_ms + batch.service_ms;
-        state.report.makespan_ms = now_ms;
         requests.clear();
         state.spare = requests;
         // First completion wins: queued hedge twins of the ids just
         // served are cancelled cluster-wide.
         if self.config.hedge.is_some() && !newly_served.is_empty() {
-            self.cancel_queued(&newly_served, now_ms);
+            for state in &mut self.shards {
+                state.core.cancel(&newly_served, now_ms);
+            }
         }
         self.newly_served = newly_served;
         self.attempt_dispatch(shard, now_ms)
-    }
-
-    /// Removes queued twins of just-served ids from every queue.
-    fn cancel_queued(&mut self, ids: &[u64], now_ms: f64) {
-        for state in &mut self.shards {
-            let mut removed = 0usize;
-            for queue in &mut state.queues {
-                let before = queue.len();
-                queue.retain(|r| !ids.contains(&r.id));
-                removed += before - queue.len();
-            }
-            if removed > 0 {
-                state.note_depth(now_ms, state.depth - removed);
-            }
-        }
     }
 
     /// A crash fires: the shard goes dark, the in-flight batch is
@@ -1415,7 +1040,7 @@ impl<'a> Engine<'a> {
         let until = now_ms + recover_ms;
         let schedule_recover = {
             let state = &mut self.shards[shard];
-            state.report.fault.crashes += 1;
+            state.core.report.fault.crashes += 1;
             match state.down_until {
                 None => {
                     state.down_since = now_ms;
@@ -1435,7 +1060,7 @@ impl<'a> Engine<'a> {
             self.push_event(until, CLASS_FAULT, shard, EventKind::Recover);
         }
         if let Some(batch) = self.shards[shard].in_flight.take() {
-            self.shards[shard].report.fault.aborted_batches += 1;
+            self.shards[shard].core.report.fault.aborted_batches += 1;
             // Aborted work is lost: not billed as busy time, no batch
             // or request records. The victims follow the retry policy.
             let mut victims = batch.requests;
@@ -1455,7 +1080,7 @@ impl<'a> Engine<'a> {
                 return Ok(()); // stale: a later crash extended the outage
             }
             state.down_until = None;
-            state.report.fault.downtime_ms += now_ms - state.down_since;
+            state.core.report.fault.downtime_ms += now_ms - state.down_since;
         }
         self.attempt_dispatch(shard, now_ms)
     }
@@ -1478,7 +1103,7 @@ impl<'a> Engine<'a> {
         }
         self.attempts.insert(request.id, retries_so_far + 1);
         self.class_stats[usize::from(request.class)].retries += 1;
-        self.shards[from_shard].report.fault.retries += 1;
+        self.shards[from_shard].core.report.fault.retries += 1;
         self.push_event(
             fire_ms,
             CLASS_RETRY,
@@ -1502,7 +1127,7 @@ impl<'a> Engine<'a> {
         if self.served.contains(&request.id) {
             return Ok(()); // a twin won while the backoff elapsed
         }
-        let Some(target) = self.replace_online(placement, &request) else {
+        let Some(target) = self.replace_online(placement, &request)? else {
             if self.failed_ids.insert(request.id) {
                 self.failed.push(request);
             }
@@ -1510,14 +1135,10 @@ impl<'a> Engine<'a> {
         };
         if target != from_shard {
             self.class_stats[usize::from(request.class)].failovers += 1;
-            self.shards[target].report.fault.failovers += 1;
+            self.shards[target].core.report.fault.failovers += 1;
         }
-        self.enqueue(target, request, now_ms);
-        if self.idle_and_up(target) {
-            self.attempt_dispatch(target, now_ms)
-        } else {
-            Ok(())
-        }
+        self.shards[target].core.enqueue(request, now_ms);
+        self.attempt_dispatch(target, now_ms)
     }
 
     /// A hedge delay expired with the request still incomplete:
@@ -1533,91 +1154,49 @@ impl<'a> Engine<'a> {
         }
         let net = request.network;
         let costs = self.cluster.unit_service_ms();
+        let bytes = self.cluster.unit_plan_bytes();
         let target = (0..self.shards.len())
             .filter(|&s| {
                 s != origin
                     && self.shards[s].down_until.is_none()
                     && self.accepting(s)
-                    && self.fits(s, net)
+                    && self.config.cache_budget.admits(s, bytes[s][net])
             })
             .min_by(|&a, &b| costs[a][net].total_cmp(&costs[b][net]).then(a.cmp(&b)));
         let Some(target) = target else {
             return Ok(()); // nowhere to hedge to; the original stands
         };
         self.class_stats[usize::from(request.class)].hedges += 1;
-        self.shards[target].report.fault.hedges += 1;
-        self.enqueue(target, request, now_ms);
-        if self.idle_and_up(target) {
-            self.attempt_dispatch(target, now_ms)
-        } else {
-            Ok(())
-        }
+        self.shards[target].core.report.fault.hedges += 1;
+        self.shards[target].core.enqueue(request, now_ms);
+        self.attempt_dispatch(target, now_ms)
     }
 
-    /// Evaluates every non-empty queue of an idle, healthy shard at
-    /// `now_ms` and either launches the most urgent ready batch or
-    /// schedules the earliest batch-close timer. Ready queues race on
-    /// [`BatchPolicy::urgency`] (default: head arrival — FIFO across
-    /// networks), ties to the lowest network index. During a transient
-    /// compile-failure window, ready batches whose plan is not
-    /// resident are blocked and the next-best resident-plan batch
-    /// launches instead (or the shard wakes when the window closes).
+    /// Evaluates a shard at `now_ms` — a no-op unless it is idle and
+    /// up — through the shared ranking ([`ShardCore::next_batch`]) and
+    /// either launches the most urgent ready batch or schedules the
+    /// earliest batch-close timer. During a transient compile-failure
+    /// window, ready batches whose plan is not resident are blocked and
+    /// the next-best resident-plan batch launches instead (or the shard
+    /// wakes when the window closes).
     fn attempt_dispatch(&mut self, shard: usize, now_ms: f64) -> Result<(), RuntimeError> {
         if !self.idle_and_up(shard) {
             return Ok(());
         }
-        // (head class, urgency, net, take) — the class key is 0 for
-        // every queue unless preemption (strict priorities) is on, so
-        // the sort below degenerates to the historical (urgency, net)
-        // rule byte for byte.
-        let strict = self.config.preempt.is_some();
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
-        let mut wake_ms = f64::INFINITY;
-        {
-            let state = &mut self.shards[shard];
-            for net in 0..state.queues.len() {
-                if state.queues[net].is_empty() {
-                    continue;
-                }
-                let more_arrivals = self.global_future[net] > 0;
-                // O(1) when the ring has not wrapped since the last
-                // front drain; policies see a plain FIFO slice.
-                let contiguous: &[Request] = state.queues[net].make_contiguous();
-                match self.policy.decide(contiguous, now_ms, more_arrivals) {
-                    PolicyDecision::Dispatch { take } => {
-                        let take = take.clamp(1, contiguous.len());
-                        let urgency = self.policy.urgency(contiguous, now_ms);
-                        let class = if strict { contiguous[0].class } else { 0 };
-                        ready.push((class, urgency, net, take));
-                    }
-                    PolicyDecision::WaitUntil(at) => wake_ms = wake_ms.min(at),
-                    PolicyDecision::WaitForArrivals => {}
-                }
-            }
-        }
-        // Strict class order first (preemption only), then most urgent
-        // first, then the lowest network index. Networks are distinct,
-        // so the order is total.
-        ready.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let fail_active = now_ms < self.shards[shard].compile_fail_until;
-        let mut blocked = false;
-        let mut chosen = None;
-        for &(_, _, net, take) in &ready {
-            if fail_active && !self.shards[shard].cache.contains(&(net, take)) {
-                blocked = true; // compile would fail; try the next queue
-                continue;
-            }
-            chosen = Some((net, take));
-            break;
-        }
-        self.ready = ready;
-        if let Some((net, take)) = chosen {
-            return self.dispatch(shard, now_ms, net, take);
-        }
+        let global_future = &self.global_future;
+        let state = &mut self.shards[shard];
+        let compile_fail = now_ms < state.compile_fail_until;
+        let more_arrivals = |net: usize| global_future[net] > 0;
+        let next = state
+            .core
+            .next_batch(self.policy, now_ms, more_arrivals, compile_fail);
+        let (mut wake_ms, blocked) = match next {
+            NextBatch::Launch { net, take } => return self.dispatch(shard, now_ms, net, take),
+            NextBatch::Wait { wake_ms, blocked } => (wake_ms, blocked),
+        };
         if blocked {
-            self.shards[shard].report.fault.compile_failures += 1;
-            wake_ms = wake_ms.min(self.shards[shard].compile_fail_until);
+            state.core.report.fault.compile_failures += 1;
+            wake_ms = wake_ms.min(state.compile_fail_until);
         }
         if wake_ms.is_finite() {
             // A batch-close event: without it, a queue whose deadline
@@ -1627,17 +1206,17 @@ impl<'a> Engine<'a> {
                 wake_ms > now_ms,
                 "shard {shard} stalled at {now_ms} ms (policy asked to wait for the past)"
             );
-            if wake_ms < self.shards[shard].pending_timer {
-                self.shards[shard].pending_timer = wake_ms;
+            if wake_ms < state.pending_timer {
+                state.pending_timer = wake_ms;
                 self.push_event(wake_ms, CLASS_TIMER, shard, EventKind::Timer);
             }
         }
         Ok(())
     }
 
-    /// Launches one batch: memoized service time (first touch compiles
-    /// through the executor), degrade multiplier, compile-on-miss
-    /// charge (plus any stall surcharge), and the completion event.
+    /// Launches one batch: the shared pricing ([`ShardCore::price`])
+    /// under the shard's live degrade and stall windows, and the
+    /// completion event.
     fn dispatch(
         &mut self,
         shard: usize,
@@ -1645,67 +1224,23 @@ impl<'a> Engine<'a> {
         net: usize,
         take: usize,
     ) -> Result<(), RuntimeError> {
-        let cluster = self.cluster;
         let state = &mut self.shards[shard];
-        let memo = &mut state.service_ms[net];
-        let service_base = match memo.get(take).copied().flatten() {
-            Some(ms) => ms,
-            None => {
-                let plan = cluster
-                    .shard_executor(shard)
-                    .with_batch(take)
-                    .try_plan(&cluster.networks()[net])?;
-                state.report.plans_compiled.push((net, take));
-                let ms = plan.run().total_ms;
-                if memo.len() <= take {
-                    memo.resize(take + 1, None);
-                }
-                memo[take] = Some(ms);
-                ms
-            }
-        };
-        // FlexSA-style reduced mode: inside a degrade window the batch
-        // runs slower by the live factor. (Guarded so the fault-free
-        // path performs the exact same float ops as before.)
-        let degraded = state.degrade_depth > 0;
-        let mut service_ms = if degraded {
-            service_base * state.degrade_factor
-        } else {
-            service_base
-        };
-        // Serve-time reconfiguration: the pinned fabric configuration
-        // pays its latency penalty relative to per-shape-best. (Also
-        // guarded — `None` performs no float ops at all.)
-        if let Some(rc) = &state.reconfig {
-            service_ms *= rc.penalty[rc.pinned][net];
-        }
-        // Simulated plan residency: a miss bills the compile before
-        // the batch starts (0 with free compiles);
-        // an active stall window adds its surcharge per miss.
-        let mut compile_charge =
-            self.config.compile_ms_per_layer * cluster.unit_plan(shard, net).layer_count() as f64;
-        if state.stall_depth > 0 {
-            compile_charge += state.stall_extra_ms;
-        }
-        let compile_ms = state.cache.access(
-            (net, take),
-            cluster.unit_plan_bytes()[shard][net],
-            compile_charge,
-        );
-        let completion_ms = now_ms + compile_ms + service_ms;
+        let degrade = (state.degrade_depth > 0).then_some(state.degrade_factor);
+        let record = state.core.price(
+            self.cluster,
+            net,
+            take,
+            now_ms,
+            degrade,
+            state.stall_extra_ms,
+        )?;
+        let completion_ms = now_ms + record.compile_ms + record.service_ms;
         let mut requests = std::mem::take(&mut state.spare);
-        requests.extend(state.queues[net].drain(..take));
-        state.note_depth(now_ms, state.depth - take);
+        state.core.take_batch(net, take, now_ms, &mut requests);
         state.epoch += 1;
         let epoch = state.epoch;
-        if degraded {
-            state.report.fault.degraded_batches += 1;
-        }
         state.in_flight = Some(InFlightBatch {
-            network: net,
-            start_ms: now_ms,
-            compile_ms,
-            service_ms,
+            record,
             epoch,
             requests,
         });
@@ -1718,40 +1253,23 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Closes the run: depth integrals, cache stats, the drain assert,
-    /// and the exact-partition cleanup of the failed bucket.
+    /// Closes the run: the shard reports (the drain assert, depth
+    /// integrals, cache stats) and the exact-partition cleanup of the
+    /// failed bucket.
     fn finish(mut self) -> ServeRun {
-        // The cluster-wide horizon closes every shard's depth
-        // integral.
-        let makespan_ms = self
-            .shards
-            .iter()
-            .map(|state| state.report.makespan_ms)
-            .fold(0.0_f64, f64::max);
-        let reports: Vec<ShardReport> = self
+        let cores: Vec<ShardCore> = self
             .shards
             .into_iter()
-            .enumerate()
-            .map(|(shard, mut state)| {
-                assert!(
-                    state.queues.iter().all(VecDeque::is_empty),
-                    "shard {shard} stalled with queued requests (policy never became ready)"
-                );
+            .map(|state| {
                 assert!(
                     state.in_flight.is_none(),
-                    "shard {shard} finished with a batch still in flight"
+                    "shard {} finished with a batch still in flight",
+                    state.core.report.shard
                 );
-                state.note_depth(state.depth_last_ms.max(makespan_ms), 0);
-                state.report.queue_depth_mean = if makespan_ms > 0.0 {
-                    state.depth_integral_ms / makespan_ms
-                } else {
-                    0.0
-                };
-                state.report.queue_depth_max = state.depth_max;
-                state.report.cache = state.cache.into_stats();
-                state.report
+                state.core
             })
             .collect();
+        let (reports, reconfig) = shard::close(cores);
         // A request that failed its retries but whose hedge twin later
         // completed anyway is served, not failed — keep the four
         // buckets an exact partition of the trace.
@@ -1768,7 +1286,7 @@ impl<'a> Engine<'a> {
             class_stats: self.class_stats,
             preempted: self.preempted_ids.into_iter().collect(),
             scale: self.scale_stats,
-            reconfig: self.reconfig_stats,
+            reconfig,
         }
     }
 }
@@ -1780,6 +1298,7 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use crate::serve::shard::{best_config, PlanCache};
 
     #[test]
     fn plan_cache_lru_evicts_the_coldest_plan() {

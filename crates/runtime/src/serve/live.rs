@@ -8,16 +8,19 @@
 //!
 //! * A **front-door thread** paces the seeded trace onto wall-clock
 //!   time (`time_scale` wall-ms per simulated ms), runs placement and
-//!   admission control per request exactly as the engine
-//!   does, and records every *realized* admission instant.
-//! * **Shard worker threads** each own their executor, plan cache
-//!   (the engine's own [`PlanCache`] type) and per-network FIFO
-//!   queues, fed over MPSC channels; batches form by the same
-//!   [`BatchPolicy`] the engine consults, execution occupies the
-//!   worker for the *modeled* service time scaled to wall time, and
-//!   all recorded costs (service, compile) are the modeled values —
-//!   the wall clock enters only through pacing and start/completion
-//!   instants.
+//!   admission control per request through the engine's own rule
+//!   (`serve/shard.rs`), and records every *realized* admission
+//!   instant.
+//! * **Shard worker threads**, fed over MPSC channels, each own one
+//!   shard core — the same `ShardCore` the engine's shards wrap — so
+//!   queueing, the reconfiguration window, ready-queue ranking, batch
+//!   pricing and the shard report are the engine's code, not a copy.
+//!   A worker adds only what is live: it gates each batch on its
+//!   members' admission stamps plus the modeled request hop, occupies
+//!   itself for the *modeled* compile + service time scaled to wall
+//!   time, and publishes the live-view atomics. All recorded costs are the
+//!   modeled values — the wall clock enters only through pacing and
+//!   start/completion instants.
 //! * A modeled [`TransportModel`] charges per-hop latency/bandwidth
 //!   to request and response envelopes; the engine sees no transport,
 //!   so live latencies exceed replay latencies by at most one round
@@ -43,18 +46,14 @@
 //! transient-compile-fail faults reroute work and are engine-only —
 //! [`LiveServer::new`] rejects them.
 
-use super::engine::PlanCache;
-use super::fault::{FaultEvent, FaultKind, ShardFaultStats};
+use super::fault::{FaultEvent, FaultKind};
 use super::load::Request;
-use super::metrics::PlanCacheStats;
 use super::placement::{ClusterView, Placement};
-use super::policy::{BatchPolicy, PolicyDecision};
+use super::policy::BatchPolicy;
+use super::shard::{self, NextBatch, ShardCore};
 use super::transport::TransportModel;
-use super::{
-    BatchRecord, EngineConfig, ServeCluster, ServeRun, ServedRequest, ShardReport, ShardTally,
-};
+use super::{EngineConfig, ServeCluster, ServeRun};
 use crate::backend::RuntimeError;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -71,8 +70,9 @@ pub enum LiveMode {
     /// request is admitted as soon as fewer than `window` admitted
     /// requests are outstanding. Trace arrival instants are ignored;
     /// realized instants are recorded as always. The window must keep
-    /// a size-triggered policy fed (`window >= k × shards` for
-    /// `SizeK`), or the run deadlocks until the watchdog trips.
+    /// a size-triggered policy fed — `SizeK` batches per (shard,
+    /// network) queue, so `window > (k − 1) × shards × networks` — or
+    /// the run deadlocks until the watchdog trips.
     ClosedLoop {
         /// Maximum admitted-but-uncompleted requests.
         window: usize,
@@ -158,7 +158,8 @@ pub struct LiveReport {
 /// Why a live run failed.
 #[derive(Debug)]
 pub enum LiveError {
-    /// A backend rejected a batched-plan compile mid-run.
+    /// A backend rejected a batched-plan compile mid-run, or the
+    /// placement routed a request to a shard that does not exist.
     Runtime(RuntimeError),
     /// A shard worker died or wedged (details inside), or the closed
     /// loop's completion watchdog tripped.
@@ -190,16 +191,6 @@ impl From<RuntimeError> for LiveError {
     fn from(e: RuntimeError) -> Self {
         LiveError::Runtime(e)
     }
-}
-
-/// One admission envelope, front door → shard worker.
-#[derive(Debug, Clone, Copy)]
-struct Admit {
-    /// The realized request (arrival = admission stamp).
-    request: Request,
-    /// Earliest simulated instant the shard may batch it: the
-    /// admission stamp plus the modeled request-hop delay.
-    available_ms: f64,
 }
 
 /// The threaded serving twin over a compiled cluster.
@@ -237,18 +228,7 @@ impl LiveServer {
         engine: EngineConfig,
         live: LiveConfig,
     ) -> Self {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
-            "trace must be sorted by arrival_ms"
-        );
-        for request in trace {
-            assert!(
-                request.network < cluster.networks().len(),
-                "request {} targets unknown network {}",
-                request.id,
-                request.network
-            );
-        }
+        super::check_trace(&cluster, trace);
         assert!(
             live.time_scale > 0.0 && live.time_scale.is_finite(),
             "time_scale must be positive and finite, got {}",
@@ -269,7 +249,7 @@ impl LiveServer {
         assert!(
             engine.preempt.is_none() && engine.scale.is_none(),
             "preemption and autoscaling are engine-only features \
-             (reconfiguration is allowed: it is trace-deterministic)"
+             (reconfiguration runs in both worlds: its window reads admissions only)"
         );
         for event in engine.faults.events() {
             assert!(
@@ -285,7 +265,9 @@ impl LiveServer {
             cluster,
             policy,
             trace: trace.to_vec(),
-            engine,
+            // The oracle reads served ids and batch partitions from the
+            // records, so the live twin always keeps them.
+            engine: engine.with_records(),
             live,
         }
     }
@@ -307,59 +289,39 @@ impl LiveServer {
     /// # Errors
     ///
     /// [`LiveError::Runtime`] when a backend rejects a batched-plan
-    /// compile; [`LiveError::Worker`] when a worker thread dies or a
-    /// policy wedges a queue.
+    /// compile or `placement` routes a request out of range
+    /// ([`RuntimeError::PlacementOutOfRange`]); [`LiveError::Worker`]
+    /// when a worker thread dies or a policy wedges a queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid per-shard cache budget or reconfiguration
+    /// policy, as the engine does.
     pub fn run(&self, placement: &mut dyn Placement) -> Result<LiveReport, LiveError> {
         let shard_count = self.cluster.shard_count();
-        let num_networks = self.cluster.networks().len();
-        let scale = self.live.time_scale;
 
         // Live-view gauges, shared lock-free with the front door.
-        let queued: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-        let in_flight: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-        let resident: Vec<AtomicU64> = (0..shard_count).map(|_| AtomicU64::new(0)).collect();
+        let gauges: Vec<Gauges> = (0..shard_count).map(|_| Gauges::default()).collect();
 
-        // Per-shard fault windows (already validated as degrade/stall).
-        let faults: Vec<Vec<FaultEvent>> = (0..shard_count)
-            .map(|shard| {
-                self.engine
-                    .faults
-                    .events()
-                    .iter()
-                    .filter(|e| e.shard == shard)
-                    .copied()
-                    .collect()
-            })
-            .collect();
-
-        let mut to_shard: Vec<Sender<Admit>> = Vec::with_capacity(shard_count);
-        let mut from_door: Vec<Receiver<Admit>> = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let (tx, rx) = std::sync::mpsc::channel();
-            to_shard.push(tx);
-            from_door.push(rx);
-        }
+        let (to_shard, from_door): (Vec<Sender<Request>>, Vec<Receiver<Request>>) =
+            (0..shard_count).map(|_| std::sync::mpsc::channel()).unzip();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<u64>();
         let closed_loop = matches!(self.live.mode, LiveMode::ClosedLoop { .. });
 
+        let cores = ShardCore::fleet(&self.cluster, &self.engine);
         let anchor = Instant::now();
-        let result = std::thread::scope(|scope| {
+        let result: Result<_, LiveError> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(shard_count);
-            for (shard, rx) in from_door.into_iter().enumerate() {
+            for ((shard, rx), core) in from_door.into_iter().enumerate().zip(cores) {
                 let worker = Worker {
-                    shard,
+                    core,
                     cluster: &self.cluster,
-                    policy: self.policy.clone(),
-                    budget: self.engine.cache_budget.for_shard(shard),
-                    compile_ms_per_layer: self.engine.compile_ms_per_layer,
-                    faults: &faults[shard],
-                    scale,
+                    policy: self.policy.as_ref(),
+                    faults: self.engine.faults.events(),
+                    scale: self.live.time_scale,
                     transport: self.live.transport,
                     anchor,
-                    queued: &queued[shard],
-                    in_flight: &in_flight[shard],
-                    resident: &resident[shard],
-                    num_networks,
+                    gauges: &gauges[shard],
                 };
                 let done = closed_loop.then(|| done_tx.clone());
                 handles.push(scope.spawn(move || worker.serve(&rx, done.as_ref())));
@@ -367,36 +329,30 @@ impl LiveServer {
             // The workers hold clones; the front door only receives.
             drop(done_tx);
 
-            let door = self.front_door(
-                placement, &to_shard, &done_rx, anchor, &queued, &in_flight, &resident,
-            );
+            let door = self.front_door(placement, &to_shard, &done_rx, anchor, &gauges);
             // Closing the admission channels is the workers' stop
             // signal — they drain, flush and return.
             drop(to_shard);
 
-            let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(shard_count);
-            let mut first_error: Option<LiveError> = None;
-            for (shard, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(Ok(output)) => outputs.push(output),
-                    Ok(Err(error)) => {
-                        first_error.get_or_insert(error);
-                    }
-                    Err(_) => {
-                        first_error.get_or_insert(LiveError::Worker {
+            // Join every worker before reporting; the first failure in
+            // shard order wins.
+            let joined: Vec<Result<ShardCore, LiveError>> = handles
+                .into_iter()
+                .enumerate()
+                .map(|(shard, handle)| {
+                    handle.join().unwrap_or_else(|_| {
+                        Err(LiveError::Worker {
                             shard,
                             detail: "worker thread panicked".into(),
-                        });
-                    }
-                }
-            }
-            if let Some(error) = first_error {
-                return Err(error);
-            }
+                        })
+                    })
+                })
+                .collect();
+            let cores = joined.into_iter().collect::<Result<Vec<_>, _>>()?;
             let (realized_trace, rejected) = door?;
-            Ok((realized_trace, rejected, outputs))
+            Ok((realized_trace, rejected, cores))
         });
-        let (realized_trace, rejected, outputs) = result?;
+        let (realized_trace, rejected, cores) = result?;
         let wall_elapsed_ms = anchor.elapsed().as_secs_f64() * 1000.0;
 
         let num_classes = self
@@ -405,35 +361,7 @@ impl LiveServer {
             .map(|r| usize::from(r.class))
             .max()
             .map_or(1, |c| c + 1);
-        let makespan_ms = outputs
-            .iter()
-            .map(|o| o.makespan_ms)
-            .fold(0.0_f64, f64::max);
-        let reports: Vec<ShardReport> = outputs
-            .into_iter()
-            .enumerate()
-            .map(|(shard, output)| ShardReport {
-                shard,
-                platform: self.cluster.platforms()[shard],
-                tally: ShardTally::from_records(&output.requests, &output.batches),
-                requests: output.requests,
-                batches: output.batches,
-                busy_ms: output.busy_ms,
-                makespan_ms: output.makespan_ms,
-                plans_compiled: output.plans_compiled,
-                cache: output.cache,
-                queue_depth_mean: if makespan_ms > 0.0 {
-                    output.depth_integral_ms / makespan_ms
-                } else {
-                    0.0
-                },
-                queue_depth_max: output.depth_max,
-                fault: ShardFaultStats {
-                    degraded_batches: output.degraded_batches,
-                    ..ShardFaultStats::default()
-                },
-            })
-            .collect();
+        let (reports, reconfig) = shard::close(cores);
         Ok(LiveReport {
             realized_trace,
             run: ServeRun {
@@ -444,7 +372,7 @@ impl LiveServer {
                 class_stats: vec![super::ClassFaultStats::default(); num_classes],
                 preempted: Vec::new(),
                 scale: super::ScaleStats::default(),
-                reconfig: super::ReconfigStats::default(),
+                reconfig,
             },
             wall_elapsed_ms,
             config: self.live,
@@ -453,20 +381,16 @@ impl LiveServer {
 
     /// Paces admissions, runs placement + admission control, records
     /// realized stamps. Returns `(realized_trace, rejected)`.
-    #[allow(clippy::too_many_arguments)]
     fn front_door(
         &self,
         placement: &mut dyn Placement,
-        to_shard: &[Sender<Admit>],
+        to_shard: &[Sender<Request>],
         done_rx: &Receiver<u64>,
         anchor: Instant,
-        queued: &[AtomicUsize],
-        in_flight: &[AtomicUsize],
-        resident: &[AtomicU64],
+        gauges: &[Gauges],
     ) -> Result<(Vec<Request>, Vec<Request>), LiveError> {
         let shard_count = to_shard.len();
         let scale = self.live.time_scale;
-        let request_delay = self.live.transport.request_delay_ms();
         let healthy = vec![true; shard_count];
         let degrade = vec![1.0_f64; shard_count];
         let mut queued_snap = vec![0_usize; shard_count];
@@ -541,12 +465,12 @@ impl LiveServer {
             };
             realized_trace.push(realized);
 
-            // Placement + admission control, mirroring the engine's
-            // online arrival handler over a live-gauge snapshot.
+            // Placement + admission control: the engine's rule, over a
+            // live-gauge snapshot.
             for shard in 0..shard_count {
-                queued_snap[shard] = queued[shard].load(Ordering::Relaxed);
-                in_flight_snap[shard] = in_flight[shard].load(Ordering::Relaxed);
-                resident_snap[shard] = resident[shard].load(Ordering::Relaxed);
+                queued_snap[shard] = gauges[shard].queued.load(Ordering::Relaxed);
+                in_flight_snap[shard] = gauges[shard].in_flight.load(Ordering::Relaxed);
+                resident_snap[shard] = gauges[shard].resident.load(Ordering::Relaxed);
             }
             let view = ClusterView {
                 platforms: self.cluster.platforms(),
@@ -557,33 +481,18 @@ impl LiveServer {
                 healthy: &healthy,
                 degrade: &degrade,
             };
-            let chosen = placement.assign(&realized, &view);
-            assert!(
-                chosen < shard_count,
-                "placement routed request {} to shard {chosen} of {shard_count}",
-                realized.id
-            );
-            let fits = |shard: usize| {
-                self.engine.cache_budget.admits(
-                    shard,
-                    self.cluster.unit_plan_bytes()[shard][realized.network],
-                )
-            };
-            let target = if fits(chosen) {
-                Some(chosen)
-            } else {
-                (0..shard_count).find(|&shard| fits(shard))
-            };
+            let target = shard::place(
+                placement,
+                &realized,
+                &view,
+                &self.cluster,
+                &self.engine.cache_budget,
+                |_| true,
+            )?;
             match target {
                 Some(shard) => {
-                    queued[shard].fetch_add(1, Ordering::Relaxed);
-                    if to_shard[shard]
-                        .send(Admit {
-                            request: realized,
-                            available_ms: stamp + request_delay,
-                        })
-                        .is_err()
-                    {
+                    gauges[shard].queued.fetch_add(1, Ordering::Relaxed);
+                    if to_shard[shard].send(realized).is_err() {
                         // The worker is gone; its join result carries
                         // the real failure.
                         return Err(LiveError::Worker {
@@ -600,34 +509,27 @@ impl LiveServer {
     }
 }
 
-/// Per-shard worker state and parameters (borrowed into its thread).
+/// One shard's live-view gauges, written by its worker and read
+/// lock-free by the front door.
+#[derive(Default)]
+struct Gauges {
+    queued: AtomicUsize,
+    in_flight: AtomicUsize,
+    resident: AtomicU64,
+}
+
+/// One shard's worker: the shared [`ShardCore`] plus the live-only
+/// parts — transport gating, wall-clock sleeps and the live-view
+/// gauges.
 struct Worker<'a> {
-    shard: usize,
+    core: ShardCore,
     cluster: &'a ServeCluster,
-    policy: Arc<dyn BatchPolicy>,
-    budget: Option<u64>,
-    compile_ms_per_layer: f64,
+    policy: &'a dyn BatchPolicy,
     faults: &'a [FaultEvent],
     scale: f64,
     transport: TransportModel,
     anchor: Instant,
-    queued: &'a AtomicUsize,
-    in_flight: &'a AtomicUsize,
-    resident: &'a AtomicU64,
-    num_networks: usize,
-}
-
-/// What one worker hands back at join time.
-struct WorkerOutput {
-    requests: Vec<ServedRequest>,
-    batches: Vec<BatchRecord>,
-    busy_ms: f64,
-    makespan_ms: f64,
-    plans_compiled: Vec<(usize, usize)>,
-    cache: PlanCacheStats,
-    depth_integral_ms: f64,
-    depth_max: usize,
-    degraded_batches: u64,
+    gauges: &'a Gauges,
 }
 
 impl Worker<'_> {
@@ -645,96 +547,48 @@ impl Worker<'_> {
         }
     }
 
-    /// The service multiplier and compile surcharge of the fault
-    /// windows active at `t_ms` (latest-starting window wins, like the
-    /// engine's depth-tracked state).
-    fn fault_state_at(&self, t_ms: f64) -> (f64, f64) {
-        let mut factor = 1.0;
-        let mut extra = 0.0;
-        for event in self.faults {
+    /// This shard's fault windows covering `t_ms`, in one pass: the degrade
+    /// factor (`None` outside every degrade window; a factor-1.0
+    /// window still counts, as in the engine) and the compile-stall
+    /// surcharge (0 outside every stall window). Among overlapping
+    /// windows the latest-starting one wins.
+    fn fault_state_at(&self, t_ms: f64) -> (Option<f64>, f64) {
+        let covers = |at_ms: f64, window_ms: f64| at_ms <= t_ms && t_ms < at_ms + window_ms;
+        let mut degrade = None;
+        let mut stall_extra_ms = 0.0;
+        let shard = self.core.report.shard;
+        for event in self.faults.iter().filter(|event| event.shard == shard) {
             match event.kind {
-                FaultKind::Degrade {
-                    factor: f,
-                    window_ms,
-                } => {
-                    if event.at_ms <= t_ms && t_ms < event.at_ms + window_ms {
-                        factor = f;
-                    }
+                FaultKind::Degrade { factor, window_ms } if covers(event.at_ms, window_ms) => {
+                    degrade = Some(factor);
                 }
                 FaultKind::StallCompile {
                     extra_ms,
                     window_ms,
-                } => {
-                    if event.at_ms <= t_ms && t_ms < event.at_ms + window_ms {
-                        extra = extra_ms;
-                    }
-                }
-                // Rejected at construction.
-                FaultKind::Crash { .. } | FaultKind::TransientCompileFail { .. } => {}
+                } if covers(event.at_ms, window_ms) => stall_extra_ms = extra_ms,
+                // Outside its window, or engine-only (rejected at
+                // construction).
+                _ => {}
             }
         }
-        (factor, extra)
+        (degrade, stall_extra_ms)
     }
 
     /// The worker loop: drain admissions, form batches by the shared
-    /// policy, execute each batch for its modeled (scaled) duration.
+    /// ranking, execute each batch for its modeled (scaled) duration.
+    /// Returns the core for [`shard::close`].
     fn serve(
-        self,
-        rx: &Receiver<Admit>,
+        mut self,
+        rx: &Receiver<Request>,
         done: Option<&Sender<u64>>,
-    ) -> Result<WorkerOutput, LiveError> {
-        let mut queues: Vec<VecDeque<Request>> =
-            (0..self.num_networks).map(|_| VecDeque::new()).collect();
-        let mut available: Vec<VecDeque<f64>> =
-            (0..self.num_networks).map(|_| VecDeque::new()).collect();
-        let mut cache = PlanCache::new(self.budget);
-        let mut service_memo: std::collections::BTreeMap<(usize, usize), f64> =
-            std::collections::BTreeMap::new();
-        let mut out = WorkerOutput {
-            requests: Vec::new(),
-            batches: Vec::new(),
-            busy_ms: 0.0,
-            makespan_ms: 0.0,
-            plans_compiled: Vec::new(),
-            cache: PlanCacheStats::default(),
-            depth_integral_ms: 0.0,
-            depth_max: 0,
-            degraded_batches: 0,
-        };
-        let mut depth = 0_usize;
-        let mut depth_last_ms = 0.0_f64;
+    ) -> Result<ShardCore, LiveError> {
+        let mut members: Vec<Request> = Vec::new();
         let mut open = true;
-
-        let note_depth = |integral: &mut f64,
-                          depth: &mut usize,
-                          last: &mut f64,
-                          max: &mut usize,
-                          now: f64,
-                          next: usize| {
-            *integral += *depth as f64 * (now - *last);
-            *last = now;
-            *depth = next;
-            *max = (*max).max(next);
-        };
-
         loop {
             // Drain everything already admitted, without blocking.
             loop {
                 match rx.try_recv() {
-                    Ok(admit) => {
-                        let now = self.sim_now();
-                        let next = depth + 1;
-                        note_depth(
-                            &mut out.depth_integral_ms,
-                            &mut depth,
-                            &mut depth_last_ms,
-                            &mut out.depth_max,
-                            now,
-                            next,
-                        );
-                        queues[admit.request.network].push_back(admit.request);
-                        available[admit.request.network].push_back(admit.available_ms);
-                    }
+                    Ok(request) => self.core.admit(request, self.sim_now()),
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
                         open = false;
@@ -743,210 +597,94 @@ impl Worker<'_> {
                 }
             }
 
-            // Policy pass, mirroring the engine's dispatch selection:
-            // most urgent ready queue first, lowest network on ties.
             let now_ms = self.sim_now();
-            let mut ready: Vec<(f64, usize, usize)> = Vec::new();
-            let mut wake_ms = f64::INFINITY;
-            for (net, queue) in queues.iter_mut().enumerate() {
-                if queue.is_empty() {
+            let wake_ms = match self.core.next_batch(self.policy, now_ms, |_| open, false) {
+                NextBatch::Launch { net, take } => {
+                    self.execute_batch(net, take, &mut members, done)?;
                     continue;
                 }
-                let contiguous: &[Request] = queue.make_contiguous();
-                match self.policy.decide(contiguous, now_ms, open) {
-                    PolicyDecision::Dispatch { take } => {
-                        let take = take.clamp(1, contiguous.len());
-                        let urgency = self.policy.urgency(contiguous, now_ms);
-                        ready.push((urgency, net, take));
-                    }
-                    PolicyDecision::WaitUntil(at) => wake_ms = wake_ms.min(at),
-                    PolicyDecision::WaitForArrivals => {}
-                }
-            }
-            ready.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                NextBatch::Wait { wake_ms, .. } => wake_ms,
+            };
 
-            if let Some(&(_, net, take)) = ready.first() {
-                self.execute_batch(
-                    net,
-                    take,
-                    &mut queues,
-                    &mut available,
-                    &mut cache,
-                    &mut service_memo,
-                    &mut out,
-                    done,
-                )?;
-                let now = self.sim_now();
-                let next = depth.saturating_sub(take);
-                note_depth(
-                    &mut out.depth_integral_ms,
-                    &mut depth,
-                    &mut depth_last_ms,
-                    &mut out.depth_max,
-                    now,
-                    next,
-                );
-                continue;
-            }
-
-            let all_empty = queues.iter().all(VecDeque::is_empty);
-            if !open && all_empty {
-                break;
-            }
             if !open {
+                if self.core.depth() == 0 {
+                    break;
+                }
                 if wake_ms.is_finite() {
                     // A timed batch close (e.g. a Deadline expiry)
                     // still pending after the trace ended.
                     self.sleep_until(wake_ms);
                     continue;
                 }
-                let pending: usize = queues.iter().map(VecDeque::len).sum();
                 return Err(LiveError::Worker {
-                    shard: self.shard,
+                    shard: self.core.report.shard,
                     detail: format!(
-                        "wedged with {pending} queued requests (policy never became ready \
-                         after the trace ended)"
+                        "wedged with {} queued requests (policy never became ready after \
+                         the trace ended)",
+                        self.core.depth()
                     ),
                 });
             }
             // Open: block until the next admission (or the batch-close
             // instant, whichever is sooner).
-            if wake_ms.is_finite() {
+            let received = if wake_ms.is_finite() {
                 let wall_ms = ((wake_ms - self.sim_now()) * self.scale).max(0.0);
-                match rx.recv_timeout(wall_duration(wall_ms)) {
-                    Ok(admit) => {
-                        let now = self.sim_now();
-                        let next = depth + 1;
-                        note_depth(
-                            &mut out.depth_integral_ms,
-                            &mut depth,
-                            &mut depth_last_ms,
-                            &mut out.depth_max,
-                            now,
-                            next,
-                        );
-                        queues[admit.request.network].push_back(admit.request);
-                        available[admit.request.network].push_back(admit.available_ms);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => open = false,
-                }
+                rx.recv_timeout(wall_duration(wall_ms))
             } else {
-                match rx.recv() {
-                    Ok(admit) => {
-                        let now = self.sim_now();
-                        let next = depth + 1;
-                        note_depth(
-                            &mut out.depth_integral_ms,
-                            &mut depth,
-                            &mut depth_last_ms,
-                            &mut out.depth_max,
-                            now,
-                            next,
-                        );
-                        queues[admit.request.network].push_back(admit.request);
-                        available[admit.request.network].push_back(admit.available_ms);
-                    }
-                    Err(_) => open = false,
-                }
+                rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+            };
+            match received {
+                Ok(request) => self.core.admit(request, self.sim_now()),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => open = false,
             }
         }
-        out.cache = cache.into_stats();
-        Ok(out)
+        Ok(self.core)
     }
 
-    /// Launches one batch: transport gate, modeled compile + service
-    /// (fault windows applied), scaled occupancy sleep, records.
-    #[allow(clippy::too_many_arguments)]
+    /// Launches one batch: transport gate, the shared pricing under
+    /// the fault windows at its start, scaled occupancy sleep, and the
+    /// shared accounting.
     fn execute_batch(
-        &self,
+        &mut self,
         net: usize,
         take: usize,
-        queues: &mut [VecDeque<Request>],
-        available: &mut [VecDeque<f64>],
-        cache: &mut PlanCache,
-        service_memo: &mut std::collections::BTreeMap<(usize, usize), f64>,
-        out: &mut WorkerOutput,
+        members: &mut Vec<Request>,
         done: Option<&Sender<u64>>,
     ) -> Result<(), LiveError> {
-        let members: Vec<Request> = queues[net].drain(..take).collect();
-        let mut gate_ms = 0.0_f64;
-        for _ in 0..take {
-            if let Some(avail) = available[net].pop_front() {
-                gate_ms = gate_ms.max(avail);
-            }
-        }
-        self.queued.fetch_sub(take, Ordering::Relaxed);
+        members.clear();
+        let now_ms = self.sim_now();
+        self.core.take_batch(net, take, now_ms, members);
+        self.gauges.queued.fetch_sub(take, Ordering::Relaxed);
         // No member may be batched before its request envelope has
-        // crossed the modeled link.
+        // crossed the modeled link: admission stamp plus request hop.
+        let hop_ms = self.transport.request_delay_ms();
+        let gate_ms = members
+            .iter()
+            .map(|request| request.arrival_ms + hop_ms)
+            .fold(0.0_f64, f64::max);
         self.sleep_until(gate_ms);
         let start_ms = self.sim_now();
-
-        let service_base = match service_memo.get(&(net, take)) {
-            Some(&ms) => ms,
-            None => {
-                let plan = self
-                    .cluster
-                    .shard_executor(self.shard)
-                    .with_batch(take)
-                    .try_plan(&self.cluster.networks()[net])?;
-                let ms = plan.run().total_ms;
-                out.plans_compiled.push((net, take));
-                service_memo.insert((net, take), ms);
-                ms
-            }
-        };
-        let (degrade_factor, stall_extra) = self.fault_state_at(start_ms);
-        // Window membership decides the counter (the engine's rule —
-        // a factor-1.0 window still counts), and the factor is exactly
-        // 1.0 outside every window, so the multiply is an identity
-        // there.
-        let service_ms = if self.degrade_window_active(start_ms) {
-            out.degraded_batches += 1;
-            service_base * degrade_factor
-        } else {
-            service_base
-        };
-        let compile_charge = self.compile_ms_per_layer
-            * self.cluster.unit_plan(self.shard, net).layer_count() as f64
-            + stall_extra;
-        let compile_ms = cache.access(
-            (net, take),
-            self.cluster.unit_plan_bytes()[self.shard][net],
-            compile_charge,
-        );
-        self.resident
-            .store(cache.resident_bytes(), Ordering::Relaxed);
+        let (degrade, stall_extra_ms) = self.fault_state_at(start_ms);
+        let batch = self
+            .core
+            .price(self.cluster, net, take, start_ms, degrade, stall_extra_ms)?;
+        self.gauges
+            .resident
+            .store(self.core.resident_bytes(), Ordering::Relaxed);
 
         // Occupy the shard for the modeled duration, scaled to wall
         // time. The recorded costs stay the modeled values; only the
         // instants are live.
-        self.in_flight.store(take, Ordering::Relaxed);
-        self.sleep_until(start_ms + compile_ms + service_ms);
-        self.in_flight.store(0, Ordering::Relaxed);
+        self.gauges.in_flight.store(take, Ordering::Relaxed);
+        self.sleep_until(start_ms + batch.compile_ms + batch.service_ms);
+        self.gauges.in_flight.store(0, Ordering::Relaxed);
         let finish_ms = self.sim_now();
-        let response_delay = self.transport.response_delay_ms();
-
-        out.busy_ms += compile_ms + service_ms;
-        out.makespan_ms = out.makespan_ms.max(finish_ms);
-        out.batches.push(BatchRecord {
-            network: net,
-            size: take,
-            start_ms,
-            service_ms,
-            compile_ms,
-        });
-        for request in members {
-            out.requests.push(ServedRequest {
-                id: request.id,
-                network: request.network,
-                arrival_ms: request.arrival_ms,
-                deadline_ms: request.deadline_ms,
-                class: request.class,
-                start_ms,
-                completion_ms: finish_ms + response_delay,
-                batch_size: take,
-            });
+        let completion_ms = finish_ms + self.transport.response_delay_ms();
+        self.core.note_batch(batch, finish_ms);
+        for request in members.iter() {
+            self.core
+                .note_served(request, start_ms, completion_ms, take);
             if let Some(done_tx) = done {
                 // The front door may have stopped listening (open
                 // loop drains nothing); that is not an error.
@@ -954,15 +692,6 @@ impl Worker<'_> {
             }
         }
         Ok(())
-    }
-
-    /// Whether any degrade window (even factor 1.0) covers `t_ms` —
-    /// the engine counts window membership, not slowdown.
-    fn degrade_window_active(&self, t_ms: f64) -> bool {
-        self.faults.iter().any(|event| {
-            matches!(event.kind, FaultKind::Degrade { window_ms, .. }
-                if event.at_ms <= t_ms && t_ms < event.at_ms + window_ms)
-        })
     }
 }
 

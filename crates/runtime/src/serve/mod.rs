@@ -91,6 +91,7 @@ mod oracle;
 mod placement;
 mod policy;
 mod scale;
+mod shard;
 mod slo;
 mod transport;
 
@@ -400,6 +401,25 @@ impl ServeCluster {
     }
 }
 
+/// Panics unless `trace` is in arrival order and names only hosted
+/// networks. The event queue merges the trace as a sorted stream and
+/// the backlog-aware placements assume arrival order; an unsorted
+/// trace would silently skew every latency, so reject it loudly.
+fn check_trace(cluster: &ServeCluster, trace: &[Request]) {
+    assert!(
+        trace.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
+        "trace must be sorted by arrival_ms"
+    );
+    for request in trace {
+        assert!(
+            request.network < cluster.networks().len(),
+            "request {} targets unknown network {}",
+            request.id,
+            request.network
+        );
+    }
+}
+
 /// A serving simulation: a compiled cluster, a batching policy, an
 /// arrival trace and the engine configuration.
 ///
@@ -457,21 +477,7 @@ impl ServeSim {
         trace: &[Request],
         config: EngineConfig,
     ) -> Self {
-        // The event queue merges the trace as a sorted stream and the
-        // backlog-aware placements assume arrival order; an unsorted
-        // trace would silently skew every latency, so reject it loudly.
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
-            "trace must be sorted by arrival_ms"
-        );
-        for request in trace {
-            assert!(
-                request.network < cluster.networks().len(),
-                "request {} targets unknown network {}",
-                request.id,
-                request.network
-            );
-        }
+        check_trace(&cluster, trace);
         ServeSim {
             cluster,
             policy,
@@ -497,9 +503,10 @@ impl ServeSim {
     ///
     /// Propagates a [`RuntimeError`] from the backend rejecting a lazy
     /// batched-plan compile mid-run (a custom backend may accept a
-    /// shape at batch 1 but reject it scaled by the batch size).
-    /// Panics if `placement` routes out of range or a policy wedges a
-    /// queue (never becomes ready).
+    /// shape at batch 1 but reject it scaled by the batch size), and
+    /// returns [`RuntimeError::PlacementOutOfRange`] if `placement`
+    /// routes a request to a shard the cluster does not have. Panics
+    /// if a policy wedges a queue (never becomes ready).
     pub fn try_run(&self, placement: &mut dyn Placement) -> Result<ServeRun, RuntimeError> {
         engine::run_engine(
             &self.cluster,

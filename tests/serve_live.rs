@@ -20,11 +20,12 @@
 //! reads admissions, never completion timing).
 
 use sma::runtime::serve::{
-    diff_outcomes, discrete_outcomes, replay, BatchPolicy, CacheBudget, EngineConfig, FaultEvent,
-    FaultKind, FaultPlan, Immediate, LiveConfig, LiveMode, LiveReport, LiveServer, LoadGenerator,
-    Placement, PlatformAffinity, ReconfigPolicy, RoundRobin, ServeCluster, SizeK, TransportModel,
+    diff_outcomes, discrete_outcomes, replay, BatchPolicy, CacheBudget, ClusterView, EngineConfig,
+    FaultEvent, FaultKind, FaultPlan, Immediate, LiveConfig, LiveError, LiveMode, LiveReport,
+    LiveServer, LoadGenerator, Placement, PlatformAffinity, ReconfigPolicy, Request, RoundRobin,
+    ServeCluster, ServeSim, ShardTally, SizeK, TransportModel,
 };
-use sma::runtime::{Executor, Platform};
+use sma::runtime::{Executor, Platform, RuntimeError};
 use std::sync::Arc;
 
 mod common;
@@ -46,7 +47,7 @@ fn small_cluster() -> Arc<ServeCluster> {
 }
 
 /// A seeded two-network trace with SLO deadlines.
-fn trace(seed: u64, count: usize) -> Vec<sma::runtime::serve::Request> {
+fn trace(seed: u64, count: usize) -> Vec<Request> {
     LoadGenerator::new(seed, 2.0).with_slo(60.0).trace(count, 2)
 }
 
@@ -56,7 +57,7 @@ fn trace(seed: u64, count: usize) -> Vec<sma::runtime::serve::Request> {
 fn assert_live_replay_agree(
     cluster: &Arc<ServeCluster>,
     policy: &Arc<dyn BatchPolicy>,
-    trace: &[sma::runtime::serve::Request],
+    trace: &[Request],
     engine: EngineConfig,
     live_config: LiveConfig,
     live_placement: &mut dyn Placement,
@@ -94,6 +95,26 @@ fn assert_live_replay_agree(
     let replay_outcomes = discrete_outcomes(&replayed);
     let diffs = diff_outcomes(&live_outcomes, &replay_outcomes);
     assert!(diffs.is_empty(), "live/replay diverged: {diffs:#?}");
+    // Both worlds price batches through one service memo, seeded with
+    // the cluster's batch-1 plans: they compile the same plan keys.
+    let sorted = |plans: &[(usize, usize)]| {
+        let mut plans = plans.to_vec();
+        plans.sort_unstable();
+        plans
+    };
+    for (live, oracle) in report.run.reports.iter().zip(&replayed.reports) {
+        assert_eq!(
+            sorted(&live.plans_compiled),
+            sorted(&oracle.plans_compiled),
+            "shard {} plans",
+            live.shard
+        );
+        // The live tally is built incrementally, like the engine's.
+        assert_eq!(
+            ShardTally::from_records(&live.requests, &live.batches),
+            live.tally
+        );
+    }
     (report, replayed)
 }
 
@@ -318,14 +339,15 @@ fn quantized_simultaneous_stamps_replay_deterministically() {
 fn zero_rate_live_run_is_empty_but_valid() {
     let cluster = small_cluster();
     let policy: Arc<dyn BatchPolicy> = Arc::new(Immediate);
-    let server = LiveServer::new(
-        cluster.clone(),
-        policy.clone(),
+    let (report, _) = assert_live_replay_agree(
+        &cluster,
+        &policy,
         &[],
         EngineConfig::default(),
         LiveConfig::new(0.02),
+        &mut RoundRobin::default(),
+        &mut RoundRobin::default(),
     );
-    let report = server.run(&mut RoundRobin::default()).expect("empty run");
     assert!(report.realized_trace.is_empty());
     assert!(report.run.rejected.is_empty());
     assert_eq!(report.run.reports.len(), cluster.shard_count());
@@ -336,19 +358,6 @@ fn zero_rate_live_run_is_empty_but_valid() {
         assert_eq!(shard_report.busy_ms.to_bits(), 0.0_f64.to_bits());
         assert_eq!(shard_report.queue_depth_max, 0);
     }
-    let replayed = replay(
-        &cluster,
-        &policy,
-        &report.realized_trace,
-        &EngineConfig::default(),
-        &mut RoundRobin::default(),
-    )
-    .expect("empty replay");
-    let diffs = diff_outcomes(
-        &discrete_outcomes(&report.run),
-        &discrete_outcomes(&replayed),
-    );
-    assert!(diffs.is_empty(), "{diffs:#?}");
 }
 
 #[test]
@@ -391,10 +400,11 @@ fn traffic_mix_reconfiguration_agrees_exactly() {
     // configuration is a pure function of the admission history (the
     // sliding shape-histogram window reads arrivals and placements,
     // never completion timing), so a reconfig-enabled run sits inside
-    // the oracle's timing-robust envelope — under a size-k partition
-    // and a trace-deterministic placement the discrete outcomes replay
-    // exactly, penalty-priced service times and all. That claim is
-    // what this test pins.
+    // the oracle's timing-robust envelope. Under a size-k partition
+    // and a trace-deterministic placement the discrete outcomes and
+    // the compiled plans replay exactly, and so do the window's
+    // evaluation and reconfiguration counts — both worlds feed it
+    // through the same shard core.
     let cluster = Arc::new(
         ServeCluster::try_new(
             vec![
@@ -426,6 +436,52 @@ fn traffic_mix_reconfiguration_agrees_exactly() {
     assert!(
         replayed.reconfig.evaluations > 0,
         "the replay exercised the traffic-mix window"
+    );
+    assert_eq!(report.run.reconfig, replayed.reconfig);
+}
+
+/// Routes every request to a shard one past the end of the cluster.
+#[derive(Debug)]
+struct Rogue;
+
+impl Placement for Rogue {
+    fn label(&self) -> String {
+        "rogue".into()
+    }
+
+    fn assign(&mut self, _: &Request, cluster: &ClusterView<'_>) -> usize {
+        cluster.shard_count()
+    }
+}
+
+#[test]
+fn out_of_range_placement_is_an_error_in_both_worlds() {
+    let cluster = small_cluster();
+    let policy: Arc<dyn BatchPolicy> = Arc::new(Immediate);
+    let trace = trace(73, 8);
+    let expected = RuntimeError::PlacementOutOfRange {
+        request: trace[0].id,
+        shard: 2,
+        shard_count: 2,
+    };
+    let sim = ServeSim::with_cluster(
+        cluster.clone(),
+        policy.clone(),
+        &trace,
+        EngineConfig::default(),
+    );
+    assert_eq!(sim.try_run(&mut Rogue).err(), Some(expected.clone()));
+    let server = LiveServer::new(
+        cluster,
+        policy,
+        &trace,
+        EngineConfig::default(),
+        LiveConfig::new(0.02),
+    );
+    let live = server.run(&mut Rogue);
+    assert!(
+        matches!(&live, Err(LiveError::Runtime(error)) if *error == expected),
+        "{live:?}"
     );
 }
 
