@@ -138,6 +138,23 @@ pub enum RuntimeError {
         /// The cluster's shard count.
         shard_count: usize,
     },
+    /// A serving trace broke the id contract: the request at trace
+    /// position `position` carries id `id`, but request ids must equal
+    /// trace positions (the engine indexes per-request state by id).
+    TraceIdMismatch {
+        /// The request's position in the trace.
+        position: usize,
+        /// The id it carries.
+        id: u64,
+    },
+    /// A [`FaultPlan`](crate::serve::FaultPlan) targets a shard the
+    /// cluster does not have.
+    FaultShardOutOfRange {
+        /// The shard the fault names.
+        shard: usize,
+        /// The cluster's shard count.
+        shard_count: usize,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -154,6 +171,13 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "placement routed request {request} to shard {shard} of {shard_count}"
             ),
+            RuntimeError::TraceIdMismatch { position, id } => write!(
+                f,
+                "trace request at position {position} has id {id}; ids must equal trace positions"
+            ),
+            RuntimeError::FaultShardOutOfRange { shard, shard_count } => {
+                write!(f, "fault plan targets shard {shard} of {shard_count}")
+            }
         }
     }
 }

@@ -26,6 +26,10 @@
 //! [`NetworkPlan::mem_bytes`](crate::NetworkPlan::mem_bytes); a miss
 //! bills `compile_ms_per_layer × layers` before the batch starts.
 //!
+//! Request ids are trace positions, checked before the first event: the
+//! per-request sets are bitsets indexed by id, and retry and hedge
+//! events carry a trace slot, not a copy of the request.
+//!
 //! The fault model, injected-event ordering and recovery semantics are
 //! specified in `docs/FAULT_TOLERANCE.md`; an empty [`FaultPlan`] (the
 //! default) leaves every byte of the fault-free engine's output
@@ -42,7 +46,7 @@ use super::{BatchRecord, ServeCluster, ShardReport};
 use crate::backend::RuntimeError;
 use sma_energy::EnergyModel;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Per-shard plan-cache capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,6 +216,12 @@ impl EngineConfig {
         self.records = true;
         self
     }
+
+    /// Whether a run must track served and failed ids: hedging,
+    /// crash-retry and preemption can attempt to serve one id twice.
+    fn track_ids(&self) -> bool {
+        self.hedge.is_some() || self.preempt.is_some() || !self.faults.is_empty()
+    }
 }
 
 /// Everything one engine run produced: per-shard reports (shard
@@ -271,7 +281,9 @@ const CLASS_PREEMPT: u8 = 6;
 const CLASS_SCALE: u8 = 7;
 
 /// What a popped event does. The payload is deliberately not part of
-/// the ordering — `(time, class, seq)` stays the total order.
+/// the ordering — `(time, class, seq)` stays the total order. Payloads
+/// are indices into data the engine borrows (the fault plan, the
+/// trace), never copies of it, so a heap entry stays small.
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
     /// The in-flight batch of epoch `epoch` finishes (stale epochs —
@@ -279,26 +291,23 @@ enum EventKind {
     Complete { epoch: u64 },
     /// A batch-close timer from a [`PolicyDecision::WaitUntil`].
     Timer,
-    /// [`FaultKind::Crash`] fires.
-    Crash { recover_ms: f64 },
+    /// Event `index` of the configured [`FaultPlan`] fires: a crash, or
+    /// the opening of a degrade, compile-stall or transient
+    /// compile-failure window.
+    Fault { index: usize },
     /// The shard comes back up (stale if a later crash extended the
     /// outage).
     Recover,
-    /// [`FaultKind::Degrade`] window opens.
-    DegradeStart { factor: f64, window_ms: f64 },
     /// A degrade window closes.
     DegradeEnd,
-    /// [`FaultKind::StallCompile`] window opens.
-    StallStart { extra_ms: f64, window_ms: f64 },
     /// A compile-stall window closes.
     StallEnd,
-    /// [`FaultKind::TransientCompileFail`] window opens (closes by
-    /// timestamp comparison; blocked shards schedule their own wake).
-    CompileFailStart { window_ms: f64 },
-    /// A crash victim re-enters admission after its backoff.
-    Retry { request: Request, from_shard: usize },
-    /// The hedge delay of an admitted request expired.
-    Hedge { request: Request, origin: usize },
+    /// The crash victim at trace position `slot` re-enters admission
+    /// after its backoff; the event's shard is the one it crashed on.
+    Retry { slot: usize },
+    /// The hedge delay of the request at trace position `slot`
+    /// expired; the event's shard is the one it was admitted to.
+    Hedge { slot: usize },
     /// An urgent arrival claimed the shard: evict the running batch of
     /// epoch `epoch` (stale epochs — the batch completed or was
     /// already evicted at this instant — are ignored).
@@ -318,6 +327,10 @@ struct Event {
     shard: usize,
     kind: EventKind,
 }
+
+// Every heap push and pop moves entries, so events stay small: no
+// variant may carry a `Request` or other bulky payload.
+const _: () = assert!(std::mem::size_of::<Event>() <= 48);
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -351,6 +364,60 @@ struct InFlightBatch {
     /// completion event already in the queue.
     epoch: u64,
     requests: Vec<Request>,
+}
+
+/// A dense set of request ids: one bit per trace position, in `u64`
+/// words. Request ids are trace positions (checked before a run
+/// starts), so this replaces a tree set at a bit per request. A set
+/// sized for no ids allocates nothing and reads as empty — the engine
+/// sizes a set only when a configured feature uses it.
+#[derive(Debug)]
+struct IdSet {
+    words: Vec<u64>,
+}
+
+impl IdSet {
+    /// An empty set with room for ids `0..len`.
+    fn with_len(len: usize) -> Self {
+        IdSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Whether `id` is in the set.
+    #[inline]
+    fn contains(&self, id: u64) -> bool {
+        self.words
+            .get((id / 64) as usize)
+            .is_some_and(|word| word & (1 << (id % 64)) != 0)
+    }
+
+    /// Adds `id` and returns whether it was already in the set.
+    #[inline]
+    fn set(&mut self, id: u64) -> bool {
+        let word = &mut self.words[(id / 64) as usize];
+        let bit = 1 << (id % 64);
+        let was_set = *word & bit != 0;
+        *word |= bit;
+        was_set
+    }
+
+    /// Removes `id`.
+    #[inline]
+    fn clear(&mut self, id: u64) {
+        if let Some(word) = self.words.get_mut((id / 64) as usize) {
+            *word &= !(1 << (id % 64));
+        }
+    }
+
+    /// The ids in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().zip(0u64..).flat_map(|(&word, index)| {
+            (0..64)
+                .filter(move |bit| word & (1 << bit) != 0)
+                .map(move |bit| index * 64 + bit)
+        })
+    }
 }
 
 /// Live state of one shard inside the event loop: the shared
@@ -406,6 +473,9 @@ struct Engine<'a> {
     cluster: &'a ServeCluster,
     policy: &'a dyn BatchPolicy,
     config: &'a EngineConfig,
+    /// The arrival trace; retry and hedge events read their request
+    /// back from it by position.
+    trace: &'a [Request],
     shards: Vec<ShardState>,
     heap: BinaryHeap<Event>,
     seq: u64,
@@ -413,21 +483,21 @@ struct Engine<'a> {
     shed: Vec<Request>,
     failed: Vec<Request>,
     class_stats: Vec<ClassFaultStats>,
-    /// Ids already served (first completion wins). Maintained only
-    /// when faults or hedging are configured — the fault-free path
-    /// never consults it.
-    served: BTreeSet<u64>,
+    /// Ids already served (first completion wins). Sized only when
+    /// [`EngineConfig::track_ids`] holds — the feature-free path never
+    /// consults it.
+    served: IdSet,
     /// Ids already in `failed` (dedup — hedge twins can fail twice).
-    failed_ids: BTreeSet<u64>,
+    /// Sized with `served`.
+    failed_ids: IdSet,
     /// Retries scheduled so far, per request id.
     attempts: BTreeMap<u64, u32>,
     /// Arrivals still to come, per network.
     global_future: Vec<usize>,
     /// Number of SLO classes in the trace (max class + 1).
     num_classes: usize,
-    /// Ids preempted at least once (maintained only with preemption
-    /// on).
-    preempted_ids: BTreeSet<u64>,
+    /// Ids preempted at least once (sized only with preemption on).
+    preempted_ids: IdSet,
     /// Autoscaler fleet state: whether each shard is powered.
     active: Vec<bool>,
     /// Drain-before-remove: a draining shard stops accepting
@@ -468,8 +538,8 @@ pub(super) fn run_engine(
     if let Some(scale) = &config.scale {
         scale.validate(cluster.shard_count());
     }
-    let mut engine = Engine::new(cluster, policy, config, trace);
-    engine.schedule_faults();
+    let mut engine = Engine::new(cluster, policy, config, trace)?;
+    engine.schedule_faults()?;
     engine.schedule_first_scale_tick();
 
     let mut cursor = 0usize;
@@ -485,9 +555,8 @@ pub(super) fn run_engine(
             (None, None) => break,
         };
         if take_arrival {
-            let request = trace[cursor];
+            engine.on_arrival(placement, cursor)?;
             cursor += 1;
-            engine.on_arrival(placement, request)?;
         } else if let Some(event) = engine.heap.pop() {
             engine.on_event(placement, event)?;
         } else {
@@ -498,12 +567,15 @@ pub(super) fn run_engine(
 }
 
 impl<'a> Engine<'a> {
+    /// Builds the run state in one pass over the trace, which also
+    /// checks the id contract: [`RuntimeError::TraceIdMismatch`] unless
+    /// every request's id is its trace position.
     fn new(
         cluster: &'a ServeCluster,
         policy: &'a dyn BatchPolicy,
         config: &'a EngineConfig,
-        trace: &[Request],
-    ) -> Self {
+        trace: &'a [Request],
+    ) -> Result<Self, RuntimeError> {
         let shard_count = cluster.shard_count();
         let net_count = cluster.networks().len();
         let shards: Vec<ShardState> = ShardCore::fleet(cluster, config)
@@ -525,7 +597,13 @@ impl<'a> Engine<'a> {
             .collect();
         let mut global_future = vec![0usize; net_count];
         let mut max_class = 0usize;
-        for request in trace {
+        for (position, request) in trace.iter().enumerate() {
+            if usize::try_from(request.id) != Ok(position) {
+                return Err(RuntimeError::TraceIdMismatch {
+                    position,
+                    id: request.id,
+                });
+            }
             global_future[request.network] += 1;
             max_class = max_class.max(usize::from(request.class));
         }
@@ -536,10 +614,12 @@ impl<'a> Engine<'a> {
             .scale
             .filter(AutoscalePolicy::enabled)
             .map(|_| EnergyFrontier::from_cluster(cluster, &EnergyModel::volta()));
-        Engine {
+        let ids_if = |used: bool| IdSet::with_len(if used { trace.len() } else { 0 });
+        Ok(Engine {
             cluster,
             policy,
             config,
+            trace,
             shards,
             heap: BinaryHeap::new(),
             seq: 0,
@@ -547,12 +627,12 @@ impl<'a> Engine<'a> {
             shed: Vec::new(),
             failed: Vec::new(),
             class_stats: vec![ClassFaultStats::default(); num_classes],
-            served: BTreeSet::new(),
-            failed_ids: BTreeSet::new(),
+            served: ids_if(config.track_ids()),
+            failed_ids: ids_if(config.track_ids()),
             attempts: BTreeMap::new(),
             global_future,
             num_classes,
-            preempted_ids: BTreeSet::new(),
+            preempted_ids: ids_if(config.preempt.is_some()),
             active: vec![true; shard_count],
             draining: vec![false; shard_count],
             up_streak: 0,
@@ -566,15 +646,7 @@ impl<'a> Engine<'a> {
             live_resident: vec![0; shard_count],
             live_healthy: vec![true; shard_count],
             live_degrade: vec![1.0; shard_count],
-        }
-    }
-
-    /// Whether the served-id set must be maintained: hedging,
-    /// crash-retry and preemption can attempt to serve one id twice.
-    fn track_ids(&self) -> bool {
-        self.config.hedge.is_some()
-            || self.config.preempt.is_some()
-            || !self.config.faults.is_empty()
+        })
     }
 
     /// Seeds the autoscaler's first tick (a no-op when the feature is
@@ -586,33 +658,26 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Seeds the event queue with the configured fault schedule.
-    fn schedule_faults(&mut self) {
+    /// Seeds the event queue with the configured fault schedule;
+    /// [`RuntimeError::FaultShardOutOfRange`] if a fault names a shard
+    /// the cluster does not have.
+    fn schedule_faults(&mut self) -> Result<(), RuntimeError> {
         let shard_count = self.shards.len();
-        for fault in self.config.faults.events() {
-            assert!(
-                fault.shard < shard_count,
-                "fault plan targets shard {} of {shard_count}",
-                fault.shard
+        for (index, fault) in self.config.faults.events().iter().enumerate() {
+            if fault.shard >= shard_count {
+                return Err(RuntimeError::FaultShardOutOfRange {
+                    shard: fault.shard,
+                    shard_count,
+                });
+            }
+            self.push_event(
+                fault.at_ms,
+                CLASS_FAULT,
+                fault.shard,
+                EventKind::Fault { index },
             );
-            let kind = match fault.kind {
-                FaultKind::Crash { recover_ms } => EventKind::Crash { recover_ms },
-                FaultKind::Degrade { factor, window_ms } => {
-                    EventKind::DegradeStart { factor, window_ms }
-                }
-                FaultKind::StallCompile {
-                    extra_ms,
-                    window_ms,
-                } => EventKind::StallStart {
-                    extra_ms,
-                    window_ms,
-                },
-                FaultKind::TransientCompileFail { window_ms } => {
-                    EventKind::CompileFailStart { window_ms }
-                }
-            };
-            self.push_event(fault.at_ms, CLASS_FAULT, fault.shard, kind);
         }
+        Ok(())
     }
 
     fn push_event(&mut self, time: f64, class: u8, shard: usize, kind: EventKind) {
@@ -691,8 +756,9 @@ impl<'a> Engine<'a> {
     fn on_arrival(
         &mut self,
         placement: &mut dyn Placement,
-        request: Request,
+        slot: usize,
     ) -> Result<(), RuntimeError> {
+        let request = self.trace[slot];
         let now_ms = request.arrival_ms;
         let shard_count = self.shards.len();
         self.global_future[request.network] -= 1;
@@ -719,10 +785,7 @@ impl<'a> Engine<'a> {
                             now_ms + hedge.delay_ms,
                             CLASS_HEDGE,
                             shard,
-                            EventKind::Hedge {
-                                request,
-                                origin: shard,
-                            },
+                            EventKind::Hedge { slot },
                         );
                     }
                     // Preemption: an arrival urgent enough to displace
@@ -793,44 +856,17 @@ impl<'a> Engine<'a> {
                 }
                 self.attempt_dispatch(shard, now_ms)
             }
-            EventKind::Crash { recover_ms } => {
-                self.on_crash(shard, now_ms, recover_ms);
+            EventKind::Fault { index } => {
+                self.on_fault(shard, now_ms, self.config.faults.events()[index].kind);
                 Ok(())
             }
             EventKind::Recover => self.on_recover(shard, now_ms),
-            EventKind::DegradeStart { factor, window_ms } => {
-                {
-                    let state = &mut self.shards[shard];
-                    state.degrade_depth += 1;
-                    // Overlapping windows: the most recent factor wins.
-                    state.degrade_factor = factor;
-                }
-                self.push_event(
-                    now_ms + window_ms,
-                    CLASS_FAULT,
-                    shard,
-                    EventKind::DegradeEnd,
-                );
-                Ok(())
-            }
             EventKind::DegradeEnd => {
                 let state = &mut self.shards[shard];
                 state.degrade_depth = state.degrade_depth.saturating_sub(1);
                 if state.degrade_depth == 0 {
                     state.degrade_factor = 1.0;
                 }
-                Ok(())
-            }
-            EventKind::StallStart {
-                extra_ms,
-                window_ms,
-            } => {
-                {
-                    let state = &mut self.shards[shard];
-                    state.stall_depth += 1;
-                    state.stall_extra_ms = extra_ms;
-                }
-                self.push_event(now_ms + window_ms, CLASS_FAULT, shard, EventKind::StallEnd);
                 Ok(())
             }
             EventKind::StallEnd => {
@@ -841,18 +877,43 @@ impl<'a> Engine<'a> {
                 }
                 Ok(())
             }
-            EventKind::CompileFailStart { window_ms } => {
-                let state = &mut self.shards[shard];
-                state.compile_fail_until = state.compile_fail_until.max(now_ms + window_ms);
-                Ok(())
-            }
-            EventKind::Retry {
-                request,
-                from_shard,
-            } => self.on_retry(placement, request, from_shard, now_ms),
-            EventKind::Hedge { request, origin } => self.on_hedge(request, origin, now_ms),
+            EventKind::Retry { slot } => self.on_retry(placement, slot, shard, now_ms),
+            EventKind::Hedge { slot } => self.on_hedge(slot, shard, now_ms),
             EventKind::Preempt { epoch } => self.on_preempt(shard, now_ms, epoch),
             EventKind::ScaleTick => self.on_scale_tick(now_ms),
+        }
+    }
+
+    /// A scheduled fault fires: a crash, or a degrade, compile-stall or
+    /// transient compile-failure window opens.
+    fn on_fault(&mut self, shard: usize, now_ms: f64, kind: FaultKind) {
+        let state = &mut self.shards[shard];
+        match kind {
+            FaultKind::Crash { recover_ms } => self.on_crash(shard, now_ms, recover_ms),
+            FaultKind::Degrade { factor, window_ms } => {
+                state.degrade_depth += 1;
+                // Overlapping windows: the most recent factor wins.
+                state.degrade_factor = factor;
+                self.push_event(
+                    now_ms + window_ms,
+                    CLASS_FAULT,
+                    shard,
+                    EventKind::DegradeEnd,
+                );
+            }
+            FaultKind::StallCompile {
+                extra_ms,
+                window_ms,
+            } => {
+                state.stall_depth += 1;
+                state.stall_extra_ms = extra_ms;
+                self.push_event(now_ms + window_ms, CLASS_FAULT, shard, EventKind::StallEnd);
+            }
+            // Closes by timestamp comparison; blocked shards schedule
+            // their own wake.
+            FaultKind::TransientCompileFail { window_ms } => {
+                state.compile_fail_until = state.compile_fail_until.max(now_ms + window_ms);
+            }
         }
     }
 
@@ -887,7 +948,7 @@ impl<'a> Engine<'a> {
             let mut victims = batch.requests;
             for victim in &victims {
                 self.class_stats[usize::from(victim.class)].preempted += 1;
-                self.preempted_ids.insert(victim.id);
+                self.preempted_ids.set(victim.id);
             }
             state.core.requeue(&victims, now_ms);
             victims.clear();
@@ -1000,7 +1061,7 @@ impl<'a> Engine<'a> {
             state.in_flight = Some(batch); // stale event, newer batch running
             return Ok(());
         }
-        let track = self.track_ids();
+        let track = self.config.track_ids();
         let mut newly_served = std::mem::take(&mut self.newly_served);
         newly_served.clear();
         let state = &mut self.shards[shard];
@@ -1009,13 +1070,13 @@ impl<'a> Engine<'a> {
         state.core.note_batch(record, now_ms);
         for request in &requests {
             if track {
-                if !self.served.insert(request.id) {
+                if self.served.set(request.id) {
                     // A hedge twin already won: this completion is
                     // billed (busy time above) but not served.
                     continue;
                 }
                 newly_served.push(request.id);
-                self.failed_ids.remove(&request.id);
+                self.failed_ids.clear(request.id);
             }
             state
                 .core
@@ -1064,9 +1125,10 @@ impl<'a> Engine<'a> {
             // Aborted work is lost: not billed as busy time, no batch
             // or request records. The victims follow the retry policy.
             let mut victims = batch.requests;
-            for request in victims.drain(..) {
+            for request in &victims {
                 self.retry_or_fail(request, now_ms, shard);
             }
+            victims.clear();
             self.shards[shard].spare = victims;
         }
     }
@@ -1087,8 +1149,8 @@ impl<'a> Engine<'a> {
 
     /// Schedules a retry for a crash victim, or abandons it once the
     /// policy is exhausted.
-    fn retry_or_fail(&mut self, request: Request, now_ms: f64, from_shard: usize) {
-        if self.served.contains(&request.id) {
+    fn retry_or_fail(&mut self, request: &Request, now_ms: f64, from_shard: usize) {
+        if self.served.contains(request.id) {
             return; // a hedge twin already completed it
         }
         let retries_so_far = self.attempts.get(&request.id).copied().unwrap_or(0);
@@ -1096,23 +1158,17 @@ impl<'a> Engine<'a> {
         let fire_ms = now_ms + retry.backoff_ms(retries_so_far + 1);
         let within_timeout = fire_ms - request.arrival_ms <= retry.timeout_for(request.class);
         if !retry.allows(retries_so_far) || !within_timeout {
-            if self.failed_ids.insert(request.id) {
-                self.failed.push(request);
+            if !self.failed_ids.set(request.id) {
+                self.failed.push(*request);
             }
             return;
         }
         self.attempts.insert(request.id, retries_so_far + 1);
         self.class_stats[usize::from(request.class)].retries += 1;
         self.shards[from_shard].core.report.fault.retries += 1;
-        self.push_event(
-            fire_ms,
-            CLASS_RETRY,
-            from_shard,
-            EventKind::Retry {
-                request,
-                from_shard,
-            },
-        );
+        // Ids are trace positions (the id contract).
+        let slot = request.id as usize;
+        self.push_event(fire_ms, CLASS_RETRY, from_shard, EventKind::Retry { slot });
     }
 
     /// A retry fires: re-place the request against the live view (so
@@ -1120,15 +1176,16 @@ impl<'a> Engine<'a> {
     fn on_retry(
         &mut self,
         placement: &mut dyn Placement,
-        request: Request,
+        slot: usize,
         from_shard: usize,
         now_ms: f64,
     ) -> Result<(), RuntimeError> {
-        if self.served.contains(&request.id) {
+        let request = self.trace[slot];
+        if self.served.contains(request.id) {
             return Ok(()); // a twin won while the backoff elapsed
         }
         let Some(target) = self.replace_online(placement, &request)? else {
-            if self.failed_ids.insert(request.id) {
+            if !self.failed_ids.set(request.id) {
                 self.failed.push(request);
             }
             return Ok(());
@@ -1143,13 +1200,9 @@ impl<'a> Engine<'a> {
 
     /// A hedge delay expired with the request still incomplete:
     /// enqueue a duplicate on the second-best healthy shard.
-    fn on_hedge(
-        &mut self,
-        request: Request,
-        origin: usize,
-        now_ms: f64,
-    ) -> Result<(), RuntimeError> {
-        if self.served.contains(&request.id) {
+    fn on_hedge(&mut self, slot: usize, origin: usize, now_ms: f64) -> Result<(), RuntimeError> {
+        let request = self.trace[slot];
+        if self.served.contains(request.id) {
             return Ok(()); // completed in time, nothing to hedge
         }
         let net = request.network;
@@ -1274,7 +1327,7 @@ impl<'a> Engine<'a> {
         // completed anyway is served, not failed — keep the four
         // buckets an exact partition of the trace.
         let served = &self.served;
-        self.failed.retain(|request| !served.contains(&request.id));
+        self.failed.retain(|request| !served.contains(request.id));
         self.scale_stats.final_active = (0..self.active.len())
             .filter(|&shard| self.active[shard] && !self.draining[shard])
             .count();
@@ -1284,7 +1337,7 @@ impl<'a> Engine<'a> {
             shed: self.shed,
             failed: self.failed,
             class_stats: self.class_stats,
-            preempted: self.preempted_ids.into_iter().collect(),
+            preempted: self.preempted_ids.iter().collect(),
             scale: self.scale_stats,
             reconfig,
         }
@@ -1404,6 +1457,29 @@ mod tests {
             "completions before timers before faults before retries before \
              hedges before preemptions before scale ticks"
         );
+    }
+
+    #[test]
+    fn id_set_tracks_word_edges_and_reports_the_previous_bit() {
+        let n = 130;
+        let mut set = IdSet::with_len(n);
+        let edges = [0, 63, 64, n as u64 - 1];
+        for &id in &edges {
+            assert!(!set.contains(id));
+            assert!(!set.set(id), "id {id} was clear");
+            assert!(set.contains(id));
+            assert!(set.set(id), "id {id} was already set");
+        }
+        assert!(!set.contains(1) && !set.contains(62) && !set.contains(65));
+        assert_eq!(set.iter().collect::<Vec<_>>(), edges, "ascending scan");
+        set.clear(63);
+        assert!(!set.contains(63) && set.contains(64));
+        assert!(!set.set(63), "a cleared id reads as clear");
+        // An unsized set is empty: reads are false, clears are no-ops.
+        let mut unsized_set = IdSet::with_len(0);
+        unsized_set.clear(5);
+        assert!(!unsized_set.contains(5));
+        assert_eq!(unsized_set.iter().count(), 0);
     }
 
     #[test]

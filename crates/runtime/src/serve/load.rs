@@ -64,7 +64,10 @@ impl SeededRng {
 /// One inference request in a serving trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
-    /// Stable identity (position in the trace).
+    /// Stable identity: the request's position in its trace. The
+    /// engine indexes per-request state by id, so a run refuses a trace
+    /// whose ids are not `0, 1, 2, …` in order
+    /// ([`RuntimeError::TraceIdMismatch`](crate::RuntimeError::TraceIdMismatch)).
     pub id: u64,
     /// Index into the simulation's network table.
     pub network: usize,

@@ -130,7 +130,8 @@ pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
 /// # Errors
 ///
 /// Propagates a [`RuntimeError`] from a backend rejecting a batched
-/// plan compile — the same failure surface the live run has.
+/// plan compile — the same failure surface the live run has — or from
+/// the engine's input checks ([`ServeSim::try_run`]).
 ///
 /// # Panics
 ///

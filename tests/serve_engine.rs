@@ -1,13 +1,18 @@
 //! Event-engine system tests: the Deadline batch-close regression (a
 //! ripe batch closes at the triggering event, never the next arrival),
 //! bounded-plan-cache eviction and admission-control behaviour, EDF
-//! deadline-miss accounting, and repeat-run bit-identity.
+//! deadline-miss accounting, repeat-run bit-identity, a digest pin of
+//! one run with every feature on, and the input checks that run before
+//! the first event (trace ids are positions, faults name real shards).
 
 use sma::runtime::serve::{
-    BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst, EngineConfig, Immediate,
-    LoadGenerator, Request, RoundRobin, ServeCluster, ServeSim,
+    AutoscalePolicy, BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst, EngineConfig,
+    FaultEvent, FaultKind, FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate,
+    LoadGenerator, PreemptPolicy, ReconfigPolicy, Request, RetryPolicy, RoundRobin, ServeCluster,
+    ServeSim, ShedPolicy,
 };
-use sma::runtime::{Executor, Platform};
+use sma::runtime::{Executor, Platform, RuntimeError};
+use sma_bench::fnv1a64;
 use std::sync::Arc;
 
 mod common;
@@ -266,4 +271,144 @@ fn bounded_edf_runs_are_bit_identical_across_repeats() {
             assert_eq!(p.completion_ms.to_bits(), q.completion_ms.to_bits());
         }
     }
+}
+
+/// One 3,000-request run with every engine feature on at once —
+/// faults, retry, hedge, preempt, shed, autoscale and reconfig — pinned
+/// by digest. No committed benchmark row combines hedging with
+/// preemption, so this is the one place their interaction (hedge twins
+/// of evicted victims, retries of preempted ids) is held byte for byte.
+#[test]
+fn every_feature_at_once_is_pinned_by_digest() {
+    let cluster = Arc::new(
+        ServeCluster::try_new(
+            vec![
+                Executor::new(Platform::Sma3),
+                Executor::new(Platform::GpuTensorCore),
+                Executor::new(Platform::ArrayFlex),
+                Executor::new(Platform::FlexSa),
+            ],
+            serve_networks(),
+        )
+        .unwrap(),
+    );
+    let slo_ms = 25.0;
+    let trace = LoadGenerator::new(19, 1.5)
+        .with_slo(slo_ms)
+        .with_classes(3)
+        .trace(3_000, cluster.networks().len());
+    let horizon_ms = trace.last().map_or(0.0, |r| r.arrival_ms);
+    let faults = FaultPlan::generate(
+        0xFA17,
+        12.0,
+        cluster.shard_count(),
+        horizon_ms,
+        &FaultMix::balanced(),
+    );
+    let config = EngineConfig::default()
+        .with_compile_cost(0.05)
+        .with_faults(faults)
+        .with_retry(RetryPolicy {
+            max_attempts: 2,
+            backoff_base_ms: 0.5,
+            timeout_ms: slo_ms,
+        })
+        .with_hedge(HedgePolicy { delay_ms: 4.0 })
+        .with_preempt(PreemptPolicy::new(1))
+        .with_shed(ShedPolicy {
+            backlog_watermark: 40,
+        })
+        .with_scale(AutoscalePolicy {
+            period_ms: 2.0,
+            high_watermark: 3.0,
+            low_watermark: 0.5,
+            hysteresis_ticks: 2,
+            min_active: 1,
+            energy_headroom: 10.0,
+        })
+        .with_reconfig(ReconfigPolicy {
+            window: 16,
+            every: 4,
+        });
+    let sim = ServeSim::with_cluster(
+        Arc::clone(&cluster),
+        Arc::new(EarliestDeadlineFirst::new(6.0, 16)),
+        &trace,
+        config,
+    );
+    let run = sim.try_run(&mut HealthWeighted).unwrap();
+    let outcome = sim.outcome(&run);
+    // Every feature actually fired, so the digest covers its path.
+    assert!(outcome.retries > 0 && outcome.hedges > 0 && outcome.preemptions > 0);
+    assert!(outcome.shed > 0 && outcome.failed > 0);
+    assert!(outcome.scale_ups > 0 && outcome.scale_downs > 0 && outcome.reconfigs > 0);
+    let failed: Vec<u64> = run.failed.iter().map(|r| r.id).collect();
+    let rendered = format!("{outcome:?}|{:?}|{failed:?}", run.preempted);
+    assert_eq!(
+        fnv1a64(rendered.as_bytes()),
+        0xa995_839c_beb5_360e,
+        "every-feature outcome drifted"
+    );
+}
+
+/// Request ids are trace positions. A trace that breaks the contract —
+/// a gap (`[0, 2]`) or a repeat (`[0, 0]`, with hedging on so the
+/// engine tracks ids) — is refused before any event runs.
+#[test]
+fn trace_ids_must_equal_positions() {
+    let request = |id| Request {
+        id,
+        network: 0,
+        arrival_ms: 1.0,
+        deadline_ms: f64::INFINITY,
+        class: 0,
+    };
+    let run = |ids: [u64; 2], config: EngineConfig| {
+        let trace = ids.map(request);
+        ServeSim::try_new(
+            vec![Executor::new(Platform::Sma3), Executor::new(Platform::Sma3)],
+            vec![sma::models::zoo::alexnet()],
+            Arc::new(Immediate),
+            &trace,
+            config,
+        )
+        .unwrap()
+        .try_run(&mut RoundRobin::default())
+        .err()
+    };
+    assert_eq!(
+        run([0, 2], EngineConfig::default()),
+        Some(RuntimeError::TraceIdMismatch { position: 1, id: 2 })
+    );
+    let hedged = EngineConfig::default().with_hedge(HedgePolicy { delay_ms: 0.5 });
+    assert_eq!(
+        run([0, 0], hedged),
+        Some(RuntimeError::TraceIdMismatch { position: 1, id: 0 })
+    );
+}
+
+/// A fault plan that names a shard the cluster does not have is an
+/// error, not a panic.
+#[test]
+fn fault_plan_on_a_missing_shard_is_an_error() {
+    let faults = FaultPlan::none().with_event(FaultEvent {
+        shard: 3,
+        at_ms: 1.0,
+        kind: FaultKind::Crash { recover_ms: 2.0 },
+    });
+    let sim = ServeSim::try_new(
+        vec![Executor::new(Platform::Sma3), Executor::new(Platform::Sma3)],
+        vec![sma::models::zoo::alexnet()],
+        Arc::new(Immediate),
+        &LoadGenerator::new(5, 1.0).trace(20, 1),
+        EngineConfig::default().with_faults(faults),
+    )
+    .unwrap();
+    assert_eq!(
+        sim.try_run(&mut RoundRobin::default()).err(),
+        Some(RuntimeError::FaultShardOutOfRange {
+            shard: 3,
+            shard_count: 2,
+        })
+    );
 }
