@@ -155,6 +155,14 @@ pub enum RuntimeError {
         /// The cluster's shard count.
         shard_count: usize,
     },
+    /// A [`ServeCluster`](crate::serve::ServeCluster) was given no
+    /// shards or no networks.
+    EmptyCluster {
+        /// The number of shards it was given.
+        shards: usize,
+        /// The number of networks it was given.
+        networks: usize,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -178,6 +186,11 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::FaultShardOutOfRange { shard, shard_count } => {
                 write!(f, "fault plan targets shard {shard} of {shard_count}")
             }
+            RuntimeError::EmptyCluster { shards, networks } => write!(
+                f,
+                "a serving cluster needs at least one shard and one network \
+                 (got {shards} shards, {networks} networks)"
+            ),
         }
     }
 }

@@ -516,7 +516,8 @@ struct Engine<'a> {
     mix_counts: Vec<u64>,
     /// Scratch for the ids one completion serves (hedge cancellation).
     newly_served: Vec<u64>,
-    // Scratch buffers for the live view (rebuilt per consultation).
+    // The live view placements read, one entry per shard, kept current
+    // by `refresh_view` as shard state changes.
     live_queued: Vec<usize>,
     live_in_flight: Vec<usize>,
     live_resident: Vec<u64>,
@@ -709,29 +710,70 @@ impl<'a> Engine<'a> {
         self.shards.iter().map(ShardState::outstanding).sum()
     }
 
+    /// One shard's live-view entry, read from shard state: queued,
+    /// in flight, resident plan bytes, healthy, degrade factor.
+    fn view_entry(&self, shard: usize) -> (usize, usize, u64, bool, f64) {
+        let state = &self.shards[shard];
+        (
+            state.core.depth(),
+            state.in_flight_len(),
+            state.core.resident_bytes(),
+            // Draining/parked shards read as unhealthy so health-aware
+            // placements steer around them; the static fleet (scale
+            // off) leaves this the pure crash gauge.
+            state.down_until.is_none() && self.accepting(shard),
+            if state.degrade_depth > 0 {
+                state.degrade_factor
+            } else {
+                1.0
+            },
+        )
+    }
+
+    /// Re-reads one shard's live-view entry. Every handler that changes
+    /// a shard's queues, in-flight batch, cache, health or degrade
+    /// state ends in a refresh of that shard, so the view placements
+    /// read is always current.
+    fn refresh_view(&mut self, shard: usize) {
+        let (queued, in_flight, resident, healthy, degrade) = self.view_entry(shard);
+        self.live_queued[shard] = queued;
+        self.live_in_flight[shard] = in_flight;
+        self.live_resident[shard] = resident;
+        self.live_healthy[shard] = healthy;
+        self.live_degrade[shard] = degrade;
+    }
+
+    /// Re-reads every shard's live-view entry.
+    fn refresh_all_views(&mut self) {
+        for shard in 0..self.shards.len() {
+            self.refresh_view(shard);
+        }
+    }
+
+    /// Whether the maintained live view equals a rebuild from shard
+    /// state (the debug-build check on the incremental refreshes).
+    fn view_is_current(&self) -> bool {
+        (0..self.shards.len()).all(|shard| {
+            let (queued, in_flight, resident, healthy, degrade) = self.view_entry(shard);
+            queued == self.live_queued[shard]
+                && in_flight == self.live_in_flight[shard]
+                && resident == self.live_resident[shard]
+                && healthy == self.live_healthy[shard]
+                && degrade.to_bits() == self.live_degrade[shard].to_bits()
+        })
+    }
+
     /// Re-places a request online by the shared admission rule
-    /// ([`shard::place`]) against a live view rebuilt from shard state;
-    /// `None` rejects.
+    /// ([`shard::place`]) against the live view; `None` rejects.
     fn replace_online(
         &mut self,
         placement: &mut dyn Placement,
         request: &Request,
     ) -> Result<Option<usize>, RuntimeError> {
-        for (shard, state) in self.shards.iter().enumerate() {
-            self.live_queued[shard] = state.core.depth();
-            self.live_in_flight[shard] = state.in_flight_len();
-            self.live_resident[shard] = state.core.resident_bytes();
-            // Draining/parked shards read as unhealthy so
-            // health-aware placements steer around them; the static
-            // fleet (scale off) leaves this the pure crash gauge.
-            self.live_healthy[shard] =
-                state.down_until.is_none() && self.active[shard] && !self.draining[shard];
-            self.live_degrade[shard] = if state.degrade_depth > 0 {
-                state.degrade_factor
-            } else {
-                1.0
-            };
-        }
+        debug_assert!(
+            self.view_is_current(),
+            "the live view drifted from shard state"
+        );
         let view = ClusterView {
             platforms: self.cluster.platforms(),
             unit_service_ms: self.cluster.unit_service_ms(),
@@ -847,7 +889,7 @@ impl<'a> Engine<'a> {
             kind,
             ..
         } = event;
-        match kind {
+        let handled = match kind {
             EventKind::Complete { epoch } => self.on_complete(shard, now_ms, epoch),
             EventKind::Timer => {
                 let state = &mut self.shards[shard];
@@ -880,8 +922,15 @@ impl<'a> Engine<'a> {
             EventKind::Retry { slot } => self.on_retry(placement, slot, shard, now_ms),
             EventKind::Hedge { slot } => self.on_hedge(slot, shard, now_ms),
             EventKind::Preempt { epoch } => self.on_preempt(shard, now_ms, epoch),
-            EventKind::ScaleTick => self.on_scale_tick(now_ms),
-        }
+            EventKind::ScaleTick => {
+                let ticked = self.on_scale_tick(now_ms);
+                // A tick can park or wake any shard.
+                self.refresh_all_views();
+                ticked
+            }
+        };
+        self.refresh_view(shard);
+        handled
     }
 
     /// A scheduled fault fires: a crash, or a degrade, compile-stall or
@@ -1090,6 +1139,8 @@ impl<'a> Engine<'a> {
             for state in &mut self.shards {
                 state.core.cancel(&newly_served, now_ms);
             }
+            // The cancel can shrink any shard's queue.
+            self.refresh_all_views();
         }
         self.newly_served = newly_served;
         self.attempt_dispatch(shard, now_ms)
@@ -1233,6 +1284,13 @@ impl<'a> Engine<'a> {
     /// the next-best resident-plan batch launches instead (or the shard
     /// wakes when the window closes).
     fn attempt_dispatch(&mut self, shard: usize, now_ms: f64) -> Result<(), RuntimeError> {
+        let attempted = self.try_launch(shard, now_ms);
+        self.refresh_view(shard);
+        attempted
+    }
+
+    /// [`Engine::attempt_dispatch`] without the view refresh.
+    fn try_launch(&mut self, shard: usize, now_ms: f64) -> Result<(), RuntimeError> {
         if !self.idle_and_up(shard) {
             return Ok(());
         }

@@ -198,17 +198,19 @@ impl From<RuntimeError> for LiveError {
 /// Construction validates the same invariants as
 /// [`ServeSim::with_cluster`](super::ServeSim::with_cluster) plus the
 /// live-support envelope; [`LiveServer::run`] spawns the shard workers
-/// and drives the front door on the calling thread.
+/// and drives the front door on the calling thread. The trace is
+/// borrowed, not copied; the worker threads are scoped to
+/// [`LiveServer::run`], so they never outlive it.
 #[derive(Debug)]
-pub struct LiveServer {
+pub struct LiveServer<'t> {
     cluster: Arc<ServeCluster>,
     policy: Arc<dyn BatchPolicy>,
-    trace: Vec<Request>,
+    trace: &'t [Request],
     engine: EngineConfig,
     live: LiveConfig,
 }
 
-impl LiveServer {
+impl<'t> LiveServer<'t> {
     /// Builds a live server over an already-compiled cluster.
     ///
     /// # Panics
@@ -224,7 +226,7 @@ impl LiveServer {
     pub fn new(
         cluster: Arc<ServeCluster>,
         policy: Arc<dyn BatchPolicy>,
-        trace: &[Request],
+        trace: &'t [Request],
         engine: EngineConfig,
         live: LiveConfig,
     ) -> Self {
@@ -264,7 +266,7 @@ impl LiveServer {
         LiveServer {
             cluster,
             policy,
-            trace: trace.to_vec(),
+            trace,
             // The oracle reads served ids and batch partitions from the
             // records, so the live twin always keeps them.
             engine: engine.with_records(),
@@ -402,7 +404,7 @@ impl LiveServer {
         let mut last_stamp = 0.0_f64;
         let mut outstanding = 0_usize;
 
-        for planned in &self.trace {
+        for planned in self.trace {
             match self.live.mode {
                 LiveMode::OpenLoop => {
                     // Sleep until the planned (scaled) arrival instant;

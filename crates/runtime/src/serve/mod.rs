@@ -322,15 +322,16 @@ impl ServeCluster {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`RuntimeError`] from a backend rejecting a
-    /// hosted network during plan compilation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `networks` is empty.
+    /// [`RuntimeError::EmptyCluster`] if `shards` or `networks` is
+    /// empty; otherwise the first [`RuntimeError`] from a backend
+    /// rejecting a hosted network during plan compilation.
     pub fn try_new(shards: Vec<Executor>, networks: Vec<Network>) -> Result<Self, RuntimeError> {
-        assert!(!shards.is_empty(), "a cluster needs at least one shard");
-        assert!(!networks.is_empty(), "a cluster needs at least one network");
+        if shards.is_empty() || networks.is_empty() {
+            return Err(RuntimeError::EmptyCluster {
+                shards: shards.len(),
+                networks: networks.len(),
+            });
+        }
         let mut unit_plans = Vec::with_capacity(shards.len());
         let mut unit_service_ms = Vec::with_capacity(shards.len());
         let mut unit_plan_bytes = Vec::with_capacity(shards.len());
@@ -427,16 +428,17 @@ fn check_trace(cluster: &ServeCluster, trace: &[Request]) {
 /// `self` immutably, so one simulation can be re-run (pass a fresh
 /// [`Placement`] — strategies carry cursor/backlog state) and runs of
 /// different simulations over one shared cluster can proceed from
-/// different threads.
+/// different threads. The trace is borrowed, not copied: a simulation
+/// lives no longer than the trace it serves.
 #[derive(Debug)]
-pub struct ServeSim {
+pub struct ServeSim<'t> {
     cluster: Arc<ServeCluster>,
     policy: Arc<dyn BatchPolicy>,
-    trace: Vec<Request>,
+    trace: &'t [Request],
     config: EngineConfig,
 }
 
-impl ServeSim {
+impl<'t> ServeSim<'t> {
     /// Compiles a fresh [`ServeCluster`] from `shards` × `networks`
     /// and wraps it with `trace` and `config`. To serve several traces
     /// or policy/placement combinations over one cluster, compile the
@@ -444,19 +446,19 @@ impl ServeSim {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`RuntimeError`] from a backend rejecting a
-    /// hosted network during plan compilation.
+    /// [`RuntimeError::EmptyCluster`] if `shards` or `networks` is
+    /// empty; otherwise the first [`RuntimeError`] from a backend
+    /// rejecting a hosted network during plan compilation.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` or `networks` is empty, if the trace is not
-    /// in arrival order, or if a trace request names a network outside
-    /// the table.
+    /// Panics if the trace is not in arrival order, or if a trace
+    /// request names a network outside the table.
     pub fn try_new(
         shards: Vec<Executor>,
         networks: Vec<Network>,
         policy: Arc<dyn BatchPolicy>,
-        trace: &[Request],
+        trace: &'t [Request],
         config: EngineConfig,
     ) -> Result<Self, RuntimeError> {
         let cluster = Arc::new(ServeCluster::try_new(shards, networks)?);
@@ -474,14 +476,14 @@ impl ServeSim {
     pub fn with_cluster(
         cluster: Arc<ServeCluster>,
         policy: Arc<dyn BatchPolicy>,
-        trace: &[Request],
+        trace: &'t [Request],
         config: EngineConfig,
     ) -> Self {
         check_trace(&cluster, trace);
         ServeSim {
             cluster,
             policy,
-            trace: trace.to_vec(),
+            trace,
             config,
         }
     }
@@ -516,7 +518,7 @@ impl ServeSim {
             &self.cluster,
             self.policy.as_ref(),
             placement,
-            &self.trace,
+            self.trace,
             &self.config,
         )
     }
@@ -548,21 +550,32 @@ mod tests {
     use crate::platform::Platform;
     use sma_models::zoo;
 
-    fn small_sim(policy: Arc<dyn BatchPolicy>, config: EngineConfig) -> ServeSim {
+    /// 120 requests over [`small_sim`]'s two networks.
+    fn small_trace() -> Vec<Request> {
+        LoadGenerator::new(11, 2.0).with_slo(30.0).trace(120, 2)
+    }
+
+    fn small_sim(
+        trace: &[Request],
+        policy: Arc<dyn BatchPolicy>,
+        config: EngineConfig,
+    ) -> ServeSim<'_> {
         let shards = vec![
             Executor::new(Platform::Sma3),
             Executor::new(Platform::GpuTensorCore),
         ];
         let networks = vec![zoo::alexnet(), zoo::vgg_a()];
-        let trace = LoadGenerator::new(11, 2.0)
-            .with_slo(30.0)
-            .trace(120, networks.len());
-        ServeSim::try_new(shards, networks, policy, &trace, config).unwrap()
+        ServeSim::try_new(shards, networks, policy, trace, config).unwrap()
     }
 
     #[test]
     fn every_request_is_served_exactly_once() {
-        let sim = small_sim(Arc::new(Immediate), EngineConfig::default().with_records());
+        let trace = small_trace();
+        let sim = small_sim(
+            &trace,
+            Arc::new(Immediate),
+            EngineConfig::default().with_records(),
+        );
         let run = sim.try_run(&mut RoundRobin::default()).unwrap();
         let mut ids: Vec<u64> = run
             .reports
@@ -587,8 +600,9 @@ mod tests {
     #[test]
     fn records_are_opt_in_and_the_tally_matches_them() {
         let policy: Arc<dyn BatchPolicy> = Arc::new(Deadline::new(5.0, 8));
-        let lean = small_sim(Arc::clone(&policy), EngineConfig::default());
-        let full = small_sim(policy, EngineConfig::default().with_records());
+        let trace = small_trace();
+        let lean = small_sim(&trace, Arc::clone(&policy), EngineConfig::default());
+        let full = small_sim(&trace, policy, EngineConfig::default().with_records());
         let a = lean.try_run(&mut RoundRobin::default()).unwrap();
         let b = full.try_run(&mut RoundRobin::default()).unwrap();
         for (x, y) in a.reports.iter().zip(&b.reports) {
@@ -638,7 +652,9 @@ mod tests {
 
     #[test]
     fn batches_never_start_before_their_requests_arrive() {
+        let trace = small_trace();
         let sim = small_sim(
+            &trace,
             Arc::new(Deadline::new(5.0, 8)),
             EngineConfig::default().with_records(),
         );
@@ -660,7 +676,9 @@ mod tests {
 
     #[test]
     fn size_k_forms_full_batches_until_the_tail() {
+        let trace = small_trace();
         let sim = small_sim(
+            &trace,
             Arc::new(SizeK::new(4)),
             EngineConfig::default().with_records(),
         );
@@ -679,7 +697,9 @@ mod tests {
 
     #[test]
     fn repeat_runs_are_identical_with_fresh_placements() {
+        let trace = small_trace();
         let sim = small_sim(
+            &trace,
             Arc::new(Deadline::new(3.0, 16)),
             EngineConfig::default().with_records(),
         );
@@ -698,7 +718,12 @@ mod tests {
 
     #[test]
     fn affinity_places_each_network_on_one_platform() {
-        let sim = small_sim(Arc::new(Immediate), EngineConfig::default().with_records());
+        let trace = small_trace();
+        let sim = small_sim(
+            &trace,
+            Arc::new(Immediate),
+            EngineConfig::default().with_records(),
+        );
         let run = sim.try_run(&mut PlatformAffinity::default()).unwrap();
         for net in 0..sim.cluster().networks().len() {
             let hosts: std::collections::BTreeSet<&str> = run
@@ -715,7 +740,8 @@ mod tests {
     fn least_backlog_uses_the_live_view() {
         // The live-backlog placement spreads load
         // across both shards even though round-robin state is absent.
-        let sim = small_sim(Arc::new(Immediate), EngineConfig::default());
+        let trace = small_trace();
+        let sim = small_sim(&trace, Arc::new(Immediate), EngineConfig::default());
         let run = sim.try_run(&mut LeastBacklog).unwrap();
         assert!(
             run.reports.iter().all(|r| r.tally.served() > 0),

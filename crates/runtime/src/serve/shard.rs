@@ -30,16 +30,23 @@ use super::policy::{BatchPolicy, PolicyDecision};
 use super::scale::ReconfigStats;
 use super::{BatchRecord, ServeCluster, ServedRequest, ShardReport, ShardTally};
 use crate::backend::RuntimeError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Capacity-bounded LRU over simulated plan residency, keyed on
 /// `(network, batch)`.
+///
+/// Slots are dense, `[network][batch]`, grown on first touch, so a
+/// lookup is two indexed loads. The resident keys also sit in an
+/// unordered list that the eviction scan walks; `last_use` ticks are
+/// unique, so the LRU victim is always unambiguous.
 #[derive(Debug)]
 pub(super) struct PlanCache {
     budget: Option<u64>,
-    /// `(bytes, last_use)` per resident plan; `last_use` ticks are
-    /// unique, so the LRU victim is always unambiguous.
-    entries: BTreeMap<(usize, usize), (u64, u64)>,
+    /// `(bytes, last_use)` per plan; `last_use == 0` marks an empty
+    /// slot (ticks start at 1).
+    slots: Vec<Vec<(u64, u64)>>,
+    /// Keys of the resident plans, in no particular order.
+    resident: Vec<(usize, usize)>,
     resident_bytes: u64,
     tick: u64,
     stats: PlanCacheStats,
@@ -49,7 +56,8 @@ impl PlanCache {
     pub(super) fn new(budget: Option<u64>) -> Self {
         PlanCache {
             budget,
-            entries: BTreeMap::new(),
+            slots: Vec::new(),
+            resident: Vec::new(),
             resident_bytes: 0,
             tick: 0,
             stats: PlanCacheStats::default(),
@@ -58,8 +66,11 @@ impl PlanCache {
 
     /// Whether a plan is resident right now (no stats side effects —
     /// the transient-compile-fail gate peeks without billing).
-    pub(super) fn contains(&self, key: &(usize, usize)) -> bool {
-        self.entries.contains_key(key)
+    pub(super) fn contains(&self, &(net, batch): &(usize, usize)) -> bool {
+        self.slots
+            .get(net)
+            .and_then(|row| row.get(batch))
+            .is_some_and(|&(_, last_use)| last_use != 0)
     }
 
     /// Looks up (and on miss admits) a plan, returning the simulated
@@ -69,33 +80,47 @@ impl PlanCache {
     /// admission controller keeps such requests out, so this arises
     /// only when the cache is driven directly).
     #[inline]
-    pub(super) fn access(&mut self, key: (usize, usize), bytes: u64, compile_ms: f64) -> f64 {
+    pub(super) fn access(
+        &mut self,
+        (net, batch): (usize, usize),
+        bytes: u64,
+        compile_ms: f64,
+    ) -> f64 {
         self.stats.lookups += 1;
         self.tick += 1;
-        if let Some((_, last_use)) = self.entries.get_mut(&key) {
-            *last_use = self.tick;
-            self.stats.hits += 1;
-            return 0.0;
+        if let Some(slot) = self.slots.get_mut(net).and_then(|row| row.get_mut(batch)) {
+            if slot.1 != 0 {
+                slot.1 = self.tick;
+                self.stats.hits += 1;
+                return 0.0;
+            }
         }
         self.stats.misses += 1;
         if let Some(budget) = self.budget {
-            while self.resident_bytes + bytes > budget && !self.entries.is_empty() {
-                let victim = *self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, &(_, last_use))| last_use)
-                    .map(|(k, _)| k)
-                    // sma-lint: allow(no-panic) — the loop guard
-                    // just checked !entries.is_empty().
-                    .expect("non-empty cache has an LRU victim");
-                // sma-lint: allow(no-panic) — victim was read out of
-                // this map two lines up; no intervening mutation.
-                let (evicted_bytes, _) = self.entries.remove(&victim).expect("victim resident");
-                self.resident_bytes -= evicted_bytes;
+            while self.resident_bytes + bytes > budget {
+                let slots = &self.slots;
+                let Some(index) = (0..self.resident.len()).min_by_key(|&i| {
+                    let (n, b) = self.resident[i];
+                    slots[n][b].1
+                }) else {
+                    break;
+                };
+                let (n, b) = self.resident.swap_remove(index);
+                let slot = &mut self.slots[n][b];
+                self.resident_bytes -= slot.0;
+                *slot = (0, 0);
                 self.stats.evictions += 1;
             }
         }
-        self.entries.insert(key, (bytes, self.tick));
+        if self.slots.len() <= net {
+            self.slots.resize_with(net + 1, Vec::new);
+        }
+        let row = &mut self.slots[net];
+        if row.len() <= batch {
+            row.resize(batch + 1, (0, 0));
+        }
+        row[batch] = (bytes, self.tick);
+        self.resident.push((net, batch));
         self.resident_bytes += bytes;
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.resident_bytes);
         compile_ms
@@ -666,3 +691,6 @@ pub(super) fn close(cores: Vec<ShardCore>) -> (Vec<ShardReport>, ReconfigStats) 
         .collect();
     (reports, reconfig)
 }
+
+#[cfg(test)]
+mod tests;

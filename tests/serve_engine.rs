@@ -3,7 +3,8 @@
 //! bounded-plan-cache eviction and admission-control behaviour, EDF
 //! deadline-miss accounting, repeat-run bit-identity, a digest pin of
 //! one run with every feature on, and the input checks that run before
-//! the first event (trace ids are positions, faults name real shards).
+//! the first event (trace ids are positions, faults name real shards,
+//! a cluster has shards and networks).
 
 use sma::runtime::serve::{
     AutoscalePolicy, BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst, EngineConfig,
@@ -396,11 +397,12 @@ fn fault_plan_on_a_missing_shard_is_an_error() {
         at_ms: 1.0,
         kind: FaultKind::Crash { recover_ms: 2.0 },
     });
+    let trace = LoadGenerator::new(5, 1.0).trace(20, 1);
     let sim = ServeSim::try_new(
         vec![Executor::new(Platform::Sma3), Executor::new(Platform::Sma3)],
         vec![sma::models::zoo::alexnet()],
         Arc::new(Immediate),
-        &LoadGenerator::new(5, 1.0).trace(20, 1),
+        &trace,
         EngineConfig::default().with_faults(faults),
     )
     .unwrap();
@@ -409,6 +411,28 @@ fn fault_plan_on_a_missing_shard_is_an_error() {
         Some(RuntimeError::FaultShardOutOfRange {
             shard: 3,
             shard_count: 2,
+        })
+    );
+}
+
+/// A cluster with no shards or no networks is an error from its `try_`
+/// constructor, not a panic.
+#[test]
+fn empty_fleet_or_network_table_is_an_error() {
+    let no_shards = ServeCluster::try_new(Vec::new(), vec![sma::models::zoo::alexnet()]);
+    assert_eq!(
+        no_shards.err(),
+        Some(RuntimeError::EmptyCluster {
+            shards: 0,
+            networks: 1,
+        })
+    );
+    let no_networks = ServeCluster::try_new(vec![Executor::new(Platform::Sma3)], Vec::new());
+    assert_eq!(
+        no_networks.err(),
+        Some(RuntimeError::EmptyCluster {
+            shards: 1,
+            networks: 0,
         })
     );
 }

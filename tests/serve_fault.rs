@@ -309,30 +309,29 @@ proptest! {
     }
 }
 
-fn one_request_sim(
-    plan: FaultPlan,
-    retry: RetryPolicy,
-    arrival_ms: f64,
-) -> (ServeSim, Vec<Request>) {
-    let trace = vec![Request {
+/// A one-request trace arriving at `arrival_ms`.
+fn one_request_trace(arrival_ms: f64) -> Vec<Request> {
+    vec![Request {
         id: 0,
         network: 0,
         arrival_ms,
         deadline_ms: f64::INFINITY,
         class: 0,
-    }];
-    let sim = ServeSim::try_new(
+    }]
+}
+
+fn one_request_sim(trace: &[Request], plan: FaultPlan, retry: RetryPolicy) -> ServeSim<'_> {
+    ServeSim::try_new(
         vec![Executor::new(Platform::Sma3)],
         vec![sma::models::zoo::alexnet()],
         Arc::new(Immediate),
-        &trace,
+        trace,
         EngineConfig::default()
             .with_records()
             .with_faults(plan)
             .with_retry(retry),
     )
-    .unwrap();
-    (sim, trace)
+    .unwrap()
 }
 
 /// A crash mid-batch aborts the in-flight work (no busy time billed
@@ -340,7 +339,8 @@ fn one_request_sim(
 /// the victim is retried to completion once the shard is back.
 #[test]
 fn crash_aborts_the_batch_and_retry_lands_the_victim() {
-    let probe = one_request_sim(FaultPlan::none(), RetryPolicy::default(), 0.0).0;
+    let trace = one_request_trace(0.0);
+    let probe = one_request_sim(&trace, FaultPlan::none(), RetryPolicy::default());
     let unit_ms = probe.cluster().unit_service_ms()[0][0];
 
     let crash_at = 0.25 * unit_ms;
@@ -350,14 +350,14 @@ fn crash_aborts_the_batch_and_retry_lands_the_victim() {
         at_ms: crash_at,
         kind: FaultKind::Crash { recover_ms },
     });
-    let (sim, _trace) = one_request_sim(
+    let sim = one_request_sim(
+        &trace,
         plan,
         RetryPolicy {
             max_attempts: 3,
             backoff_base_ms: 0.1,
             timeout_ms: f64::INFINITY,
         },
-        0.0,
     );
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
     let report = &run.reports[0];
@@ -383,7 +383,8 @@ fn crash_aborts_the_batch_and_retry_lands_the_victim() {
 /// float bits — and the batch is counted as degraded.
 #[test]
 fn degrade_window_scales_service_time_by_its_factor() {
-    let probe = one_request_sim(FaultPlan::none(), RetryPolicy::default(), 1.0).0;
+    let trace = one_request_trace(1.0);
+    let probe = one_request_sim(&trace, FaultPlan::none(), RetryPolicy::default());
     let unit_ms = probe.cluster().unit_service_ms()[0][0];
 
     let plan = FaultPlan::none().with_event(FaultEvent {
@@ -394,7 +395,7 @@ fn degrade_window_scales_service_time_by_its_factor() {
             window_ms: 100.0 * unit_ms,
         },
     });
-    let (sim, _trace) = one_request_sim(plan, RetryPolicy::default(), 1.0);
+    let sim = one_request_sim(&trace, plan, RetryPolicy::default());
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
     let report = &run.reports[0];
     assert_eq!(report.fault.degraded_batches, 1);

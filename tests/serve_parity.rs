@@ -178,11 +178,12 @@ proptest! {
 /// evaluation grid.
 #[test]
 fn serve_batches_are_bit_identical_to_direct_executor_runs() {
+    let trace = serve_trace(0x0D0C_5EED, 400, 1.0);
     let sim = ServeSim::try_new(
         serve_shards(),
         serve_networks(),
         Arc::new(Deadline::new(4.0, 16)),
-        &serve_trace(0x0D0C_5EED, 400, 1.0),
+        &trace,
         EngineConfig::default().with_records(),
     )
     .unwrap();
