@@ -31,7 +31,7 @@ impl CpuModel {
 
     /// Peak GFLOPS of the core.
     #[must_use]
-    pub fn peak_gflops(&self) -> f64 {
+    pub(crate) fn peak_gflops(&self) -> f64 {
         self.clock_ghz * self.flops_per_cycle
     }
 

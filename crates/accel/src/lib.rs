@@ -20,9 +20,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cpu;
+pub(crate) mod cpu;
 pub mod lowering;
-pub mod tensor_core;
+pub(crate) mod tensor_core;
 pub mod tpu;
 
 pub use cpu::CpuModel;

@@ -68,7 +68,7 @@ pub struct LoweredOp {
 impl LoweredOp {
     /// Total FLOPs the lowered form executes.
     #[must_use]
-    pub fn lowered_flops(&self) -> u64 {
+    pub(crate) fn lowered_flops(&self) -> u64 {
         self.work
             .iter()
             .map(|w| match w {
@@ -167,7 +167,7 @@ impl TpuLowering {
     /// index-reconstruction pass per level).
     #[must_use]
     pub fn argmax(pixels: usize, classes: usize) -> LoweredOp {
-        let levels = (classes as f64).log2().ceil() as u64;
+        let levels = sma_mem::ceil_u64((classes as f64).log2());
         let work = vec![TpuWork::Elementwise {
             elems: (pixels * classes) as u64,
             // Max pass + index-select pass per tree level.

@@ -4,7 +4,7 @@
 use sma_core::model::{
     GemmEstimate, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES, TC_TB_OVERHEAD_CYCLES,
 };
-use sma_mem::MemStats;
+use sma_mem::{ceil_u64, MemStats};
 use sma_sim::{calib, GpuConfig};
 use sma_tensor::{GemmShape, Matrix, TensorError, TileConfig, F16};
 
@@ -12,7 +12,7 @@ use sma_tensor::{GemmShape, Matrix, TensorError, TileConfig, F16};
 /// accumulation — the primitive of the reverse-engineered TC pipeline
 /// (Raihan et al., cited as \[20\]).
 #[must_use]
-pub fn hmma_step(a: &[[F16; 4]; 4], b: &[[F16; 4]; 4], c: &[[f32; 4]; 4]) -> [[f32; 4]; 4] {
+pub(crate) fn hmma_step(a: &[[F16; 4]; 4], b: &[[F16; 4]; 4], c: &[[f32; 4]; 4]) -> [[f32; 4]; 4] {
     let mut d = [[0.0f32; 4]; 4];
     for i in 0..4 {
         for j in 0..4 {
@@ -103,7 +103,7 @@ impl TcGemmModel {
 
     /// Peak FP16 MACs per SM-cycle (256 for 4 TCs).
     #[must_use]
-    pub fn peak_macs_per_sm_cycle(&self) -> f64 {
+    pub(crate) fn peak_macs_per_sm_cycle(&self) -> f64 {
         f64::from(self.gpu.tensor_cores) * 64.0
     }
 
@@ -116,7 +116,7 @@ impl TcGemmModel {
 
         let macs_per_ktile = (self.tile.block_m * self.tile.block_n * self.tile.block_k) as f64;
         let rate = self.peak_macs_per_sm_cycle() * calib::TC_GEMM_PEAK_FRACTION;
-        let per_ktile = (macs_per_ktile / rate).ceil() as u64;
+        let per_ktile = ceil_u64(macs_per_ktile / rate);
         let per_tb = k_tiles * per_ktile + TC_TB_OVERHEAD_CYCLES;
 
         let sms = u64::from(self.gpu.sms);
@@ -124,7 +124,7 @@ impl TcGemmModel {
         let waves = blocks.div_ceil(sms);
         let dram_bytes = (shape.min_bytes(2) as f64 * L2_REUSE_DRAM_FACTOR) as u64;
         let full_bw = self.gpu.dram_bytes_per_cycle_per_sm * f64::from(self.gpu.sms);
-        let dram_floor = (dram_bytes as f64 / full_bw).ceil() as u64;
+        let dram_floor = ceil_u64(dram_bytes as f64 / full_bw);
         let cycles = (waves * per_tb).max(dram_floor) + LAUNCH_OVERHEAD_CYCLES;
 
         // --- Ledger --------------------------------------------------------

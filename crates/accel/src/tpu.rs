@@ -119,7 +119,7 @@ impl TpuSim {
 
         // Streaming floor: every operand crosses the unified buffer once.
         let bytes = shape.min_bytes(2) as f64;
-        let mem_floor = (bytes / self.config.mem_bytes_per_cycle).ceil() as u64;
+        let mem_floor = sma_mem::ceil_u64(bytes / self.config.mem_bytes_per_cycle);
 
         let cycles = compute.max(mem_floor);
         let time_s = cycles as f64 / (self.config.clock_ghz * 1e9) + self.config.dispatch_us * 1e-6;

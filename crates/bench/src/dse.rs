@@ -312,7 +312,7 @@ impl DseOutcome {
 
     /// Total GEMM layers.
     #[must_use]
-    pub fn gemms(&self) -> usize {
+    pub(crate) fn gemms(&self) -> usize {
         self.weight_bytes.len()
     }
 
@@ -493,7 +493,7 @@ impl DseRow {
     /// The winning candidate — lowest modelled latency among the
     /// candidates that planned successfully (`None` if both rejected).
     #[must_use]
-    pub fn winner(&self) -> Option<&DseOutcome> {
+    pub(crate) fn winner(&self) -> Option<&DseOutcome> {
         self.cell.winner.map(|w| &*self.cell.candidates[w])
     }
 
@@ -554,7 +554,7 @@ impl DseRow {
 
 /// Short label for a FlexSA mode in rows and summaries.
 #[must_use]
-pub fn mode_label(mode: FlexSaMode) -> &'static str {
+pub(crate) fn mode_label(mode: FlexSaMode) -> &'static str {
     match mode {
         FlexSaMode::FullArray => "full",
         FlexSaMode::SubArrays => "sub",

@@ -84,7 +84,7 @@ fn abort(message: &str) -> ! {
 /// else the machine's available parallelism. Zero is rejected rather
 /// than defaulted: a thread count of 0 is a request we cannot honor.
 #[must_use]
-pub fn sweep_threads() -> usize {
+pub(crate) fn sweep_threads() -> usize {
     match opt::<usize>("SMA_SWEEP_THREADS") {
         Some(0) => abort("SMA_SWEEP_THREADS=0 is malformed (thread count must be positive)"),
         Some(n) => n,
@@ -98,7 +98,7 @@ pub fn sweep_threads() -> usize {
 /// else 200 (a serving burst large enough that the report times real
 /// work, small enough for CI).
 #[must_use]
-pub fn sweep_reps() -> usize {
+pub(crate) fn sweep_reps() -> usize {
     match opt::<usize>("SMA_SWEEP_REPS") {
         Some(0) => abort("SMA_SWEEP_REPS=0 is malformed (rep count must be positive)"),
         Some(n) => n,

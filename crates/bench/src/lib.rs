@@ -34,4 +34,4 @@ pub use experiments::{
 };
 pub use stream::{fnv1a64, StreamStats, StreamWriter};
 pub use sweep::{Sweep, SweepReport, SweepRun, SweepTask, TaskReport, TaskSummary};
-pub use table::{render_table, write_csv};
+pub use table::render_table;

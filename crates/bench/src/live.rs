@@ -275,7 +275,7 @@ impl LiveBenchReport {
     /// and machine-dependent by design; only `agreement` and the
     /// replay columns are stable across machines.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"schema\": \"live-serve/v1\",");

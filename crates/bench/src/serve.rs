@@ -223,7 +223,7 @@ pub fn scenario(
 /// deadline). `max_wait_ms` parameterises the deadline policy (a sensible value
 /// is one mean batch-1 service time).
 #[must_use]
-pub fn policy_matrix(max_wait_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
+pub(crate) fn policy_matrix(max_wait_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
     vec![
         Arc::new(Immediate),
         Arc::new(SizeK::new(8)),
@@ -234,7 +234,7 @@ pub fn policy_matrix(max_wait_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
 /// The online block's policies: [`policy_matrix`] plus EDF with
 /// `slack_ms` of SLO headroom.
 #[must_use]
-pub fn online_policy_matrix(max_wait_ms: f64, slack_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
+pub(crate) fn online_policy_matrix(max_wait_ms: f64, slack_ms: f64) -> Vec<Arc<dyn BatchPolicy>> {
     let mut policies = policy_matrix(max_wait_ms);
     policies.push(Arc::new(EarliestDeadlineFirst::new(slack_ms, 16)));
     policies
@@ -247,7 +247,7 @@ pub type PlacementFactory = fn() -> Box<dyn Placement>;
 /// The online block's placements: the state-blind cycle and the
 /// live-backlog router the event engine makes possible.
 #[must_use]
-pub fn online_placement_matrix() -> Vec<PlacementFactory> {
+pub(crate) fn online_placement_matrix() -> Vec<PlacementFactory> {
     vec![|| Box::new(RoundRobin::default()), || {
         Box::new(LeastBacklog)
     }]

@@ -59,7 +59,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Pass [`fnv1a64_seed`] as the seed for a fresh hash; pass a previous
 /// digest to chain multiple buffers as if they were one.
 #[must_use]
-pub fn fnv1a64_chain(seed: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64_chain(seed: u64, bytes: &[u8]) -> u64 {
     let mut hash = seed;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -70,7 +70,7 @@ pub fn fnv1a64_chain(seed: u64, bytes: &[u8]) -> u64 {
 
 /// The seed for a fresh [`fnv1a64_chain`] hash.
 #[must_use]
-pub const fn fnv1a64_seed() -> u64 {
+pub(crate) const fn fnv1a64_seed() -> u64 {
     FNV_OFFSET
 }
 

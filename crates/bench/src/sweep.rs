@@ -87,9 +87,8 @@
 //! assert!(run.tasks.iter().all(|t| t.output.contains("total")));
 //! ```
 
-use crate::{
-    fig1, fig3, fig7, fig8, fig9_left, fig9_right, render_table, table1, table2, write_csv,
-};
+use crate::table::write_csv;
+use crate::{fig1, fig3, fig7, fig8, fig9_left, fig9_right, render_table, table1, table2};
 use sma_models::{zoo, Network};
 use sma_runtime::{CacheStats, Executor, Platform};
 use std::fmt::Write as _;
@@ -109,7 +108,10 @@ pub struct SweepTask {
 
 impl SweepTask {
     /// Wraps a closure as a task.
-    pub fn new(name: impl Into<String>, run: impl Fn() -> String + Send + Sync + 'static) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        run: impl Fn() -> String + Send + Sync + 'static,
+    ) -> Self {
         SweepTask {
             name: name.into(),
             run: Box::new(run),
@@ -162,12 +164,12 @@ pub struct Sweep {
 impl Sweep {
     /// An empty sweep.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sweep::default()
     }
 
     /// Appends a task.
-    pub fn push(&mut self, task: SweepTask) {
+    pub(crate) fn push(&mut self, task: SweepTask) {
         self.tasks.push(task);
     }
 
@@ -672,7 +674,7 @@ impl SweepReport {
     /// the workspace has no serialisation dependency). Contains no
     /// wall-derived field — CI byte-diffs this file across two runs.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"tasks\": [\n");
         for (i, task) in self.tasks.iter().enumerate() {
             let comma = if i + 1 == self.tasks.len() { "" } else { "," };
@@ -703,7 +705,7 @@ impl SweepReport {
     /// thread count and per-task `ms`. Never committed (machine- and
     /// load-dependent by nature).
     #[must_use]
-    pub fn timing_json(&self) -> String {
+    pub(crate) fn timing_json(&self) -> String {
         let mut out = format!(
             "{{\n  \"wall_ms\": {:.3},\n  \"threads\": {},\n  \"tasks\": [\n",
             self.wall_ms, self.threads

@@ -51,7 +51,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
+pub(crate) fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
     let dir = Path::new("results");
     fs::create_dir_all(dir)?;
     let mut out = String::new();

@@ -122,18 +122,6 @@ impl SystolicController {
         self.free_at.iter().any(|&f| f > now)
     }
 
-    /// Whether a specific unit is busy at `now`.
-    #[must_use]
-    pub fn unit_busy(&self, unit: usize, now: u64) -> bool {
-        self.free_at[unit % self.units] > now
-    }
-
-    /// Cycle at which every queued op will have completed.
-    #[must_use]
-    pub fn drain_cycle(&self) -> u64 {
-        self.free_at.iter().copied().max().unwrap_or(0)
-    }
-
     /// Retires ops that completed by `now`, returning them.
     pub fn retire(&mut self, now: u64) -> Vec<CompletedOp> {
         let mut out = Vec::new();
@@ -187,9 +175,6 @@ mod tests {
         assert_eq!(d1, 272);
         assert_eq!(d2, 136);
         assert!(c.busy(100));
-        assert!(c.unit_busy(0, 200));
-        assert!(!c.unit_busy(1, 200));
-        assert_eq!(c.drain_cycle(), 272);
     }
 
     #[test]

@@ -52,22 +52,16 @@ impl GemmMapper {
         &self.cfg
     }
 
-    /// The tiling in force.
-    #[must_use]
-    pub const fn tile_config(&self) -> TileConfig {
-        self.tile
-    }
-
     /// Output columns one `LSMA` pass covers: 8 at FP32, 16 with FP16
     /// pairing (the 8×16 array of §IV-A).
     #[must_use]
-    pub const fn pass_width(&self) -> usize {
+    pub(crate) const fn pass_width(&self) -> usize {
         (self.cfg.dim as usize) * if self.cfg.fp16 { 2 } else { 1 }
     }
 
     /// `LSMA` ops per `Btile` (`block_n / pass_width`).
     #[must_use]
-    pub const fn lsma_per_btile(&self) -> usize {
+    pub(crate) const fn lsma_per_btile(&self) -> usize {
         self.tile.block_n.div_ceil(self.pass_width())
     }
 

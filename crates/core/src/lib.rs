@@ -48,7 +48,7 @@
 
 pub mod config;
 pub mod controller;
-pub mod gemm_mapper;
+pub(crate) mod gemm_mapper;
 pub mod lsma;
 pub mod model;
 pub mod unit;

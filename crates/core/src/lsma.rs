@@ -39,17 +39,17 @@ pub struct LsmaOp {
 impl LsmaOp {
     /// Architectural maximum for the flexible `k` dimension: the height
     /// field is encoded in 16 bits.
-    pub const MAX_K: u32 = 65_535;
+    pub(crate) const MAX_K: u32 = 65_535;
 
     /// Array edge driven by one op.
-    pub const DIM: u32 = 8;
+    pub(crate) const DIM: u32 = 8;
 
     /// Creates and validates an op.
     ///
     /// # Errors
     ///
     /// Returns [`SmaError::InvalidLsma`] if `k` is zero or exceeds
-    /// [`LsmaOp::MAX_K`], if the unit id exceeds 2 (three units per SM),
+    /// `LsmaOp::MAX_K`, if the unit id exceeds 2 (three units per SM),
     /// or if `a_base` is not 4-byte aligned.
     pub fn new(unit: u8, a_base: u64, c_base: u16, k: u32) -> Result<Self, SmaError> {
         if k == 0 {
@@ -82,7 +82,7 @@ impl LsmaOp {
 
     /// Target SMA unit.
     #[must_use]
-    pub const fn unit(&self) -> u8 {
+    pub(crate) const fn unit(&self) -> u8 {
         self.unit
     }
 
@@ -114,7 +114,7 @@ impl LsmaOp {
     /// plus one reconfiguration cycle (weights double-buffered in the
     /// operand collectors).
     #[must_use]
-    pub const fn pass_cycles(&self) -> u64 {
+    pub(crate) const fn pass_cycles(&self) -> u64 {
         self.k as u64 + Self::DIM as u64 - 1 + 1
     }
 

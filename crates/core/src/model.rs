@@ -9,7 +9,7 @@
 //! declared in [`sma_sim::calib`] and below with their provenance.
 
 use crate::config::SmaConfig;
-use sma_mem::MemStats;
+use sma_mem::{ceil_u64, MemStats};
 use sma_sim::GpuConfig;
 use sma_systolic::DataflowKind;
 use sma_tensor::{GemmShape, TileConfig};
@@ -20,11 +20,11 @@ pub const LAUNCH_OVERHEAD_CYCLES: u64 = 1_000;
 /// Per-thread-block overhead of the SMA mapping: first-tile prologue
 /// (exposed DRAM latency + transfer, ≈957 cycles) plus pipeline drain and
 /// final-sync epilogue (≈200 cycles).
-pub const SMA_TB_OVERHEAD_CYCLES: u64 = 1_157;
+pub(crate) const SMA_TB_OVERHEAD_CYCLES: u64 = 1_157;
 
 /// Cooperative-group hand-off cost per k-slice in the SMA mapping,
 /// measured from the double-buffered kernel on the SM simulator.
-pub const SMA_SYNC_CYCLES_PER_KTILE: u64 = 20;
+pub(crate) const SMA_SYNC_CYCLES_PER_KTILE: u64 = 20;
 
 /// Multiplier over the compulsory (read-each-operand-once) DRAM traffic
 /// accounting for L2 misses on tile re-reads. The 6 MiB L2 captures most
@@ -41,7 +41,7 @@ pub const L2_REUSE_DRAM_FACTOR: f64 = 1.25;
 pub const TC_TB_OVERHEAD_CYCLES: u64 = 3_000;
 
 /// Per-thread-block overhead of the SIMD CUTLASS-style mapping.
-pub const SIMD_TB_OVERHEAD_CYCLES: u64 = 1_500;
+pub(crate) const SIMD_TB_OVERHEAD_CYCLES: u64 = 1_500;
 
 /// Performance/energy estimate of one GEMM on one platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,7 +164,7 @@ impl SmaGemmModel {
         // the L2 reuse factor (tile re-reads mostly hit in L2).
         let dram_bytes = (shape.min_bytes(elem) as f64 * L2_REUSE_DRAM_FACTOR) as u64;
         let full_bw = self.gpu.dram_bytes_per_cycle_per_sm * f64::from(self.gpu.sms);
-        let dram_floor = (dram_bytes as f64 / full_bw).ceil() as u64;
+        let dram_floor = ceil_u64(dram_bytes as f64 / full_bw);
         let cycles = (waves * per_tb).max(dram_floor) + LAUNCH_OVERHEAD_CYCLES;
 
         let mem = self.ledger(&walk, total_passes, stream, dram_bytes);
@@ -257,7 +257,7 @@ impl SimdGemmModel {
         // Per k-slice per TB: 128×128×8 MACs at 64 lanes × 0.63.
         let macs_per_ktile = (self.tile.block_m * self.tile.block_n * self.tile.block_k) as f64;
         let eff_rate = self.gpu.fp32_lanes as f64 * sma_sim::calib::SIMD_GEMM_PEAK_FRACTION;
-        let per_ktile = (macs_per_ktile / eff_rate).ceil() as u64;
+        let per_ktile = ceil_u64(macs_per_ktile / eff_rate);
         let per_tb = k_tiles * per_ktile + SIMD_TB_OVERHEAD_CYCLES;
 
         let sms = u64::from(self.gpu.sms);
@@ -265,7 +265,7 @@ impl SimdGemmModel {
         let waves = blocks.div_ceil(sms);
         let dram_bytes = (shape.min_bytes(4) as f64 * L2_REUSE_DRAM_FACTOR) as u64;
         let full_bw = self.gpu.dram_bytes_per_cycle_per_sm * f64::from(self.gpu.sms);
-        let dram_floor = (dram_bytes as f64 / full_bw).ceil() as u64;
+        let dram_floor = ceil_u64(dram_bytes as f64 / full_bw);
         let cycles = (waves * per_tb).max(dram_floor) + LAUNCH_OVERHEAD_CYCLES;
 
         let mut m = MemStats::default();

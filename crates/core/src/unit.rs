@@ -54,7 +54,6 @@ pub struct SmaUnit {
     /// One repurposed operand collector per PE column (§IV-A).
     collectors: Vec<OperandCollector>,
     mode_switches: u64,
-    lsma_count: u64,
     total_trace: Option<PassTrace>,
 }
 
@@ -69,7 +68,6 @@ impl SmaUnit {
             mode: ExecutionMode::Simd,
             collectors: (0..cfg.dim).map(|_| OperandCollector::new()).collect(),
             mode_switches: 0,
-            lsma_count: 0,
             total_trace: None,
         }
     }
@@ -90,12 +88,6 @@ impl SmaUnit {
     #[must_use]
     pub const fn mode_switches(&self) -> u64 {
         self.mode_switches
-    }
-
-    /// `LSMA` ops executed.
-    #[must_use]
-    pub const fn lsma_count(&self) -> u64 {
-        self.lsma_count
     }
 
     /// Accumulated dataflow trace across all `LSMA` ops (None before the
@@ -197,7 +189,6 @@ impl SmaUnit {
         // Accumulate into C (the RF-side adders of Fig. 4/5).
         c.accumulate_block(0, 0, &run.result);
 
-        self.lsma_count += 1;
         match &mut self.total_trace {
             Some(t) => t.merge(&run.trace),
             None => self.total_trace = Some(run.trace.clone()),
@@ -226,7 +217,6 @@ mod tests {
         u.execute_lsma(&a, &b, &mut c).unwrap();
         let expected = gemm::reference(&a, &b).unwrap();
         assert!(c.approx_eq(&expected, 1e-4));
-        assert_eq!(u.lsma_count(), 1);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl EnergyTable {
     /// shared ≈56 pJ; L1 ≈60 pJ; L2 ≈240 pJ; HBM2 ≈15 pJ/B; instruction
     /// front-end ≈8 pJ; PE wire ≈0.06 pJ.
     #[must_use]
-    pub const fn volta() -> Self {
+    pub(crate) const fn volta() -> Self {
         EnergyTable {
             fma_fp32_pj: 1.5,
             fma_fp16_pj: 0.6,
@@ -151,7 +151,7 @@ impl EnergyBreakdown {
 
     /// Element-wise sum.
     #[must_use]
-    pub fn plus(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
+    pub(crate) fn plus(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
         EnergyBreakdown {
             global: self.global + other.global,
             shared: self.shared + other.shared,

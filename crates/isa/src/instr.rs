@@ -43,16 +43,9 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    /// MAC operations contribute to useful FLOP counts; the rest are
-    /// overhead instructions.
-    #[must_use]
-    pub const fn is_mac(self) -> bool {
-        matches!(self, AluOp::Ffma | AluOp::Hfma2)
-    }
-
     /// FP32-equivalent MAC lanes this op performs per thread.
     #[must_use]
-    pub const fn macs_per_thread(self) -> u32 {
+    pub(crate) const fn macs_per_thread(self) -> u32 {
         match self {
             AluOp::Ffma => 1,
             AluOp::Hfma2 => 2,
@@ -241,16 +234,6 @@ impl Instr {
         }
     }
 
-    /// Builds a paired FP16 FFMA (two MACs per lane).
-    #[must_use]
-    pub fn hfma2(dst: Reg, a: Reg, b: Reg, c: Reg) -> Self {
-        Instr::Alu {
-            op: AluOp::Hfma2,
-            dst,
-            srcs: vec![a, b, c],
-        }
-    }
-
     /// Builds an integer add `dst = a + b`.
     #[must_use]
     pub fn iadd(dst: Reg, a: Reg, b: Reg) -> Self {
@@ -294,17 +277,6 @@ impl Instr {
         }
     }
 
-    /// Builds a global store of 4 bytes per lane.
-    #[must_use]
-    pub fn stg(src: Reg, pattern: AddressPattern) -> Self {
-        Instr::Store {
-            space: MemSpace::Global,
-            src,
-            pattern,
-            width: 4,
-        }
-    }
-
     /// Registers written by this instruction.
     #[must_use]
     pub fn dsts(&self) -> Vec<Reg> {
@@ -327,12 +299,6 @@ impl Instr {
             Instr::Lsma { c_base, .. } => vec![*c_base],
             _ => Vec::new(),
         }
-    }
-
-    /// True for instructions the issue stage treats as memory operations.
-    #[must_use]
-    pub const fn is_memory(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. })
     }
 
     /// True for synchronisation instructions.
@@ -434,14 +400,18 @@ mod tests {
         let i = Instr::ffma(Reg(3), Reg(0), Reg(1), Reg(2));
         assert_eq!(i.dsts(), vec![Reg(3)]);
         assert_eq!(i.srcs(), vec![Reg(0), Reg(1), Reg(2)]);
-        assert!(!i.is_memory());
         assert!(!i.is_sync());
     }
 
     #[test]
     fn warp_mac_counts() {
         assert_eq!(Instr::ffma(Reg(0), Reg(1), Reg(2), Reg(0)).warp_macs(), 32);
-        assert_eq!(Instr::hfma2(Reg(0), Reg(1), Reg(2), Reg(0)).warp_macs(), 64);
+        let hfma2 = Instr::Alu {
+            op: AluOp::Hfma2,
+            dst: Reg(0),
+            srcs: vec![Reg(1), Reg(2), Reg(0)],
+        };
+        assert_eq!(hfma2.warp_macs(), 64);
         assert_eq!(
             Instr::Hmma {
                 dst: Reg(0),

@@ -40,7 +40,7 @@ pub mod program;
 
 pub use instr::{AddressPattern, AluOp, Instr, MemSpace, Reg};
 pub use kernel::{Kernel, WarpRole};
-pub use program::{ProgramBuilder, Stmt, WarpProgram, WarpWalker};
+pub use program::{ProgramBuilder, WarpProgram, WarpWalker};
 
 use std::error::Error;
 use std::fmt;

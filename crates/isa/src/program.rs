@@ -4,12 +4,10 @@ use crate::instr::Instr;
 
 /// One node of a structured warp program.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// A single instruction.
     Instr(Instr),
-    /// A counted loop. The body executes `trips` times; the loop-control
-    /// overhead (compare + branch) can be charged by the simulator per
-    /// trip via [`WarpProgram::loop_overhead_per_trip`].
+    /// A counted loop. The body executes `trips` times.
     Loop {
         /// Trip count.
         trips: u32,
@@ -58,25 +56,11 @@ impl WarpProgram {
         ProgramBuilder { stmts: Vec::new() }
     }
 
-    /// The structured statement list.
-    #[must_use]
-    pub fn stmts(&self) -> &[Stmt] {
-        &self.stmts
-    }
-
     /// Total dynamic instructions (loops unrolled), excluding loop-control
     /// overhead.
     #[must_use]
     pub fn dynamic_instruction_count(&self) -> u64 {
         self.stmts.iter().map(Stmt::dynamic_count).sum()
-    }
-
-    /// Instructions of loop-control overhead the SIMD pipeline pays per
-    /// loop trip (one IADD for the counter and one SETP+branch fused — a
-    /// conventional 2-instruction approximation).
-    #[must_use]
-    pub const fn loop_overhead_per_trip() -> u64 {
-        2
     }
 
     /// Lazily walks the dynamic instruction stream without materialising

@@ -48,7 +48,7 @@ impl Config {
     /// Effective severity of `rule` in `crate_name`: per-crate override,
     /// else `[default]`, else the rule's built-in default.
     #[must_use]
-    pub fn severity(&self, crate_name: &str, rule: &str) -> Severity {
+    pub(crate) fn severity(&self, crate_name: &str, rule: &str) -> Severity {
         if let Some(per_crate) = self.crates.get(crate_name) {
             if let Some(&severity) = per_crate.get(rule) {
                 return severity;
@@ -69,7 +69,7 @@ impl Config {
     /// of it — so `knobs.rs` sanctions every knobs module while
     /// `crates/runtime/src/serve/live.rs` pins exactly one file.
     #[must_use]
-    pub fn is_sanctioned(&self, rule: &str, rel_path: &str, file_name: &str) -> bool {
+    pub(crate) fn is_sanctioned(&self, rule: &str, rel_path: &str, file_name: &str) -> bool {
         self.sanctioned.get(rule).is_some_and(|entries| {
             entries.iter().any(|entry| {
                 entry == file_name

@@ -3,20 +3,23 @@
 //! [`lint_workspace`] discovers every member crate from the root
 //! `Cargo.toml`, scans each crate's `src/` tree (sorted traversal —
 //! the report itself must be deterministic), and funnels every file
-//! through [`lint_source`]. Integration-test, example and bench trees
-//! are not model code and are not scanned; `#[cfg(test)]` items inside
-//! `src/` are skipped per rule via the lexer's test ranges.
+//! through [`lint_source`] and, outside `crates/shims/`, through
+//! `surface_lines` for the public-surface file. Integration-test,
+//! example and bench trees are not model code and are not scanned;
+//! `#[cfg(test)]` items inside `src/` are skipped per rule via the
+//! lexer's test ranges.
 
 use crate::config::Config;
 use crate::lexer::{lex, Suppression};
 use crate::report::{Finding, Report, Severity, SuppressedFinding};
 use crate::rules::{RULES, SUPPRESSION_RULE, UNUSED_SUPPRESSION_RULE};
+use crate::surface::surface_lines;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// One workspace member: package name and its `src/` directory.
 #[derive(Debug, Clone)]
-pub struct CrateSrc {
+pub(crate) struct CrateSrc {
     /// Package name from the member's `Cargo.toml`.
     pub name: String,
     /// The member's `src/` directory, relative to the workspace root.
@@ -44,8 +47,20 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Report> {
             report.findings.extend(findings);
             report.suppressed.extend(suppressed);
             report.files_scanned += 1;
+            if !member.src_dir.starts_with("crates/shims") {
+                let file = path
+                    .strip_prefix(root.join(&member.src_dir))
+                    .unwrap_or(&path)
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                report
+                    .surface
+                    .extend(surface_lines(&member.name, &file, &lex(&source)));
+            }
         }
     }
+    report.surface.sort();
+    report.surface.dedup();
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -60,7 +75,7 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Report> {
 ///
 /// This is the unit the fixture tests drive: `crate_name` picks the
 /// `lint.toml` severity column, `rel_path` is used for display and for
-/// the per-rule sanctioned-file check ([`Config::is_sanctioned`]).
+/// the per-rule sanctioned-file check (`Config::is_sanctioned`).
 #[must_use]
 pub fn lint_source(
     crate_name: &str,

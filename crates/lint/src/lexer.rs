@@ -51,13 +51,13 @@ pub struct Tok {
 impl Tok {
     /// True if the token is the identifier `s`.
     #[must_use]
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 
     /// True if the token is the punctuation `s`.
     #[must_use]
-    pub fn is_punct(&self, s: &str) -> bool {
+    pub(crate) fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
     }
 }
@@ -77,7 +77,7 @@ impl Tok {
 /// For standalone markers, plain `//` comment lines directly below the
 /// marker are folded into the justification, so a long reason can wrap.
 #[derive(Debug, Clone)]
-pub struct Suppression {
+pub(crate) struct Suppression {
     /// Line the comment sits on.
     pub comment_line: u32,
     /// Source line the suppression covers (its own line for trailing
@@ -92,7 +92,7 @@ pub struct Suppression {
 
 /// The scanner's full output for one file.
 #[derive(Debug, Default)]
-pub struct LexedFile {
+pub(crate) struct LexedFile {
     /// Token stream in source order.
     pub toks: Vec<Tok>,
     /// Inline suppressions, in source order.
@@ -105,7 +105,7 @@ pub struct LexedFile {
 impl LexedFile {
     /// True if `line` falls inside a test item.
     #[must_use]
-    pub fn in_test_code(&self, line: u32) -> bool {
+    pub(crate) fn in_test_code(&self, line: u32) -> bool {
         self.test_ranges
             .iter()
             .any(|&(start, end)| (start..=end).contains(&line))
@@ -114,7 +114,7 @@ impl LexedFile {
 
 /// Scans `src` into tokens, suppressions and test ranges.
 #[must_use]
-pub fn lex(src: &str) -> LexedFile {
+pub(crate) fn lex(src: &str) -> LexedFile {
     let mut out = LexedFile::default();
     let bytes: Vec<char> = src.chars().collect();
     let mut i = 0usize;
@@ -336,7 +336,13 @@ fn push_tok(
 fn skip_string(bytes: &[char], i: &mut usize, mut line: u32) -> u32 {
     while *i < bytes.len() {
         match bytes[*i] {
-            '\\' => *i += 2,
+            '\\' => {
+                // An escaped newline (line continuation) is still a line.
+                if bytes.get(*i + 1) == Some(&'\n') {
+                    line += 1;
+                }
+                *i += 2;
+            }
             '\n' => {
                 line += 1;
                 *i += 1;
@@ -547,6 +553,13 @@ let b = 2;
         assert_eq!(lexed.suppressions[1].comment_line, 2);
         assert_eq!(lexed.suppressions[1].covers_line, 3);
         assert_eq!(lexed.suppressions[1].justification, "next line");
+    }
+
+    #[test]
+    fn line_continuations_in_strings_keep_the_line_count() {
+        let lexed = lex("let s = \"one \\\n two\";\nlet t = 1;\n");
+        let t = lexed.toks.iter().find(|t| t.is_ident("t")).unwrap();
+        assert_eq!(t.line, 3);
     }
 
     #[test]

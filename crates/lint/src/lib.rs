@@ -9,13 +9,15 @@
 //! regenerates:
 //!
 //! * a hand-rolled, string/char-literal/comment-aware token scanner
-//!   ([`lexer`]) — the container has no registry access, so no `syn`;
+//!   (`lexer`) — the container has no registry access, so no `syn`;
 //! * a rule engine ([`rules`], [`engine`]) with per-crate severity
 //!   configuration (`lint.toml`, parsed by [`config`]) and inline
 //!   `// sma-lint: allow(<rule>) — <justification>` suppressions that
 //!   must carry a justification;
 //! * human-readable `file:line` output plus a machine-readable
-//!   `LINT_report.json` ([`report`]).
+//!   `LINT_report.json` ([`report`]);
+//! * the workspace's public surface, one line per `pub` item, written
+//!   to the committed `API_surface.txt` (`surface`).
 //!
 //! The rules come in three families — **determinism** (wall clock,
 //! hash-ordered collections, env reads outside the sanctioned `knobs`
@@ -39,9 +41,10 @@
 
 pub mod config;
 pub mod engine;
-pub mod lexer;
+pub(crate) mod lexer;
 pub mod report;
 pub mod rules;
+mod surface;
 
 pub use config::Config;
 pub use engine::{lint_source, lint_workspace};

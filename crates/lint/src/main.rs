@@ -9,6 +9,8 @@
 //! * `--root` — workspace root (default: current directory).
 //! * `--json` — machine-readable report path (default:
 //!   `<root>/LINT_report.json`).
+//!
+//! Every run also writes the public surface to `<root>/API_surface.txt`.
 //! * `--list` — print the rule registry and exit.
 //!
 //! The policy file is `<root>/lint.toml`; a missing policy file runs
@@ -72,6 +74,12 @@ fn main() -> ExitCode {
     let json_path = json.unwrap_or_else(|| root.join("LINT_report.json"));
     if let Err(e) = report.write_json(&json_path) {
         eprintln!("sma-lint: cannot write {}: {e}", json_path.display());
+        return ExitCode::from(2);
+    }
+
+    let surface_path = root.join("API_surface.txt");
+    if let Err(e) = report.write_surface(&surface_path) {
+        eprintln!("sma-lint: cannot write {}: {e}", surface_path.display());
         return ExitCode::from(2);
     }
 

@@ -18,7 +18,7 @@ pub enum Severity {
 impl Severity {
     /// Lower-case label used in reports and `lint.toml`.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Severity::Allow => "allow",
             Severity::Warn => "warn",
@@ -67,6 +67,8 @@ pub struct Report {
     pub suppressed: Vec<SuppressedFinding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// The workspace's public surface, one sorted line per `pub` item.
+    pub surface: Vec<String>,
 }
 
 impl Report {
@@ -81,7 +83,7 @@ impl Report {
 
     /// Number of warn-severity findings.
     #[must_use]
-    pub fn warn_count(&self) -> usize {
+    pub(crate) fn warn_count(&self) -> usize {
         self.findings
             .iter()
             .filter(|f| f.severity == Severity::Warn)
@@ -119,7 +121,7 @@ impl Report {
     /// Renders the machine-readable report (hand-rolled JSON: the
     /// workspace has no serialisation dependency).
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(
             out,
@@ -162,6 +164,17 @@ impl Report {
         }
         out.push_str("  ]\n}\n");
         out
+    }
+
+    /// Writes the public surface to `path`, one item per line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write_surface(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        let mut text = self.surface.join("\n");
+        text.push('\n');
+        std::fs::write(path, text)
     }
 
     /// Writes the JSON report to `path`.
@@ -211,6 +224,7 @@ mod tests {
                 justification: "exact-zero divide guard".into(),
             }],
             files_scanned: 2,
+            surface: Vec::new(),
         }
     }
 

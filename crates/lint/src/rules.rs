@@ -50,10 +50,10 @@ pub struct Rule {
 
 /// Rule id of the engine-level meta rule for blanket/malformed
 /// suppressions.
-pub const SUPPRESSION_RULE: &str = "suppression-justification";
+pub(crate) const SUPPRESSION_RULE: &str = "suppression-justification";
 /// Rule id of the engine-level meta rule for suppressions that
 /// silenced nothing.
-pub const UNUSED_SUPPRESSION_RULE: &str = "unused-suppression";
+pub(crate) const UNUSED_SUPPRESSION_RULE: &str = "unused-suppression";
 
 /// The registry, in documentation order.
 pub static RULES: &[Rule] = &[

@@ -36,14 +36,14 @@ impl BankedConfig {
 
     /// Bank index serving a byte address.
     #[must_use]
-    pub const fn bank_of(&self, addr: u64) -> u32 {
+    pub(crate) const fn bank_of(&self, addr: u64) -> u32 {
         ((addr / self.bank_width as u64) % self.banks as u64) as u32
     }
 
     /// Word index within the bank (two lanes touching the same word
     /// broadcast rather than conflict).
     #[must_use]
-    pub const fn word_of(&self, addr: u64) -> u64 {
+    pub(crate) const fn word_of(&self, addr: u64) -> u64 {
         addr / self.bank_width as u64
     }
 }
@@ -172,13 +172,6 @@ impl BankedMemory {
             self.total_cycles as f64 / self.total_accesses as f64
         }
     }
-
-    /// Clears accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.total_accesses = 0;
-        self.total_cycles = 0;
-        self.total_conflict_cycles = 0;
-    }
 }
 
 #[cfg(test)]
@@ -255,9 +248,6 @@ mod tests {
         assert_eq!(m.cycles(), 64);
         assert_eq!(m.conflict_cycles(), 62);
         assert!((m.serialisation_factor() - 32.0).abs() < 1e-12);
-        m.reset_stats();
-        assert_eq!(m.accesses(), 0);
-        assert!((m.serialisation_factor() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl CacheConfig {
 
     /// Number of sets.
     #[must_use]
-    pub const fn sets(&self) -> u64 {
+    pub(crate) const fn sets(&self) -> u64 {
         self.capacity / (self.line_size as u64 * self.ways as u64)
     }
 }
@@ -127,23 +127,6 @@ impl Cache {
         CacheOutcome::Miss
     }
 
-    /// Accesses a whole sector/line span, returning how many of the
-    /// constituent lines missed.
-    pub fn access_span(&mut self, addr: u64, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let first = addr / u64::from(self.config.line_size);
-        let last = (addr + bytes - 1) / u64::from(self.config.line_size);
-        let mut misses = 0;
-        for line in first..=last {
-            if self.access(line * u64::from(self.config.line_size)) == CacheOutcome::Miss {
-                misses += 1;
-            }
-        }
-        misses
-    }
-
     /// Hit count.
     #[must_use]
     pub const fn hits(&self) -> u64 {
@@ -171,17 +154,6 @@ impl Cache {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Empties the cache and clears statistics.
-    pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.stamp = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
     }
 }
 
@@ -236,24 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn span_counts_line_misses() {
-        let mut c = tiny();
-        // 200 bytes from 0 covers lines 0..=3 (4 lines).
-        assert_eq!(c.access_span(0, 200), 4);
-        assert_eq!(c.access_span(0, 200), 0); // all hot now
-        assert_eq!(c.access_span(0, 0), 0);
-    }
-
-    #[test]
     fn hit_rate_and_reset() {
         let mut c = tiny();
         c.access(0);
         c.access(0);
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-        c.reset();
-        assert_eq!(c.hits(), 0);
-        assert!((c.hit_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(c.access(0), CacheOutcome::Miss);
     }
 
     #[test]

@@ -34,7 +34,6 @@ impl CoalesceResult {
 pub struct Coalescer {
     accesses: u64,
     sectors: u64,
-    lines: u64,
     useful_bytes: u64,
 }
 
@@ -50,7 +49,6 @@ impl Coalescer {
         let r = Self::probe(lane_addresses, width);
         self.accesses += 1;
         self.sectors += u64::from(r.sectors);
-        self.lines += u64::from(r.lines);
         self.useful_bytes += u64::from(r.useful_bytes);
         r
     }
@@ -104,24 +102,6 @@ impl Coalescer {
         self.accesses
     }
 
-    /// Total sectors fetched.
-    #[must_use]
-    pub const fn total_sectors(&self) -> u64 {
-        self.sectors
-    }
-
-    /// Total 128-byte lines touched.
-    #[must_use]
-    pub const fn total_lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Total bytes requested by lanes.
-    #[must_use]
-    pub const fn total_useful_bytes(&self) -> u64 {
-        self.useful_bytes
-    }
-
     /// Aggregate fetch efficiency.
     #[must_use]
     pub fn efficiency(&self) -> f64 {
@@ -130,11 +110,6 @@ impl Coalescer {
         } else {
             self.useful_bytes as f64 / (self.sectors * 32) as f64
         }
-    }
-
-    /// Clears statistics.
-    pub fn reset_stats(&mut self) {
-        *self = Coalescer::default();
     }
 }
 
@@ -191,10 +166,6 @@ mod tests {
         c.access(&addrs, 4);
         c.access(&addrs, 4);
         assert_eq!(c.accesses(), 2);
-        assert_eq!(c.total_sectors(), 8);
-        assert_eq!(c.total_useful_bytes(), 256);
-        c.reset_stats();
-        assert_eq!(c.accesses(), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl DramConfig {
 
     /// Effective streaming bandwidth in bytes/cycle.
     #[must_use]
-    pub fn effective_bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn effective_bytes_per_cycle(&self) -> f64 {
         self.bytes_per_cycle * self.efficiency
     }
 }
@@ -52,18 +52,13 @@ impl DramConfig {
 pub struct Dram {
     config: DramConfig,
     bytes: u64,
-    busy_cycles: u64,
 }
 
 impl Dram {
     /// Creates a DRAM model.
     #[must_use]
     pub const fn new(config: DramConfig) -> Self {
-        Dram {
-            config,
-            bytes: 0,
-            busy_cycles: 0,
-        }
+        Dram { config, bytes: 0 }
     }
 
     /// The configuration.
@@ -77,48 +72,23 @@ impl Dram {
     pub fn stream(&mut self, bytes: u64) -> u64 {
         let cycles = self.probe(bytes);
         self.bytes += bytes;
-        self.busy_cycles += cycles;
         cycles
     }
 
     /// Cycle cost of a transfer without recording it.
     #[must_use]
-    pub fn probe(&self, bytes: u64) -> u64 {
+    pub(crate) fn probe(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
         }
-        let stream = (bytes as f64 / self.config.effective_bytes_per_cycle()).ceil() as u64;
+        let stream = crate::ceil_u64(bytes as f64 / self.config.effective_bytes_per_cycle());
         self.config.latency + stream
-    }
-
-    /// Cycle cost when `transfers` independent streams overlap their
-    /// latencies perfectly (bandwidth still serialises).
-    #[must_use]
-    pub fn probe_overlapped(&self, bytes: u64, transfers: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let stream = (bytes as f64 / self.config.effective_bytes_per_cycle()).ceil() as u64;
-        // One exposed latency; the rest hides under streaming.
-        self.config.latency + stream.max(transfers.saturating_sub(1))
     }
 
     /// Total bytes moved.
     #[must_use]
     pub const fn bytes_moved(&self) -> u64 {
         self.bytes
-    }
-
-    /// Total busy cycles.
-    #[must_use]
-    pub const fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Clears statistics.
-    pub fn reset_stats(&mut self) {
-        self.bytes = 0;
-        self.busy_cycles = 0;
     }
 }
 
@@ -157,16 +127,5 @@ mod tests {
         d.stream(1000);
         d.stream(2000);
         assert_eq!(d.bytes_moved(), 3000);
-        assert!(d.busy_cycles() > 2 * 375);
-        d.reset_stats();
-        assert_eq!(d.bytes_moved(), 0);
-    }
-
-    #[test]
-    fn overlap_hides_latency() {
-        let d = Dram::new(DramConfig::volta_hbm2());
-        let serial: u64 = (0..10).map(|_| d.probe(100_000)).sum();
-        let overlapped = d.probe_overlapped(1_000_000, 10);
-        assert!(overlapped < serial, "{overlapped} !< {serial}");
     }
 }

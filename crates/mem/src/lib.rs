@@ -47,3 +47,21 @@ pub use coalesce::{CoalesceResult, Coalescer};
 pub use dram::{Dram, DramConfig};
 pub use regfile::{OperandCollector, RegFileConfig, RegisterFile, RfAccessKind};
 pub use stats::MemStats;
+
+/// Rounds a cycle or byte count up to a whole number: the cost models'
+/// one float-to-integer conversion.
+///
+/// `x` must be finite and non-negative, which a debug build checks.
+/// Under that precondition the cast can neither meet NaN nor saturate
+/// below zero.
+#[inline]
+#[must_use]
+pub fn ceil_u64(x: f64) -> u64 {
+    debug_assert!(
+        x.is_finite() && x >= 0.0,
+        "ceil_u64 needs a finite, non-negative count, got {x}"
+    );
+    // sma-lint: allow(float-cast) — finite and non-negative by the
+    // precondition above, which debug builds assert.
+    x.ceil() as u64
+}

@@ -70,10 +70,7 @@ pub struct RegisterFile {
     config: RegFileConfig,
     reads: u64,
     writes: u64,
-    read_cycles: u64,
-    write_cycles: u64,
     bytes_read: u64,
-    bytes_written: u64,
 }
 
 impl RegisterFile {
@@ -84,10 +81,7 @@ impl RegisterFile {
             config,
             reads: 0,
             writes: 0,
-            read_cycles: 0,
-            write_cycles: 0,
             bytes_read: 0,
-            bytes_written: 0,
         }
     }
 
@@ -108,7 +102,6 @@ impl RegisterFile {
     pub fn read(&mut self, _bank: u32, kind: RfAccessKind) -> u32 {
         let c = self.cost(kind);
         self.reads += 1;
-        self.read_cycles += u64::from(c);
         self.bytes_read += u64::from(c) * u64::from(self.config.vector_bytes);
         c
     }
@@ -117,8 +110,6 @@ impl RegisterFile {
     pub fn write(&mut self, _bank: u32, kind: RfAccessKind) -> u32 {
         let c = self.cost(kind);
         self.writes += 1;
-        self.write_cycles += u64::from(c);
-        self.bytes_written += u64::from(c) * u64::from(self.config.vector_bytes);
         c
     }
 
@@ -134,28 +125,10 @@ impl RegisterFile {
         self.writes
     }
 
-    /// Bank-cycles spent on reads (≥ reads when scattered).
-    #[must_use]
-    pub const fn read_cycles(&self) -> u64 {
-        self.read_cycles
-    }
-
-    /// Bank-cycles spent on writes.
-    #[must_use]
-    pub const fn write_cycles(&self) -> u64 {
-        self.write_cycles
-    }
-
     /// Total bytes moved out of the RF.
     #[must_use]
     pub const fn bytes_read(&self) -> u64 {
         self.bytes_read
-    }
-
-    /// Total bytes moved into the RF.
-    #[must_use]
-    pub const fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 
     /// Clears statistics.
@@ -257,8 +230,6 @@ mod tests {
         let mut rf = RegisterFile::new(RegFileConfig::volta());
         assert_eq!(rf.read(0, RfAccessKind::Vector), 1);
         assert_eq!(rf.write(1, RfAccessKind::Vector), 1);
-        assert_eq!(rf.read_cycles(), 1);
-        assert_eq!(rf.write_cycles(), 1);
         assert_eq!(rf.bytes_read(), 128);
     }
 
@@ -266,7 +237,6 @@ mod tests {
     fn scattered_access_serialises() {
         let mut rf = RegisterFile::new(RegFileConfig::volta());
         assert_eq!(rf.read(0, RfAccessKind::Scattered { rows: 8 }), 8);
-        assert_eq!(rf.read_cycles(), 8);
         // A degenerate scatter of 0 rows still costs a cycle.
         assert_eq!(rf.read(0, RfAccessKind::Scattered { rows: 0 }), 1);
     }

@@ -233,7 +233,7 @@ impl Layer {
 
     /// True if this is a convolution (the Table II census).
     #[must_use]
-    pub fn is_conv(&self) -> bool {
+    pub(crate) fn is_conv(&self) -> bool {
         matches!(self, Layer::Conv2d { .. })
     }
 
@@ -250,7 +250,7 @@ impl Layer {
 impl LayerWork {
     /// The GEMM shape, if GEMM-compatible.
     #[must_use]
-    pub fn gemm_shape(&self) -> Option<GemmShape> {
+    pub(crate) fn gemm_shape(&self) -> Option<GemmShape> {
         match self {
             LayerWork::Gemm(s) => Some(*s),
             LayerWork::Irregular { .. } => None,

@@ -17,7 +17,7 @@ pub struct Network {
 impl Network {
     /// Creates a network.
     #[must_use]
-    pub fn new(name: impl Into<String>, layers: Vec<Layer>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, layers: Vec<Layer>) -> Self {
         Network {
             name: name.into().into(),
             layers,

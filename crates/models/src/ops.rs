@@ -39,7 +39,7 @@ impl ScoredBox {
 
     /// Box area (zero for degenerate boxes).
     #[must_use]
-    pub fn area(&self) -> f32 {
+    pub(crate) fn area(&self) -> f32 {
         (self.x2 - self.x1).max(0.0) * (self.y2 - self.y1).max(0.0)
     }
 

@@ -31,13 +31,13 @@ use super::{
     Reconfigurable, RuntimeError,
 };
 use sma_core::model::{GemmEstimate, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES};
-use sma_mem::MemStats;
+use sma_mem::{ceil_u64, MemStats};
 use sma_sim::GpuConfig;
 use sma_tensor::GemmShape;
 
 /// Rows of the per-SM ArrayFlex array (the reduction dimension mapped
 /// onto it, weight-stationary).
-pub const ARRAYFLEX_ROWS: usize = 16;
+pub(crate) const ARRAYFLEX_ROWS: usize = 16;
 
 /// Columns of the per-SM array at FP16 (two paired MACs per FP32-class
 /// PE column, the same pairing the SMA units use). 16×24 = 384
@@ -45,17 +45,17 @@ pub const ARRAYFLEX_ROWS: usize = 16;
 /// latency difference against the temporally integrated design is
 /// attributable to the dataflow and the pipeline reconfiguration, not
 /// to a larger compute budget.
-pub const ARRAYFLEX_COLS: usize = 24;
+pub(crate) const ARRAYFLEX_COLS: usize = 24;
 
 /// Fractional critical-path growth per extra PE fused into a clocked
 /// stage: fusing `span` MACs multiplies the clock period by
 /// `1 + 0.4 (span - 1)` (sub-linear: register setup/hold is amortised
 /// and the carry chains of adjacent MACs overlap).
-pub const CRITICAL_PATH_SLOPE: f64 = 0.4;
+pub(crate) const CRITICAL_PATH_SLOPE: f64 = 0.4;
 
 /// Fixed per-launch array overhead: weight pre-load of the first tile,
 /// configuration-register write, and the output-buffer flush.
-pub const ARRAYFLEX_SETUP_CYCLES: u64 = 800;
+pub(crate) const ARRAYFLEX_SETUP_CYCLES: u64 = 800;
 
 /// One transparent-pipelining configuration: `span` PEs share a clocked
 /// stage.
@@ -84,14 +84,14 @@ impl PipelineConfig {
 
     /// Clock-period multiplier relative to the fully pipelined array.
     #[must_use]
-    pub fn clock_divisor(self) -> f64 {
+    pub(crate) fn clock_divisor(self) -> f64 {
         1.0 + CRITICAL_PATH_SLOPE * f64::from(self.span - 1)
     }
 
     /// Fill + drain skew cycles of one pass: one cycle per clocked
     /// stage along each array edge.
     #[must_use]
-    pub const fn skew_cycles(self) -> u64 {
+    pub(crate) const fn skew_cycles(self) -> u64 {
         let stages_k = (ARRAYFLEX_ROWS as u64).div_ceil(self.span as u64);
         let stages_n = (ARRAYFLEX_COLS as u64).div_ceil(self.span as u64);
         (stages_k - 1) + (stages_n - 1)
@@ -106,7 +106,7 @@ impl PipelineConfig {
 /// clock), then swaps in the next tile. Tiles are distributed across
 /// the GPU's SMs (one array each).
 #[derive(Debug, Clone, Copy)]
-pub struct ArrayFlexModel {
+pub(crate) struct ArrayFlexModel {
     gpu: GpuConfig,
 }
 
@@ -114,7 +114,7 @@ impl ArrayFlexModel {
     /// The model on the Volta substrate (Table I GPGPU column, SIMD
     /// lanes intact beside the arrays).
     #[must_use]
-    pub fn new(gpu: GpuConfig) -> Self {
+    pub(crate) fn new(gpu: GpuConfig) -> Self {
         ArrayFlexModel { gpu }
     }
 
@@ -122,7 +122,7 @@ impl ArrayFlexModel {
     /// pipelining (the configuration-independent peak efficiency is
     /// measured against).
     #[must_use]
-    pub const fn peak_macs_per_sm_cycle() -> u64 {
+    pub(crate) const fn peak_macs_per_sm_cycle() -> u64 {
         (ARRAYFLEX_ROWS * ARRAYFLEX_COLS) as u64
     }
 
@@ -139,16 +139,13 @@ impl ArrayFlexModel {
         // Array clocks are longer than base clocks by the divisor; the
         // setup (config-register write, first weight pre-load over the
         // memory pipeline) runs at base clock regardless.
-        // sma-lint: allow(float-cast) — finite positive cycle count
-        // (integer waves*pass scaled by a divisor in [1, 4]); ceil-to-u64
-        // is the cycle-model rounding convention.
-        ((waves * pass) as f64 * config.clock_divisor()).ceil() as u64 + ARRAYFLEX_SETUP_CYCLES
+        ceil_u64((waves * pass) as f64 * config.clock_divisor()) + ARRAYFLEX_SETUP_CYCLES
     }
 
     /// The fastest pipeline configuration for a shape (ties to the
     /// fully pipelined array).
     #[must_use]
-    pub fn best_config(&self, shape: GemmShape) -> PipelineConfig {
+    pub(crate) fn best_config(&self, shape: GemmShape) -> PipelineConfig {
         PipelineConfig::ALL
             .into_iter()
             .min_by(|&a, &b| {
@@ -164,7 +161,7 @@ impl ArrayFlexModel {
     /// Estimates one GEMM, selecting the best pipeline configuration
     /// for the shape.
     #[must_use]
-    pub fn estimate(&self, shape: GemmShape) -> GemmEstimate {
+    pub(crate) fn estimate(&self, shape: GemmShape) -> GemmEstimate {
         self.estimate_pinned(shape, self.best_config(shape))
     }
 
@@ -174,7 +171,7 @@ impl ArrayFlexModel {
     /// exactly this at [`ArrayFlexModel::best_config`], so the flexible
     /// path's numbers are unchanged by construction.
     #[must_use]
-    pub fn estimate_pinned(&self, shape: GemmShape, config: PipelineConfig) -> GemmEstimate {
+    pub(crate) fn estimate_pinned(&self, shape: GemmShape, config: PipelineConfig) -> GemmEstimate {
         let compute = self.compute_cycles(shape, config);
 
         let tiles =
@@ -183,9 +180,7 @@ impl ArrayFlexModel {
         let active = tiles.min(arrays);
         let dram_bytes = (shape.min_bytes(2) as f64 * L2_REUSE_DRAM_FACTOR) as u64;
         let full_bw = self.gpu.dram_bytes_per_cycle_per_sm * f64::from(self.gpu.sms);
-        // sma-lint: allow(float-cast) — byte count over positive
-        // bandwidth; finite and non-negative by construction.
-        let dram_floor = (dram_bytes as f64 / full_bw).ceil() as u64;
+        let dram_floor = ceil_u64(dram_bytes as f64 / full_bw);
         let cycles = compute.max(dram_floor) + LAUNCH_OVERHEAD_CYCLES;
 
         let time_s = cycles as f64 / (self.gpu.clock_ghz * 1e9);
@@ -279,13 +274,6 @@ impl ArrayFlexBackend {
         let mut backend = Self::new();
         backend.pinned = Some(config);
         backend
-    }
-
-    /// The pinned span, when this instance was built with
-    /// [`ArrayFlexBackend::pinned`].
-    #[must_use]
-    pub const fn pinned_config(&self) -> Option<PipelineConfig> {
-        self.pinned
     }
 
     /// The pipeline configuration the model selects for a shape
@@ -473,7 +461,7 @@ mod tests {
     #[test]
     fn pinned_backend_charges_its_span_and_never_beats_flexible() {
         let flexible = ArrayFlexBackend::new();
-        assert_eq!(flexible.pinned_config(), None);
+        assert_eq!(flexible.pinned, None);
         let model = ArrayFlexModel::new(GpuConfig::volta());
         let shapes = [
             GemmShape::new(1, 4096, 4096),
@@ -482,7 +470,7 @@ mod tests {
         ];
         for config in PipelineConfig::ALL {
             let backend = ArrayFlexBackend::pinned(config);
-            assert_eq!(backend.pinned_config(), Some(config));
+            assert_eq!(backend.pinned, Some(config));
             assert!(backend.name().starts_with("ArrayFlex-span"));
             for shape in shapes {
                 let est = backend.gemm(shape).unwrap();

@@ -34,31 +34,31 @@ use super::{
     IrregularWork, Reconfigurable, RuntimeError,
 };
 use sma_core::model::{GemmEstimate, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES};
-use sma_mem::MemStats;
+use sma_mem::{ceil_u64, MemStats};
 use sma_sim::GpuConfig;
 use sma_tensor::GemmShape;
 
 /// Edge of the full-array configuration (one tile per SM).
-pub const FLEXSA_FULL_DIM: usize = 16;
+pub(crate) const FLEXSA_FULL_DIM: usize = 16;
 
 /// Edge of one sub-array (four independent tiles per SM).
-pub const FLEXSA_SUB_DIM: usize = 8;
+pub(crate) const FLEXSA_SUB_DIM: usize = 8;
 
 /// Extra drain cycles per streamed activation row in sub-array mode:
 /// four 8-wide drains demand 32 result writes per cycle against the
 /// register file's 16-write vector budget, stretching the drain phase
 /// by half a cycle per row.
-pub const FLEXSA_DRAIN_CONTENTION: f64 = 0.5;
+pub(crate) const FLEXSA_DRAIN_CONTENTION: f64 = 0.5;
 
 /// Fraction of channel-parallel irregular work a structured pruning
 /// mask removes (the FlexSA paper trains at 40–60% structured
 /// sparsity; the conservative end keeps the model honest for
 /// inference-time masks).
-pub const FLEXSA_PRUNE_FRACTION: f64 = 0.4;
+pub(crate) const FLEXSA_PRUNE_FRACTION: f64 = 0.4;
 
 /// Fixed per-launch overhead: mode-select register write, weight
 /// pre-load of the first tile set, output-buffer flush.
-pub const FLEXSA_SETUP_CYCLES: u64 = 800;
+pub(crate) const FLEXSA_SETUP_CYCLES: u64 = 800;
 
 /// One tile configuration of the reconfigurable array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,7 +75,7 @@ impl FlexSaMode {
 
     /// Tile edge of this mode.
     #[must_use]
-    pub const fn dim(self) -> usize {
+    pub(crate) const fn dim(self) -> usize {
         match self {
             FlexSaMode::FullArray => FLEXSA_FULL_DIM,
             FlexSaMode::SubArrays => FLEXSA_SUB_DIM,
@@ -84,7 +84,7 @@ impl FlexSaMode {
 
     /// Independent tiles per SM in this mode.
     #[must_use]
-    pub const fn tiles_per_sm(self) -> u64 {
+    pub(crate) const fn tiles_per_sm(self) -> u64 {
         match self {
             FlexSaMode::FullArray => 1,
             FlexSaMode::SubArrays => 4,
@@ -99,21 +99,21 @@ impl FlexSaMode {
 /// array in the GPU, and each resident tile streams all `m` activation
 /// rows.
 #[derive(Debug, Clone, Copy)]
-pub struct FlexSaModel {
+pub(crate) struct FlexSaModel {
     gpu: GpuConfig,
 }
 
 impl FlexSaModel {
     /// The model on the Volta substrate.
     #[must_use]
-    pub fn new(gpu: GpuConfig) -> Self {
+    pub(crate) fn new(gpu: GpuConfig) -> Self {
         FlexSaModel { gpu }
     }
 
     /// FP16-equivalent MACs per cycle per SM — identical in both modes
     /// (16² = 4·8² = 256, iso-FLOP with 2-SMA and 4-TC).
     #[must_use]
-    pub const fn peak_macs_per_sm_cycle() -> u64 {
+    pub(crate) const fn peak_macs_per_sm_cycle() -> u64 {
         (FLEXSA_FULL_DIM * FLEXSA_FULL_DIM) as u64
     }
 
@@ -128,16 +128,14 @@ impl FlexSaModel {
             FlexSaMode::FullArray => 0.0,
             FlexSaMode::SubArrays => FLEXSA_DRAIN_CONTENTION * shape.m as f64,
         };
-        // sma-lint: allow(float-cast) — m plus a bounded drain term;
-        // finite and non-negative by construction.
-        let pass = (shape.m as f64 + drain).ceil() as u64 + 2 * (dim as u64 - 1) + dim as u64;
+        let pass = ceil_u64(shape.m as f64 + drain) + 2 * (dim as u64 - 1) + dim as u64;
         waves * pass + FLEXSA_SETUP_CYCLES
     }
 
     /// The faster tile configuration for a shape (ties to the full
     /// array).
     #[must_use]
-    pub fn best_mode(&self, shape: GemmShape) -> FlexSaMode {
+    pub(crate) fn best_mode(&self, shape: GemmShape) -> FlexSaMode {
         let full = self.compute_cycles(shape, FlexSaMode::FullArray);
         let sub = self.compute_cycles(shape, FlexSaMode::SubArrays);
         if sub < full {
@@ -149,7 +147,7 @@ impl FlexSaModel {
 
     /// Estimates one GEMM, reconfiguring to the better tile mode.
     #[must_use]
-    pub fn estimate(&self, shape: GemmShape) -> GemmEstimate {
+    pub(crate) fn estimate(&self, shape: GemmShape) -> GemmEstimate {
         self.estimate_pinned(shape, self.best_mode(shape))
     }
 
@@ -159,7 +157,7 @@ impl FlexSaModel {
     /// `estimate` is exactly this at [`FlexSaModel::best_mode`], so the
     /// flexible path's numbers are unchanged by construction.
     #[must_use]
-    pub fn estimate_pinned(&self, shape: GemmShape, mode: FlexSaMode) -> GemmEstimate {
+    pub(crate) fn estimate_pinned(&self, shape: GemmShape, mode: FlexSaMode) -> GemmEstimate {
         let compute = self.compute_cycles(shape, mode);
 
         let dim = mode.dim();
@@ -169,9 +167,7 @@ impl FlexSaModel {
             .min(u64::from(self.gpu.sms));
         let dram_bytes = (shape.min_bytes(2) as f64 * L2_REUSE_DRAM_FACTOR) as u64;
         let full_bw = self.gpu.dram_bytes_per_cycle_per_sm * f64::from(self.gpu.sms);
-        // sma-lint: allow(float-cast) — byte count over positive
-        // bandwidth; finite and non-negative by construction.
-        let dram_floor = (dram_bytes as f64 / full_bw).ceil() as u64;
+        let dram_floor = ceil_u64(dram_bytes as f64 / full_bw);
         let cycles = compute.max(dram_floor) + LAUNCH_OVERHEAD_CYCLES;
 
         let time_s = cycles as f64 / (self.gpu.clock_ghz * 1e9);
@@ -227,7 +223,7 @@ impl FlexSaModel {
 /// GEMM estimates select the best [`FlexSaMode`] per shape and are
 /// memoized in the backend's own [`GemmCache`]. Irregular work runs on
 /// the SIMD lanes, but channel-parallel operators first shed the
-/// [`FLEXSA_PRUNE_FRACTION`] of their work a structured mask removes —
+/// `FLEXSA_PRUNE_FRACTION` of their work a structured mask removes —
 /// the path the fixed SMA arrays cannot exploit.
 #[derive(Debug)]
 pub struct FlexSaBackend {
@@ -264,13 +260,6 @@ impl FlexSaBackend {
         backend
     }
 
-    /// The pinned mode, when this instance was built with
-    /// [`FlexSaBackend::pinned`].
-    #[must_use]
-    pub const fn pinned_mode(&self) -> Option<FlexSaMode> {
-        self.pinned
-    }
-
     /// The tile mode the model selects for a shape (exposed for tests
     /// and the backend-authoring guide).
     #[must_use]
@@ -284,7 +273,7 @@ impl FlexSaBackend {
     /// masked channels in the tile sequencer; control-flow-bound ops
     /// (NMS ordering, CRF message passing) cannot.
     #[must_use]
-    pub const fn op_is_prunable(op: IrregularOp) -> bool {
+    pub(crate) const fn op_is_prunable(op: IrregularOp) -> bool {
         matches!(
             op,
             IrregularOp::RoiAlign { .. } | IrregularOp::ArgMax { .. } | IrregularOp::Streaming
@@ -296,7 +285,7 @@ impl FlexSaBackend {
     /// of their bytes (masked channels are never fetched, but index
     /// metadata still streams).
     #[must_use]
-    pub fn pruned_work(work: IrregularWork) -> IrregularWork {
+    pub(crate) fn pruned_work(work: IrregularWork) -> IrregularWork {
         if !Self::op_is_prunable(work.op) {
             return work;
         }
@@ -507,7 +496,7 @@ mod tests {
     #[test]
     fn pinned_backend_charges_its_mode_and_never_beats_flexible() {
         let flexible = FlexSaBackend::new();
-        assert_eq!(flexible.pinned_mode(), None);
+        assert_eq!(flexible.pinned, None);
         let model = FlexSaModel::new(GpuConfig::volta());
         let shapes = [
             GemmShape::new(1, 4096, 4096),
@@ -516,7 +505,7 @@ mod tests {
         ];
         for mode in FlexSaMode::ALL {
             let backend = FlexSaBackend::pinned(mode);
-            assert_eq!(backend.pinned_mode(), Some(mode));
+            assert_eq!(backend.pinned, Some(mode));
             assert!(backend.name().starts_with("FlexSA-"));
             for shape in shapes {
                 let est = backend.gemm(shape).unwrap();

@@ -29,7 +29,7 @@ use sma_tensor::GemmShape;
 /// debug-assert; release builds treat NaN as the safe bound (0.0 — fully
 /// serial, resp. floor bandwidth).
 #[must_use]
-pub fn gpu_irregular_ms(
+pub(crate) fn gpu_irregular_ms(
     gpu: &GpuConfig,
     flops: u64,
     bytes: u64,
@@ -67,7 +67,7 @@ pub fn gpu_irregular_ms(
 /// Approximate access ledger of an irregular GPU op (for the energy
 /// model): every byte through L1/L2/DRAM, one ALU op per FLOP.
 #[must_use]
-pub fn gpu_irregular_ledger(flops: u64, bytes: u64) -> MemStats {
+pub(crate) fn gpu_irregular_ledger(flops: u64, bytes: u64) -> MemStats {
     MemStats {
         dram_bytes: bytes,
         l1_misses: bytes / 128,
@@ -81,7 +81,7 @@ pub fn gpu_irregular_ledger(flops: u64, bytes: u64) -> MemStats {
 }
 
 /// The full irregular-op estimate on a GPU-family substrate: time from
-/// [`gpu_irregular_ms`], ledger from [`gpu_irregular_ledger`], SM-cycles
+/// `gpu_irregular_ms`, ledger from `gpu_irregular_ledger`, SM-cycles
 /// for the constant-power account, no host transfer.
 #[must_use]
 pub fn gpu_irregular_estimate(gpu: &GpuConfig, work: &IrregularWork) -> IrregularEstimate {
@@ -233,7 +233,7 @@ pub struct SmaBackend {
 impl SmaBackend {
     /// Two SMA units per SM (iso-FLOP with 4-TC).
     #[must_use]
-    pub fn iso_flop_2sma() -> Self {
+    pub(crate) fn iso_flop_2sma() -> Self {
         SmaBackend {
             name: "2-SMA",
             gpu: GpuConfig::volta(),

@@ -87,16 +87,9 @@ mod flexsa;
 mod gpu;
 mod tpu_host;
 
-pub use arrayflex::{
-    ArrayFlexBackend, ArrayFlexModel, PipelineConfig, ARRAYFLEX_COLS, ARRAYFLEX_ROWS,
-};
-pub use flexsa::{
-    FlexSaBackend, FlexSaMode, FlexSaModel, FLEXSA_FULL_DIM, FLEXSA_PRUNE_FRACTION, FLEXSA_SUB_DIM,
-};
-pub use gpu::{
-    gpu_irregular_estimate, gpu_irregular_ledger, gpu_irregular_ms, SimdBackend, SmaBackend,
-    TensorCoreBackend,
-};
+pub use arrayflex::{ArrayFlexBackend, PipelineConfig};
+pub use flexsa::{FlexSaBackend, FlexSaMode};
+pub use gpu::{gpu_irregular_estimate, SimdBackend, SmaBackend, TensorCoreBackend};
 pub use tpu_host::TpuHostBackend;
 
 use crate::platform::Platform;
@@ -113,7 +106,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 /// Bytes shipped to the host for the CRF stage: FP32 unaries (21×513²),
 /// the softmax maps and the full-resolution guide image.
-pub const CRF_HANDOFF_BYTES: u64 = 45 << 20;
+pub(crate) const CRF_HANDOFF_BYTES: u64 = 45 << 20;
 
 /// Errors surfaced by the execution API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -306,7 +299,7 @@ impl IrregularWork {
 
     /// The same work with a different SIMD-throughput multiplier.
     #[must_use]
-    pub const fn with_boost(mut self, boost: f64) -> Self {
+    pub(crate) const fn with_boost(mut self, boost: f64) -> Self {
         self.simd_boost = boost;
         self
     }
@@ -514,7 +507,7 @@ impl GemmCache {
 
     /// Number of shapes resident across all shards.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             // sma-lint: allow(no-panic) — poisoning propagation, as above.
@@ -530,7 +523,7 @@ impl GemmCache {
 
     /// Current hit/miss counters.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -26,7 +26,7 @@ pub struct TpuHostBackend {
 impl TpuHostBackend {
     /// The TPU-v2 + Xeon-host configuration of the evaluation.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TpuHostBackend {
             sim: TpuSim::default(),
             host: CpuModel::xeon_core(),

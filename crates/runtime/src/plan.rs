@@ -19,7 +19,7 @@
 //!   batch-*independent* work (layer lowering, irregular estimates, CRF
 //!   hand-off) exactly once; [`PlanFamily::try_plan`] then derives a
 //!   sibling plan for any batch size by rewriting only the
-//!   batch-dependent GEMM steps ([`TemplateStep::instantiate`]).
+//!   batch-dependent GEMM steps (`TemplateStep::instantiate`).
 //!   [`Executor::try_plan`](crate::Executor::try_plan) is a family
 //!   derived at the executor's batch size, so sweeps that compile
 //!   *thousands* of plans and one-off compiles run the same code.
@@ -28,7 +28,7 @@
 //! instantiate loop and read by the same step fold:
 //!
 //! * [`NetworkPlan`] — one plan owning its step table. The serving
-//!   layer's plan caches hold these and charge [`NetworkPlan::mem_bytes`]
+//!   layer's plan caches hold these and charge `NetworkPlan::mem_bytes`
 //!   per entry, so a plan's footprint is its own.
 //! * [`PlanArena`] — a bump-allocated step table.
 //!   [`PlanFamily::try_plan_into`] appends thousands of plans to one
@@ -187,7 +187,7 @@ impl NetworkPlan {
     /// size. The serving layer's capacity-bounded plan cache charges
     /// and evicts by this estimate.
     #[must_use]
-    pub fn mem_bytes(&self) -> u64 {
+    pub(crate) fn mem_bytes(&self) -> u64 {
         (std::mem::size_of::<Self>()
             + self.steps.len() * std::mem::size_of::<PlannedStep>()
             + self.network.len()) as u64
@@ -217,7 +217,7 @@ fn fold_steps(
 /// batch-independent [`PlannedStep`], or a symbolic GEMM awaiting its
 /// batch dimension.
 ///
-/// [`TemplateStep::instantiate`] is the one place a GEMM layer is
+/// `TemplateStep::instantiate` is the one place a GEMM layer is
 /// resolved at a batch size: every plan, from
 /// [`Executor::try_plan`](crate::Executor::try_plan),
 /// [`PlanFamily::try_plan`] or [`PlanFamily::try_plan_into`], is built
@@ -249,7 +249,7 @@ impl TemplateStep {
     /// # Errors
     ///
     /// Propagates [`RuntimeError`] from [`Backend::gemm`].
-    pub fn instantiate(
+    pub(crate) fn instantiate(
         &self,
         backend: &dyn Backend,
         batch: usize,

@@ -109,7 +109,7 @@ impl Platform {
     /// (delegates to the backend — see
     /// [`Backend::simd_mode_boost`]).
     #[must_use]
-    pub fn simd_mode_boost(self) -> f64 {
+    pub(crate) fn simd_mode_boost(self) -> f64 {
         self.backend().simd_mode_boost()
     }
 }

@@ -63,7 +63,7 @@ pub enum CacheBudget {
 impl CacheBudget {
     /// The byte budget of one shard (`None` = unbounded).
     #[must_use]
-    pub fn for_shard(&self, shard: usize) -> Option<u64> {
+    pub(crate) fn for_shard(&self, shard: usize) -> Option<u64> {
         match self {
             CacheBudget::Unbounded => None,
             CacheBudget::Uniform(bytes) => Some(*bytes),
@@ -73,7 +73,7 @@ impl CacheBudget {
 
     /// Whether a plan of `bytes` can ever be resident on `shard`.
     #[must_use]
-    pub fn admits(&self, shard: usize, bytes: u64) -> bool {
+    pub(crate) fn admits(&self, shard: usize, bytes: u64) -> bool {
         self.for_shard(shard).is_none_or(|budget| bytes <= budget)
     }
 
@@ -298,10 +298,10 @@ enum EventKind {
     /// The shard comes back up (stale if a later crash extended the
     /// outage).
     Recover,
-    /// A degrade window closes.
-    DegradeEnd,
-    /// A compile-stall window closes.
-    StallEnd,
+    /// The degrade window of fault event `index` closes.
+    DegradeEnd { index: usize },
+    /// The compile-stall window of fault event `index` closes.
+    StallEnd { index: usize },
     /// The crash victim at trace position `slot` re-enters admission
     /// after its backoff; the event's shard is the one it crashed on.
     Retry { slot: usize },
@@ -432,15 +432,14 @@ struct ShardState {
     down_until: Option<f64>,
     /// When the current outage began (meaningful only while down).
     down_since: f64,
-    /// Nesting depth of active degrade windows.
-    degrade_depth: u32,
-    /// Live service-time multiplier (1.0 when no window is active;
-    /// with overlapping windows the most recent factor wins).
-    degrade_factor: f64,
-    /// Nesting depth of active compile-stall windows.
-    stall_depth: u32,
-    /// Extra compile-on-miss latency while stalled (0 when clear).
-    stall_extra_ms: f64,
+    /// Open degrade windows as `(fault index, factor)`, in opening
+    /// order. The most recently opened one still open sets the
+    /// service-time multiplier.
+    degrade_windows: Vec<(usize, f64)>,
+    /// Open compile-stall windows as `(fault index, extra ms)`, in
+    /// opening order. The most recently opened one still open sets the
+    /// compile-on-miss surcharge.
+    stall_windows: Vec<(usize, f64)>,
     /// Transient compile failures are active while `now` is before
     /// this instant.
     compile_fail_until: f64,
@@ -587,10 +586,8 @@ impl<'a> Engine<'a> {
                 epoch: 0,
                 down_until: None,
                 down_since: 0.0,
-                degrade_depth: 0,
-                degrade_factor: 1.0,
-                stall_depth: 0,
-                stall_extra_ms: 0.0,
+                degrade_windows: Vec::new(),
+                stall_windows: Vec::new(),
                 compile_fail_until: f64::NEG_INFINITY,
                 pending_timer: f64::INFINITY,
                 spare: Vec::new(),
@@ -722,11 +719,10 @@ impl<'a> Engine<'a> {
             // placements steer around them; the static fleet (scale
             // off) leaves this the pure crash gauge.
             state.down_until.is_none() && self.accepting(shard),
-            if state.degrade_depth > 0 {
-                state.degrade_factor
-            } else {
-                1.0
-            },
+            state
+                .degrade_windows
+                .last()
+                .map_or(1.0, |&(_, factor)| factor),
         )
     }
 
@@ -899,24 +895,20 @@ impl<'a> Engine<'a> {
                 self.attempt_dispatch(shard, now_ms)
             }
             EventKind::Fault { index } => {
-                self.on_fault(shard, now_ms, self.config.faults.events()[index].kind);
+                self.on_fault(shard, now_ms, index);
                 Ok(())
             }
             EventKind::Recover => self.on_recover(shard, now_ms),
-            EventKind::DegradeEnd => {
-                let state = &mut self.shards[shard];
-                state.degrade_depth = state.degrade_depth.saturating_sub(1);
-                if state.degrade_depth == 0 {
-                    state.degrade_factor = 1.0;
-                }
+            EventKind::DegradeEnd { index } => {
+                self.shards[shard]
+                    .degrade_windows
+                    .retain(|&(i, _)| i != index);
                 Ok(())
             }
-            EventKind::StallEnd => {
-                let state = &mut self.shards[shard];
-                state.stall_depth = state.stall_depth.saturating_sub(1);
-                if state.stall_depth == 0 {
-                    state.stall_extra_ms = 0.0;
-                }
+            EventKind::StallEnd { index } => {
+                self.shards[shard]
+                    .stall_windows
+                    .retain(|&(i, _)| i != index);
                 Ok(())
             }
             EventKind::Retry { slot } => self.on_retry(placement, slot, shard, now_ms),
@@ -935,28 +927,30 @@ impl<'a> Engine<'a> {
 
     /// A scheduled fault fires: a crash, or a degrade, compile-stall or
     /// transient compile-failure window opens.
-    fn on_fault(&mut self, shard: usize, now_ms: f64, kind: FaultKind) {
+    fn on_fault(&mut self, shard: usize, now_ms: f64, index: usize) {
         let state = &mut self.shards[shard];
-        match kind {
+        match self.config.faults.events()[index].kind {
             FaultKind::Crash { recover_ms } => self.on_crash(shard, now_ms, recover_ms),
             FaultKind::Degrade { factor, window_ms } => {
-                state.degrade_depth += 1;
-                // Overlapping windows: the most recent factor wins.
-                state.degrade_factor = factor;
+                state.degrade_windows.push((index, factor));
                 self.push_event(
                     now_ms + window_ms,
                     CLASS_FAULT,
                     shard,
-                    EventKind::DegradeEnd,
+                    EventKind::DegradeEnd { index },
                 );
             }
             FaultKind::StallCompile {
                 extra_ms,
                 window_ms,
             } => {
-                state.stall_depth += 1;
-                state.stall_extra_ms = extra_ms;
-                self.push_event(now_ms + window_ms, CLASS_FAULT, shard, EventKind::StallEnd);
+                state.stall_windows.push((index, extra_ms));
+                self.push_event(
+                    now_ms + window_ms,
+                    CLASS_FAULT,
+                    shard,
+                    EventKind::StallEnd { index },
+                );
             }
             // Closes by timestamp comparison; blocked shards schedule
             // their own wake.
@@ -1336,15 +1330,11 @@ impl<'a> Engine<'a> {
         take: usize,
     ) -> Result<(), RuntimeError> {
         let state = &mut self.shards[shard];
-        let degrade = (state.degrade_depth > 0).then_some(state.degrade_factor);
-        let record = state.core.price(
-            self.cluster,
-            net,
-            take,
-            now_ms,
-            degrade,
-            state.stall_extra_ms,
-        )?;
+        let degrade = state.degrade_windows.last().map(|&(_, factor)| factor);
+        let stall_extra_ms = state.stall_windows.last().map_or(0.0, |&(_, extra)| extra);
+        let record = state
+            .core
+            .price(self.cluster, net, take, now_ms, degrade, stall_extra_ms)?;
         let completion_ms = now_ms + record.compile_ms + record.service_ms;
         let mut requests = std::mem::take(&mut state.spare);
         state.core.take_batch(net, take, now_ms, &mut requests);

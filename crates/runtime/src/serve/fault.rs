@@ -33,7 +33,8 @@ pub enum FaultKind {
     },
     /// FlexSA-style reduced mode: batch service times are multiplied
     /// by `factor` for `window_ms` (the shard keeps serving, slower).
-    /// Overlapping windows nest; the most recent factor wins.
+    /// Overlapping windows nest: the most recently opened window that is
+    /// still open sets the factor.
     Degrade {
         /// Service-time multiplier (≥ 1).
         factor: f64,
@@ -155,7 +156,7 @@ impl FaultPlan {
 
     /// The schedule, sorted by `(at_ms, shard)`.
     #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
@@ -312,20 +313,20 @@ impl RetryPolicy {
     /// Whether another retry is allowed after `retries_so_far`
     /// already-scheduled retries.
     #[must_use]
-    pub fn allows(&self, retries_so_far: u32) -> bool {
+    pub(crate) fn allows(&self, retries_so_far: u32) -> bool {
         retries_so_far + 1 < self.max_attempts
     }
 
     /// Backoff before retry number `retry` (1-based), ms.
     #[must_use]
-    pub fn backoff_ms(&self, retry: u32) -> f64 {
+    pub(crate) fn backoff_ms(&self, retry: u32) -> f64 {
         let exponent = retry.saturating_sub(1).min(52);
         self.backoff_base_ms * (1u64 << exponent) as f64
     }
 
     /// The absolute give-up bound (relative to arrival) for a class.
     #[must_use]
-    pub fn timeout_for(&self, class: u8) -> f64 {
+    pub(crate) fn timeout_for(&self, class: u8) -> f64 {
         self.timeout_ms * f64::from(u16::from(class) + 1)
     }
 }
@@ -361,7 +362,7 @@ impl ShedPolicy {
     /// `backlog` outstanding requests, with `num_classes` classes in
     /// the trace.
     #[must_use]
-    pub fn sheds(&self, class: u8, num_classes: usize, backlog: usize) -> bool {
+    pub(crate) fn sheds(&self, class: u8, num_classes: usize, backlog: usize) -> bool {
         let rank = num_classes.saturating_sub(usize::from(class));
         backlog >= self.backlog_watermark.saturating_mul(rank.max(1))
     }
@@ -403,7 +404,7 @@ pub struct ShardFaultStats {
 
 impl ShardFaultStats {
     /// Fold another shard's counters into this one.
-    pub fn absorb(&mut self, other: &ShardFaultStats) {
+    pub(crate) fn absorb(&mut self, other: &ShardFaultStats) {
         self.crashes += other.crashes;
         self.downtime_ms += other.downtime_ms;
         self.aborted_batches += other.aborted_batches;

@@ -12,17 +12,17 @@
 /// (including 0) yields a distinct stream — no zero-state remapping
 /// that would silently alias two seeds.
 #[derive(Debug, Clone)]
-pub struct SeededRng(u64);
+pub(crate) struct SeededRng(u64);
 
 impl SeededRng {
     /// Seeds the generator.
     #[must_use]
-    pub const fn new(seed: u64) -> Self {
+    pub(crate) const fn new(seed: u64) -> Self {
         SeededRng(seed)
     }
 
     /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -31,7 +31,7 @@ impl SeededRng {
     }
 
     /// Uniform draw in `[0, 1)` using the top 53 bits.
-    pub fn next_unit(&mut self) -> f64 {
+    pub(crate) fn next_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -55,7 +55,7 @@ impl SeededRng {
     /// loud. Trace generation is outside the runtime's no-panic
     /// boundary (see `docs/DETERMINISM.md`), so a precondition panic
     /// is the documented contract here.
-    pub fn next_index(&mut self, n: usize) -> usize {
+    pub(crate) fn next_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "SeededRng::next_index: empty range (n = 0)");
         (self.next_u64() % n as u64) as usize
     }
@@ -86,13 +86,7 @@ pub struct Request {
     pub class: u8,
 }
 
-impl Request {
-    /// Whether a completion instant meets this request's SLO.
-    #[must_use]
-    pub fn meets_deadline(&self, completion_ms: f64) -> bool {
-        completion_ms <= self.deadline_ms
-    }
-}
+impl Request {}
 
 /// Deterministic rate modulation layered over the open-loop generator.
 ///
@@ -131,7 +125,7 @@ impl LoadShape {
     /// Multiplier applied to the mean interarrival gap at simulated
     /// time `t_ms`. Always finite and positive for valid shapes.
     #[must_use]
-    pub fn gap_factor(&self, t_ms: f64) -> f64 {
+    pub(crate) fn gap_factor(&self, t_ms: f64) -> f64 {
         match *self {
             LoadShape::Steady => 1.0,
             LoadShape::Bursty {
@@ -161,7 +155,7 @@ impl LoadShape {
     /// Whether the shape's parameters keep every gap finite, positive
     /// and order-preserving.
     #[must_use]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         match *self {
             LoadShape::Steady => true,
             LoadShape::Bursty {
@@ -246,7 +240,7 @@ impl LoadGenerator {
     /// # Panics
     ///
     /// Panics when the shape's parameters are invalid
-    /// ([`LoadShape::is_valid`]), since they would produce
+    /// (`LoadShape::is_valid`), since they would produce
     /// non-monotone or non-finite arrivals.
     #[must_use]
     pub fn with_shape(mut self, shape: LoadShape) -> Self {
@@ -322,8 +316,6 @@ mod tests {
             assert_eq!(a.network, b.network);
             assert_eq!(a.deadline_ms, f64::INFINITY);
             assert_eq!(b.deadline_ms.to_bits(), (b.arrival_ms + 12.5).to_bits());
-            assert!(!b.meets_deadline(b.deadline_ms + 1.0));
-            assert!(b.meets_deadline(b.deadline_ms));
         }
         // A non-positive SLO means "no SLO", not "always missed".
         let none = LoadGenerator::new(21, 2.0).with_slo(0.0).trace(10, 3);

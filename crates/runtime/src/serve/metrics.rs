@@ -32,7 +32,7 @@ impl PlanCacheStats {
     /// Fold another shard's counters into this one (byte gauges sum;
     /// the cluster-wide peak is the sum of per-shard peaks, an upper
     /// bound).
-    pub fn absorb(&mut self, other: &PlanCacheStats) {
+    pub(crate) fn absorb(&mut self, other: &PlanCacheStats) {
         self.lookups += other.lookups;
         self.hits += other.hits;
         self.misses += other.misses;
@@ -376,7 +376,7 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
-    use crate::serve::SeededRng;
+    use crate::serve::load::SeededRng;
     use proptest::prelude::*;
 
     #[test]

@@ -101,17 +101,16 @@ pub use fault::{
     ShardFaultStats, ShedPolicy,
 };
 pub use live::{LiveConfig, LiveError, LiveMode, LiveReport, LiveServer};
-pub use load::{LoadGenerator, LoadShape, Request, SeededRng};
+pub use load::{LoadGenerator, LoadShape, Request};
 pub use metrics::{
     aggregate, percentile_ms, ClassSummary, PlanCacheStats, ServeOutcome, ShardSummary,
 };
 pub use oracle::{diff_outcomes, discrete_outcomes, replay, DiscreteOutcomes};
 pub use placement::{
-    ClusterView, HealthWeighted, LeastBacklog, LeastOutstanding, Placement, PlatformAffinity,
-    RoundRobin,
+    ClusterView, HealthWeighted, LeastBacklog, Placement, PlatformAffinity, RoundRobin,
 };
 pub use policy::{BatchPolicy, Deadline, Immediate, PolicyDecision, SizeK};
-pub use scale::{AutoscalePolicy, EnergyFrontier, ReconfigPolicy, ReconfigStats, ScaleStats};
+pub use scale::{AutoscalePolicy, ReconfigPolicy, ReconfigStats, ScaleStats};
 pub use slo::{EarliestDeadlineFirst, PreemptPolicy};
 pub use transport::TransportModel;
 
@@ -248,13 +247,13 @@ impl ShardTally {
 
     /// Completed batches.
     #[must_use]
-    pub fn batches(&self) -> u64 {
+    pub(crate) fn batches(&self) -> u64 {
         self.batch_sizes.iter().sum()
     }
 
     /// Served requests that finished after their deadline.
     #[must_use]
-    pub fn deadline_misses(&self) -> u64 {
+    pub(crate) fn deadline_misses(&self) -> u64 {
         self.class_misses.iter().sum()
     }
 }
@@ -397,7 +396,7 @@ impl ServeCluster {
 
     /// The pre-compiled batch-1 plan a shard holds for a network.
     #[must_use]
-    pub fn unit_plan(&self, shard: usize, network: usize) -> &NetworkPlan {
+    pub(crate) fn unit_plan(&self, shard: usize, network: usize) -> &NetworkPlan {
         &self.unit_plans[shard][network]
     }
 }
@@ -658,7 +657,7 @@ mod tests {
             Arc::new(Deadline::new(5.0, 8)),
             EngineConfig::default().with_records(),
         );
-        let run = sim.try_run(&mut LeastOutstanding::default()).unwrap();
+        let run = sim.try_run(&mut LeastBacklog).unwrap();
         for report in &run.reports {
             for request in &report.requests {
                 assert!(request.start_ms >= request.arrival_ms - 1e-12);

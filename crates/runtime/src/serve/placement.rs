@@ -53,12 +53,12 @@ impl ClusterView<'_> {
 
     /// Live outstanding requests on a shard: queued plus in flight.
     #[must_use]
-    pub fn outstanding(&self, shard: usize) -> usize {
+    pub(crate) fn outstanding(&self, shard: usize) -> usize {
         self.queued[shard] + self.in_flight[shard]
     }
 
     /// Shard indices currently healthy (up), ascending.
-    pub fn healthy_shards(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn healthy_shards(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.shard_count()).filter(|&s| self.healthy[s])
     }
 }
@@ -71,7 +71,7 @@ impl ClusterView<'_> {
 /// byte-identical-report guarantee of the serving benchmark rests on
 /// it).
 pub trait Placement: std::fmt::Debug + Send {
-    /// Short label used in reports (`round-robin`, `least-work`, …).
+    /// Short label used in reports (`round-robin`, `least-backlog`, …).
     fn label(&self) -> String;
 
     /// Picks the shard for `request` (must be `< cluster.shard_count()`).
@@ -98,10 +98,9 @@ impl Placement for RoundRobin {
 
 /// Least-backlog: routes each request to the **healthy** shard with
 /// the fewest live outstanding requests (queued + in flight) at its
-/// arrival event, ties to the lowest index. Unlike
-/// [`LeastOutstanding`], which maintains its own busy-horizon *model*
-/// of the cluster, this strategy reads the engine's actual state — it
-/// reacts to the load that is really present, including backlog
+/// arrival event, ties to the lowest index. It reads the engine's
+/// actual state, so it reacts to the load that is really present,
+/// including backlog
 /// created by plan-compile stalls and cache evictions the model cannot
 /// see. Down shards are skipped (failover); if every shard is down,
 /// the request queues on the least-loaded shard and waits out the
@@ -126,36 +125,6 @@ impl Placement for LeastBacklog {
             .min_by(least)
             .or_else(|| (0..cluster.shard_count()).min_by(least))
             .unwrap_or(0)
-    }
-}
-
-/// Least-outstanding-work: tracks a busy-horizon per shard (batch-1
-/// cost of everything assigned so far, drained at simulated-arrival
-/// pace) and routes each request to the shard with the smallest
-/// backlog at its arrival instant. Ties break to the lowest index.
-#[derive(Debug, Clone, Default)]
-pub struct LeastOutstanding {
-    busy_until_ms: Vec<f64>,
-}
-
-impl Placement for LeastOutstanding {
-    fn label(&self) -> String {
-        "least-work".into()
-    }
-
-    fn assign(&mut self, request: &Request, cluster: &ClusterView<'_>) -> usize {
-        self.busy_until_ms.resize(cluster.shard_count(), 0.0);
-        let shard = self
-            .busy_until_ms
-            .iter()
-            .map(|&busy| (busy - request.arrival_ms).max(0.0))
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let start = self.busy_until_ms[shard].max(request.arrival_ms);
-        self.busy_until_ms[shard] = start + cluster.unit_service_ms[shard][request.network];
-        shard
     }
 }
 
@@ -345,28 +314,6 @@ mod tests {
         // All idle: lowest index.
         let idle = static_view(&["A", "B", "C"], &costs, &[0; 3], &[0; 3]);
         assert_eq!(LeastBacklog.assign(&request(0, 0.0), &idle), 0);
-    }
-
-    #[test]
-    fn least_outstanding_avoids_the_backlogged_shard() {
-        // Shard 0 is 10x slower: after it takes the first request, the
-        // next several all land on shard 1 until the backlogs balance.
-        let costs = vec![vec![10.0], vec![1.0]];
-        let view = static_view(&["slow", "fast"], &costs, &[0; 2], &[0; 2]);
-        let mut lw = LeastOutstanding::default();
-        assert_eq!(
-            lw.assign(&request(0, 0.0), &view),
-            0,
-            "both idle: lowest index"
-        );
-        for _ in 0..10 {
-            assert_eq!(lw.assign(&request(0, 0.0), &view), 1);
-        }
-        // Backlogs now equal (10 vs 10): lowest index wins again.
-        assert_eq!(lw.assign(&request(0, 0.0), &view), 0);
-        // Backlog drains at simulated-arrival pace: far in the future
-        // both shards are idle again.
-        assert_eq!(lw.assign(&request(0, 1e6), &view), 0);
     }
 
     #[test]

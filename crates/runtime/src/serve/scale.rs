@@ -83,7 +83,7 @@ impl AutoscalePolicy {
     /// budget cannot pay for any fleet change, so the engine schedules
     /// no tick events and stays bit-identical to the static fleet.
     #[must_use]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.energy_headroom > 0.0
     }
 
@@ -94,7 +94,7 @@ impl AutoscalePolicy {
     /// Panics on a non-positive/non-finite period, non-finite or
     /// inverted watermarks, zero hysteresis, or a `min_active` outside
     /// `1..=shard_count` — each would wedge or bias the loop silently.
-    pub fn validate(&self, shard_count: usize) {
+    pub(crate) fn validate(&self, shard_count: usize) {
         assert!(
             self.period_ms.is_finite() && self.period_ms > 0.0,
             "autoscale period must be finite and positive"
@@ -125,7 +125,7 @@ impl AutoscalePolicy {
 /// through the `sma-energy` access-ledger model — a pure function of
 /// (cluster, model), so the frontier never perturbs event timing.
 #[derive(Debug, Clone)]
-pub struct EnergyFrontier {
+pub(crate) struct EnergyFrontier {
     /// `joules[shard][network]`: energy of one batch-1 inference.
     joules: Vec<Vec<f64>>,
 }
@@ -134,7 +134,7 @@ impl EnergyFrontier {
     /// Prices every `(shard, network)` pair by replaying the cluster's
     /// batch-1 plan ledgers through `model`.
     #[must_use]
-    pub fn from_cluster(cluster: &ServeCluster, model: &EnergyModel) -> Self {
+    pub(crate) fn from_cluster(cluster: &ServeCluster, model: &EnergyModel) -> Self {
         let joules = (0..cluster.shard_count())
             .map(|shard| {
                 (0..cluster.networks().len())
@@ -161,7 +161,7 @@ impl EnergyFrontier {
     /// `mix` is a per-network arrival count; an all-zero mix (nothing
     /// observed yet) falls back to a uniform mix.
     #[must_use]
-    pub fn cost_per_request(&self, shard: usize, mix: &[u64]) -> f64 {
+    pub(crate) fn cost_per_request(&self, shard: usize, mix: &[u64]) -> f64 {
         let row = &self.joules[shard];
         let total: u64 = mix.iter().sum();
         if total == 0 {
@@ -177,7 +177,7 @@ impl EnergyFrontier {
     /// The frontier optimum: the cheapest cost any shard offers under
     /// the mix.
     #[must_use]
-    pub fn frontier_cost(&self, mix: &[u64]) -> f64 {
+    pub(crate) fn frontier_cost(&self, mix: &[u64]) -> f64 {
         (0..self.joules.len())
             .map(|shard| self.cost_per_request(shard, mix))
             .fold(f64::INFINITY, f64::min)
@@ -270,7 +270,7 @@ impl ReconfigPolicy {
     /// # Panics
     ///
     /// Panics on a zero window or evaluation stride.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.window >= 1, "reconfig window must be >= 1");
         assert!(self.every >= 1, "reconfig stride must be >= 1");
     }

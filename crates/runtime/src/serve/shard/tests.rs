@@ -1,7 +1,7 @@
 //! The dense plan cache against an ordered-map reference LRU.
 
 use super::*;
-use crate::serve::SeededRng;
+use crate::serve::load::SeededRng;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 

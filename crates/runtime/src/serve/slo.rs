@@ -70,7 +70,7 @@ impl PreemptPolicy {
     /// Whether an arrival of class `arriving` evicts a running batch
     /// whose most urgent member has class `running_min`.
     #[must_use]
-    pub fn preempts(&self, arriving: u8, running_min: u8) -> bool {
+    pub(crate) fn preempts(&self, arriving: u8, running_min: u8) -> bool {
         u16::from(arriving) + u16::from(self.min_class_gap) <= u16::from(running_min)
     }
 }

@@ -34,7 +34,7 @@ pub struct TransportModel {
 impl TransportModel {
     /// The identity transport: both hops cost exactly zero.
     #[must_use]
-    pub const fn none() -> Self {
+    pub(crate) const fn none() -> Self {
         TransportModel {
             latency_ms: 0.0,
             bytes_per_ms: 0.0,
@@ -59,7 +59,7 @@ impl TransportModel {
     /// One-way delay for an envelope of `bytes`, in simulated
     /// milliseconds.
     #[must_use]
-    pub fn delay_ms(&self, bytes: u64) -> f64 {
+    pub(crate) fn delay_ms(&self, bytes: u64) -> f64 {
         let serialize = if self.bytes_per_ms > 0.0 {
             bytes as f64 / self.bytes_per_ms
         } else {
@@ -70,13 +70,13 @@ impl TransportModel {
 
     /// Front door → shard hop for one request envelope.
     #[must_use]
-    pub fn request_delay_ms(&self) -> f64 {
+    pub(crate) fn request_delay_ms(&self) -> f64 {
         self.delay_ms(self.request_bytes)
     }
 
     /// Shard → front door hop for one response envelope.
     #[must_use]
-    pub fn response_delay_ms(&self) -> f64 {
+    pub(crate) fn response_delay_ms(&self) -> f64 {
         self.delay_ms(self.response_bytes)
     }
 
@@ -90,7 +90,7 @@ impl TransportModel {
     /// Whether every delay this model can produce is finite and
     /// non-negative.
     #[must_use]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.latency_ms >= 0.0
             && self.latency_ms.is_finite()
             && self.bytes_per_ms >= 0.0

@@ -35,10 +35,6 @@ pub const TC_GEMM_PEAK_FRACTION: f64 = 0.6846;
 /// only losses once RF pressure is gone.
 pub const SMA_GEMM_PEAK_FRACTION: f64 = 0.9071;
 
-/// Effective host↔device bandwidth of the TPU platform's PCIe link in
-/// GB/s (16 GT/s ×16 lane nominal minus protocol overheads).
-pub const PCIE_EFFECTIVE_GBPS: f64 = 12.0;
-
 /// Per-transfer software latency (driver + runtime) in milliseconds.
 pub const TRANSFER_SOFTWARE_MS: f64 = 0.35;
 
@@ -55,7 +51,6 @@ mod tests {
         assert!(TC_GEMM_PEAK_FRACTION > SIMD_GEMM_PEAK_FRACTION);
         assert!(SMA_GEMM_PEAK_FRACTION > TC_GEMM_PEAK_FRACTION);
         assert!(SMA_GEMM_PEAK_FRACTION < 1.0);
-        assert!(PCIE_EFFECTIVE_GBPS > 1.0 && PCIE_EFFECTIVE_GBPS < 32.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct Latencies {
 impl Latencies {
     /// Volta-class latencies.
     #[must_use]
-    pub const fn volta() -> Self {
+    pub(crate) const fn volta() -> Self {
         Latencies {
             alu: 4,
             sfu: 16,
@@ -116,13 +116,13 @@ impl GpuConfig {
 
     /// FP32 FMA initiations per cycle (warp-wide ops).
     #[must_use]
-    pub const fn fp32_warp_slots(&self) -> u32 {
+    pub(crate) const fn fp32_warp_slots(&self) -> u32 {
         self.fp32_lanes / 32
     }
 
     /// INT warp-op initiations per cycle.
     #[must_use]
-    pub const fn int_warp_slots(&self) -> u32 {
+    pub(crate) const fn int_warp_slots(&self) -> u32 {
         self.int_lanes / 32
     }
 

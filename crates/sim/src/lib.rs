@@ -43,8 +43,8 @@
 
 pub mod calib;
 pub mod config;
-pub mod sched;
-pub mod sm;
+pub(crate) mod sched;
+pub(crate) mod sm;
 
 pub use config::{GpuConfig, Latencies};
 pub use sched::{Gto, RoundRobin, SchedulerKind, SmaRoundRobin, WarpScheduler};

@@ -31,7 +31,7 @@ pub struct Gto {
 impl Gto {
     /// Creates a GTO scheduler.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -58,7 +58,7 @@ pub struct RoundRobin {
 impl RoundRobin {
     /// Creates a round-robin scheduler.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -93,14 +93,8 @@ pub struct SmaRoundRobin {
 impl SmaRoundRobin {
     /// Creates the hybrid scheduler (starting in SIMD mode).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether the round-robin half is currently active.
-    #[must_use]
-    pub const fn in_systolic_mode(&self) -> bool {
-        self.systolic
     }
 }
 
@@ -132,7 +126,7 @@ pub enum SchedulerKind {
 impl SchedulerKind {
     /// Instantiates the policy.
     #[must_use]
-    pub fn build(self) -> Box<dyn WarpScheduler> {
+    pub(crate) fn build(self) -> Box<dyn WarpScheduler> {
         match self {
             SchedulerKind::Gto => Box::new(Gto::new()),
             SchedulerKind::RoundRobin => Box::new(RoundRobin::new()),
@@ -200,7 +194,6 @@ mod tests {
         assert_eq!(s.pick(&[true, true]), Some(0));
         // Systolic mode: fair rotation.
         s.set_systolic_mode(true);
-        assert!(s.in_systolic_mode());
         assert_eq!(s.pick(&[true, true]), Some(0));
         assert_eq!(s.pick(&[true, true]), Some(1));
         // Back to SIMD: greedy resumes where GTO left off.

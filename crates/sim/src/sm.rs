@@ -78,16 +78,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Instructions per cycle across the whole SM.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.issued as f64 / self.cycles as f64
-        }
-    }
-
     /// MACs per cycle achieved.
     #[must_use]
     pub fn macs_per_cycle(&self) -> f64 {
@@ -599,24 +589,10 @@ impl SmSim {
             let bw = self.cfg.dram_bytes_per_cycle_per_sm;
             let start = dram_ready_at.max(cycle as f64);
             *dram_ready_at = start + miss_bytes as f64 / bw;
-            let bw_delay = (*dram_ready_at - cycle as f64).ceil() as u64;
+            let bw_delay = sma_mem::ceil_u64(*dram_ready_at - cycle as f64);
             return cycle + worst.max(bw_delay);
         }
         cycle + worst
-    }
-}
-
-/// Extension helper used by tests and higher layers to flip a config into
-/// an SMA variant inline.
-pub trait IntoSma {
-    /// Returns the same configuration with `units` SMA units.
-    fn into_sma(self, units: u32) -> GpuConfig;
-}
-
-impl IntoSma for GpuConfig {
-    fn into_sma(mut self, units: u32) -> GpuConfig {
-        self.sma_units = units;
-        self
     }
 }
 
@@ -680,7 +656,8 @@ mod tests {
         let eight = sim.run_block(&chain(8)).unwrap();
         // 8 warps do 8x the work in nearly the same time.
         assert!(eight.cycles < one.cycles * 2);
-        assert!(eight.ipc() > one.ipc() * 3.0);
+        let ipc = |r: &SimReport| r.issued as f64 / r.cycles as f64;
+        assert!(ipc(&eight) > ipc(&one) * 3.0);
     }
 
     #[test]
@@ -748,7 +725,7 @@ mod tests {
         });
         with_overlap.push(Instr::LsmaWait { unit: 0 });
         let k = kernel_of(with_overlap.build(), 1);
-        let mut sim = SmSim::new(cfg().into_sma(2), SchedulerKind::SmaRoundRobin);
+        let mut sim = SmSim::new(GpuConfig::volta_sma(2), SchedulerKind::SmaRoundRobin);
         let r = sim.run_block(&k).unwrap();
         // Pass = 128 + 8 - 1 + 1 = 136 cycles; ALU work hides inside it.
         assert!(r.cycles >= 136, "cycles {}", r.cycles);
@@ -768,7 +745,7 @@ mod tests {
         b.push(Instr::LsmaWait { unit: 0 });
         b.push(Instr::iadd(Reg(1), Reg(0), Reg(0)));
         let k = kernel_of(b.build(), 1);
-        let mut sim = SmSim::new(cfg().into_sma(2), SchedulerKind::Gto);
+        let mut sim = SmSim::new(GpuConfig::volta_sma(2), SchedulerKind::Gto);
         let r = sim.run_block(&k).unwrap();
         assert!(r.cycles >= 256 + 8, "cycles {}", r.cycles);
         assert!(r.stalls.lsma_wait > 0);
@@ -792,7 +769,7 @@ mod tests {
         b.push(Instr::LsmaWait { unit: 0 });
         b.push(Instr::LsmaWait { unit: 1 });
         let k = kernel_of(b.build(), 1);
-        let mut sim = SmSim::new(cfg().into_sma(2), SchedulerKind::Gto);
+        let mut sim = SmSim::new(GpuConfig::volta_sma(2), SchedulerKind::Gto);
         let r = sim.run_block(&k).unwrap();
         // Concurrent: ~520 cycles, not ~1040.
         assert!(r.cycles < 700, "cycles {}", r.cycles);
@@ -817,7 +794,7 @@ mod tests {
         b.push(Instr::LsmaWait { unit: 0 });
         b.push(Instr::LsmaWait { unit: 1 });
         let k = kernel_of(b.build(), 1);
-        let mut sim = SmSim::new(cfg().into_sma(2), SchedulerKind::Gto);
+        let mut sim = SmSim::new(GpuConfig::volta_sma(2), SchedulerKind::Gto);
         sim.sma_units_share_a = false;
         let r = sim.run_block(&k).unwrap();
         assert!(r.cycles >= 2 * 512, "cycles {}", r.cycles);
@@ -906,7 +883,6 @@ mod tests {
             mem: MemStats::default(),
             macs: 6400,
         };
-        assert!((r.ipc() - 2.5).abs() < 1e-12);
         assert!((r.macs_per_cycle() - 64.0).abs() < 1e-12);
     }
 }

@@ -41,11 +41,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod output_stationary;
-pub mod semi_broadcast;
+pub(crate) mod output_stationary;
+pub(crate) mod semi_broadcast;
 pub mod timing;
 pub mod trace;
-pub mod weight_stationary;
+pub(crate) mod weight_stationary;
 
 pub use output_stationary::OutputStationaryArray;
 pub use semi_broadcast::SemiBroadcastArray;

@@ -35,7 +35,7 @@ impl PassTiming {
     /// (`M` for the WS dataflows, `K` for output stationary), including
     /// the weight-load/reconfiguration cost.
     #[must_use]
-    pub const fn pass_cycles(&self, stream_len: usize) -> u64 {
+    pub(crate) const fn pass_cycles(&self, stream_len: usize) -> u64 {
         let n = self.dim as u64;
         let s = stream_len as u64;
         let load = if self.overlap_weight_load { 1 } else { n };
@@ -52,7 +52,7 @@ impl PassTiming {
 
     /// Number of array passes a full GEMM requires.
     #[must_use]
-    pub const fn passes(&self, shape: GemmShape) -> u64 {
+    pub(crate) const fn passes(&self, shape: GemmShape) -> u64 {
         let d = self.dim;
         match self.kind {
             DataflowKind::SemiBroadcastWeightStationary | DataflowKind::WeightStationary => {

@@ -97,7 +97,7 @@ impl PassTrace {
 
     /// MACs per cycle actually achieved.
     #[must_use]
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {

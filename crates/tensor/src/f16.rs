@@ -36,7 +36,7 @@ impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0x0000);
     /// One.
-    pub const ONE: F16 = F16(0x3C00);
+    pub(crate) const ONE: F16 = F16(0x3C00);
     /// Largest finite value, 65504.
     pub const MAX: F16 = F16(0x7BFF);
     /// Smallest positive normal value, 2^-14.
@@ -151,20 +151,6 @@ impl F16 {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
     }
 
-    /// Returns `true` if the value is positive or negative infinity.
-    #[must_use]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
-    /// Fused multiply-add performed at `f32` precision with one final
-    /// rounding, matching an FP16 FMA unit with an FP32 accumulator path
-    /// (the TensorCore accumulation mode).
-    #[must_use]
-    pub fn mul_add_f32(self, a: F16, b: F16) -> F16 {
-        F16::from_f32(a.to_f32().mul_add(b.to_f32(), self.to_f32()))
-    }
-
     /// Quantises a whole `f32` slice to binary16, appending to `dst`.
     ///
     /// The batched form of [`F16::from_f32`]: the inner loop runs in
@@ -173,7 +159,7 @@ impl F16 {
     /// panels, not scalars). The conversion itself is elementwise
     /// round-to-nearest-even, so the result is bit-identical to
     /// mapping [`F16::from_f32`] one value at a time.
-    pub fn quantize_slice(src: &[f32], dst: &mut Vec<F16>) {
+    pub(crate) fn quantize_slice(src: &[f32], dst: &mut Vec<F16>) {
         dst.reserve(src.len());
         let mut chunks = src.chunks_exact(8);
         for c in &mut chunks {
@@ -191,31 +177,6 @@ impl F16 {
         }
         for &v in chunks.remainder() {
             dst.push(F16::from_f32(v));
-        }
-    }
-
-    /// Widens a whole binary16 slice back to `f32`, appending to `dst`
-    /// — the exact inverse direction of [`F16::quantize_slice`], same
-    /// 8-wide lane structure, bit-identical to elementwise
-    /// [`F16::to_f32`] (which is exact for every binary16 value).
-    pub fn widen_slice(src: &[F16], dst: &mut Vec<f32>) {
-        dst.reserve(src.len());
-        let mut chunks = src.chunks_exact(8);
-        for c in &mut chunks {
-            let lane: [f32; 8] = [
-                c[0].to_f32(),
-                c[1].to_f32(),
-                c[2].to_f32(),
-                c[3].to_f32(),
-                c[4].to_f32(),
-                c[5].to_f32(),
-                c[6].to_f32(),
-                c[7].to_f32(),
-            ];
-            dst.extend_from_slice(&lane);
-        }
-        for &v in chunks.remainder() {
-            dst.push(v.to_f32());
         }
     }
 }
@@ -321,8 +282,8 @@ mod tests {
 
     #[test]
     fn overflow_saturates_to_infinity() {
-        assert!(F16::from_f32(1e6).is_infinite());
-        assert!(F16::from_f32(-1e6).is_infinite());
+        assert_eq!(F16::from_f32(1e6).to_bits(), F16::INFINITY.to_bits());
+        assert_eq!(F16::from_f32(-1e6).to_bits(), F16::NEG_INFINITY.to_bits());
         assert_eq!(F16::from_f32(65504.0), F16::MAX);
     }
 
@@ -394,12 +355,6 @@ mod tests {
             for (i, (&b, &v)) in batched.iter().zip(&src).enumerate() {
                 assert_eq!(b.to_bits(), F16::from_f32(v).to_bits(), "len {len} idx {i}");
             }
-            let mut widened = Vec::new();
-            F16::widen_slice(&batched, &mut widened);
-            assert_eq!(widened.len(), len);
-            for (i, (&w, &b)) in widened.iter().zip(&batched).enumerate() {
-                assert_eq!(w.to_bits(), b.to_f32().to_bits(), "len {len} idx {i}");
-            }
         }
     }
 
@@ -410,8 +365,5 @@ mod tests {
         assert_eq!(dst.len(), 3);
         assert_eq!(dst[0].to_f32(), 1.0);
         assert_eq!(dst[2].to_f32(), 3.0);
-        let mut wide = vec![0.0f32];
-        F16::widen_slice(&dst, &mut wide);
-        assert_eq!(wide, vec![0.0, 1.0, 2.0, 3.0]);
     }
 }

@@ -152,7 +152,7 @@ impl GemmShapeBatch {
 
     /// An empty batch with room for `shapes` entries per column.
     #[must_use]
-    pub fn with_capacity(shapes: usize) -> Self {
+    pub(crate) fn with_capacity(shapes: usize) -> Self {
         GemmShapeBatch {
             ms: Vec::with_capacity(shapes),
             ns: Vec::with_capacity(shapes),
@@ -171,7 +171,7 @@ impl GemmShapeBatch {
     }
 
     /// Appends one shape.
-    pub fn push(&mut self, shape: GemmShape) {
+    pub(crate) fn push(&mut self, shape: GemmShape) {
         self.ms.push(shape.m as u64);
         self.ns.push(shape.n as u64);
         self.ks.push(shape.k as u64);
@@ -179,7 +179,7 @@ impl GemmShapeBatch {
 
     /// Number of shapes in the batch.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ms.len()
     }
 
@@ -219,7 +219,7 @@ impl GemmShapeBatch {
     /// Total minimum bytes touched across the batch at `elem_bytes`
     /// per element; exactly `Σ` [`GemmShape::min_bytes`].
     #[must_use]
-    pub fn total_min_bytes(&self, elem_bytes: usize) -> u64 {
+    pub(crate) fn total_min_bytes(&self, elem_bytes: usize) -> u64 {
         let eb = elem_bytes as u64;
         fold8(self.len(), |i| {
             let (m, n, k) = (self.ms[i], self.ns[i], self.ks[i]);
@@ -238,24 +238,6 @@ impl GemmShapeBatch {
             return 0.0;
         }
         self.total_flops() as f64 / bytes as f64
-    }
-
-    /// Per-shape FLOPs, appended to `out` in batch order (the chunked
-    /// write-out form of the reduction kernels, for callers that need
-    /// the distribution rather than the total).
-    pub fn flops_into(&self, out: &mut Vec<u64>) {
-        out.reserve(self.len());
-        let mut i = 0;
-        while i + 8 <= self.len() {
-            let lane: [u64; 8] =
-                std::array::from_fn(|l| 2 * self.ms[i + l] * self.ns[i + l] * self.ks[i + l]);
-            out.extend_from_slice(&lane);
-            i += 8;
-        }
-        while i < self.len() {
-            out.push(2 * self.ms[i] * self.ns[i] * self.ks[i]);
-            i += 1;
-        }
     }
 }
 
@@ -304,7 +286,7 @@ pub fn reference<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>, T
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the inner dimensions disagree
 /// or `C` has the wrong shape.
-pub fn gemm_into<T: Scalar>(
+pub(crate) fn gemm_into<T: Scalar>(
     alpha: T,
     a: &Matrix<T>,
     b: &Matrix<T>,
@@ -520,12 +502,6 @@ mod tests {
                     shapes.iter().map(|s| s.min_bytes(eb)).sum::<u64>()
                 );
             }
-            let mut per_shape = Vec::new();
-            batch.flops_into(&mut per_shape);
-            assert_eq!(
-                per_shape,
-                shapes.iter().map(GemmShape::flops).collect::<Vec<_>>()
-            );
         }
     }
 

@@ -106,13 +106,13 @@ impl Conv2dParams {
 
     /// Effective kernel extent after dilation.
     #[must_use]
-    pub const fn effective_kernel_h(&self) -> usize {
+    pub(crate) const fn effective_kernel_h(&self) -> usize {
         (self.kernel_h - 1) * self.dilation + 1
     }
 
     /// Effective kernel extent after dilation.
     #[must_use]
-    pub const fn effective_kernel_w(&self) -> usize {
+    pub(crate) const fn effective_kernel_w(&self) -> usize {
         (self.kernel_w - 1) * self.dilation + 1
     }
 

@@ -109,18 +109,6 @@ impl<T: Scalar> Matrix<T> {
         &self.data
     }
 
-    /// Mutably borrows the underlying row-major storage.
-    #[must_use]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its storage.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Returns the element at `(row, col)`, or `None` if out of bounds.
     #[must_use]
     pub fn get(&self, row: usize, col: usize) -> Option<&T> {
@@ -137,7 +125,7 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics if `row >= self.rows()`.
     #[must_use]
-    pub fn row(&self, row: usize) -> &[T] {
+    pub(crate) fn row(&self, row: usize) -> &[T] {
         assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
         &self.data[row * self.cols..(row + 1) * self.cols]
     }

@@ -25,7 +25,7 @@ impl QuantParams {
     ///
     /// Panics if `max_abs` is not finite and positive.
     #[must_use]
-    pub fn fit(max_abs: f32) -> Self {
+    pub(crate) fn fit(max_abs: f32) -> Self {
         assert!(
             max_abs.is_finite() && max_abs > 0.0,
             "quantisation range must be positive and finite"
@@ -38,7 +38,7 @@ impl QuantParams {
     /// Fits the scale to a matrix's value range (falls back to scale 1.0
     /// for an all-zero matrix).
     #[must_use]
-    pub fn fit_matrix(m: &Matrix<f32>) -> Self {
+    pub(crate) fn fit_matrix(m: &Matrix<f32>) -> Self {
         let max_abs = m.as_slice().iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
         // sma-lint: allow(float-eq) — exact-zero guard: a fold of
         // abs() over any nonempty input is >= 0.0 and only an all-zero
@@ -52,7 +52,7 @@ impl QuantParams {
 
     /// Quantises one value with round-to-nearest and saturation.
     #[must_use]
-    pub fn quantise(&self, v: f32) -> i8 {
+    pub(crate) fn quantise(&self, v: f32) -> i8 {
         (v / self.scale).round().clamp(-127.0, 127.0) as i8
     }
 
@@ -76,7 +76,7 @@ pub struct QuantisedMatrix {
 impl QuantisedMatrix {
     /// Quantises a matrix symmetrically.
     #[must_use]
-    pub fn from_f32(m: &Matrix<f32>) -> Self {
+    pub(crate) fn from_f32(m: &Matrix<f32>) -> Self {
         let params = QuantParams::fit_matrix(m);
         QuantisedMatrix {
             data: m.map(|v| i32::from(params.quantise(v))),

@@ -138,16 +138,9 @@ impl TileWalk {
         self.cfg.block_n.div_ceil(self.cfg.array_dim)
     }
 
-    /// Systolic-array passes per block over the whole GEMM: each k-tile
-    /// requires one pass per `Bsubtile`.
-    #[must_use]
-    pub const fn passes_per_block(&self) -> usize {
-        self.k_tiles() * self.subtiles_per_btile()
-    }
-
     /// Useful MACs in the whole GEMM.
     #[must_use]
-    pub const fn useful_macs(&self) -> u64 {
+    pub(crate) const fn useful_macs(&self) -> u64 {
         self.shape.macs()
     }
 
@@ -194,7 +187,7 @@ impl TileWalk {
     /// Global-memory bytes each block loads per k-slice (one `Atile` + one
     /// `Btile`) at `elem_bytes` per element.
     #[must_use]
-    pub const fn bytes_per_k_tile(&self, elem_bytes: usize) -> u64 {
+    pub(crate) const fn bytes_per_k_tile(&self, elem_bytes: usize) -> u64 {
         (self.cfg.block_k * (self.cfg.block_m + self.cfg.block_n) * elem_bytes) as u64
     }
 
@@ -255,7 +248,6 @@ mod tests {
         assert_eq!(walk.grid(), (4, 2));
         assert_eq!(walk.blocks(), 8);
         assert_eq!(walk.k_tiles(), 16);
-        assert_eq!(walk.passes_per_block(), 16 * 16);
         assert_eq!(walk.quantisation_efficiency(), 1.0);
     }
 

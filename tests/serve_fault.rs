@@ -380,31 +380,39 @@ fn crash_aborts_the_batch_and_retry_lands_the_victim() {
 }
 
 /// A degrade window scales service time by its factor — exactly, in
-/// float bits — and the batch is counted as degraded.
+/// float bits — and the batch is counted as degraded. Windows nest: a
+/// batch is priced by the most recently opened window still open, so
+/// an inner window that already closed no longer counts.
 #[test]
 fn degrade_window_scales_service_time_by_its_factor() {
     let trace = one_request_trace(1.0);
     let probe = one_request_sim(&trace, FaultPlan::none(), RetryPolicy::default());
     let unit_ms = probe.cluster().unit_service_ms()[0][0];
-
-    let plan = FaultPlan::none().with_event(FaultEvent {
+    let degrade = |at_ms: f64, factor: f64, window_ms: f64| FaultEvent {
         shard: 0,
-        at_ms: 0.5,
-        kind: FaultKind::Degrade {
-            factor: 2.0,
-            window_ms: 100.0 * unit_ms,
-        },
-    });
-    let sim = one_request_sim(&trace, plan, RetryPolicy::default());
-    let run = sim.try_run(&mut RoundRobin::default()).unwrap();
-    let report = &run.reports[0];
-    assert_eq!(report.fault.degraded_batches, 1);
-    assert_eq!(report.batches.len(), 1);
-    assert_eq!(
-        report.batches[0].service_ms.to_bits(),
-        (unit_ms * 2.0).to_bits(),
-        "a 2x degrade factor must exactly double the batched service time"
-    );
+        at_ms,
+        kind: FaultKind::Degrade { factor, window_ms },
+    };
+
+    let single = FaultPlan::none().with_event(degrade(0.5, 2.0, 100.0 * unit_ms));
+    // A 3x window over 10–20 ms inside a 2x window over 0–100 ms; the
+    // batch launches at 50 ms, after the inner window closed.
+    let nested = FaultPlan::none()
+        .with_event(degrade(0.0, 2.0, 100.0))
+        .with_event(degrade(10.0, 3.0, 10.0));
+    let late_trace = one_request_trace(50.0);
+    for (plan, trace) in [(single, &trace), (nested, &late_trace)] {
+        let sim = one_request_sim(trace, plan, RetryPolicy::default());
+        let run = sim.try_run(&mut RoundRobin::default()).unwrap();
+        let report = &run.reports[0];
+        assert_eq!(report.fault.degraded_batches, 1);
+        assert_eq!(report.batches.len(), 1);
+        assert_eq!(
+            report.batches[0].service_ms.to_bits(),
+            (unit_ms * 2.0).to_bits(),
+            "a 2x degrade factor must exactly double the batched service time"
+        );
+    }
 }
 
 /// Hedging duplicates a still-pending request onto a second shard;

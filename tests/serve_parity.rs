@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use sma::runtime::serve::{
-    BatchPolicy, Deadline, EarliestDeadlineFirst, EngineConfig, Immediate, LeastOutstanding,
+    BatchPolicy, Deadline, EarliestDeadlineFirst, EngineConfig, Immediate, LeastBacklog,
     LoadGenerator, Placement, PlatformAffinity, RoundRobin, ServeSim, SizeK,
 };
 use sma::runtime::{Executor, Platform};
@@ -41,7 +41,7 @@ fn policy_for(selector: usize, k: usize) -> (Arc<dyn BatchPolicy>, f64) {
 fn placement_for(selector: usize) -> Box<dyn Placement> {
     match selector {
         0 => Box::new(RoundRobin::default()),
-        1 => Box::new(LeastOutstanding::default()),
+        1 => Box::new(LeastBacklog),
         _ => Box::new(PlatformAffinity::default()),
     }
 }
