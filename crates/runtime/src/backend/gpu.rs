@@ -1,13 +1,12 @@
 //! The GPU-family backends: baseline SIMD, spatially integrated
-//! TensorCores, and the temporally integrated SMA configurations.
-//!
-//! All three share one irregular-op execution model — the programmable
-//! SIMD lanes — and differ in their matrix engine and in how much extra
-//! SIMD throughput their idle matrix units can contribute
-//! ([`Backend::simd_mode_boost`]).
+//! TensorCores, the temporally integrated SMA configurations and the
+//! reconfigurable arrays (ArrayFlex, FlexSA). All of them run irregular
+//! ops on the programmable SIMD lanes, so they share one [`Backend`]
+//! impl, [`GpuBackend`]; a [`GemmModel`] supplies what differs.
 
 use super::{
-    Backend, CacheStats, ExecPath, GemmCache, IrregularEstimate, IrregularWork, RuntimeError,
+    Backend, CacheStats, ExecPath, GemmCache, IrregularEstimate, IrregularWork, Reconfigurable,
+    RuntimeError,
 };
 use sma_accel::TcGemmModel;
 use sma_core::model::GemmEstimate;
@@ -102,192 +101,169 @@ pub fn gpu_irregular_estimate(gpu: &GpuConfig, work: &IrregularWork) -> Irregula
     }
 }
 
-/// Baseline Volta SIMD lanes (FP32 CUTLASS-style GEMM).
+/// The matrix engine of a [`GpuBackend`]: the one thing the GPU-family
+/// backends differ in.
+pub trait GemmModel: std::fmt::Debug + Send + Sync {
+    /// Short label used in experiment tables (paper nomenclature).
+    fn name(&self) -> &'static str;
+
+    /// Estimate of one GEMM (pure; the backend memoizes it).
+    fn estimate(&self, shape: GemmShape) -> GemmEstimate;
+
+    /// Multiplier on baseline SIMD throughput when the matrix units
+    /// fold into lanes (1.0: they cannot).
+    fn simd_mode_boost(&self) -> f64 {
+        1.0
+    }
+
+    /// The irregular work left for the SIMD lanes (all of it, unless
+    /// the engine can shed some).
+    fn irregular_work(&self, work: IrregularWork) -> IrregularWork {
+        work
+    }
+
+    /// The engine's serve-time reconfiguration capability, if any.
+    fn as_reconfigurable(&self) -> Option<&dyn Reconfigurable> {
+        None
+    }
+}
+
+/// A GPU-family backend: a [`GemmModel`] matrix engine and its own
+/// [`GemmCache`] beside the SIMD lanes of an on-die Volta substrate.
 #[derive(Debug)]
-pub struct SimdBackend {
+pub struct GpuBackend<M> {
     gpu: GpuConfig,
-    model: SimdGemmModel,
+    pub(super) model: M,
     cache: GemmCache,
+}
+
+impl<M> GpuBackend<M> {
+    /// `model` beside the SIMD lanes of the Volta substrate.
+    pub(super) fn volta(model: M) -> Self {
+        GpuBackend {
+            gpu: GpuConfig::volta(),
+            model,
+            cache: GemmCache::default(),
+        }
+    }
+}
+
+impl<M: GemmModel> Backend for GpuBackend<M> {
+    fn name(&self) -> &'static str {
+        self.model.name()
+    }
+
+    fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
+        Ok(self
+            .cache
+            .get_or_compute(shape, || self.model.estimate(shape)))
+    }
+
+    fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
+        gpu_irregular_estimate(&self.gpu, &self.model.irregular_work(work))
+    }
+
+    fn transfer_ms(&self, _bytes: u64) -> f64 {
+        0.0
+    }
+
+    fn simd_mode_boost(&self) -> f64 {
+        self.model.simd_mode_boost()
+    }
+
+    fn gemm_cache_stats(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
+    fn gemm_cache_len(&self) -> usize {
+        self.cache.len()
+    }
+
+    fn as_reconfigurable(&self) -> Option<&dyn Reconfigurable> {
+        self.model.as_reconfigurable()
+    }
+}
+
+/// Baseline Volta SIMD lanes (FP32 CUTLASS-style GEMM).
+pub type SimdBackend = GpuBackend<SimdGemmModel>;
+
+impl GemmModel for SimdGemmModel {
+    fn name(&self) -> &'static str {
+        "SIMD"
+    }
+
+    fn estimate(&self, shape: GemmShape) -> GemmEstimate {
+        SimdGemmModel::estimate(self, shape)
+    }
 }
 
 impl SimdBackend {
     /// The Volta baseline of the evaluation.
     #[must_use]
     pub fn new() -> Self {
-        SimdBackend {
-            gpu: GpuConfig::volta(),
-            model: SimdGemmModel::new(GpuConfig::volta()),
-            cache: GemmCache::default(),
-        }
+        GpuBackend::volta(SimdGemmModel::new(GpuConfig::volta()))
     }
 }
 
-impl Default for SimdBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Volta with its four TensorCores doing the GEMMs (spatial
+/// integration). The tensor cores cannot run irregular code at all: no
+/// boost.
+pub type TensorCoreBackend = GpuBackend<TcGemmModel>;
 
-impl Backend for SimdBackend {
+impl GemmModel for TcGemmModel {
     fn name(&self) -> &'static str {
-        "SIMD"
+        "4-TC"
     }
 
-    fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
-        Ok(self
-            .cache
-            .get_or_compute(shape, || self.model.estimate(shape)))
+    fn estimate(&self, shape: GemmShape) -> GemmEstimate {
+        TcGemmModel::estimate(self, shape)
     }
-
-    fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
-        gpu_irregular_estimate(&self.gpu, &work)
-    }
-
-    fn transfer_ms(&self, _bytes: u64) -> f64 {
-        0.0
-    }
-
-    fn simd_mode_boost(&self) -> f64 {
-        1.0
-    }
-
-    fn gemm_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn gemm_cache_len(&self) -> usize {
-        self.cache.len()
-    }
-}
-
-/// Volta with its four TensorCores doing the GEMMs (spatial integration).
-#[derive(Debug)]
-pub struct TensorCoreBackend {
-    gpu: GpuConfig,
-    model: TcGemmModel,
-    cache: GemmCache,
 }
 
 impl TensorCoreBackend {
     /// The 4-TC configuration of the evaluation.
     #[must_use]
     pub fn new() -> Self {
-        TensorCoreBackend {
-            gpu: GpuConfig::volta(),
-            model: TcGemmModel::new(GpuConfig::volta()),
-            cache: GemmCache::default(),
-        }
-    }
-}
-
-impl Default for TensorCoreBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Backend for TensorCoreBackend {
-    fn name(&self) -> &'static str {
-        "4-TC"
-    }
-
-    fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
-        Ok(self
-            .cache
-            .get_or_compute(shape, || self.model.estimate(shape)))
-    }
-
-    fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
-        gpu_irregular_estimate(&self.gpu, &work)
-    }
-
-    fn transfer_ms(&self, _bytes: u64) -> f64 {
-        0.0
-    }
-
-    /// The tensor cores cannot run irregular code at all: no boost.
-    fn simd_mode_boost(&self) -> f64 {
-        1.0
-    }
-
-    fn gemm_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn gemm_cache_len(&self) -> usize {
-        self.cache.len()
+        GpuBackend::volta(TcGemmModel::new(GpuConfig::volta()))
     }
 }
 
 /// SMA units per SM doing GEMMs systolically and folding back into SIMD
 /// lanes for irregular phases (the temporal integration of the paper).
-#[derive(Debug)]
-pub struct SmaBackend {
-    name: &'static str,
-    gpu: GpuConfig,
-    model: SmaGemmModel,
-    units: u32,
-    cache: GemmCache,
-}
+pub type SmaBackend = GpuBackend<SmaGemmModel>;
 
-impl SmaBackend {
-    /// Two SMA units per SM (iso-FLOP with 4-TC).
-    #[must_use]
-    pub(crate) fn iso_flop_2sma() -> Self {
-        SmaBackend {
-            name: "2-SMA",
-            gpu: GpuConfig::volta(),
-            model: SmaGemmModel::new(SmaConfig::iso_flop_2sma()),
-            units: 2,
-            cache: GemmCache::default(),
-        }
-    }
-
-    /// Three SMA units per SM (iso-area; the temporal-integration win).
-    #[must_use]
-    pub fn iso_area_3sma() -> Self {
-        SmaBackend {
-            name: "3-SMA",
-            gpu: GpuConfig::volta(),
-            model: SmaGemmModel::new(SmaConfig::iso_area_3sma()),
-            units: 3,
-            cache: GemmCache::default(),
-        }
-    }
-}
-
-impl Backend for SmaBackend {
+impl GemmModel for SmaGemmModel {
     fn name(&self) -> &'static str {
-        self.name
+        match self.config().units {
+            2 => "2-SMA",
+            3 => "3-SMA",
+            _ => "SMA",
+        }
     }
 
-    fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
-        Ok(self
-            .cache
-            .get_or_compute(shape, || self.model.estimate(shape)))
-    }
-
-    fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
-        gpu_irregular_estimate(&self.gpu, &work)
-    }
-
-    fn transfer_ms(&self, _bytes: u64) -> f64 {
-        0.0
+    fn estimate(&self, shape: GemmShape) -> GemmEstimate {
+        SmaGemmModel::estimate(self, shape)
     }
 
     /// The units reconfigure into SIMD lanes when not running GEMMs:
     /// 3 units = 192 FP32-lane-equivalents vs. the baseline 64 — the
     /// "dynamic resource allocation" of §V-C.
     fn simd_mode_boost(&self) -> f64 {
-        f64::from(self.units)
+        f64::from(self.config().units)
+    }
+}
+
+impl SmaBackend {
+    /// Two SMA units per SM (iso-FLOP with 4-TC).
+    #[must_use]
+    pub(crate) fn iso_flop_2sma() -> Self {
+        GpuBackend::volta(SmaGemmModel::new(SmaConfig::iso_flop_2sma()))
     }
 
-    fn gemm_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn gemm_cache_len(&self) -> usize {
-        self.cache.len()
+    /// Three SMA units per SM (iso-area; the temporal-integration win).
+    #[must_use]
+    pub fn iso_area_3sma() -> Self {
+        GpuBackend::volta(SmaGemmModel::new(SmaConfig::iso_area_3sma()))
     }
 }
 

@@ -6,15 +6,27 @@
 //! trait covering both paths plus the host-transfer cost model. The
 //! [`Executor`](crate::Executor) and the autonomous-driving study
 //! dispatch *only* through `dyn Backend` — a new architecture plugs in
-//! without touching either. The two reconfigurable-systolic designs the
-//! ROADMAP named ([`ArrayFlexBackend`], [`FlexSaBackend`]) landed
-//! exactly this way; the step-by-step recipe they followed is written
-//! down in `docs/ADDING_A_BACKEND.md`.
+//! without touching either.
+//!
+//! The built-ins hold the trait in three ways (the recipe for each is
+//! in `docs/ADDING_A_BACKEND.md`):
+//!
+//! * an on-die GEMM engine ([`SimdBackend`], [`TensorCoreBackend`],
+//!   [`SmaBackend`]) is a crate-internal `GemmModel` in the one
+//!   GPU-family backend (`gpu.rs`), which owns the [`GemmCache`], the
+//!   SIMD-lane irregular path and the cache counters;
+//! * a reconfigurable array ([`ArrayFlexBackend`], [`FlexSaBackend`])
+//!   is a crate-internal `FabricConfig` ([`PipelineConfig`],
+//!   [`FlexSaMode`]) in the one fabric core (`fabric.rs`), which owns
+//!   selection, pinning, the ledger and [`Reconfigurable`];
+//! * an offload or injected backend ([`TpuHostBackend`], or yours)
+//!   implements [`Backend`] directly.
 //!
 //! # Adding an eighth backend
 //!
-//! A new backend is one struct and one `impl` — under 50 lines. Say you
-//! want a ReDas-style fine-grained reshaping array (PAPERS.md):
+//! Outside this crate a new backend is one struct and one `impl` —
+//! under 50 lines. Say you want a ReDas-style fine-grained reshaping
+//! array (PAPERS.md):
 //!
 //! ```
 //! use sma_runtime::backend::{
@@ -83,6 +95,7 @@
 //! matter how many threads the sweep fans across.
 
 mod arrayflex;
+mod fabric;
 mod flexsa;
 mod gpu;
 mod tpu_host;
@@ -91,6 +104,8 @@ pub use arrayflex::{ArrayFlexBackend, PipelineConfig};
 pub use flexsa::{FlexSaBackend, FlexSaMode};
 pub use gpu::{gpu_irregular_estimate, SimdBackend, SmaBackend, TensorCoreBackend};
 pub use tpu_host::TpuHostBackend;
+
+use gpu::{GemmModel, GpuBackend};
 
 use crate::platform::Platform;
 use sma_core::model::GemmEstimate;
@@ -515,12 +530,6 @@ impl GemmCache {
             .sum()
     }
 
-    /// True if no shape has been cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Current hit/miss counters.
     #[must_use]
     pub(crate) fn stats(&self) -> CacheStats {
@@ -588,7 +597,8 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// normally pick their best configuration *per GEMM shape*; the
     /// serving engine uses this capability to instead pin one
     /// configuration per observed traffic mix and price the pinned
-    /// penalty — see `docs/AUTOSCALING.md`.
+    /// penalty — see `docs/AUTOSCALING.md`. A fabric pinned at design
+    /// time has no run-time knob left and returns `None`.
     fn as_reconfigurable(&self) -> Option<&dyn Reconfigurable> {
         None
     }

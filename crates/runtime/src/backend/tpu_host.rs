@@ -33,12 +33,6 @@ impl TpuHostBackend {
             cache: GemmCache::default(),
         }
     }
-
-    /// The owned TPU simulator (for direct estimate queries).
-    #[must_use]
-    pub const fn sim(&self) -> &TpuSim {
-        &self.sim
-    }
 }
 
 impl Default for TpuHostBackend {

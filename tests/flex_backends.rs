@@ -1,11 +1,15 @@
 //! Acceptance suite for the reconfigurable-systolic backends
 //! (ArrayFlex, FlexSA): plan-replay bit-parity, exact GemmCache
 //! accounting under contention, per-shape configuration selection
-//! observable end-to-end, and the pruning-aware irregular path.
+//! observable end-to-end, the pruning-aware irregular path, and no
+//! serve-time reconfiguration for a fabric pinned at design time.
 
 use proptest::prelude::*;
 use sma::models::zoo;
 use sma::runtime::backend::{ArrayFlexBackend, Backend, FlexSaBackend, FlexSaMode, PipelineConfig};
+use sma::runtime::serve::{
+    EngineConfig, Immediate, LoadGenerator, ReconfigPolicy, RoundRobin, ServeCluster, ServeSim,
+};
 use sma::runtime::{Executor, Platform};
 use sma::tensor::GemmShape;
 use std::sync::Arc;
@@ -111,8 +115,8 @@ fn batch_stacking_flips_the_selected_configuration() {
     );
 
     let fs = FlexSaBackend::new();
-    assert_eq!(fs.mode_for(fc), FlexSaMode::SubArrays);
-    assert_eq!(fs.mode_for(stacked), FlexSaMode::FullArray);
+    assert_eq!(fs.config_for(fc), FlexSaMode::SubArrays);
+    assert_eq!(fs.config_for(stacked), FlexSaMode::FullArray);
 
     for backend in [&af as &dyn Backend, &fs as &dyn Backend] {
         let unit = backend.gemm(fc).unwrap().time_ms;
@@ -148,6 +152,37 @@ fn pruning_aware_irregular_path_beats_fixed_arrays_end_to_end() {
         );
     }
     assert!(flexsa.irregular_ms > 0.0, "unprunable ops still bill");
+}
+
+/// A fabric pinned at design time has no serve-time knob: its estimates
+/// already carry the pin, so pricing another pin would charge it twice.
+/// On a one-shard span-4 ArrayFlex cluster a reconfiguration policy runs
+/// no evaluation and bills the same busy time as no policy.
+#[test]
+fn design_time_pinned_fabric_does_not_reconfigure_at_serve_time() {
+    let cluster = Arc::new(
+        ServeCluster::try_new(
+            vec![Executor::builder(Platform::ArrayFlex)
+                .backend(Arc::new(ArrayFlexBackend::pinned(PipelineConfig::ALL[2])))
+                .build()],
+            vec![zoo::alexnet(), zoo::vgg_a(), zoo::googlenet()],
+        )
+        .unwrap(),
+    );
+    let trace = LoadGenerator::new(7, 1.0).trace(400, cluster.networks().len());
+    let run = |config: EngineConfig| {
+        ServeSim::with_cluster(Arc::clone(&cluster), Arc::new(Immediate), &trace, config)
+            .try_run(&mut RoundRobin::default())
+            .unwrap()
+    };
+    let plain = run(EngineConfig::default());
+    let reconfig = run(EngineConfig::default().with_reconfig(ReconfigPolicy::default()));
+    assert_eq!(reconfig.reconfig.evaluations, 0, "no knob to turn");
+    assert_eq!(
+        reconfig.reports[0].busy_ms.to_bits(),
+        plain.reports[0].busy_ms.to_bits(),
+        "the pin is charged once"
+    );
 }
 
 proptest! {
