@@ -7,12 +7,19 @@
 //! **service-complete** events free a shard and let it dispatch again,
 //! and **fault** events from the configured [`FaultPlan`] crash,
 //! degrade or stall shards (recovery — retries, hedges — rides the
-//! same queue). Events are totally ordered by `(time, class,
+//! same order). Events are totally ordered by `(time, class,
 //! sequence)` — time via `f64::total_cmp`, then arrivals before
 //! completions before timers before fault/retry/hedge events at equal
 //! instants, and a monotone sequence number last — so a run is a pure
 //! function of its inputs: byte-identical across repeats, machines and
 //! worker-thread counts, with or without faults.
+//!
+//! Three sorted sources feed that order. The arrival trace is already
+//! sorted. Hedge timers fire one constant delay after their arrival, so
+//! they are created in firing order and wait in a FIFO. Everything else
+//! sits in a binary heap keyed by two integers: the instant's bits
+//! mapped to `f64::total_cmp` order, and `class << 56 | seq`. The event
+//! loop merges the three heads.
 //!
 //! Admission is online: placement sees the live cluster (backlog,
 //! in-flight batches, plan-cache residency, shard health) at each
@@ -28,7 +35,11 @@
 //!
 //! Request ids are trace positions, checked before the first event: the
 //! per-request sets are bitsets indexed by id, and retry and hedge
-//! events carry a trace slot, not a copy of the request.
+//! events carry a trace slot, not a copy of the request. A completion
+//! cancels queued copies only of ids that a hedge actually duplicated,
+//! and only in the finished batch's network queue; only shards that
+//! lost a copy refresh their live view. The cluster backlog the shed
+//! check and the autoscaler read is a counter kept beside that view.
 //!
 //! The fault model, injected-event ordering and recovery semantics are
 //! specified in `docs/FAULT_TOLERANCE.md`; an empty [`FaultPlan`] (the
@@ -37,7 +48,7 @@
 
 use super::fault::{ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, RetryPolicy, ShedPolicy};
 use super::load::Request;
-use super::placement::{ClusterView, Placement};
+use super::placement::{self, ClusterView, Placement};
 use super::policy::BatchPolicy;
 use super::scale::{AutoscalePolicy, EnergyFrontier, ReconfigPolicy, ReconfigStats, ScaleStats};
 use super::shard::{self, NextBatch, ShardCore};
@@ -46,7 +57,7 @@ use super::{BatchRecord, ServeCluster, ShardReport};
 use crate::backend::RuntimeError;
 use sma_energy::EnergyModel;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Per-shard plan-cache capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,9 +316,6 @@ enum EventKind {
     /// The crash victim at trace position `slot` re-enters admission
     /// after its backoff; the event's shard is the one it crashed on.
     Retry { slot: usize },
-    /// The hedge delay of the request at trace position `slot`
-    /// expired; the event's shard is the one it was admitted to.
-    Hedge { slot: usize },
     /// An urgent arrival claimed the shard: evict the running batch of
     /// epoch `epoch` (stale epochs — the batch completed or was
     /// already evicted at this instant — are ignored).
@@ -318,23 +326,64 @@ enum EventKind {
 
 /// One queued engine event. Ordering is ascending `(time, class,
 /// seq)`; `seq` is a global push counter, so ties are broken by
-/// creation order and the queue is a total order.
+/// creation order and the queue is a total order. Both halves of the
+/// order are plain integers, so a heap comparison is two `u64`
+/// compares: `time` is [`time_key`] of the instant, and `tie` packs
+/// `class << 56 | seq`.
 #[derive(Debug, Clone, Copy)]
 struct Event {
-    time: f64,
-    class: u8,
-    seq: u64,
+    time: u64,
+    tie: u64,
     shard: usize,
     kind: EventKind,
 }
 
 // Every heap push and pop moves entries, so events stay small: no
 // variant may carry a `Request` or other bulky payload.
-const _: () = assert!(std::mem::size_of::<Event>() <= 48);
+const _: () = assert!(std::mem::size_of::<Event>() <= 40);
+
+/// Bits of `seq` in [`Event::tie`]; the class sits above them.
+const SEQ_BITS: u32 = 56;
+
+/// Maps an instant to a `u64` whose unsigned order is exactly
+/// [`f64::total_cmp`] order: negative values flip every bit, the rest
+/// flip only the sign bit. [`key_time`] inverts it bit for bit.
+#[inline]
+fn time_key(time: f64) -> u64 {
+    let bits = time.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// The instant whose [`time_key`] is `key`.
+#[inline]
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(key ^ ((key >> 63).wrapping_sub(1) | 1 << 63))
+}
+
+impl Event {
+    fn new(time: f64, class: u8, seq: u64, shard: usize, kind: EventKind) -> Self {
+        debug_assert!(
+            seq < 1 << SEQ_BITS,
+            "event sequence overflowed its key bits"
+        );
+        Event {
+            time: time_key(time),
+            tie: u64::from(class) << SEQ_BITS | seq,
+            shard,
+            kind,
+        }
+    }
+
+    /// The `(time, class << 56 | seq)` pair the heap orders by.
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.time, self.tie)
+    }
+}
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.key() == other.key()
     }
 }
 impl Eq for Event {}
@@ -347,12 +396,18 @@ impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest
         // event on top.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.class.cmp(&self.class))
-            .then(other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
+}
+
+/// A pending hedge: at `time` the request at trace position `slot`,
+/// admitted to `shard`, gets a twin unless it is already served.
+/// Hedges never enter the heap — see [`Engine::hedges`].
+#[derive(Debug, Clone, Copy)]
+struct HedgeTimer {
+    time: f64,
+    shard: usize,
+    slot: usize,
 }
 
 /// The batch currently executing on a shard. Recording happens at
@@ -478,6 +533,14 @@ struct Engine<'a> {
     shards: Vec<ShardState>,
     heap: BinaryHeap<Event>,
     seq: u64,
+    /// Pending hedge timers in firing order. Every hedge fires one
+    /// constant delay after its arrival, and arrivals are sorted, so a
+    /// new timer goes to the back (signed zeros aside, see
+    /// [`Engine::on_arrival`]); equal instants keep creation order,
+    /// which is `seq` order, and class [`CLASS_HEDGE`] holds nothing
+    /// else, so merging this queue with the heap keeps `(time, class,
+    /// seq)`.
+    hedges: VecDeque<HedgeTimer>,
     rejected: Vec<Request>,
     shed: Vec<Request>,
     failed: Vec<Request>,
@@ -497,6 +560,9 @@ struct Engine<'a> {
     num_classes: usize,
     /// Ids preempted at least once (sized only with preemption on).
     preempted_ids: IdSet,
+    /// Ids a hedge gave a twin (sized only with hedging on): the only
+    /// ids a completion may have to cancel a queued copy of.
+    hedged: IdSet,
     /// Autoscaler fleet state: whether each shard is powered.
     active: Vec<bool>,
     /// Drain-before-remove: a draining shard stops accepting
@@ -513,10 +579,13 @@ struct Engine<'a> {
     /// Cumulative arrivals per network: the observed traffic mix the
     /// frontier weighs shard costs by.
     mix_counts: Vec<u64>,
-    /// Scratch for the ids one completion serves (hedge cancellation).
-    newly_served: Vec<u64>,
+    /// Scratch for the hedged ids one completion serves: their twins
+    /// are cancelled.
+    served_twins: Vec<u64>,
     // The live view placements read, one entry per shard, kept current
-    // by `refresh_view` as shard state changes.
+    // by `refresh_view` as shard state changes, and the cluster backlog
+    // (the sum of `live_queued` and `live_in_flight`) kept beside it.
+    live_backlog: usize,
     live_queued: Vec<usize>,
     live_in_flight: Vec<usize>,
     live_resident: Vec<u64>,
@@ -544,23 +613,32 @@ pub(super) fn run_engine(
 
     let mut cursor = 0usize;
     loop {
-        // Merge the (already sorted) arrival trace with the event
-        // heap; arrivals win ties (CLASS_ARRIVAL is the lowest class).
-        let take_arrival = match (trace.get(cursor), engine.heap.peek()) {
-            (Some(request), Some(event)) => {
-                request.arrival_ms.total_cmp(&event.time) != Ordering::Greater
-            }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
+        // Merge three sorted sources by `(time, class, seq)`. The hedge
+        // FIFO holds all of class 5 and the heap none of it, so their
+        // heads never tie; arrivals (class 0) win every time tie.
+        let event = engine.heap.peek().map(Event::key);
+        let hedge = engine
+            .hedges
+            .front()
+            .map(|timer| (time_key(timer.time), u64::from(CLASS_HEDGE) << SEQ_BITS));
+        let timed = match (hedge, event) {
+            (Some(h), Some(e)) => Some(h.min(e)),
+            (h, e) => h.or(e),
         };
+        let take_arrival = trace
+            .get(cursor)
+            .is_some_and(|r| timed.is_none_or(|(time, _)| time_key(r.arrival_ms) <= time));
         if take_arrival {
             engine.on_arrival(placement, cursor)?;
             cursor += 1;
+        } else if timed.is_none() {
+            break;
+        } else if timed == hedge {
+            if let Some(timer) = engine.hedges.pop_front() {
+                engine.on_hedge(timer.slot, timer.shard, timer.time)?;
+            }
         } else if let Some(event) = engine.heap.pop() {
             engine.on_event(placement, event)?;
-        } else {
-            break;
         }
     }
     Ok(engine.finish())
@@ -621,6 +699,7 @@ impl<'a> Engine<'a> {
             shards,
             heap: BinaryHeap::new(),
             seq: 0,
+            hedges: VecDeque::new(),
             rejected: Vec::new(),
             shed: Vec::new(),
             failed: Vec::new(),
@@ -631,6 +710,7 @@ impl<'a> Engine<'a> {
             global_future,
             num_classes,
             preempted_ids: ids_if(config.preempt.is_some()),
+            hedged: ids_if(config.hedge.is_some()),
             active: vec![true; shard_count],
             draining: vec![false; shard_count],
             up_streak: 0,
@@ -638,7 +718,8 @@ impl<'a> Engine<'a> {
             scale_stats: ScaleStats::default(),
             frontier,
             mix_counts: vec![0; net_count],
-            newly_served: Vec::new(),
+            served_twins: Vec::new(),
+            live_backlog: 0,
             live_queued: vec![0; shard_count],
             live_in_flight: vec![0; shard_count],
             live_resident: vec![0; shard_count],
@@ -679,13 +760,8 @@ impl<'a> Engine<'a> {
     }
 
     fn push_event(&mut self, time: f64, class: u8, shard: usize, kind: EventKind) {
-        self.heap.push(Event {
-            time,
-            class,
-            seq: self.seq,
-            shard,
-            kind,
-        });
+        self.heap
+            .push(Event::new(time, class, self.seq, shard, kind));
         self.seq += 1;
     }
 
@@ -702,9 +778,21 @@ impl<'a> Engine<'a> {
         self.active[shard] && !self.draining[shard]
     }
 
-    /// Cluster-wide outstanding requests (queued + in flight).
+    /// Cluster-wide outstanding requests (queued + in flight), summed
+    /// from shard state.
     fn backlog(&self) -> usize {
         self.shards.iter().map(ShardState::outstanding).sum()
+    }
+
+    /// [`Engine::backlog`] read off the counter the view refreshes
+    /// keep current.
+    fn cluster_backlog(&self) -> usize {
+        debug_assert_eq!(
+            self.live_backlog,
+            self.backlog(),
+            "the backlog counter drifted from shard state"
+        );
+        self.live_backlog
     }
 
     /// One shard's live-view entry, read from shard state: queued,
@@ -732,6 +820,9 @@ impl<'a> Engine<'a> {
     /// read is always current.
     fn refresh_view(&mut self, shard: usize) {
         let (queued, in_flight, resident, healthy, degrade) = self.view_entry(shard);
+        self.live_backlog = self.live_backlog + queued + in_flight
+            - self.live_queued[shard]
+            - self.live_in_flight[shard];
         self.live_queued[shard] = queued;
         self.live_in_flight[shard] = in_flight;
         self.live_resident[shard] = resident;
@@ -808,7 +899,7 @@ impl<'a> Engine<'a> {
             .config
             .shed
             .as_ref()
-            .is_some_and(|p| p.sheds(request.class, self.num_classes, self.backlog()));
+            .is_some_and(|p| p.sheds(request.class, self.num_classes, self.cluster_backlog()));
 
         let mut target: Option<usize> = None;
         if shed_now {
@@ -819,12 +910,17 @@ impl<'a> Engine<'a> {
                 Some(shard) => {
                     self.shards[shard].core.admit(request, now_ms);
                     if let Some(hedge) = self.config.hedge {
-                        self.push_event(
-                            now_ms + hedge.delay_ms,
-                            CLASS_HEDGE,
-                            shard,
-                            EventKind::Hedge { slot },
-                        );
+                        let time = now_ms + hedge.delay_ms;
+                        // A push to the back: the last timer fires no
+                        // later. Only signed zeros (arrivals +0.0 then
+                        // -0.0, delay -0.0) can break that, and then
+                        // the scan keeps `(time, seq)` order anyway.
+                        let at = self
+                            .hedges
+                            .iter()
+                            .rposition(|t| t.time.total_cmp(&time) != Ordering::Greater)
+                            .map_or(0, |last| last + 1);
+                        self.hedges.insert(at, HedgeTimer { time, shard, slot });
                     }
                     // Preemption: an arrival urgent enough to displace
                     // the running batch claims the shard via a
@@ -879,12 +975,8 @@ impl<'a> Engine<'a> {
         placement: &mut dyn Placement,
         event: Event,
     ) -> Result<(), RuntimeError> {
-        let Event {
-            time: now_ms,
-            shard,
-            kind,
-            ..
-        } = event;
+        let now_ms = key_time(event.time);
+        let Event { shard, kind, .. } = event;
         let handled = match kind {
             EventKind::Complete { epoch } => self.on_complete(shard, now_ms, epoch),
             EventKind::Timer => {
@@ -912,7 +1004,6 @@ impl<'a> Engine<'a> {
                 Ok(())
             }
             EventKind::Retry { slot } => self.on_retry(placement, slot, shard, now_ms),
-            EventKind::Hedge { slot } => self.on_hedge(slot, shard, now_ms),
             EventKind::Preempt { epoch } => self.on_preempt(shard, now_ms, epoch),
             EventKind::ScaleTick => {
                 let ticked = self.on_scale_tick(now_ms);
@@ -1010,17 +1101,21 @@ impl<'a> Engine<'a> {
         let Some(scale) = self.config.scale else {
             return Ok(());
         };
-        #[allow(clippy::needless_range_loop)]
-        for shard in 0..self.shards.len() {
-            if self.draining[shard] && self.shards[shard].outstanding() == 0 {
-                self.draining[shard] = false;
-                self.active[shard] = false;
+        let fleet = self
+            .shards
+            .iter()
+            .zip(&mut self.draining)
+            .zip(&mut self.active);
+        for ((state, draining), active) in fleet {
+            if *draining && state.outstanding() == 0 {
+                *draining = false;
+                *active = false;
                 self.scale_stats.drains_completed += 1;
             }
         }
         self.scale_stats.evaluations += 1;
         let active_count = self.active.iter().filter(|&&a| a).count().max(1);
-        let load = self.backlog() as f64 / active_count as f64;
+        let load = self.cluster_backlog() as f64 / active_count as f64;
         if load >= scale.high_watermark {
             self.up_streak += 1;
         } else {
@@ -1080,7 +1175,7 @@ impl<'a> Engine<'a> {
         // Re-arm while there is anything left to observe: future
         // arrivals, outstanding work, or an unfinished drain.
         let more = self.global_future.iter().sum::<usize>() > 0
-            || self.backlog() > 0
+            || self.cluster_backlog() > 0
             || self.draining.iter().any(|&d| d);
         if more {
             self.push_event(
@@ -1105,8 +1200,8 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         let track = self.config.track_ids();
-        let mut newly_served = std::mem::take(&mut self.newly_served);
-        newly_served.clear();
+        let mut served_twins = std::mem::take(&mut self.served_twins);
+        served_twins.clear();
         let state = &mut self.shards[shard];
         let mut requests = batch.requests;
         let record = batch.record;
@@ -1118,7 +1213,9 @@ impl<'a> Engine<'a> {
                     // billed (busy time above) but not served.
                     continue;
                 }
-                newly_served.push(request.id);
+                if self.hedged.contains(request.id) {
+                    served_twins.push(request.id);
+                }
                 self.failed_ids.clear(request.id);
             }
             state
@@ -1127,16 +1224,21 @@ impl<'a> Engine<'a> {
         }
         requests.clear();
         state.spare = requests;
-        // First completion wins: queued hedge twins of the ids just
-        // served are cancelled cluster-wide.
-        if self.config.hedge.is_some() && !newly_served.is_empty() {
-            for state in &mut self.shards {
-                state.core.cancel(&newly_served, now_ms);
+        // First completion wins: queued copies of the hedged ids just
+        // served are cancelled cluster-wide. Every copy of an id shares
+        // its network, so only that queue is scanned, and only shards
+        // that lost a copy refresh their view.
+        if !served_twins.is_empty() {
+            for other in 0..self.shards.len() {
+                if self.shards[other]
+                    .core
+                    .cancel(record.network, &served_twins, now_ms)
+                {
+                    self.refresh_view(other);
+                }
             }
-            // The cancel can shrink any shard's queue.
-            self.refresh_all_views();
         }
-        self.newly_served = newly_served;
+        self.served_twins = served_twins;
         self.attempt_dispatch(shard, now_ms)
     }
 
@@ -1243,8 +1345,9 @@ impl<'a> Engine<'a> {
         self.attempt_dispatch(target, now_ms)
     }
 
-    /// A hedge delay expired with the request still incomplete:
-    /// enqueue a duplicate on the second-best healthy shard.
+    /// A hedge timer fired with the request still incomplete: enqueue a
+    /// duplicate on the second-best healthy shard and mark the id
+    /// hedged, so the first completion cancels the other copy.
     fn on_hedge(&mut self, slot: usize, origin: usize, now_ms: f64) -> Result<(), RuntimeError> {
         let request = self.trace[slot];
         if self.served.contains(request.id) {
@@ -1253,17 +1356,20 @@ impl<'a> Engine<'a> {
         let net = request.network;
         let costs = self.cluster.unit_service_ms();
         let bytes = self.cluster.unit_plan_bytes();
-        let target = (0..self.shards.len())
-            .filter(|&s| {
+        let target = placement::lowest(
+            (0..self.shards.len()).filter(|&s| {
                 s != origin
                     && self.shards[s].down_until.is_none()
                     && self.accepting(s)
                     && self.config.cache_budget.admits(s, bytes[s][net])
-            })
-            .min_by(|&a, &b| costs[a][net].total_cmp(&costs[b][net]).then(a.cmp(&b)));
+            }),
+            |s| costs[s][net],
+            f64::total_cmp,
+        );
         let Some(target) = target else {
             return Ok(()); // nowhere to hedge to; the original stands
         };
+        self.hedged.set(request.id);
         self.class_stats[usize::from(request.class)].hedges += 1;
         self.shards[target].core.report.fault.hedges += 1;
         self.shards[target].core.enqueue(request, now_ms);
@@ -1470,13 +1576,7 @@ mod tests {
     #[test]
     fn events_order_by_time_class_then_seq() {
         let mut heap = BinaryHeap::new();
-        let ev = |time, class, seq| Event {
-            time,
-            class,
-            seq,
-            shard: 0,
-            kind: EventKind::Timer,
-        };
+        let ev = |time, class, seq| Event::new(time, class, seq, 0, EventKind::Timer);
         heap.push(ev(5.0, CLASS_TIMER, 0));
         heap.push(ev(5.0, CLASS_COMPLETE, 1));
         heap.push(ev(4.0, CLASS_TIMER, 2));
@@ -1487,7 +1587,14 @@ mod tests {
         heap.push(ev(5.0, CLASS_SCALE, 7));
         heap.push(ev(5.0, CLASS_PREEMPT, 8));
         let order: Vec<(f64, u8, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.time, e.class, e.seq))
+            .map(|e| {
+                let (time, tie) = e.key();
+                (
+                    key_time(time),
+                    (tie >> SEQ_BITS) as u8,
+                    tie & ((1 << SEQ_BITS) - 1),
+                )
+            })
             .collect();
         assert_eq!(
             order,
@@ -1505,6 +1612,75 @@ mod tests {
             "completions before timers before faults before retries before \
              hedges before preemptions before scale ticks"
         );
+    }
+
+    /// Instants the key must order exactly like `f64::total_cmp`: both
+    /// zeros, subnormals, the normal extremes, both infinities and NaNs
+    /// of either sign with quiet, signalling and payload bits.
+    const EDGE_TIMES: [u64; 20] = [
+        0x0000_0000_0000_0000, // +0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x8000_0000_0000_0001,
+        0x000F_FFFF_FFFF_FFFF, // largest subnormal
+        0x800F_FFFF_FFFF_FFFF,
+        0x0010_0000_0000_0000, // f64::MIN_POSITIVE
+        0x3FF0_0000_0000_0000, // 1.0
+        0xBFF0_0000_0000_0000, // -1.0
+        0x7FEF_FFFF_FFFF_FFFF, // f64::MAX
+        0xFFEF_FFFF_FFFF_FFFF, // f64::MIN
+        0x7FF0_0000_0000_0000, // +inf
+        0xFFF0_0000_0000_0000, // -inf
+        0x7FF8_0000_0000_0000, // quiet NaN
+        0xFFF8_0000_0000_0000, // negative quiet NaN
+        0x7FF0_0000_0000_0001, // signalling NaN
+        0xFFF0_0000_0000_0001,
+        0x7FFF_FFFF_FFFF_FFFF, // NaN, every payload bit set
+        0xFFFF_FFFF_FFFF_FFFF,
+        0x7FF8_DEAD_BEEF_0001, // NaN with a payload
+    ];
+
+    /// An edge instant when `pick` indexes [`EDGE_TIMES`], else the raw
+    /// `bits` (any finite, infinite or NaN value).
+    fn instant(pick: usize, bits: u64) -> f64 {
+        f64::from_bits(EDGE_TIMES.get(pick).copied().unwrap_or(bits))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// The integer event key sorts exactly like `(f64::total_cmp(time),
+        /// class, seq)` and gives every instant back bit for bit. `b_pick`
+        /// past the edge table and the raw range reuses `a`'s instant, so
+        /// equal times (and with them class and seq ties) come up often.
+        #[test]
+        fn event_key_orders_like_total_cmp_then_class_then_seq(
+            a_pick in 0usize..40,
+            a_bits in 0u64..u64::MAX,
+            b_pick in 0usize..48,
+            b_bits in 0u64..u64::MAX,
+            a_class in 0u64..8,
+            b_class in 0u64..8,
+            a_seq in 0u64..(1 << SEQ_BITS),
+            b_seq_pick in 0u64..(1 << SEQ_BITS),
+        ) {
+            let a_time = instant(a_pick, a_bits);
+            let b_time = if b_pick >= 40 { a_time } else { instant(b_pick, b_bits) };
+            // Half the time b reuses a's seq, so full ties come up too.
+            let b_seq = if b_seq_pick % 2 == 0 { a_seq } else { b_seq_pick };
+            let (a_class, b_class) = (a_class as u8, b_class as u8);
+            let a = Event::new(a_time, a_class, a_seq, 0, EventKind::Timer);
+            let b = Event::new(b_time, b_class, b_seq, 1, EventKind::Timer);
+            let expected = a_time
+                .total_cmp(&b_time)
+                .then(a_class.cmp(&b_class))
+                .then(a_seq.cmp(&b_seq));
+            proptest::prop_assert_eq!(a.key().cmp(&b.key()), expected);
+            // The heap's max-first order is the reverse.
+            proptest::prop_assert_eq!(a.cmp(&b), expected.reverse());
+            proptest::prop_assert_eq!(key_time(a.time).to_bits(), a_time.to_bits());
+            proptest::prop_assert_eq!(key_time(b.time).to_bits(), b_time.to_bits());
+        }
     }
 
     #[test]

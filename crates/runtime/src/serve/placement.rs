@@ -9,6 +9,7 @@
 //! so the assignment is too.
 
 use super::load::Request;
+use std::cmp::Ordering;
 
 /// What a placement strategy may inspect: the cluster's shard table,
 /// the frozen batch-1 cost matrix, and the live per-shard state at the
@@ -63,6 +64,29 @@ impl ClusterView<'_> {
     }
 }
 
+/// The first of `shards` (taken in ascending order) with the smallest
+/// `score` under `cmp`, or `None` if there are none. One pass scores
+/// each shard once and keeps the current pick unless a later shard
+/// scores strictly less, so ties go to the lowest index — the order of
+/// a `min_by` that breaks score ties by index.
+pub(super) fn lowest<T>(
+    shards: impl Iterator<Item = usize>,
+    score: impl Fn(usize) -> T,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Option<usize> {
+    let mut best: Option<(usize, T)> = None;
+    for shard in shards {
+        let value = score(shard);
+        if best
+            .as_ref()
+            .is_none_or(|(_, low)| cmp(&value, low) == Ordering::Less)
+        {
+            best = Some((shard, value));
+        }
+    }
+    best.map(|(shard, _)| shard)
+}
+
 /// Assigns every request to a shard.
 ///
 /// Implementations see requests in arrival order and may carry state
@@ -114,16 +138,9 @@ impl Placement for LeastBacklog {
     }
 
     fn assign(&mut self, _request: &Request, cluster: &ClusterView<'_>) -> usize {
-        let least = |a: &usize, b: &usize| {
-            cluster
-                .outstanding(*a)
-                .cmp(&cluster.outstanding(*b))
-                .then(a.cmp(b))
-        };
-        cluster
-            .healthy_shards()
-            .min_by(least)
-            .or_else(|| (0..cluster.shard_count()).min_by(least))
+        let backlog = |s| cluster.outstanding(s);
+        lowest(cluster.healthy_shards(), backlog, usize::cmp)
+            .or_else(|| lowest(0..cluster.shard_count(), backlog, usize::cmp))
             .unwrap_or(0)
     }
 }
@@ -154,14 +171,9 @@ impl Placement for PlatformAffinity {
         if self.per_network.len() <= request.network {
             self.per_network.resize(request.network + 1, None);
         }
+        let cost = |s: usize| cluster.unit_service_ms[s][request.network];
         let (cursor, candidates) = self.per_network[request.network].get_or_insert_with(|| {
-            let best = (0..cluster.shard_count())
-                .min_by(|&a, &b| {
-                    cluster.unit_service_ms[a][request.network]
-                        .total_cmp(&cluster.unit_service_ms[b][request.network])
-                        .then(a.cmp(&b))
-                })
-                .unwrap_or(0);
+            let best = lowest(0..cluster.shard_count(), cost, f64::total_cmp).unwrap_or(0);
             let preferred = cluster.platforms[best];
             let candidates = (0..cluster.shard_count())
                 .filter(|&s| cluster.platforms[s] == preferred)
@@ -182,14 +194,7 @@ impl Placement for PlatformAffinity {
         // shard serving this network fastest (ties to lowest index);
         // with nothing healthy anywhere, fall back to the cursor pick
         // and wait out the recovery.
-        cluster
-            .healthy_shards()
-            .min_by(|&a, &b| {
-                cluster.unit_service_ms[a][request.network]
-                    .total_cmp(&cluster.unit_service_ms[b][request.network])
-                    .then(a.cmp(&b))
-            })
-            .unwrap_or(candidates[*cursor % len])
+        lowest(cluster.healthy_shards(), cost, f64::total_cmp).unwrap_or(candidates[*cursor % len])
     }
 }
 
@@ -214,16 +219,13 @@ impl Placement for HealthWeighted {
                 * cluster.unit_service_ms[s][request.network]
                 * cluster.degrade[s]
         };
-        cluster
-            .healthy_shards()
-            .min_by(|&a, &b| score(a).total_cmp(&score(b)).then(a.cmp(&b)))
+        lowest(cluster.healthy_shards(), score, f64::total_cmp)
             .or_else(|| {
-                (0..cluster.shard_count()).min_by(|&a, &b| {
-                    cluster
-                        .outstanding(a)
-                        .cmp(&cluster.outstanding(b))
-                        .then(a.cmp(&b))
-                })
+                lowest(
+                    0..cluster.shard_count(),
+                    |s| cluster.outstanding(s),
+                    usize::cmp,
+                )
             })
             .unwrap_or(0)
     }
@@ -377,6 +379,73 @@ mod tests {
             ..view
         };
         assert_eq!(aff.assign(&request(0, 0.0), &b_dark), 0);
+    }
+
+    /// Five shards for the tie-break tests: `queued` backlog, `costs`
+    /// per shard (one network), `healthy` and `degrade` as given.
+    fn five<'a>(
+        costs: &'a [Vec<f64>],
+        queued: &'a [usize],
+        healthy: &'a [bool],
+        degrade: &'a [f64],
+    ) -> ClusterView<'a> {
+        ClusterView {
+            platforms: &["A", "B", "C", "D", "E"],
+            unit_service_ms: costs,
+            queued,
+            in_flight: &[0; 5],
+            resident_plan_bytes: &[0; 5],
+            healthy,
+            degrade,
+        }
+    }
+
+    #[test]
+    fn one_pass_placements_break_score_ties_to_the_lowest_healthy_index() {
+        let up = [true; 5];
+        let flat = [1.0; 5];
+        let unit = vec![vec![1.0]; 5];
+        let r = request(0, 0.0);
+        // Bit-equal minima on non-adjacent shards 1 and 3, a larger
+        // score between them and after them: shard 1 wins.
+        let queued = [4usize, 1, 2, 1, 3];
+        let view = five(&unit, &queued, &up, &flat);
+        assert_eq!(LeastBacklog.assign(&r, &view), 1);
+        assert_eq!(HealthWeighted.assign(&r, &view), 1);
+        // The lowest index of the tie is down: the next tied healthy
+        // shard (3) wins, not a lower-index non-minimum.
+        let one_down = [true, false, true, true, true];
+        let view = five(&unit, &queued, &one_down, &flat);
+        assert_eq!(LeastBacklog.assign(&r, &view), 3);
+        assert_eq!(HealthWeighted.assign(&r, &view), 3);
+        // Shard 0 would win every score but is down: ties among the
+        // rest go to the lowest healthy index.
+        let zero_down = [false, true, true, true, true];
+        let queued = [0usize, 2, 1, 2, 1];
+        let view = five(&unit, &queued, &zero_down, &flat);
+        assert_eq!(LeastBacklog.assign(&r, &view), 2);
+        assert_eq!(HealthWeighted.assign(&r, &view), 2);
+        // All down: both fall back to the least outstanding shard over
+        // the whole fleet, ties to the lowest index.
+        let dark = [false; 5];
+        let queued = [3usize, 1, 2, 1, 1];
+        let view = five(&unit, &queued, &dark, &flat);
+        assert_eq!(LeastBacklog.assign(&r, &view), 1);
+        assert_eq!(HealthWeighted.assign(&r, &view), 1);
+        // A degrade factor that makes a tie: shard 1 at cost 1.5 and
+        // factor 2 scores 3.0, bit-equal to idle shard 3 at cost 3.0;
+        // shard 0 is slower, shards 2 and 4 costlier still.
+        let costs = vec![vec![4.0], vec![1.5], vec![3.5], vec![3.0], vec![3.0]];
+        let degrade = [1.0, 2.0, 1.0, 1.0, 1.0];
+        let view = five(&costs, &[0; 5], &up, &degrade);
+        assert_eq!(
+            (1.0 * 1.5 * 2.0_f64).to_bits(),
+            (1.0 * 3.0 * 1.0_f64).to_bits()
+        );
+        assert_eq!(HealthWeighted.assign(&r, &view), 1);
+        // The same tie with shard 1 down goes to shard 3, not 4.
+        let view = five(&costs, &[0; 5], &one_down, &degrade);
+        assert_eq!(HealthWeighted.assign(&r, &view), 3);
     }
 
     #[test]

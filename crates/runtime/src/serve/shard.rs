@@ -463,17 +463,18 @@ impl ShardCore {
         self.note_depth(now_ms, self.depth + victims.len());
     }
 
-    /// Drops every queued request whose id is in `ids`.
-    pub(super) fn cancel(&mut self, ids: &[u64], now_ms: f64) {
-        let mut removed = 0usize;
-        for queue in &mut self.queues {
-            let before = queue.len();
-            queue.retain(|r| !ids.contains(&r.id));
-            removed += before - queue.len();
-        }
+    /// Drops every request queued for network `net` whose id is in
+    /// `ids`, and says whether it dropped any. Callers pass the ids'
+    /// own network: a request only ever waits in its network's queue.
+    pub(super) fn cancel(&mut self, net: usize, ids: &[u64], now_ms: f64) -> bool {
+        let queue = &mut self.queues[net];
+        let before = queue.len();
+        queue.retain(|r| !ids.contains(&r.id));
+        let removed = before - queue.len();
         if removed > 0 {
             self.note_depth(now_ms, self.depth - removed);
         }
+        removed > 0
     }
 
     /// Evaluates every non-empty queue at `now_ms` and picks the batch

@@ -2,17 +2,23 @@
 //! ripe batch closes at the triggering event, never the next arrival),
 //! bounded-plan-cache eviction and admission-control behaviour, EDF
 //! deadline-miss accounting, repeat-run bit-identity, a digest pin of
-//! one run with every feature on, and the input checks that run before
+//! one run with every feature on, a digest pin of hedge timers firing
+//! on the instants of every other event class, and the input checks that run before
 //! the first event (trace ids are positions, faults name real shards,
 //! a cluster has shards and networks).
 
+use sma::core::GemmEstimate;
+use sma::mem::stats::MemStats;
 use sma::runtime::serve::{
     AutoscalePolicy, BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst, EngineConfig,
     FaultEvent, FaultKind, FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate,
     LoadGenerator, PreemptPolicy, ReconfigPolicy, Request, RetryPolicy, RoundRobin, ServeCluster,
     ServeSim, ShedPolicy,
 };
-use sma::runtime::{Executor, Platform, RuntimeError};
+use sma::runtime::{
+    Backend, ExecPath, Executor, IrregularEstimate, IrregularWork, Platform, RuntimeError,
+};
+use sma::tensor::GemmShape;
 use sma_bench::fnv1a64;
 use std::sync::Arc;
 
@@ -350,6 +356,232 @@ fn every_feature_at_once_is_pinned_by_digest() {
         0xa995_839c_beb5_360e,
         "every-feature outcome drifted"
     );
+}
+
+/// A backend whose every GEMM takes exactly `gemm_ms` and every
+/// irregular op nothing: batch service times are small dyadic sums, so
+/// engine instants built from integer-ms arrivals stay exact and land
+/// on each other.
+#[derive(Debug)]
+struct FixedMs {
+    name: &'static str,
+    gemm_ms: f64,
+}
+
+impl Backend for FixedMs {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn gemm(&self, _shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
+        Ok(GemmEstimate {
+            cycles: 1,
+            time_ms: self.gemm_ms,
+            efficiency: 1.0,
+            tflops: 1.0,
+            mem: MemStats::default(),
+            sm_cycles: 1,
+        })
+    }
+    fn irregular(&self, _work: IrregularWork) -> IrregularEstimate {
+        IrregularEstimate {
+            time_ms: 0.0,
+            transfer_ms: 0.0,
+            mem: MemStats::default(),
+            sm_cycles: 0,
+            path: ExecPath::SimdMode,
+        }
+    }
+    fn transfer_ms(&self, _bytes: u64) -> f64 {
+        0.0
+    }
+    fn simd_mode_boost(&self) -> f64 {
+        1.0
+    }
+}
+
+/// An executor over [`FixedMs`] with no framework or post-processing
+/// time, so a plan's total is its GEMM count times `gemm_ms`.
+fn fixed_ms_shard(name: &'static str, gemm_ms: f64) -> Executor {
+    Executor::builder(Platform::Sma3)
+        .framework_ms(0.0)
+        .postprocessing(false)
+        .backend(Arc::new(FixedMs { name, gemm_ms }))
+        .build()
+}
+
+/// Hedge timers ride their own arrival-ordered queue beside the event
+/// heap; this pins that they still interleave with every other event
+/// class by `(time, class, seq)`. Arrivals sit on whole milliseconds,
+/// the hedge delay is a whole number of milliseconds and every service,
+/// compile, fault, backoff, batch-close and scale instant is an exact
+/// dyadic sum, so hedge fire instants coincide with completions,
+/// batch-close timers, faults, retries, preemptions and scale ticks
+/// (the test checks that the observable ones really do). The digest was
+/// taken from the engine that kept hedges in the heap.
+#[test]
+fn hedges_landing_on_every_event_class_keep_their_order() {
+    let cluster = Arc::new(
+        ServeCluster::try_new(
+            vec![
+                fixed_ms_shard("fast", 0.25),
+                fixed_ms_shard("mid", 0.5),
+                fixed_ms_shard("fast", 0.25),
+                fixed_ms_shard("slow", 1.0),
+            ],
+            vec![sma::models::zoo::alexnet(), sma::models::zoo::vgg_a()],
+        )
+        .unwrap(),
+    );
+    let slo_ms = 24.0;
+    let trace: Vec<Request> = LoadGenerator::new(23, 1.0)
+        .with_slo(slo_ms)
+        .with_classes(3)
+        .trace(1_500, cluster.networks().len())
+        .into_iter()
+        .map(|r| Request {
+            arrival_ms: r.arrival_ms.floor(),
+            deadline_ms: r.arrival_ms.floor() + slo_ms,
+            ..r
+        })
+        .collect();
+    let crash = |shard, at_ms| FaultEvent {
+        shard,
+        at_ms,
+        kind: FaultKind::Crash { recover_ms: 12.0 },
+    };
+    let degrade = |shard, at_ms| FaultEvent {
+        shard,
+        at_ms,
+        kind: FaultKind::Degrade {
+            factor: 2.0,
+            window_ms: 30.0,
+        },
+    };
+    let fault_events = [
+        crash(0, 40.0),
+        crash(3, 150.0),
+        crash(1, 333.0),
+        crash(2, 600.0),
+        crash(0, 901.0),
+        degrade(1, 90.0),
+        degrade(2, 420.0),
+        degrade(3, 1200.0),
+        FaultEvent {
+            shard: 0,
+            at_ms: 250.0,
+            kind: FaultKind::StallCompile {
+                extra_ms: 3.0,
+                window_ms: 20.0,
+            },
+        },
+        FaultEvent {
+            shard: 2,
+            at_ms: 700.0,
+            kind: FaultKind::TransientCompileFail { window_ms: 9.0 },
+        },
+    ];
+    let faults = fault_events
+        .iter()
+        .fold(FaultPlan::none(), |plan, event| plan.with_event(*event));
+    let delay_ms = 6.0;
+    let config = EngineConfig::default()
+        .with_compile_cost(0.5)
+        .with_cache_budget(CacheBudget::Uniform(u64::MAX))
+        .with_faults(faults)
+        .with_retry(RetryPolicy {
+            max_attempts: 3,
+            backoff_base_ms: 2.0,
+            timeout_ms: slo_ms,
+        })
+        .with_hedge(HedgePolicy { delay_ms })
+        .with_preempt(PreemptPolicy::new(1))
+        .with_scale(AutoscalePolicy {
+            period_ms: 4.0,
+            high_watermark: 2.0,
+            low_watermark: 1.0,
+            hysteresis_ticks: 2,
+            min_active: 1,
+            energy_headroom: 10.0,
+        })
+        .with_records();
+    let sim = ServeSim::with_cluster(
+        Arc::clone(&cluster),
+        Arc::new(Deadline::new(2.0, 8)),
+        &trace,
+        config,
+    );
+    let run = sim.try_run(&mut HealthWeighted).unwrap();
+    let outcome = sim.outcome(&run);
+    let hedge_instants: std::collections::BTreeSet<u64> = trace
+        .iter()
+        .map(|r| (r.arrival_ms + delay_ms).to_bits())
+        .collect();
+    let completions = run
+        .reports
+        .iter()
+        .flat_map(|report| &report.batches)
+        .filter(|b| hedge_instants.contains(&(b.start_ms + b.compile_ms + b.service_ms).to_bits()))
+        .count();
+    let on_faults = fault_events
+        .iter()
+        .filter(|fault| hedge_instants.contains(&fault.at_ms.to_bits()))
+        .count();
+    // A crash victim's first retry fires one base backoff after it.
+    let on_retries = fault_events
+        .iter()
+        .filter(|fault| matches!(fault.kind, FaultKind::Crash { .. }))
+        .filter(|fault| hedge_instants.contains(&(fault.at_ms + 2.0).to_bits()))
+        .count();
+    assert!(
+        completions > 0 && on_faults > 0 && on_retries > 0,
+        "hedges must coincide with completions ({completions}), faults ({on_faults}) \
+         and retries ({on_retries})"
+    );
+    assert!(outcome.hedges > 0 && outcome.retries > 0 && outcome.preemptions > 0);
+    assert!(outcome.scale_ups > 0 && outcome.scale_downs > 0);
+    let failed: Vec<u64> = run.failed.iter().map(|r| r.id).collect();
+    let rendered = format!("{outcome:?}|{:?}|{failed:?}", run.preempted);
+    assert_eq!(
+        fnv1a64(rendered.as_bytes()),
+        0xf59f_5230_a555_e431,
+        "hedge-coincidence outcome drifted"
+    );
+}
+
+/// The one way hedge timers can be created out of firing order: arrivals
+/// `+0.0` then `-0.0` are in arrival order, but with a `-0.0` delay the
+/// second hedge fires at `-0.0`, before the first at `+0.0`. Both twins
+/// go to the one fast shard, and the earlier-firing twin (request 1)
+/// must run there first.
+#[test]
+fn signed_zero_hedges_fire_in_time_order() {
+    let request = |id, arrival_ms: f64| Request {
+        id,
+        network: 0,
+        arrival_ms,
+        deadline_ms: f64::INFINITY,
+        class: 0,
+    };
+    let trace = [request(0, 0.0), request(1, -0.0)];
+    let sim = ServeSim::try_new(
+        vec![
+            fixed_ms_shard("slow", 1.0),
+            fixed_ms_shard("slow", 1.0),
+            fixed_ms_shard("fast", 0.25),
+        ],
+        vec![sma::models::zoo::alexnet()],
+        Arc::new(Immediate),
+        &trace,
+        EngineConfig::default()
+            .with_hedge(HedgePolicy { delay_ms: -0.0 })
+            .with_records(),
+    )
+    .unwrap();
+    let run = sim.try_run(&mut RoundRobin::default()).unwrap();
+    let fast = &run.reports[2];
+    assert_eq!(fast.fault.hedges, 2, "both twins land on the fast shard");
+    let order: Vec<u64> = fast.requests.iter().map(|r| r.id).collect();
+    assert_eq!(order, [1, 0], "the -0.0 hedge fires first");
 }
 
 /// Request ids are trace positions. A trace that breaks the contract —

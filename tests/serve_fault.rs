@@ -4,7 +4,8 @@
 //! **zero-rate fault plan is free** — wiring a generated-but-empty
 //! [`FaultPlan`] (plus a live [`RetryPolicy`]) into the engine leaves
 //! every report of the full fault-free combo grid bit-identical
-//! to the fault-free run — and **no request is ever lost or
+//! to the fault-free run (and so does a hedge whose delay outlasts the
+//! run's makespan) — and **no request is ever lost or
 //! double-counted** — under arbitrary crash/degrade/stall/compile-fail
 //! schedules with retries, hedging and shedding, the final buckets
 //! (served, rejected, shed, failed) partition the trace exactly.
@@ -196,6 +197,46 @@ proptest! {
             );
             let a = plain.try_run(placement().as_mut()).unwrap();
             let b = faulted.try_run(placement().as_mut()).unwrap();
+            assert_runs_bit_identical(&a, &b, &format!("combo {which}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A hedge that never fires is free: with no fault plan, a hedge
+    /// delay longer than the hedge-free run's makespan puts every timer
+    /// after the last completion, so for every combo of the grid the
+    /// run equals the `hedge: None` run bit for bit — the timers (and
+    /// the id tracking hedging turns on) leave no trace.
+    #[test]
+    fn hedge_past_the_makespan_is_bit_identical_across_the_grid(
+        seed in 0u64..10_000,
+        slack_tenths in 1u64..100,
+    ) {
+        let cluster = grid_cluster();
+        let trace = LoadGenerator::new(seed, 1.5)
+            .with_slo(SLO_MS)
+            .with_classes(3)
+            .trace(80, cluster.networks().len());
+        let max_plan = cluster.unit_plan_bytes().iter().flatten().copied().max().unwrap();
+
+        for (which, (policy, placement, config)) in
+            fault_free_grid(max_plan + max_plan / 4).into_iter().enumerate()
+        {
+            let config = config.with_records();
+            let plain = ServeSim::with_cluster(
+                Arc::clone(&cluster), Arc::clone(&policy), &trace, config.clone(),
+            );
+            let a = plain.try_run(placement().as_mut()).unwrap();
+            let makespan_ms = a.reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
+            let hedge = HedgePolicy { delay_ms: makespan_ms + slack_tenths as f64 / 10.0 };
+            let hedged = ServeSim::with_cluster(
+                Arc::clone(&cluster), Arc::clone(&policy), &trace, config.with_hedge(hedge),
+            );
+            let b = hedged.try_run(placement().as_mut()).unwrap();
+            prop_assert!(b.class_stats.iter().all(|c| c.hedges == 0), "combo {} hedged", which);
             assert_runs_bit_identical(&a, &b, &format!("combo {which}"));
         }
     }
