@@ -17,8 +17,8 @@
 //! Environment:
 //! * `SMA_DSE_POINTS` — evaluate only the first N points (default: the
 //!   full grid; `--smoke` below caps harder).
-//! * `SMA_SWEEP_THREADS` — worker threads (default: available
-//!   parallelism).
+//! * `SMA_SWEEP_THREADS` — row workers, the main thread among them
+//!   (default: available parallelism; compile sizes its own fan-out).
 //! * `SMA_DSE_JSON` — committed summary path (default:
 //!   `BENCH_dse.json`); the rows/timing files derive their names from
 //!   it (`_rows`/`_timing` before the extension).

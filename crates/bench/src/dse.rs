@@ -20,18 +20,28 @@
 //!    per pinned backend × network (35 families), instantiates each at
 //!    every batch point into a bump [`PlanArena`] that lives as long as
 //!    the family (350 plans in all, only the GEMM steps re-estimated per
-//!    batch) and replays each plan **once**. It then builds one *cell*
-//!    per span × mode × network × batch (420 cells): both candidates'
-//!    outcomes, the winner, its throughput, and the row's JSON with
-//!    everything that does not depend on the budget already rendered.
-//!    The arenas are compile-time scratch; only their step count
-//!    survives ([`DseCompiled::arena_steps`]).
+//!    batch) and replays each plan **once**. The 35 families are
+//!    independent, so they plan through the sweep module's
+//!    [`run_ordered`] on as many workers as the host has cores
+//!    (`available_parallelism`; `SMA_SWEEP_THREADS` sizes only the row
+//!    fan-out). The tasks run backend-minor (the five pinned backends
+//!    of one network, then the next network), so tasks running at the
+//!    same time hit different backends' GEMM caches. The result does
+//!    not depend on the worker count. Compile then builds one *cell*
+//!    per span × mode × network × batch (420 cells), serially: both
+//!    candidates' outcomes, the winner, its throughput, and the row's
+//!    JSON with everything that does not depend on the budget already
+//!    rendered. The arenas are compile-time scratch; only their step
+//!    count survives ([`DseCompiled::arena_steps`]).
 //! 2. [`DseCompiled::row`] is then a lookup: it decodes the index once,
 //!    counts each candidate's budget-resident GEMM layers (a binary
 //!    search over its sorted weight footprints) and shares the cell.
 //!    [`DseRow::write_json`] splices the index, the budget, the two
 //!    resident counts and the two `fits` flags into the cell's
 //!    fragments — no planning, no replay, no float formatting.
+//!    [`DseReport::from_rows`] walks the same fragments and values
+//!    straight into its FNV chain, so the summary digest never renders
+//!    a row.
 //!
 //! The budget axis is descriptive, not predictive: a GEMM layer is
 //! *resident* when its full weight panel (`k × n` at f16) fits the
@@ -49,13 +59,14 @@
 //! `BENCH_dse_timing.json` the wall-clock and the headline
 //! **points/sec**.
 
-use crate::stream::fnv1a64_chain;
-use crate::sweep::escape_json;
+use crate::stream::{fnv1a64_chain, fnv1a64_seed};
+use crate::sweep::{escape_json, run_ordered};
 use sma_models::{zoo, Network};
 use sma_runtime::backend::{ArrayFlexBackend, FlexSaBackend, FlexSaMode, PipelineConfig};
 use sma_runtime::{Executor, PlanArena, Platform};
 use sma_tensor::{GemmShape, GemmShapeBatch};
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// f16 bytes per element — the precision the weight-residency axis
@@ -189,9 +200,17 @@ impl DseGrid {
 
     /// Plans and replays every candidate once, then builds the cell
     /// table (see the module docs); the result evaluates points with
-    /// `&self` only.
+    /// `&self` only. The 35 families plan on as many workers as the
+    /// host has cores; the output does not depend on the count.
     #[must_use]
     pub fn compile(self) -> DseCompiled {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.compile_on(workers)
+    }
+
+    /// [`DseGrid::compile`] with the family fan-out on `workers`
+    /// workers (the caller among them).
+    fn compile_on(self, workers: usize) -> DseCompiled {
         let executors: Vec<Executor> = self
             .spans
             .iter()
@@ -207,51 +226,28 @@ impl DseGrid {
             }))
             .collect();
 
-        let mut arena_steps = 0;
-        // outcomes[backend][network][batch]; backends are the spans
+        // Task `t` plans backend `t % backends` for network
+        // `t / backends`, so tasks that run at the same time hit
+        // different backends' GEMM caches.
+        let backends = executors.len();
+        let (families, _) = run_ordered(backends * self.networks.len(), workers, |t| {
+            let (backend, network) = (t % backends, t / backends);
+            self.plan_candidates(&executors[backend], backend, &self.networks[network])
+        });
+        let arena_steps = families.iter().map(|(_, steps)| steps).sum();
+        // outcome(backend, network)[batch]; backends are the spans
         // followed by the modes.
-        let mut outcomes = Vec::with_capacity(executors.len());
-        for exec in &executors {
-            let name = exec.backend().name();
-            let mut per_network = Vec::with_capacity(self.networks.len());
-            for net in &self.networks {
-                let family = exec.plan_family(net);
-                // Scratch for this family's plans only: each plan is
-                // replayed right after it is planned, so a grid-wide
-                // arena (megabytes, grown by doubling) would only raise
-                // peak memory.
-                let mut arena = PlanArena::new();
-                let mut per_batch = Vec::with_capacity(self.batches.len());
-                for &batch in &self.batches {
-                    let shapes = family.gemm_shapes(batch);
-                    let stats = GemmShapeBatch::from_shapes(&shapes);
-                    let mut weight_bytes: Vec<u64> = shapes.iter().map(weight_footprint).collect();
-                    weight_bytes.sort_unstable();
-                    let total_ms = family
-                        .try_plan_into(batch, &mut arena)
-                        .map(|plan| arena.replay(&plan).total_ms)
-                        .map_err(|e| e.to_string());
-                    per_batch.push(Arc::new(DseOutcome {
-                        name,
-                        total_ms,
-                        weight_bytes: weight_bytes.into(),
-                        intensity_f16: stats.arithmetic_intensity(WEIGHT_ELEM_BYTES as usize),
-                    }));
-                }
-                arena_steps += arena.len();
-                per_network.push(per_batch);
-            }
-            outcomes.push(per_network);
-        }
+        let outcome = |backend: usize, network: usize| &families[network * backends + backend].0;
 
         let mut cells = Vec::with_capacity(self.len() / self.budgets_kib.len().max(1));
         for (s, &span) in self.spans.iter().enumerate() {
             for (m, &mode) in self.modes.iter().enumerate() {
-                let flexsa = &outcomes[self.spans.len() + m];
                 for (b, &batch) in self.batches.iter().enumerate() {
                     for (n, net) in self.networks.iter().enumerate() {
-                        let candidates =
-                            [Arc::clone(&outcomes[s][n][b]), Arc::clone(&flexsa[n][b])];
+                        let candidates = [
+                            Arc::clone(&outcome(s, n)[b]),
+                            Arc::clone(&outcome(self.spans.len() + m, n)[b]),
+                        ];
                         let cell = DseCell::new(net.name_shared(), span, mode, batch, candidates);
                         cells.push(Arc::new(cell));
                     }
@@ -263,6 +259,45 @@ impl DseGrid {
             grid: self,
             cells,
         }
+    }
+
+    /// Plans `exec`'s family for `net` at every batch point, replaying
+    /// each plan once; returns the per-batch outcomes and the arena
+    /// steps the family planned.
+    fn plan_candidates(
+        &self,
+        exec: &Executor,
+        backend: usize,
+        net: &Network,
+    ) -> (Vec<Arc<DseOutcome>>, usize) {
+        let name = exec.backend().name();
+        let family = exec.plan_family(net);
+        // Scratch for this family's plans only: each plan is replayed
+        // right after it is planned, so a grid-wide arena (megabytes,
+        // grown by doubling) would only raise peak memory.
+        let mut arena = PlanArena::new();
+        let outcomes = self
+            .batches
+            .iter()
+            .map(|&batch| {
+                let shapes = family.gemm_shapes(batch);
+                let stats = GemmShapeBatch::from_shapes(&shapes);
+                let mut weight_bytes: Vec<u64> = shapes.iter().map(weight_footprint).collect();
+                weight_bytes.sort_unstable();
+                let total_ms = family
+                    .try_plan_into(batch, &mut arena)
+                    .map(|plan| arena.replay(&plan).total_ms)
+                    .map_err(|e| e.to_string());
+                Arc::new(DseOutcome {
+                    name,
+                    backend,
+                    total_ms,
+                    weight_bytes: weight_bytes.into(),
+                    intensity_f16: stats.arithmetic_intensity(WEIGHT_ELEM_BYTES as usize),
+                })
+            })
+            .collect();
+        (outcomes, arena.len())
     }
 }
 
@@ -288,6 +323,9 @@ const fn weight_footprint(shape: &GemmShape) -> u64 {
 #[derive(Debug)]
 pub struct DseOutcome {
     name: &'static str,
+    /// Position of the backend in the compile's list: the spans, then
+    /// the modes. Summaries tally winners by it.
+    backend: usize,
     total_ms: Result<f64, String>,
     /// Per-GEMM-layer weight-panel bytes, ascending.
     weight_bytes: Box<[u64]>,
@@ -444,17 +482,49 @@ impl Spliced {
         }
     }
 
-    fn write(self, out: &mut String) {
+    /// Hands the value's JSON bytes to `byte`, most significant digit
+    /// first.
+    fn for_each_byte(self, mut byte: impl FnMut(u8)) {
         match self {
             Spliced::Uint(n) => {
                 let mut unit = 10u64.pow(n.checked_ilog10().unwrap_or(0));
                 while unit > 0 {
-                    out.push(char::from(b'0' + (n / unit % 10) as u8));
+                    byte(b'0' + (n / unit % 10) as u8);
                     unit /= 10;
                 }
             }
-            Spliced::Bool(b) => out.push_str(json_bool(b)),
+            Spliced::Bool(b) => json_bool(b).bytes().for_each(byte),
         }
+    }
+}
+
+/// Where [`DseRow::splice`] sends a row's JSON: the cell's fragments as
+/// text, the spliced values byte by byte.
+trait RowSink {
+    fn text(&mut self, text: &str);
+    fn byte(&mut self, byte: u8);
+}
+
+impl RowSink for String {
+    fn text(&mut self, text: &str) {
+        self.push_str(text);
+    }
+
+    fn byte(&mut self, byte: u8) {
+        self.push(char::from(byte));
+    }
+}
+
+/// A chained FNV-1a 64 state fed a row's bytes without rendering them.
+struct RowDigest(u64);
+
+impl RowSink for RowDigest {
+    fn text(&mut self, text: &str) {
+        self.0 = fnv1a64_chain(self.0, text.as_bytes());
+    }
+
+    fn byte(&mut self, byte: u8) {
+        self.0 = fnv1a64_chain(self.0, &[byte]);
     }
 }
 
@@ -530,17 +600,32 @@ impl DseRow {
         self.cell.json.len() + self.spliced().iter().map(|v| v.len()).sum::<usize>()
     }
 
-    /// Appends the row as one JSON object (no trailing newline). Size
-    /// `out` with [`DseRow::json_len`] to write without reallocating.
-    pub fn write_json(&self, out: &mut String) {
+    /// Walks the row's JSON in byte order into `sink`: each cell
+    /// fragment, then the value spliced after it. The one splice loop
+    /// behind both [`DseRow::write_json`] and the summary digest.
+    fn splice(&self, sink: &mut impl RowSink) {
         let json = &self.cell.json;
         let mut from = 0;
         for (value, &cut) in self.spliced().into_iter().zip(&self.cell.cuts) {
-            out.push_str(&json[from..cut]);
-            value.write(out);
+            sink.text(&json[from..cut]);
+            value.for_each_byte(|b| sink.byte(b));
             from = cut;
         }
-        out.push_str(&json[from..]);
+        sink.text(&json[from..]);
+    }
+
+    /// Appends the row as one JSON object (no trailing newline). Size
+    /// `out` with [`DseRow::json_len`] to write without reallocating.
+    pub fn write_json(&self, out: &mut String) {
+        self.splice(out);
+    }
+
+    /// `fnv1a64_chain(seed, self.to_json())`, without rendering the
+    /// row.
+    fn chain_digest(&self, seed: u64) -> u64 {
+        let mut digest = RowDigest(seed);
+        self.splice(&mut digest);
+        digest.0
     }
 
     /// Renders the row as one JSON object (no trailing newline).
@@ -628,37 +713,39 @@ pub struct DseReport {
 impl DseReport {
     /// Aggregates rows (digesting their JSON in index order — rows must
     /// be passed sorted by index, as the streaming slots table yields
-    /// them).
+    /// them). The digest walks each row's fragments and values without
+    /// rendering it; winners and networks are tallied by index.
     #[must_use]
     pub fn from_rows(rows: &[DseRow]) -> Self {
-        let mut digest = crate::stream::fnv1a64_seed();
+        let mut digest = fnv1a64_seed();
         let mut winners: Vec<(&'static str, usize)> = Vec::new();
         let mut resident_points = 0;
         let mut per_network: Vec<(Arc<str>, usize, usize)> = Vec::new();
+        // Tally slots by key: a winner's key is its backend position
+        // plus one (0 is "none"), a network's its axis position.
+        let (mut winner_slots, mut network_slots) = (Vec::new(), Vec::new());
         for row in rows {
-            digest = fnv1a64_chain(digest, row.to_json().as_bytes());
-            let name = row.winner().map_or("none", |w| w.name);
-            match winners.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, count)) => *count += 1,
-                None => winners.push((name, 1)),
-            }
+            digest = row.chain_digest(digest);
+            let winner = row.winner();
+            let key = winner.map_or(0, |w| w.backend + 1);
+            let slot = first_seen(&mut winner_slots, &mut winners, key, || {
+                (winner.map_or("none", |w| w.name), 0)
+            });
+            winners[slot].1 += 1;
             if row.winner_fits() {
                 resident_points += 1;
             }
-            let network = &row.cell.network;
-            let net_slot = match per_network.iter().position(|(n, _, _)| n == network) {
-                Some(slot) => slot,
-                None => {
-                    per_network.push((Arc::clone(network), 0, 0));
-                    per_network.len() - 1
-                }
-            };
-            if let Some(w) = row.winner() {
-                if w.name.starts_with("ArrayFlex") {
-                    per_network[net_slot].1 += 1;
-                } else {
-                    per_network[net_slot].2 += 1;
-                }
+            let slot = first_seen(
+                &mut network_slots,
+                &mut per_network,
+                row.point.network,
+                || (Arc::clone(&row.cell.network), 0, 0),
+            );
+            // Candidate 0 is the ArrayFlex one, 1 the FlexSA one.
+            match row.cell.winner {
+                Some(0) => per_network[slot].1 += 1,
+                Some(_) => per_network[slot].2 += 1,
+                None => {}
             }
         }
         DseReport {
@@ -709,6 +796,23 @@ impl DseReport {
         out.push_str("  }\n}\n");
         out
     }
+}
+
+/// Position in `tally` of the entry keyed `key`, pushing `fresh()` the
+/// first time the key shows up, so `tally` stays in first-seen order.
+fn first_seen<T>(
+    slots: &mut Vec<Option<usize>>,
+    tally: &mut Vec<T>,
+    key: usize,
+    fresh: impl FnOnce() -> T,
+) -> usize {
+    if slots.len() <= key {
+        slots.resize(key + 1, None);
+    }
+    *slots[key].get_or_insert_with(|| {
+        tally.push(fresh());
+        tally.len() - 1
+    })
 }
 
 fn join_with<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
@@ -793,9 +897,28 @@ mod tests {
         assert_eq!(json.capacity(), json.len(), "row {} reallocated", row.index);
     }
 
-    fn outcome(name: &'static str, total_ms: Result<f64, String>, weights: &[u64]) -> DseOutcome {
+    /// Asserts the render-free digest equals the hash of the rendered
+    /// row, chained from `seed`, and returns it.
+    fn assert_digests_like_the_render(row: &DseRow, seed: u64) -> u64 {
+        let digest = row.chain_digest(seed);
+        assert_eq!(
+            digest,
+            fnv1a64_chain(seed, row.to_json().as_bytes()),
+            "row {} digest diverged",
+            row.index
+        );
+        digest
+    }
+
+    fn outcome(
+        name: &'static str,
+        backend: usize,
+        total_ms: Result<f64, String>,
+        weights: &[u64],
+    ) -> DseOutcome {
         DseOutcome {
             name,
+            backend,
             total_ms,
             weight_bytes: weights.into(),
             intensity_f16: 12.3456,
@@ -882,7 +1005,7 @@ mod tests {
 
     #[test]
     fn resident_count_is_the_layers_within_budget() {
-        let o = outcome("x", Ok(1.0), &[512, 1024, 1024, 4096]);
+        let o = outcome("x", 0, Ok(1.0), &[512, 1024, 1024, 4096]);
         assert_eq!(o.resident_gemms(0), 0);
         assert_eq!(o.resident_gemms(1023), 1);
         assert_eq!(o.resident_gemms(1024), 3);
@@ -944,8 +1067,8 @@ mod tests {
         for (a, f) in cases {
             let rejected = [a.is_err(), f.is_err()];
             let candidates = [
-                Arc::new(outcome("ArrayFlex-span2", a, &[100, 5000])),
-                Arc::new(outcome("FlexSA-sub", f, &[100, 200, 300])),
+                Arc::new(outcome("ArrayFlex-span2", 1, a, &[100, 5000])),
+                Arc::new(outcome("FlexSA-sub", 4, f, &[100, 200, 300])),
             ];
             let cell = DseCell::new(
                 Arc::from("Net \"q\""),
@@ -967,6 +1090,7 @@ mod tests {
                 cell: Arc::new(cell),
             };
             assert_splices_like_the_oracle(&row);
+            assert_digests_like_the_render(&row, fnv1a64_seed());
             let json = row.to_json();
             assert!(json.contains(r#""rejected": "no \"fit\" for\u0009batch \\ 64""#));
             assert!(json.contains(r#""network": "Net \"q\"""#));
@@ -978,6 +1102,26 @@ mod tests {
                 [true, false] => assert_eq!(row.winner().map(DseOutcome::name), Some("FlexSA-sub")),
                 _ => assert_eq!(row.winner().map(DseOutcome::name), Some("ArrayFlex-span2")),
             }
+        }
+    }
+
+    #[test]
+    fn digest_walk_hashes_every_row_like_its_render() {
+        let full = full();
+        let mut chain = fnv1a64_seed();
+        for i in 0..full.grid().len() {
+            chain = assert_digests_like_the_render(&full.row(i), chain);
+        }
+    }
+
+    #[test]
+    fn compile_does_not_depend_on_the_worker_count() {
+        let one = DseGrid::full().compile_on(1);
+        let three = DseGrid::full().compile_on(3);
+        assert_eq!(one.arena_steps(), three.arena_steps());
+        assert_eq!(one.cells.len(), three.cells.len());
+        for i in 0..one.grid().len() {
+            assert_eq!(one.row(i).to_json(), three.row(i).to_json(), "row {i}");
         }
     }
 

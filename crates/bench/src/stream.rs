@@ -17,7 +17,7 @@
 //!
 //! Rows are hashed and written in index order under one mutex, by the
 //! worker whose push makes them next: its own row, then any parked
-//! successors it unblocks. That critical section is short (~0.6 µs of
+//! successors it unblocks. That critical section is short (~0.8 µs of
 //! serial FNV for a ~411-byte DSE row), so a worker that finds the lock
 //! held spins on `try_lock` for a bounded number of rounds
 //! (`SPIN_ROUNDS`) before it falls back to a blocking `lock()`. Blocking
@@ -29,7 +29,11 @@
 //! hashes and writes every row was measured and rejected: it must read
 //! each row from the producing core's cache, which left it only 4–9%
 //! ahead, and copying parked rows into a staging buffer for it raised
-//! peak memory by about a third.
+//! peak memory by about a third. A combining drain (one worker hashes
+//! and writes the rows others hand it) took 11 ms for the grid's row
+//! phase, and separate locks for the parked rows and the sink took
+//! 9 ms; both lost to the one lock (`docs/SWEEP.md`, "Tried and
+//! dropped").
 //!
 //! The first sink error is remembered: every later [`StreamWriter::push`]
 //! and [`StreamWriter::finish`] returns it, and no row parks after it.

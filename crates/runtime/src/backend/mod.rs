@@ -171,6 +171,13 @@ pub enum RuntimeError {
         /// The number of networks it was given.
         networks: usize,
     },
+    /// A [`HedgePolicy`](crate::serve::HedgePolicy) delay is negative
+    /// or NaN, so a twin would fire before its request arrives.
+    InvalidHedgeDelay {
+        /// The rejected `delay_ms`, as `f64::to_bits` (the error type
+        /// is `Eq`).
+        delay_ms_bits: u64,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -198,6 +205,11 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "a serving cluster needs at least one shard and one network \
                  (got {shards} shards, {networks} networks)"
+            ),
+            RuntimeError::InvalidHedgeDelay { delay_ms_bits } => write!(
+                f,
+                "hedge delay {} ms is negative or NaN",
+                f64::from_bits(*delay_ms_bits)
             ),
         }
     }

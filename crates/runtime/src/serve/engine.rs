@@ -597,6 +597,10 @@ struct Engine<'a> {
 /// run; everything else is borrowed immutably, so distinct runs (and
 /// distinct combos in the benchmark matrix) share one compiled
 /// [`ServeCluster`].
+///
+/// A hedge delay that is negative or NaN is refused before any event
+/// runs ([`RuntimeError::InvalidHedgeDelay`]): its twin would fire
+/// before the request arrived. `-0.0` is a valid zero delay.
 pub(super) fn run_engine(
     cluster: &ServeCluster,
     policy: &dyn BatchPolicy,
@@ -647,13 +651,21 @@ pub(super) fn run_engine(
 impl<'a> Engine<'a> {
     /// Builds the run state in one pass over the trace, which also
     /// checks the id contract: [`RuntimeError::TraceIdMismatch`] unless
-    /// every request's id is its trace position.
+    /// every request's id is its trace position. A negative or NaN
+    /// hedge delay is refused first ([`RuntimeError::InvalidHedgeDelay`]).
     fn new(
         cluster: &'a ServeCluster,
         policy: &'a dyn BatchPolicy,
         config: &'a EngineConfig,
         trace: &'a [Request],
     ) -> Result<Self, RuntimeError> {
+        if let Some(HedgePolicy { delay_ms }) = config.hedge {
+            if delay_ms.is_nan() || delay_ms < 0.0 {
+                return Err(RuntimeError::InvalidHedgeDelay {
+                    delay_ms_bits: delay_ms.to_bits(),
+                });
+            }
+        }
         let shard_count = cluster.shard_count();
         let net_count = cluster.networks().len();
         let shards: Vec<ShardState> = ShardCore::fleet(cluster, config)

@@ -341,7 +341,9 @@ impl RetryPolicy {
 pub struct HedgePolicy {
     /// How long a request may remain incomplete before it is hedged,
     /// ms. Derive from a tail service percentile (the benchmark uses
-    /// the p99 of the cluster's batch-1 cost matrix).
+    /// the p99 of the cluster's batch-1 cost matrix). A negative or
+    /// NaN delay is refused with
+    /// [`RuntimeError::InvalidHedgeDelay`](crate::RuntimeError::InvalidHedgeDelay).
     pub delay_ms: f64,
 }
 

@@ -505,10 +505,11 @@ impl<'t> ServeSim<'t> {
     /// Propagates a [`RuntimeError`] from the backend rejecting a lazy
     /// batched-plan compile mid-run (a custom backend may accept a
     /// shape at batch 1 but reject it scaled by the batch size). Before
-    /// any event runs, returns [`RuntimeError::TraceIdMismatch`] if a
-    /// request's id is not its trace position and
-    /// [`RuntimeError::FaultShardOutOfRange`] if the fault plan names a
-    /// shard the cluster does not have. Returns
+    /// any event runs, returns [`RuntimeError::InvalidHedgeDelay`] if
+    /// the hedge delay is negative or NaN,
+    /// [`RuntimeError::TraceIdMismatch`] if a request's id is not its
+    /// trace position and [`RuntimeError::FaultShardOutOfRange`] if the
+    /// fault plan names a shard the cluster does not have. Returns
     /// [`RuntimeError::PlacementOutOfRange`] if `placement` routes a
     /// request to a shard the cluster does not have. Panics if a policy
     /// wedges a queue (never becomes ready).

@@ -5,7 +5,8 @@
 //! one run with every feature on, a digest pin of hedge timers firing
 //! on the instants of every other event class, and the input checks that run before
 //! the first event (trace ids are positions, faults name real shards,
-//! a cluster has shards and networks).
+//! a cluster has shards and networks, a hedge delay is not negative or
+//! NaN).
 
 use sma::core::GemmEstimate;
 use sma::mem::stats::MemStats;
@@ -667,4 +668,42 @@ fn empty_fleet_or_network_table_is_an_error() {
             networks: 0,
         })
     );
+}
+
+/// A negative or NaN hedge delay is refused before any event runs. On a
+/// 3-SMA + 4-TC pair, a -5 ms delay used to serve most requests before
+/// they arrived (negative latencies); `-0.0` stays a valid zero delay
+/// (`signed_zero_hedges_fire_in_time_order`).
+#[test]
+fn negative_or_nan_hedge_delay_is_an_error() {
+    let trace = LoadGenerator::new(3, 20.0).trace(50, 1);
+    let run = |delay_ms: f64| {
+        ServeSim::try_new(
+            vec![
+                Executor::new(Platform::Sma3),
+                Executor::new(Platform::GpuTensorCore),
+            ],
+            vec![sma::models::zoo::alexnet()],
+            Arc::new(Immediate),
+            &trace,
+            EngineConfig::default()
+                .with_hedge(HedgePolicy { delay_ms })
+                .with_records(),
+        )
+        .unwrap()
+        .try_run(&mut RoundRobin::default())
+    };
+    for delay_ms in [-5.0, f64::NAN, -f64::NAN, f64::NEG_INFINITY] {
+        assert_eq!(
+            run(delay_ms).err(),
+            Some(RuntimeError::InvalidHedgeDelay {
+                delay_ms_bits: delay_ms.to_bits(),
+            }),
+            "delay {delay_ms}"
+        );
+    }
+    let served = run(5.0).expect("a positive delay runs");
+    let requests = served.reports.iter().flat_map(|r| &r.requests);
+    assert!(requests.clone().count() > 0);
+    assert!(requests.clone().all(|r| r.start_ms >= r.arrival_ms));
 }
