@@ -17,22 +17,29 @@
 //! of a re-plan:
 //!
 //! 1. [`DseGrid::compile`] builds one [`PlanFamily`](sma_runtime::PlanFamily)
-//!    per pinned backend × network (35 families), instantiates each at
-//!    every batch point into a bump [`PlanArena`] that lives as long as
-//!    the family (350 plans in all, only the GEMM steps re-estimated per
-//!    batch) and replays each plan **once**. The 35 families are
-//!    independent, so they plan through the sweep module's
-//!    [`run_ordered`] on as many workers as the host has cores
-//!    (`available_parallelism`; `SMA_SWEEP_THREADS` sizes only the row
-//!    fan-out). The tasks run backend-minor (the five pinned backends
-//!    of one network, then the next network), so tasks running at the
-//!    same time hit different backends' GEMM caches. The result does
-//!    not depend on the worker count. Compile then builds one *cell*
-//!    per span × mode × network × batch (420 cells), serially: both
-//!    candidates' outcomes, the winner, its throughput, and the row's
-//!    JSON with everything that does not depend on the budget already
-//!    rendered. The arenas are compile-time scratch; only their step
-//!    count survives ([`DseCompiled::arena_steps`]).
+//!    per pinned backend × network (35 families). Each family task does
+//!    its batch-independent work once — the sorted weight-panel
+//!    footprints, shared by the family's outcomes, and the unstacked
+//!    shape columns that [`GemmShapeBatch::stacked`] scales per batch —
+//!    then derives the plan at every batch point (350 plans in all,
+//!    only the GEMM steps re-estimated per batch), replays it once and
+//!    drops it, so one plan is held at a time. Each outcome renders, on
+//!    the worker that planned it, its candidate's JSON fragment and the
+//!    winner/throughput tail of any row it wins: every float a row
+//!    holds. The 35 families are independent, so they
+//!    plan through the sweep module's [`run_ordered`] on as many
+//!    workers as the host has cores (`available_parallelism`;
+//!    `SMA_SWEEP_THREADS` sizes only the row fan-out). The tasks run
+//!    backend-minor (the five pinned backends of one network, then the
+//!    next network), so tasks running at the same time hit different
+//!    backends' GEMM caches. The result does not depend on the worker
+//!    count. Compile then builds one *cell* per span × mode × network ×
+//!    batch (420 cells), serially: both candidates' outcomes, the
+//!    winner, its throughput, and the row's JSON with everything that
+//!    does not depend on the budget already rendered — the cell's head,
+//!    the two fragments and the winner's tail concatenated into one
+//!    exactly sized buffer, with no float left to format. Only the
+//!    plans' step count survives ([`DseCompiled::arena_steps`]).
 //! 2. [`DseCompiled::row`] is then a lookup: it decodes the index once,
 //!    counts each candidate's budget-resident GEMM layers (a binary
 //!    search over its sorted weight footprints) and shares the cell.
@@ -63,7 +70,7 @@ use crate::stream::{fnv1a64_chain, fnv1a64_seed};
 use crate::sweep::{escape_json, run_ordered};
 use sma_models::{zoo, Network};
 use sma_runtime::backend::{ArrayFlexBackend, FlexSaBackend, FlexSaMode, PipelineConfig};
-use sma_runtime::{Executor, PlanArena, Platform};
+use sma_runtime::{Executor, Platform};
 use sma_tensor::{GemmShape, GemmShapeBatch};
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -262,8 +269,8 @@ impl DseGrid {
     }
 
     /// Plans `exec`'s family for `net` at every batch point, replaying
-    /// each plan once; returns the per-batch outcomes and the arena
-    /// steps the family planned.
+    /// each plan once; returns the per-batch outcomes and the plan
+    /// steps the family derived.
     fn plan_candidates(
         &self,
         exec: &Executor,
@@ -272,32 +279,40 @@ impl DseGrid {
     ) -> (Vec<Arc<DseOutcome>>, usize) {
         let name = exec.backend().name();
         let family = exec.plan_family(net);
-        // Scratch for this family's plans only: each plan is replayed
-        // right after it is planned, so a grid-wide arena (megabytes,
-        // grown by doubling) would only raise peak memory.
-        let mut arena = PlanArena::new();
+        // Weight panels (`k × n`) and the unstacked shape columns do not
+        // depend on the batch: built once, shared by every outcome.
+        let unstacked = family.gemm_shapes(1);
+        let mut weight_bytes: Vec<u64> = unstacked.iter().map(weight_footprint).collect();
+        weight_bytes.sort_unstable();
+        let weight_bytes: Arc<[u64]> = weight_bytes.into();
+        let columns = GemmShapeBatch::from_shapes(&unstacked);
+        let mut steps = 0;
         let outcomes = self
             .batches
             .iter()
             .map(|&batch| {
-                let shapes = family.gemm_shapes(batch);
-                let stats = GemmShapeBatch::from_shapes(&shapes);
-                let mut weight_bytes: Vec<u64> = shapes.iter().map(weight_footprint).collect();
-                weight_bytes.sort_unstable();
+                // Each plan is read once, so only one is held at a time.
                 let total_ms = family
-                    .try_plan_into(batch, &mut arena)
-                    .map(|plan| arena.replay(&plan).total_ms)
+                    .try_plan(batch)
+                    .map(|plan| {
+                        steps += plan.steps().len();
+                        plan.run().total_ms
+                    })
                     .map_err(|e| e.to_string());
-                Arc::new(DseOutcome {
+                let intensity_f16 = columns
+                    .stacked(batch)
+                    .arithmetic_intensity(WEIGHT_ELEM_BYTES as usize);
+                Arc::new(DseOutcome::new(
                     name,
                     backend,
+                    batch,
                     total_ms,
-                    weight_bytes: weight_bytes.into(),
-                    intensity_f16: stats.arithmetic_intensity(WEIGHT_ELEM_BYTES as usize),
-                })
+                    Arc::clone(&weight_bytes),
+                    intensity_f16,
+                ))
             })
             .collect();
-        (outcomes, arena.len())
+        (outcomes, steps)
     }
 }
 
@@ -327,12 +342,68 @@ pub struct DseOutcome {
     /// the modes. Summaries tally winners by it.
     backend: usize,
     total_ms: Result<f64, String>,
-    /// Per-GEMM-layer weight-panel bytes, ascending.
-    weight_bytes: Box<[u64]>,
+    /// Per-GEMM-layer weight-panel bytes, ascending; one allocation
+    /// shared by every batch of the family.
+    weight_bytes: Arc<[u64]>,
     intensity_f16: f64,
+    /// Inferences per second when this candidate wins (`batch /
+    /// total_ms`), 0 if it was rejected.
+    throughput_ips: f64,
+    /// `json[..tail_at]` is the candidate's JSON object after its
+    /// opening brace, with the two per-row values cut out: `cuts[0]` is
+    /// where the resident count goes, `cuts[1]` the `fits` flag.
+    /// `json[tail_at..]` is the row's winner/throughput tail for a cell
+    /// this candidate wins (empty if it was rejected).
+    json: String,
+    cuts: [usize; 2],
+    tail_at: usize,
 }
 
 impl DseOutcome {
+    /// Builds the outcome at `batch` and renders its JSON fragment and
+    /// winner tail: the one place a row's floats are formatted.
+    fn new(
+        name: &'static str,
+        backend: usize,
+        batch: usize,
+        total_ms: Result<f64, String>,
+        weight_bytes: Arc<[u64]>,
+        intensity_f16: f64,
+    ) -> Self {
+        let throughput_ips = match total_ms {
+            Ok(ms) if ms > 0.0 => batch as f64 * 1e3 / ms,
+            _ => 0.0,
+        };
+        let mut json = format!("\"backend\": \"{name}\", ");
+        let _ = match &total_ms {
+            Ok(ms) => write!(json, "\"total_ms\": {ms:.6}, "),
+            Err(reason) => write!(json, "\"rejected\": \"{}\", ", escape_json(reason)),
+        };
+        json.push_str("\"resident_gemms\": ");
+        let resident_cut = json.len();
+        let _ = write!(json, ", \"gemms\": {}, \"fits\": ", weight_bytes.len());
+        let fits_cut = json.len();
+        let _ = write!(json, ", \"ai_f16\": {intensity_f16:.3}}}");
+        let tail_at = json.len();
+        if total_ms.is_ok() {
+            let _ = write!(
+                json,
+                ", \"winner\": \"{name}\", \"throughput_ips\": {throughput_ips:.3}}}"
+            );
+        }
+        DseOutcome {
+            name,
+            backend,
+            total_ms,
+            weight_bytes,
+            intensity_f16,
+            throughput_ips,
+            json,
+            cuts: [resident_cut, fits_cut],
+            tail_at,
+        }
+    }
+
     /// Pinned backend name (e.g. `ArrayFlex-span2`, `FlexSA-sub`).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -364,6 +435,16 @@ impl DseOutcome {
     fn resident_gemms(&self, budget_bytes: u64) -> usize {
         self.weight_bytes.partition_point(|&w| w <= budget_bytes)
     }
+
+    /// The candidate's JSON object, per-row values cut out.
+    fn fragment(&self) -> &str {
+        &self.json[..self.tail_at]
+    }
+
+    /// The row tail of a cell this candidate wins.
+    fn winner_tail(&self) -> &str {
+        &self.json[self.tail_at..]
+    }
 }
 
 /// Everything the rows of one span × mode × network × batch share —
@@ -376,15 +457,22 @@ struct DseCell {
     /// Index into `candidates` of the lowest latency among those that
     /// planned (`None` if both were rejected).
     winner: Option<usize>,
-    /// Winner inferences per second (`batch / total_ms`), 0 without one.
-    throughput_ips: f64,
     /// The row's JSON with the per-row values cut out; `cuts[k]` is the
     /// byte offset where value `k` of `DseRow::spliced` goes.
     json: String,
     cuts: [usize; 6],
 }
 
+/// The literal between the two candidates' fragments of a row.
+const FLEXSA_KEY: &str = ", \"flexsa\": {";
+
+/// The row tail of a cell whose candidates were both rejected.
+const NO_WINNER_TAIL: &str = ", \"winner\": \"none\", \"throughput_ips\": 0.000}";
+
 impl DseCell {
+    /// Concatenates the cell's JSON into one exactly sized buffer: the
+    /// head, both candidates' pre-rendered fragments, and the winner's
+    /// pre-rendered tail. No float is formatted here.
     fn new(
         network: Arc<str>,
         span: PipelineConfig,
@@ -398,50 +486,47 @@ impl DseCell {
             (Err(_), Ok(_)) => Some(1),
             (Err(_), Err(_)) => None,
         };
-        let throughput_ips = match winner.map(|w| &candidates[w].total_ms) {
-            Some(Ok(ms)) if *ms > 0.0 => batch as f64 * 1e3 / ms,
-            _ => 0.0,
-        };
 
-        let mut json = String::from("{\"i\": ");
-        let mut cuts = [0; 6];
-        cuts[0] = json.len();
+        let mut head = String::from("{\"i\": ");
+        let index_cut = head.len();
         let _ = write!(
-            json,
+            head,
             ", \"span\": {}, \"mode\": \"{}\", \"batch\": {batch}, \"budget_kib\": ",
             span.span(),
             mode_label(mode),
         );
-        cuts[1] = json.len();
-        let _ = write!(json, ", \"network\": \"{}\", ", escape_json(&network));
-        for (k, (key, o)) in [("arrayflex", &candidates[0]), ("flexsa", &candidates[1])]
-            .into_iter()
-            .enumerate()
-        {
-            if k > 0 {
-                json.push_str(", ");
-            }
-            let _ = write!(json, "\"{key}\": {{\"backend\": \"{}\", ", o.name);
-            let _ = match &o.total_ms {
-                Ok(ms) => write!(json, "\"total_ms\": {ms:.6}, "),
-                Err(reason) => write!(json, "\"rejected\": \"{}\", ", escape_json(reason)),
-            };
-            json.push_str("\"resident_gemms\": ");
-            cuts[2 + 2 * k] = json.len();
-            let _ = write!(json, ", \"gemms\": {}, \"fits\": ", o.gemms());
-            cuts[3 + 2 * k] = json.len();
-            let _ = write!(json, ", \"ai_f16\": {:.3}}}", o.intensity_f16);
-        }
+        let budget_cut = head.len();
         let _ = write!(
-            json,
-            ", \"winner\": \"{}\", \"throughput_ips\": {throughput_ips:.3}}}",
-            winner.map_or("none", |w| candidates[w].name),
+            head,
+            ", \"network\": \"{}\", \"arrayflex\": {{",
+            escape_json(&network)
         );
+
+        let [arrayflex, flexsa] = [&candidates[0], &candidates[1]];
+        let tail = winner.map_or(NO_WINNER_TAIL, |w| candidates[w].winner_tail());
+        let (arrayflex_json, flexsa_json) = (arrayflex.fragment(), flexsa.fragment());
+        let mut json = String::with_capacity(
+            head.len() + arrayflex_json.len() + FLEXSA_KEY.len() + flexsa_json.len() + tail.len(),
+        );
+        json.push_str(&head);
+        let arrayflex_at = json.len();
+        json.push_str(arrayflex_json);
+        json.push_str(FLEXSA_KEY);
+        let flexsa_at = json.len();
+        json.push_str(flexsa_json);
+        json.push_str(tail);
+        let cuts = [
+            index_cut,
+            budget_cut,
+            arrayflex_at + arrayflex.cuts[0],
+            arrayflex_at + arrayflex.cuts[1],
+            flexsa_at + flexsa.cuts[0],
+            flexsa_at + flexsa.cuts[1],
+        ];
         DseCell {
             network,
             candidates,
             winner,
-            throughput_ips,
             json,
             cuts,
         }
@@ -576,7 +661,7 @@ impl DseRow {
     /// candidates were rejected.
     #[must_use]
     pub fn throughput_ips(&self) -> f64 {
-        self.cell.throughput_ips
+        self.winner().map_or(0.0, |w| w.throughput_ips)
     }
 
     /// The per-row values in cut order: index, budget, then each
@@ -686,8 +771,9 @@ impl DseCompiled {
         }
     }
 
-    /// Arena steps the compile planned (all 350 plans of the full
-    /// grid).
+    /// Plan steps the compile derived, summed over all 350 plans of the
+    /// full grid (18,200). Each plan is dropped after its one replay;
+    /// no arena holds them.
     #[must_use]
     pub fn arena_steps(&self) -> usize {
         self.arena_steps
@@ -910,19 +996,16 @@ mod tests {
         digest
     }
 
+    /// An outcome built through the compile's own constructor, so its
+    /// fragment comes from the one renderer.
     fn outcome(
         name: &'static str,
         backend: usize,
+        batch: usize,
         total_ms: Result<f64, String>,
         weights: &[u64],
     ) -> DseOutcome {
-        DseOutcome {
-            name,
-            backend,
-            total_ms,
-            weight_bytes: weights.into(),
-            intensity_f16: 12.3456,
-        }
+        DseOutcome::new(name, backend, batch, total_ms, weights.into(), 12.3456)
     }
 
     #[test]
@@ -1005,7 +1088,7 @@ mod tests {
 
     #[test]
     fn resident_count_is_the_layers_within_budget() {
-        let o = outcome("x", 0, Ok(1.0), &[512, 1024, 1024, 4096]);
+        let o = outcome("x", 0, 1, Ok(1.0), &[512, 1024, 1024, 4096]);
         assert_eq!(o.resident_gemms(0), 0);
         assert_eq!(o.resident_gemms(1023), 1);
         assert_eq!(o.resident_gemms(1024), 3);
@@ -1067,8 +1150,8 @@ mod tests {
         for (a, f) in cases {
             let rejected = [a.is_err(), f.is_err()];
             let candidates = [
-                Arc::new(outcome("ArrayFlex-span2", 1, a, &[100, 5000])),
-                Arc::new(outcome("FlexSA-sub", 4, f, &[100, 200, 300])),
+                Arc::new(outcome("ArrayFlex-span2", 1, 64, a, &[100, 5000])),
+                Arc::new(outcome("FlexSA-sub", 4, 64, f, &[100, 200, 300])),
             ];
             let cell = DseCell::new(
                 Arc::from("Net \"q\""),
@@ -1131,6 +1214,40 @@ mod tests {
         let rows: Vec<DseRow> = (0..full.grid().len()).map(|i| full.row(i)).collect();
         let report = DseReport::from_rows(&rows).to_json(full.grid());
         assert_eq!(report, include_str!("../../../BENCH_dse.json"));
+    }
+
+    #[test]
+    fn a_family_shares_one_weight_panel_allocation() {
+        let full = full();
+        let (batches, nets) = (full.grid().batches.len(), full.grid().networks().len());
+        // Cells `b · nets` apart within one span × mode block hold the
+        // outcomes of the same two families at consecutive batches.
+        for block in (0..full.cells.len()).step_by(batches * nets) {
+            for n in 0..nets {
+                let first = &full.cells[block + n].candidates;
+                for b in 1..batches {
+                    let other = &full.cells[block + b * nets + n].candidates;
+                    for k in 0..2 {
+                        assert!(
+                            Arc::ptr_eq(&first[k].weight_bytes, &other[k].weight_bytes),
+                            "cell {} candidate {k} copied its panels",
+                            block + b * nets + n
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_cell_json_is_sized_exactly() {
+        for (c, cell) in full().cells.iter().enumerate() {
+            assert_eq!(
+                cell.json.capacity(),
+                cell.json.len(),
+                "cell {c} reallocated"
+            );
+        }
     }
 
     #[test]

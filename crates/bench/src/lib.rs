@@ -10,7 +10,7 @@
 //! and the wall-clock side to the gitignored `BENCH_sweep_timing.json`;
 //! `dse` sweeps the [`dse`] design-space grid — pinned pipeline span ×
 //! tile mode × batch × cache budget × network — through the
-//! incremental-plan/arena hot path, streaming rows via [`stream`];
+//! incremental-plan hot path, streaming rows via [`stream`];
 //! `serve_sim` drives the [`serve`] matrix — every
 //! batching policy × placement strategy over one seeded trace — and
 //! writes the simulated-clock serving metrics to `BENCH_serve.json`.
