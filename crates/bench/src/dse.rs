@@ -404,21 +404,6 @@ impl DseOutcome {
         }
     }
 
-    /// Pinned backend name (e.g. `ArrayFlex-span2`, `FlexSA-sub`).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The modelled latency, or the planning rejection.
-    ///
-    /// # Errors
-    ///
-    /// The rejection reason when the candidate failed to plan.
-    pub fn total_ms(&self) -> Result<f64, &str> {
-        self.total_ms.as_ref().copied().map_err(String::as_str)
-    }
-
     /// Total GEMM layers.
     #[must_use]
     pub(crate) fn gemms(&self) -> usize {
@@ -614,24 +599,6 @@ impl RowSink for RowDigest {
 }
 
 impl DseRow {
-    /// The point's coordinates.
-    #[must_use]
-    pub fn point(&self) -> DsePoint {
-        self.point
-    }
-
-    /// The ArrayFlex candidate at the point's span.
-    #[must_use]
-    pub fn arrayflex(&self) -> &DseOutcome {
-        &self.cell.candidates[0]
-    }
-
-    /// The FlexSA candidate at the point's mode.
-    #[must_use]
-    pub fn flexsa(&self) -> &DseOutcome {
-        &self.cell.candidates[1]
-    }
-
     /// GEMM layers whose weight panel fits the point's budget,
     /// `[arrayflex, flexsa]`.
     #[must_use]
@@ -921,8 +888,8 @@ mod tests {
     /// the outcomes and formats every value at render time.
     fn reference_json(row: &DseRow) -> String {
         fn outcome(out: &mut String, key: &str, o: &DseOutcome, resident: usize) {
-            let _ = write!(out, "\"{key}\": {{\"backend\": \"{}\", ", o.name());
-            match o.total_ms() {
+            let _ = write!(out, "\"{key}\": {{\"backend\": \"{}\", ", o.name);
+            match &o.total_ms {
                 Ok(ms) => {
                     let _ = write!(out, "\"total_ms\": {ms:.6}, ");
                 }
@@ -940,15 +907,19 @@ mod tests {
             );
         }
 
-        let (point, a, f) = (row.point(), row.arrayflex(), row.flexsa());
-        let winner = match (a.total_ms(), f.total_ms()) {
+        let (point, a, f) = (
+            row.point,
+            &*row.cell.candidates[0],
+            &*row.cell.candidates[1],
+        );
+        let winner = match (&a.total_ms, &f.total_ms) {
             (Ok(x), Ok(y)) => Some(if x <= y { a } else { f }),
             (Ok(_), Err(_)) => Some(a),
             (Err(_), Ok(_)) => Some(f),
             (Err(_), Err(_)) => None,
         };
-        let throughput = match winner.map(DseOutcome::total_ms) {
-            Some(Ok(ms)) if ms > 0.0 => point.batch as f64 * 1e3 / ms,
+        let throughput = match winner.map(|w| &w.total_ms) {
+            Some(Ok(ms)) if *ms > 0.0 => point.batch as f64 * 1e3 / ms,
             _ => 0.0,
         };
         let mut out = String::with_capacity(256);
@@ -969,7 +940,7 @@ mod tests {
         let _ = write!(
             out,
             ", \"winner\": \"{}\", \"throughput_ips\": {throughput:.3}}}",
-            winner.map_or("none", DseOutcome::name),
+            winner.map_or("none", |w| w.name),
         );
         out
     }
@@ -1044,7 +1015,7 @@ mod tests {
         for index in [0, 7, 23, 47] {
             let row = compiled.row(index);
             let point = compiled.grid().point(index);
-            assert_eq!(row.point(), point);
+            assert_eq!(row.point, point);
             let net = &compiled.grid().networks()[point.network];
             let arrayflex = Executor::builder(Platform::ArrayFlex)
                 .backend(Arc::new(ArrayFlexBackend::pinned(point.span)))
@@ -1057,12 +1028,20 @@ mod tests {
             let expect_a = arrayflex.try_plan(net).expect("plans").run().total_ms;
             let expect_f = flexsa.try_plan(net).expect("plans").run().total_ms;
             assert_eq!(
-                row.arrayflex().total_ms().expect("ok").to_bits(),
+                row.cell.candidates[0]
+                    .total_ms
+                    .as_ref()
+                    .expect("ok")
+                    .to_bits(),
                 expect_a.to_bits(),
                 "point {index} arrayflex diverged"
             );
             assert_eq!(
-                row.flexsa().total_ms().expect("ok").to_bits(),
+                row.cell.candidates[1]
+                    .total_ms
+                    .as_ref()
+                    .expect("ok")
+                    .to_bits(),
                 expect_f.to_bits(),
                 "point {index} flexsa diverged"
             );
@@ -1078,8 +1057,8 @@ mod tests {
         let small = compiled.row(0);
         let large = compiled.row(nets);
         assert!(Arc::ptr_eq(&small.cell, &large.cell));
-        assert_eq!(small.point().batch, large.point().batch);
-        assert!(small.point().budget_kib < large.point().budget_kib);
+        assert_eq!(small.point.batch, large.point.batch);
+        assert!(small.point.budget_kib < large.point.budget_kib);
         let ([small_a, small_f], [large_a, large_f]) =
             (small.resident_gemms(), large.resident_gemms());
         assert!(large_a >= small_a);
@@ -1182,8 +1161,8 @@ mod tests {
                     assert!(row.winner().is_none());
                     assert!(json.ends_with(r#""winner": "none", "throughput_ips": 0.000}"#));
                 }
-                [true, false] => assert_eq!(row.winner().map(DseOutcome::name), Some("FlexSA-sub")),
-                _ => assert_eq!(row.winner().map(DseOutcome::name), Some("ArrayFlex-span2")),
+                [true, false] => assert_eq!(row.winner().map(|w| w.name), Some("FlexSA-sub")),
+                _ => assert_eq!(row.winner().map(|w| w.name), Some("ArrayFlex-span2")),
             }
         }
     }

@@ -131,7 +131,8 @@ pub fn mean_unit_service_ms(cluster: &ServeCluster) -> f64 {
 /// offered load at batch-1 cost — enough pressure that batching policy
 /// and placement both visibly move the latency distribution.
 ///
-/// Derived parameters (all overridable via [`ScenarioOptions`]):
+/// Derived parameters (`ScenarioOptions::default()` keeps them; its
+/// fields override them):
 /// * the SLO target is 2.5 mean batch-1 service times — tight enough
 ///   that the tail misses it under every policy, loose enough that
 ///   EDF visibly changes the miss count;
@@ -139,15 +140,6 @@ pub fn mean_unit_service_ms(cluster: &ServeCluster) -> f64 {
 ///   a single plan always fits (no admission rejections in the
 ///   default matrix) but a shard hosting all three networks must
 ///   evict.
-///
-/// # Errors
-///
-/// Propagates a backend rejecting a network during calibration.
-pub fn default_scenario(requests: usize, seed: u64) -> Result<ServeScenario, RuntimeError> {
-    scenario(requests, seed, ScenarioOptions::default())
-}
-
-/// [`default_scenario`] with explicit overrides.
 ///
 /// # Errors
 ///
@@ -242,7 +234,7 @@ pub(crate) fn online_policy_matrix(max_wait_ms: f64, slack_ms: f64) -> Vec<Arc<d
 
 /// A factory per placement strategy (placements carry cursor/backlog
 /// state, so every combo — and every engine run — needs a fresh one).
-pub type PlacementFactory = fn() -> Box<dyn Placement>;
+pub(crate) type PlacementFactory = fn() -> Box<dyn Placement>;
 
 /// The online block's placements: the state-blind cycle and the
 /// live-backlog router the event engine makes possible.
@@ -749,7 +741,7 @@ mod tests {
     use sma_runtime::serve::ShardTally;
 
     fn tiny_scenario() -> ServeScenario {
-        default_scenario(150, 9).expect("default scenario compiles")
+        scenario(150, 9, ScenarioOptions::default()).expect("default scenario compiles")
     }
 
     #[test]
@@ -805,7 +797,8 @@ mod tests {
     /// from a recorded run's records equals the engine's own tally.
     #[test]
     fn records_never_change_an_outcome_and_rebuild_the_tally() {
-        let scenario = default_scenario(500, 0x7A11).expect("default scenario compiles");
+        let scenario =
+            scenario(500, 0x7A11, ScenarioOptions::default()).expect("default scenario compiles");
         let specs = matrix_specs(&scenario);
         assert_eq!(specs.len(), 30, "online, fault and control rows");
         for spec in &specs {

@@ -81,7 +81,7 @@
 //!         cache: GemmCache::default(),
 //!     }))
 //!     .build();
-//! let sweep = Sweep::grid(&[custom], &[zoo::alexnet(), zoo::vgg_a()]);
+//! let sweep = Sweep::grid_planned(&[custom], &[zoo::alexnet(), zoo::vgg_a()], 1);
 //! let run = sweep.run_parallel(2);
 //! assert_eq!(run.tasks.len(), 2);
 //! assert!(run.tasks.iter().all(|t| t.output.contains("total")));
@@ -116,12 +116,6 @@ impl SweepTask {
             name: name.into(),
             run: Box::new(run),
         }
-    }
-
-    /// The task's display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -180,18 +174,6 @@ impl Sweep {
         self
     }
 
-    /// Number of tasks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True if the sweep holds no tasks.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
     /// The six figure/table regenerators of the paper as sweep tasks.
     #[must_use]
     pub fn figures() -> Sweep {
@@ -205,21 +187,14 @@ impl Sweep {
         sweep
     }
 
-    /// An executor × network grid: one task per cell, each compiling a
-    /// [`NetworkPlan`](sma_runtime::NetworkPlan) and replaying it once.
+    /// An executor × network grid: one task per cell, each compiling its
+    /// [`NetworkPlan`](sma_runtime::NetworkPlan) once and replaying it
+    /// `reps` times (a serving burst). A backend that rejects a cell's
+    /// shapes renders a `rejected:` line instead of a profile.
     ///
     /// Custom backends join via
     /// [`ExecutorBuilder::backend`](sma_runtime::ExecutorBuilder::backend)
     /// — see the module docs for a worked example.
-    #[must_use]
-    pub fn grid(executors: &[Executor], networks: &[Network]) -> Sweep {
-        Self::grid_planned(executors, networks, 1)
-    }
-
-    /// The grid with each cell compiling its
-    /// [`NetworkPlan`](sma_runtime::NetworkPlan) once and replaying it
-    /// `reps` times (a serving burst). A backend that rejects a cell's
-    /// shapes renders a `rejected:` line instead of a profile.
     #[must_use]
     pub fn grid_planned(executors: &[Executor], networks: &[Network], reps: usize) -> Sweep {
         let mut sweep = Sweep::new();
@@ -808,8 +783,8 @@ mod tests {
     fn parallel_matches_serial_outputs_in_order() {
         let execs = grid_executors(&[Platform::GpuSimd, Platform::Sma3], &[1, 16]);
         let nets = [zoo::alexnet(), zoo::vgg_a()];
-        let sweep = Sweep::grid(&execs, &nets);
-        assert_eq!(sweep.len(), 8);
+        let sweep = Sweep::grid_planned(&execs, &nets, 1);
+        assert_eq!(sweep.tasks.len(), 8);
         let serial = sweep.run_parallel(1);
         let parallel = sweep.run_parallel(4);
         assert_eq!(serial.tasks.len(), parallel.tasks.len());
@@ -886,9 +861,9 @@ mod tests {
             expected
         );
         assert_eq!(arena.len(), steps, "a failed derivation leaves no steps");
-        assert_eq!(arena.steps(&resident).len(), resident.step_count());
+        assert_eq!(arena.steps(&resident).len(), steps);
 
-        let run = Sweep::grid(&[exec], &[net]).run_parallel(1);
+        let run = Sweep::grid_planned(&[exec], &[net], 1).run_parallel(1);
         assert_eq!(
             run.tasks[0].output,
             format!("Shallow   b1  AlexNet     rejected: {expected}")
@@ -898,27 +873,24 @@ mod tests {
     #[test]
     fn grid_covers_every_cell_and_labels_batches() {
         let execs = grid_executors(&all_platforms(), &[1, 16]);
-        let sweep = Sweep::grid(&execs, &zoo_networks());
-        assert_eq!(sweep.len(), 7 * 2 * 7);
+        let sweep = Sweep::grid_planned(&execs, &zoo_networks(), 1);
+        assert_eq!(sweep.tasks.len(), 7 * 2 * 7);
+        assert!(sweep.tasks.iter().any(|t| t.name == "grid/3-SMA/b16/VGG-A"));
         assert!(sweep
             .tasks
             .iter()
-            .any(|t| t.name() == "grid/3-SMA/b16/VGG-A"));
+            .any(|t| t.name == "grid/ArrayFlex/b1/DeepLab"));
         assert!(sweep
             .tasks
             .iter()
-            .any(|t| t.name() == "grid/ArrayFlex/b1/DeepLab"));
-        assert!(sweep
-            .tasks
-            .iter()
-            .any(|t| t.name() == "grid/FlexSA/b16/AlexNet"));
+            .any(|t| t.name == "grid/FlexSA/b16/AlexNet"));
     }
 
     #[test]
     fn report_json_is_well_formed_enough() {
         let execs = grid_executors(&[Platform::Sma3], &[1]);
         let nets = [zoo::alexnet()];
-        let sweep = Sweep::grid(&execs, &nets);
+        let sweep = Sweep::grid_planned(&execs, &nets, 1);
         let before = cache_snapshot();
         let run = sweep.run_parallel(2);
         let after = cache_snapshot();
@@ -953,8 +925,8 @@ mod tests {
         let execs = grid_executors(&[Platform::Sma2], &[4]);
         let nets = [zoo::goturn()];
         let render = |run: &SweepRun| SweepReport::new(run, &[], &[]).to_json();
-        let first = render(&Sweep::grid(&execs, &nets).run_parallel(1));
-        let second = render(&Sweep::grid(&execs, &nets).run_parallel(2));
+        let first = render(&Sweep::grid_planned(&execs, &nets, 1).run_parallel(1));
+        let second = render(&Sweep::grid_planned(&execs, &nets, 1).run_parallel(2));
         assert_eq!(first, second, "committed bytes must not depend on timing");
     }
 
@@ -1071,7 +1043,7 @@ mod tests {
     fn thread_count_is_clamped_to_tasks() {
         let execs = grid_executors(&[Platform::GpuSimd], &[1]);
         let nets = [zoo::alexnet()];
-        let run = Sweep::grid(&execs, &nets).run_parallel(64);
+        let run = Sweep::grid_planned(&execs, &nets, 1).run_parallel(64);
         assert_eq!(run.threads, 1);
     }
 }

@@ -75,12 +75,6 @@ impl SmaConfig {
         self.units * per_unit
     }
 
-    /// Peak TFLOPS across the whole GPU.
-    #[must_use]
-    pub fn peak_tflops(&self, gpu: &GpuConfig) -> f64 {
-        gpu.sms as f64 * self.macs_per_cycle() as f64 * 2.0 * gpu.clock_ghz / 1000.0
-    }
-
     /// The matching `GpuConfig` (Table I SMA column).
     #[must_use]
     pub fn gpu_config(&self) -> GpuConfig {
@@ -114,8 +108,8 @@ mod tests {
         let cfg = SmaConfig::iso_flop_2sma();
         // 2 units × 8×16 FP16 = 256 = 4 TCs × 64.
         assert_eq!(cfg.macs_per_cycle(), 256);
-        let gpu = GpuConfig::volta();
-        assert!((cfg.peak_tflops(&gpu) - gpu.tc_fp16_tflops()).abs() < 1e-9);
+        let tc = GpuConfig::volta().tc_fp16_tflops();
+        assert!((cfg.gpu_config().sma_fp16_tflops() - tc).abs() < 1e-9);
     }
 
     #[test]
@@ -123,8 +117,8 @@ mod tests {
         let two = SmaConfig::iso_flop_2sma();
         let three = SmaConfig::iso_area_3sma();
         assert_eq!(three.macs_per_cycle(), 384);
-        let gpu = GpuConfig::volta();
-        assert!((three.peak_tflops(&gpu) / two.peak_tflops(&gpu) - 1.5).abs() < 1e-12);
+        let peak = |cfg: SmaConfig| cfg.gpu_config().sma_fp16_tflops();
+        assert!((peak(three) / peak(two) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl GemmMapper {
         }
     }
 
-    /// The SMA configuration in force.
-    #[must_use]
-    pub const fn config(&self) -> &SmaConfig {
-        &self.cfg
-    }
-
     /// Output columns one `LSMA` pass covers: 8 at FP32, 16 with FP16
     /// pairing (the 8×16 array of §IV-A).
     #[must_use]
@@ -85,7 +79,7 @@ impl GemmMapper {
         // property, so functional execution always runs dim-wide passes.
         let dim = self.cfg.dim as usize;
         let mut units: Vec<SmaUnit> = (0..self.cfg.units)
-            .map(|i| SmaUnit::new(i as u8, &self.cfg))
+            .map(|_| SmaUnit::new(&self.cfg))
             .collect();
         for u in &mut units {
             u.enter_systolic();
@@ -194,15 +188,11 @@ impl GemmMapper {
             it.push(Instr::GroupSync { group: 0 });
         });
 
-        Kernel::new(
-            "sma_gemm_128x128x8",
-            1,
-            vec![
-                WarpRole::new("loader", 32, loader.build()),
-                WarpRole::new("issuer", 1, issuer.build()),
-                WarpRole::new("holder", 31, holder.build()),
-            ],
-        )
+        Kernel::new(vec![
+            WarpRole::new("loader", 32, loader.build()),
+            WarpRole::new("issuer", 1, issuer.build()),
+            WarpRole::new("holder", 31, holder.build()),
+        ])
     }
 }
 

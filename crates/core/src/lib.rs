@@ -16,7 +16,7 @@
 //!   3-SMA iso-area);
 //! * [`SmaUnit`] — a functional dual-mode unit with the repurposed
 //!   operand-collector weight buffers (§IV-A);
-//! * [`SystolicController`] — active mask, address generators, and the
+//! * [`SystolicController`] — per-unit `LSMA` issue queues and the
 //!   Ain/Cout staging buffers of Fig. 5 (256 B total);
 //! * [`GemmMapper`] — the Fig.-6 algorithm mapping: 128×128 thread-block
 //!   tiles, double-buffered 8-deep k-slices, 64 warps in two
@@ -58,7 +58,7 @@ pub use controller::SystolicController;
 pub use gemm_mapper::{GemmMapper, MappedGemm};
 pub use lsma::LsmaOp;
 pub use model::{GemmEstimate, SimdGemmModel, SmaGemmModel};
-pub use unit::{ExecutionMode, SmaUnit};
+pub use unit::SmaUnit;
 
 use std::error::Error;
 use std::fmt;

@@ -22,7 +22,6 @@ use sma_isa::{Instr, Reg};
 ///
 /// # fn main() -> Result<(), sma_core::SmaError> {
 /// let op = LsmaOp::new(0, 0x100, 24, 128)?;
-/// assert_eq!(op.macs(), 128 * 64);
 /// let instr = op.encode();
 /// assert_eq!(instr.warp_macs(), 128 * 64);
 /// # Ok(())
@@ -84,30 +83,6 @@ impl LsmaOp {
     #[must_use]
     pub(crate) const fn unit(&self) -> u8 {
         self.unit
-    }
-
-    /// Shared-memory byte address of `A[0][0]`.
-    #[must_use]
-    pub const fn a_base(&self) -> u64 {
-        self.a_base
-    }
-
-    /// Register-file base of the `C` accumulator rows.
-    #[must_use]
-    pub const fn c_base(&self) -> u16 {
-        self.c_base
-    }
-
-    /// Height of `A` (the flexible dimension of the `k×8×8` shape).
-    #[must_use]
-    pub const fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// MACs this op performs.
-    #[must_use]
-    pub const fn macs(&self) -> u64 {
-        self.k as u64 * (Self::DIM as u64) * (Self::DIM as u64)
     }
 
     /// Cycles of the asynchronous pass: `k + dim - 1` skewed streaming
@@ -206,7 +181,7 @@ mod tests {
     #[test]
     fn mac_and_cycle_counts() {
         let op = LsmaOp::new(0, 0, 0, 128).unwrap();
-        assert_eq!(op.macs(), 8192);
+        assert_eq!(op.encode().warp_macs(), 8192);
         assert_eq!(op.pass_cycles(), 128 + 8);
     }
 

@@ -17,7 +17,7 @@ use sma_tensor::Matrix;
 
 /// Which personality the unit currently presents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
+pub(crate) enum ExecutionMode {
     /// Conventional SIMD lanes.
     #[default]
     Simd,
@@ -30,24 +30,22 @@ pub enum ExecutionMode {
 /// # Example
 ///
 /// ```
-/// use sma_core::{ExecutionMode, SmaConfig, SmaUnit};
+/// use sma_core::{SmaConfig, SmaUnit};
 /// use sma_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), sma_core::SmaError> {
-/// let mut unit = SmaUnit::new(0, &SmaConfig::iso_flop_2sma());
+/// let mut unit = SmaUnit::new(&SmaConfig::iso_flop_2sma());
 /// unit.enter_systolic();
 /// let a = Matrix::<f32>::random(16, 8, 1);
 /// let b = Matrix::<f32>::random(8, 8, 2);
 /// let mut c = Matrix::zeros(16, 8);
 /// unit.execute_lsma(&a, &b, &mut c)?;
-/// assert_eq!(unit.mode(), ExecutionMode::Systolic);
 /// unit.exit_systolic();
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct SmaUnit {
-    id: u8,
     dim: usize,
     dataflow: DataflowKind,
     mode: ExecutionMode,
@@ -58,11 +56,10 @@ pub struct SmaUnit {
 }
 
 impl SmaUnit {
-    /// Creates unit `id` under a configuration.
+    /// Creates a unit under a configuration.
     #[must_use]
-    pub fn new(id: u8, cfg: &SmaConfig) -> Self {
+    pub fn new(cfg: &SmaConfig) -> Self {
         SmaUnit {
-            id,
             dim: cfg.dim as usize,
             dataflow: cfg.dataflow,
             mode: ExecutionMode::Simd,
@@ -70,31 +67,6 @@ impl SmaUnit {
             mode_switches: 0,
             total_trace: None,
         }
-    }
-
-    /// Unit id within the SM.
-    #[must_use]
-    pub const fn id(&self) -> u8 {
-        self.id
-    }
-
-    /// Current mode.
-    #[must_use]
-    pub const fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// Times the unit flipped modes (each charged one cycle).
-    #[must_use]
-    pub const fn mode_switches(&self) -> u64 {
-        self.mode_switches
-    }
-
-    /// Accumulated dataflow trace across all `LSMA` ops (None before the
-    /// first op).
-    #[must_use]
-    pub fn trace(&self) -> Option<&PassTrace> {
-        self.total_trace.as_ref()
     }
 
     /// Switches to systolic mode (idempotent).
@@ -203,7 +175,7 @@ mod tests {
     use sma_tensor::gemm;
 
     fn unit() -> SmaUnit {
-        let mut u = SmaUnit::new(0, &SmaConfig::iso_flop_2sma());
+        let mut u = SmaUnit::new(&SmaConfig::iso_flop_2sma());
         u.enter_systolic();
         u
     }
@@ -235,7 +207,7 @@ mod tests {
 
     #[test]
     fn simd_mode_rejects_lsma() {
-        let mut u = SmaUnit::new(0, &SmaConfig::iso_flop_2sma());
+        let mut u = SmaUnit::new(&SmaConfig::iso_flop_2sma());
         let a = Matrix::<f32>::zeros(8, 8);
         let b = Matrix::<f32>::zeros(8, 8);
         let mut c = Matrix::zeros(8, 8);
@@ -247,25 +219,25 @@ mod tests {
 
     #[test]
     fn mode_switching_is_counted_and_idempotent() {
-        let mut u = SmaUnit::new(0, &SmaConfig::iso_flop_2sma());
-        assert_eq!(u.mode(), ExecutionMode::Simd);
+        let mut u = SmaUnit::new(&SmaConfig::iso_flop_2sma());
+        assert_eq!(u.mode, ExecutionMode::Simd);
         u.enter_systolic();
         u.enter_systolic(); // idempotent
         u.exit_systolic();
         u.exit_systolic();
-        assert_eq!(u.mode_switches(), 2);
-        assert_eq!(u.mode(), ExecutionMode::Simd);
+        assert_eq!(u.mode_switches, 2);
+        assert_eq!(u.mode, ExecutionMode::Simd);
     }
 
     #[test]
     fn simd_mode_contributes_two_warp_slots() {
-        let u = SmaUnit::new(0, &SmaConfig::iso_flop_2sma());
+        let u = SmaUnit::new(&SmaConfig::iso_flop_2sma());
         assert_eq!(u.simd_warp_slots(), 2);
     }
 
     #[test]
     fn ws_dataflow_unit_still_computes_correctly() {
-        let mut u = SmaUnit::new(0, &SmaConfig::tpu_dataflow_ablation());
+        let mut u = SmaUnit::new(&SmaConfig::tpu_dataflow_ablation());
         u.enter_systolic();
         let a = Matrix::<f32>::random(16, 8, 7);
         let b = Matrix::<f32>::random(8, 8, 8);
@@ -299,7 +271,7 @@ mod tests {
         let mut c = Matrix::zeros(8, 8);
         u.execute_lsma(&a, &b, &mut c).unwrap();
         u.execute_lsma(&a, &b, &mut c).unwrap();
-        let t = u.trace().unwrap();
+        let t = u.total_trace.as_ref().unwrap();
         assert_eq!(t.passes, 2);
         assert_eq!(t.macs, 2 * 512);
     }

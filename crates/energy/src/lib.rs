@@ -131,24 +131,6 @@ impl EnergyBreakdown {
         self.total() * 1e-12
     }
 
-    /// This breakdown normalised so another breakdown's total is 1.0.
-    #[must_use]
-    pub fn normalised_to(&self, baseline: &EnergyBreakdown) -> EnergyBreakdown {
-        let t = baseline.total();
-        // sma-lint: allow(float-eq) — exact-zero divide guard; 0.0 is
-        // exactly representable and the only value that must not divide.
-        if t == 0.0 {
-            return *self;
-        }
-        EnergyBreakdown {
-            global: self.global / t,
-            shared: self.shared / t,
-            register: self.register / t,
-            pe: self.pe / t,
-            const_: self.const_ / t,
-        }
-    }
-
     /// Element-wise sum.
     #[must_use]
     pub(crate) fn plus(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
@@ -200,16 +182,6 @@ impl EnergyModel {
         EnergyModel {
             table: EnergyTable::volta(),
             fp16_macs: true,
-            const_pj_per_sm_cycle: 330.0,
-        }
-    }
-
-    /// Volta model with FP32 MACs.
-    #[must_use]
-    pub const fn volta_fp32() -> Self {
-        EnergyModel {
-            table: EnergyTable::volta(),
-            fp16_macs: false,
             const_pj_per_sm_cycle: 330.0,
         }
     }
@@ -315,29 +287,13 @@ mod tests {
         let mut s = MemStats::default();
         s.tc_macs = 1_000_000;
         let e16 = EnergyModel::volta().estimate(&s);
-        let e32 = EnergyModel::volta_fp32().estimate(&s);
+        let fp32 = EnergyModel {
+            fp16_macs: false,
+            ..EnergyModel::volta()
+        };
+        let e32 = fp32.estimate(&s);
         assert!(e16.pe < e32.pe);
         assert!((e32.pe / e16.pe - 1.5 / 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalisation_against_baseline() {
-        let base = EnergyBreakdown {
-            global: 5.0,
-            shared: 0.0,
-            register: 3.0,
-            pe: 2.0,
-            const_: 0.0,
-        };
-        let mine = EnergyBreakdown {
-            global: 5.0,
-            shared: 0.0,
-            register: 1.0,
-            pe: 2.0,
-            const_: 0.0,
-        };
-        let n = mine.normalised_to(&base);
-        assert!((n.total() - 0.8).abs() < 1e-12);
     }
 
     #[test]

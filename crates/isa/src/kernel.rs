@@ -30,7 +30,8 @@ impl WarpRole {
     }
 }
 
-/// A kernel launch: `blocks` thread blocks, each running every role.
+/// One thread block of a kernel launch: every role's warps, run
+/// together on one SM.
 ///
 /// # Example
 ///
@@ -40,16 +41,13 @@ impl WarpRole {
 /// # fn main() -> Result<(), sma_isa::IsaError> {
 /// let mut b = WarpProgram::builder();
 /// b.push(Instr::ffma(Reg(1), Reg(0), Reg(0), Reg(1)));
-/// let k = Kernel::new("axpy", 80, vec![WarpRole::new("main", 8, b.build())])?;
-/// assert_eq!(k.warps_per_block(), 8);
-/// assert_eq!(k.total_dynamic_instructions(), 80 * 8);
+/// let k = Kernel::new(vec![WarpRole::new("main", 8, b.build())])?;
+/// assert_eq!(k.roles()[0].warps, 8);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
-    name: String,
-    blocks: u32,
     roles: Vec<WarpRole>,
 }
 
@@ -58,16 +56,9 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::EmptyLaunch`] if `blocks` is zero, the role list
-    /// is empty, or any role has zero warps.
-    pub fn new(
-        name: impl Into<String>,
-        blocks: u32,
-        roles: Vec<WarpRole>,
-    ) -> Result<Self, IsaError> {
-        if blocks == 0 {
-            return Err(IsaError::EmptyLaunch { what: "blocks" });
-        }
+    /// Returns [`IsaError::EmptyLaunch`] if the role list is empty or
+    /// any role has zero warps.
+    pub fn new(roles: Vec<WarpRole>) -> Result<Self, IsaError> {
         if roles.is_empty() {
             return Err(IsaError::EmptyLaunch { what: "warp roles" });
         }
@@ -76,53 +67,13 @@ impl Kernel {
                 what: "warps in a role",
             });
         }
-        Ok(Kernel {
-            name: name.into(),
-            blocks,
-            roles,
-        })
-    }
-
-    /// Kernel name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Thread blocks in the grid.
-    #[must_use]
-    pub const fn blocks(&self) -> u32 {
-        self.blocks
+        Ok(Kernel { roles })
     }
 
     /// The warp roles of each block.
     #[must_use]
     pub fn roles(&self) -> &[WarpRole] {
         &self.roles
-    }
-
-    /// Warps per block, summed over roles.
-    #[must_use]
-    pub fn warps_per_block(&self) -> u32 {
-        self.roles.iter().map(|r| r.warps).sum()
-    }
-
-    /// Threads per block (32 per warp).
-    #[must_use]
-    pub fn threads_per_block(&self) -> u32 {
-        self.warps_per_block() * 32
-    }
-
-    /// Dynamic instruction count across the whole grid (loop bodies
-    /// unrolled, loop-control overhead excluded).
-    #[must_use]
-    pub fn total_dynamic_instructions(&self) -> u64 {
-        let per_block: u64 = self
-            .roles
-            .iter()
-            .map(|r| u64::from(r.warps) * r.program.dynamic_instruction_count())
-            .sum();
-        per_block * u64::from(self.blocks)
     }
 }
 
@@ -142,28 +93,26 @@ mod tests {
     #[test]
     fn rejects_empty_launches() {
         assert!(matches!(
-            Kernel::new("k", 0, vec![WarpRole::new("m", 1, one_instr_program(1))]),
-            Err(IsaError::EmptyLaunch { what: "blocks" })
+            Kernel::new(vec![]),
+            Err(IsaError::EmptyLaunch { what: "warp roles" })
         ));
-        assert!(Kernel::new("k", 1, vec![]).is_err());
-        assert!(Kernel::new("k", 1, vec![WarpRole::new("m", 0, one_instr_program(1))]).is_err());
+        assert!(Kernel::new(vec![WarpRole::new("m", 0, one_instr_program(1))]).is_err());
     }
 
     #[test]
     fn counts_roles_and_instructions() {
-        let k = Kernel::new(
-            "gemm",
-            4,
-            vec![
-                WarpRole::new("loader", 32, one_instr_program(10)),
-                WarpRole::new("computer", 32, one_instr_program(20)),
-            ],
-        )
+        let k = Kernel::new(vec![
+            WarpRole::new("loader", 32, one_instr_program(10)),
+            WarpRole::new("computer", 32, one_instr_program(20)),
+        ])
         .unwrap();
-        assert_eq!(k.warps_per_block(), 64);
-        assert_eq!(k.threads_per_block(), 2048);
-        assert_eq!(k.total_dynamic_instructions(), 4 * (32 * 10 + 32 * 20));
-        assert_eq!(k.name(), "gemm");
+        assert_eq!(k.roles().iter().map(|r| r.warps).sum::<u32>(), 64);
+        let per_block: u64 = k
+            .roles()
+            .iter()
+            .map(|r| u64::from(r.warps) * r.program.dynamic_instruction_count())
+            .sum();
+        assert_eq!(per_block, 32 * 10 + 32 * 20);
         assert_eq!(k.roles().len(), 2);
     }
 }

@@ -49,7 +49,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IsaError {
-    /// A kernel was configured with zero blocks or warps.
+    /// A kernel was configured with no warp roles or a zero-warp role.
     EmptyLaunch {
         /// Which launch parameter was zero.
         what: &'static str,

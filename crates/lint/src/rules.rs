@@ -147,12 +147,6 @@ pub static RULES: &[Rule] = &[
     },
 ];
 
-/// Looks a rule up by id.
-#[must_use]
-pub fn rule(id: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| r.id == id)
-}
-
 fn check_wallclock(toks: &[Tok]) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -471,7 +465,8 @@ mod tests {
     use crate::lexer::lex;
 
     fn fire(rule_id: &str, src: &str) -> Vec<RawFinding> {
-        (rule(rule_id).expect("rule exists").check)(&lex(src).toks)
+        let rule = RULES.iter().find(|r| r.id == rule_id).expect("rule exists");
+        (rule.check)(&lex(src).toks)
     }
 
     #[test]

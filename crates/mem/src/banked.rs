@@ -88,12 +88,6 @@ impl BankedMemory {
         }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub const fn config(&self) -> BankedConfig {
-        self.config
-    }
-
     /// Presents one warp-wide access (any number of lane addresses) and
     /// returns its serialisation cost. Statistics accumulate.
     pub fn access(&mut self, lane_addresses: &[u64]) -> BankAccess {
@@ -149,12 +143,6 @@ impl BankedMemory {
     #[must_use]
     pub const fn accesses(&self) -> u64 {
         self.total_accesses
-    }
-
-    /// Total serialised cycles consumed.
-    #[must_use]
-    pub const fn cycles(&self) -> u64 {
-        self.total_cycles
     }
 
     /// Cycles lost to conflicts (total - one per access).
@@ -245,7 +233,7 @@ mod tests {
         m.access(&conflict);
         m.access(&conflict);
         assert_eq!(m.accesses(), 2);
-        assert_eq!(m.cycles(), 64);
+        assert_eq!(m.total_cycles, 64);
         assert_eq!(m.conflict_cycles(), 62);
         assert!((m.serialisation_factor() - 32.0).abs() < 1e-12);
     }

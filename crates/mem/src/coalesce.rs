@@ -17,24 +17,10 @@ pub struct CoalesceResult {
     pub useful_bytes: u32,
 }
 
-impl CoalesceResult {
-    /// Fraction of fetched sector bytes that lanes actually requested.
-    #[must_use]
-    pub fn efficiency(&self) -> f64 {
-        if self.sectors == 0 {
-            1.0
-        } else {
-            f64::from(self.useful_bytes) / f64::from(self.sectors * 32)
-        }
-    }
-}
-
 /// The warp coalescer.
 #[derive(Debug, Clone, Default)]
 pub struct Coalescer {
     accesses: u64,
-    sectors: u64,
-    useful_bytes: u64,
 }
 
 impl Coalescer {
@@ -46,11 +32,8 @@ impl Coalescer {
 
     /// Coalesces one warp access of `width` bytes per lane and records it.
     pub fn access(&mut self, lane_addresses: &[u64], width: u32) -> CoalesceResult {
-        let r = Self::probe(lane_addresses, width);
         self.accesses += 1;
-        self.sectors += u64::from(r.sectors);
-        self.useful_bytes += u64::from(r.useful_bytes);
-        r
+        Self::probe(lane_addresses, width)
     }
 
     /// Coalesces without recording.
@@ -95,22 +78,6 @@ impl Coalescer {
             useful_bytes: useful as u32,
         }
     }
-
-    /// Number of warp accesses coalesced.
-    #[must_use]
-    pub const fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Aggregate fetch efficiency.
-    #[must_use]
-    pub fn efficiency(&self) -> f64 {
-        if self.sectors == 0 {
-            1.0
-        } else {
-            self.useful_bytes as f64 / (self.sectors * 32) as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +91,7 @@ mod tests {
         assert_eq!(r.sectors, 4);
         assert_eq!(r.lines, 1);
         assert_eq!(r.useful_bytes, 128);
-        assert!((r.efficiency() - 1.0).abs() < 1e-12);
+        assert_eq!(r.useful_bytes, r.sectors * 32);
     }
 
     #[test]
@@ -133,7 +100,8 @@ mod tests {
         let r = Coalescer::probe(&addrs, 4);
         assert_eq!(r.sectors, 32);
         assert_eq!(r.lines, 32);
-        assert!((r.efficiency() - 128.0 / 1024.0).abs() < 1e-12);
+        // 128 useful bytes of 1,024 fetched.
+        assert_eq!((r.useful_bytes, r.sectors * 32), (128, 1024));
     }
 
     #[test]
@@ -141,7 +109,7 @@ mod tests {
         let addrs: Vec<u64> = (0..32).map(|i| i * 8).collect();
         let r = Coalescer::probe(&addrs, 4);
         assert_eq!(r.sectors, 8);
-        assert!((r.efficiency() - 0.5).abs() < 1e-12);
+        assert_eq!(2 * r.useful_bytes, r.sectors * 32);
     }
 
     #[test]
@@ -165,7 +133,7 @@ mod tests {
         let addrs: Vec<u64> = (0..32).map(|i| i * 4).collect();
         c.access(&addrs, 4);
         c.access(&addrs, 4);
-        assert_eq!(c.accesses(), 2);
+        assert_eq!(c.accesses, 2);
     }
 
     #[test]
@@ -174,13 +142,13 @@ mod tests {
         // not 128, and efficiency stays physical.
         let r = Coalescer::probe(&vec![64u64; 32], 4);
         assert_eq!(r.useful_bytes, 4);
-        assert!(r.efficiency() <= 1.0);
+        assert!(r.useful_bytes <= r.sectors * 32);
         // Stride 2 under a 4-byte width: consecutive lanes overlap by
         // two bytes; the union is 31 * 2 + 4 bytes.
         let addrs: Vec<u64> = (0..32).map(|i| i * 2).collect();
         let r = Coalescer::probe(&addrs, 4);
         assert_eq!(r.useful_bytes, 31 * 2 + 4);
-        assert!(r.efficiency() <= 1.0);
+        assert!(r.useful_bytes <= r.sectors * 32);
     }
 
     #[test]

@@ -46,7 +46,6 @@ impl DramConfig {
 /// let mut d = Dram::new(DramConfig::volta_hbm2());
 /// let cycles = d.stream(1 << 20); // 1 MiB transfer
 /// assert!(cycles > 1_000);
-/// assert_eq!(d.bytes_moved(), 1 << 20);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dram {
@@ -59,12 +58,6 @@ impl Dram {
     #[must_use]
     pub const fn new(config: DramConfig) -> Self {
         Dram { config, bytes: 0 }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub const fn config(&self) -> DramConfig {
-        self.config
     }
 
     /// Streams `bytes` and returns the cycles the transfer occupies:
@@ -84,12 +77,6 @@ impl Dram {
         let stream = crate::ceil_u64(bytes as f64 / self.config.effective_bytes_per_cycle());
         self.config.latency + stream
     }
-
-    /// Total bytes moved.
-    #[must_use]
-    pub const fn bytes_moved(&self) -> u64 {
-        self.bytes
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +87,7 @@ mod tests {
     fn zero_bytes_is_free() {
         let mut d = Dram::new(DramConfig::volta_hbm2());
         assert_eq!(d.stream(0), 0);
-        assert_eq!(d.bytes_moved(), 0);
+        assert_eq!(d.bytes, 0);
     }
 
     #[test]
@@ -126,6 +113,6 @@ mod tests {
         let mut d = Dram::new(DramConfig::volta_hbm2());
         d.stream(1000);
         d.stream(2000);
-        assert_eq!(d.bytes_moved(), 3000);
+        assert_eq!(d.bytes, 3000);
     }
 }

@@ -85,12 +85,6 @@ impl RegisterFile {
         }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub const fn config(&self) -> RegFileConfig {
-        self.config
-    }
-
     fn cost(&self, kind: RfAccessKind) -> u32 {
         match kind {
             RfAccessKind::Vector => 1,
@@ -119,18 +113,6 @@ impl RegisterFile {
         self.reads
     }
 
-    /// Number of write transactions.
-    #[must_use]
-    pub const fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total bytes moved out of the RF.
-    #[must_use]
-    pub const fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
     /// Clears statistics.
     pub fn reset_stats(&mut self) {
         *self = RegisterFile::new(self.config);
@@ -141,7 +123,7 @@ impl RegisterFile {
 /// operand collector as a local buffer for storing the stationary weights
 /// of each PE").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollectorMode {
+pub(crate) enum CollectorMode {
     /// Conventional SIMD operand staging.
     #[default]
     Simd,
@@ -168,19 +150,6 @@ impl OperandCollector {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current mode.
-    #[must_use]
-    pub const fn mode(&self) -> CollectorMode {
-        self.mode
-    }
-
-    /// Number of mode switches performed (each costs one cycle in the
-    /// timing model — the "lightweight reconfiguration" of the abstract).
-    #[must_use]
-    pub const fn mode_switches(&self) -> u64 {
-        self.switches
     }
 
     /// Switches to weight-buffer mode, latching a column of weights.
@@ -230,7 +199,7 @@ mod tests {
         let mut rf = RegisterFile::new(RegFileConfig::volta());
         assert_eq!(rf.read(0, RfAccessKind::Vector), 1);
         assert_eq!(rf.write(1, RfAccessKind::Vector), 1);
-        assert_eq!(rf.bytes_read(), 128);
+        assert_eq!(rf.bytes_read, 128);
     }
 
     #[test]
@@ -252,20 +221,20 @@ mod tests {
         rf.read(0, RfAccessKind::Vector);
         rf.reset_stats();
         assert_eq!(rf.reads(), 0);
-        assert_eq!(rf.bytes_read(), 0);
+        assert_eq!(rf.bytes_read, 0);
     }
 
     #[test]
     fn collector_mode_switching() {
         let mut oc = OperandCollector::new();
-        assert_eq!(oc.mode(), CollectorMode::Simd);
+        assert_eq!(oc.mode, CollectorMode::Simd);
         oc.load_weights([1.0; 8]);
-        assert_eq!(oc.mode(), CollectorMode::WeightBuffer);
+        assert_eq!(oc.mode, CollectorMode::WeightBuffer);
         assert_eq!(oc.weight(3), 1.0);
         oc.load_weights([2.0; 8]); // refresh without leaving the mode
-        assert_eq!(oc.mode_switches(), 1);
+        assert_eq!(oc.switches, 1);
         oc.release();
-        assert_eq!(oc.mode_switches(), 2);
+        assert_eq!(oc.switches, 2);
     }
 
     #[test]

@@ -59,12 +59,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Creates an empty ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Total MACs across all execution-unit kinds.
     #[must_use]
     pub const fn total_macs(&self) -> u64 {
@@ -153,12 +147,16 @@ mod tests {
 
     #[test]
     fn add_and_sum() {
-        let mut a = MemStats::new();
-        a.shared_reads = 3;
-        a.systolic_macs = 100;
-        let mut b = MemStats::new();
-        b.shared_reads = 4;
-        b.tc_macs = 7;
+        let a = MemStats {
+            shared_reads: 3,
+            systolic_macs: 100,
+            ..MemStats::default()
+        };
+        let b = MemStats {
+            shared_reads: 4,
+            tc_macs: 7,
+            ..MemStats::default()
+        };
         let s: MemStats = [a, b].into_iter().sum();
         assert_eq!(s.shared_reads, 7);
         assert_eq!(s.total_macs(), 107);
@@ -167,10 +165,12 @@ mod tests {
 
     #[test]
     fn scaled_multiplies_everything() {
-        let mut a = MemStats::new();
-        a.rf_reads = 2;
-        a.dram_bytes = 10;
-        a.instructions = 5;
+        let a = MemStats {
+            rf_reads: 2,
+            dram_bytes: 10,
+            instructions: 5,
+            ..MemStats::default()
+        };
         let s = a.scaled(3);
         assert_eq!(s.rf_reads, 6);
         assert_eq!(s.dram_bytes, 30);

@@ -106,7 +106,7 @@ pub fn roi_align(feature: &Matrix<f32>, roi: (f32, f32, f32, f32), pooled: usize
 /// Bilinear sample of a feature map at continuous coordinates, with
 /// zero padding outside.
 #[must_use]
-pub fn bilinear(feature: &Matrix<f32>, y: f32, x: f32) -> f32 {
+pub(crate) fn bilinear(feature: &Matrix<f32>, y: f32, x: f32) -> f32 {
     let y0 = y.floor();
     let x0 = x.floor();
     let dy = y - y0;

@@ -96,12 +96,6 @@ impl DrivingPipeline {
         })
     }
 
-    /// The platform.
-    #[must_use]
-    pub const fn platform(&self) -> Platform {
-        self.platform
-    }
-
     /// The per-algorithm latencies.
     #[must_use]
     pub const fn schedule(&self) -> FrameSchedule {

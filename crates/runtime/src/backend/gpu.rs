@@ -103,7 +103,7 @@ pub fn gpu_irregular_estimate(gpu: &GpuConfig, work: &IrregularWork) -> Irregula
 
 /// The matrix engine of a [`GpuBackend`]: the one thing the GPU-family
 /// backends differ in.
-pub trait GemmModel: std::fmt::Debug + Send + Sync {
+pub(crate) trait GemmModel: std::fmt::Debug + Send + Sync {
     /// Short label used in experiment tables (paper nomenclature).
     fn name(&self) -> &'static str;
 

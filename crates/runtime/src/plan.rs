@@ -155,18 +155,6 @@ impl NetworkPlan {
         )
     }
 
-    /// The platform key the plan was compiled for.
-    #[must_use]
-    pub const fn platform(&self) -> Platform {
-        self.platform
-    }
-
-    /// The network name the plan was compiled from.
-    #[must_use]
-    pub fn network(&self) -> &str {
-        &self.network
-    }
-
     /// The frozen steps, in execution order.
     #[must_use]
     pub fn steps(&self) -> &[PlannedStep] {
@@ -330,18 +318,6 @@ impl PlanFamily {
         }
     }
 
-    /// The platform key the family was compiled for.
-    #[must_use]
-    pub const fn platform(&self) -> Platform {
-        self.platform
-    }
-
-    /// The network name the family was compiled from.
-    #[must_use]
-    pub fn network(&self) -> &str {
-        &self.network
-    }
-
     /// The frozen template steps, in execution order.
     #[must_use]
     pub fn template(&self) -> &[TemplateStep] {
@@ -467,14 +443,6 @@ impl PlanArena {
         PlanArena::default()
     }
 
-    /// An empty arena with room for `steps` frozen steps.
-    #[must_use]
-    pub fn with_capacity(steps: usize) -> Self {
-        PlanArena {
-            steps: Vec::with_capacity(steps),
-        }
-    }
-
     /// The frozen steps of one plan in the arena.
     ///
     /// # Panics
@@ -514,14 +482,6 @@ impl PlanArena {
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
-
-    /// Resident bytes of the shared step region (capacity, not just
-    /// occupancy — this is what the allocator actually holds).
-    #[must_use]
-    pub fn mem_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>() + self.steps.capacity() * std::mem::size_of::<PlannedStep>())
-            as u64
-    }
 }
 
 /// Replay handle for one plan stored in a [`PlanArena`]: platform
@@ -536,32 +496,6 @@ pub struct ArenaPlan {
     profiled_layers: usize,
 }
 
-impl ArenaPlan {
-    /// The platform key the plan was compiled for.
-    #[must_use]
-    pub const fn platform(&self) -> Platform {
-        self.platform
-    }
-
-    /// The network name the plan was compiled from.
-    #[must_use]
-    pub fn network(&self) -> &str {
-        &self.network
-    }
-
-    /// Number of frozen steps in the arena region.
-    #[must_use]
-    pub const fn step_count(&self) -> usize {
-        self.len
-    }
-
-    /// Number of profiled layers a replay will record.
-    #[must_use]
-    pub const fn layer_count(&self) -> usize {
-        self.profiled_layers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,8 +507,8 @@ mod tests {
         let exec = Executor::builder(Platform::Sma2).batch(16).build();
         let net = zoo::alexnet();
         let plan = exec.try_plan(&net).unwrap();
-        assert_eq!(plan.platform(), Platform::Sma2);
-        assert_eq!(plan.network(), "AlexNet");
+        assert_eq!(plan.platform, Platform::Sma2);
+        assert_eq!(&*plan.network, "AlexNet");
         assert_eq!(plan.layer_count(), net.layers().len());
         assert_eq!(plan.layer_count(), plan.run().layers.len());
         assert!(plan.run().total_ms > 0.0);
@@ -703,10 +637,10 @@ mod tests {
             pairs.iter().map(|(p, _)| p.steps().len()).sum::<usize>()
         );
         for (plan, handle) in &pairs {
-            assert_eq!(handle.platform(), plan.platform());
-            assert_eq!(handle.network(), plan.network());
-            assert_eq!(handle.step_count(), plan.steps().len());
-            assert_eq!(handle.layer_count(), plan.layer_count());
+            assert_eq!(handle.platform, plan.platform);
+            assert_eq!(handle.network, plan.network);
+            assert_eq!(handle.len, plan.steps().len());
+            assert_eq!(handle.profiled_layers, plan.layer_count());
             assert_eq!(arena.steps(handle), plan.steps());
             assert_profiles_bitwise(&arena.replay(handle), &plan.run());
         }
@@ -716,14 +650,13 @@ mod tests {
     fn family_plans_directly_into_arena() {
         let net = zoo::googlenet();
         let family = Executor::kernel_study(Platform::Sma3).plan_family(&net);
-        let mut arena = PlanArena::with_capacity(net.layers().len() * 4);
+        let mut arena = PlanArena::new();
         for batch in [1usize, 4, 16, 64] {
             let handle = family.try_plan_into(batch, &mut arena).unwrap();
             let heap = family.try_plan(batch).unwrap();
             assert_eq!(arena.steps(&handle), heap.steps());
             assert_profiles_bitwise(&arena.replay(&handle), &heap.run());
         }
-        assert!(arena.mem_bytes() > 0);
         assert!(!arena.is_empty());
     }
 

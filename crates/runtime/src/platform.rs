@@ -38,8 +38,9 @@ pub enum Platform {
 impl Platform {
     /// Every evaluated platform, in golden-file/report order — the
     /// single source of truth the sweep grids and the parity fixtures
-    /// both iterate. The paper's original five keep their positions;
-    /// the reconfigurable-systolic additions append after them.
+    /// both iterate. The paper's original five keep their positions,
+    /// the four GPU-family platforms first in Fig. 8 order; the
+    /// reconfigurable-systolic additions append after them.
     pub const ALL: [Platform; 7] = [
         Platform::GpuSimd,
         Platform::GpuTensorCore,
@@ -62,17 +63,6 @@ impl Platform {
             Platform::ArrayFlex => "ArrayFlex",
             Platform::FlexSa => "FlexSA",
         }
-    }
-
-    /// All GPU-family platforms in Fig. 8 order.
-    #[must_use]
-    pub const fn gpu_family() -> [Platform; 4] {
-        [
-            Platform::GpuSimd,
-            Platform::GpuTensorCore,
-            Platform::Sma2,
-            Platform::Sma3,
-        ]
     }
 
     /// The shared [`Backend`] instance for this key.
@@ -131,7 +121,6 @@ mod tests {
     #[test]
     fn labels_and_family() {
         assert_eq!(Platform::Sma3.label(), "3-SMA");
-        assert_eq!(Platform::gpu_family().len(), 4);
         assert_eq!(Platform::GpuSimd.to_string(), "SIMD");
     }
 

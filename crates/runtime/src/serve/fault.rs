@@ -148,12 +148,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Number of scheduled faults.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// The schedule, sorted by `(at_ms, shard)`.
     #[must_use]
     pub(crate) fn events(&self) -> &[FaultEvent] {
@@ -558,7 +552,7 @@ mod tests {
                     window_ms: 20.0,
                 },
             });
-        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.events().len(), 2);
         assert_eq!(plan.events()[0].at_ms, 10.0);
         assert_eq!(plan.events()[1].at_ms, 50.0);
     }

@@ -92,24 +92,17 @@ pub struct LiveConfig {
     pub transport: TransportModel,
     /// Open- or closed-loop drive.
     pub mode: LiveMode,
-    /// Admission stamps are floored to a multiple of this quantum (in
-    /// simulated ms; `0.0` = full resolution). A coarse quantum makes
-    /// simultaneous admissions — identical recorded stamps — routine
-    /// rather than astronomically unlikely, which is exactly what the
-    /// oracle's tie-break contract is tested against.
-    pub stamp_quantum_ms: f64,
 }
 
 impl LiveConfig {
-    /// A config with the given time scale, no transport, open-loop
-    /// drive and full stamp resolution.
+    /// A config with the given time scale, no transport and open-loop
+    /// drive.
     #[must_use]
     pub fn new(time_scale: f64) -> Self {
         LiveConfig {
             time_scale,
             transport: TransportModel::none(),
             mode: LiveMode::OpenLoop,
-            stamp_quantum_ms: 0.0,
         }
     }
 
@@ -124,13 +117,6 @@ impl LiveConfig {
     #[must_use]
     pub fn with_mode(mut self, mode: LiveMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// This config with a stamp quantum.
-    #[must_use]
-    pub fn with_stamp_quantum(mut self, quantum_ms: f64) -> Self {
-        self.stamp_quantum_ms = quantum_ms;
         self
     }
 }
@@ -217,11 +203,11 @@ impl<'t> LiveServer<'t> {
     ///
     /// Panics if the trace is unsorted or names an unknown network, if
     /// the live config is invalid (`time_scale` must be positive and
-    /// finite, the transport and stamp quantum well-formed, a closed
-    /// loop's window non-zero), or if the engine config asks for
-    /// features the live twin does not implement: hedging, shedding,
-    /// preemption, autoscaling, or fault kinds other than
-    /// [`FaultKind::Degrade`] / [`FaultKind::StallCompile`].
+    /// finite, the transport well-formed, a closed loop's window
+    /// non-zero), or if the engine config asks for features the live
+    /// twin does not implement: hedging, shedding, preemption,
+    /// autoscaling, or fault kinds other than [`FaultKind::Degrade`] /
+    /// [`FaultKind::StallCompile`].
     #[must_use]
     pub fn new(
         cluster: Arc<ServeCluster>,
@@ -237,10 +223,6 @@ impl<'t> LiveServer<'t> {
             live.time_scale
         );
         assert!(live.transport.is_valid(), "invalid transport model");
-        assert!(
-            live.stamp_quantum_ms >= 0.0 && live.stamp_quantum_ms.is_finite(),
-            "stamp quantum must be non-negative and finite"
-        );
         if let LiveMode::ClosedLoop { window } = live.mode {
             assert!(window > 0, "closed-loop window must be non-zero");
         }
@@ -272,12 +254,6 @@ impl<'t> LiveServer<'t> {
             engine: engine.with_records(),
             live,
         }
-    }
-
-    /// The compiled cluster this server runs over.
-    #[must_use]
-    pub fn cluster(&self) -> &Arc<ServeCluster> {
-        &self.cluster
     }
 
     /// Runs the live twin: spawns one worker thread per shard, drives
@@ -444,15 +420,8 @@ impl<'t> LiveServer<'t> {
                 }
             }
 
-            // Realized admission stamp: monotone by construction
-            // (quantization floors, and flooring preserves order).
-            let raw_ms = anchor.elapsed().as_secs_f64() * 1000.0 / scale;
-            let mut stamp = if self.live.stamp_quantum_ms > 0.0 {
-                (raw_ms / self.live.stamp_quantum_ms).floor() * self.live.stamp_quantum_ms
-            } else {
-                raw_ms
-            };
-            stamp = stamp.max(last_stamp);
+            // Realized admission stamp, clamped monotone.
+            let stamp = (anchor.elapsed().as_secs_f64() * 1000.0 / scale).max(last_stamp);
             last_stamp = stamp;
             let realized = Request {
                 id: planned.id,

@@ -86,8 +86,6 @@ pub struct Request {
     pub class: u8,
 }
 
-impl Request {}
-
 /// Deterministic rate modulation layered over the open-loop generator.
 ///
 /// A shape rescales the *mean gap* as a pure function of the simulated

@@ -147,18 +147,6 @@ impl ServedRequest {
     pub fn latency_ms(&self) -> f64 {
         self.completion_ms - self.arrival_ms
     }
-
-    /// Time spent queued before the batch launched.
-    #[must_use]
-    pub fn wait_ms(&self) -> f64 {
-        self.start_ms - self.arrival_ms
-    }
-
-    /// Whether the request finished within its SLO deadline.
-    #[must_use]
-    pub fn met_deadline(&self) -> bool {
-        self.completion_ms <= self.deadline_ms
-    }
 }
 
 /// One executed batch: which plan replayed, when, and for how long.
@@ -487,12 +475,6 @@ impl<'t> ServeSim<'t> {
         }
     }
 
-    /// The compiled cluster this simulation runs over.
-    #[must_use]
-    pub fn cluster(&self) -> &Arc<ServeCluster> {
-        &self.cluster
-    }
-
     /// Runs the discrete-event engine over the trace, surfacing
     /// backend rejections as values.
     ///
@@ -725,7 +707,7 @@ mod tests {
             EngineConfig::default().with_records(),
         );
         let run = sim.try_run(&mut PlatformAffinity::default()).unwrap();
-        for net in 0..sim.cluster().networks().len() {
+        for net in 0..sim.cluster.networks().len() {
             let hosts: std::collections::BTreeSet<&str> = run
                 .reports
                 .iter()

@@ -30,7 +30,7 @@
 //! b.loop_n(16, |l| {
 //!     l.push(Instr::ffma(Reg(1), Reg(0), Reg(0), Reg(1)));
 //! });
-//! let kernel = Kernel::new("fma-loop", 1, vec![WarpRole::new("main", 4, b.build())])?;
+//! let kernel = Kernel::new(vec![WarpRole::new("main", 4, b.build())])?;
 //! let mut sim = SmSim::new(GpuConfig::volta(), SchedulerKind::Gto);
 //! let report = sim.run_block(&kernel)?;
 //! assert!(report.cycles > 16);

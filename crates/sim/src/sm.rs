@@ -54,14 +54,6 @@ pub struct StallBreakdown {
     pub drained: u64,
 }
 
-impl StallBreakdown {
-    /// Total stalled warp-cycles.
-    #[must_use]
-    pub const fn total(&self) -> u64 {
-        self.scoreboard + self.structural + self.barrier + self.lsma_wait + self.drained
-    }
-}
-
 /// Result of simulating one thread block on one SM.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -170,12 +162,6 @@ impl SmSim {
             sma_units_share_a: true,
             max_cycles: 50_000_000,
         }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub const fn config(&self) -> &GpuConfig {
-        &self.cfg
     }
 
     /// Simulates one thread block of `kernel` resident alone on one SM and
@@ -606,7 +592,7 @@ mod tests {
     }
 
     fn kernel_of(program: WarpProgram, warps: u32) -> Kernel {
-        Kernel::new("t", 1, vec![WarpRole::new("main", warps, program)]).unwrap()
+        Kernel::new(vec![WarpRole::new("main", warps, program)]).unwrap()
     }
 
     #[test]
@@ -812,14 +798,10 @@ mod tests {
         // finishes, so the barrier opens (alive count drops). To force a
         // real deadlock, make role b wait on a *different* channel.
         bprog.push(Instr::Bar { id: 3 });
-        let k = Kernel::new(
-            "dead",
-            1,
-            vec![
-                WarpRole::new("a", 1, a.build()),
-                WarpRole::new("b", 1, bprog.build()),
-            ],
-        )
+        let k = Kernel::new(vec![
+            WarpRole::new("a", 1, a.build()),
+            WarpRole::new("b", 1, bprog.build()),
+        ])
         .unwrap();
         let mut sim = SmSim::new(cfg(), SchedulerKind::Gto);
         let err = sim.run_block(&k).unwrap_err();
@@ -853,14 +835,10 @@ mod tests {
             });
             b.build()
         };
-        let k = Kernel::new(
-            "pingpong",
-            1,
-            vec![
-                WarpRole::new("set0", 8, build()),
-                WarpRole::new("set1", 8, build()),
-            ],
-        )
+        let k = Kernel::new(vec![
+            WarpRole::new("set0", 8, build()),
+            WarpRole::new("set1", 8, build()),
+        ])
         .unwrap();
         let mut gto = SmSim::new(cfg(), SchedulerKind::Gto);
         let mut rr = SmSim::new(cfg(), SchedulerKind::RoundRobin);

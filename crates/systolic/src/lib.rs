@@ -49,7 +49,7 @@ pub(crate) mod weight_stationary;
 
 pub use output_stationary::OutputStationaryArray;
 pub use semi_broadcast::SemiBroadcastArray;
-pub use timing::{DataflowTiming, PassTiming};
+pub use timing::PassTiming;
 pub use trace::{CDrainKind, PassTrace};
 pub use weight_stationary::WeightStationaryArray;
 

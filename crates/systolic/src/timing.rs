@@ -81,44 +81,6 @@ impl PassTiming {
     }
 }
 
-/// Convenience façade bundling the three dataflows at one array size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataflowTiming {
-    /// Array edge.
-    pub dim: usize,
-    /// Whether weight loads overlap compute.
-    pub overlap_weight_load: bool,
-}
-
-impl DataflowTiming {
-    /// Creates the façade.
-    #[must_use]
-    pub const fn new(dim: usize, overlap_weight_load: bool) -> Self {
-        DataflowTiming {
-            dim,
-            overlap_weight_load,
-        }
-    }
-
-    /// Pass model for one dataflow.
-    #[must_use]
-    pub const fn of(&self, kind: DataflowKind) -> PassTiming {
-        PassTiming::new(kind, self.dim, self.overlap_weight_load)
-    }
-
-    /// Cycle ratio of the classic WS dataflow over the semi-broadcast one
-    /// for a given shape — the quantity plotted in Fig. 7 (right), before
-    /// the substrate's bank-conflict penalty is added.
-    #[must_use]
-    pub fn ws_over_sb(&self, shape: GemmShape) -> f64 {
-        let ws = self.of(DataflowKind::WeightStationary).gemm_cycles(shape);
-        let sb = self
-            .of(DataflowKind::SemiBroadcastWeightStationary)
-            .gemm_cycles(shape);
-        ws as f64 / sb as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,15 +155,19 @@ mod tests {
 
     #[test]
     fn ws_is_consistently_slower_than_sb() {
-        let t = DataflowTiming::new(8, false);
+        let ws_over_sb = |n: usize| {
+            let shape = sma_tensor::GemmShape::square(n);
+            let cycles = |kind| PassTiming::new(kind, 8, false).gemm_cycles(shape) as f64;
+            cycles(DataflowKind::WeightStationary)
+                / cycles(DataflowKind::SemiBroadcastWeightStationary)
+        };
         for size in [64usize, 256, 1024] {
-            let shape = sma_tensor::GemmShape::square(size);
-            let ratio = t.ws_over_sb(shape);
+            let ratio = ws_over_sb(size);
             assert!(ratio > 1.0, "size {size}: ratio {ratio}");
         }
         // The schedule-only gap shrinks with M; the *memory-system* gap
         // (bank conflicts) is what keeps the paper's 20-40% at scale.
-        let big = t.ws_over_sb(sma_tensor::GemmShape::square(4096));
+        let big = ws_over_sb(4096);
         assert!(big < 1.1);
     }
 }

@@ -64,12 +64,6 @@ impl GemmShape {
         let c = self.m as u64 * self.n as u64;
         (a + b + 2 * c) * elem_bytes as u64
     }
-
-    /// Arithmetic intensity in FLOPs per byte at `elem_bytes` per element.
-    #[must_use]
-    pub fn arithmetic_intensity(&self, elem_bytes: usize) -> f64 {
-        self.flops() as f64 / self.min_bytes(elem_bytes) as f64
-    }
 }
 
 impl std::fmt::Display for GemmShape {
@@ -144,12 +138,6 @@ pub struct GemmShapeBatch {
 }
 
 impl GemmShapeBatch {
-    /// An empty batch.
-    #[must_use]
-    pub fn new() -> Self {
-        GemmShapeBatch::default()
-    }
-
     /// An empty batch with room for `shapes` entries per column.
     #[must_use]
     pub(crate) fn with_capacity(shapes: usize) -> Self {
@@ -183,12 +171,6 @@ impl GemmShapeBatch {
         self.ms.len()
     }
 
-    /// Whether the batch holds no shapes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ms.is_empty()
-    }
-
     /// The batch with every `m` stacked by `batch` (clamped to >= 1) —
     /// the im2col batch-stacking rule, applied as one dense column
     /// pass instead of per shape.
@@ -207,13 +189,6 @@ impl GemmShapeBatch {
     #[must_use]
     pub fn total_flops(&self) -> u64 {
         fold8(self.len(), |i| 2 * self.ms[i] * self.ns[i] * self.ks[i])
-    }
-
-    /// Total MAC operations across the batch; exactly `Σ`
-    /// [`GemmShape::macs`].
-    #[must_use]
-    pub fn total_macs(&self) -> u64 {
-        fold8(self.len(), |i| self.ms[i] * self.ns[i] * self.ks[i])
     }
 
     /// Total minimum bytes touched across the batch at `elem_bytes`
@@ -268,7 +243,8 @@ fn check_shapes<T: Scalar>(
 /// use sma_tensor::{gemm, Matrix};
 /// # fn main() -> Result<(), sma_tensor::TensorError> {
 /// let a = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32);
-/// let c = gemm::reference(&a, &Matrix::identity(2))?;
+/// let identity = Matrix::from_fn(2, 2, |r, c| f32::from(u8::from(r == c)));
+/// let c = gemm::reference(&a, &identity)?;
 /// assert_eq!(c, a);
 /// # Ok(())
 /// # }
@@ -409,7 +385,8 @@ mod tests {
     #[test]
     fn identity_is_noop() {
         let (a, _) = small_pair();
-        let c = reference(&a, &Matrix::identity(6)).unwrap();
+        let identity = Matrix::from_fn(6, 6, |r, c| f32::from(u8::from(r == c)));
+        let c = reference(&a, &identity).unwrap();
         assert_eq!(c, a);
     }
 
@@ -445,7 +422,7 @@ mod tests {
     #[test]
     fn gemm_into_alpha_beta() {
         let a = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32 + 1.0);
-        let b = Matrix::identity(2);
+        let b = Matrix::from_fn(2, 2, |r, c| f32::from(u8::from(r == c)));
         let mut c = Matrix::from_fn(2, 2, |_, _| 10.0f32);
         gemm_into(2.0, &a, &b, 0.5, &mut c).unwrap();
         // C = 2*A + 0.5*10
@@ -486,15 +463,10 @@ mod tests {
             let shapes = odd_shapes(count);
             let batch = GemmShapeBatch::from_shapes(&shapes);
             assert_eq!(batch.len(), count);
-            assert_eq!(batch.is_empty(), count == 0);
             assert_eq!(
                 batch.total_flops(),
                 shapes.iter().map(GemmShape::flops).sum::<u64>(),
                 "count {count}"
-            );
-            assert_eq!(
-                batch.total_macs(),
-                shapes.iter().map(GemmShape::macs).sum::<u64>()
             );
             for eb in [2usize, 4] {
                 assert_eq!(
@@ -526,7 +498,7 @@ mod tests {
         let flops: u64 = shapes.iter().map(GemmShape::flops).sum();
         let bytes: u64 = shapes.iter().map(|s| s.min_bytes(2)).sum();
         assert_eq!(batch.arithmetic_intensity(2), flops as f64 / bytes as f64);
-        assert_eq!(GemmShapeBatch::new().arithmetic_intensity(2), 0.0);
+        assert_eq!(GemmShapeBatch::default().arithmetic_intensity(2), 0.0);
         let mut grown = GemmShapeBatch::with_capacity(4);
         grown.push(GemmShape::square(8));
         assert_eq!(grown.total_flops(), GemmShape::square(8).flops());
@@ -538,7 +510,6 @@ mod tests {
         assert_eq!(s.m, 256);
         assert_eq!(s.flops(), 2 * 256u64.pow(3));
         assert_eq!(s.macs(), 256u64.pow(3));
-        assert!(s.arithmetic_intensity(4) > 1.0);
         assert_eq!(s.to_string(), "256x256x256");
     }
 }

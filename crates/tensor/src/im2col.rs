@@ -167,15 +167,6 @@ impl Conv2dParams {
             self.in_channels * self.kernel_h * self.kernel_w,
         ))
     }
-
-    /// MAC count of the convolution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the shape errors of [`Conv2dParams::output_shape`].
-    pub fn macs(&self, input: TensorShape) -> Result<u64, TensorError> {
-        Ok(self.gemm_shape(input)?.macs())
-    }
 }
 
 /// Expands a CHW input (given as a `c × (h*w)` matrix) into the im2col

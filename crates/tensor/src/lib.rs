@@ -21,7 +21,7 @@
 //!
 //! # fn main() -> Result<(), sma_tensor::TensorError> {
 //! let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-//! let b = Matrix::identity(3);
+//! let b = Matrix::from_fn(3, 3, |r, c| f32::from(u8::from(r == c)));
 //! let c = gemm::reference(&a, &b)?;
 //! assert_eq!(c, a);
 //! # Ok(())

@@ -48,16 +48,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Creates the `n`×`n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::ONE;
-        }
-        m
-    }
-
     /// Builds a matrix by evaluating `f(row, col)` for every element.
     #[must_use]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
@@ -216,15 +206,6 @@ impl<T: Scalar> Matrix<T> {
             T::from_f64(v)
         })
     }
-
-    /// Iterates over `(row, col, value)` triples in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
-        let cols = self.cols;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (i / cols, i % cols, v))
-    }
 }
 
 impl<T: Scalar> Index<(usize, usize)> for Matrix<T> {
@@ -289,7 +270,7 @@ mod tests {
         assert_eq!(z.shape(), (3, 4));
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
 
-        let i: Matrix<f32> = Matrix::identity(3);
+        let i: Matrix<f32> = Matrix::from_fn(3, 3, |r, c| f32::from(u8::from(r == c)));
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
         assert_eq!(i[(2, 2)], 1.0);

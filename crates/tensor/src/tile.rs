@@ -23,7 +23,7 @@ use crate::gemm::GemmShape;
 /// let walk = cfg.walk(GemmShape::new(256, 256, 64));
 /// assert_eq!(walk.grid(), (2, 2));      // 256/128 in each dimension
 /// assert_eq!(walk.k_tiles(), 8);        // 64/8
-/// assert_eq!(walk.subtiles_per_btile(), 16); // 128/8
+/// assert_eq!(cfg.block_n / cfg.array_dim, 16); // Bsubtiles per Btile
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileConfig {
@@ -53,12 +53,6 @@ impl TileConfig {
             warps_per_block: 64,
             buffer_sets: 2,
         }
-    }
-
-    /// Threads per block (32 threads per warp).
-    #[must_use]
-    pub const fn threads_per_block(&self) -> usize {
-        self.warps_per_block * 32
     }
 
     /// Bytes of shared memory needed for one double-buffered pair of
@@ -98,18 +92,6 @@ pub struct TileWalk {
 }
 
 impl TileWalk {
-    /// The tiling configuration this walk was built from.
-    #[must_use]
-    pub const fn config(&self) -> TileConfig {
-        self.cfg
-    }
-
-    /// The GEMM shape this walk covers.
-    #[must_use]
-    pub const fn shape(&self) -> GemmShape {
-        self.shape
-    }
-
     /// Thread-block grid dimensions `(grid_m, grid_n)` (ceiling division).
     #[must_use]
     pub const fn grid(&self) -> (usize, usize) {
@@ -132,23 +114,11 @@ impl TileWalk {
         self.shape.k.div_ceil(self.cfg.block_k)
     }
 
-    /// 8×8 `Bsubtile`s per `Btile` (16 in the paper).
-    #[must_use]
-    pub const fn subtiles_per_btile(&self) -> usize {
-        self.cfg.block_n.div_ceil(self.cfg.array_dim)
-    }
-
-    /// Useful MACs in the whole GEMM.
-    #[must_use]
-    pub(crate) const fn useful_macs(&self) -> u64 {
-        self.shape.macs()
-    }
-
     /// MACs issued including padding waste at ragged edges: every tile is
     /// processed at full 128×128×8 occupancy even if the matrix edge only
-    /// fills part of it. The ratio `useful/issued` is the *tile
-    /// quantisation efficiency*, the dominant small-matrix effect in Fig. 1
-    /// and Fig. 7.
+    /// fills part of it. The ratio of useful (`shape.macs()`) to issued
+    /// MACs is the *tile quantisation efficiency*, the dominant
+    /// small-matrix effect in Fig. 1 and Fig. 7.
     #[must_use]
     pub const fn issued_macs(&self) -> u64 {
         let (gm, gn) = self.grid();
@@ -156,12 +126,6 @@ impl TileWalk {
         let padded_n = (gn * self.cfg.block_n) as u64;
         let padded_k = (self.k_tiles() * self.cfg.block_k) as u64;
         padded_m * padded_n * padded_k
-    }
-
-    /// `useful_macs / issued_macs` in `(0, 1]`.
-    #[must_use]
-    pub fn quantisation_efficiency(&self) -> f64 {
-        self.useful_macs() as f64 / self.issued_macs() as f64
     }
 
     /// Iterates over the block tiles in row-major grid order.
@@ -216,14 +180,6 @@ pub struct BlockTile {
     pub cols: usize,
 }
 
-impl BlockTile {
-    /// Fraction of the 128×128 tile holding live output elements.
-    #[must_use]
-    pub fn occupancy(&self, cfg: &TileConfig) -> f64 {
-        (self.rows * self.cols) as f64 / (cfg.block_m * cfg.block_n) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     // Exact float equality in these tests asserts bit-reproducibility
@@ -235,7 +191,8 @@ mod tests {
     #[test]
     fn paper_config_resources() {
         let cfg = TileConfig::paper();
-        assert_eq!(cfg.threads_per_block(), 2048);
+        // 64 warps of 32 threads.
+        assert_eq!(cfg.warps_per_block * 32, 2048);
         // FP32 Csub: 128*128*4 = 64 KiB of the 256 KiB RF.
         assert_eq!(cfg.csub_bytes(4), 65536);
         // Double-buffered tiles: 2 * 4B * 8 * 256 = 16 KiB of shared.
@@ -248,7 +205,7 @@ mod tests {
         assert_eq!(walk.grid(), (4, 2));
         assert_eq!(walk.blocks(), 8);
         assert_eq!(walk.k_tiles(), 16);
-        assert_eq!(walk.quantisation_efficiency(), 1.0);
+        assert_eq!(walk.issued_macs(), GemmShape::new(512, 256, 128).macs());
     }
 
     #[test]
@@ -256,7 +213,7 @@ mod tests {
         let walk = TileConfig::paper().walk(GemmShape::new(130, 128, 8));
         assert_eq!(walk.grid(), (2, 1));
         // 130 useful rows vs 256 padded.
-        let eff = walk.quantisation_efficiency();
+        let eff = GemmShape::new(130, 128, 8).macs() as f64 / walk.issued_macs() as f64;
         assert!((eff - 130.0 / 256.0).abs() < 1e-12);
     }
 
@@ -282,8 +239,9 @@ mod tests {
         let walk = TileConfig::paper().walk(GemmShape::new(192, 128, 8));
         let tiles: Vec<_> = walk.iter().collect();
         assert_eq!(tiles.len(), 2);
-        assert_eq!(tiles[0].occupancy(&TileConfig::paper()), 1.0);
-        assert_eq!(tiles[1].occupancy(&TileConfig::paper()), 0.5);
+        // The edge tile holds 64 of its 128 rows.
+        assert_eq!((tiles[0].rows, tiles[0].cols), (128, 128));
+        assert_eq!((tiles[1].rows, tiles[1].cols), (64, 128));
     }
 
     #[test]

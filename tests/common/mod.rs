@@ -8,7 +8,7 @@
 #![allow(dead_code)]
 
 use sma::models::{zoo, Network};
-use sma::runtime::serve::{LoadGenerator, Request};
+use sma::runtime::serve::{LoadGenerator, Request, ServeRun};
 use sma::runtime::{Executor, NetworkProfile, Platform};
 
 /// The seven evaluated platforms, in golden-file order
@@ -93,4 +93,76 @@ pub fn serve_networks() -> Vec<Network> {
 #[must_use]
 pub fn serve_trace(seed: u64, count: usize, mean_interarrival_ms: f64) -> Vec<Request> {
     LoadGenerator::new(seed, mean_interarrival_ms).trace(count, serve_networks().len())
+}
+
+/// Every simulated quantity of two serve runs, compared bit for bit —
+/// including the control-plane annotations and counters.
+pub fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
+    assert_eq!(a.rejected.len(), b.rejected.len(), "{label} rejected");
+    assert_eq!(a.shed.len(), b.shed.len(), "{label} shed");
+    assert_eq!(a.failed.len(), b.failed.len(), "{label} failed");
+    assert_eq!(a.preempted, b.preempted, "{label} preempted ids");
+    assert_eq!(a.scale, b.scale, "{label} scale stats");
+    assert_eq!(a.reconfig, b.reconfig, "{label} reconfig stats");
+    assert_eq!(a.class_stats, b.class_stats, "{label} class stats");
+    assert_eq!(a.reports.len(), b.reports.len(), "{label} shard count");
+    for (x, y) in a.reports.iter().zip(&b.reports) {
+        let shard = x.shard;
+        assert_eq!(
+            x.busy_ms.to_bits(),
+            y.busy_ms.to_bits(),
+            "{label} s{shard} busy"
+        );
+        assert_eq!(
+            x.makespan_ms.to_bits(),
+            y.makespan_ms.to_bits(),
+            "{label} s{shard} makespan"
+        );
+        assert_eq!(x.cache, y.cache, "{label} s{shard} cache");
+        assert_eq!(x.fault, y.fault, "{label} s{shard} fault stats");
+        assert_eq!(x.tally, y.tally, "{label} s{shard} tally");
+        assert_eq!(
+            x.plans_compiled, y.plans_compiled,
+            "{label} s{shard} compiles"
+        );
+        assert_eq!(x.batches.len(), y.batches.len(), "{label} s{shard} batches");
+        for (p, q) in x.batches.iter().zip(&y.batches) {
+            assert_eq!(p.network, q.network, "{label} s{shard} batch net");
+            assert_eq!(p.size, q.size, "{label} s{shard} batch size");
+            assert_eq!(
+                p.start_ms.to_bits(),
+                q.start_ms.to_bits(),
+                "{label} s{shard} start"
+            );
+            assert_eq!(
+                p.service_ms.to_bits(),
+                q.service_ms.to_bits(),
+                "{label} s{shard} service"
+            );
+            assert_eq!(
+                p.compile_ms.to_bits(),
+                q.compile_ms.to_bits(),
+                "{label} s{shard} compile"
+            );
+        }
+        assert_eq!(
+            x.requests.len(),
+            y.requests.len(),
+            "{label} s{shard} served"
+        );
+        for (p, q) in x.requests.iter().zip(&y.requests) {
+            assert_eq!(p.id, q.id, "{label} s{shard} id order");
+            assert_eq!(p.class, q.class, "{label} s{shard} class");
+            assert_eq!(
+                p.start_ms.to_bits(),
+                q.start_ms.to_bits(),
+                "{label} s{shard} req start"
+            );
+            assert_eq!(
+                p.completion_ms.to_bits(),
+                q.completion_ms.to_bits(),
+                "{label} s{shard} completion"
+            );
+        }
+    }
 }

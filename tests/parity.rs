@@ -89,7 +89,8 @@ fn current_lines() -> Vec<String> {
             }
         }
     }
-    for platform in Platform::gpu_family() {
+    // The GPU family (SIMD, 4-TC, 2-SMA, 3-SMA) leads `Platform::ALL`.
+    for &platform in &Platform::ALL[..4] {
         lines.push(driving_line(platform));
     }
     lines

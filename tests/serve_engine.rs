@@ -218,7 +218,7 @@ fn edf_deadline_miss_accounting_reconciles() {
         .reports
         .iter()
         .flat_map(|r| r.requests.iter())
-        .filter(|r| !r.met_deadline())
+        .filter(|r| r.completion_ms > r.deadline_ms)
         .count() as u64;
     assert_eq!(outcome.deadline_misses, recounted);
     assert!(

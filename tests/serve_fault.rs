@@ -18,15 +18,14 @@ use proptest::prelude::*;
 use sma::runtime::serve::{
     BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst, EngineConfig, FaultEvent, FaultKind,
     FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate, LeastBacklog, LoadGenerator,
-    Placement, Request, RetryPolicy, RoundRobin, ServeCluster, ServeRun, ServeSim, ShedPolicy,
-    SizeK,
+    Placement, Request, RetryPolicy, RoundRobin, ServeCluster, ServeSim, ShedPolicy, SizeK,
 };
 use sma::runtime::{Executor, Platform};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 mod common;
-use common::serve_networks;
+use common::{assert_runs_bit_identical, serve_networks};
 
 const SLO_MS: f64 = 25.0;
 
@@ -37,74 +36,6 @@ fn grid_cluster() -> Arc<ServeCluster> {
         Executor::new(Platform::ArrayFlex),
     ];
     Arc::new(ServeCluster::try_new(shards, serve_networks()).unwrap())
-}
-
-/// Every simulated quantity of two runs, compared bit for bit.
-fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
-    assert_eq!(a.rejected.len(), b.rejected.len(), "{label} rejected");
-    assert_eq!(a.shed.len(), b.shed.len(), "{label} shed");
-    assert_eq!(a.failed.len(), b.failed.len(), "{label} failed");
-    assert_eq!(a.class_stats, b.class_stats, "{label} class stats");
-    assert_eq!(a.reports.len(), b.reports.len(), "{label} shard count");
-    for (x, y) in a.reports.iter().zip(&b.reports) {
-        let shard = x.shard;
-        assert_eq!(
-            x.busy_ms.to_bits(),
-            y.busy_ms.to_bits(),
-            "{label} s{shard} busy"
-        );
-        assert_eq!(
-            x.makespan_ms.to_bits(),
-            y.makespan_ms.to_bits(),
-            "{label} s{shard} makespan"
-        );
-        assert_eq!(x.cache, y.cache, "{label} s{shard} cache");
-        assert_eq!(x.fault, y.fault, "{label} s{shard} fault stats");
-        assert_eq!(x.tally, y.tally, "{label} s{shard} tally");
-        assert_eq!(
-            x.plans_compiled, y.plans_compiled,
-            "{label} s{shard} compiles"
-        );
-        assert_eq!(x.batches.len(), y.batches.len(), "{label} s{shard} batches");
-        for (p, q) in x.batches.iter().zip(&y.batches) {
-            assert_eq!(p.network, q.network, "{label} s{shard} batch net");
-            assert_eq!(p.size, q.size, "{label} s{shard} batch size");
-            assert_eq!(
-                p.start_ms.to_bits(),
-                q.start_ms.to_bits(),
-                "{label} s{shard} start"
-            );
-            assert_eq!(
-                p.service_ms.to_bits(),
-                q.service_ms.to_bits(),
-                "{label} s{shard} service"
-            );
-            assert_eq!(
-                p.compile_ms.to_bits(),
-                q.compile_ms.to_bits(),
-                "{label} s{shard} compile"
-            );
-        }
-        assert_eq!(
-            x.requests.len(),
-            y.requests.len(),
-            "{label} s{shard} served"
-        );
-        for (p, q) in x.requests.iter().zip(&y.requests) {
-            assert_eq!(p.id, q.id, "{label} s{shard} id order");
-            assert_eq!(p.class, q.class, "{label} s{shard} class");
-            assert_eq!(
-                p.start_ms.to_bits(),
-                q.start_ms.to_bits(),
-                "{label} s{shard} req start"
-            );
-            assert_eq!(
-                p.completion_ms.to_bits(),
-                q.completion_ms.to_bits(),
-                "{label} s{shard} completion"
-            );
-        }
-    }
 }
 
 /// The benchmark's 16 fault-free combos, the 4 policy x 2 placement x
@@ -361,6 +292,17 @@ fn one_request_trace(arrival_ms: f64) -> Vec<Request> {
     }]
 }
 
+/// The batch-1 AlexNet service time on the one 3-SMA shard the
+/// single-request sims run.
+fn unit_service_ms() -> f64 {
+    let cluster = ServeCluster::try_new(
+        vec![Executor::new(Platform::Sma3)],
+        vec![sma::models::zoo::alexnet()],
+    )
+    .unwrap();
+    cluster.unit_service_ms()[0][0]
+}
+
 fn one_request_sim(trace: &[Request], plan: FaultPlan, retry: RetryPolicy) -> ServeSim<'_> {
     ServeSim::try_new(
         vec![Executor::new(Platform::Sma3)],
@@ -381,8 +323,7 @@ fn one_request_sim(trace: &[Request], plan: FaultPlan, retry: RetryPolicy) -> Se
 #[test]
 fn crash_aborts_the_batch_and_retry_lands_the_victim() {
     let trace = one_request_trace(0.0);
-    let probe = one_request_sim(&trace, FaultPlan::none(), RetryPolicy::default());
-    let unit_ms = probe.cluster().unit_service_ms()[0][0];
+    let unit_ms = unit_service_ms();
 
     let crash_at = 0.25 * unit_ms;
     let recover_ms = 0.5 * unit_ms;
@@ -427,8 +368,7 @@ fn crash_aborts_the_batch_and_retry_lands_the_victim() {
 #[test]
 fn degrade_window_scales_service_time_by_its_factor() {
     let trace = one_request_trace(1.0);
-    let probe = one_request_sim(&trace, FaultPlan::none(), RetryPolicy::default());
-    let unit_ms = probe.cluster().unit_service_ms()[0][0];
+    let unit_ms = unit_service_ms();
     let degrade = |at_ms: f64, factor: f64, window_ms: f64| FaultEvent {
         shard: 0,
         at_ms,

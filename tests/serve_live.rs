@@ -294,38 +294,41 @@ fn zero_budget_rejects_everything_in_both_worlds() {
 
 #[test]
 fn quantized_simultaneous_stamps_replay_deterministically() {
-    // A coarse stamp quantum makes identical admission stamps routine;
-    // the replay must still agree with the live run, and two replays
-    // of the same realized trace must agree bit for bit — the
-    // engine's (time, class, sequence) tie-break is total.
+    // Arrival stamps floored to a 25 ms grid make identical stamps
+    // routine; two replays of the same tied trace must agree bit for
+    // bit — the engine's (time, class, sequence) tie-break is total.
     let cluster = small_cluster();
     let policy: Arc<dyn BatchPolicy> = Arc::new(Immediate);
-    let trace = trace(61, 80);
-    let engine = EngineConfig::default();
-    let (report, replayed) = assert_live_replay_agree(
-        &cluster,
-        &policy,
-        &trace,
-        engine.clone(),
-        LiveConfig::new(0.02).with_stamp_quantum(25.0),
-        &mut RoundRobin::default(),
-        &mut RoundRobin::default(),
-    );
-    let stamps: Vec<f64> = report.realized_trace.iter().map(|r| r.arrival_ms).collect();
+    let tied: Vec<Request> = trace(61, 80)
+        .into_iter()
+        .map(|r| {
+            let arrival_ms = (r.arrival_ms / 25.0).floor() * 25.0;
+            Request {
+                arrival_ms,
+                deadline_ms: arrival_ms + (r.deadline_ms - r.arrival_ms),
+                ..r
+            }
+        })
+        .collect();
     assert!(
-        stamps.windows(2).any(|w| w[0].to_bits() == w[1].to_bits()),
-        "a 25ms quantum over a 2ms-mean trace must produce ties: {stamps:?}"
+        tied.windows(2)
+            .any(|w| w[0].arrival_ms.to_bits() == w[1].arrival_ms.to_bits()),
+        "a 25ms grid over a 2ms-mean trace must produce ties"
     );
-    let again = replay(
-        &cluster,
-        &policy,
-        &report.realized_trace,
-        &engine,
-        &mut RoundRobin::default(),
-    )
-    .expect("second replay completes");
-    assert_eq!(discrete_outcomes(&replayed), discrete_outcomes(&again));
-    for (a, b) in replayed.reports.iter().zip(&again.reports) {
+    let engine = EngineConfig::default();
+    let run = || {
+        replay(
+            &cluster,
+            &policy,
+            &tied,
+            &engine,
+            &mut RoundRobin::default(),
+        )
+        .expect("replay completes")
+    };
+    let (first, again) = (run(), run());
+    assert_eq!(discrete_outcomes(&first), discrete_outcomes(&again));
+    for (a, b) in first.reports.iter().zip(&again.reports) {
         assert_eq!(a.requests.len(), b.requests.len());
         for (x, y) in a.requests.iter().zip(&b.requests) {
             assert_eq!(x.id, y.id);

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use sma::runtime::serve::{
     BatchPolicy, Deadline, EarliestDeadlineFirst, EngineConfig, Immediate, LeastBacklog,
-    LoadGenerator, Placement, PlatformAffinity, RoundRobin, ServeSim, SizeK,
+    LoadGenerator, Placement, PlatformAffinity, RoundRobin, ServeCluster, ServeSim, SizeK,
 };
 use sma::runtime::{Executor, Platform};
 use std::collections::BTreeSet;
@@ -71,14 +71,13 @@ proptest! {
             .with_slo(SLO_MS)
             .trace(60, networks.len());
         let (policy, wait_bound) = policy_for(policy_sel, k);
-        let sim = ServeSim::try_new(
-            shards,
-            networks,
+        let cluster = Arc::new(ServeCluster::try_new(shards, networks).unwrap());
+        let sim = ServeSim::with_cluster(
+            Arc::clone(&cluster),
             policy,
             &trace,
             EngineConfig::default().with_records(),
-        )
-        .unwrap();
+        );
         let run = sim.try_run(placement_for(placement_sel).as_mut()).unwrap();
         prop_assert!(run.rejected.is_empty(), "unbounded cache rejects nothing");
 
@@ -97,7 +96,7 @@ proptest! {
         for (shard, report) in run.reports.iter().enumerate() {
             let mut busy = 0.0;
             for batch in &report.batches {
-                let unit = sim.cluster().unit_service_ms()[shard][batch.network];
+                let unit = cluster.unit_service_ms()[shard][batch.network];
                 prop_assert!(
                     batch.service_ms >= unit - 1e-9,
                     "shard {shard}: batch of {} cheaper than one inference ({} < {unit})",
@@ -116,9 +115,9 @@ proptest! {
             // network, and the shard's drain can never stretch past
             // last-arrival + bounded-wait + total-busy.
             for request in &report.requests {
-                let unit = sim.cluster().unit_service_ms()[shard][request.network];
+                let unit = cluster.unit_service_ms()[shard][request.network];
                 prop_assert!(request.latency_ms() >= unit - 1e-9);
-                prop_assert!(request.wait_ms() >= -1e-12);
+                prop_assert!(request.start_ms - request.arrival_ms >= -1e-12);
                 prop_assert!(request.completion_ms <= report.makespan_ms + 1e-9);
             }
             prop_assert!(
@@ -179,14 +178,13 @@ proptest! {
 #[test]
 fn serve_batches_are_bit_identical_to_direct_executor_runs() {
     let trace = serve_trace(0x0D0C_5EED, 400, 1.0);
-    let sim = ServeSim::try_new(
-        serve_shards(),
-        serve_networks(),
+    let cluster = Arc::new(ServeCluster::try_new(serve_shards(), serve_networks()).unwrap());
+    let sim = ServeSim::with_cluster(
+        Arc::clone(&cluster),
         Arc::new(Deadline::new(4.0, 16)),
         &trace,
         EngineConfig::default().with_records(),
-    )
-    .unwrap();
+    );
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
 
     let mut seen: BTreeSet<(usize, usize, u64)> = BTreeSet::new();
@@ -197,11 +195,10 @@ fn serve_batches_are_bit_identical_to_direct_executor_runs() {
             if !seen.insert((report.shard, batch.network, batch.size as u64)) {
                 continue;
             }
-            let direct = sim
-                .cluster()
+            let direct = cluster
                 .shard_executor(report.shard)
                 .with_batch(batch.size)
-                .try_run(&sim.cluster().networks()[batch.network])
+                .try_run(&cluster.networks()[batch.network])
                 .unwrap();
             assert_eq!(
                 direct.total_ms.to_bits(),
@@ -209,7 +206,7 @@ fn serve_batches_are_bit_identical_to_direct_executor_runs() {
                 "shard {} ({}): {} at batch {} diverged from the direct run",
                 report.shard,
                 report.platform,
-                sim.cluster().networks()[batch.network].name(),
+                cluster.networks()[batch.network].name(),
                 batch.size
             );
             checked += 1;

@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 mod common;
-use common::serve_networks;
+use common::{assert_runs_bit_identical, serve_networks};
 
 const SLO_MS: f64 = 25.0;
 
@@ -41,57 +41,6 @@ fn control_cluster() -> Arc<ServeCluster> {
         Executor::new(Platform::FlexSa),
     ];
     Arc::new(ServeCluster::try_new(shards, serve_networks()).unwrap())
-}
-
-/// Every simulated quantity of two runs, compared bit for bit —
-/// including the control-plane annotations and counters.
-fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
-    assert_eq!(a.rejected.len(), b.rejected.len(), "{label} rejected");
-    assert_eq!(a.shed.len(), b.shed.len(), "{label} shed");
-    assert_eq!(a.failed.len(), b.failed.len(), "{label} failed");
-    assert_eq!(a.preempted, b.preempted, "{label} preempted ids");
-    assert_eq!(a.scale, b.scale, "{label} scale stats");
-    assert_eq!(a.reconfig, b.reconfig, "{label} reconfig stats");
-    assert_eq!(a.class_stats, b.class_stats, "{label} class stats");
-    assert_eq!(a.reports.len(), b.reports.len(), "{label} shard count");
-    for (x, y) in a.reports.iter().zip(&b.reports) {
-        let shard = x.shard;
-        assert_eq!(
-            x.busy_ms.to_bits(),
-            y.busy_ms.to_bits(),
-            "{label} s{shard} busy"
-        );
-        assert_eq!(x.fault, y.fault, "{label} s{shard} fault stats");
-        assert_eq!(x.tally, y.tally, "{label} s{shard} tally");
-        assert_eq!(x.batches.len(), y.batches.len(), "{label} s{shard} batches");
-        for (p, q) in x.batches.iter().zip(&y.batches) {
-            assert_eq!(p.network, q.network, "{label} s{shard} batch net");
-            assert_eq!(p.size, q.size, "{label} s{shard} batch size");
-            assert_eq!(
-                p.start_ms.to_bits(),
-                q.start_ms.to_bits(),
-                "{label} s{shard} start"
-            );
-            assert_eq!(
-                p.service_ms.to_bits(),
-                q.service_ms.to_bits(),
-                "{label} s{shard} service"
-            );
-        }
-        assert_eq!(
-            x.requests.len(),
-            y.requests.len(),
-            "{label} s{shard} served"
-        );
-        for (p, q) in x.requests.iter().zip(&y.requests) {
-            assert_eq!(p.id, q.id, "{label} s{shard} id order");
-            assert_eq!(
-                p.completion_ms.to_bits(),
-                q.completion_ms.to_bits(),
-                "{label} s{shard} completion"
-            );
-        }
-    }
 }
 
 /// The exact-partition and exact-billing invariants of one run over a
@@ -191,15 +140,8 @@ fn preemption_evicts_the_running_batch_and_bills_the_partial_slice() {
     let shards = || vec![Executor::new(Platform::Sma3)];
     let networks = || vec![sma::models::zoo::alexnet()];
     let policy: Arc<dyn BatchPolicy> = Arc::new(SizeK::new(1));
-    let probe = ServeSim::try_new(
-        shards(),
-        networks(),
-        Arc::clone(&policy),
-        &[],
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let unit_ms = probe.cluster().unit_service_ms()[0][0];
+    let probe = ServeCluster::try_new(shards(), networks()).unwrap();
+    let unit_ms = probe.unit_service_ms()[0][0];
 
     let preempt_at = 0.25 * unit_ms;
     let trace = vec![

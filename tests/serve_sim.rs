@@ -7,7 +7,7 @@
 use sma::runtime::backend::{Backend, SmaBackend};
 use sma::runtime::serve::{EngineConfig, RoundRobin, ServeSim, SizeK};
 use sma::runtime::{Executor, Platform};
-use sma_bench::serve::{default_scenario, run_matrix};
+use sma_bench::serve::{run_matrix, scenario, ScenarioOptions};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -21,8 +21,10 @@ use common::{serve_networks, serve_trace};
 /// immediately.
 #[test]
 fn bench_serve_json_is_byte_identical_across_runs_and_threads() {
-    let first = run_matrix(&default_scenario(800, 42).unwrap(), 1).expect("matrix runs");
-    let second = run_matrix(&default_scenario(800, 42).unwrap(), 4).expect("matrix runs");
+    let first = run_matrix(&scenario(800, 42, ScenarioOptions::default()).unwrap(), 1)
+        .expect("matrix runs");
+    let second = run_matrix(&scenario(800, 42, ScenarioOptions::default()).unwrap(), 4)
+        .expect("matrix runs");
     assert_eq!(
         first.to_json(),
         second.to_json(),
@@ -30,7 +32,8 @@ fn bench_serve_json_is_byte_identical_across_runs_and_threads() {
     );
     // A different seed must actually change the report (the comparison
     // above is not vacuous).
-    let other = run_matrix(&default_scenario(800, 43).unwrap(), 4).expect("matrix runs");
+    let other = run_matrix(&scenario(800, 43, ScenarioOptions::default()).unwrap(), 4)
+        .expect("matrix runs");
     assert_ne!(first.to_json(), other.to_json());
 }
 
@@ -41,7 +44,11 @@ fn bench_serve_json_is_byte_identical_across_runs_and_threads() {
 /// accounting under EDF.
 #[test]
 fn matrix_blocks_pin_the_acceptance_criteria() {
-    let report = run_matrix(&default_scenario(1200, 0xDAC2_0020).unwrap(), 2).expect("matrix runs");
+    let report = run_matrix(
+        &scenario(1200, 0xDAC2_0020, ScenarioOptions::default()).unwrap(),
+        2,
+    )
+    .expect("matrix runs");
     assert_eq!(report.combos.len(), 30);
 
     // Control block: eight fault-free rows exercising the control
