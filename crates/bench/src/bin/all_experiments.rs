@@ -19,10 +19,12 @@
 //!   (`_timing` before the extension).
 
 use sma_bench::sweep::{self, Sweep, SweepReport};
+use sma_models::zoo;
+use sma_runtime::Platform;
 
 fn main() {
-    let execs = sweep::grid_executors(&sweep::all_platforms(), &[1, 16]);
-    let nets = sweep::zoo_networks();
+    let execs = sweep::grid_executors(&Platform::ALL, &[1, 16]);
+    let nets = zoo::evaluation_networks();
     let reps = sweep::default_reps();
     let threads = sweep::default_threads();
 

@@ -89,7 +89,7 @@
 
 use crate::table::write_csv;
 use crate::{fig1, fig3, fig7, fig8, fig9_left, fig9_right, render_table, table1, table2};
-use sma_models::{zoo, Network};
+use sma_models::Network;
 use sma_runtime::{CacheStats, Executor, Platform};
 use std::fmt::Write as _;
 use std::io;
@@ -366,19 +366,6 @@ pub fn grid_executors(platforms: &[Platform], batches: &[usize]) -> Vec<Executor
         .collect()
 }
 
-/// Every zoo network the evaluation touches
-/// ([`zoo::evaluation_networks`]).
-#[must_use]
-pub fn zoo_networks() -> Vec<Network> {
-    zoo::evaluation_networks()
-}
-
-/// All seven evaluation platforms ([`Platform::ALL`]).
-#[must_use]
-pub fn all_platforms() -> [Platform; 7] {
-    Platform::ALL
-}
-
 /// Worker threads to use: `SMA_SWEEP_THREADS` if set, else the
 /// machine's available parallelism.
 #[must_use]
@@ -397,7 +384,7 @@ pub fn default_reps() -> usize {
 /// Per-platform GEMM-cache counters at one instant.
 #[must_use]
 pub fn cache_snapshot() -> Vec<(&'static str, CacheStats)> {
-    all_platforms()
+    Platform::ALL
         .iter()
         .map(|p| {
             let backend = p.backend();
@@ -778,6 +765,7 @@ pub(crate) fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sma_models::zoo;
 
     #[test]
     fn parallel_matches_serial_outputs_in_order() {
@@ -872,8 +860,8 @@ mod tests {
 
     #[test]
     fn grid_covers_every_cell_and_labels_batches() {
-        let execs = grid_executors(&all_platforms(), &[1, 16]);
-        let sweep = Sweep::grid_planned(&execs, &zoo_networks(), 1);
+        let execs = grid_executors(&Platform::ALL, &[1, 16]);
+        let sweep = Sweep::grid_planned(&execs, &zoo::evaluation_networks(), 1);
         assert_eq!(sweep.tasks.len(), 7 * 2 * 7);
         assert!(sweep.tasks.iter().any(|t| t.name == "grid/3-SMA/b16/VGG-A"));
         assert!(sweep

@@ -52,7 +52,6 @@ pub struct SmaUnit {
     /// One repurposed operand collector per PE column (§IV-A).
     collectors: Vec<OperandCollector>,
     mode_switches: u64,
-    total_trace: Option<PassTrace>,
 }
 
 impl SmaUnit {
@@ -65,7 +64,6 @@ impl SmaUnit {
             mode: ExecutionMode::Simd,
             collectors: (0..cfg.dim).map(|_| OperandCollector::new()).collect(),
             mode_switches: 0,
-            total_trace: None,
         }
     }
 
@@ -161,10 +159,6 @@ impl SmaUnit {
         // Accumulate into C (the RF-side adders of Fig. 4/5).
         c.accumulate_block(0, 0, &run.result);
 
-        match &mut self.total_trace {
-            Some(t) => t.merge(&run.trace),
-            None => self.total_trace = Some(run.trace.clone()),
-        }
         Ok(run.trace)
     }
 }
@@ -261,18 +255,5 @@ mod tests {
         let a = Matrix::<f32>::zeros(8, 8);
         let b_bad = Matrix::<f32>::zeros(4, 8);
         assert!(u.execute_lsma(&a, &b_bad, &mut c).is_err());
-    }
-
-    #[test]
-    fn trace_accumulates_across_ops() {
-        let mut u = unit();
-        let a = Matrix::<f32>::random(8, 8, 1);
-        let b = Matrix::<f32>::random(8, 8, 2);
-        let mut c = Matrix::zeros(8, 8);
-        u.execute_lsma(&a, &b, &mut c).unwrap();
-        u.execute_lsma(&a, &b, &mut c).unwrap();
-        let t = u.total_trace.as_ref().unwrap();
-        assert_eq!(t.passes, 2);
-        assert_eq!(t.macs, 2 * 512);
     }
 }

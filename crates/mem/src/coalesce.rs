@@ -18,25 +18,11 @@ pub struct CoalesceResult {
 }
 
 /// The warp coalescer.
-#[derive(Debug, Clone, Default)]
-pub struct Coalescer {
-    accesses: u64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Coalescer;
 
 impl Coalescer {
-    /// Creates a coalescer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Coalesces one warp access of `width` bytes per lane and records it.
-    pub fn access(&mut self, lane_addresses: &[u64], width: u32) -> CoalesceResult {
-        self.accesses += 1;
-        Self::probe(lane_addresses, width)
-    }
-
-    /// Coalesces without recording.
+    /// Coalesces one warp access of `width` bytes per lane.
     #[must_use]
     pub fn probe(lane_addresses: &[u64], width: u32) -> CoalesceResult {
         let mut sectors: Vec<u64> = Vec::with_capacity(lane_addresses.len());
@@ -125,15 +111,6 @@ mod tests {
         // A 4-byte access at byte 30 straddles sectors 0 and 1.
         let r = Coalescer::probe(&[30], 4);
         assert_eq!(r.sectors, 2);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut c = Coalescer::new();
-        let addrs: Vec<u64> = (0..32).map(|i| i * 4).collect();
-        c.access(&addrs, 4);
-        c.access(&addrs, 4);
-        assert_eq!(c.accesses, 2);
     }
 
     #[test]

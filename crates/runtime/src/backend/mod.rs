@@ -77,14 +77,15 @@
 //! — no enum to extend, no match arms to chase.
 //!
 //! The same backend joins the parallel experiment sweep unchanged —
-//! `sma_bench::sweep::Sweep::grid` accepts any executor, custom backend
+//! `sma_bench::sweep::Sweep::grid_planned` accepts any executor, custom backend
 //! or not:
 //!
 //! ```text
 //! let custom = Executor::builder(Platform::Sma2) // key used for labels
 //!     .backend(Arc::new(RedasBackend { /* as above */ }))
 //!     .build();
-//! let run = Sweep::grid(&[custom], &zoo_networks()).run_parallel(threads);
+//! let run = Sweep::grid_planned(&[custom], &zoo::evaluation_networks(), 1)
+//!     .run_parallel(threads);
 //! ```
 //!
 //! (compiled and tested as the `sma_bench::sweep` module doctest; the

@@ -33,6 +33,14 @@
 //! [`NetworkPlan::mem_bytes`](crate::NetworkPlan::mem_bytes); a miss
 //! bills `compile_ms_per_layer × layers` before the batch starts.
 //!
+//! The engine itself is the event core: the queue, the trace cursor,
+//! the shard states, dispatch, the outcome lists and the live view
+//! placements read. Each opt-in feature owns its state and decisions
+//! beside its policy and is one `Option` field here, `None` when off:
+//! recovery and hedging (`serve/fault.rs`, with each shard's fault
+//! windows), preemption (`serve/slo.rs`) and the autoscaler
+//! (`serve/scale.rs`). Reconfiguration lives in the shard core.
+//!
 //! Request ids are trace positions, checked before the first event: the
 //! per-request sets are bitsets indexed by id, and retry and hedge
 //! events carry a trace slot, not a copy of the request. A completion
@@ -46,18 +54,20 @@
 //! default) leaves every byte of the fault-free engine's output
 //! untouched, pinned by `tests/serve_fault.rs`.
 
-use super::fault::{ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, RetryPolicy, ShedPolicy};
+use super::fault::{
+    ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, Hedging, Recovery, RetryPolicy,
+    ShardFaults, ShedPolicy,
+};
 use super::load::Request;
-use super::placement::{self, ClusterView, Placement};
+use super::placement::{LiveView, Placement, ShardGauge};
 use super::policy::BatchPolicy;
-use super::scale::{AutoscalePolicy, EnergyFrontier, ReconfigPolicy, ReconfigStats, ScaleStats};
+use super::scale::{AutoscalePolicy, Autoscaler, ReconfigPolicy, ReconfigStats, ScaleStats};
 use super::shard::{self, NextBatch, ShardCore};
-use super::slo::PreemptPolicy;
+use super::slo::{PreemptPolicy, Preemption};
 use super::{BatchRecord, ServeCluster, ShardReport};
 use crate::backend::RuntimeError;
-use sma_energy::EnergyModel;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Per-shard plan-cache capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,8 +272,8 @@ pub struct ServeRun {
     /// buckets (preempted-then-served = this set ∩ served, pinned by
     /// `tests/serve_scale.rs`).
     pub preempted: Vec<u64>,
-    /// Autoscaler counters (all zero without an enabled
-    /// [`AutoscalePolicy`]).
+    /// Autoscaler counters (zero counts and the whole fleet active
+    /// without an enabled [`AutoscalePolicy`]).
     pub scale: ScaleStats,
     /// Reconfiguration counters (all zero without a
     /// [`ReconfigPolicy`]).
@@ -309,10 +319,9 @@ enum EventKind {
     /// The shard comes back up (stale if a later crash extended the
     /// outage).
     Recover,
-    /// The degrade window of fault event `index` closes.
-    DegradeEnd { index: usize },
-    /// The compile-stall window of fault event `index` closes.
-    StallEnd { index: usize },
+    /// The degrade or compile-stall window of fault event `index`
+    /// closes.
+    WindowEnd { index: usize },
     /// The crash victim at trace position `slot` re-enters admission
     /// after its backoff; the event's shard is the one it crashed on.
     Retry { slot: usize },
@@ -400,16 +409,6 @@ impl Ord for Event {
     }
 }
 
-/// A pending hedge: at `time` the request at trace position `slot`,
-/// admitted to `shard`, gets a twin unless it is already served.
-/// Hedges never enter the heap — see [`Engine::hedges`].
-#[derive(Debug, Clone, Copy)]
-struct HedgeTimer {
-    time: f64,
-    shard: usize,
-    slot: usize,
-}
-
 /// The batch currently executing on a shard. Recording happens at
 /// completion (not dispatch), so a crash can abort the batch without
 /// leaving phantom records behind.
@@ -421,60 +420,6 @@ struct InFlightBatch {
     requests: Vec<Request>,
 }
 
-/// A dense set of request ids: one bit per trace position, in `u64`
-/// words. Request ids are trace positions (checked before a run
-/// starts), so this replaces a tree set at a bit per request. A set
-/// sized for no ids allocates nothing and reads as empty — the engine
-/// sizes a set only when a configured feature uses it.
-#[derive(Debug)]
-struct IdSet {
-    words: Vec<u64>,
-}
-
-impl IdSet {
-    /// An empty set with room for ids `0..len`.
-    fn with_len(len: usize) -> Self {
-        IdSet {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    /// Whether `id` is in the set.
-    #[inline]
-    fn contains(&self, id: u64) -> bool {
-        self.words
-            .get((id / 64) as usize)
-            .is_some_and(|word| word & (1 << (id % 64)) != 0)
-    }
-
-    /// Adds `id` and returns whether it was already in the set.
-    #[inline]
-    fn set(&mut self, id: u64) -> bool {
-        let word = &mut self.words[(id / 64) as usize];
-        let bit = 1 << (id % 64);
-        let was_set = *word & bit != 0;
-        *word |= bit;
-        was_set
-    }
-
-    /// Removes `id`.
-    #[inline]
-    fn clear(&mut self, id: u64) {
-        if let Some(word) = self.words.get_mut((id / 64) as usize) {
-            *word &= !(1 << (id % 64));
-        }
-    }
-
-    /// The ids in the set, ascending.
-    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().zip(0u64..).flat_map(|(&word, index)| {
-            (0..64)
-                .filter(move |bit| word & (1 << bit) != 0)
-                .map(move |bit| index * 64 + bit)
-        })
-    }
-}
-
 /// Live state of one shard inside the event loop: the shared
 /// [`ShardCore`] plus what only the event loop tracks.
 struct ShardState {
@@ -483,21 +428,8 @@ struct ShardState {
     in_flight: Option<InFlightBatch>,
     /// Monotone dispatch counter backing [`InFlightBatch::epoch`].
     epoch: u64,
-    /// Crash state: the instant the shard comes back up (`None` = up).
-    down_until: Option<f64>,
-    /// When the current outage began (meaningful only while down).
-    down_since: f64,
-    /// Open degrade windows as `(fault index, factor)`, in opening
-    /// order. The most recently opened one still open sets the
-    /// service-time multiplier.
-    degrade_windows: Vec<(usize, f64)>,
-    /// Open compile-stall windows as `(fault index, extra ms)`, in
-    /// opening order. The most recently opened one still open sets the
-    /// compile-on-miss surcharge.
-    stall_windows: Vec<(usize, f64)>,
-    /// Transient compile failures are active while `now` is before
-    /// this instant.
-    compile_fail_until: f64,
+    /// Crash outage and open fault windows (empty without faults).
+    faults: ShardFaults,
     /// Earliest batch-close timer currently scheduled (dedup only —
     /// stale timers are harmless, they just re-evaluate).
     pending_timer: f64,
@@ -506,23 +438,12 @@ struct ShardState {
     spare: Vec<Request>,
 }
 
-impl ShardState {
-    /// Size of the in-flight batch (0 when idle).
-    fn in_flight_len(&self) -> usize {
-        self.in_flight.as_ref().map_or(0, |b| b.requests.len())
-    }
-
-    /// Outstanding requests on this shard: queued + in flight — the
-    /// engine-side twin of [`ClusterView::outstanding`], and the one
-    /// definition the backlog gauge and the autoscaler both read.
-    fn outstanding(&self) -> usize {
-        self.core.depth() + self.in_flight_len()
-    }
-}
-
-/// The engine proper: all mutable run state behind one struct so the
-/// event handlers stay readable. The placement is threaded through the
-/// handlers that consult it (it is the caller's mutable state).
+/// The engine proper: the event core (queue, shard states, dispatch,
+/// outcome lists and the live view) plus one field per opt-in feature,
+/// each `None` when its feature is off. Each feature's state and
+/// decisions live beside its policy; the handlers here sequence them.
+/// The placement is threaded through the handlers that consult it (it
+/// is the caller's mutable state).
 struct Engine<'a> {
     cluster: &'a ServeCluster,
     policy: &'a dyn BatchPolicy,
@@ -533,64 +454,23 @@ struct Engine<'a> {
     shards: Vec<ShardState>,
     heap: BinaryHeap<Event>,
     seq: u64,
-    /// Pending hedge timers in firing order. Every hedge fires one
-    /// constant delay after its arrival, and arrivals are sorted, so a
-    /// new timer goes to the back (signed zeros aside, see
-    /// [`Engine::on_arrival`]); equal instants keep creation order,
-    /// which is `seq` order, and class [`CLASS_HEDGE`] holds nothing
-    /// else, so merging this queue with the heap keeps `(time, class,
-    /// seq)`.
-    hedges: VecDeque<HedgeTimer>,
     rejected: Vec<Request>,
     shed: Vec<Request>,
-    failed: Vec<Request>,
+    /// Per-SLO-class recovery counters, one entry per class in the
+    /// trace.
     class_stats: Vec<ClassFaultStats>,
-    /// Ids already served (first completion wins). Sized only when
-    /// [`EngineConfig::track_ids`] holds — the feature-free path never
-    /// consults it.
-    served: IdSet,
-    /// Ids already in `failed` (dedup — hedge twins can fail twice).
-    /// Sized with `served`.
-    failed_ids: IdSet,
-    /// Retries scheduled so far, per request id.
-    attempts: BTreeMap<u64, u32>,
     /// Arrivals still to come, per network.
     global_future: Vec<usize>,
-    /// Number of SLO classes in the trace (max class + 1).
-    num_classes: usize,
-    /// Ids preempted at least once (sized only with preemption on).
-    preempted_ids: IdSet,
-    /// Ids a hedge gave a twin (sized only with hedging on): the only
-    /// ids a completion may have to cancel a queued copy of.
-    hedged: IdSet,
-    /// Autoscaler fleet state: whether each shard is powered.
-    active: Vec<bool>,
-    /// Drain-before-remove: a draining shard stops accepting
-    /// placements but finishes its queue before it parks.
-    draining: Vec<bool>,
-    /// Consecutive over-watermark evaluations (hysteresis).
-    up_streak: u32,
-    /// Consecutive under-watermark evaluations (hysteresis).
-    down_streak: u32,
-    scale_stats: ScaleStats,
-    /// The goodput-per-joule frontier (built only with autoscaling
-    /// enabled — the static path never prices plans).
-    frontier: Option<EnergyFrontier>,
-    /// Cumulative arrivals per network: the observed traffic mix the
-    /// frontier weighs shard costs by.
-    mix_counts: Vec<u64>,
-    /// Scratch for the hedged ids one completion serves: their twins
-    /// are cancelled.
-    served_twins: Vec<u64>,
-    // The live view placements read, one entry per shard, kept current
-    // by `refresh_view` as shard state changes, and the cluster backlog
-    // (the sum of `live_queued` and `live_in_flight`) kept beside it.
-    live_backlog: usize,
-    live_queued: Vec<usize>,
-    live_in_flight: Vec<usize>,
-    live_resident: Vec<u64>,
-    live_healthy: Vec<bool>,
-    live_degrade: Vec<f64>,
+    /// The live view placements read, kept current by
+    /// [`Engine::refresh_view`] as shard state changes.
+    view: LiveView,
+    /// Served and failed ids and retry attempts (only when
+    /// [`EngineConfig::track_ids`] holds).
+    recovery: Option<Recovery>,
+    hedging: Option<Hedging>,
+    preemption: Option<Preemption>,
+    /// Only for an enabled [`AutoscalePolicy`].
+    autoscaler: Option<Autoscaler>,
 }
 
 /// Runs the engine. Consumes the placement's mutable state for one
@@ -613,7 +493,9 @@ pub(super) fn run_engine(
     }
     let mut engine = Engine::new(cluster, policy, config, trace)?;
     engine.schedule_faults()?;
-    engine.schedule_first_scale_tick();
+    if let Some(first_ms) = engine.autoscaler.as_ref().map(Autoscaler::first_tick_ms) {
+        engine.push_event(first_ms, CLASS_SCALE, 0, EventKind::ScaleTick);
+    }
 
     let mut cursor = 0usize;
     loop {
@@ -622,8 +504,9 @@ pub(super) fn run_engine(
         // heads never tie; arrivals (class 0) win every time tie.
         let event = engine.heap.peek().map(Event::key);
         let hedge = engine
-            .hedges
-            .front()
+            .hedging
+            .as_ref()
+            .and_then(|hedging| hedging.timers.front())
             .map(|timer| (time_key(timer.time), u64::from(CLASS_HEDGE) << SEQ_BITS));
         let timed = match (hedge, event) {
             (Some(h), Some(e)) => Some(h.min(e)),
@@ -638,7 +521,7 @@ pub(super) fn run_engine(
         } else if timed.is_none() {
             break;
         } else if timed == hedge {
-            if let Some(timer) = engine.hedges.pop_front() {
+            if let Some(timer) = engine.hedging.as_mut().and_then(|h| h.timers.pop_front()) {
                 engine.on_hedge(timer.slot, timer.shard, timer.time)?;
             }
         } else if let Some(event) = engine.heap.pop() {
@@ -659,31 +542,22 @@ impl<'a> Engine<'a> {
         config: &'a EngineConfig,
         trace: &'a [Request],
     ) -> Result<Self, RuntimeError> {
-        if let Some(HedgePolicy { delay_ms }) = config.hedge {
-            if delay_ms.is_nan() || delay_ms < 0.0 {
-                return Err(RuntimeError::InvalidHedgeDelay {
-                    delay_ms_bits: delay_ms.to_bits(),
-                });
-            }
-        }
-        let shard_count = cluster.shard_count();
-        let net_count = cluster.networks().len();
+        let hedging = config
+            .hedge
+            .map(|hedge| Hedging::new(hedge, trace.len()))
+            .transpose()?;
         let shards: Vec<ShardState> = ShardCore::fleet(cluster, config)
             .into_iter()
             .map(|core| ShardState {
                 core,
                 in_flight: None,
                 epoch: 0,
-                down_until: None,
-                down_since: 0.0,
-                degrade_windows: Vec::new(),
-                stall_windows: Vec::new(),
-                compile_fail_until: f64::NEG_INFINITY,
+                faults: ShardFaults::default(),
                 pending_timer: f64::INFINITY,
                 spare: Vec::new(),
             })
             .collect();
-        let mut global_future = vec![0usize; net_count];
+        let mut global_future = vec![0usize; cluster.networks().len()];
         let mut max_class = 0usize;
         for (position, request) in trace.iter().enumerate() {
             if usize::try_from(request.id) != Ok(position) {
@@ -695,14 +569,6 @@ impl<'a> Engine<'a> {
             global_future[request.network] += 1;
             max_class = max_class.max(usize::from(request.class));
         }
-        let num_classes = max_class + 1;
-        // The frontier prices plans through the energy ledger only
-        // when the autoscaler will actually consult it.
-        let frontier = config
-            .scale
-            .filter(AutoscalePolicy::enabled)
-            .map(|_| EnergyFrontier::from_cluster(cluster, &EnergyModel::volta()));
-        let ids_if = |used: bool| IdSet::with_len(if used { trace.len() } else { 0 });
         Ok(Engine {
             cluster,
             policy,
@@ -711,42 +577,18 @@ impl<'a> Engine<'a> {
             shards,
             heap: BinaryHeap::new(),
             seq: 0,
-            hedges: VecDeque::new(),
             rejected: Vec::new(),
             shed: Vec::new(),
-            failed: Vec::new(),
-            class_stats: vec![ClassFaultStats::default(); num_classes],
-            served: ids_if(config.track_ids()),
-            failed_ids: ids_if(config.track_ids()),
-            attempts: BTreeMap::new(),
+            class_stats: vec![ClassFaultStats::default(); max_class + 1],
             global_future,
-            num_classes,
-            preempted_ids: ids_if(config.preempt.is_some()),
-            hedged: ids_if(config.hedge.is_some()),
-            active: vec![true; shard_count],
-            draining: vec![false; shard_count],
-            up_streak: 0,
-            down_streak: 0,
-            scale_stats: ScaleStats::default(),
-            frontier,
-            mix_counts: vec![0; net_count],
-            served_twins: Vec::new(),
-            live_backlog: 0,
-            live_queued: vec![0; shard_count],
-            live_in_flight: vec![0; shard_count],
-            live_resident: vec![0; shard_count],
-            live_healthy: vec![true; shard_count],
-            live_degrade: vec![1.0; shard_count],
+            view: LiveView::new(cluster.shard_count()),
+            recovery: config.track_ids().then(|| Recovery::new(trace.len())),
+            hedging,
+            preemption: config
+                .preempt
+                .map(|preempt| Preemption::new(preempt, trace.len())),
+            autoscaler: Autoscaler::new(config.scale, cluster),
         })
-    }
-
-    /// Seeds the autoscaler's first tick (a no-op when the feature is
-    /// off or its energy headroom is zero — the static fleet schedules
-    /// no control-plane events at all).
-    fn schedule_first_scale_tick(&mut self) {
-        if let Some(scale) = self.config.scale.filter(AutoscalePolicy::enabled) {
-            self.push_event(scale.period_ms, CLASS_SCALE, 0, EventKind::ScaleTick);
-        }
     }
 
     /// Seeds the event queue with the configured fault schedule;
@@ -780,50 +622,38 @@ impl<'a> Engine<'a> {
     /// Whether a shard can dispatch right now.
     fn idle_and_up(&self, shard: usize) -> bool {
         let state = &self.shards[shard];
-        state.in_flight.is_none() && state.down_until.is_none()
+        state.in_flight.is_none() && state.faults.is_up()
     }
 
     /// Whether the autoscaler lets a shard take *new* placements
-    /// (always true for the static fleet; draining and parked shards
-    /// decline).
+    /// (always true for the static fleet).
+    #[inline]
     fn accepting(&self, shard: usize) -> bool {
-        self.active[shard] && !self.draining[shard]
+        self.autoscaler
+            .as_ref()
+            .is_none_or(|scaler| scaler.accepting(shard))
     }
 
-    /// Cluster-wide outstanding requests (queued + in flight), summed
-    /// from shard state.
-    fn backlog(&self) -> usize {
-        self.shards.iter().map(ShardState::outstanding).sum()
+    /// Whether a hedge twin or an earlier attempt already served `id`.
+    fn is_served(&self, id: u64) -> bool {
+        self.recovery
+            .as_ref()
+            .is_some_and(|recovery| recovery.is_served(id))
     }
 
-    /// [`Engine::backlog`] read off the counter the view refreshes
-    /// keep current.
-    fn cluster_backlog(&self) -> usize {
-        debug_assert_eq!(
-            self.live_backlog,
-            self.backlog(),
-            "the backlog counter drifted from shard state"
-        );
-        self.live_backlog
-    }
-
-    /// One shard's live-view entry, read from shard state: queued,
-    /// in flight, resident plan bytes, healthy, degrade factor.
-    fn view_entry(&self, shard: usize) -> (usize, usize, u64, bool, f64) {
+    /// One shard's live-view entry, read from shard state.
+    fn gauge(&self, shard: usize) -> ShardGauge {
         let state = &self.shards[shard];
-        (
-            state.core.depth(),
-            state.in_flight_len(),
-            state.core.resident_bytes(),
+        ShardGauge {
+            queued: state.core.depth(),
+            in_flight: state.in_flight.as_ref().map_or(0, |b| b.requests.len()),
+            resident_plan_bytes: state.core.resident_bytes(),
             // Draining/parked shards read as unhealthy so health-aware
-            // placements steer around them; the static fleet (scale
-            // off) leaves this the pure crash gauge.
-            state.down_until.is_none() && self.accepting(shard),
-            state
-                .degrade_windows
-                .last()
-                .map_or(1.0, |&(_, factor)| factor),
-        )
+            // placements steer around them; the static fleet leaves
+            // this the pure crash gauge.
+            healthy: state.faults.is_up() && self.accepting(shard),
+            degrade: state.faults.price().0.unwrap_or(1.0),
+        }
     }
 
     /// Re-reads one shard's live-view entry. Every handler that changes
@@ -831,35 +661,18 @@ impl<'a> Engine<'a> {
     /// state ends in a refresh of that shard, so the view placements
     /// read is always current.
     fn refresh_view(&mut self, shard: usize) {
-        let (queued, in_flight, resident, healthy, degrade) = self.view_entry(shard);
-        self.live_backlog = self.live_backlog + queued + in_flight
-            - self.live_queued[shard]
-            - self.live_in_flight[shard];
-        self.live_queued[shard] = queued;
-        self.live_in_flight[shard] = in_flight;
-        self.live_resident[shard] = resident;
-        self.live_healthy[shard] = healthy;
-        self.live_degrade[shard] = degrade;
-    }
-
-    /// Re-reads every shard's live-view entry.
-    fn refresh_all_views(&mut self) {
-        for shard in 0..self.shards.len() {
-            self.refresh_view(shard);
-        }
+        let gauge = self.gauge(shard);
+        self.view.set(shard, gauge);
     }
 
     /// Whether the maintained live view equals a rebuild from shard
     /// state (the debug-build check on the incremental refreshes).
     fn view_is_current(&self) -> bool {
-        (0..self.shards.len()).all(|shard| {
-            let (queued, in_flight, resident, healthy, degrade) = self.view_entry(shard);
-            queued == self.live_queued[shard]
-                && in_flight == self.live_in_flight[shard]
-                && resident == self.live_resident[shard]
-                && healthy == self.live_healthy[shard]
-                && degrade.to_bits() == self.live_degrade[shard].to_bits()
-        })
+        let mut rebuilt = LiveView::new(self.shards.len());
+        for shard in 0..self.shards.len() {
+            rebuilt.set(shard, self.gauge(shard));
+        }
+        rebuilt == self.view
     }
 
     /// Re-places a request online by the shared admission rule
@@ -873,19 +686,10 @@ impl<'a> Engine<'a> {
             self.view_is_current(),
             "the live view drifted from shard state"
         );
-        let view = ClusterView {
-            platforms: self.cluster.platforms(),
-            unit_service_ms: self.cluster.unit_service_ms(),
-            queued: &self.live_queued,
-            in_flight: &self.live_in_flight,
-            resident_plan_bytes: &self.live_resident,
-            healthy: &self.live_healthy,
-            degrade: &self.live_degrade,
-        };
         shard::place(
             placement,
             request,
-            &view,
+            &self.view.of(self.cluster),
             self.cluster,
             &self.config.cache_budget,
             |shard| self.accepting(shard),
@@ -901,17 +705,17 @@ impl<'a> Engine<'a> {
     ) -> Result<(), RuntimeError> {
         let request = self.trace[slot];
         let now_ms = request.arrival_ms;
-        let shard_count = self.shards.len();
         self.global_future[request.network] -= 1;
-        self.mix_counts[request.network] += 1;
+        if let Some(scaler) = &mut self.autoscaler {
+            scaler.observe(request.network);
+        }
 
         // Graceful degradation: under backlog pressure, shed by SLO
         // class before placement even runs.
-        let shed_now = self
-            .config
-            .shed
-            .as_ref()
-            .is_some_and(|p| p.sheds(request.class, self.num_classes, self.cluster_backlog()));
+        let shed_now =
+            self.config.shed.as_ref().is_some_and(|p| {
+                p.sheds(request.class, self.class_stats.len(), self.view.backlog())
+            });
 
         let mut target: Option<usize> = None;
         if shed_now {
@@ -921,18 +725,8 @@ impl<'a> Engine<'a> {
             match target {
                 Some(shard) => {
                     self.shards[shard].core.admit(request, now_ms);
-                    if let Some(hedge) = self.config.hedge {
-                        let time = now_ms + hedge.delay_ms;
-                        // A push to the back: the last timer fires no
-                        // later. Only signed zeros (arrivals +0.0 then
-                        // -0.0, delay -0.0) can break that, and then
-                        // the scan keeps `(time, seq)` order anyway.
-                        let at = self
-                            .hedges
-                            .iter()
-                            .rposition(|t| t.time.total_cmp(&time) != Ordering::Greater)
-                            .map_or(0, |last| last + 1);
-                        self.hedges.insert(at, HedgeTimer { time, shard, slot });
+                    if let Some(hedging) = &mut self.hedging {
+                        hedging.arm(now_ms, shard, slot);
                     }
                     // Preemption: an arrival urgent enough to displace
                     // the running batch claims the shard via a
@@ -940,15 +734,10 @@ impl<'a> Engine<'a> {
                     // completion/fault/recovery settles first (a batch
                     // completing at this exact instant completes — its
                     // Preempt goes stale).
-                    if let (Some(preempt), Some(batch)) =
-                        (self.config.preempt, &self.shards[shard].in_flight)
+                    if let (Some(preemption), Some(batch)) =
+                        (&self.preemption, &self.shards[shard].in_flight)
                     {
-                        let victim_class = batch
-                            .requests
-                            .iter()
-                            .map(|r| r.class)
-                            .fold(u8::MAX, u8::min);
-                        if preempt.preempts(request.class, victim_class) {
+                        if preemption.evicts(request.class, &batch.requests) {
                             let epoch = batch.epoch;
                             self.push_event(
                                 now_ms,
@@ -969,7 +758,7 @@ impl<'a> Engine<'a> {
         // re-evaluation a size-triggered policy would strand its
         // stragglers.
         if self.global_future[request.network] == 0 {
-            for shard in 0..shard_count {
+            for shard in 0..self.shards.len() {
                 if target == Some(shard) {
                     continue; // already evaluated above
                 }
@@ -1003,16 +792,8 @@ impl<'a> Engine<'a> {
                 Ok(())
             }
             EventKind::Recover => self.on_recover(shard, now_ms),
-            EventKind::DegradeEnd { index } => {
-                self.shards[shard]
-                    .degrade_windows
-                    .retain(|&(i, _)| i != index);
-                Ok(())
-            }
-            EventKind::StallEnd { index } => {
-                self.shards[shard]
-                    .stall_windows
-                    .retain(|&(i, _)| i != index);
+            EventKind::WindowEnd { index } => {
+                self.shards[shard].faults.close(index);
                 Ok(())
             }
             EventKind::Retry { slot } => self.on_retry(placement, slot, shard, now_ms),
@@ -1020,7 +801,9 @@ impl<'a> Engine<'a> {
             EventKind::ScaleTick => {
                 let ticked = self.on_scale_tick(now_ms);
                 // A tick can park or wake any shard.
-                self.refresh_all_views();
+                for shard in 0..self.shards.len() {
+                    self.refresh_view(shard);
+                }
                 ticked
             }
         };
@@ -1031,35 +814,11 @@ impl<'a> Engine<'a> {
     /// A scheduled fault fires: a crash, or a degrade, compile-stall or
     /// transient compile-failure window opens.
     fn on_fault(&mut self, shard: usize, now_ms: f64, index: usize) {
-        let state = &mut self.shards[shard];
-        match self.config.faults.events()[index].kind {
-            FaultKind::Crash { recover_ms } => self.on_crash(shard, now_ms, recover_ms),
-            FaultKind::Degrade { factor, window_ms } => {
-                state.degrade_windows.push((index, factor));
-                self.push_event(
-                    now_ms + window_ms,
-                    CLASS_FAULT,
-                    shard,
-                    EventKind::DegradeEnd { index },
-                );
-            }
-            FaultKind::StallCompile {
-                extra_ms,
-                window_ms,
-            } => {
-                state.stall_windows.push((index, extra_ms));
-                self.push_event(
-                    now_ms + window_ms,
-                    CLASS_FAULT,
-                    shard,
-                    EventKind::StallEnd { index },
-                );
-            }
-            // Closes by timestamp comparison; blocked shards schedule
-            // their own wake.
-            FaultKind::TransientCompileFail { window_ms } => {
-                state.compile_fail_until = state.compile_fail_until.max(now_ms + window_ms);
-            }
+        let kind = self.config.faults.events()[index].kind;
+        if let FaultKind::Crash { recover_ms } = kind {
+            self.on_crash(shard, now_ms, recover_ms);
+        } else if let Some(end_ms) = self.shards[shard].faults.open(index, kind, now_ms) {
+            self.push_event(end_ms, CLASS_FAULT, shard, EventKind::WindowEnd { index });
         }
     }
 
@@ -1092,9 +851,8 @@ impl<'a> Engine<'a> {
             report.fault.preempted_busy_ms += elapsed_ms;
             report.fault.preempted_requests += batch.requests.len() as u64;
             let mut victims = batch.requests;
-            for victim in &victims {
-                self.class_stats[usize::from(victim.class)].preempted += 1;
-                self.preempted_ids.set(victim.id);
+            if let Some(preemption) = &mut self.preemption {
+                preemption.note(&victims, &mut self.class_stats);
             }
             state.core.requeue(&victims, now_ms);
             victims.clear();
@@ -1103,99 +861,27 @@ impl<'a> Engine<'a> {
         self.attempt_dispatch(shard, now_ms)
     }
 
-    /// One autoscaler evaluation: complete finished drains, update the
-    /// hysteresis streaks from the backlog-per-active-shard gauge, and
-    /// act at most once — activate the cheapest eligible shard on a
-    /// sustained high, drain the costliest on a sustained low.
+    /// One autoscaler evaluation against the live view, then its
+    /// decision: dispatch an activated shard that has work waiting,
+    /// and re-arm the tick.
     fn on_scale_tick(&mut self, now_ms: f64) -> Result<(), RuntimeError> {
-        // Ticks are only scheduled when an enabled policy (and with
-        // it the frontier) exists; the guards make that local.
-        let Some(scale) = self.config.scale else {
-            return Ok(());
+        debug_assert!(
+            self.view_is_current(),
+            "the live view drifted from shard state"
+        );
+        let more_arrivals = self.global_future.iter().sum::<usize>() > 0;
+        let Some(scaler) = &mut self.autoscaler else {
+            return Ok(()); // ticks exist only with an autoscaler
         };
-        let fleet = self
-            .shards
-            .iter()
-            .zip(&mut self.draining)
-            .zip(&mut self.active);
-        for ((state, draining), active) in fleet {
-            if *draining && state.outstanding() == 0 {
-                *draining = false;
-                *active = false;
-                self.scale_stats.drains_completed += 1;
+        let view = self.view.of(self.cluster);
+        let decision = scaler.tick(now_ms, &view, self.view.backlog(), more_arrivals);
+        if let Some(shard) = decision.activated {
+            if self.shards[shard].core.depth() > 0 && self.idle_and_up(shard) {
+                self.attempt_dispatch(shard, now_ms)?;
             }
         }
-        self.scale_stats.evaluations += 1;
-        let active_count = self.active.iter().filter(|&&a| a).count().max(1);
-        let load = self.cluster_backlog() as f64 / active_count as f64;
-        if load >= scale.high_watermark {
-            self.up_streak += 1;
-        } else {
-            self.up_streak = 0;
-        }
-        if load <= scale.low_watermark {
-            self.down_streak += 1;
-        } else {
-            self.down_streak = 0;
-        }
-        let Some(frontier) = self.frontier.as_ref() else {
-            return Ok(());
-        };
-        if self.up_streak >= scale.hysteresis_ticks {
-            // Scale up: the cheapest shard (under the observed mix)
-            // among those not currently accepting, gated by the energy
-            // budget — never activate capacity the headroom cannot pay
-            // for. Cancelling an in-progress drain beats powering a
-            // parked shard (same index rule: cheapest wins).
-            let budget = (1.0 + scale.energy_headroom) * frontier.frontier_cost(&self.mix_counts);
-            let candidate = frontier.cheapest(
-                &self.mix_counts,
-                (0..self.shards.len()).filter(|&s| {
-                    !self.accepting(s) && frontier.cost_per_request(s, &self.mix_counts) <= budget
-                }),
-            );
-            if let Some(shard) = candidate {
-                self.draining[shard] = false;
-                self.active[shard] = true;
-                self.scale_stats.scale_ups += 1;
-                self.up_streak = 0;
-                self.down_streak = 0;
-                if self.shards[shard].core.depth() > 0 && self.idle_and_up(shard) {
-                    self.attempt_dispatch(shard, now_ms)?;
-                }
-            }
-        } else if self.down_streak >= scale.hysteresis_ticks {
-            // Scale down: drain the costliest accepting shard, never
-            // below the floor. The drain finishes on a later tick once
-            // the shard runs empty (drain-before-remove).
-            let accepting_count = (0..self.shards.len())
-                .filter(|&s| self.accepting(s))
-                .count();
-            if accepting_count > scale.min_active {
-                let candidate = frontier.costliest(
-                    &self.mix_counts,
-                    (0..self.shards.len()).filter(|&s| self.accepting(s)),
-                );
-                if let Some(shard) = candidate {
-                    self.draining[shard] = true;
-                    self.scale_stats.scale_downs += 1;
-                    self.up_streak = 0;
-                    self.down_streak = 0;
-                }
-            }
-        }
-        // Re-arm while there is anything left to observe: future
-        // arrivals, outstanding work, or an unfinished drain.
-        let more = self.global_future.iter().sum::<usize>() > 0
-            || self.cluster_backlog() > 0
-            || self.draining.iter().any(|&d| d);
-        if more {
-            self.push_event(
-                now_ms + scale.period_ms,
-                CLASS_SCALE,
-                0,
-                EventKind::ScaleTick,
-            );
+        if let Some(next_ms) = decision.next_ms {
+            self.push_event(next_ms, CLASS_SCALE, 0, EventKind::ScaleTick);
         }
         Ok(())
     }
@@ -1211,24 +897,21 @@ impl<'a> Engine<'a> {
             state.in_flight = Some(batch); // stale event, newer batch running
             return Ok(());
         }
-        let track = self.config.track_ids();
-        let mut served_twins = std::mem::take(&mut self.served_twins);
-        served_twins.clear();
-        let state = &mut self.shards[shard];
         let mut requests = batch.requests;
         let record = batch.record;
         state.core.note_batch(record, now_ms);
         for request in &requests {
-            if track {
-                if self.served.set(request.id) {
+            if let Some(recovery) = &mut self.recovery {
+                if !recovery.serve(request.id) {
                     // A hedge twin already won: this completion is
                     // billed (busy time above) but not served.
                     continue;
                 }
-                if self.hedged.contains(request.id) {
-                    served_twins.push(request.id);
+                if let Some(hedging) = &mut self.hedging {
+                    if hedging.hedged.contains(request.id) {
+                        hedging.served_twins.push(request.id);
+                    }
                 }
-                self.failed_ids.clear(request.id);
             }
             state
                 .core
@@ -1240,17 +923,25 @@ impl<'a> Engine<'a> {
         // served are cancelled cluster-wide. Every copy of an id shares
         // its network, so only that queue is scanned, and only shards
         // that lost a copy refresh their view.
-        if !served_twins.is_empty() {
+        let mut twins = self
+            .hedging
+            .as_mut()
+            .map(|h| std::mem::take(&mut h.served_twins))
+            .unwrap_or_default();
+        if !twins.is_empty() {
             for other in 0..self.shards.len() {
                 if self.shards[other]
                     .core
-                    .cancel(record.network, &served_twins, now_ms)
+                    .cancel(record.network, &twins, now_ms)
                 {
                     self.refresh_view(other);
                 }
             }
+            twins.clear();
         }
-        self.served_twins = served_twins;
+        if let Some(hedging) = &mut self.hedging {
+            hedging.served_twins = twins; // the buffer, kept for reuse
+        }
         self.attempt_dispatch(shard, now_ms)
     }
 
@@ -1258,25 +949,9 @@ impl<'a> Engine<'a> {
     /// aborted and its requests enter retry.
     fn on_crash(&mut self, shard: usize, now_ms: f64, recover_ms: f64) {
         let until = now_ms + recover_ms;
-        let schedule_recover = {
-            let state = &mut self.shards[shard];
-            state.core.report.fault.crashes += 1;
-            match state.down_until {
-                None => {
-                    state.down_since = now_ms;
-                    state.down_until = Some(until);
-                    true
-                }
-                Some(current) if until > current => {
-                    // Overlapping crash extends the outage; the
-                    // earlier recovery event goes stale.
-                    state.down_until = Some(until);
-                    true
-                }
-                Some(_) => false,
-            }
-        };
-        if schedule_recover {
+        let state = &mut self.shards[shard];
+        state.core.report.fault.crashes += 1;
+        if state.faults.crash(now_ms, until) {
             self.push_event(until, CLASS_FAULT, shard, EventKind::Recover);
         }
         if let Some(batch) = self.shards[shard].in_flight.take() {
@@ -1295,34 +970,24 @@ impl<'a> Engine<'a> {
     /// The recovery instant arrives (stale if a later crash extended
     /// the outage).
     fn on_recover(&mut self, shard: usize, now_ms: f64) -> Result<(), RuntimeError> {
-        {
-            let state = &mut self.shards[shard];
-            if state.down_until.map(f64::to_bits) != Some(now_ms.to_bits()) {
-                return Ok(()); // stale: a later crash extended the outage
-            }
-            state.down_until = None;
-            state.core.report.fault.downtime_ms += now_ms - state.down_since;
-        }
+        let state = &mut self.shards[shard];
+        let Some(downtime_ms) = state.faults.recover(now_ms) else {
+            return Ok(()); // stale: a later crash extended the outage
+        };
+        state.core.report.fault.downtime_ms += downtime_ms;
         self.attempt_dispatch(shard, now_ms)
     }
 
     /// Schedules a retry for a crash victim, or abandons it once the
     /// policy is exhausted.
     fn retry_or_fail(&mut self, request: &Request, now_ms: f64, from_shard: usize) {
-        if self.served.contains(request.id) {
-            return; // a hedge twin already completed it
-        }
-        let retries_so_far = self.attempts.get(&request.id).copied().unwrap_or(0);
-        let retry = &self.config.retry;
-        let fire_ms = now_ms + retry.backoff_ms(retries_so_far + 1);
-        let within_timeout = fire_ms - request.arrival_ms <= retry.timeout_for(request.class);
-        if !retry.allows(retries_so_far) || !within_timeout {
-            if !self.failed_ids.set(request.id) {
-                self.failed.push(*request);
-            }
+        // Crashes come only from a fault plan, which builds recovery.
+        let Some(recovery) = &mut self.recovery else {
             return;
-        }
-        self.attempts.insert(request.id, retries_so_far + 1);
+        };
+        let Some(fire_ms) = recovery.retry(&self.config.retry, request, now_ms) else {
+            return;
+        };
         self.class_stats[usize::from(request.class)].retries += 1;
         self.shards[from_shard].core.report.fault.retries += 1;
         // Ids are trace positions (the id contract).
@@ -1340,12 +1005,12 @@ impl<'a> Engine<'a> {
         now_ms: f64,
     ) -> Result<(), RuntimeError> {
         let request = self.trace[slot];
-        if self.served.contains(request.id) {
+        if self.is_served(request.id) {
             return Ok(()); // a twin won while the backoff elapsed
         }
         let Some(target) = self.replace_online(placement, &request)? else {
-            if !self.failed_ids.set(request.id) {
-                self.failed.push(request);
+            if let Some(recovery) = &mut self.recovery {
+                recovery.fail(&request);
             }
             return Ok(());
         };
@@ -1362,26 +1027,20 @@ impl<'a> Engine<'a> {
     /// hedged, so the first completion cancels the other copy.
     fn on_hedge(&mut self, slot: usize, origin: usize, now_ms: f64) -> Result<(), RuntimeError> {
         let request = self.trace[slot];
-        if self.served.contains(request.id) {
+        if self.is_served(request.id) {
             return Ok(()); // completed in time, nothing to hedge
         }
-        let net = request.network;
-        let costs = self.cluster.unit_service_ms();
-        let bytes = self.cluster.unit_plan_bytes();
-        let target = placement::lowest(
-            (0..self.shards.len()).filter(|&s| {
-                s != origin
-                    && self.shards[s].down_until.is_none()
-                    && self.accepting(s)
-                    && self.config.cache_budget.admits(s, bytes[s][net])
-            }),
-            |s| costs[s][net],
-            f64::total_cmp,
+        let target = Hedging::target(
+            self.cluster,
+            &self.config.cache_budget,
+            origin,
+            request.network,
+            |s| self.shards[s].faults.is_up() && self.accepting(s),
         );
-        let Some(target) = target else {
+        let (Some(target), Some(hedging)) = (target, &mut self.hedging) else {
             return Ok(()); // nowhere to hedge to; the original stands
         };
-        self.hedged.set(request.id);
+        hedging.hedged.set(request.id);
         self.class_stats[usize::from(request.class)].hedges += 1;
         self.shards[target].core.report.fault.hedges += 1;
         self.shards[target].core.enqueue(request, now_ms);
@@ -1408,18 +1067,21 @@ impl<'a> Engine<'a> {
         }
         let global_future = &self.global_future;
         let state = &mut self.shards[shard];
-        let compile_fail = now_ms < state.compile_fail_until;
+        let compile_fail_until = state.faults.compile_fail_until;
         let more_arrivals = |net: usize| global_future[net] > 0;
-        let next = state
-            .core
-            .next_batch(self.policy, now_ms, more_arrivals, compile_fail);
+        let next = state.core.next_batch(
+            self.policy,
+            now_ms,
+            more_arrivals,
+            now_ms < compile_fail_until,
+        );
         let (mut wake_ms, blocked) = match next {
             NextBatch::Launch { net, take } => return self.dispatch(shard, now_ms, net, take),
             NextBatch::Wait { wake_ms, blocked } => (wake_ms, blocked),
         };
         if blocked {
             state.core.report.fault.compile_failures += 1;
-            wake_ms = wake_ms.min(state.compile_fail_until);
+            wake_ms = wake_ms.min(compile_fail_until);
         }
         if wake_ms.is_finite() {
             // A batch-close event: without it, a queue whose deadline
@@ -1438,8 +1100,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Launches one batch: the shared pricing ([`ShardCore::price`])
-    /// under the shard's live degrade and stall windows, and the
-    /// completion event.
+    /// under the shard's open fault windows, and the completion event.
     fn dispatch(
         &mut self,
         shard: usize,
@@ -1448,8 +1109,7 @@ impl<'a> Engine<'a> {
         take: usize,
     ) -> Result<(), RuntimeError> {
         let state = &mut self.shards[shard];
-        let degrade = state.degrade_windows.last().map(|&(_, factor)| factor);
-        let stall_extra_ms = state.stall_windows.last().map_or(0.0, |&(_, extra)| extra);
+        let (degrade, stall_extra_ms) = state.faults.price();
         let record = state
             .core
             .price(self.cluster, net, take, now_ms, degrade, stall_extra_ms)?;
@@ -1473,9 +1133,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Closes the run: the shard reports (the drain assert, depth
-    /// integrals, cache stats) and the exact-partition cleanup of the
-    /// failed bucket.
-    fn finish(mut self) -> ServeRun {
+    /// integrals, cache stats) and each feature's outcome.
+    fn finish(self) -> ServeRun {
+        let shard_count = self.shards.len();
         let cores: Vec<ShardCore> = self
             .shards
             .into_iter()
@@ -1489,22 +1149,21 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let (reports, reconfig) = shard::close(cores);
-        // A request that failed its retries but whose hedge twin later
-        // completed anyway is served, not failed — keep the four
-        // buckets an exact partition of the trace.
-        let served = &self.served;
-        self.failed.retain(|request| !served.contains(request.id));
-        self.scale_stats.final_active = (0..self.active.len())
-            .filter(|&shard| self.active[shard] && !self.draining[shard])
-            .count();
         ServeRun {
             reports,
             rejected: self.rejected,
             shed: self.shed,
-            failed: self.failed,
+            failed: self.recovery.map_or_else(Vec::new, Recovery::into_failed),
             class_stats: self.class_stats,
-            preempted: self.preempted_ids.iter().collect(),
-            scale: self.scale_stats,
+            preempted: self.preemption.map_or_else(Vec::new, Preemption::into_ids),
+            // The static fleet keeps every shard accepting.
+            scale: self.autoscaler.map_or(
+                ScaleStats {
+                    final_active: shard_count,
+                    ..ScaleStats::default()
+                },
+                Autoscaler::finish,
+            ),
             reconfig,
         }
     }
@@ -1517,62 +1176,6 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
-    use crate::serve::shard::{best_config, PlanCache};
-
-    #[test]
-    fn plan_cache_lru_evicts_the_coldest_plan() {
-        let mut cache = PlanCache::new(Some(100));
-        assert_eq!(cache.access((0, 1), 40, 2.0), 2.0, "cold miss bills");
-        assert_eq!(cache.access((1, 1), 40, 2.0), 2.0);
-        assert_eq!(cache.access((0, 1), 40, 2.0), 0.0, "hit is free");
-        // Admitting a third 40B plan exceeds 100B: the LRU victim is
-        // (1,1) — (0,1) was touched more recently.
-        assert_eq!(cache.access((2, 1), 40, 2.0), 2.0);
-        assert_eq!(cache.access((0, 1), 40, 2.0), 0.0, "(0,1) survived");
-        assert_eq!(cache.access((1, 1), 40, 2.0), 2.0, "(1,1) was evicted");
-        let stats = cache.into_stats();
-        assert_eq!(stats.hits + stats.misses, stats.lookups);
-        assert_eq!(stats.evictions, 2);
-        assert!(stats.peak_bytes <= 100);
-        assert_eq!(stats.resident_bytes, 80);
-    }
-
-    #[test]
-    fn plan_cache_unbounded_never_evicts() {
-        let mut cache = PlanCache::new(None);
-        for net in 0..50 {
-            assert_eq!(cache.access((net, 1), 1 << 20, 1.0), 1.0);
-            assert_eq!(cache.access((net, 1), 1 << 20, 1.0), 0.0);
-        }
-        let stats = cache.into_stats();
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.misses, 50);
-        assert_eq!(stats.hits, 50);
-        assert_eq!(stats.resident_bytes, 50 << 20);
-    }
-
-    #[test]
-    fn plan_cache_contains_peeks_without_billing() {
-        let mut cache = PlanCache::new(Some(100));
-        assert!(!cache.contains(&(0, 1)));
-        cache.access((0, 1), 40, 2.0);
-        assert!(cache.contains(&(0, 1)));
-        let stats = cache.into_stats();
-        assert_eq!(stats.lookups, 1, "contains() is not a lookup");
-    }
-
-    #[test]
-    fn oversized_plan_empties_the_cache_but_still_runs() {
-        let mut cache = PlanCache::new(Some(64));
-        cache.access((0, 1), 30, 1.0);
-        cache.access((1, 1), 30, 1.0);
-        // 100 > 64: everything is evicted, the plan is admitted anyway
-        // (admission control keeps this out of engine runs).
-        assert_eq!(cache.access((2, 1), 100, 1.0), 1.0);
-        let stats = cache.into_stats();
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.resident_bytes, 100);
-    }
 
     #[test]
     fn cache_budget_admission() {
@@ -1693,42 +1296,5 @@ mod tests {
             proptest::prop_assert_eq!(key_time(a.time).to_bits(), a_time.to_bits());
             proptest::prop_assert_eq!(key_time(b.time).to_bits(), b_time.to_bits());
         }
-    }
-
-    #[test]
-    fn id_set_tracks_word_edges_and_reports_the_previous_bit() {
-        let n = 130;
-        let mut set = IdSet::with_len(n);
-        let edges = [0, 63, 64, n as u64 - 1];
-        for &id in &edges {
-            assert!(!set.contains(id));
-            assert!(!set.set(id), "id {id} was clear");
-            assert!(set.contains(id));
-            assert!(set.set(id), "id {id} was already set");
-        }
-        assert!(!set.contains(1) && !set.contains(62) && !set.contains(65));
-        assert_eq!(set.iter().collect::<Vec<_>>(), edges, "ascending scan");
-        set.clear(63);
-        assert!(!set.contains(63) && set.contains(64));
-        assert!(!set.set(63), "a cleared id reads as clear");
-        // An unsized set is empty: reads are false, clears are no-ops.
-        let mut unsized_set = IdSet::with_len(0);
-        unsized_set.clear(5);
-        assert!(!unsized_set.contains(5));
-        assert_eq!(unsized_set.iter().count(), 0);
-    }
-
-    #[test]
-    fn best_config_minimises_weighted_cycles_with_low_index_ties() {
-        // config 0 wins net 0, config 1 wins net 1.
-        let cycles = vec![vec![10, 100], vec![50, 20]];
-        assert_eq!(best_config(&cycles, &[1, 0]), 0);
-        assert_eq!(best_config(&cycles, &[0, 1]), 1);
-        // 3×10 + 1×100 = 130 vs 3×50 + 1×20 = 170.
-        assert_eq!(best_config(&cycles, &[3, 1]), 0);
-        // Exact tie: lowest index wins.
-        assert_eq!(best_config(&[vec![5], vec![5]], &[7]), 0);
-        // Empty window: everything is zero cost — lowest index.
-        assert_eq!(best_config(&cycles, &[0, 0]), 0);
     }
 }

@@ -17,8 +17,16 @@
 //! loser is cancelled if queued and billed if in flight) and
 //! [`ShedPolicy`] (admission shedding by SLO class once cluster-wide
 //! backlog crosses a watermark — lowest class first).
+//! The engine's per-run state for them lives here too: each shard's
+//! `ShardFaults`, and `Recovery` and `Hedging`, built only when used.
 
-use super::load::SeededRng;
+use super::engine::CacheBudget;
+use super::load::{Request, SeededRng};
+use super::placement;
+use super::ServeCluster;
+use crate::backend::RuntimeError;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, VecDeque};
 
 /// What happens to a shard when a [`FaultEvent`] fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -341,6 +349,341 @@ pub struct HedgePolicy {
     pub delay_ms: f64,
 }
 
+/// A dense set of request ids: one bit per trace position, in `u64`
+/// words. Request ids are trace positions (checked before a run
+/// starts), so this replaces a tree set at a bit per request. A set
+/// sized for no ids allocates nothing and reads as empty.
+#[derive(Debug)]
+pub(super) struct IdSet {
+    words: Vec<u64>,
+}
+
+impl IdSet {
+    /// An empty set with room for ids `0..len`.
+    pub(super) fn with_len(len: usize) -> Self {
+        IdSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Whether `id` is in the set.
+    #[inline]
+    pub(super) fn contains(&self, id: u64) -> bool {
+        self.words
+            .get((id / 64) as usize)
+            .is_some_and(|word| word & (1 << (id % 64)) != 0)
+    }
+
+    /// Adds `id` and returns whether it was already in the set.
+    #[inline]
+    pub(super) fn set(&mut self, id: u64) -> bool {
+        let word = &mut self.words[(id / 64) as usize];
+        let bit = 1 << (id % 64);
+        let was_set = *word & bit != 0;
+        *word |= bit;
+        was_set
+    }
+
+    /// Removes `id`.
+    #[inline]
+    fn clear(&mut self, id: u64) {
+        if let Some(word) = self.words.get_mut((id / 64) as usize) {
+            *word &= !(1 << (id % 64));
+        }
+    }
+
+    /// The ids in the set, ascending.
+    pub(super) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().zip(0u64..).flat_map(|(&word, index)| {
+            (0..64)
+                .filter(move |bit| word & (1 << bit) != 0)
+                .map(move |bit| index * 64 + bit)
+        })
+    }
+}
+
+/// One shard's fault state: the crash outage and the open windows. A
+/// fault-free shard keeps it empty: up, with no window open.
+#[derive(Debug)]
+pub(super) struct ShardFaults {
+    /// The instant the shard comes back up (`None` = up).
+    down_until: Option<f64>,
+    /// When the current outage began (meaningful only while down).
+    down_since: f64,
+    /// Open degrade windows as `(fault index, factor)`, in opening
+    /// order.
+    degrade: Vec<(usize, f64)>,
+    /// Open compile-stall windows as `(fault index, extra ms)`, in
+    /// opening order.
+    stall: Vec<(usize, f64)>,
+    /// Transient compile failures are active while `now` is before
+    /// this instant.
+    pub(super) compile_fail_until: f64,
+}
+
+impl Default for ShardFaults {
+    fn default() -> Self {
+        ShardFaults {
+            down_until: None,
+            down_since: 0.0,
+            degrade: Vec::new(),
+            stall: Vec::new(),
+            compile_fail_until: f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl ShardFaults {
+    /// The degrade and compile-stall windows of `shard` in `events`
+    /// that cover `t_ms`, opened in plan order: how the live twin's
+    /// workers, which see no fault events, price a batch.
+    pub(super) fn windows_at(events: &[FaultEvent], shard: usize, t_ms: f64) -> Self {
+        let mut faults = ShardFaults::default();
+        for (index, event) in events.iter().enumerate() {
+            if let FaultKind::Degrade { window_ms, .. }
+            | FaultKind::StallCompile { window_ms, .. } = event.kind
+            {
+                if event.shard == shard && event.at_ms <= t_ms && t_ms < event.at_ms + window_ms {
+                    faults.open(index, event.kind, event.at_ms);
+                }
+            }
+        }
+        faults
+    }
+
+    /// Whether the shard is up (no crash outage).
+    #[inline]
+    pub(super) fn is_up(&self) -> bool {
+        self.down_until.is_none()
+    }
+
+    /// What a batch starting now pays, by the one rule both worlds
+    /// share: the most recently opened window that is still open sets
+    /// the price. Returns the degrade factor (`None` outside every
+    /// degrade window; a factor-1.0 window still counts) and the
+    /// compile-stall surcharge (0 outside every stall window).
+    #[inline]
+    pub(super) fn price(&self) -> (Option<f64>, f64) {
+        (
+            self.degrade.last().map(|&(_, factor)| factor),
+            self.stall.last().map_or(0.0, |&(_, extra_ms)| extra_ms),
+        )
+    }
+
+    /// Opens the window of fault `index` at `now_ms` and returns the
+    /// instant it closes: `None` for a compile-failure window, which
+    /// closes by timestamp comparison, and for a crash ([`Self::crash`]).
+    pub(super) fn open(&mut self, index: usize, kind: FaultKind, now_ms: f64) -> Option<f64> {
+        let (windows, value, window_ms) = match kind {
+            FaultKind::Degrade { factor, window_ms } => (&mut self.degrade, factor, window_ms),
+            FaultKind::StallCompile {
+                extra_ms,
+                window_ms,
+            } => (&mut self.stall, extra_ms, window_ms),
+            FaultKind::TransientCompileFail { window_ms } => {
+                self.compile_fail_until = self.compile_fail_until.max(now_ms + window_ms);
+                return None;
+            }
+            FaultKind::Crash { .. } => return None,
+        };
+        windows.push((index, value));
+        Some(now_ms + window_ms)
+    }
+
+    /// Closes the degrade or compile-stall window of fault `index`.
+    pub(super) fn close(&mut self, index: usize) {
+        self.degrade.retain(|&(i, _)| i != index);
+        self.stall.retain(|&(i, _)| i != index);
+    }
+
+    /// A crash at `now_ms` takes the shard down until `until`. Returns
+    /// whether to schedule a recovery: an overlapping crash that ends
+    /// later extends the outage (the earlier recovery goes stale), one
+    /// that ends sooner changes nothing.
+    pub(super) fn crash(&mut self, now_ms: f64, until: f64) -> bool {
+        match self.down_until {
+            None => self.down_since = now_ms,
+            Some(current) if until > current => {}
+            Some(_) => return false,
+        }
+        self.down_until = Some(until);
+        true
+    }
+
+    /// Brings the shard up at `now_ms` and returns how long it was
+    /// down, or `None` for a stale recovery.
+    pub(super) fn recover(&mut self, now_ms: f64) -> Option<f64> {
+        if self.down_until.map(f64::to_bits) != Some(now_ms.to_bits()) {
+            return None;
+        }
+        self.down_until = None;
+        Some(now_ms - self.down_since)
+    }
+}
+
+/// Which ids a run has served or failed, and crash-retry's attempt
+/// counts. Built only when a run can try to serve one id twice:
+/// hedging, crash-retry or preemption.
+#[derive(Debug)]
+pub(super) struct Recovery {
+    /// Ids already served (first completion wins).
+    served: IdSet,
+    /// Ids already in `failed` (dedup — hedge twins can fail twice).
+    failed_ids: IdSet,
+    failed: Vec<Request>,
+    /// Retries scheduled so far, per request id.
+    attempts: BTreeMap<u64, u32>,
+}
+
+impl Recovery {
+    /// Recovery state for a trace of `len` requests.
+    pub(super) fn new(len: usize) -> Self {
+        Recovery {
+            served: IdSet::with_len(len),
+            failed_ids: IdSet::with_len(len),
+            failed: Vec::new(),
+            attempts: BTreeMap::new(),
+        }
+    }
+
+    /// Whether `id` has been served.
+    #[inline]
+    pub(super) fn is_served(&self, id: u64) -> bool {
+        self.served.contains(id)
+    }
+
+    /// Marks `id` served; `false` if a hedge twin already was (this
+    /// completion is billed but not served).
+    #[inline]
+    pub(super) fn serve(&mut self, id: u64) -> bool {
+        if self.served.set(id) {
+            return false;
+        }
+        self.failed_ids.clear(id);
+        true
+    }
+
+    /// Abandons a request (once per id).
+    pub(super) fn fail(&mut self, request: &Request) {
+        if !self.failed_ids.set(request.id) {
+            self.failed.push(*request);
+        }
+    }
+
+    /// A crash victim's fate at `now_ms`: the instant its retry fires,
+    /// or `None` when it is already served or `policy` abandons it
+    /// (attempts exhausted, or past its class timeout).
+    pub(super) fn retry(
+        &mut self,
+        policy: &RetryPolicy,
+        request: &Request,
+        now_ms: f64,
+    ) -> Option<f64> {
+        if self.is_served(request.id) {
+            return None;
+        }
+        let retries_so_far = self.attempts.get(&request.id).copied().unwrap_or(0);
+        let fire_ms = now_ms + policy.backoff_ms(retries_so_far + 1);
+        let within_timeout = fire_ms - request.arrival_ms <= policy.timeout_for(request.class);
+        if !policy.allows(retries_so_far) || !within_timeout {
+            self.fail(request);
+            return None;
+        }
+        self.attempts.insert(request.id, retries_so_far + 1);
+        Some(fire_ms)
+    }
+
+    /// The failed bucket, less requests a hedge twin served after they
+    /// failed, so the four buckets stay an exact partition of the trace.
+    pub(super) fn into_failed(mut self) -> Vec<Request> {
+        let served = &self.served;
+        self.failed.retain(|request| !served.contains(request.id));
+        self.failed
+    }
+}
+
+/// A pending hedge: at `time` the request at trace position `slot`,
+/// admitted to `shard`, gets a twin unless it is already served.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct HedgeTimer {
+    pub(super) time: f64,
+    pub(super) shard: usize,
+    pub(super) slot: usize,
+}
+
+/// Request hedging's run state.
+#[derive(Debug)]
+pub(super) struct Hedging {
+    delay_ms: f64,
+    /// Pending timers in firing order. Every hedge fires one constant
+    /// delay after its arrival, and arrivals are sorted, so a new timer
+    /// goes to the back (signed zeros aside, see [`Hedging::arm`]);
+    /// equal instants keep creation order.
+    pub(super) timers: VecDeque<HedgeTimer>,
+    /// Ids a hedge gave a twin: the only ids a completion may have to
+    /// cancel a queued copy of.
+    pub(super) hedged: IdSet,
+    /// Scratch for the hedged ids one completion serves.
+    pub(super) served_twins: Vec<u64>,
+}
+
+impl Hedging {
+    /// Hedging over a trace of `len` requests. A negative or NaN delay
+    /// is refused ([`RuntimeError::InvalidHedgeDelay`]): its twin would
+    /// fire before the request arrived. `-0.0` is a valid zero delay.
+    pub(super) fn new(policy: HedgePolicy, len: usize) -> Result<Self, RuntimeError> {
+        let HedgePolicy { delay_ms } = policy;
+        if delay_ms.is_nan() || delay_ms < 0.0 {
+            return Err(RuntimeError::InvalidHedgeDelay {
+                delay_ms_bits: delay_ms.to_bits(),
+            });
+        }
+        Ok(Hedging {
+            delay_ms,
+            timers: VecDeque::new(),
+            hedged: IdSet::with_len(len),
+            served_twins: Vec::new(),
+        })
+    }
+
+    /// Arms the hedge of the request at trace position `slot`, admitted
+    /// to `shard` at `now_ms`.
+    #[inline]
+    pub(super) fn arm(&mut self, now_ms: f64, shard: usize, slot: usize) {
+        let time = now_ms + self.delay_ms;
+        // A push to the back: the last timer fires no later. Only
+        // signed zeros (arrivals +0.0 then -0.0, delay -0.0) can break
+        // that, and then the scan keeps `(time, seq)` order anyway.
+        let at = self
+            .timers
+            .iter()
+            .rposition(|t| t.time.total_cmp(&time) != Ordering::Greater)
+            .map_or(0, |last| last + 1);
+        self.timers.insert(at, HedgeTimer { time, shard, slot });
+    }
+
+    /// Where a twin of a request for `net` admitted to `origin` goes:
+    /// the fastest batch-1 shard other than `origin` that is `usable`
+    /// and whose cache budget can hold the plan (ties to the lowest
+    /// index), or `None` — the original stands.
+    pub(super) fn target(
+        cluster: &ServeCluster,
+        budget: &CacheBudget,
+        origin: usize,
+        net: usize,
+        usable: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let costs = cluster.unit_service_ms();
+        let bytes = cluster.unit_plan_bytes();
+        placement::lowest(
+            (0..cluster.shard_count())
+                .filter(|&s| s != origin && usable(s) && budget.admits(s, bytes[s][net])),
+            |s| costs[s][net],
+            f64::total_cmp,
+        )
+    }
+}
+
 /// Graceful degradation by SLO class: once cluster-wide backlog
 /// (queued + in flight) reaches the watermark, admission starts
 /// shedding the **lowest-priority** class (the highest class number);
@@ -555,5 +898,28 @@ mod tests {
         assert_eq!(plan.events().len(), 2);
         assert_eq!(plan.events()[0].at_ms, 10.0);
         assert_eq!(plan.events()[1].at_ms, 50.0);
+    }
+
+    #[test]
+    fn id_set_tracks_word_edges_and_reports_the_previous_bit() {
+        let n = 130;
+        let mut set = IdSet::with_len(n);
+        let edges = [0, 63, 64, n as u64 - 1];
+        for &id in &edges {
+            assert!(!set.contains(id));
+            assert!(!set.set(id), "id {id} was clear");
+            assert!(set.contains(id));
+            assert!(set.set(id), "id {id} was already set");
+        }
+        assert!(!set.contains(1) && !set.contains(62) && !set.contains(65));
+        assert_eq!(set.iter().collect::<Vec<_>>(), edges, "ascending scan");
+        set.clear(63);
+        assert!(!set.contains(63) && set.contains(64));
+        assert!(!set.set(63), "a cleared id reads as clear");
+        // An unsized set is empty: reads are false, clears are no-ops.
+        let mut unsized_set = IdSet::with_len(0);
+        unsized_set.clear(5);
+        assert!(!unsized_set.contains(5));
+        assert_eq!(unsized_set.iter().count(), 0);
     }
 }

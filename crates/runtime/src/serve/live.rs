@@ -46,9 +46,9 @@
 //! transient-compile-fail faults reroute work and are engine-only —
 //! [`LiveServer::new`] rejects them.
 
-use super::fault::{FaultEvent, FaultKind};
+use super::fault::{FaultEvent, FaultKind, ShardFaults};
 use super::load::Request;
-use super::placement::{ClusterView, Placement};
+use super::placement::{LiveView, Placement, ShardGauge};
 use super::policy::BatchPolicy;
 use super::shard::{self, NextBatch, ShardCore};
 use super::transport::TransportModel;
@@ -367,13 +367,8 @@ impl<'t> LiveServer<'t> {
         anchor: Instant,
         gauges: &[Gauges],
     ) -> Result<(Vec<Request>, Vec<Request>), LiveError> {
-        let shard_count = to_shard.len();
         let scale = self.live.time_scale;
-        let healthy = vec![true; shard_count];
-        let degrade = vec![1.0_f64; shard_count];
-        let mut queued_snap = vec![0_usize; shard_count];
-        let mut in_flight_snap = vec![0_usize; shard_count];
-        let mut resident_snap = vec![0_u64; shard_count];
+        let mut view = LiveView::new(to_shard.len());
 
         let mut realized_trace: Vec<Request> = Vec::with_capacity(self.trace.len());
         let mut rejected: Vec<Request> = Vec::new();
@@ -438,24 +433,13 @@ impl<'t> LiveServer<'t> {
 
             // Placement + admission control: the engine's rule, over a
             // live-gauge snapshot.
-            for shard in 0..shard_count {
-                queued_snap[shard] = gauges[shard].queued.load(Ordering::Relaxed);
-                in_flight_snap[shard] = gauges[shard].in_flight.load(Ordering::Relaxed);
-                resident_snap[shard] = gauges[shard].resident.load(Ordering::Relaxed);
+            for (shard, gauge) in gauges.iter().enumerate() {
+                view.set(shard, gauge.read());
             }
-            let view = ClusterView {
-                platforms: self.cluster.platforms(),
-                unit_service_ms: self.cluster.unit_service_ms(),
-                queued: &queued_snap,
-                in_flight: &in_flight_snap,
-                resident_plan_bytes: &resident_snap,
-                healthy: &healthy,
-                degrade: &degrade,
-            };
             let target = shard::place(
                 placement,
                 &realized,
-                &view,
+                &view.of(&self.cluster),
                 &self.cluster,
                 &self.engine.cache_budget,
                 |_| true,
@@ -489,6 +473,21 @@ struct Gauges {
     resident: AtomicU64,
 }
 
+impl Gauges {
+    /// The shard's live-view entry: every live shard reads healthy and
+    /// undegraded (crashes are engine-only, and degrade windows only
+    /// stretch time).
+    fn read(&self) -> ShardGauge {
+        ShardGauge {
+            queued: self.queued.load(Ordering::Relaxed),
+            in_flight: self.in_flight.load(Ordering::Relaxed),
+            resident_plan_bytes: self.resident.load(Ordering::Relaxed),
+            healthy: true,
+            degrade: 1.0,
+        }
+    }
+}
+
 /// One shard's worker: the shared [`ShardCore`] plus the live-only
 /// parts — transport gating, wall-clock sleeps and the live-view
 /// gauges.
@@ -516,33 +515,6 @@ impl Worker<'_> {
         if wall_target_ms > now_wall_ms {
             std::thread::sleep(wall_duration(wall_target_ms - now_wall_ms));
         }
-    }
-
-    /// This shard's fault windows covering `t_ms`, in one pass: the degrade
-    /// factor (`None` outside every degrade window; a factor-1.0
-    /// window still counts, as in the engine) and the compile-stall
-    /// surcharge (0 outside every stall window). Among overlapping
-    /// windows the latest-starting one wins.
-    fn fault_state_at(&self, t_ms: f64) -> (Option<f64>, f64) {
-        let covers = |at_ms: f64, window_ms: f64| at_ms <= t_ms && t_ms < at_ms + window_ms;
-        let mut degrade = None;
-        let mut stall_extra_ms = 0.0;
-        let shard = self.core.report.shard;
-        for event in self.faults.iter().filter(|event| event.shard == shard) {
-            match event.kind {
-                FaultKind::Degrade { factor, window_ms } if covers(event.at_ms, window_ms) => {
-                    degrade = Some(factor);
-                }
-                FaultKind::StallCompile {
-                    extra_ms,
-                    window_ms,
-                } if covers(event.at_ms, window_ms) => stall_extra_ms = extra_ms,
-                // Outside its window, or engine-only (rejected at
-                // construction).
-                _ => {}
-            }
-        }
-        (degrade, stall_extra_ms)
     }
 
     /// The worker loop: drain admissions, form batches by the shared
@@ -636,7 +608,8 @@ impl Worker<'_> {
             .fold(0.0_f64, f64::max);
         self.sleep_until(gate_ms);
         let start_ms = self.sim_now();
-        let (degrade, stall_extra_ms) = self.fault_state_at(start_ms);
+        let (degrade, stall_extra_ms) =
+            ShardFaults::windows_at(self.faults, self.core.report.shard, start_ms).price();
         let batch = self
             .core
             .price(self.cluster, net, take, start_ms, degrade, stall_extra_ms)?;

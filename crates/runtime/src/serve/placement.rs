@@ -9,6 +9,7 @@
 //! so the assignment is too.
 
 use super::load::Request;
+use super::ServeCluster;
 use std::cmp::Ordering;
 
 /// What a placement strategy may inspect: the cluster's shard table,
@@ -61,6 +62,79 @@ impl ClusterView<'_> {
     /// Shard indices currently healthy (up), ascending.
     pub(crate) fn healthy_shards(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.shard_count()).filter(|&s| self.healthy[s])
+    }
+}
+
+/// One shard's entry in a [`LiveView`]: the fields [`ClusterView`]
+/// lends placements, for one shard.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct ShardGauge {
+    pub(super) queued: usize,
+    pub(super) in_flight: usize,
+    pub(super) resident_plan_bytes: u64,
+    pub(super) healthy: bool,
+    pub(super) degrade: f64,
+}
+
+/// The live per-shard state a [`ClusterView`] lends placements, and the
+/// cluster backlog (queued plus in flight) kept beside it. Both worlds
+/// fill one: the engine sets a shard's entry whenever that shard's
+/// state changes, the live front door from its workers' gauges before
+/// each placement.
+#[derive(Debug, PartialEq)]
+pub(super) struct LiveView {
+    queued: Vec<usize>,
+    in_flight: Vec<usize>,
+    resident_plan_bytes: Vec<u64>,
+    healthy: Vec<bool>,
+    degrade: Vec<f64>,
+    backlog: usize,
+}
+
+impl LiveView {
+    /// An idle, healthy, undegraded cluster of `shard_count` shards.
+    pub(super) fn new(shard_count: usize) -> Self {
+        LiveView {
+            queued: vec![0; shard_count],
+            in_flight: vec![0; shard_count],
+            resident_plan_bytes: vec![0; shard_count],
+            healthy: vec![true; shard_count],
+            degrade: vec![1.0; shard_count],
+            backlog: 0,
+        }
+    }
+
+    /// Sets one shard's entry.
+    #[inline]
+    pub(super) fn set(&mut self, shard: usize, gauge: ShardGauge) {
+        self.backlog = self.backlog + gauge.queued + gauge.in_flight
+            - self.queued[shard]
+            - self.in_flight[shard];
+        self.queued[shard] = gauge.queued;
+        self.in_flight[shard] = gauge.in_flight;
+        self.resident_plan_bytes[shard] = gauge.resident_plan_bytes;
+        self.healthy[shard] = gauge.healthy;
+        self.degrade[shard] = gauge.degrade;
+    }
+
+    /// Cluster-wide outstanding requests.
+    #[inline]
+    pub(super) fn backlog(&self) -> usize {
+        self.backlog
+    }
+
+    /// The view placements read: `cluster`'s tables and this state.
+    #[inline]
+    pub(super) fn of<'a>(&'a self, cluster: &'a ServeCluster) -> ClusterView<'a> {
+        ClusterView {
+            platforms: cluster.platforms(),
+            unit_service_ms: cluster.unit_service_ms(),
+            queued: &self.queued,
+            in_flight: &self.in_flight,
+            resident_plan_bytes: &self.resident_plan_bytes,
+            healthy: &self.healthy,
+            degrade: &self.degrade,
+        }
     }
 }
 

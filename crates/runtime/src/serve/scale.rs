@@ -33,6 +33,7 @@
 //!   reconfiguration sits inside the live-twin oracle's timing-robust
 //!   envelope (pinned by `tests/serve_live.rs`).
 
+use super::placement::{self, ClusterView};
 use super::ServeCluster;
 use sma_energy::EnergyModel;
 
@@ -190,15 +191,8 @@ impl EnergyFrontier {
         mix: &[u64],
         candidates: impl Iterator<Item = usize>,
     ) -> Option<usize> {
-        candidates
-            .fold(None, |best: Option<(usize, f64)>, shard| {
-                let cost = self.cost_per_request(shard, mix);
-                match best {
-                    Some((_, best_cost)) if best_cost <= cost => best,
-                    _ => Some((shard, cost)),
-                }
-            })
-            .map(|(shard, _)| shard)
+        let cost = |shard| self.cost_per_request(shard, mix);
+        placement::lowest(candidates, cost, f64::total_cmp)
     }
 
     /// The costliest shard among `candidates` (ties to the highest
@@ -206,22 +200,167 @@ impl EnergyFrontier {
     pub(super) fn costliest(
         &self,
         mix: &[u64],
-        candidates: impl Iterator<Item = usize>,
+        candidates: impl DoubleEndedIterator<Item = usize>,
     ) -> Option<usize> {
-        candidates
-            .fold(None, |worst: Option<(usize, f64)>, shard| {
-                let cost = self.cost_per_request(shard, mix);
-                match worst {
-                    Some((_, worst_cost)) if worst_cost > cost => worst,
-                    _ => Some((shard, cost)),
-                }
-            })
-            .map(|(shard, _)| shard)
+        let cost = |shard| self.cost_per_request(shard, mix);
+        placement::lowest(candidates.rev(), cost, |a, b| b.total_cmp(a))
     }
 }
 
-/// Autoscaler counters of one run (all zero without an enabled
-/// [`AutoscalePolicy`]), reported in `ServeRun::scale`.
+/// A shard's power state under the autoscaler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Power {
+    /// Powered and taking placements.
+    Active,
+    /// Drain-before-remove: taking no new placements, and parked once
+    /// its queue and in-flight batch run empty.
+    Draining,
+    Parked,
+}
+
+/// The autoscaler's run state, built only for an enabled policy.
+#[derive(Debug)]
+pub(super) struct Autoscaler {
+    policy: AutoscalePolicy,
+    power: Vec<Power>,
+    /// Consecutive over- and under-watermark evaluations (hysteresis).
+    up_streak: u32,
+    down_streak: u32,
+    stats: ScaleStats,
+    frontier: EnergyFrontier,
+    /// Cumulative arrivals per network: the observed traffic mix the
+    /// frontier weighs shard costs by.
+    mix: Vec<u64>,
+}
+
+/// What one autoscaler tick decided; the engine applies it.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ScaleDecision {
+    /// A shard the tick (re-)activated: it may have work waiting.
+    pub(super) activated: Option<usize>,
+    /// When the next tick fires (`None` = nothing left to observe).
+    pub(super) next_ms: Option<f64>,
+}
+
+impl Autoscaler {
+    /// The autoscaler for `policy`, or `None` when the policy is absent
+    /// or inert (zero headroom): only then does the frontier price the
+    /// cluster's plans through the energy ledger.
+    pub(super) fn new(policy: Option<AutoscalePolicy>, cluster: &ServeCluster) -> Option<Self> {
+        let policy = policy.filter(AutoscalePolicy::enabled)?;
+        Some(Autoscaler {
+            policy,
+            power: vec![Power::Active; cluster.shard_count()],
+            up_streak: 0,
+            down_streak: 0,
+            stats: ScaleStats::default(),
+            frontier: EnergyFrontier::from_cluster(cluster, &EnergyModel::volta()),
+            mix: vec![0; cluster.networks().len()],
+        })
+    }
+
+    /// When the first tick fires.
+    pub(super) fn first_tick_ms(&self) -> f64 {
+        self.policy.period_ms
+    }
+
+    /// Counts one arrival of network `net` into the observed mix.
+    #[inline]
+    pub(super) fn observe(&mut self, net: usize) {
+        self.mix[net] += 1;
+    }
+
+    /// Whether `shard` takes new placements.
+    #[inline]
+    pub(super) fn accepting(&self, shard: usize) -> bool {
+        self.power[shard] == Power::Active
+    }
+
+    /// One evaluation at `now_ms` against the live view and its
+    /// cluster `backlog`: park finished drains, update the hysteresis
+    /// streaks from the backlog per powered shard, and act at most once
+    /// — activate the cheapest eligible shard on a sustained high,
+    /// drain the costliest on a sustained low. `more_arrivals` says
+    /// whether the trace has arrivals left.
+    pub(super) fn tick(
+        &mut self,
+        now_ms: f64,
+        view: &ClusterView<'_>,
+        backlog: usize,
+        more_arrivals: bool,
+    ) -> ScaleDecision {
+        for (shard, power) in self.power.iter_mut().enumerate() {
+            if *power == Power::Draining && view.outstanding(shard) == 0 {
+                *power = Power::Parked;
+                self.stats.drains_completed += 1;
+            }
+        }
+        self.stats.evaluations += 1;
+        let powered = self.power.iter().filter(|&&p| p != Power::Parked);
+        let load = backlog as f64 / powered.count().max(1) as f64;
+        let policy = self.policy;
+        self.up_streak = if load >= policy.high_watermark {
+            self.up_streak + 1
+        } else {
+            0
+        };
+        self.down_streak = if load <= policy.low_watermark {
+            self.down_streak + 1
+        } else {
+            0
+        };
+        let shards = 0..self.power.len();
+        let mut activated = None;
+        if self.up_streak >= policy.hysteresis_ticks {
+            // Scale up: the cheapest shard (under the observed mix)
+            // among those not currently accepting, gated by the energy
+            // budget — never activate capacity the headroom cannot pay
+            // for. Cancelling an in-progress drain beats powering a
+            // parked shard (same index rule: cheapest wins).
+            let budget = (1.0 + policy.energy_headroom) * self.frontier.frontier_cost(&self.mix);
+            activated = self.frontier.cheapest(
+                &self.mix,
+                shards.filter(|&s| {
+                    !self.accepting(s) && self.frontier.cost_per_request(s, &self.mix) <= budget
+                }),
+            );
+            if let Some(shard) = activated {
+                self.power[shard] = Power::Active;
+                self.stats.scale_ups += 1;
+                (self.up_streak, self.down_streak) = (0, 0);
+            }
+        } else if self.down_streak >= policy.hysteresis_ticks {
+            // Scale down: drain the costliest accepting shard, never
+            // below the floor. The drain finishes on a later tick once
+            // the shard runs empty (drain-before-remove).
+            let accepting = shards.filter(|&s| self.accepting(s));
+            if accepting.clone().count() > policy.min_active {
+                if let Some(shard) = self.frontier.costliest(&self.mix, accepting) {
+                    self.power[shard] = Power::Draining;
+                    self.stats.scale_downs += 1;
+                    (self.up_streak, self.down_streak) = (0, 0);
+                }
+            }
+        }
+        // Re-arm while there is anything left to observe: future
+        // arrivals, outstanding work, or an unfinished drain.
+        let more = more_arrivals || backlog > 0 || self.power.contains(&Power::Draining);
+        ScaleDecision {
+            activated,
+            next_ms: more.then_some(now_ms + policy.period_ms),
+        }
+    }
+
+    /// The run's counters, with the shards still accepting at its end.
+    pub(super) fn finish(mut self) -> ScaleStats {
+        self.stats.final_active = self.power.iter().filter(|&&p| p == Power::Active).count();
+        self.stats
+    }
+}
+
+/// Autoscaler counters of one run, reported in `ServeRun::scale`.
+/// Without an enabled [`AutoscalePolicy`] the engine reports zero
+/// counts and every shard as `final_active`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleStats {
     /// Scale ticks evaluated.

@@ -16,9 +16,11 @@
 //!   ([`close`]).
 //!
 //! What differs between the worlds stays with the caller: the engine
-//! owns its event queue, epochs and fault/recovery/control-plane
-//! handlers; the live worker owns its channels, transport gating,
-//! wall-clock sleeps and atomics. Every method takes simulated
+//! owns its event queue and epochs and sequences the fault, recovery
+//! and control-plane state; the live worker owns its channels,
+//! transport gating, wall-clock sleeps and atomics. Both price batches
+//! under `ShardFaults::price` (`serve/fault.rs`) and fill a `LiveView`
+//! (`serve/placement.rs`) for placement. Every method takes simulated
 //! instants as inputs and reads no clock.
 
 use super::engine::{CacheBudget, EngineConfig};

@@ -1,9 +1,83 @@
-//! The dense plan cache against an ordered-map reference LRU.
+//! The dense plan cache, alone and against an ordered-map reference
+//! LRU, and the reconfiguration window's configuration choice.
+
+// Exact float equality in these tests asserts bit-reproducibility of
+// exactly-representable values; an epsilon would weaken them.
+#![allow(clippy::float_cmp)]
 
 use super::*;
 use crate::serve::load::SeededRng;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+#[test]
+fn plan_cache_lru_evicts_the_coldest_plan() {
+    let mut cache = PlanCache::new(Some(100));
+    assert_eq!(cache.access((0, 1), 40, 2.0), 2.0, "cold miss bills");
+    assert_eq!(cache.access((1, 1), 40, 2.0), 2.0);
+    assert_eq!(cache.access((0, 1), 40, 2.0), 0.0, "hit is free");
+    // Admitting a third 40B plan exceeds 100B: the LRU victim is
+    // (1,1) — (0,1) was touched more recently.
+    assert_eq!(cache.access((2, 1), 40, 2.0), 2.0);
+    assert_eq!(cache.access((0, 1), 40, 2.0), 0.0, "(0,1) survived");
+    assert_eq!(cache.access((1, 1), 40, 2.0), 2.0, "(1,1) was evicted");
+    let stats = cache.into_stats();
+    assert_eq!(stats.hits + stats.misses, stats.lookups);
+    assert_eq!(stats.evictions, 2);
+    assert!(stats.peak_bytes <= 100);
+    assert_eq!(stats.resident_bytes, 80);
+}
+
+#[test]
+fn plan_cache_unbounded_never_evicts() {
+    let mut cache = PlanCache::new(None);
+    for net in 0..50 {
+        assert_eq!(cache.access((net, 1), 1 << 20, 1.0), 1.0);
+        assert_eq!(cache.access((net, 1), 1 << 20, 1.0), 0.0);
+    }
+    let stats = cache.into_stats();
+    assert_eq!(stats.evictions, 0);
+    assert_eq!(stats.misses, 50);
+    assert_eq!(stats.hits, 50);
+    assert_eq!(stats.resident_bytes, 50 << 20);
+}
+
+#[test]
+fn plan_cache_contains_peeks_without_billing() {
+    let mut cache = PlanCache::new(Some(100));
+    assert!(!cache.contains(&(0, 1)));
+    cache.access((0, 1), 40, 2.0);
+    assert!(cache.contains(&(0, 1)));
+    let stats = cache.into_stats();
+    assert_eq!(stats.lookups, 1, "contains() is not a lookup");
+}
+
+#[test]
+fn oversized_plan_empties_the_cache_but_still_runs() {
+    let mut cache = PlanCache::new(Some(64));
+    cache.access((0, 1), 30, 1.0);
+    cache.access((1, 1), 30, 1.0);
+    // 100 > 64: everything is evicted, the plan is admitted anyway
+    // (admission control keeps this out of engine runs).
+    assert_eq!(cache.access((2, 1), 100, 1.0), 1.0);
+    let stats = cache.into_stats();
+    assert_eq!(stats.evictions, 2);
+    assert_eq!(stats.resident_bytes, 100);
+}
+
+#[test]
+fn best_config_minimises_weighted_cycles_with_low_index_ties() {
+    // config 0 wins net 0, config 1 wins net 1.
+    let cycles = vec![vec![10, 100], vec![50, 20]];
+    assert_eq!(best_config(&cycles, &[1, 0]), 0);
+    assert_eq!(best_config(&cycles, &[0, 1]), 1);
+    // 3×10 + 1×100 = 130 vs 3×50 + 1×20 = 170.
+    assert_eq!(best_config(&cycles, &[3, 1]), 0);
+    // Exact tie: lowest index wins.
+    assert_eq!(best_config(&[vec![5], vec![5]], &[7]), 0);
+    // Empty window: everything is zero cost — lowest index.
+    assert_eq!(best_config(&cycles, &[0, 0]), 0);
+}
 
 /// The reference the dense cache must match: the same LRU over an
 /// ordered map, with the victim found by a full scan.

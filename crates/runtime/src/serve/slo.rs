@@ -23,6 +23,7 @@
 //! policy, so EDF's effect is directly comparable against the
 //! SLO-blind policies in `BENCH_serve.json`.
 
+use super::fault::{ClassFaultStats, IdSet};
 use super::load::Request;
 use super::policy::{BatchPolicy, PolicyDecision};
 
@@ -40,9 +41,10 @@ use super::policy::{BatchPolicy, PolicyDecision};
 /// every queue to strict class order (FIFO within a class), so the
 /// urgent arrival is actually first in line after the eviction.
 ///
-/// The decision itself is a pure function of the two class labels;
-/// all timing and billing live in the engine's `Preempt` event class
-/// (see `docs/AUTOSCALING.md` for the full semantics).
+/// The decision itself is a pure function of the two class labels
+/// (`Preemption` holds it and the evicted ids for one run); timing
+/// and billing live in the engine's `Preempt` event class (see
+/// `docs/AUTOSCALING.md` for the full semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreemptPolicy {
     /// Minimum class gap (arriving strictly more urgent by at least
@@ -72,6 +74,42 @@ impl PreemptPolicy {
     #[must_use]
     pub(crate) fn preempts(&self, arriving: u8, running_min: u8) -> bool {
         u16::from(arriving) + u16::from(self.min_class_gap) <= u16::from(running_min)
+    }
+}
+
+/// Preemption's run state: the policy and the ids it evicted.
+#[derive(Debug)]
+pub(super) struct Preemption {
+    policy: PreemptPolicy,
+    evicted: IdSet,
+}
+
+impl Preemption {
+    /// Preemption over a trace of `len` requests.
+    pub(super) fn new(policy: PreemptPolicy, len: usize) -> Self {
+        let evicted = IdSet::with_len(len);
+        Preemption { policy, evicted }
+    }
+
+    /// Whether an arrival of `class` evicts the batch `running`, whose
+    /// most urgent member sets the victim class.
+    #[inline]
+    pub(super) fn evicts(&self, class: u8, running: &[Request]) -> bool {
+        let victim_class = running.iter().map(|r| r.class).fold(u8::MAX, u8::min);
+        self.policy.preempts(class, victim_class)
+    }
+
+    /// Records one eviction's victims, per class and per id.
+    pub(super) fn note(&mut self, victims: &[Request], class_stats: &mut [ClassFaultStats]) {
+        for victim in victims {
+            class_stats[usize::from(victim.class)].preempted += 1;
+            self.evicted.set(victim.id);
+        }
+    }
+
+    /// The evicted ids, ascending.
+    pub(super) fn into_ids(self) -> Vec<u64> {
+        self.evicted.iter().collect()
     }
 }
 

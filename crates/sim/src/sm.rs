@@ -203,7 +203,6 @@ impl SmSim {
         });
         let mut l1 = Cache::new(CacheConfig::volta_l1());
         let mut l2 = Cache::new(CacheConfig::volta_l2());
-        let mut coalescer = Coalescer::new();
         let mut mem = MemStats::default();
 
         // --- Execution resources ------------------------------------------
@@ -366,7 +365,7 @@ impl SmSim {
                                 cycle + u64::from(lat.shared) + u64::from(acc.cycles - 1)
                             }
                             MemSpace::Global => {
-                                let r = coalescer.access(&addrs, *width);
+                                let r = Coalescer::probe(&addrs, *width);
                                 lsu_free_at = cycle + u64::from(r.sectors.div_ceil(4)).max(1);
                                 self.global_access(
                                     &mut l1,
@@ -402,7 +401,7 @@ impl SmSim {
                                 mem.shared_conflict_cycles += u64::from(acc.extra_conflict_cycles);
                             }
                             MemSpace::Global => {
-                                let r = coalescer.access(&addrs, *width);
+                                let r = Coalescer::probe(&addrs, *width);
                                 lsu_free_at = cycle + u64::from(r.sectors.div_ceil(4)).max(1);
                                 mem.dram_bytes += u64::from(r.sectors) * 32;
                             }
