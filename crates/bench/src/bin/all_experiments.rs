@@ -13,7 +13,6 @@
 //! Environment:
 //! * `SMA_SWEEP_THREADS` — worker threads (default: available
 //!   parallelism).
-//! * `SMA_SWEEP_REPS` — inference replays per grid cell (default 200).
 //! * `SMA_SWEEP_JSON` — committed report path (default:
 //!   `BENCH_sweep.json`); the timing side-file derives its name from it
 //!   (`_timing` before the extension).
@@ -22,13 +21,16 @@ use sma_bench::sweep::{self, Sweep, SweepReport};
 use sma_models::zoo;
 use sma_runtime::Platform;
 
+/// Replays per grid cell: a serving burst large enough that the report
+/// times real work, small enough for CI.
+const REPS: usize = 200;
+
 fn main() {
     let execs = sweep::grid_executors(&Platform::ALL, &[1, 16]);
     let nets = zoo::evaluation_networks();
-    let reps = sweep::default_reps();
     let threads = sweep::default_threads();
 
-    let tasks = Sweep::figures().extend(Sweep::grid_planned(&execs, &nets, reps));
+    let tasks = Sweep::figures().extend(Sweep::grid_planned(&execs, &nets, REPS));
     let before = sweep::cache_snapshot();
     let run = tasks.run_parallel(threads);
     let after = sweep::cache_snapshot();

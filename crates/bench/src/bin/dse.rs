@@ -15,8 +15,6 @@
 //!   wall-clock and the headline **points/sec**.
 //!
 //! Environment:
-//! * `SMA_DSE_POINTS` — evaluate only the first N points (default: the
-//!   full grid; `--smoke` below caps harder).
 //! * `SMA_SWEEP_THREADS` — row workers, the main thread among them
 //!   (default: available parallelism; compile sizes its own fan-out).
 //! * `SMA_DSE_JSON` — committed summary path (default:
@@ -63,8 +61,7 @@ fn main() {
     } else {
         DseGrid::full()
     };
-    let total = grid.len();
-    let count = knobs::dse_points().map_or(total, |cap| cap.min(total));
+    let count = grid.len();
     let threads = sweep::default_threads();
     let path = knobs::dse_json_path();
     let rows_file = side_path(&path, "_rows");
@@ -75,10 +72,8 @@ fn main() {
     let compiled = grid.compile();
     let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
     println!(
-        "dse: compiled {} arena steps for {} points ({} evaluated) in {compile_ms:.1} ms",
+        "dse: compiled {} arena steps for {count} points in {compile_ms:.1} ms",
         compiled.arena_steps(),
-        total,
-        count,
     );
 
     let writer = match File::create(&rows_file) {

@@ -156,8 +156,7 @@ impl DseGrid {
     }
 
     /// Decodes point `index` under the documented axis nesting —
-    /// span-major, then mode, batch, budget, with network innermost —
-    /// so a `SMA_DSE_POINTS` prefix still varies the inner axes first.
+    /// span-major, then mode, batch, budget, with network innermost.
     ///
     /// # Panics
     ///
@@ -750,7 +749,7 @@ impl DseCompiled {
 /// The deterministic summary committed as `BENCH_dse.json`.
 #[derive(Debug, Clone)]
 pub struct DseReport {
-    /// Points evaluated (the whole grid, or a `SMA_DSE_POINTS` prefix).
+    /// Points evaluated (the whole grid).
     pub points: usize,
     /// Chained FNV-1a 64 digest over every row's JSON, in index order.
     pub rows_digest: u64,

@@ -94,35 +94,10 @@ pub(crate) fn sweep_threads() -> usize {
     }
 }
 
-/// Replays per grid cell: `SMA_SWEEP_REPS` if set to a positive count,
-/// else 200 (a serving burst large enough that the report times real
-/// work, small enough for CI).
-#[must_use]
-pub(crate) fn sweep_reps() -> usize {
-    match opt::<usize>("SMA_SWEEP_REPS") {
-        Some(0) => abort("SMA_SWEEP_REPS=0 is malformed (rep count must be positive)"),
-        Some(n) => n,
-        None => 200,
-    }
-}
-
 /// Sweep report path: `SMA_SWEEP_JSON`, default `BENCH_sweep.json`.
 #[must_use]
 pub fn sweep_json_path() -> String {
     parse("SMA_SWEEP_JSON", String::from("BENCH_sweep.json"))
-}
-
-/// Point cap for the `dse` bin: `SMA_DSE_POINTS` truncates the
-/// enumerated grid to its first N points (enumeration order is the
-/// documented axis nesting, so a prefix is itself deterministic).
-/// Unset means the full grid; zero is rejected rather than defaulted —
-/// a 0-point sweep is a request we cannot honor.
-#[must_use]
-pub fn dse_points() -> Option<usize> {
-    match opt::<usize>("SMA_DSE_POINTS") {
-        Some(0) => abort("SMA_DSE_POINTS=0 is malformed (point cap must be positive)"),
-        other => other,
-    }
 }
 
 /// DSE report path: `SMA_DSE_JSON`, default `BENCH_dse.json` (the
@@ -325,17 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reps_knob() {
-        with_env("SMA_SWEEP_REPS", None, || {
-            assert_eq!(super::sweep_reps(), 200)
-        });
-        with_env("SMA_SWEEP_REPS", Some("7"), || {
-            assert_eq!(super::sweep_reps(), 7)
-        });
-        assert_malformed::<usize>("SMA_SWEEP_REPS", "2e2");
-    }
-
-    #[test]
     fn sweep_json_path_knob() {
         with_env("SMA_SWEEP_JSON", None, || {
             assert_eq!(super::sweep_json_path(), "BENCH_sweep.json");
@@ -343,19 +307,6 @@ mod tests {
         with_env("SMA_SWEEP_JSON", Some("x.json"), || {
             assert_eq!(super::sweep_json_path(), "x.json");
         });
-    }
-
-    #[test]
-    fn dse_points_knob() {
-        with_env("SMA_DSE_POINTS", None, || {
-            assert_eq!(super::dse_points(), None)
-        });
-        with_env("SMA_DSE_POINTS", Some("128"), || {
-            assert_eq!(super::dse_points(), Some(128))
-        });
-        // Zero aborts in the accessor (a 0-point sweep is not a default);
-        // the parse layer itself accepts it, so pin the malformed text arm.
-        assert_malformed::<usize>("SMA_DSE_POINTS", "all");
     }
 
     #[test]

@@ -373,14 +373,6 @@ pub fn default_threads() -> usize {
     crate::knobs::sweep_threads()
 }
 
-/// Replays per grid cell: `SMA_SWEEP_REPS` if set, else 200 (a serving
-/// burst large enough that the report times real work, small enough for
-/// CI).
-#[must_use]
-pub fn default_reps() -> usize {
-    crate::knobs::sweep_reps()
-}
-
 /// Per-platform GEMM-cache counters at one instant.
 #[must_use]
 pub fn cache_snapshot() -> Vec<(&'static str, CacheStats)> {

@@ -13,7 +13,6 @@ use crate::config::SmaConfig;
 use crate::unit::SmaUnit;
 use crate::SmaError;
 use sma_isa::{AddressPattern, Instr, Kernel, Reg, WarpProgram, WarpRole};
-use sma_systolic::PassTrace;
 use sma_tensor::{GemmShape, Matrix, TileConfig};
 
 /// Result of functionally executing a mapped GEMM.
@@ -21,8 +20,6 @@ use sma_tensor::{GemmShape, Matrix, TileConfig};
 pub struct MappedGemm {
     /// The computed product.
     pub result: Matrix<f32>,
-    /// Merged dataflow trace across every `LSMA` of every tile.
-    pub trace: PassTrace,
     /// Total `LSMA` operations issued.
     pub lsma_ops: u64,
     /// Thread-block tiles processed.
@@ -86,7 +83,6 @@ impl GemmMapper {
         }
 
         let mut c = Matrix::zeros(shape.m, shape.n);
-        let mut trace: Option<PassTrace> = None;
         let mut lsma_ops = 0u64;
         let mut tiles = 0u64;
 
@@ -107,25 +103,17 @@ impl GemmMapper {
                     let n_units = units_len(&units);
                     let unit = &mut units[si % n_units];
                     let mut c_cols = Matrix::zeros(self.tile.block_m, dim);
-                    let t = unit
-                        .execute_lsma(&a_tile, &b_sub, &mut c_cols)
+                    unit.execute_lsma(&a_tile, &b_sub, &mut c_cols)
                         .expect("systolic mode is on and shapes are padded");
                     csub.accumulate_block(0, n0, &c_cols);
                     lsma_ops += 1;
-                    match &mut trace {
-                        Some(acc) => acc.merge(&t),
-                        None => trace = Some(t),
-                    }
                 }
             }
             c.accumulate_block(block.row0, block.col0, &csub);
         }
 
-        let trace =
-            trace.unwrap_or_else(|| PassTrace::empty(sma_systolic::CDrainKind::CoalescedRow));
         Ok(MappedGemm {
             result: c,
-            trace,
             lsma_ops,
             tiles,
         })
@@ -318,7 +306,11 @@ mod tests {
         let out = mapper.execute(&a, &b).unwrap();
         // One block, one k-tile, 16 dim-wide functional passes.
         assert_eq!(out.lsma_ops, 16);
-        // Issued MACs cover the padded tile: 128×8×(16×8).
-        assert_eq!(out.trace.macs, 128 * 8 * 128);
+        // Issued MACs cover the padded tile: 128×8×(16×8), each op one
+        // 128-row pass over a dim×dim (8×8) weight subtile, as the tile
+        // walk counts them.
+        let issued = TileConfig::paper().walk(GemmShape::new(128, 128, 8));
+        assert_eq!(out.lsma_ops * 128 * 8 * 8, issued.issued_macs());
+        assert_eq!(issued.issued_macs(), 128 * 8 * 128);
     }
 }

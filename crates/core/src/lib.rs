@@ -14,8 +14,8 @@
 //!
 //! * [`SmaConfig`] — the Table-I SMA configuration (2-SMA iso-FLOP,
 //!   3-SMA iso-area);
-//! * [`SmaUnit`] — a functional dual-mode unit with the repurposed
-//!   operand-collector weight buffers (§IV-A);
+//! * [`SmaUnit`] — a functional dual-mode unit: SIMD lanes or one
+//!   systolic dataflow engine, gated by its mode (§III-A);
 //! * [`SystolicController`] — per-unit `LSMA` issue queues and the
 //!   Ain/Cout staging buffers of Fig. 5 (256 B total);
 //! * [`GemmMapper`] — the Fig.-6 algorithm mapping: 128×128 thread-block

@@ -11,7 +11,6 @@
 //! become visible after an explicit synchronisation.
 
 use crate::SmaError;
-use sma_isa::{Instr, Reg};
 
 /// A validated `LSMA` operation descriptor.
 ///
@@ -22,8 +21,10 @@ use sma_isa::{Instr, Reg};
 ///
 /// # fn main() -> Result<(), sma_core::SmaError> {
 /// let op = LsmaOp::new(0, 0x100, 24, 128)?;
-/// let instr = op.encode();
-/// assert_eq!(instr.warp_macs(), 128 * 64);
+/// // At pass cycle 0 only PE column 0 reads `A[0][0]`.
+/// assert_eq!(op.a_feed_addresses(0, 8), vec![0x100]);
+/// // Misaligned `A` bases are refused up front.
+/// assert!(LsmaOp::new(0, 0x102, 24, 128).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -93,37 +94,6 @@ impl LsmaOp {
         self.k as u64 + Self::DIM as u64 - 1 + 1
     }
 
-    /// Lowers to the ISA instruction executed by `sma-sim`.
-    #[must_use]
-    pub const fn encode(&self) -> Instr {
-        Instr::Lsma {
-            unit: self.unit,
-            a_base: self.a_base,
-            c_base: Reg(self.c_base),
-            k: self.k,
-        }
-    }
-
-    /// Recovers the descriptor from an ISA instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmaError::InvalidLsma`] if the instruction is not an
-    /// `LSMA` or fails validation.
-    pub fn decode(instr: &Instr) -> Result<Self, SmaError> {
-        match instr {
-            Instr::Lsma {
-                unit,
-                a_base,
-                c_base,
-                k,
-            } => Self::new(*unit, *a_base, c_base.0, *k),
-            _ => Err(SmaError::InvalidLsma {
-                reason: "not an lsma instruction",
-            }),
-        }
-    }
-
     /// The skewed shared-memory addresses the controller's address
     /// generators produce at pass cycle `t` (element width 4 bytes,
     /// row-major `A` tile with `pitch` elements per row): column `c` reads
@@ -158,6 +128,7 @@ impl std::fmt::Display for LsmaOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sma_isa::{Instr, Reg};
     use sma_mem::{BankedConfig, BankedMemory};
 
     #[test]
@@ -170,18 +141,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let op = LsmaOp::new(1, 0x80, 16, 128).unwrap();
-        let decoded = LsmaOp::decode(&op.encode()).unwrap();
-        assert_eq!(op, decoded);
-        let not = Instr::Bar { id: 0 };
-        assert!(LsmaOp::decode(&not).is_err());
-    }
-
-    #[test]
     fn mac_and_cycle_counts() {
         let op = LsmaOp::new(0, 0, 0, 128).unwrap();
-        assert_eq!(op.encode().warp_macs(), 8192);
+        let instr = Instr::Lsma {
+            unit: 0,
+            a_base: 0,
+            c_base: Reg(0),
+            k: 128,
+        };
+        assert_eq!(instr.warp_macs(), 8192);
         assert_eq!(op.pass_cycles(), 128 + 8);
     }
 

@@ -2,14 +2,16 @@
 //!
 //! In SIMD mode the unit's 64 FP32 lanes behave as two warp-slots of
 //! ordinary CUDA cores; in systolic mode the same lanes form an 8×8 FP32
-//! (8×16 FP16) semi-broadcast weight-stationary array whose stationary
-//! weights live in the repurposed operand collectors. Switching is a
-//! register-write, not a reconfiguration of routing — the temporal
-//! integration with "zero switching overhead" (§III-A; we charge one cycle
-//! to be conservative).
+//! (8×16 FP16) semi-broadcast weight-stationary array. The paper keeps
+//! the stationary weights in the repurposed operand collectors (§IV-A);
+//! here the dataflow engine holds them for the pass, and the RF traffic
+//! that reuse saves is priced in [`SmaGemmModel`](crate::SmaGemmModel)'s
+//! ledger. Switching is a register-write, not a reconfiguration of
+//! routing — the temporal integration with "zero switching overhead"
+//! (§III-A; `LsmaOp`'s pass charges one cycle to be conservative). An
+//! `LSMA` outside systolic mode is [`SmaError::WrongMode`].
 
 use crate::{SmaConfig, SmaError};
-use sma_mem::regfile::OperandCollector;
 use sma_systolic::{
     DataflowKind, PassTrace, SemiBroadcastArray, SystolicGemm, WeightStationaryArray,
 };
@@ -49,9 +51,6 @@ pub struct SmaUnit {
     dim: usize,
     dataflow: DataflowKind,
     mode: ExecutionMode,
-    /// One repurposed operand collector per PE column (§IV-A).
-    collectors: Vec<OperandCollector>,
-    mode_switches: u64,
 }
 
 impl SmaUnit {
@@ -62,28 +61,17 @@ impl SmaUnit {
             dim: cfg.dim as usize,
             dataflow: cfg.dataflow,
             mode: ExecutionMode::Simd,
-            collectors: (0..cfg.dim).map(|_| OperandCollector::new()).collect(),
-            mode_switches: 0,
         }
     }
 
     /// Switches to systolic mode (idempotent).
     pub fn enter_systolic(&mut self) {
-        if self.mode != ExecutionMode::Systolic {
-            self.mode = ExecutionMode::Systolic;
-            self.mode_switches += 1;
-        }
+        self.mode = ExecutionMode::Systolic;
     }
 
-    /// Switches back to SIMD mode, releasing the operand collectors.
+    /// Switches back to SIMD mode (idempotent).
     pub fn exit_systolic(&mut self) {
-        if self.mode != ExecutionMode::Simd {
-            self.mode = ExecutionMode::Simd;
-            self.mode_switches += 1;
-            for c in &mut self.collectors {
-                c.release();
-            }
-        }
+        self.mode = ExecutionMode::Simd;
     }
 
     /// Warp-wide FP32 FMA slots this unit contributes in SIMD mode
@@ -121,16 +109,6 @@ impl SmaUnit {
                 a: c.shape(),
                 b: (a.rows(), self.dim),
             });
-        }
-
-        // Latch the stationary weights into the repurposed collectors
-        // (column-major: collector c holds B_sub[c][0..8]).
-        for (ci, coll) in self.collectors.iter_mut().enumerate() {
-            let mut col = [0.0f32; 8];
-            for (r, slot) in col.iter_mut().enumerate().take(self.dim.min(8)) {
-                *slot = b_sub[(ci.min(b_sub.rows() - 1), r)];
-            }
-            coll.load_weights(col);
         }
 
         // Run the configured dataflow engine. Pad A's k dimension to the
@@ -217,9 +195,9 @@ mod tests {
         assert_eq!(u.mode, ExecutionMode::Simd);
         u.enter_systolic();
         u.enter_systolic(); // idempotent
+        assert_eq!(u.mode, ExecutionMode::Systolic);
         u.exit_systolic();
         u.exit_systolic();
-        assert_eq!(u.mode_switches, 2);
         assert_eq!(u.mode, ExecutionMode::Simd);
     }
 

@@ -86,15 +86,6 @@ impl EnergyTable {
             pe_wire_pj: 0.06,
         }
     }
-
-    /// CACTI-style capacity scaling for an SRAM structure: access energy
-    /// grows roughly with the square root of capacity. Returns the energy
-    /// of one access to a structure of `kib` KiB given a reference energy
-    /// at a reference capacity.
-    #[must_use]
-    pub fn sram_scaled_pj(reference_pj: f64, reference_kib: f64, kib: f64) -> f64 {
-        reference_pj * (kib / reference_kib).sqrt()
-    }
 }
 
 impl Default for EnergyTable {
@@ -294,12 +285,6 @@ mod tests {
         let e32 = fp32.estimate(&s);
         assert!(e16.pe < e32.pe);
         assert!((e32.pe / e16.pe - 1.5 / 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sram_scaling_is_sqrt() {
-        let e = EnergyTable::sram_scaled_pj(10.0, 64.0, 256.0);
-        assert!((e - 20.0).abs() < 1e-12);
     }
 
     #[test]

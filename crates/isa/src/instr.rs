@@ -301,15 +301,6 @@ impl Instr {
         }
     }
 
-    /// True for synchronisation instructions.
-    #[must_use]
-    pub const fn is_sync(&self) -> bool {
-        matches!(
-            self,
-            Instr::Bar { .. } | Instr::GroupSync { .. } | Instr::LsmaWait { .. }
-        )
-    }
-
     /// FP32-equivalent MACs this warp-instruction performs across 32 lanes.
     ///
     /// `Hmma` is one 4×4×4 step = 64 MACs; `Lsma` drives `k×8×8` MACs.
@@ -400,7 +391,6 @@ mod tests {
         let i = Instr::ffma(Reg(3), Reg(0), Reg(1), Reg(2));
         assert_eq!(i.dsts(), vec![Reg(3)]);
         assert_eq!(i.srcs(), vec![Reg(0), Reg(1), Reg(2)]);
-        assert!(!i.is_sync());
     }
 
     #[test]
@@ -440,13 +430,5 @@ mod tests {
         };
         assert_eq!(lsma.to_string(), "LSMA u1, A@0x80, r8, k=16");
         assert_eq!(Instr::Bar { id: 0 }.to_string(), "BAR.SYNC 0");
-    }
-
-    #[test]
-    fn sync_classification() {
-        assert!(Instr::Bar { id: 0 }.is_sync());
-        assert!(Instr::GroupSync { group: 1 }.is_sync());
-        assert!(Instr::LsmaWait { unit: 0 }.is_sync());
-        assert!(!Instr::Exit.is_sync());
     }
 }

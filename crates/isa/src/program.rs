@@ -103,14 +103,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Appends `n` copies of an instruction (unrolled).
-    pub fn repeat(&mut self, n: usize, instr: Instr) -> &mut Self {
-        for _ in 0..n {
-            self.stmts.push(Stmt::Instr(instr.clone()));
-        }
-        self
-    }
-
     /// Finishes the program.
     #[must_use]
     pub fn build(&mut self) -> WarpProgram {
@@ -248,12 +240,5 @@ mod tests {
     fn from_iterator_builds_straight_line() {
         let p: WarpProgram = (0..5).map(|_| nop()).collect();
         assert_eq!(p.dynamic_instruction_count(), 5);
-    }
-
-    #[test]
-    fn repeat_unrolls() {
-        let mut b = WarpProgram::builder();
-        b.repeat(6, nop());
-        assert_eq!(b.build().dynamic_instruction_count(), 6);
     }
 }

@@ -120,25 +120,6 @@ impl BankedMemory {
         }
     }
 
-    /// Cost of an access without recording statistics (planning queries).
-    #[must_use]
-    pub fn probe(&self, lane_addresses: &[u64]) -> u32 {
-        let mut counts = vec![Vec::<u64>::new(); self.config.banks as usize];
-        for &addr in lane_addresses {
-            let bank = self.config.bank_of(addr) as usize;
-            let word = self.config.word_of(addr);
-            if !counts[bank].contains(&word) {
-                counts[bank].push(word);
-            }
-        }
-        counts
-            .iter()
-            .map(|w| w.len() as u32)
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    }
-
     /// Number of warp accesses presented so far.
     #[must_use]
     pub const fn accesses(&self) -> u64 {
@@ -236,14 +217,6 @@ mod tests {
         assert_eq!(m.total_cycles, 64);
         assert_eq!(m.conflict_cycles(), 62);
         assert!((m.serialisation_factor() - 32.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probe_does_not_record() {
-        let m = shared();
-        let conflict: Vec<u64> = (0..32).map(|i| i * 128).collect();
-        assert_eq!(m.probe(&conflict), 32);
-        assert_eq!(m.accesses(), 0);
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //! address-level models, which this crate provides:
 //!
 //! * [`BankedMemory`] — address-level bank-conflict engine (shared memory);
-//! * [`RegisterFile`] — banked RF with the *vector access* constraint that
-//!   makes scattered accesses expensive, plus the operand-collector buffers
-//!   that SMA repurposes as weight registers (§IV-A);
 //! * [`Coalescer`] — warp global-access coalescing into 32-byte sectors;
 //! * [`Cache`] — set-associative LRU cache for L1/L2;
-//! * [`Dram`] — bandwidth/latency model;
 //! * [`MemStats`] — the access ledger consumed by the energy model.
+//!
+//! Register-file and DRAM traffic have no model of their own here: the
+//! analytic GEMM models count them into the [`MemStats`] ledger (the
+//! RF reads and writes of §III-A/§IV-A in `sma_core::SmaGemmModel`'s
+//! ledger, the DRAM floor from `GpuConfig::dram_bytes_per_cycle_per_sm`),
+//! and `sma_sim::SmSim` charges the DRAM latency of its global loads.
 //!
 //! # Example
 //!
@@ -37,15 +39,11 @@
 pub mod banked;
 pub mod cache;
 pub mod coalesce;
-pub mod dram;
-pub mod regfile;
 pub mod stats;
 
 pub use banked::{BankAccess, BankedConfig, BankedMemory};
 pub use cache::{Cache, CacheConfig, CacheOutcome};
 pub use coalesce::{CoalesceResult, Coalescer};
-pub use dram::{Dram, DramConfig};
-pub use regfile::{OperandCollector, RegFileConfig, RegisterFile, RfAccessKind};
 pub use stats::MemStats;
 
 /// Rounds a cycle or byte count up to a whole number: the cost models'

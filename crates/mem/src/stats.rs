@@ -76,31 +76,6 @@ impl MemStats {
     pub const fn rf_accesses(&self) -> u64 {
         self.rf_reads + self.rf_writes
     }
-
-    /// Scales every counter by an integer factor — used to extrapolate a
-    /// single simulated thread block to a full grid of identical blocks.
-    #[must_use]
-    pub fn scaled(&self, factor: u64) -> MemStats {
-        MemStats {
-            rf_reads: self.rf_reads * factor,
-            rf_writes: self.rf_writes * factor,
-            shared_reads: self.shared_reads * factor,
-            shared_writes: self.shared_writes * factor,
-            shared_conflict_cycles: self.shared_conflict_cycles * factor,
-            l1_hits: self.l1_hits * factor,
-            l1_misses: self.l1_misses * factor,
-            l2_hits: self.l2_hits * factor,
-            l2_misses: self.l2_misses * factor,
-            dram_bytes: self.dram_bytes * factor,
-            const_reads: self.const_reads * factor,
-            simd_macs: self.simd_macs * factor,
-            tc_macs: self.tc_macs * factor,
-            systolic_macs: self.systolic_macs * factor,
-            alu_ops: self.alu_ops * factor,
-            instructions: self.instructions * factor,
-            pe_transfers: self.pe_transfers * factor,
-        }
-    }
 }
 
 impl Add for MemStats {
@@ -161,20 +136,5 @@ mod tests {
         assert_eq!(s.shared_reads, 7);
         assert_eq!(s.total_macs(), 107);
         assert_eq!(s.shared_accesses(), 7);
-    }
-
-    #[test]
-    fn scaled_multiplies_everything() {
-        let a = MemStats {
-            rf_reads: 2,
-            dram_bytes: 10,
-            instructions: 5,
-            ..MemStats::default()
-        };
-        let s = a.scaled(3);
-        assert_eq!(s.rf_reads, 6);
-        assert_eq!(s.dram_bytes, 30);
-        assert_eq!(s.instructions, 15);
-        assert_eq!(s.rf_accesses(), 6);
     }
 }

@@ -8,9 +8,7 @@
 //! executor, the experiment harness and the application studies never
 //! match on the variant.
 
-use crate::backend::{self, Backend, RuntimeError};
-use sma_core::model::GemmEstimate;
-use sma_tensor::GemmShape;
+use crate::backend::{self, Backend};
 use std::sync::Arc;
 
 /// The seven platforms of the evaluation.
@@ -75,26 +73,6 @@ impl Platform {
         backend::backend_for(self)
     }
 
-    /// GEMM estimate on this platform's matrix engine, in GPU-clock
-    /// units.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnsupportedOnBackend`] for [`Platform::TpuHost`]:
-    /// TPU estimates carry TPU-clock cycles and no GPU access ledger, so
-    /// they flow through [`Platform::backend`] (whose
-    /// [`Backend::gemm`] documents the unit difference) rather than
-    /// through this GPU-units accessor.
-    pub fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
-        match self {
-            Platform::TpuHost => Err(RuntimeError::UnsupportedOnBackend {
-                backend: self.label(),
-                operation: "GPU-clock GEMM estimates (use Platform::backend())",
-            }),
-            _ => self.backend().gemm(shape),
-        }
-    }
-
     /// Multiplier on SIMD throughput available for irregular work
     /// (delegates to the backend — see
     /// [`Backend::simd_mode_boost`]).
@@ -117,6 +95,7 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use sma_tensor::GemmShape;
 
     #[test]
     fn labels_and_family() {
@@ -127,31 +106,14 @@ mod tests {
     #[test]
     fn gemm_dispatches_per_platform() {
         let shape = GemmShape::square(1024);
-        let simd = Platform::GpuSimd.gemm(shape).unwrap().time_ms;
-        let tc = Platform::GpuTensorCore.gemm(shape).unwrap().time_ms;
-        let sma2 = Platform::Sma2.gemm(shape).unwrap().time_ms;
-        let sma3 = Platform::Sma3.gemm(shape).unwrap().time_ms;
+        let time_ms = |p: Platform| p.backend().gemm(shape).unwrap().time_ms;
+        let simd = time_ms(Platform::GpuSimd);
+        let tc = time_ms(Platform::GpuTensorCore);
+        let sma2 = time_ms(Platform::Sma2);
+        let sma3 = time_ms(Platform::Sma3);
         assert!(simd > tc, "TC beats SIMD");
         assert!(tc > sma2, "2-SMA beats TC");
         assert!(sma2 > sma3, "3-SMA beats 2-SMA");
-    }
-
-    #[test]
-    fn tpu_gemm_is_a_typed_error_not_a_panic() {
-        let err = Platform::TpuHost.gemm(GemmShape::square(64)).unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::UnsupportedOnBackend { backend: "TPU", .. }
-        ));
-        // …while the backend route serves the TPU estimate directly.
-        assert!(
-            Platform::TpuHost
-                .backend()
-                .gemm(GemmShape::square(64))
-                .unwrap()
-                .time_ms
-                > 0.0
-        );
     }
 
     #[test]
@@ -171,7 +133,7 @@ mod tests {
     fn reconfigurable_platforms_serve_gpu_clock_estimates() {
         let shape = GemmShape::square(1024);
         for p in [Platform::ArrayFlex, Platform::FlexSa] {
-            let est = p.gemm(shape).unwrap();
+            let est = p.backend().gemm(shape).unwrap();
             assert!(est.time_ms > 0.0 && est.cycles > 0, "{p}");
         }
         assert_eq!(Platform::ALL.len(), 7);

@@ -280,6 +280,26 @@ pub struct ServeRun {
     pub reconfig: ReconfigStats,
 }
 
+impl ServeRun {
+    /// Per-class counters for a trace whose highest SLO class is
+    /// `max_class`: one slot per class up to it, and one slot for an
+    /// empty trace (`None`). The engine and the live twin both size
+    /// [`ServeRun::class_stats`] here.
+    pub(super) fn class_slots(max_class: Option<u8>) -> Vec<ClassFaultStats> {
+        vec![ClassFaultStats::default(); max_class.map_or(1, |c| usize::from(c) + 1)]
+    }
+
+    /// The scale report of a static fleet (no enabled autoscaler): zero
+    /// counts, every shard still accepting work. The engine without an
+    /// [`AutoscalePolicy`] and the live twin both report this.
+    pub(super) fn static_fleet(shard_count: usize) -> ScaleStats {
+        ScaleStats {
+            final_active: shard_count,
+            ..ScaleStats::default()
+        }
+    }
+}
+
 /// Event classes, in same-instant processing order: arrivals (class 0,
 /// merged straight from the sorted trace rather than the heap) enqueue
 /// before a completion evaluates (every `arrival_ms <= now` is queued
@@ -558,7 +578,7 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let mut global_future = vec![0usize; cluster.networks().len()];
-        let mut max_class = 0usize;
+        let mut max_class = None;
         for (position, request) in trace.iter().enumerate() {
             if usize::try_from(request.id) != Ok(position) {
                 return Err(RuntimeError::TraceIdMismatch {
@@ -567,7 +587,7 @@ impl<'a> Engine<'a> {
                 });
             }
             global_future[request.network] += 1;
-            max_class = max_class.max(usize::from(request.class));
+            max_class = max_class.max(Some(request.class));
         }
         Ok(Engine {
             cluster,
@@ -579,7 +599,7 @@ impl<'a> Engine<'a> {
             seq: 0,
             rejected: Vec::new(),
             shed: Vec::new(),
-            class_stats: vec![ClassFaultStats::default(); max_class + 1],
+            class_stats: ServeRun::class_slots(max_class),
             global_future,
             view: LiveView::new(cluster.shard_count()),
             recovery: config.track_ids().then(|| Recovery::new(trace.len())),
@@ -1156,14 +1176,9 @@ impl<'a> Engine<'a> {
             failed: self.recovery.map_or_else(Vec::new, Recovery::into_failed),
             class_stats: self.class_stats,
             preempted: self.preemption.map_or_else(Vec::new, Preemption::into_ids),
-            // The static fleet keeps every shard accepting.
-            scale: self.autoscaler.map_or(
-                ScaleStats {
-                    final_active: shard_count,
-                    ..ScaleStats::default()
-                },
-                Autoscaler::finish,
-            ),
+            scale: self
+                .autoscaler
+                .map_or(ServeRun::static_fleet(shard_count), Autoscaler::finish),
             reconfig,
         }
     }

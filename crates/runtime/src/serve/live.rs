@@ -333,12 +333,7 @@ impl<'t> LiveServer<'t> {
         let (realized_trace, rejected, cores) = result?;
         let wall_elapsed_ms = anchor.elapsed().as_secs_f64() * 1000.0;
 
-        let num_classes = self
-            .trace
-            .iter()
-            .map(|r| usize::from(r.class))
-            .max()
-            .map_or(1, |c| c + 1);
+        let max_class = self.trace.iter().map(|r| r.class).max();
         let (reports, reconfig) = shard::close(cores);
         Ok(LiveReport {
             realized_trace,
@@ -347,9 +342,9 @@ impl<'t> LiveServer<'t> {
                 rejected,
                 shed: Vec::new(),
                 failed: Vec::new(),
-                class_stats: vec![super::ClassFaultStats::default(); num_classes],
+                class_stats: ServeRun::class_slots(max_class),
                 preempted: Vec::new(),
-                scale: super::ScaleStats::default(),
+                scale: ServeRun::static_fleet(shard_count),
                 reconfig,
             },
             wall_elapsed_ms,

@@ -359,8 +359,8 @@ impl Autoscaler {
 }
 
 /// Autoscaler counters of one run, reported in `ServeRun::scale`.
-/// Without an enabled [`AutoscalePolicy`] the engine reports zero
-/// counts and every shard as `final_active`.
+/// Without an enabled [`AutoscalePolicy`], and always in the live twin,
+/// a run reports zero counts and every shard as `final_active`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleStats {
     /// Scale ticks evaluated.

@@ -69,18 +69,6 @@ pub struct SimReport {
     pub macs: u64,
 }
 
-impl SimReport {
-    /// MACs per cycle achieved.
-    #[must_use]
-    pub fn macs_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.macs as f64 / self.cycles as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WaitState {
     None,
@@ -849,17 +837,5 @@ mod tests {
         assert_eq!(rr_.issued, rg.issued);
         assert!(rr_.cycles < rg.cycles * 2);
         assert!(rg.cycles < rr_.cycles * 2);
-    }
-
-    #[test]
-    fn report_helpers() {
-        let r = SimReport {
-            cycles: 100,
-            issued: 250,
-            stalls: StallBreakdown::default(),
-            mem: MemStats::default(),
-            macs: 6400,
-        };
-        assert!((r.macs_per_cycle() - 64.0).abs() < 1e-12);
     }
 }

@@ -56,7 +56,7 @@ pub struct PassTrace {
 impl PassTrace {
     /// An empty trace for accumulation.
     #[must_use]
-    pub const fn empty(kind: CDrainKind) -> Self {
+    pub(crate) const fn empty(kind: CDrainKind) -> Self {
         PassTrace {
             cycles: 0,
             active_cycles: 0,
@@ -70,29 +70,6 @@ impl PassTrace {
             psum_reinjections: 0,
             pe_transfers: 0,
         }
-    }
-
-    /// Merges another trace into this one (drain kind must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the drain kinds differ — mixing dataflows in one trace is
-    /// a logic error.
-    pub fn merge(&mut self, other: &PassTrace) {
-        assert_eq!(
-            self.c_drain_kind, other.c_drain_kind,
-            "cannot merge traces of different dataflows"
-        );
-        self.cycles += other.cycles;
-        self.active_cycles += other.active_cycles;
-        self.macs += other.macs;
-        self.passes += other.passes;
-        self.weight_load_cycles += other.weight_load_cycles;
-        self.a_feed_events += other.a_feed_events;
-        self.a_words += other.a_words;
-        self.c_drain_events += other.c_drain_events;
-        self.psum_reinjections += other.psum_reinjections;
-        self.pe_transfers += other.pe_transfers;
     }
 
     /// MACs per cycle actually achieved.
@@ -119,28 +96,6 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
-
-    #[test]
-    fn merge_accumulates() {
-        let mut t = PassTrace::empty(CDrainKind::CoalescedRow);
-        let mut u = PassTrace::empty(CDrainKind::CoalescedRow);
-        u.cycles = 10;
-        u.macs = 640;
-        u.passes = 1;
-        t.merge(&u);
-        t.merge(&u);
-        assert_eq!(t.cycles, 20);
-        assert_eq!(t.macs, 1280);
-        assert_eq!(t.passes, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different dataflows")]
-    fn merge_rejects_mixed_kinds() {
-        let mut t = PassTrace::empty(CDrainKind::CoalescedRow);
-        let u = PassTrace::empty(CDrainKind::EndOfPass);
-        t.merge(&u);
-    }
 
     #[test]
     fn throughput_and_utilisation() {

@@ -46,18 +46,6 @@ impl F16 {
     /// Negative infinity.
     pub const NEG_INFINITY: F16 = F16(0xFC00);
 
-    /// Creates an `F16` from its raw bit pattern.
-    #[must_use]
-    pub const fn from_bits(bits: u16) -> Self {
-        F16(bits)
-    }
-
-    /// Returns the raw bit pattern.
-    #[must_use]
-    pub const fn to_bits(self) -> u16 {
-        self.0
-    }
-
     /// Converts from `f32` with round-to-nearest-even, handling subnormals,
     /// overflow to infinity and NaN propagation.
     #[must_use]
@@ -276,8 +264,8 @@ mod tests {
 
     #[test]
     fn overflow_saturates_to_infinity() {
-        assert_eq!(F16::from_f32(1e6).to_bits(), F16::INFINITY.to_bits());
-        assert_eq!(F16::from_f32(-1e6).to_bits(), F16::NEG_INFINITY.to_bits());
+        assert_eq!(F16::from_f32(1e6).0, F16::INFINITY.0);
+        assert_eq!(F16::from_f32(-1e6).0, F16::NEG_INFINITY.0);
         assert_eq!(F16::from_f32(65504.0), F16::MAX);
     }
 
@@ -310,12 +298,12 @@ mod tests {
     fn all_bit_patterns_roundtrip_through_f32() {
         // Exhaustive: every finite f16 converts to f32 and back unchanged.
         for bits in 0..=u16::MAX {
-            let h = F16::from_bits(bits);
+            let h = F16(bits);
             if h.to_f32().is_nan() {
                 assert!(F16::from_f32(h.to_f32()).to_f32().is_nan());
             } else {
                 let back = F16::from_f32(h.to_f32());
-                assert_eq!(back.to_bits(), bits, "bits {bits:#06x} failed roundtrip");
+                assert_eq!(back.0, bits, "bits {bits:#06x} failed roundtrip");
             }
         }
     }
@@ -348,7 +336,7 @@ mod tests {
             F16::quantize_slice(&src, &mut batched);
             assert_eq!(batched.len(), len);
             for (i, (&b, &v)) in batched.iter().zip(&src).enumerate() {
-                assert_eq!(b.to_bits(), F16::from_f32(v).to_bits(), "len {len} idx {i}");
+                assert_eq!(b.0, F16::from_f32(v).0, "len {len} idx {i}");
             }
         }
     }

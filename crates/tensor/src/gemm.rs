@@ -294,47 +294,6 @@ pub(crate) fn gemm_into<T: Scalar>(
     Ok(())
 }
 
-/// Cache-blocked `C = A·B` used by the larger verification runs.
-///
-/// Identical results to [`fn@reference`] for exact scalar types; for floats the
-/// summation order differs, so compare with a tolerance.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn blocked<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    block: usize,
-) -> Result<Matrix<T>, TensorError> {
-    let shape = check_shapes("gemm::blocked", a, b)?;
-    if block == 0 {
-        return Err(TensorError::InvalidDimension {
-            what: "block",
-            value: 0,
-        });
-    }
-    let mut c: Matrix<T> = Matrix::zeros(shape.m, shape.n);
-    for i0 in (0..shape.m).step_by(block) {
-        for k0 in (0..shape.k).step_by(block) {
-            for j0 in (0..shape.n).step_by(block) {
-                let imax = (i0 + block).min(shape.m);
-                let kmax = (k0 + block).min(shape.k);
-                let jmax = (j0 + block).min(shape.n);
-                for i in i0..imax {
-                    for kk in k0..kmax {
-                        let aik = a[(i, kk)];
-                        for j in j0..jmax {
-                            c[(i, j)] += aik * b[(kk, j)];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(c)
-}
-
 /// GEMM computed entirely in FP16 storage with FP32 accumulation —
 /// the TensorCore / SMA-FP16 numeric contract (paper §IV-A).
 ///
@@ -397,25 +356,6 @@ mod tests {
         assert!(matches!(
             reference(&a, &b),
             Err(TensorError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn blocked_matches_reference() {
-        let (a, b) = small_pair();
-        let c1 = reference(&a, &b).unwrap();
-        for block in [1, 2, 3, 7, 64] {
-            let c2 = blocked(&a, &b, block).unwrap();
-            assert!(c1.approx_eq(&c2, 1e-4), "block={block}");
-        }
-    }
-
-    #[test]
-    fn blocked_rejects_zero_block() {
-        let (a, b) = small_pair();
-        assert!(matches!(
-            blocked(&a, &b, 0),
-            Err(TensorError::InvalidDimension { .. })
         ));
     }
 

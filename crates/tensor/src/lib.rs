@@ -35,7 +35,6 @@ pub mod f16;
 pub mod gemm;
 pub mod im2col;
 pub mod matrix;
-pub mod quant;
 pub mod scalar;
 pub mod tile;
 
@@ -43,7 +42,6 @@ pub use f16::F16;
 pub use gemm::{GemmShape, GemmShapeBatch};
 pub use im2col::{Conv2dParams, TensorShape};
 pub use matrix::Matrix;
-pub use quant::{QuantParams, QuantisedMatrix};
 pub use scalar::Scalar;
 pub use tile::{TileConfig, TileWalk};
 

@@ -19,7 +19,7 @@ use std::ops::{Index, IndexMut};
 ///
 /// let m = Matrix::from_fn(2, 2, |r, c| (2 * r + c) as f32);
 /// assert_eq!(m[(1, 0)], 2.0);
-/// assert_eq!(m.transpose()[(0, 1)], 2.0);
+/// assert_eq!(m.shape(), (2, 2));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<T = f32> {
@@ -118,12 +118,6 @@ impl<T: Scalar> Matrix<T> {
     pub(crate) fn row(&self, row: usize) -> &[T] {
         assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
         &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Returns a new matrix that is the transpose of `self`.
-    #[must_use]
-    pub fn transpose(&self) -> Self {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
     /// Copies the `rows`×`cols` block whose top-left corner is
@@ -287,13 +281,6 @@ mod tests {
             }
         );
         assert!(Matrix::from_vec(2, 2, vec![1.0f32; 4]).is_ok());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose()[(4, 2)], m[(2, 4)]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`tensor`] | matrices, FP16, reference GEMM, im2col, tiling |
 //! | [`isa`] | kernel IR incl. the asynchronous `LSMA` instruction |
-//! | [`mem`] | banked shared memory, register file, caches, coalescer |
+//! | [`mem`] | banked shared memory, caches, coalescer, the `MemStats` access ledger |
 //! | [`systolic`] | cycle-level functional dataflow engines |
 //! | [`sim`] | the SM timing simulator and warp schedulers |
 //! | [`energy`] | GPUWattch/CACTI-style energy model |

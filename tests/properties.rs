@@ -92,10 +92,17 @@ proptest! {
     /// half a ULP of the original.
     #[test]
     fn f16_conversion_is_faithful(bits in 0u16..0x7C00) {
-        // All positive finite f16 values.
-        let h = F16::from_bits(bits);
-        let back = F16::from_f32(h.to_f32());
-        prop_assert_eq!(back.to_bits(), bits);
+        // All positive finite f16 values, decoded from their bit
+        // pattern: 10 fraction bits, exponent bias 15, subnormals at
+        // exponent 0.
+        let (exponent, fraction) = (i32::from(bits >> 10), f32::from(bits & 0x3FF));
+        let value = if exponent == 0 {
+            fraction * 2f32.powi(-24)
+        } else {
+            (1024.0 + fraction) * 2f32.powi(exponent - 25)
+        };
+        let back = F16::from_f32(value).to_f32();
+        prop_assert_eq!(back.to_bits(), value.to_bits());
     }
 
     /// Bank-conflict cost is bounded by [1, lanes] and is exactly 1 for

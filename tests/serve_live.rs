@@ -364,6 +364,34 @@ fn zero_rate_live_run_is_empty_but_valid() {
 }
 
 #[test]
+fn static_fleet_scale_and_class_count_match_the_replay() {
+    // Neither world runs an autoscaler, so both report the static
+    // fleet (zero scale counts, every shard active) and one class slot
+    // per SLO class in the trace, or one for an empty trace.
+    let cluster = small_cluster();
+    let policy: Arc<dyn BatchPolicy> = Arc::new(Immediate);
+    let classed = LoadGenerator::new(47, 2.0)
+        .with_slo(60.0)
+        .with_classes(3)
+        .trace(60, 2);
+    for (trace, classes) in [(classed, 3), (Vec::new(), 1)] {
+        let (report, replayed) = assert_live_replay_agree(
+            &cluster,
+            &policy,
+            &trace,
+            EngineConfig::default(),
+            LiveConfig::new(0.02),
+            &mut RoundRobin::default(),
+            &mut RoundRobin::default(),
+        );
+        assert_eq!(report.run.scale, replayed.scale);
+        assert_eq!(report.run.scale.final_active, cluster.shard_count());
+        assert_eq!(report.run.class_stats.len(), replayed.class_stats.len());
+        assert_eq!(replayed.class_stats.len(), classes);
+    }
+}
+
+#[test]
 fn bursty_and_diurnal_shapes_flow_through_the_live_path() {
     // The load shapes perturb only arrival instants, so a shaped trace
     // is as replayable as a steady one.
