@@ -31,8 +31,10 @@
 //!    workers as the host has cores (`available_parallelism`;
 //!    `SMA_SWEEP_THREADS` sizes only the row fan-out). The tasks run
 //!    backend-minor (the five pinned backends of one network, then the
-//!    next network), so tasks running at the same time hit different
-//!    backends' GEMM caches. The result does not depend on the worker
+//!    next network). A pinned backend estimates every GEMM straight
+//!    from its fabric model, with no memo: it lives for this one
+//!    compile, where a memo would be filled and dropped unread. The
+//!    result does not depend on the worker
 //!    count. Compile then builds one *cell* per span × mode × network ×
 //!    batch (420 cells), serially: both candidates' outcomes, the
 //!    winner, its throughput, and the row's JSON with everything that
@@ -233,8 +235,7 @@ impl DseGrid {
             .collect();
 
         // Task `t` plans backend `t % backends` for network
-        // `t / backends`, so tasks that run at the same time hit
-        // different backends' GEMM caches.
+        // `t / backends`.
         let backends = executors.len();
         let (families, _) = run_ordered(backends * self.networks.len(), workers, |t| {
             let (backend, network) = (t % backends, t / backends);

@@ -234,6 +234,28 @@ impl Sweep {
     }
 }
 
+/// How far past the lowest index still in progress a worker may start
+/// one: [`run_work_stealing`] starts index `i` only while `i < lowest +
+/// RUN_AHEAD`.
+pub(crate) const RUN_AHEAD: usize = 64;
+
+/// A worker's slot when it holds no index.
+const IDLE: usize = usize::MAX;
+
+/// Rounds a worker held at the run-ahead window spins before it starts
+/// yielding its core.
+const WAIT_SPINS: u32 = 1 << 10;
+
+/// Marks a worker's slot idle when dropped: when its `work` call returns
+/// or unwinds, so a panicking index never holds the window shut.
+struct ClearSlot<'a>(&'a AtomicUsize);
+
+impl Drop for ClearSlot<'_> {
+    fn drop(&mut self) {
+        self.0.store(IDLE, Ordering::SeqCst);
+    }
+}
+
 /// Runs `work(0..count)` across up to `threads` workers pulling indices
 /// from a shared atomic cursor, and returns the worker count actually
 /// used (clamped to `1..=count`). Blocks until every index has been
@@ -244,6 +266,19 @@ impl Sweep {
 /// runs on the caller alone and no core sits idle in the join. Every
 /// spawned thread has exited when this returns, and a panic in `work`
 /// reaches the caller with its own payload.
+///
+/// A worker starts index `i` only while `i` is less than the lowest
+/// index still in progress plus [`RUN_AHEAD`] (64). A worker that would
+/// run further ahead, because the one holding the lowest index is slow
+/// or descheduled, spins briefly and then yields its core until that
+/// index finishes. Every index below the lowest one in progress has
+/// finished, so an order-restoring sink behind the fan-out, such as
+/// [`StreamWriter`](crate::stream::StreamWriter), parks fewer than
+/// [`RUN_AHEAD`] results by construction. Before the window, the DSE
+/// grid's row fan-out parked 1.9k–5k rows whenever the host descheduled
+/// one worker. Fan-outs of at most 64 indices never wait. An index whose
+/// `work` panics counts as finished, so the panic reaches the caller and
+/// no worker waits on it.
 ///
 /// This is the crate's single work-stealing thread-spawn site: the
 /// sweep passes and the `dse` grid both fan out through it, so the
@@ -256,16 +291,57 @@ impl Sweep {
 pub fn run_work_stealing(count: usize, threads: usize, work: impl Fn(usize) + Sync) -> usize {
     let workers = threads.clamp(1, count.max(1));
     let cursor = AtomicUsize::new(0);
-    let drain = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= count {
-            break;
+    // The index each worker holds or is about to claim, IDLE if none.
+    let slots: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(IDLE)).collect();
+    let drain = |me: usize| {
+        let slot = &slots[me];
+        let _clear = ClearSlot(slot);
+        // A lower bound on the lowest index in progress: that index
+        // never falls, so a stale reading only makes the check stricter,
+        // and the slots are read again only when it fails.
+        let mut lowest = 0;
+        let mut waited = 0;
+        loop {
+            let i = cursor.load(Ordering::SeqCst);
+            if i >= count {
+                break;
+            }
+            // Publish `i` before checking the window and claiming it: a
+            // worker that claims a later index then sees `i` in this
+            // slot (SeqCst orders the store before the claim), so no
+            // claimed index is ever missing from the window's minimum.
+            slot.store(i, Ordering::SeqCst);
+            if i >= lowest + RUN_AHEAD {
+                lowest = slots
+                    .iter()
+                    .map(|s| s.load(Ordering::SeqCst))
+                    .min()
+                    .unwrap_or(i);
+            }
+            if i >= lowest + RUN_AHEAD {
+                if waited < WAIT_SPINS {
+                    waited += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                continue;
+            }
+            if cursor
+                .compare_exchange(i, i + 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                waited = 0;
+                work(i);
+            }
         }
-        work(i);
     };
     std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
-        drain();
+        let drain = &drain;
+        let spawned: Vec<_> = (1..workers)
+            .map(|me| scope.spawn(move || drain(me)))
+            .collect();
+        drain(0);
         // Join each worker by hand, which waits for the thread to exit.
         // The scope's own join returns once the closures finish; a
         // thread still exiting then has not handed its malloc arena
@@ -978,6 +1054,84 @@ mod tests {
                 .downcast_ref::<String>()
                 .expect("assert_ne! panics with a formatted message");
             assert!(message.contains("boom"), "{threads} workers: {message}");
+        }
+    }
+
+    /// The worker holding index 0 holds it until every index the
+    /// window allows beside it (1..RUN_AHEAD) has finished, and then for
+    /// a bounded number of yields more, or until an index at or past
+    /// the window starts. No such index may start before index 0 ends.
+    /// The hold ends on its own, so a window that lets workers run
+    /// ahead fails the assertion, not the clock.
+    #[test]
+    fn no_worker_runs_past_the_window_while_the_lowest_index_is_held() {
+        use std::sync::atomic::AtomicBool;
+        for threads in [2, 4] {
+            let finished = AtomicUsize::new(0);
+            let zero_done = AtomicBool::new(false);
+            let beyond = AtomicBool::new(false);
+            run_work_stealing(3 * RUN_AHEAD, threads, |i| {
+                if i >= RUN_AHEAD && !zero_done.load(Ordering::SeqCst) {
+                    beyond.store(true, Ordering::SeqCst);
+                }
+                if i == 0 {
+                    while finished.load(Ordering::SeqCst) < RUN_AHEAD - 1 {
+                        std::thread::yield_now();
+                    }
+                    for _ in 0..100_000 {
+                        if beyond.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                    zero_done.store(true, Ordering::SeqCst);
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(finished.into_inner(), 3 * RUN_AHEAD);
+            assert!(
+                !beyond.into_inner(),
+                "{threads} workers started an index past the window while index 0 ran"
+            );
+        }
+    }
+
+    /// The lowest index panics while the other workers wait at the
+    /// window: its slot clears as it unwinds, the waiters go on, and the
+    /// caller gets the panic instead of hanging.
+    #[test]
+    fn a_panic_at_the_lowest_index_releases_the_window() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for threads in [2, 4] {
+                let finished = AtomicUsize::new(0);
+                let panic = std::panic::catch_unwind(|| {
+                    run_work_stealing(3 * RUN_AHEAD, threads, |i| {
+                        if i == 0 {
+                            while finished.load(Ordering::SeqCst) < RUN_AHEAD - 1 {
+                                std::thread::yield_now();
+                            }
+                            panic!("lowest index fails");
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    });
+                })
+                .expect_err("index 0 panics");
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .unwrap_or("another payload");
+                done.send((threads, message.to_string(), finished.into_inner()))
+                    .expect("the test is waiting");
+            }
+        });
+        for threads in [2, 4] {
+            let (ran, message, finished) = outcome
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a panic at the window's lowest index hung the fan-out");
+            assert_eq!(ran, threads);
+            assert_eq!(message, "lowest index fails");
+            assert_eq!(finished, 3 * RUN_AHEAD - 1, "every other index ran");
         }
     }
 

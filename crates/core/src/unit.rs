@@ -12,9 +12,7 @@
 //! `LSMA` outside systolic mode is [`SmaError::WrongMode`].
 
 use crate::{SmaConfig, SmaError};
-use sma_systolic::{
-    DataflowKind, PassTrace, SemiBroadcastArray, SystolicGemm, WeightStationaryArray,
-};
+use sma_systolic::{DataflowKind, SemiBroadcastArray, SystolicGemm, WeightStationaryArray};
 use sma_tensor::Matrix;
 
 /// Which personality the unit currently presents.
@@ -94,7 +92,7 @@ impl SmaUnit {
         a: &Matrix<f32>,
         b_sub: &Matrix<f32>,
         c: &mut Matrix<f32>,
-    ) -> Result<PassTrace, SmaError> {
+    ) -> Result<(), SmaError> {
         if self.mode != ExecutionMode::Systolic {
             return Err(SmaError::WrongMode { op: "execute_lsma" });
         }
@@ -137,7 +135,7 @@ impl SmaUnit {
         // Accumulate into C (the RF-side adders of Fig. 4/5).
         c.accumulate_block(0, 0, &run.result);
 
-        Ok(run.trace)
+        Ok(())
     }
 }
 
@@ -214,13 +212,10 @@ mod tests {
         let a = Matrix::<f32>::random(16, 8, 7);
         let b = Matrix::<f32>::random(8, 8, 8);
         let mut c = Matrix::zeros(16, 8);
-        let trace = u.execute_lsma(&a, &b, &mut c).unwrap();
+        u.execute_lsma(&a, &b, &mut c).unwrap();
         assert!(c.approx_eq(&gemm::reference(&a, &b).unwrap(), 1e-4));
-        // …but with the scattered drain shape.
-        assert!(matches!(
-            trace.c_drain_kind,
-            sma_systolic::CDrainKind::ScatteredColumns { .. }
-        ));
+        // …on the configured plain weight-stationary engine.
+        assert_eq!(u.dataflow, DataflowKind::WeightStationary);
     }
 
     #[test]

@@ -128,22 +128,34 @@ pub(crate) trait GemmModel: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// A GPU-family backend: a [`GemmModel`] matrix engine and its own
-/// [`GemmCache`] beside the SIMD lanes of an on-die Volta substrate.
+/// A GPU-family backend: a [`GemmModel`] matrix engine beside the SIMD
+/// lanes of an on-die Volta substrate, with its own [`GemmCache`] unless
+/// it estimates straight from the model.
 #[derive(Debug)]
 pub struct GpuBackend<M> {
     gpu: GpuConfig,
     pub(super) model: M,
-    cache: GemmCache,
+    /// The memo; `None` when every GEMM is estimated from `model` anew.
+    cache: Option<GemmCache>,
 }
 
 impl<M> GpuBackend<M> {
-    /// `model` beside the SIMD lanes of the Volta substrate.
+    /// `model` beside the SIMD lanes of the Volta substrate, memoized.
     pub(super) fn volta(model: M) -> Self {
         GpuBackend {
             gpu: GpuConfig::volta(),
             model,
-            cache: GemmCache::default(),
+            cache: Some(GemmCache::default()),
+        }
+    }
+
+    /// [`GpuBackend::volta`] without a memo, for a backend built for one
+    /// pass over shapes it would never look up again.
+    pub(super) fn volta_unmemoized(model: M) -> Self {
+        GpuBackend {
+            gpu: GpuConfig::volta(),
+            model,
+            cache: None,
         }
     }
 }
@@ -154,9 +166,10 @@ impl<M: GemmModel> Backend for GpuBackend<M> {
     }
 
     fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
-        Ok(self
-            .cache
-            .get_or_compute(shape, || self.model.estimate(shape)))
+        Ok(match &self.cache {
+            Some(cache) => cache.get_or_compute(shape, || self.model.estimate(shape)),
+            None => self.model.estimate(shape),
+        })
     }
 
     fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
@@ -172,11 +185,13 @@ impl<M: GemmModel> Backend for GpuBackend<M> {
     }
 
     fn gemm_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache
+            .as_ref()
+            .map_or_else(CacheStats::default, GemmCache::stats)
     }
 
     fn gemm_cache_len(&self) -> usize {
-        self.cache.len()
+        self.cache.as_ref().map_or(0, GemmCache::len)
     }
 
     fn as_reconfigurable(&self) -> Option<&dyn Reconfigurable> {

@@ -13,8 +13,9 @@
 //!
 //! * an on-die GEMM engine ([`SimdBackend`], [`TensorCoreBackend`],
 //!   [`SmaBackend`]) is a crate-internal `GemmModel` in the one
-//!   GPU-family backend (`gpu.rs`), which owns the [`GemmCache`], the
-//!   SIMD-lane irregular path and the cache counters;
+//!   GPU-family backend (`gpu.rs`), which owns the [`GemmCache`] (none
+//!   for a design-time-pinned fabric), the SIMD-lane irregular path and
+//!   the cache counters;
 //! * a reconfigurable array ([`ArrayFlexBackend`], [`FlexSaBackend`])
 //!   is a crate-internal `FabricConfig` ([`PipelineConfig`],
 //!   [`FlexSaMode`]) in the one fabric core (`fabric.rs`), which owns
@@ -455,7 +456,10 @@ fn shard_index(hash: u64) -> usize {
 ///
 /// The experiment zoo re-runs identical conv shapes thousands of times
 /// across figures; analytical estimates are pure functions of the shape,
-/// so every backend caches them. Shared across threads (the registry
+/// so every built-in backend caches them but a design-time-pinned
+/// fabric (`GpuBackend::pinned`), which is built for one pass over its
+/// shapes: there a lookup costs more than the estimate it saves, and the
+/// memo would be dropped unread. Shared across threads (the registry
 /// hands out one backend instance per platform), which makes the read
 /// path the hot path: the map is split into `CACHE_SHARDS` independent
 /// `RwLock` shards so steady-state lookups from concurrent executors
@@ -566,9 +570,12 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
 
     /// Estimate of one GEMM on the backend's matrix engine.
     ///
-    /// Implementations should memoize through a [`GemmCache`]: estimates
-    /// are pure functions of the shape and sit on the hot path of every
-    /// experiment binary.
+    /// A backend that serves many compiles should memoize through a
+    /// [`GemmCache`]: estimates are pure functions of the shape and sit
+    /// on the hot path of every experiment binary. A backend built for
+    /// one pass over its shapes may estimate directly, as a pinned fabric
+    /// does: on the DSE compile, plan derive took ~180–195 ns per GEMM
+    /// through the memo against ~115–120 ns without it.
     fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError>;
 
     /// Time and ledger for one irregular (GEMM-incompatible) op.
@@ -741,9 +748,10 @@ mod tests {
 
     #[test]
     fn dse_grid_shapes_spread_over_shards_and_buckets() {
-        // The distinct GEMM shapes one pinned backend caches over the
-        // DSE grid (`sma_bench::dse::DseGrid::full`): its seven networks
-        // at its ten batch sizes.
+        // The distinct GEMM shapes a memoized fabric backend caches
+        // when it plans the DSE grid's workload
+        // (`sma_bench::dse::DseGrid::full`): its seven networks at its
+        // ten batch sizes.
         let executor = crate::Executor::new(Platform::ArrayFlex);
         let mut shapes = std::collections::BTreeSet::new();
         for network in sma_models::zoo::evaluation_networks() {
