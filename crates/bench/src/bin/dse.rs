@@ -23,6 +23,8 @@
 //!
 //! Pass `--smoke` to swap in the 48-point CI grid.
 
+mod common;
+
 use sma_bench::dse::{DseGrid, DseReport, DseRow};
 use sma_bench::knobs;
 use sma_bench::stream::StreamWriter;
@@ -30,10 +32,6 @@ use sma_bench::sweep::{self, side_path, timing_path};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
-// sma-lint: allow(wallclock) — wall time IS this binary's measurand:
-// points/sec lands in the gitignored timing file, never in model state
-// or the committed summary.
-use std::time::Instant;
 
 fn fail(file: &str, e: &std::io::Error) -> ! {
     // The artifacts are the point of this binary; a missing file must
@@ -67,10 +65,7 @@ fn main() {
     let rows_file = side_path(&path, "_rows");
     let timing_file = timing_path(&path);
 
-    // sma-lint: allow(wallclock) — compile time is reported, not modeled.
-    let compile_start = Instant::now();
-    let compiled = grid.compile();
-    let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
+    let (compiled, compile_ms) = common::timed(|| grid.compile());
     println!(
         "dse: compiled {} arena steps for {count} points in {compile_ms:.1} ms",
         compiled.arena_steps(),
@@ -81,16 +76,15 @@ fn main() {
         Err(e) => fail(&rows_file, &e),
     };
 
-    // sma-lint: allow(wallclock) — points/sec is the headline metric.
-    let start = Instant::now();
-    let (rows, workers) = sweep::run_ordered(count, threads, |i| {
-        let row = compiled.row(i);
-        if let Err(e) = writer.push(i, render_row(&row, i, count)) {
-            fail(&rows_file, &e);
-        }
-        row
+    let ((rows, workers), wall_ms) = common::timed(|| {
+        sweep::run_ordered(count, threads, |i| {
+            let row = compiled.row(i);
+            if let Err(e) = writer.push(i, render_row(&row, i, count)) {
+                fail(&rows_file, &e);
+            }
+            row
+        })
     });
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let stats = match writer.finish() {
         Ok((stats, _)) => stats,
         Err(e) => fail(&rows_file, &e),

@@ -24,6 +24,12 @@
 //! traffic-mix backend reconfiguration, in every combination over the
 //! same EDF × health-weighted cell.
 //!
+//! Beside the report it writes a gitignored timing side-file
+//! (`BENCH_serve_timing.json`, named by `sweep::timing_path`): the trace
+//! length, the combo threads, the wall time of building the scenario
+//! and running the matrix, and the process's peak resident set
+//! (`peak_rss_mb`, from `VmHWM`; `null` without procfs).
+//!
 //! Environment:
 //! * `SMA_SERVE_REQUESTS` — trace length (default 10000).
 //! * `SMA_SERVE_SEED` — trace seed (default 0xDAC2_0020).
@@ -44,12 +50,44 @@
 //!   rows then match the static fleet bit for bit).
 //! * `SMA_SERVE_PREEMPT` — SLO-class gap of the preemption control
 //!   rows (default 1; 0 clamps to 1).
-//! * `SMA_SERVE_JSON` — report path (default: `BENCH_serve.json`).
+//! * `SMA_SERVE_JSON` — report path (default: `BENCH_serve.json`); the
+//!   timing side-file takes its name from it.
 //! * `SMA_SWEEP_THREADS` — worker threads across combos (default:
 //!   available parallelism).
 
+mod common;
+
 use sma_bench::serve::{run_matrix, scenario, ScenarioOptions};
 use sma_bench::sweep;
+
+fn fail(file: &str, e: &std::io::Error) -> ! {
+    // The report is the point of this binary (CI uploads it as an
+    // artifact); a missing file must fail the build.
+    eprintln!("could not write {file}: {e}");
+    std::process::exit(1);
+}
+
+/// The `VmHWM` (peak resident set) line of a `/proc/<pid>/status`
+/// text, in KiB.
+fn parse_vm_hwm_kib(status: &str) -> Option<u64> {
+    let value = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// This process's peak resident set so far in MiB, as a JSON number,
+/// or `null` where `/proc/self/status` is unreadable or has no `VmHWM`
+/// line.
+fn peak_rss_mb_json() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| parse_vm_hwm_kib(&status))
+        .map_or_else(
+            || "null".into(),
+            |kib| format!("{:.3}", kib as f64 / 1024.0),
+        )
+}
 
 fn main() {
     let requests = sma_bench::knobs::serve_requests();
@@ -66,7 +104,8 @@ fn main() {
     };
     let threads = sweep::default_threads();
 
-    let scenario = match scenario(requests, seed, options) {
+    let (scenario, build_ms) = common::timed(|| scenario(requests, seed, options));
+    let scenario = match scenario {
         Ok(s) => s,
         Err(e) => {
             eprintln!("could not build the serving scenario: {e}");
@@ -84,25 +123,49 @@ fn main() {
 
     // A backend rejecting a batched plan mid-run is a report-killing
     // error, not a panic: exit nonzero with the cause on stderr.
-    let report = match run_matrix(&scenario, threads) {
+    let (report, run_ms) = common::timed(|| run_matrix(&scenario, threads));
+    let report = match report {
         Ok(report) => report,
         Err(e) => {
             eprintln!("serving matrix failed: {e}");
             std::process::exit(1);
         }
     };
+    let wall_ms = build_ms + run_ms;
     for line in report.summary_lines() {
         println!("{line}");
     }
 
     let path = sma_bench::knobs::serve_json_path();
-    match report.write_json(&path) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            // The report is the point of this binary (CI uploads it as
-            // an artifact); a missing file must fail the build.
-            eprintln!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = report.write_json(&path) {
+        fail(&path, &e);
+    }
+    let peak_rss_mb = peak_rss_mb_json();
+    let timing_file = sweep::timing_path(&path);
+    let timing = format!(
+        "{{\n  \"requests\": {requests},\n  \"threads\": {threads},\n  \"wall_ms\": {wall_ms:.3},\n  \"peak_rss_mb\": {peak_rss_mb}\n}}\n",
+    );
+    if let Err(e) = std::fs::write(&timing_file, timing) {
+        fail(&timing_file, &e);
+    }
+    for file in [&path, &timing_file] {
+        println!("wrote {file}");
+    }
+    println!(
+        "serve_sim: {requests} requests | {wall_ms:.1} ms on {threads} threads | peak rss {peak_rss_mb} MB"
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_vm_hwm_kib;
+
+    #[test]
+    fn vm_hwm_parses_kib_and_refuses_other_units() {
+        let status = "Name:\tserve_sim\nVmPeak:\t  20000 kB\nVmHWM:\t   26624 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(parse_vm_hwm_kib(status), Some(26_624));
+        assert_eq!(parse_vm_hwm_kib("VmHWM:\tlots kB\n"), None);
+        assert_eq!(parse_vm_hwm_kib("VmHWM:\t12 MB\n"), None);
+        assert_eq!(parse_vm_hwm_kib("VmRSS:\t12 kB\n"), None);
     }
 }

@@ -230,8 +230,9 @@ impl EngineConfig {
     }
 
     /// This configuration keeping full per-request and per-batch
-    /// records. Outcomes are identical either way; records cost 64
-    /// bytes per served request and 40 per batch.
+    /// records. Outcomes are identical either way; records cost 48
+    /// bytes per served request ([`ServedRequest`](super::ServedRequest))
+    /// and 40 per batch ([`BatchRecord`](super::BatchRecord)).
     #[must_use]
     pub fn with_records(mut self) -> Self {
         self.records = true;
@@ -583,10 +584,10 @@ impl<'a> Engine<'a> {
             if usize::try_from(request.id) != Ok(position) {
                 return Err(RuntimeError::TraceIdMismatch {
                     position,
-                    id: request.id,
+                    id: u64::from(request.id),
                 });
             }
-            global_future[request.network] += 1;
+            global_future[usize::from(request.network)] += 1;
             max_class = max_class.max(Some(request.class));
         }
         Ok(Engine {
@@ -655,7 +656,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Whether a hedge twin or an earlier attempt already served `id`.
-    fn is_served(&self, id: u64) -> bool {
+    fn is_served(&self, id: u32) -> bool {
         self.recovery
             .as_ref()
             .is_some_and(|recovery| recovery.is_served(id))
@@ -725,9 +726,10 @@ impl<'a> Engine<'a> {
     ) -> Result<(), RuntimeError> {
         let request = self.trace[slot];
         let now_ms = request.arrival_ms;
-        self.global_future[request.network] -= 1;
+        let network = usize::from(request.network);
+        self.global_future[network] -= 1;
         if let Some(scaler) = &mut self.autoscaler {
-            scaler.observe(request.network);
+            scaler.observe(network);
         }
 
         // Graceful degradation: under backlog pressure, shed by SLO
@@ -777,12 +779,12 @@ impl<'a> Engine<'a> {
         // just flipped false cluster-wide, and without this
         // re-evaluation a size-triggered policy would strand its
         // stragglers.
-        if self.global_future[request.network] == 0 {
+        if self.global_future[network] == 0 {
             for shard in 0..self.shards.len() {
                 if target == Some(shard) {
                     continue; // already evaluated above
                 }
-                if self.idle_and_up(shard) && self.shards[shard].core.has_queued(request.network) {
+                if self.idle_and_up(shard) && self.shards[shard].core.has_queued(network) {
                     self.attempt_dispatch(shard, now_ms)?;
                 }
             }
@@ -1054,7 +1056,7 @@ impl<'a> Engine<'a> {
             self.cluster,
             &self.config.cache_budget,
             origin,
-            request.network,
+            usize::from(request.network),
             |s| self.shards[s].faults.is_up() && self.accepting(s),
         );
         let (Some(target), Some(hedging)) = (target, &mut self.hedging) else {

@@ -368,7 +368,7 @@ impl IdSet {
 
     /// Whether `id` is in the set.
     #[inline]
-    pub(super) fn contains(&self, id: u64) -> bool {
+    pub(super) fn contains(&self, id: u32) -> bool {
         self.words
             .get((id / 64) as usize)
             .is_some_and(|word| word & (1 << (id % 64)) != 0)
@@ -376,7 +376,7 @@ impl IdSet {
 
     /// Adds `id` and returns whether it was already in the set.
     #[inline]
-    pub(super) fn set(&mut self, id: u64) -> bool {
+    pub(super) fn set(&mut self, id: u32) -> bool {
         let word = &mut self.words[(id / 64) as usize];
         let bit = 1 << (id % 64);
         let was_set = *word & bit != 0;
@@ -386,7 +386,7 @@ impl IdSet {
 
     /// Removes `id`.
     #[inline]
-    fn clear(&mut self, id: u64) {
+    fn clear(&mut self, id: u32) {
         if let Some(word) = self.words.get_mut((id / 64) as usize) {
             *word &= !(1 << (id % 64));
         }
@@ -532,7 +532,7 @@ pub(super) struct Recovery {
     failed_ids: IdSet,
     failed: Vec<Request>,
     /// Retries scheduled so far, per request id.
-    attempts: BTreeMap<u64, u32>,
+    attempts: BTreeMap<u32, u32>,
 }
 
 impl Recovery {
@@ -548,14 +548,14 @@ impl Recovery {
 
     /// Whether `id` has been served.
     #[inline]
-    pub(super) fn is_served(&self, id: u64) -> bool {
+    pub(super) fn is_served(&self, id: u32) -> bool {
         self.served.contains(id)
     }
 
     /// Marks `id` served; `false` if a hedge twin already was (this
     /// completion is billed but not served).
     #[inline]
-    pub(super) fn serve(&mut self, id: u64) -> bool {
+    pub(super) fn serve(&mut self, id: u32) -> bool {
         if self.served.set(id) {
             return false;
         }
@@ -624,7 +624,7 @@ pub(super) struct Hedging {
     /// cancel a queued copy of.
     pub(super) hedged: IdSet,
     /// Scratch for the hedged ids one completion serves.
-    pub(super) served_twins: Vec<u64>,
+    pub(super) served_twins: Vec<u32>,
 }
 
 impl Hedging {
@@ -904,7 +904,7 @@ mod tests {
     fn id_set_tracks_word_edges_and_reports_the_previous_bit() {
         let n = 130;
         let mut set = IdSet::with_len(n);
-        let edges = [0, 63, 64, n as u64 - 1];
+        let edges = [0, 63, 64, n as u32 - 1];
         for &id in &edges {
             assert!(!set.contains(id));
             assert!(!set.set(id), "id {id} was clear");
@@ -912,7 +912,11 @@ mod tests {
             assert!(set.set(id), "id {id} was already set");
         }
         assert!(!set.contains(1) && !set.contains(62) && !set.contains(65));
-        assert_eq!(set.iter().collect::<Vec<_>>(), edges, "ascending scan");
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            edges.map(u64::from),
+            "ascending scan"
+        );
         set.clear(63);
         assert!(!set.contains(63) && set.contains(64));
         assert!(!set.set(63), "a cleared id reads as clear");

@@ -283,7 +283,7 @@ impl<'t> LiveServer<'t> {
 
         let (to_shard, from_door): (Vec<Sender<Request>>, Vec<Receiver<Request>>) =
             (0..shard_count).map(|_| std::sync::mpsc::channel()).unzip();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<u64>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<u32>();
         let closed_loop = matches!(self.live.mode, LiveMode::ClosedLoop { .. });
 
         let cores = ShardCore::fleet(&self.cluster, &self.engine);
@@ -358,7 +358,7 @@ impl<'t> LiveServer<'t> {
         &self,
         placement: &mut dyn Placement,
         to_shard: &[Sender<Request>],
-        done_rx: &Receiver<u64>,
+        done_rx: &Receiver<u32>,
         anchor: Instant,
         gauges: &[Gauges],
     ) -> Result<(Vec<Request>, Vec<Request>), LiveError> {
@@ -518,7 +518,7 @@ impl Worker<'_> {
     fn serve(
         mut self,
         rx: &Receiver<Request>,
-        done: Option<&Sender<u64>>,
+        done: Option<&Sender<u32>>,
     ) -> Result<ShardCore, LiveError> {
         let mut members: Vec<Request> = Vec::new();
         let mut open = true;
@@ -588,7 +588,7 @@ impl Worker<'_> {
         net: usize,
         take: usize,
         members: &mut Vec<Request>,
-        done: Option<&Sender<u64>>,
+        done: Option<&Sender<u32>>,
     ) -> Result<(), LiveError> {
         members.clear();
         let now_ms = self.sim_now();

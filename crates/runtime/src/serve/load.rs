@@ -62,15 +62,14 @@ impl SeededRng {
 }
 
 /// One inference request in a serving trace.
+///
+/// Packed to 24 bytes (the two `f64`s first, then the narrow fields),
+/// since a trace, every shard queue, every in-flight batch and the
+/// outcome lists all hold `Request` copies. [`LoadGenerator::trace`]
+/// bounds a trace to `2^32` requests over `2^16` networks so the
+/// narrowed fields always fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
-    /// Stable identity: the request's position in its trace. The
-    /// engine indexes per-request state by id, so a run refuses a trace
-    /// whose ids are not `0, 1, 2, …` in order
-    /// ([`RuntimeError::TraceIdMismatch`](crate::RuntimeError::TraceIdMismatch)).
-    pub id: u64,
-    /// Index into the simulation's network table.
-    pub network: usize,
     /// Simulated arrival time in milliseconds.
     pub arrival_ms: f64,
     /// Absolute SLO deadline in simulated milliseconds
@@ -79,12 +78,21 @@ pub struct Request {
     /// [`ServeOutcome`](super::ServeOutcome); the EDF policy orders
     /// queues by it.
     pub deadline_ms: f64,
+    /// Stable identity: the request's position in its trace. The
+    /// engine indexes per-request state by id, so a run refuses a trace
+    /// whose ids are not `0, 1, 2, …` in order
+    /// ([`RuntimeError::TraceIdMismatch`](crate::RuntimeError::TraceIdMismatch)).
+    pub id: u32,
+    /// Index into the simulation's network table.
+    pub network: u16,
     /// SLO class, 0 = highest priority. The shed policy drops the
     /// highest class numbers first under backlog pressure, and retry
     /// timeouts scale per class. Traces without classes are all
     /// class 0.
     pub class: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Request>() == 24);
 
 /// Deterministic rate modulation layered over the open-loop generator.
 ///
@@ -248,8 +256,19 @@ impl LoadGenerator {
     }
 
     /// Draws `count` requests over `networks` models, in arrival order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `networks == 0`, when `count > 2^32` (ids are
+    /// `u32`) or when `networks > 2^16` (network indices are `u16`).
+    /// The bounds are checked before anything is drawn or allocated.
     pub fn trace(&mut self, count: usize, networks: usize) -> Vec<Request> {
         assert!(networks > 0, "a trace needs at least one network");
+        assert!(
+            count as u64 <= 1 << 32,
+            "a trace holds at most 2^32 requests"
+        );
+        assert!(networks <= 1 << 16, "a trace spans at most 2^16 networks");
         let mut t = 0.0_f64;
         (0..count as u64)
             .map(|id| {
@@ -260,9 +279,10 @@ impl LoadGenerator {
                     LoadShape::Steady => gap,
                     shape => gap * shape.gap_factor(t),
                 };
+                // Both narrowings are lossless under the bounds above.
                 Request {
-                    id,
-                    network: self.rng.next_index(networks),
+                    id: id as u32,
+                    network: self.rng.next_index(networks) as u16,
                     arrival_ms: t,
                     deadline_ms: t + self.slo_ms,
                     // Pure function of the id: no RNG draw, so classed
@@ -434,6 +454,73 @@ mod tests {
             assert!(f.is_finite() && f > 0.0, "factor {f} at t={t}");
             t += 0.7;
         }
+    }
+
+    /// FNV-1a 64 over every field of every request, each widened to a
+    /// fixed-width little-endian word, so the digest is independent of
+    /// the struct's field widths and layout.
+    fn trace_digest(trace: &[Request]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut feed = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for r in trace {
+            feed(u64::from(r.id));
+            feed(u64::from(r.network));
+            feed(r.arrival_ms.to_bits());
+            feed(r.deadline_ms.to_bits());
+            feed(u64::from(r.class));
+        }
+        hash
+    }
+
+    #[test]
+    fn generated_traces_are_pinned_bit_for_bit() {
+        let steady = LoadGenerator::new(2024, 1.5)
+            .with_slo(40.0)
+            .with_classes(3)
+            .trace(10_000, 5);
+        assert_eq!(
+            trace_digest(&steady),
+            0x738c_ad79_d4af_3623,
+            "steady trace drifted"
+        );
+        let shaped = LoadGenerator::new(2024, 1.5)
+            .with_slo(40.0)
+            .with_classes(3)
+            .with_shape(LoadShape::Bursty {
+                period_ms: 250.0,
+                duty: 0.3,
+                amplitude: 2.0,
+            })
+            .trace(10_000, 5);
+        assert_eq!(
+            trace_digest(&shaped),
+            0x88e8_6609_cfb7_50e4,
+            "shaped trace drifted"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 requests")]
+    fn trace_refuses_more_requests_than_u32_ids() {
+        // Refused before the `Vec` is sized, so this allocates nothing.
+        let _ = LoadGenerator::new(1, 1.0).trace((1 << 32) + 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^16 networks")]
+    fn trace_refuses_more_networks_than_u16_indices() {
+        let _ = LoadGenerator::new(1, 1.0).trace(0, (1 << 16) + 1);
+    }
+
+    #[test]
+    fn trace_accepts_the_largest_network_table() {
+        let trace = LoadGenerator::new(1, 1.0).trace(64, 1 << 16);
+        assert!(trace.iter().any(|r| r.network > u16::MAX / 2));
     }
 
     #[test]

@@ -121,12 +121,15 @@ use sma_models::Network;
 use std::sync::Arc;
 
 /// One served request: when it arrived, started and finished.
+///
+/// Narrowed like [`Request`] (48 bytes), since a run with records on
+/// keeps one per served request.
 #[derive(Debug, Clone, Copy)]
 pub struct ServedRequest {
     /// Trace identity.
-    pub id: u64,
+    pub id: u32,
     /// Index into the simulation's network table.
-    pub network: usize,
+    pub network: u16,
     /// Simulated arrival, ms.
     pub arrival_ms: f64,
     /// Absolute SLO deadline, ms (`f64::INFINITY` without an SLO).
@@ -138,8 +141,10 @@ pub struct ServedRequest {
     /// Simulated instant its batch completed, ms.
     pub completion_ms: f64,
     /// Size of the batch that carried it.
-    pub batch_size: usize,
+    pub batch_size: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<ServedRequest>() == 48);
 
 impl ServedRequest {
     /// End-to-end latency: queueing plus batched execution.
@@ -165,10 +170,12 @@ pub struct BatchRecord {
     pub compile_ms: f64,
 }
 
+const _: () = assert!(std::mem::size_of::<BatchRecord>() == 40);
+
 /// The always-on summary of one shard's served work: everything
 /// [`aggregate`] folds, kept whether or not per-request records are on
 /// ([`EngineConfig::with_records`]). It costs 8 bytes per served
-/// request plus a few counters, against 64 + 40/batch for the records.
+/// request plus a few counters, against 48 + 40/batch for the records.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardTally {
     /// End-to-end latency ([`ServedRequest::latency_ms`]) of each
@@ -400,7 +407,7 @@ fn check_trace(cluster: &ServeCluster, trace: &[Request]) {
     );
     for request in trace {
         assert!(
-            request.network < cluster.networks().len(),
+            usize::from(request.network) < cluster.networks().len(),
             "request {} targets unknown network {}",
             request.id,
             request.network
@@ -559,13 +566,13 @@ mod tests {
             EngineConfig::default().with_records(),
         );
         let run = sim.try_run(&mut RoundRobin::default()).unwrap();
-        let mut ids: Vec<u64> = run
+        let mut ids: Vec<u32> = run
             .reports
             .iter()
             .flat_map(|r| r.requests.iter().map(|q| q.id))
             .collect();
         ids.sort_unstable();
-        assert_eq!(ids, (0..120).collect::<Vec<u64>>());
+        assert_eq!(ids, (0..120).collect::<Vec<u32>>());
         assert!(run.rejected.is_empty());
         let outcome = sim.outcome(&run);
         assert_eq!(outcome.requests, 120);
@@ -711,7 +718,7 @@ mod tests {
             let hosts: std::collections::BTreeSet<&str> = run
                 .reports
                 .iter()
-                .filter(|r| r.requests.iter().any(|q| q.network == net))
+                .filter(|r| r.requests.iter().any(|q| usize::from(q.network) == net))
                 .map(|r| r.platform)
                 .collect();
             assert!(hosts.len() <= 1, "network {net} spread over {hosts:?}");

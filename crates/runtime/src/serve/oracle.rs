@@ -89,7 +89,7 @@ pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
         }
     }
     let sorted_ids = |requests: &[Request]| -> Vec<u64> {
-        let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+        let mut ids: Vec<u64> = requests.iter().map(|r| u64::from(r.id)).collect();
         ids.sort_unstable();
         ids
     };
@@ -97,7 +97,7 @@ pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
         served_per_shard: run
             .reports
             .iter()
-            .map(|report| report.requests.iter().map(|r| r.id).collect())
+            .map(|report| report.requests.iter().map(|r| u64::from(r.id)).collect())
             .collect(),
         rejected: sorted_ids(&run.rejected),
         shed: sorted_ids(&run.shed),

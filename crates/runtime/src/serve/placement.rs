@@ -242,11 +242,12 @@ impl Placement for PlatformAffinity {
     }
 
     fn assign(&mut self, request: &Request, cluster: &ClusterView<'_>) -> usize {
-        if self.per_network.len() <= request.network {
-            self.per_network.resize(request.network + 1, None);
+        let network = usize::from(request.network);
+        if self.per_network.len() <= network {
+            self.per_network.resize(network + 1, None);
         }
-        let cost = |s: usize| cluster.unit_service_ms[s][request.network];
-        let (cursor, candidates) = self.per_network[request.network].get_or_insert_with(|| {
+        let cost = |s: usize| cluster.unit_service_ms[s][network];
+        let (cursor, candidates) = self.per_network[network].get_or_insert_with(|| {
             let best = lowest(0..cluster.shard_count(), cost, f64::total_cmp).unwrap_or(0);
             let preferred = cluster.platforms[best];
             let candidates = (0..cluster.shard_count())
@@ -290,7 +291,7 @@ impl Placement for HealthWeighted {
     fn assign(&mut self, request: &Request, cluster: &ClusterView<'_>) -> usize {
         let score = |s: usize| {
             (cluster.outstanding(s) + 1) as f64
-                * cluster.unit_service_ms[s][request.network]
+                * cluster.unit_service_ms[s][usize::from(request.network)]
                 * cluster.degrade[s]
         };
         lowest(cluster.healthy_shards(), score, f64::total_cmp)
@@ -312,7 +313,7 @@ mod tests {
     const ALL_UP: [bool; 3] = [true; 3];
     const NO_DEGRADE: [f64; 3] = [1.0; 3];
 
-    fn request(network: usize, arrival_ms: f64) -> Request {
+    fn request(network: u16, arrival_ms: f64) -> Request {
         Request {
             id: 0,
             network,

@@ -166,7 +166,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &arrival_ms)| Request {
-                id: i as u64,
+                id: i as u32,
                 network: 0,
                 arrival_ms,
                 deadline_ms: f64::INFINITY,

@@ -228,13 +228,13 @@ pub(super) fn place(
     let chosen = placement.assign(request, view);
     if chosen >= shard_count {
         return Err(RuntimeError::PlacementOutOfRange {
-            request: request.id,
+            request: u64::from(request.id),
             shard: chosen,
             shard_count,
         });
     }
-    let fits =
-        |shard: usize| budget.admits(shard, cluster.unit_plan_bytes()[shard][request.network]);
+    let network = usize::from(request.network);
+    let fits = |shard: usize| budget.admits(shard, cluster.unit_plan_bytes()[shard][network]);
     Ok(if fits(chosen) && accepting(chosen) {
         Some(chosen)
     } else {
@@ -430,7 +430,7 @@ impl ShardCore {
     pub(super) fn admit(&mut self, request: Request, now_ms: f64) {
         self.enqueue(request, now_ms);
         if let Some(rc) = &mut self.reconfig {
-            rc.observe(request.network);
+            rc.observe(usize::from(request.network));
         }
     }
 
@@ -441,7 +441,7 @@ impl ShardCore {
     #[inline]
     pub(super) fn enqueue(&mut self, request: Request, now_ms: f64) {
         self.note_depth(now_ms, self.depth + 1);
-        let queue = &mut self.queues[request.network];
+        let queue = &mut self.queues[usize::from(request.network)];
         if self.strict {
             let pos = queue
                 .iter()
@@ -458,7 +458,7 @@ impl ShardCore {
     /// class boundary keeps the victims' mutual order.
     pub(super) fn requeue(&mut self, victims: &[Request], now_ms: f64) {
         for victim in victims.iter().rev() {
-            let queue = &mut self.queues[victim.network];
+            let queue = &mut self.queues[usize::from(victim.network)];
             let pos = queue.iter().take_while(|r| r.class < victim.class).count();
             queue.insert(pos, *victim);
         }
@@ -468,7 +468,7 @@ impl ShardCore {
     /// Drops every request queued for network `net` whose id is in
     /// `ids`, and says whether it dropped any. Callers pass the ids'
     /// own network: a request only ever waits in its network's queue.
-    pub(super) fn cancel(&mut self, net: usize, ids: &[u64], now_ms: f64) -> bool {
+    pub(super) fn cancel(&mut self, net: usize, ids: &[u32], now_ms: f64) -> bool {
         let queue = &mut self.queues[net];
         let before = queue.len();
         queue.retain(|r| !ids.contains(&r.id));
@@ -646,7 +646,9 @@ impl ShardCore {
             class: request.class,
             start_ms,
             completion_ms,
-            batch_size,
+            // A batch never outgrows its queue, nor a queue its trace
+            // (at most 2^32 requests); saturate rather than wrap.
+            batch_size: u32::try_from(batch_size).unwrap_or(u32::MAX),
         };
         self.report.tally.note_served(&served);
         if self.records {

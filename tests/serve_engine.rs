@@ -350,7 +350,7 @@ fn every_feature_at_once_is_pinned_by_digest() {
     assert!(outcome.retries > 0 && outcome.hedges > 0 && outcome.preemptions > 0);
     assert!(outcome.shed > 0 && outcome.failed > 0);
     assert!(outcome.scale_ups > 0 && outcome.scale_downs > 0 && outcome.reconfigs > 0);
-    let failed: Vec<u64> = run.failed.iter().map(|r| r.id).collect();
+    let failed: Vec<u64> = run.failed.iter().map(|r| u64::from(r.id)).collect();
     let rendered = format!("{outcome:?}|{:?}|{failed:?}", run.preempted);
     assert_eq!(
         fnv1a64(rendered.as_bytes()),
@@ -540,7 +540,7 @@ fn hedges_landing_on_every_event_class_keep_their_order() {
     );
     assert!(outcome.hedges > 0 && outcome.retries > 0 && outcome.preemptions > 0);
     assert!(outcome.scale_ups > 0 && outcome.scale_downs > 0);
-    let failed: Vec<u64> = run.failed.iter().map(|r| r.id).collect();
+    let failed: Vec<u64> = run.failed.iter().map(|r| u64::from(r.id)).collect();
     let rendered = format!("{outcome:?}|{:?}|{failed:?}", run.preempted);
     assert_eq!(
         fnv1a64(rendered.as_bytes()),
@@ -581,7 +581,7 @@ fn signed_zero_hedges_fire_in_time_order() {
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
     let fast = &run.reports[2];
     assert_eq!(fast.fault.hedges, 2, "both twins land on the fast shard");
-    let order: Vec<u64> = fast.requests.iter().map(|r| r.id).collect();
+    let order: Vec<u32> = fast.requests.iter().map(|r| r.id).collect();
     assert_eq!(order, [1, 0], "the -0.0 hedge fires first");
 }
 
@@ -597,7 +597,7 @@ fn trace_ids_must_equal_positions() {
         deadline_ms: f64::INFINITY,
         class: 0,
     };
-    let run = |ids: [u64; 2], config: EngineConfig| {
+    let run = |ids: [u32; 2], config: EngineConfig| {
         let trace = ids.map(request);
         ServeSim::try_new(
             vec![Executor::new(Platform::Sma3), Executor::new(Platform::Sma3)],

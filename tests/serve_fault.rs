@@ -235,13 +235,13 @@ proptest! {
         let run = sim.try_run(placement(placement_sel).as_mut()).unwrap();
 
         // Partition: every id in exactly one bucket, each exactly once.
-        let mut ids: Vec<u64> = Vec::with_capacity(count);
+        let mut ids: Vec<u32> = Vec::with_capacity(count);
         for report in &run.reports {
             ids.extend(report.requests.iter().map(|r| r.id));
         }
         let served = ids.len();
         prop_assert_eq!(
-            ids.iter().copied().collect::<BTreeSet<u64>>().len(),
+            ids.iter().copied().collect::<BTreeSet<u32>>().len(),
             served,
             "a request was served twice"
         );
@@ -251,7 +251,7 @@ proptest! {
         ids.sort_unstable();
         prop_assert_eq!(
             ids,
-            (0..count as u64).collect::<Vec<u64>>(),
+            (0..count as u32).collect::<Vec<u32>>(),
             "buckets must partition the trace exactly"
         );
 

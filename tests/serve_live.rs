@@ -491,7 +491,7 @@ fn out_of_range_placement_is_an_error_in_both_worlds() {
     let policy: Arc<dyn BatchPolicy> = Arc::new(Immediate);
     let trace = trace(73, 8);
     let expected = RuntimeError::PlacementOutOfRange {
-        request: trace[0].id,
+        request: u64::from(trace[0].id),
         shard: 2,
         shard_count: 2,
     };

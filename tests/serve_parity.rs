@@ -90,7 +90,7 @@ proptest! {
             prop_assert_eq!(batched, report.requests.len(), "shard {} partition", shard);
         }
         ids.sort_unstable();
-        prop_assert_eq!(ids, (0..trace.len() as u64).collect::<Vec<u64>>());
+        prop_assert_eq!(ids, (0..trace.len() as u32).collect::<Vec<u32>>());
 
         let last_arrival = trace.last().map_or(0.0, |r| r.arrival_ms);
         for (shard, report) in run.reports.iter().enumerate() {
@@ -115,7 +115,7 @@ proptest! {
             // network, and the shard's drain can never stretch past
             // last-arrival + bounded-wait + total-busy.
             for request in &report.requests {
-                let unit = cluster.unit_service_ms()[shard][request.network];
+                let unit = cluster.unit_service_ms()[shard][usize::from(request.network)];
                 prop_assert!(request.latency_ms() >= unit - 1e-9);
                 prop_assert!(request.start_ms - request.arrival_ms >= -1e-12);
                 prop_assert!(request.completion_ms <= report.makespan_ms + 1e-9);

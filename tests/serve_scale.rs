@@ -47,9 +47,10 @@ fn control_cluster() -> Arc<ServeCluster> {
 /// `0..count` id trace.
 fn assert_partition_and_billing(run: &ServeRun, count: usize, label: &str) {
     // Partition: every id in exactly one bucket, each exactly once.
+    let id = |r: &Request| u64::from(r.id);
     let mut served: Vec<u64> = Vec::new();
     for report in &run.reports {
-        served.extend(report.requests.iter().map(|r| r.id));
+        served.extend(report.requests.iter().map(|r| u64::from(r.id)));
     }
     let served: BTreeSet<u64> = {
         let n = served.len();
@@ -57,9 +58,9 @@ fn assert_partition_and_billing(run: &ServeRun, count: usize, label: &str) {
         assert_eq!(set.len(), n, "{label}: a request was served twice");
         set
     };
-    let rejected: BTreeSet<u64> = run.rejected.iter().map(|r| r.id).collect();
-    let shed: BTreeSet<u64> = run.shed.iter().map(|r| r.id).collect();
-    let failed: BTreeSet<u64> = run.failed.iter().map(|r| r.id).collect();
+    let rejected: BTreeSet<u64> = run.rejected.iter().map(id).collect();
+    let shed: BTreeSet<u64> = run.shed.iter().map(id).collect();
+    let failed: BTreeSet<u64> = run.failed.iter().map(id).collect();
     let mut all: Vec<u64> = Vec::with_capacity(count);
     all.extend(&served);
     all.extend(&rejected);
@@ -186,7 +187,7 @@ fn preemption_evicts_the_running_batch_and_bills_the_partial_slice() {
     // Both requests are served — preempted-then-served is non-empty —
     // and the urgent request finishes first despite arriving second.
     assert!(run.failed.is_empty() && run.rejected.is_empty() && run.shed.is_empty());
-    let completion = |id: u64| {
+    let completion = |id: u32| {
         report
             .requests
             .iter()
@@ -210,7 +211,7 @@ fn preemption_evicts_the_running_batch_and_bills_the_partial_slice() {
 #[test]
 fn autoscaler_drains_the_idle_fleet_and_reactivates_on_a_burst() {
     let cluster = control_cluster();
-    let request = |id: u64, arrival_ms: f64| Request {
+    let request = |id: u32, arrival_ms: f64| Request {
         id,
         network: 0,
         arrival_ms,
