@@ -7,9 +7,9 @@
 //!   array (128×128 in TPU-v2's core) fed from a unified buffer, attached
 //!   to the host over PCIe. Superb on large GEMMs (Fig. 1 ≈100% FLOPS
 //!   efficiency), but GEMM-incompatible operations must either be
-//!   *lowered* to GEMM/pooling form ([`lowering`], often catastrophically)
+//!   *lowered* to GEMM/pooling form ([`TpuLowering`], often catastrophically)
 //!   or shipped to the host CPU (transfer cost, Fig. 3);
-//! * [`TcGemmModel`] / [`tensor_core::wmma_gemm`] — the Volta TensorCore:
+//! * [`TcGemmModel`] / [`wmma_gemm`] — the Volta TensorCore:
 //!   4×4×4 dot-product units, spatially integrated beside the SIMD lanes.
 //!   High peak, but register-file bandwidth bounds it near 60-70% on GEMM
 //!   and its area is dead weight for everything else;
@@ -19,11 +19,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub(crate) mod cpu;
-pub mod lowering;
-pub(crate) mod tensor_core;
-pub mod tpu;
+mod cpu;
+mod lowering;
+mod tensor_core;
+mod tpu;
 
 pub use cpu::CpuModel;
 pub use lowering::{LoweredOp, TpuLowering};

@@ -1,9 +1,7 @@
 //! The Volta TensorCore: functional 4×4×4 dot-product GEMM and the 4-TC
 //! analytical model.
 
-use sma_core::model::{
-    GemmEstimate, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES, TC_TB_OVERHEAD_CYCLES,
-};
+use sma_core::{GemmEstimate, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES, TC_TB_OVERHEAD_CYCLES};
 use sma_mem::{ceil_u64, MemStats};
 use sma_sim::{calib, GpuConfig};
 use sma_tensor::{GemmShape, Matrix, TensorError, TileConfig, F16};

@@ -33,12 +33,6 @@
 //! Environment:
 //! * `SMA_SERVE_REQUESTS` — trace length (default 10000).
 //! * `SMA_SERVE_SEED` — trace seed (default 0xDAC2_0020).
-//! * `SMA_SERVE_SLO_MS` — per-request latency SLO (default: 2.5 mean
-//!   batch-1 service times).
-//! * `SMA_SERVE_CACHE_KB` — bounded-row plan-cache budget per shard in
-//!   KiB (default: 1.25x the largest compiled plan).
-//! * `SMA_SERVE_FAULT_SEED` — fault-schedule seed (default: derived
-//!   from the trace seed).
 //! * `SMA_SERVE_FAULT_RATE` — expected faults per shard in the fault
 //!   block (default 2.0; 0 empties the schedules).
 //! * `SMA_SERVE_HEDGE_MS` — hedge delay of the `retry+hedge` rows
@@ -93,9 +87,6 @@ fn main() {
     let requests = sma_bench::knobs::serve_requests();
     let seed = sma_bench::knobs::serve_seed();
     let options = ScenarioOptions {
-        slo_ms: sma_bench::knobs::serve_slo_ms(),
-        cache_budget_bytes: sma_bench::knobs::serve_cache_bytes(),
-        fault_seed: sma_bench::knobs::serve_fault_seed(),
         fault_rate: sma_bench::knobs::serve_fault_rate(),
         hedge_ms: sma_bench::knobs::serve_hedge_ms(),
         scale_period_ms: sma_bench::knobs::serve_scale_period_ms(),

@@ -85,7 +85,7 @@ pub fn fig3() -> Vec<Fig3Row> {
     }
     // CRF: GPU vs single-core CPU.
     use sma_models::Layer;
-    use sma_runtime::IrregularWork;
+    use sma_runtime::backend::IrregularWork;
     let crf = Layer::Crf {
         pixels: 513 * 513,
         classes: 21,

@@ -129,36 +129,6 @@ pub fn serve_seed() -> u64 {
     parse("SMA_SERVE_SEED", 0xDAC2_0020u64)
 }
 
-/// SLO override in milliseconds: `SMA_SERVE_SLO_MS`, default derived
-/// from the scenario when unset. Must be positive and finite when set.
-#[must_use]
-pub fn serve_slo_ms() -> Option<f64> {
-    finite("SMA_SERVE_SLO_MS", true)
-}
-
-/// Bounded plan-cache budget per shard in bytes: `SMA_SERVE_CACHE_KB`
-/// (the knob is in KiB), default derived from the largest plan. A
-/// budget whose byte count overflows `u64` is rejected as malformed.
-#[must_use]
-pub fn serve_cache_bytes() -> Option<u64> {
-    opt::<u64>("SMA_SERVE_CACHE_KB").map(|kb| {
-        kb.checked_mul(1024).unwrap_or_else(|| {
-            abort(&format!(
-                "SMA_SERVE_CACHE_KB={kb} is malformed (the byte count overflows u64)"
-            ))
-        })
-    })
-}
-
-/// Fault-schedule seed for the fault block: `SMA_SERVE_FAULT_SEED`,
-/// default derived from the trace seed when unset. The fault stream is
-/// independent of the arrival stream, so changing this never perturbs
-/// the online block.
-#[must_use]
-pub fn serve_fault_seed() -> Option<u64> {
-    opt("SMA_SERVE_FAULT_SEED")
-}
-
 /// Expected faults per shard in the fault block's schedules:
 /// `SMA_SERVE_FAULT_RATE`, default 2.0, floored at 0 (0 = empty
 /// schedules — the fault rows then match a fault-free engine bit for
@@ -354,39 +324,6 @@ mod tests {
             assert_eq!(super::serve_seed(), 99)
         });
         assert_malformed::<u64>("SMA_SERVE_SEED", "0xBEEF");
-    }
-
-    #[test]
-    fn serve_slo_ms_knob() {
-        with_env("SMA_SERVE_SLO_MS", None, || {
-            assert_eq!(super::serve_slo_ms(), None)
-        });
-        with_env("SMA_SERVE_SLO_MS", Some("12.5"), || {
-            assert_eq!(super::serve_slo_ms(), Some(12.5));
-        });
-        assert_malformed::<f64>("SMA_SERVE_SLO_MS", "12ms");
-    }
-
-    #[test]
-    fn serve_cache_bytes_knob() {
-        with_env("SMA_SERVE_CACHE_KB", None, || {
-            assert_eq!(super::serve_cache_bytes(), None)
-        });
-        with_env("SMA_SERVE_CACHE_KB", Some("4"), || {
-            assert_eq!(super::serve_cache_bytes(), Some(4096));
-        });
-        assert_malformed::<u64>("SMA_SERVE_CACHE_KB", "4KiB");
-    }
-
-    #[test]
-    fn serve_fault_seed_knob() {
-        with_env("SMA_SERVE_FAULT_SEED", None, || {
-            assert_eq!(super::serve_fault_seed(), None)
-        });
-        with_env("SMA_SERVE_FAULT_SEED", Some("5"), || {
-            assert_eq!(super::serve_fault_seed(), Some(5));
-        });
-        assert_malformed::<u64>("SMA_SERVE_FAULT_SEED", "-1");
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //! lifted from the [`LiveReport`](sma_runtime::serve::LiveReport)
 //! the runtime's (sanctioned) live layer produced.
 
-use crate::serve::mean_unit_service_ms;
+use crate::serve::BenchCluster;
 use crate::sweep::escape_json;
 use sma_runtime::serve::{
     diff_outcomes, discrete_outcomes, percentile_ms, replay, BatchPolicy, EngineConfig, Immediate,
-    LiveConfig, LiveMode, LiveServer, LoadGenerator, LoadShape, Placement, PlatformAffinity,
-    Request, RoundRobin, ServeCluster, ServeRun, SizeK, TransportModel,
+    LiveConfig, LiveMode, LiveServer, LoadShape, Placement, PlatformAffinity, Request, RoundRobin,
+    ServeRun, SizeK, TransportModel,
 };
-use sma_runtime::{Executor, Platform, RuntimeError};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -127,29 +126,12 @@ fn shape_for(label: &str, mean_gap_ms: f64) -> LoadShape {
 /// recorded per combo and surfaced via [`LiveBenchReport::all_agree`],
 /// so the report (the evidence) still gets written.
 pub fn run_live(options: &LiveOptions) -> Result<LiveBenchReport, String> {
-    let shards = vec![
-        Executor::new(Platform::Sma3),
-        Executor::new(Platform::Sma3),
-        Executor::new(Platform::GpuTensorCore),
-        Executor::new(Platform::GpuSimd),
-        Executor::new(Platform::ArrayFlex),
-        Executor::new(Platform::FlexSa),
-    ];
-    let networks = vec![
-        sma_models::zoo::alexnet(),
-        sma_models::zoo::vgg_a(),
-        sma_models::zoo::googlenet(),
-    ];
-    let cluster =
-        Arc::new(ServeCluster::try_new(shards, networks).map_err(|e: RuntimeError| e.to_string())?);
-    let mean_service = mean_unit_service_ms(&cluster);
-    let mean_gap_ms = mean_service / cluster.shard_count() as f64 * 1.1;
-    let slo_ms = 2.5 * mean_service;
-    let trace: Vec<Request> = LoadGenerator::new(options.seed, mean_gap_ms)
-        .with_slo(slo_ms)
-        .with_classes(3)
-        .with_shape(shape_for(&options.shape, mean_gap_ms))
-        .trace(options.requests, cluster.networks().len());
+    let bench = BenchCluster::build().map_err(|e| e.to_string())?;
+    let trace: Vec<Request> = bench
+        .load(options.seed)
+        .with_shape(shape_for(&options.shape, bench.mean_interarrival_ms))
+        .trace(options.requests, bench.cluster.networks().len());
+    let cluster = bench.cluster;
 
     // A modest modeled link so the transport envelope path is always
     // exercised: 50µs per hop, 1 MiB/ms.
@@ -212,7 +194,7 @@ pub fn run_live(options: &LiveOptions) -> Result<LiveBenchReport, String> {
             &engine,
             replay_placement.as_mut(),
         )
-        .map_err(|e: RuntimeError| format!("oracle replay failed: {e}"))?;
+        .map_err(|e| format!("oracle replay failed: {e}"))?;
         let diffs = diff_outcomes(
             &discrete_outcomes(&report.run),
             &discrete_outcomes(&replayed),

@@ -32,13 +32,14 @@
 
 use crate::sweep::{escape_json, run_ordered};
 use sma_models::zoo;
+use sma_runtime::backend::RuntimeError;
 use sma_runtime::serve::{
     percentile_ms, AutoscalePolicy, BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst,
     EngineConfig, FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate, LeastBacklog,
     LoadGenerator, Placement, PreemptPolicy, ReconfigPolicy, Request, RetryPolicy, RoundRobin,
     ServeCluster, ServeOutcome, ServeSim, ShedPolicy, SizeK,
 };
-use sma_runtime::{Executor, Platform, RuntimeError};
+use sma_runtime::{Executor, Platform};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -93,16 +94,10 @@ pub struct ServeScenario {
     pub preempt_gap: u8,
 }
 
-/// Overrides for the derived scenario parameters (`None` = derive from
-/// the cluster's own cost matrix).
+/// Overrides for the derived fault- and control-block parameters
+/// (`None` = derive from the cluster's own cost matrix).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScenarioOptions {
-    /// Per-request latency SLO, ms.
-    pub slo_ms: Option<f64>,
-    /// Bounded-row plan-cache budget, bytes per shard.
-    pub cache_budget_bytes: Option<u64>,
-    /// Fault-block schedule seed.
-    pub fault_seed: Option<u64>,
     /// Expected faults per shard in the fault block.
     pub fault_rate: Option<f64>,
     /// Hedge delay of the `retry+hedge` rows, ms.
@@ -125,14 +120,62 @@ pub fn mean_unit_service_ms(cluster: &ServeCluster) -> f64 {
     total / cells.max(1) as f64
 }
 
-/// The default benchmark cluster: six shards over five platforms
+/// The benchmark cluster `serve_sim` and `live_serve` share, with the
+/// arrival calibration derived from its cost matrix.
+pub(crate) struct BenchCluster {
+    /// The compiled shard/network/plan matrix.
+    pub(crate) cluster: Arc<ServeCluster>,
+    /// Mean batch-1 service time over the shard × network cells, ms.
+    pub(crate) mean_service_ms: f64,
+    /// Mean interarrival gap of the trace, ms.
+    pub(crate) mean_interarrival_ms: f64,
+    /// Per-request latency SLO stamped on the trace, ms.
+    pub(crate) slo_ms: f64,
+}
+
+impl BenchCluster {
+    /// Compiles the cluster [`scenario`] describes and derives its
+    /// arrival rate and SLO.
+    pub(crate) fn build() -> Result<Self, RuntimeError> {
+        let shards = vec![
+            Executor::new(Platform::Sma3),
+            Executor::new(Platform::Sma3),
+            Executor::new(Platform::GpuTensorCore),
+            Executor::new(Platform::GpuSimd),
+            Executor::new(Platform::ArrayFlex),
+            Executor::new(Platform::FlexSa),
+        ];
+        let networks = vec![zoo::alexnet(), zoo::vgg_a(), zoo::googlenet()];
+        let cluster = Arc::new(ServeCluster::try_new(shards, networks)?);
+        let mean_service_ms = mean_unit_service_ms(&cluster);
+        Ok(Self {
+            mean_interarrival_ms: mean_service_ms / cluster.shard_count() as f64 * 1.1,
+            slo_ms: 2.5 * mean_service_ms,
+            mean_service_ms,
+            cluster,
+        })
+    }
+
+    /// The seeded arrival generator at the calibrated rate, SLO stamped.
+    /// Three SLO classes are striped by id — a pure function of the id,
+    /// so the arrivals/networks/deadlines are bit-identical to a
+    /// class-free trace and the online block never notices.
+    pub(crate) fn load(&self, seed: u64) -> LoadGenerator {
+        LoadGenerator::new(seed, self.mean_interarrival_ms)
+            .with_slo(self.slo_ms)
+            .with_classes(3)
+    }
+}
+
+/// The default benchmark scenario: six shards over five platforms
 /// (two 3-SMA, one 4-TC, one SIMD, one ArrayFlex, one FlexSA) hosting
 /// three Table-II networks, with the arrival rate calibrated to ~0.9
 /// offered load at batch-1 cost — enough pressure that batching policy
-/// and placement both visibly move the latency distribution.
+/// and placement both visibly move the latency distribution. The live
+/// benchmark runs the same cluster at the same rate and SLO.
 ///
-/// Derived parameters (`ScenarioOptions::default()` keeps them; its
-/// fields override them):
+/// Derived parameters (`ScenarioOptions::default()` keeps them all; its
+/// fields override the fault and control blocks'):
 /// * the SLO target is 2.5 mean batch-1 service times — tight enough
 ///   that the tail misses it under every policy, loose enough that
 ///   EDF visibly changes the miss count;
@@ -149,19 +192,8 @@ pub fn scenario(
     seed: u64,
     options: ScenarioOptions,
 ) -> Result<ServeScenario, RuntimeError> {
-    let shards = vec![
-        Executor::new(Platform::Sma3),
-        Executor::new(Platform::Sma3),
-        Executor::new(Platform::GpuTensorCore),
-        Executor::new(Platform::GpuSimd),
-        Executor::new(Platform::ArrayFlex),
-        Executor::new(Platform::FlexSa),
-    ];
-    let networks = vec![zoo::alexnet(), zoo::vgg_a(), zoo::googlenet()];
-    let cluster = Arc::new(ServeCluster::try_new(shards, networks)?);
-    let mean_service = mean_unit_service_ms(&cluster);
-    let mean_interarrival_ms = mean_service / cluster.shard_count() as f64 * 1.1;
-    let slo_ms = options.slo_ms.unwrap_or(2.5 * mean_service);
+    let bench = BenchCluster::build()?;
+    let cluster = bench.cluster.clone();
     let max_plan_bytes = cluster
         .unit_plan_bytes()
         .iter()
@@ -169,16 +201,8 @@ pub fn scenario(
         .copied()
         .max()
         .unwrap_or(0);
-    let bounded_cache_bytes = options
-        .cache_budget_bytes
-        .unwrap_or(max_plan_bytes + max_plan_bytes / 4);
-    // Three SLO classes, striped by id — a pure function of the id, so
-    // the arrivals/networks/deadlines are bit-identical to a class-free
-    // trace and the online block never notices.
-    let trace = LoadGenerator::new(seed, mean_interarrival_ms)
-        .with_slo(slo_ms)
-        .with_classes(3)
-        .trace(requests, cluster.networks().len());
+    let bounded_cache_bytes = max_plan_bytes + max_plan_bytes / 4;
+    let trace = bench.load(seed).trace(requests, cluster.networks().len());
     // Hedge when a request outlives p99 of the batch-1 cost cells:
     // only the already-slow tail pays the duplicate.
     let unit_cells: Vec<f64> = cluster
@@ -194,18 +218,18 @@ pub fn scenario(
         shed_watermark: 2 * cluster.shard_count(),
         scale_period_ms: options
             .scale_period_ms
-            .unwrap_or(8.0 * mean_interarrival_ms),
+            .unwrap_or(8.0 * bench.mean_interarrival_ms),
         scale_headroom: options.scale_headroom.unwrap_or(0.25),
         preempt_gap: options.preempt_gap.unwrap_or(1),
         cluster,
         trace,
         seed,
-        mean_interarrival_ms,
-        mean_unit_service_ms: mean_service,
-        slo_ms,
+        mean_interarrival_ms: bench.mean_interarrival_ms,
+        mean_unit_service_ms: bench.mean_service_ms,
+        slo_ms: bench.slo_ms,
         bounded_cache_bytes,
         compile_ms_per_layer: 0.05,
-        fault_seed: options.fault_seed.unwrap_or(seed ^ 0xFAA7_5EED),
+        fault_seed: seed ^ 0xFAA7_5EED,
         fault_rate: options.fault_rate.unwrap_or(2.0).max(0.0),
         hedge_delay_ms,
     })

@@ -40,8 +40,7 @@
 //!     gpu_irregular_estimate, Backend, GemmCache, IrregularEstimate, IrregularWork,
 //!     RuntimeError,
 //! };
-//! use sma_core::model::GemmEstimate;
-//! use sma_core::{SmaConfig, SmaGemmModel};
+//! use sma_core::{GemmEstimate, SmaConfig, SmaGemmModel};
 //! use sma_runtime::{Executor, Platform};
 //! use sma_sim::GpuConfig;
 //! use sma_tensor::GemmShape;
@@ -87,10 +86,11 @@
 //! assert!(run.tasks.iter().all(|t| t.output.contains("total")));
 //! ```
 
-use crate::table::write_csv;
-use crate::{fig1, fig3, fig7, fig8, fig9_left, fig9_right, render_table, table1, table2};
+use crate::experiments::{fig1, fig3, fig7, fig8, fig9_left, fig9_right, table1, table2};
+use crate::table::{render_table, write_csv};
 use sma_models::Network;
-use sma_runtime::{CacheStats, Executor, Platform};
+use sma_runtime::backend::{CacheStats, RuntimeError};
+use sma_runtime::{Executor, Platform};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -268,13 +268,13 @@ impl Drop for ClearSlot<'_> {
 /// reaches the caller with its own payload.
 ///
 /// A worker starts index `i` only while `i` is less than the lowest
-/// index still in progress plus [`RUN_AHEAD`] (64). A worker that would
+/// index still in progress plus `RUN_AHEAD` (64). A worker that would
 /// run further ahead, because the one holding the lowest index is slow
 /// or descheduled, spins briefly and then yields its core until that
 /// index finishes. Every index below the lowest one in progress has
 /// finished, so an order-restoring sink behind the fan-out, such as
 /// [`StreamWriter`](crate::stream::StreamWriter), parks fewer than
-/// [`RUN_AHEAD`] results by construction. Before the window, the DSE
+/// `RUN_AHEAD` results by construction. Before the window, the DSE
 /// grid's row fan-out parked 1.9k–5k rows whenever the host descheduled
 /// one worker. Fan-outs of at most 64 indices never wait. An index whose
 /// `work` panics counts as finished, so the panic reaches the caller and
@@ -419,7 +419,7 @@ fn grid_line(exec: &Executor, p: &sma_runtime::NetworkProfile) -> String {
     )
 }
 
-fn grid_rejection(exec: &Executor, net: &Network, e: &sma_runtime::RuntimeError) -> String {
+fn grid_rejection(exec: &Executor, net: &Network, e: &RuntimeError) -> String {
     format!(
         "{:<9} b{:<2} {:<11} rejected: {e}",
         exec.backend().name(),
@@ -462,13 +462,12 @@ pub fn cache_snapshot() -> Vec<(&'static str, CacheStats)> {
 }
 
 // ---------------------------------------------------------------------
-// Figure/table report renderers (shared by the sweep tasks and the
-// standalone `fig*` binaries).
+// Figure/table report renderers, one per sweep task.
 // ---------------------------------------------------------------------
 
 /// Fig. 1 rendered as a table (also writes `results/fig1.csv`).
 #[must_use]
-pub fn fig1_report() -> String {
+pub(crate) fn fig1_report() -> String {
     let rows: Vec<Vec<String>> = fig1()
         .into_iter()
         .map(|r| {
@@ -489,7 +488,7 @@ pub fn fig1_report() -> String {
 
 /// Fig. 3 rendered as a table (also writes `results/fig3.csv`).
 #[must_use]
-pub fn fig3_report() -> String {
+pub(crate) fn fig3_report() -> String {
     let rows: Vec<Vec<String>> = fig3()
         .into_iter()
         .map(|r| {
@@ -520,7 +519,7 @@ pub fn fig3_report() -> String {
 
 /// Fig. 7 rendered as a table (also writes `results/fig7.csv`).
 #[must_use]
-pub fn fig7_report() -> String {
+pub(crate) fn fig7_report() -> String {
     let rows: Vec<Vec<String>> = fig7()
         .into_iter()
         .map(|r| {
@@ -550,7 +549,7 @@ pub fn fig7_report() -> String {
 /// Fig. 8 rendered as a table with averages (also writes
 /// `results/fig8.csv`).
 #[must_use]
-pub fn fig8_report() -> String {
+pub(crate) fn fig8_report() -> String {
     let rows_data = fig8();
     let rows: Vec<Vec<String>> = rows_data
         .iter()
@@ -589,7 +588,7 @@ pub fn fig8_report() -> String {
 /// Fig. 9 (left and right) rendered as tables (also writes
 /// `results/fig9_left.csv` and `results/fig9_right.csv`).
 #[must_use]
-pub fn fig9_report() -> String {
+pub(crate) fn fig9_report() -> String {
     let left: Vec<Vec<String>> = fig9_left()
         .into_iter()
         .map(|r| {
@@ -625,7 +624,7 @@ pub fn fig9_report() -> String {
 
 /// Table I rendered.
 #[must_use]
-pub fn table1_report() -> String {
+pub(crate) fn table1_report() -> String {
     let t1: Vec<Vec<String>> = table1().into_iter().map(|r| r.to_vec()).collect();
     format!(
         "Table I — Baseline GPU and SMA configurations\n\n{}",
@@ -635,7 +634,7 @@ pub fn table1_report() -> String {
 
 /// Table II rendered.
 #[must_use]
-pub fn table2_report() -> String {
+pub(crate) fn table2_report() -> String {
     let t2: Vec<Vec<String>> = table2()
         .into_iter()
         .map(|(n, c)| vec![n, c.to_string()])
@@ -857,12 +856,11 @@ mod tests {
     /// and renders as a rejected grid cell instead of panicking.
     #[test]
     fn rejecting_backend_fails_every_compile_path_alike() {
-        use sma_core::model::GemmEstimate;
-        use sma_core::{SmaConfig, SmaGemmModel};
+        use sma_core::{GemmEstimate, SmaConfig, SmaGemmModel};
         use sma_runtime::backend::{
-            gpu_irregular_estimate, Backend, IrregularEstimate, IrregularWork,
+            gpu_irregular_estimate, Backend, IrregularEstimate, IrregularWork, RuntimeError,
         };
-        use sma_runtime::{PlanArena, RuntimeError};
+        use sma_runtime::PlanArena;
         use sma_tensor::GemmShape;
 
         #[derive(Debug)]

@@ -10,7 +10,7 @@ use std::path::Path;
 /// # Example
 ///
 /// ```
-/// use sma_bench::render_table;
+/// use sma_bench::table::render_table;
 ///
 /// let t = render_table(
 ///     &["name", "value"],

@@ -21,10 +21,10 @@
 //! * [`GemmMapper`] — the Fig.-6 algorithm mapping: 128×128 thread-block
 //!   tiles, double-buffered 8-deep k-slices, 64 warps in two
 //!   cooperative-group sets, and `LSMA` issue per 8×8 `Bsubtile`;
-//! * [`model`] — closed-form latency/energy models for the SIMD baseline
-//!   and the SMA configurations, anchored to the paper's measured
-//!   asymptotes and modulated by the mechanistic tile/wave/fill-drain
-//!   factors (see `sma_sim::calib`).
+//! * [`SimdGemmModel`] / [`SmaGemmModel`] — closed-form latency/energy
+//!   models for the SIMD baseline and the SMA configurations, anchored
+//!   to the paper's measured asymptotes and modulated by the mechanistic
+//!   tile/wave/fill-drain factors (see `sma_sim::calib`).
 //!
 //! # Example
 //!
@@ -45,19 +45,23 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod config;
-pub mod controller;
-pub(crate) mod gemm_mapper;
-pub mod lsma;
-pub mod model;
-pub mod unit;
+mod config;
+mod controller;
+mod gemm_mapper;
+mod lsma;
+mod model;
+mod unit;
 
 pub use config::SmaConfig;
 pub use controller::SystolicController;
 pub use gemm_mapper::{GemmMapper, MappedGemm};
 pub use lsma::LsmaOp;
-pub use model::{GemmEstimate, SimdGemmModel, SmaGemmModel};
+pub use model::{
+    GemmEstimate, SimdGemmModel, SmaGemmModel, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES,
+    TC_TB_OVERHEAD_CYCLES,
+};
 pub use unit::SmaUnit;
 
 use std::error::Error;

@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
 use sma_mem::MemStats;
 use std::fmt;

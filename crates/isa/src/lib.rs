@@ -33,10 +33,11 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod instr;
-pub mod kernel;
-pub mod program;
+mod instr;
+mod kernel;
+mod program;
 
 pub use instr::{AddressPattern, AluOp, Instr, MemSpace, Reg};
 pub use kernel::{Kernel, WarpRole};

@@ -10,12 +10,12 @@
 //!
 //! * a hand-rolled, string/char-literal/comment-aware token scanner
 //!   (`lexer`) — the container has no registry access, so no `syn`;
-//! * a rule engine ([`rules`], [`engine`]) with per-crate severity
-//!   configuration (`lint.toml`, parsed by [`config`]) and inline
+//! * a rule engine ([`RULES`], [`lint_workspace`]) with per-crate severity
+//!   configuration (`lint.toml`, parsed into a [`Config`]) and inline
 //!   `// sma-lint: allow(<rule>) — <justification>` suppressions that
 //!   must carry a justification;
 //! * human-readable `file:line` output plus a machine-readable
-//!   `LINT_report.json` ([`report`]);
+//!   `LINT_report.json` ([`Report`]);
 //! * the workspace's public surface, one line per `pub` item, written
 //!   to the committed `API_surface.txt` (`surface`).
 //!
@@ -38,12 +38,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod config;
-pub mod engine;
-pub(crate) mod lexer;
-pub mod report;
-pub mod rules;
+mod config;
+mod engine;
+mod lexer;
+mod report;
+mod rules;
 mod surface;
 
 pub use config::Config;

@@ -35,11 +35,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod banked;
-pub mod cache;
-pub mod coalesce;
-pub mod stats;
+mod banked;
+mod cache;
+mod coalesce;
+mod stats;
 
 pub use banked::{BankAccess, BankedConfig, BankedMemory};
 pub use cache::{Cache, CacheConfig, CacheOutcome};

@@ -20,9 +20,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod layer;
-pub mod network;
+mod layer;
+mod network;
 pub mod ops;
 pub mod zoo;
 

@@ -54,7 +54,7 @@ impl DrivingPipeline {
     /// the §V-C argument against fixed-function offload engines. Any
     /// [`RuntimeError`] from compiling DET or TRA propagates.
     ///
-    /// [`simd_mode_boost`]: crate::Backend::simd_mode_boost
+    /// [`simd_mode_boost`]: crate::backend::Backend::simd_mode_boost
     pub fn try_new(platform: Platform) -> Result<Self, RuntimeError> {
         if platform.simd_mode_boost() <= 0.0 {
             return Err(RuntimeError::UnsupportedOnBackend {

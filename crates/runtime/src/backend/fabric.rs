@@ -11,7 +11,7 @@
 //! [`Reconfigurable`] capability.
 
 use super::{GemmModel, GpuBackend, IrregularWork, Reconfigurable};
-use sma_core::model::{GemmEstimate, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES};
+use sma_core::{GemmEstimate, L2_REUSE_DRAM_FACTOR, LAUNCH_OVERHEAD_CYCLES};
 use sma_mem::{ceil_u64, MemStats};
 use sma_sim::GpuConfig;
 use sma_tensor::GemmShape;
@@ -282,7 +282,7 @@ pub(super) mod contract {
 
     impl Contract<'_> {
         /// Per-shape selection never loses to a fixed configuration.
-        pub fn selection_never_loses<C: FabricConfig>(&self) {
+        pub(in crate::backend) fn selection_never_loses<C: FabricConfig>(&self) {
             let fabric = Fabric::<C>::volta(None);
             for &shape in self.shapes {
                 let best = fabric.compute_cycles(shape, fabric.best(shape));
@@ -297,7 +297,7 @@ pub(super) mod contract {
 
         /// Estimates are memoized, bit-identical on a hit, with exact
         /// hit/miss counters and cache length.
-        pub fn memoized_with_exact_counters<C: FabricConfig>(&self) {
+        pub(in crate::backend) fn memoized_with_exact_counters<C: FabricConfig>(&self) {
             let flexible = GpuBackend::<Fabric<C>>::new();
             for (i, &shape) in self.shapes.iter().enumerate() {
                 let first = flexible.gemm(shape).unwrap();
@@ -313,7 +313,7 @@ pub(super) mod contract {
         /// never beats the flexible one, reproduces it when pinned at
         /// the flexible choice, and has no serve-time knob. It estimates
         /// straight from the fabric model: no memo entry, no counter.
-        pub fn pinned_charges_its_config<C: FabricConfig>(&self) {
+        pub(in crate::backend) fn pinned_charges_its_config<C: FabricConfig>(&self) {
             let fabric = Fabric::<C>::volta(None);
             let flexible = GpuBackend::<Fabric<C>>::new();
             assert_eq!(flexible.model.pinned, None);
@@ -345,7 +345,7 @@ pub(super) mod contract {
         /// The serve-time knob carries every label, and pinning any one
         /// configuration is strictly worse than per-shape selection on
         /// the mixed workload.
-        pub fn pinning_never_beats_selection<C: FabricConfig>(&self) {
+        pub(in crate::backend) fn pinning_never_beats_selection<C: FabricConfig>(&self) {
             let flexible = GpuBackend::<Fabric<C>>::new();
             let rc: &dyn Reconfigurable = flexible.as_reconfigurable().unwrap();
             let got: Vec<String> = (0..rc.config_count()).map(|c| rc.config_label(c)).collect();
@@ -360,7 +360,7 @@ pub(super) mod contract {
         }
 
         /// Time grows strictly with the streamed dimension `m`.
-        pub fn time_is_monotone_in_m<C: FabricConfig>(&self) {
+        pub(in crate::backend) fn time_is_monotone_in_m<C: FabricConfig>(&self) {
             let fabric = Fabric::<C>::volta(None);
             let mut last = 0.0;
             for m in [1usize, 8, 64, 512, 4096] {

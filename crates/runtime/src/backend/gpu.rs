@@ -9,7 +9,7 @@ use super::{
     RuntimeError,
 };
 use sma_accel::TcGemmModel;
-use sma_core::model::GemmEstimate;
+use sma_core::GemmEstimate;
 use sma_core::{SimdGemmModel, SmaConfig, SmaGemmModel};
 use sma_mem::MemStats;
 use sma_sim::GpuConfig;

@@ -34,8 +34,7 @@
 //!     gpu_irregular_estimate, Backend, GemmCache, IrregularEstimate, IrregularWork,
 //!     RuntimeError,
 //! };
-//! use sma_core::model::GemmEstimate;
-//! use sma_core::{SmaConfig, SmaGemmModel};
+//! use sma_core::{GemmEstimate, SmaConfig, SmaGemmModel};
 //! use sma_sim::GpuConfig;
 //! use sma_tensor::GemmShape;
 //!
@@ -74,7 +73,7 @@
 //! ```
 //!
 //! Wire it to an [`Executor`](crate::Executor) with
-//! [`ExecutorBuilder::backend`](crate::executor::ExecutorBuilder::backend)
+//! [`ExecutorBuilder::backend`](crate::ExecutorBuilder::backend)
 //! — no enum to extend, no match arms to chase.
 //!
 //! The same backend joins the parallel experiment sweep unchanged —
@@ -110,7 +109,7 @@ pub use tpu_host::TpuHostBackend;
 use gpu::{GemmModel, GpuBackend};
 
 use crate::platform::Platform;
-use sma_core::model::GemmEstimate;
+use sma_core::GemmEstimate;
 use sma_mem::MemStats;
 use sma_models::{Layer, LayerWork};
 use sma_tensor::GemmShape;

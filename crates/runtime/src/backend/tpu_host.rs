@@ -6,7 +6,7 @@ use super::{
     RuntimeError, CRF_HANDOFF_BYTES,
 };
 use sma_accel::{CpuModel, TpuLowering, TpuSim};
-use sma_core::model::GemmEstimate;
+use sma_core::GemmEstimate;
 use sma_mem::MemStats;
 use sma_tensor::GemmShape;
 

@@ -5,15 +5,13 @@
 //! return the backend's [`RuntimeError`] when it rejects a layer, and
 //! there is no panicking twin of either.
 
-use crate::backend::{Backend, IrregularWork, RuntimeError, CRF_HANDOFF_BYTES};
+use crate::backend::{Backend, ExecPath, IrregularWork, RuntimeError, CRF_HANDOFF_BYTES};
 use crate::plan::{NetworkPlan, PlanFamily, PlannedStep, TemplateStep};
 use crate::platform::Platform;
 use sma_energy::{EnergyBreakdown, EnergyModel};
 use sma_mem::MemStats;
 use sma_models::{Layer, LayerWork, Network};
 use std::sync::Arc;
-
-pub use crate::backend::ExecPath;
 
 /// Per-layer timing record.
 #[derive(Debug, Clone)]
@@ -81,7 +79,7 @@ impl NetworkProfile {
 /// use sma_runtime::{Executor, Platform};
 /// use sma_models::zoo;
 ///
-/// # fn main() -> Result<(), sma_runtime::RuntimeError> {
+/// # fn main() -> Result<(), sma_runtime::backend::RuntimeError> {
 /// let exec = Executor::builder(Platform::Sma3)
 ///     .batch(1)
 ///     .postprocessing(true)
@@ -501,8 +499,7 @@ mod tests {
     fn executor_dispatches_through_injected_backend() {
         // A custom backend reaches try_run() without any Platform variant.
         use crate::backend::{Backend, GemmCache, IrregularEstimate, IrregularWork, RuntimeError};
-        use sma_core::model::GemmEstimate;
-        use sma_core::{SmaConfig, SmaGemmModel};
+        use sma_core::{GemmEstimate, SmaConfig, SmaGemmModel};
         use sma_sim::GpuConfig;
         use sma_tensor::GemmShape;
 

@@ -19,7 +19,7 @@
 //!   `Result<_, RuntimeError>` ([`Executor::try_run`],
 //!   [`Executor::try_plan`]); callers decide at their own boundary
 //!   whether a rejection is an error to report or a bug to panic on;
-//! * [`plan`] — the compile-once/replay-many layer:
+//! * the plan layer — compile once, replay many:
 //!   [`Executor::try_plan`] resolves every layer once into a
 //!   [`NetworkPlan`] whose [`NetworkPlan::run`] replays the profile with
 //!   no locking and no recomputation (the serving/sweep hot path), plus
@@ -31,27 +31,34 @@
 //!   plans: seeded open-loop load generation, pluggable batching
 //!   policies and shard placement strategies, all on a deterministic
 //!   simulated clock;
-//! * [`autonomous`] — the autonomous-driving pipeline of §V-C
+//! * [`DrivingPipeline`] — the autonomous-driving pipeline of §V-C
 //!   (DET/TRA/LOC with detection-frame skipping), including the dynamic
 //!   resource reallocation only temporal integration allows: on non-DET
 //!   frames the SMA units fold back into SIMD lanes and accelerate the
 //!   localisation work, while the spatially integrated TC sits idle.
+//!
+//! Every item has one path. [`backend`] and [`serve`] are public
+//! modules; everything else is at the crate root. Six backend names
+//! ([`Backend`], [`CacheStats`], [`RuntimeError`], [`SimdBackend`],
+//! [`SmaBackend`], [`TensorCoreBackend`]) are also re-exported at the
+//! root, because the benchmark crate under `perfbench/` imports them
+//! from there.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod autonomous;
+mod autonomous;
 pub mod backend;
-pub mod executor;
-pub mod plan;
-pub mod platform;
+mod executor;
+mod plan;
+mod platform;
 pub mod serve;
 
 pub use autonomous::{DrivingPipeline, FrameSchedule};
-pub use backend::{
-    Backend, CacheStats, ExecPath, GemmCache, IrregularEstimate, IrregularOp, IrregularWork,
-    RuntimeError, SimdBackend, SmaBackend, TensorCoreBackend, TpuHostBackend,
-};
+// Second paths to six `backend` items, kept while the benchmark crate
+// imports them from the root.
+pub use backend::{Backend, CacheStats, RuntimeError, SimdBackend, SmaBackend, TensorCoreBackend};
 pub use executor::{Executor, ExecutorBuilder, LayerProfile, NetworkProfile};
 pub use plan::{ArenaPlan, NetworkPlan, PlanArena, PlanFamily, PlannedStep, TemplateStep};
 pub use platform::Platform;

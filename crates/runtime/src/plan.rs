@@ -40,7 +40,7 @@
 //! use sma_models::zoo;
 //! use sma_runtime::{Executor, Platform};
 //!
-//! # fn main() -> Result<(), sma_runtime::RuntimeError> {
+//! # fn main() -> Result<(), sma_runtime::backend::RuntimeError> {
 //! let exec = Executor::kernel_study(Platform::Sma3);
 //! let net = zoo::vgg_a();
 //! let plan = exec.try_plan(&net)?; // resolves work + warms the GEMM cache

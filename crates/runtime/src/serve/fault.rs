@@ -345,7 +345,7 @@ pub struct HedgePolicy {
     /// ms. Derive from a tail service percentile (the benchmark uses
     /// the p99 of the cluster's batch-1 cost matrix). A negative or
     /// NaN delay is refused with
-    /// [`RuntimeError::InvalidHedgeDelay`](crate::RuntimeError::InvalidHedgeDelay).
+    /// [`RuntimeError::InvalidHedgeDelay`](crate::backend::RuntimeError::InvalidHedgeDelay).
     pub delay_ms: f64,
 }
 

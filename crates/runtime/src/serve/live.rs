@@ -283,7 +283,7 @@ impl<'t> LiveServer<'t> {
 
         let (to_shard, from_door): (Vec<Sender<Request>>, Vec<Receiver<Request>>) =
             (0..shard_count).map(|_| std::sync::mpsc::channel()).unzip();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<u32>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let closed_loop = matches!(self.live.mode, LiveMode::ClosedLoop { .. });
 
         let cores = ShardCore::fleet(&self.cluster, &self.engine);
@@ -358,7 +358,7 @@ impl<'t> LiveServer<'t> {
         &self,
         placement: &mut dyn Placement,
         to_shard: &[Sender<Request>],
-        done_rx: &Receiver<u32>,
+        done_rx: &Receiver<()>,
         anchor: Instant,
         gauges: &[Gauges],
     ) -> Result<(Vec<Request>, Vec<Request>), LiveError> {
@@ -388,7 +388,7 @@ impl<'t> LiveServer<'t> {
                         // undersized window: no completion for 30 wall
                         // seconds means the loop cannot make progress.
                         match done_rx.recv_timeout(Duration::from_secs(30)) {
-                            Ok(_) => outstanding -= 1,
+                            Ok(()) => outstanding -= 1,
                             Err(RecvTimeoutError::Timeout) => {
                                 return Err(LiveError::Worker {
                                     shard: usize::MAX,
@@ -518,7 +518,7 @@ impl Worker<'_> {
     fn serve(
         mut self,
         rx: &Receiver<Request>,
-        done: Option<&Sender<u32>>,
+        done: Option<&Sender<()>>,
     ) -> Result<ShardCore, LiveError> {
         let mut members: Vec<Request> = Vec::new();
         let mut open = true;
@@ -588,7 +588,7 @@ impl Worker<'_> {
         net: usize,
         take: usize,
         members: &mut Vec<Request>,
-        done: Option<&Sender<u32>>,
+        done: Option<&Sender<()>>,
     ) -> Result<(), LiveError> {
         members.clear();
         let now_ms = self.sim_now();
@@ -627,7 +627,7 @@ impl Worker<'_> {
             if let Some(done_tx) = done {
                 // The front door may have stopped listening (open
                 // loop drains nothing); that is not an error.
-                let _ = done_tx.send(request.id);
+                let _ = done_tx.send(());
             }
         }
         Ok(())

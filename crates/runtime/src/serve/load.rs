@@ -81,7 +81,7 @@ pub struct Request {
     /// Stable identity: the request's position in its trace. The
     /// engine indexes per-request state by id, so a run refuses a trace
     /// whose ids are not `0, 1, 2, …` in order
-    /// ([`RuntimeError::TraceIdMismatch`](crate::RuntimeError::TraceIdMismatch)).
+    /// ([`RuntimeError::TraceIdMismatch`](crate::backend::RuntimeError::TraceIdMismatch)).
     pub id: u32,
     /// Index into the simulation's network table.
     pub network: u16,

@@ -40,11 +40,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod calib;
-pub mod config;
-pub(crate) mod sched;
-pub(crate) mod sm;
+mod config;
+mod sched;
+mod sm;
 
 pub use config::{GpuConfig, Latencies};
 pub use sched::{Gto, RoundRobin, SchedulerKind, SmaRoundRobin, WarpScheduler};

@@ -18,7 +18,7 @@
 //! Every engine here is *functional*: it moves real values through PE
 //! pipeline registers cycle by cycle and is verified against the reference
 //! GEMM, so the cycle counts and access traces are produced by construction
-//! rather than assumed. Analytical cycle models in [`timing`] are
+//! rather than assumed. Analytical cycle models ([`PassTiming`]) are
 //! cross-validated against the engines by property tests.
 //!
 //! # Example
@@ -40,12 +40,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub(crate) mod output_stationary;
-pub(crate) mod semi_broadcast;
-pub mod timing;
-pub mod trace;
-pub(crate) mod weight_stationary;
+mod output_stationary;
+mod semi_broadcast;
+mod timing;
+mod trace;
+mod weight_stationary;
 
 pub use output_stationary::OutputStationaryArray;
 pub use semi_broadcast::SemiBroadcastArray;

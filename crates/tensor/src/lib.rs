@@ -8,11 +8,15 @@
 //!   GPU lanes (two FP16 MACs per FP32 lane, paper §IV-A).
 //! * [`gemm`] — reference GEMM implementations (`C = αAB + βC`) that the
 //!   cycle-level systolic engines are verified against.
-//! * [`im2col`] — convolution-to-GEMM lowering exactly as the paper's
-//!   evaluation does ("the convolution layer in CNN models is converted to
-//!   GEMM through the img2col", §V-A).
-//! * [`tile`] — the CUTLASS-style 128×128 thread-block tiling with 8-deep
-//!   k-tiles and double buffering from paper Fig. 6.
+//! * [`im2col()`] and [`conv2d_gemm`] — convolution-to-GEMM lowering
+//!   exactly as the paper's evaluation does ("the convolution layer in CNN
+//!   models is converted to GEMM through the img2col", §V-A).
+//! * [`TileConfig`] — the CUTLASS-style 128×128 thread-block tiling with
+//!   8-deep k-tiles and double buffering from paper Fig. 6.
+//!
+//! Every item has one path, at the crate root, except in [`gemm`], which
+//! stays a public module for its free functions: [`GemmShape`] and
+//! [`GemmShapeBatch`] resolve both there and at the root.
 //!
 //! # Example
 //!
@@ -30,17 +34,18 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod f16;
+mod f16;
 pub mod gemm;
-pub mod im2col;
-pub mod matrix;
-pub mod scalar;
-pub mod tile;
+mod im2col;
+mod matrix;
+mod scalar;
+mod tile;
 
 pub use f16::F16;
 pub use gemm::{GemmShape, GemmShapeBatch};
-pub use im2col::{Conv2dParams, TensorShape};
+pub use im2col::{conv2d_direct, conv2d_gemm, im2col, Conv2dParams, TensorShape};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use tile::{TileConfig, TileWalk};

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Lower the conv to GEMM and run it on the SMA mapper (real systolic
     // execution), exactly as the paper's stack does via img2col: a single
     // 3x3 mean detector.
-    let patches = im2col::im2col(&image, shape, &conv)?;
+    let patches = im2col(&image, shape, &conv)?;
     let weights = Matrix::from_fn(9, 1, |_, _| 1.0f32 / 9.0);
     let mapper = GemmMapper::new(SmaConfig::iso_area_3sma());
     let mean = mapper.execute(&patches, &weights)?.result; // (h*w) x 1

@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub use sma_accel as accel;
 pub use sma_core as core;

@@ -15,7 +15,7 @@ use sma::runtime::{Executor, NetworkProfile, Platform};
 /// ([`Platform::ALL`] is the single source of truth, shared with the
 /// sweep driver's grid).
 #[must_use]
-pub fn platforms() -> [Platform; 7] {
+pub(crate) fn platforms() -> [Platform; 7] {
     Platform::ALL
 }
 
@@ -23,20 +23,20 @@ pub fn platforms() -> [Platform; 7] {
 /// ([`zoo::evaluation_networks`], shared with the sweep driver's
 /// grid).
 #[must_use]
-pub fn networks() -> Vec<Network> {
+pub(crate) fn networks() -> Vec<Network> {
     zoo::evaluation_networks()
 }
 
 /// The executor configurations of the golden-parity grid, in
 /// golden-file order.
 #[must_use]
-pub fn configs() -> [&'static str; 3] {
+pub(crate) fn configs() -> [&'static str; 3] {
     ["default", "kernel", "nopost"]
 }
 
 /// Builds the executor for one golden-parity configuration label.
 #[must_use]
-pub fn executor(platform: Platform, config: &str) -> Executor {
+pub(crate) fn executor(platform: Platform, config: &str) -> Executor {
     match config {
         "default" => Executor::new(platform),
         "kernel" => Executor::kernel_study(platform),
@@ -47,7 +47,7 @@ pub fn executor(platform: Platform, config: &str) -> Executor {
 
 /// Asserts two profiles are identical bit for bit: every `f64` through
 /// `to_bits`, every counter and per-layer record exactly.
-pub fn assert_bit_identical(context: &str, a: &NetworkProfile, b: &NetworkProfile) {
+pub(crate) fn assert_bit_identical(context: &str, a: &NetworkProfile, b: &NetworkProfile) {
     assert_eq!(a.platform, b.platform, "{context}: platform");
     assert_eq!(a.network, b.network, "{context}: network name");
     for (field, x, y) in [
@@ -77,7 +77,7 @@ pub fn assert_bit_identical(context: &str, a: &NetworkProfile, b: &NetworkProfil
 /// per evaluated platform (the serving suites iterate the same
 /// platform list as the parity suites).
 #[must_use]
-pub fn serve_shards() -> Vec<Executor> {
+pub(crate) fn serve_shards() -> Vec<Executor> {
     platforms().into_iter().map(Executor::new).collect()
 }
 
@@ -85,19 +85,19 @@ pub fn serve_shards() -> Vec<Executor> {
 /// models make sense per-inference but would dominate a 10k-request
 /// queueing test without changing what it pins).
 #[must_use]
-pub fn serve_networks() -> Vec<Network> {
+pub(crate) fn serve_networks() -> Vec<Network> {
     vec![zoo::alexnet(), zoo::vgg_a(), zoo::googlenet()]
 }
 
 /// A seeded open-loop trace over [`serve_networks`].
 #[must_use]
-pub fn serve_trace(seed: u64, count: usize, mean_interarrival_ms: f64) -> Vec<Request> {
+pub(crate) fn serve_trace(seed: u64, count: usize, mean_interarrival_ms: f64) -> Vec<Request> {
     LoadGenerator::new(seed, mean_interarrival_ms).trace(count, serve_networks().len())
 }
 
 /// Every simulated quantity of two serve runs, compared bit for bit —
 /// including the control-plane annotations and counters.
-pub fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
+pub(crate) fn assert_runs_bit_identical(a: &ServeRun, b: &ServeRun, label: &str) {
     assert_eq!(a.rejected.len(), b.rejected.len(), "{label} rejected");
     assert_eq!(a.shed.len(), b.shed.len(), "{label} shed");
     assert_eq!(a.failed.len(), b.failed.len(), "{label} failed");

@@ -180,9 +180,9 @@ proptest! {
         let input = Matrix::<f32>::random(c_in, hw * hw, 3);
         let weights = Matrix::<f32>::random(c_in * kernel * kernel, c_out, 4);
         let via_gemm =
-            sma::tensor::im2col::conv2d_gemm(&input, shape, &conv, &weights).unwrap();
+            sma::tensor::conv2d_gemm(&input, shape, &conv, &weights).unwrap();
         let direct =
-            sma::tensor::im2col::conv2d_direct(&input, shape, &conv, &weights).unwrap();
+            sma::tensor::conv2d_direct(&input, shape, &conv, &weights).unwrap();
         prop_assert!(via_gemm.approx_eq(&direct, 1e-3));
     }
 

@@ -9,18 +9,17 @@
 //! NaN).
 
 use sma::core::GemmEstimate;
-use sma::mem::stats::MemStats;
+use sma::mem::MemStats;
+use sma::runtime::backend::{Backend, ExecPath, IrregularEstimate, IrregularWork, RuntimeError};
 use sma::runtime::serve::{
     AutoscalePolicy, BatchPolicy, CacheBudget, Deadline, EarliestDeadlineFirst, EngineConfig,
     FaultEvent, FaultKind, FaultMix, FaultPlan, HealthWeighted, HedgePolicy, Immediate,
     LoadGenerator, PreemptPolicy, ReconfigPolicy, Request, RetryPolicy, RoundRobin, ServeCluster,
     ServeSim, ShedPolicy,
 };
-use sma::runtime::{
-    Backend, ExecPath, Executor, IrregularEstimate, IrregularWork, Platform, RuntimeError,
-};
+use sma::runtime::{Executor, Platform};
 use sma::tensor::GemmShape;
-use sma_bench::fnv1a64;
+use sma_bench::stream::fnv1a64;
 use std::sync::Arc;
 
 mod common;

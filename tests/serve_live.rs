@@ -19,13 +19,14 @@
 //! and trace-deterministic backend reconfiguration (the mix window
 //! reads admissions, never completion timing).
 
+use sma::runtime::backend::RuntimeError;
 use sma::runtime::serve::{
     diff_outcomes, discrete_outcomes, replay, BatchPolicy, CacheBudget, ClusterView, EngineConfig,
     FaultEvent, FaultKind, FaultPlan, Immediate, LiveConfig, LiveError, LiveMode, LiveReport,
     LiveServer, LoadGenerator, Placement, PlatformAffinity, ReconfigPolicy, Request, RoundRobin,
     ServeCluster, ServeSim, ShardTally, SizeK, TransportModel,
 };
-use sma::runtime::{Executor, Platform, RuntimeError};
+use sma::runtime::{Executor, Platform};
 use std::sync::Arc;
 
 mod common;
