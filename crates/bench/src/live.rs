@@ -22,9 +22,9 @@
 use crate::serve::BenchCluster;
 use crate::sweep::escape_json;
 use sma_runtime::serve::{
-    diff_outcomes, discrete_outcomes, percentile_ms, replay, BatchPolicy, EngineConfig, Immediate,
+    aggregate, diff_outcomes, discrete_outcomes, replay, BatchPolicy, EngineConfig, Immediate,
     LiveConfig, LiveMode, LiveServer, LoadShape, Placement, PlatformAffinity, Request, RoundRobin,
-    ServeRun, SizeK, TransportModel,
+    SizeK, TransportModel,
 };
 use std::fmt::Write as _;
 use std::io;
@@ -85,15 +85,6 @@ pub struct LiveBenchReport {
     pub transport: TransportModel,
     /// One cell per policy × placement combo.
     pub combos: Vec<LiveCombo>,
-}
-
-/// End-to-end latencies of every served request in a run, simulated ms
-/// — read off the shard tallies, the definition `aggregate` uses.
-fn latencies_ms(run: &ServeRun) -> Vec<f64> {
-    run.reports
-        .iter()
-        .flat_map(|r| r.tally.latencies_ms().iter().copied())
-        .collect()
 }
 
 /// The live benchmark's load shape for one knob value. Parameters are
@@ -199,19 +190,20 @@ pub fn run_live(options: &LiveOptions) -> Result<LiveBenchReport, String> {
             &discrete_outcomes(&report.run),
             &discrete_outcomes(&replayed),
         );
-        let live_lat = latencies_ms(&report.run);
-        let replay_lat = latencies_ms(&replayed);
+        // Percentiles read off the shard tallies in place.
+        let live = aggregate(&report.run);
+        let replay = aggregate(&replayed);
         combos.push(LiveCombo {
             policy: policy.label(),
             placement: replay_placement.label(),
-            served: live_lat.len(),
+            served: live.requests,
             rejected: report.run.rejected.len(),
             agreement: diffs.is_empty(),
             diffs,
-            live_p50_ms: percentile_ms(&live_lat, 50.0),
-            live_p99_ms: percentile_ms(&live_lat, 99.0),
-            replay_p50_ms: percentile_ms(&replay_lat, 50.0),
-            replay_p99_ms: percentile_ms(&replay_lat, 99.0),
+            live_p50_ms: live.p50_ms,
+            live_p99_ms: live.p99_ms,
+            replay_p50_ms: replay.p50_ms,
+            replay_p99_ms: replay.p99_ms,
             wall_elapsed_ms: report.wall_elapsed_ms,
         });
     }

@@ -680,7 +680,9 @@ impl<'a> Engine<'a> {
     /// Re-reads one shard's live-view entry. Every handler that changes
     /// a shard's queues, in-flight batch, cache, health or degrade
     /// state ends in a refresh of that shard, so the view placements
-    /// read is always current.
+    /// read is always current. An event's own shard is refreshed once,
+    /// by [`Engine::on_event`] after the handler, so handlers of events
+    /// end in [`Engine::try_launch`] on it.
     fn refresh_view(&mut self, shard: usize) {
         let gauge = self.gauge(shard);
         self.view.set(shard, gauge);
@@ -807,7 +809,7 @@ impl<'a> Engine<'a> {
                 if now_ms.to_bits() == state.pending_timer.to_bits() {
                     state.pending_timer = f64::INFINITY;
                 }
-                self.attempt_dispatch(shard, now_ms)
+                self.try_launch(shard, now_ms)
             }
             EventKind::Fault { index } => {
                 self.on_fault(shard, now_ms, index);
@@ -829,6 +831,7 @@ impl<'a> Engine<'a> {
                 ticked
             }
         };
+        // The single refresh of the event's shard.
         self.refresh_view(shard);
         handled
     }
@@ -880,7 +883,7 @@ impl<'a> Engine<'a> {
             victims.clear();
             state.spare = victims;
         }
-        self.attempt_dispatch(shard, now_ms)
+        self.try_launch(shard, now_ms)
     }
 
     /// One autoscaler evaluation against the live view, then its
@@ -964,7 +967,7 @@ impl<'a> Engine<'a> {
         if let Some(hedging) = &mut self.hedging {
             hedging.served_twins = twins; // the buffer, kept for reuse
         }
-        self.attempt_dispatch(shard, now_ms)
+        self.try_launch(shard, now_ms)
     }
 
     /// A crash fires: the shard goes dark, the in-flight batch is
@@ -997,7 +1000,7 @@ impl<'a> Engine<'a> {
             return Ok(()); // stale: a later crash extended the outage
         };
         state.core.report.fault.downtime_ms += downtime_ms;
-        self.attempt_dispatch(shard, now_ms)
+        self.try_launch(shard, now_ms)
     }
 
     /// Schedules a retry for a crash victim, or abandons it once the

@@ -173,39 +173,262 @@ pub struct ServeOutcome {
 /// Percentile of an unsorted latency set (`p` in 0..=100): the element
 /// an ascending [`f64::total_cmp`] sort would hold at the rounded
 /// fractional index `p/100 · (n-1)` (no interpolation). Returns 0 for
-/// an empty set.
+/// an empty set. Reads `latencies` in place, through the same
+/// selection [`aggregate`] runs over the shard tallies.
 #[must_use]
 pub fn percentile_ms(latencies: &[f64], p: f64) -> f64 {
-    let [value] = select_percentiles(&mut latencies.to_vec(), [p]);
+    let [value] = select_percentiles(std::iter::once(latencies), [p]);
     value
 }
 
-/// The nearest-rank order statistics of [`percentile_ms`] for every
-/// `p` in `ps`, by selection instead of a full sort: each rank is
-/// selected inside the prefix the previous selection left below it,
-/// so listing `ps` in descending order does the whole set in about one
-/// pass over `values` (any order is still exact). Reorders `values`;
-/// zeros for an empty set.
-fn select_percentiles<const N: usize>(values: &mut [f64], ps: [f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    let Some(last) = values.len().checked_sub(1) else {
-        return out;
+/// Sub-runs one bucket splits into (at most).
+const SUBRUNS: usize = 1 << 11;
+/// A bucket holding at most this many values is finished by copying
+/// them out and selecting (at most 32 KiB of `f64`).
+const GATHER_LIMIT: usize = super::LATENCY_CHUNK;
+
+/// Maps `x` to a key whose unsigned order is [`f64::total_cmp`]'s:
+/// negative values (sign bit set) flip every bit, the rest flip the
+/// sign bit. Distinct bit patterns keep distinct keys.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((bits >> 63).wrapping_neg() | 1 << 63)
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// The count and [`order_key`] range of a value set: where
+/// [`select_in_range`] starts.
+#[derive(Clone, Copy)]
+struct KeyRange {
+    count: usize,
+    lo: u64,
+    hi: u64,
+}
+
+impl KeyRange {
+    /// The range of no values.
+    const EMPTY: Self = Self {
+        count: 0,
+        lo: u64::MAX,
+        hi: 0,
     };
-    // After selecting rank `k`, `values[..k]` holds the `k` smallest
-    // elements and `values[k]` the rank-`k` one; `end` is that `k`.
-    let mut end = values.len();
-    for (slot, p) in out.iter_mut().zip(ps) {
+
+    /// Widens the range to hold `x`.
+    fn note(&mut self, x: f64) {
+        let key = order_key(x);
+        self.count += 1;
+        self.lo = self.lo.min(key);
+        self.hi = self.hi.max(key);
+    }
+}
+
+/// A run of [`order_key`]s, `base..=base + span`, and how many values
+/// fall in it.
+#[derive(Clone, Copy, PartialEq)]
+struct Bucket {
+    base: u64,
+    span: u64,
+    count: usize,
+}
+
+impl Bucket {
+    /// The shift that splits the run into at most [`SUBRUNS`] equal
+    /// sub-runs: sub-run `(key - base) >> shift`.
+    fn shift(self) -> u32 {
+        (u64::BITS - self.span.leading_zeros()).saturating_sub(SUBRUNS.trailing_zeros())
+    }
+
+    /// Whether `other` lies inside this run.
+    fn holds(self, other: Bucket) -> bool {
+        other.base.wrapping_sub(self.base) <= self.span
+    }
+}
+
+/// One order statistic in flight: the bucket known to hold it and its
+/// rank among the bucket's values.
+#[derive(Clone, Copy)]
+struct Target {
+    bucket: Bucket,
+    rank: usize,
+    value: Option<f64>,
+}
+
+/// A bucket one pass reads: its values are copied out when few enough
+/// to finish by selection, and counted by sub-run otherwise.
+struct Child {
+    bucket: Bucket,
+    /// `bucket.base` less the pass's parent base.
+    offset: u64,
+    /// [`Bucket::shift`] of `bucket`.
+    shift: u32,
+    gather: bool,
+}
+
+/// One read of every value: the children (disjoint buckets inside
+/// `parent` holding open statistics), found through a table over
+/// `parent`'s sub-runs.
+struct Pass {
+    parent: Bucket,
+    /// [`Bucket::shift`] of `parent`.
+    shift: u32,
+    /// Sub-run of `parent` → index into `children`, or [`u8::MAX`].
+    table: [u8; SUBRUNS],
+    children: Vec<Child>,
+}
+
+impl Pass {
+    /// The pass over `parent` that reads the buckets of the open
+    /// targets inside it, or `None` when none needs a read: a bucket of
+    /// a single key resolves its targets on the spot.
+    fn over<const N: usize>(parent: Bucket, targets: &mut [Target; N]) -> Option<Pass> {
+        const { assert!(N < u8::MAX as usize, "a table slot is a u8") };
+        let shift = parent.shift();
+        let mut pass = Pass {
+            parent,
+            shift,
+            table: [u8::MAX; SUBRUNS],
+            children: Vec::with_capacity(N),
+        };
+        for target in targets.iter_mut() {
+            let bucket = target.bucket;
+            if target.value.is_some() || !parent.holds(bucket) {
+                continue;
+            }
+            if bucket.span == 0 {
+                target.value = Some(from_order_key(bucket.base));
+                continue;
+            }
+            if pass.children.iter().any(|c| c.bucket == bucket) {
+                continue;
+            }
+            let offset = bucket.base - parent.base;
+            let first = offset >> shift;
+            let last = (offset + bucket.span) >> shift;
+            pass.table[first as usize..=last as usize].fill(pass.children.len() as u8);
+            pass.children.push(Child {
+                bucket,
+                offset,
+                shift: bucket.shift(),
+                gather: bucket.count <= GATHER_LIMIT,
+            });
+        }
+        (!pass.children.is_empty()).then_some(pass)
+    }
+
+    /// Reads `values`: copies out the members of gathering children,
+    /// counts the others' members by sub-run.
+    fn read(&self, values: &[f64], histograms: &mut [[usize; SUBRUNS]], gathered: &mut [Vec<f64>]) {
+        for &x in values {
+            let offset = order_key(x).wrapping_sub(self.parent.base);
+            if offset > self.parent.span {
+                continue;
+            }
+            let slot = usize::from(self.table[(offset >> self.shift) as usize & (SUBRUNS - 1)]);
+            let Some(child) = self.children.get(slot) else {
+                continue;
+            };
+            if child.gather {
+                gathered[slot].push(x);
+            } else {
+                let sub = ((offset - child.offset) >> child.shift) as usize;
+                histograms[slot][sub & (SUBRUNS - 1)] += 1;
+            }
+        }
+    }
+}
+
+/// The nearest-rank order statistics of [`percentile_ms`] for every
+/// `p` in `ps`, over the values of `slices` read in place (no merged
+/// copy). Zeros for an empty set.
+pub(crate) fn select_percentiles<'a, I, const N: usize>(slices: I, ps: [f64; N]) -> [f64; N]
+where
+    I: Iterator<Item = &'a [f64]> + Clone,
+{
+    let mut range = KeyRange::EMPTY;
+    slices.clone().flatten().for_each(|&x| range.note(x));
+    select_in_range(slices, range, ps)
+}
+
+/// [`select_percentiles`] once the values' [`KeyRange`] is known. Each
+/// pass reads every value once. The first counts the whole range by
+/// sub-run (2,048 equal runs of [`order_key`]s); each statistic's rank
+/// then names the sub-run holding it, which the next pass over that
+/// bucket counts the same way, until a bucket holds a single key or at
+/// most [`GATHER_LIMIT`] values, which are copied out and selected.
+/// Statistics in one bucket share its passes, and sibling buckets
+/// share one pass.
+fn select_in_range<'a, I, const N: usize>(slices: I, range: KeyRange, ps: [f64; N]) -> [f64; N]
+where
+    I: Iterator<Item = &'a [f64]> + Clone,
+{
+    let Some(last) = range.count.checked_sub(1) else {
+        return [0.0; N];
+    };
+    let root = Bucket {
+        base: range.lo,
+        span: range.hi - range.lo,
+        count: range.count,
+    };
+    let mut targets = ps.map(|p| Target {
+        bucket: root,
         // sma-lint: allow(float-cast) — p is a percentile in [0, 100] and the
         // result is clamped by the min() below; the cast cannot escape bounds.
-        let rank = ((p / 100.0 * last as f64).round() as usize).min(last);
-        if rank != end {
-            let region = if rank < end { end } else { values.len() };
-            values[..region].select_nth_unstable_by(rank, f64::total_cmp);
-            end = rank;
+        rank: ((p / 100.0 * last as f64).round() as usize).min(last),
+        value: None,
+    });
+    let mut passes: Vec<Pass> = Pass::over(root, &mut targets).into_iter().collect();
+    while let Some(pass) = passes.pop() {
+        let mut histograms = vec![[0_usize; SUBRUNS]; pass.children.len()];
+        let mut gathered: Vec<Vec<f64>> = pass
+            .children
+            .iter()
+            .map(|c| match c.gather {
+                true => Vec::with_capacity(c.bucket.count),
+                false => Vec::new(),
+            })
+            .collect();
+        for values in slices.clone() {
+            pass.read(values, &mut histograms, &mut gathered);
         }
-        *slot = values[rank];
+        for (child, (histogram, values)) in pass
+            .children
+            .iter()
+            .zip(histograms.iter().zip(&mut gathered))
+        {
+            for target in targets.iter_mut() {
+                if target.value.is_some() || target.bucket != child.bucket {
+                    continue;
+                }
+                if child.gather {
+                    let (_, value, _) = values.select_nth_unstable_by(target.rank, f64::total_cmp);
+                    target.value = Some(*value);
+                    continue;
+                }
+                let mut below = 0;
+                for (sub, &count) in histogram.iter().enumerate() {
+                    if target.rank < below + count {
+                        let offset = (sub as u64) << child.shift;
+                        target.bucket = Bucket {
+                            base: child.bucket.base + offset,
+                            span: (child.bucket.span - offset).min((1 << child.shift) - 1),
+                            count,
+                        };
+                        target.rank -= below;
+                        break;
+                    }
+                    below += count;
+                }
+            }
+            if !child.gather {
+                passes.extend(Pass::over(child.bucket, &mut targets));
+            }
+        }
     }
-    out
+    targets.map(|t| t.value.unwrap_or(0.0))
 }
 
 /// Folds one engine run into the cluster-wide outcome: latency
@@ -213,20 +436,23 @@ fn select_percentiles<const N: usize>(values: &mut [f64], ps: [f64; N]) -> [f64;
 /// (served + rejected + shed + failed), and the fault/recovery
 /// counters rolled up per shard and per SLO class. Reads only the
 /// shards' [`ShardTally`](super::ShardTally)s, never the optional
-/// records.
+/// records, and reads their latency chunks in place: the mean is a
+/// left fold in shard-major completion order, and the percentiles are
+/// the exact selection of [`percentile_ms`], with no merged copy.
 #[must_use]
 pub fn aggregate(run: &ServeRun) -> ServeOutcome {
     let reports = &run.reports;
-    let mut latencies: Vec<f64> =
-        Vec::with_capacity(reports.iter().map(|r| r.tally.served()).sum());
-    for report in reports {
-        latencies.extend_from_slice(report.tally.latencies_ms());
-    }
-    // Summed in shard-major completion order, before selection
-    // reorders the buffer.
-    let total_latency_ms: f64 = latencies.iter().sum();
+    let latencies = reports.iter().flat_map(|r| r.tally.latency_chunks());
+    // Summed in shard-major completion order, in the pass that finds
+    // the selection's key range.
+    let mut range = KeyRange::EMPTY;
+    let total_latency_ms: f64 = latencies
+        .clone()
+        .flatten()
+        .inspect(|&&x| range.note(x))
+        .sum();
     let [max_ms, p999_ms, p99_ms, p50_ms] =
-        select_percentiles(&mut latencies, [100.0, 99.9, 99.0, 50.0]);
+        select_in_range(latencies, range, [100.0, 99.9, 99.0, 50.0]);
     let makespan_ms = reports
         .iter()
         .map(|r| r.makespan_ms)
@@ -301,7 +527,7 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
         classes[slot].failed += 1;
     }
 
-    let served = latencies.len();
+    let served: usize = reports.iter().map(|r| r.tally.served()).sum();
     let rejected = run.rejected.len();
     let shed = run.shed.len();
     let failed = run.failed.len();
@@ -314,7 +540,7 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
         p50_ms,
         p99_ms,
         p999_ms,
-        mean_ms: if latencies.is_empty() {
+        mean_ms: if served == 0 {
             0.0
         } else {
             total_latency_ms / served as f64
@@ -377,6 +603,8 @@ mod tests {
 
     use super::*;
     use crate::serve::load::SeededRng;
+    use crate::serve::tests::served;
+    use crate::serve::{ShardTally, LATENCY_CHUNK};
     use proptest::prelude::*;
 
     #[test]
@@ -389,54 +617,87 @@ mod tests {
         assert_eq!(percentile_ms(&[], 50.0), 0.0);
     }
 
-    /// A value set with heavy duplication, both zeros and arbitrary bit
-    /// patterns (infinities and NaNs included: `total_cmp` orders them
-    /// all).
+    /// A value set with heavy duplication, both zeros, both infinities,
+    /// NaNs and arbitrary bit patterns (`total_cmp` orders them all).
     fn draw_values(seed: u64, len: usize, pool: u64) -> Vec<f64> {
         let mut rng = SeededRng::new(seed);
         (0..len)
-            .map(|_| match rng.next_u64() % 4 {
+            .map(|_| match rng.next_u64() % 6 {
                 0 => 0.0,
                 1 => -0.0,
                 2 => (rng.next_u64() % pool) as f64 * 0.25,
+                3 => [f64::INFINITY, f64::NEG_INFINITY][(rng.next_u64() % 2) as usize],
+                4 => [f64::NAN, -f64::NAN][(rng.next_u64() % 2) as usize],
                 _ => f64::from_bits(rng.next_u64()),
             })
             .collect()
     }
 
-    /// The full-sort reference: the sorted element at the rounded
-    /// fractional index.
-    fn sorted_lookup(values: &[f64], p: f64) -> f64 {
+    /// The full-sort reference: the bits of the sorted element at each
+    /// rounded fractional index.
+    fn sorted_lookups<const N: usize>(values: &[f64], ps: [f64; N]) -> [u64; N] {
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
-        match sorted.len().checked_sub(1) {
-            None => 0.0,
-            Some(last) => sorted[((p / 100.0 * last as f64).round() as usize).min(last)],
+        ps.map(|p| match sorted.len().checked_sub(1) {
+            None => 0.0_f64.to_bits(),
+            Some(last) => sorted[((p / 100.0 * last as f64).round() as usize).min(last)].to_bits(),
+        })
+    }
+
+    /// Shard sizes on both sides of a chunk boundary, and several
+    /// chunks.
+    const SHARD_SIZES: [usize; 6] = [
+        0,
+        1,
+        LATENCY_CHUNK - 1,
+        LATENCY_CHUNK,
+        LATENCY_CHUNK + 1,
+        3 * LATENCY_CHUNK + 5,
+    ];
+
+    /// A tally that served one request of latency `x` for each `x`.
+    fn tally_of(values: &[f64]) -> ShardTally {
+        let mut tally = ShardTally::default();
+        for &x in values {
+            tally.note_served(&served(0, x));
         }
+        tally
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Selection returns exactly the element the full sort would,
-        /// bit for bit, for one rank at a time and for several ranks
-        /// selected in one buffer, in either order.
+        /// bit for bit: for one slice, and over the chunked tallies of
+        /// several shards, for one rank at a time and for several ranks
+        /// in one call, in either order.
         #[test]
         fn selection_matches_the_full_sort_bit_for_bit(
             seed in 0u64..u64::MAX,
             len in 0usize..300,
             pool in 1u64..16,
+            shards in 1usize..4,
         ) {
-            let values = draw_values(seed, len, pool);
             let ps = [0.0, 50.0, 99.0, 99.9, 100.0];
-            let expected = ps.map(|p| sorted_lookup(&values, p).to_bits());
+            let values = draw_values(seed, len, pool);
+            let expected = sorted_lookups(&values, ps);
             for (p, bits) in ps.iter().zip(expected) {
                 prop_assert_eq!(percentile_ms(&values, *p).to_bits(), bits, "p{}", p);
             }
-            let ascending = select_percentiles(&mut values.clone(), ps);
+
+            let mut rng = SeededRng::new(seed ^ 0x5EED);
+            let tallies: Vec<ShardTally> = (0..shards)
+                .map(|_| {
+                    let size = SHARD_SIZES[(rng.next_u64() % 6) as usize];
+                    tally_of(&draw_values(rng.next_u64(), size, pool))
+                })
+                .collect();
+            let all: Vec<f64> = tallies.iter().flat_map(ShardTally::latencies_ms).collect();
+            let expected = sorted_lookups(&all, ps);
+            let chunks = || tallies.iter().flat_map(ShardTally::latency_chunks);
+            let ascending = select_percentiles(chunks(), ps);
             prop_assert_eq!(ascending.map(f64::to_bits), expected);
-            let mut descending =
-                select_percentiles(&mut values.clone(), [100.0, 99.9, 99.0, 50.0, 0.0]);
+            let mut descending = select_percentiles(chunks(), [100.0, 99.9, 99.0, 50.0, 0.0]);
             descending.reverse();
             prop_assert_eq!(descending.map(f64::to_bits), expected);
         }

@@ -172,15 +172,21 @@ pub struct BatchRecord {
 
 const _: () = assert!(std::mem::size_of::<BatchRecord>() == 40);
 
+/// Latencies one [`ShardTally`] chunk holds (32 KiB of `f64`).
+pub(crate) const LATENCY_CHUNK: usize = 4096;
+
 /// The always-on summary of one shard's served work: everything
 /// [`aggregate`] folds, kept whether or not per-request records are on
 /// ([`EngineConfig::with_records`]). It costs 8 bytes per served
-/// request plus a few counters, against 48 + 40/batch for the records.
+/// request plus a few counters, against 48 + 40/batch for the records:
+/// latencies fill fixed chunks of 4,096 in completion order, so at most
+/// one chunk is partly filled and growth never copies a latency.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardTally {
     /// End-to-end latency ([`ServedRequest::latency_ms`]) of each
-    /// served request, ms, in completion order.
-    latencies_ms: Vec<f64>,
+    /// served request, ms, in completion order: full chunks of
+    /// [`LATENCY_CHUNK`] values, the last one possibly partial.
+    latency_chunks: Vec<Vec<f64>>,
     /// `batch_sizes[k]`: completed batches of `k` requests.
     batch_sizes: Vec<u64>,
     /// `class_served[c]`: served requests of SLO class `c`.
@@ -215,7 +221,15 @@ impl ShardTally {
 
     /// Counts one served request.
     pub(crate) fn note_served(&mut self, request: &ServedRequest) {
-        self.latencies_ms.push(request.latency_ms());
+        let latency_ms = request.latency_ms();
+        match self.latency_chunks.last_mut() {
+            Some(chunk) if chunk.len() < LATENCY_CHUNK => chunk.push(latency_ms),
+            _ => {
+                let mut chunk = Vec::with_capacity(LATENCY_CHUNK);
+                chunk.push(latency_ms);
+                self.latency_chunks.push(chunk);
+            }
+        }
         let class = usize::from(request.class);
         if self.class_served.len() <= class {
             self.class_served.resize(class + 1, 0);
@@ -229,15 +243,23 @@ impl ShardTally {
 
     /// End-to-end latency ([`ServedRequest::latency_ms`]) of each
     /// served request, ms, in completion order.
-    #[must_use]
-    pub fn latencies_ms(&self) -> &[f64] {
-        &self.latencies_ms
+    pub fn latencies_ms(&self) -> impl Iterator<Item = f64> + '_ {
+        self.latency_chunks.iter().flatten().copied()
+    }
+
+    /// The latencies of [`ShardTally::latencies_ms`] as the chunks
+    /// that hold them, in completion order.
+    pub(crate) fn latency_chunks(&self) -> impl Iterator<Item = &[f64]> + Clone {
+        self.latency_chunks.iter().map(Vec::as_slice)
     }
 
     /// Served requests.
     #[must_use]
     pub fn served(&self) -> usize {
-        self.latencies_ms.len()
+        match self.latency_chunks.last() {
+            None => 0,
+            Some(last) => (self.latency_chunks.len() - 1) * LATENCY_CHUNK + last.len(),
+        }
     }
 
     /// Completed batches.
@@ -607,18 +629,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tally_grows_its_tables_on_demand() {
-        let served = |class, completion_ms| ServedRequest {
+    /// A served request of SLO class `class`, arrived at 0 ms with a
+    /// 10 ms deadline, completed at `completion_ms`: its latency is
+    /// `completion_ms`, bit for bit.
+    pub(super) fn served(class: u8, completion_ms: f64) -> ServedRequest {
+        ServedRequest {
             id: 0,
             network: 0,
-            arrival_ms: 1.0,
+            arrival_ms: 0.0,
             deadline_ms: 10.0,
             class,
-            start_ms: 1.0,
+            start_ms: 0.0,
             completion_ms,
             batch_size: 1,
-        };
+        }
+    }
+
+    #[test]
+    fn tally_grows_its_tables_on_demand() {
         let mut tally = ShardTally::default();
         tally.note_batch(3);
         tally.note_batch(3);
@@ -635,8 +663,29 @@ mod tests {
             "10.0 meets a 10.0 deadline"
         );
         assert_eq!(tally.deadline_misses(), 1);
-        assert_eq!(tally.latencies_ms, vec![4.0, 11.0, 9.0]);
+        assert_eq!(tally.latencies_ms().collect::<Vec<_>>(), [5.0, 12.0, 10.0]);
         assert_eq!(tally.served(), 3);
+    }
+
+    /// The latency storage grows by whole chunks, never by doubling:
+    /// its slots stay within one chunk of the served count, and every
+    /// latency comes back in completion order.
+    #[test]
+    fn tally_latency_storage_stays_within_one_chunk_of_served() {
+        let mut tally = ShardTally::default();
+        for n in 0..3 * LATENCY_CHUNK + 7 {
+            let slots: usize = tally.latency_chunks.iter().map(Vec::capacity).sum();
+            assert!(
+                slots <= n + LATENCY_CHUNK,
+                "{slots} slots for {n} served latencies"
+            );
+            assert_eq!(tally.served(), n);
+            tally.note_served(&served(0, n as f64));
+        }
+        assert!(tally
+            .latencies_ms()
+            .enumerate()
+            .all(|(n, latency)| latency == n as f64));
     }
 
     #[test]

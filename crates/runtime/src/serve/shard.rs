@@ -611,7 +611,14 @@ impl ShardCore {
         now_ms: f64,
         into: &mut Vec<Request>,
     ) {
-        into.extend(self.queues[net].drain(..take));
+        // Slice copies, not `extend(drain(..))`, which moves one
+        // request at a time.
+        let queue = &mut self.queues[net];
+        let (front, back) = queue.as_slices();
+        let from_front = take.min(front.len());
+        into.extend_from_slice(&front[..from_front]);
+        into.extend_from_slice(&back[..take - from_front]);
+        queue.drain(..take);
         self.note_depth(now_ms, self.depth - take);
     }
 

@@ -121,15 +121,15 @@ fn assert_live_replay_agree(
 
 /// Mean end-to-end latency over every served request of a run.
 fn mean_latency_ms(run: &sma::runtime::serve::ServeRun) -> f64 {
-    let latencies: Vec<f64> = run
-        .reports
-        .iter()
-        .flat_map(|r| r.tally.latencies_ms().iter().copied())
-        .collect();
-    if latencies.is_empty() {
+    let served: usize = run.reports.iter().map(|r| r.tally.served()).sum();
+    if served == 0 {
         0.0
     } else {
-        latencies.iter().sum::<f64>() / latencies.len() as f64
+        run.reports
+            .iter()
+            .flat_map(|r| r.tally.latencies_ms())
+            .sum::<f64>()
+            / served as f64
     }
 }
 
