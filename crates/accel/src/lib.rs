@@ -17,7 +17,6 @@
 //!   operations neither accelerator supports (DeepLab's CRF runs 10×
 //!   slower there than on the GPU, Fig. 3).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 

@@ -1,9 +1,9 @@
 //! The single sanctioned home for `SMA_*` environment knobs.
 //!
-//! Every `std::env::var` read in this crate lives here — the
-//! `env-read` lint (see `docs/DETERMINISM.md`) denies reads anywhere
-//! else, so adding a knob means adding a named accessor to this module
-//! and a row to the README knob table. Keeping the key strings, parse
+//! Every `std::env::var` read in this crate lives here — clippy's
+//! `disallowed_methods` (see `docs/DETERMINISM.md`) denies reads
+//! anywhere else, so adding a knob means adding a named accessor to
+//! this module and a row to the README knob table. Keeping the key strings, parse
 //! rules, and defaults in one place is what makes "which env vars can
 //! change a run's output?" answerable by reading one file.
 //!
@@ -12,6 +12,11 @@
 //! `SMA_SERVE_REQUESTS=10k`) aborts the process with the key and the
 //! offending value. Silently substituting the default for a typo used
 //! to run a 10 000-request benchmark the caller never asked for.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the crate's one sanctioned home for environment reads"
+)]
 
 use std::str::FromStr;
 

@@ -16,7 +16,6 @@
 //! batching policy × placement strategy over one seeded trace — and
 //! writes the simulated-clock serving metrics to `BENCH_serve.json`.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 

@@ -168,6 +168,10 @@ impl<W: Write> StreamWriter<W> {
 
     /// Takes the lock, spinning briefly before blocking (see the module
     /// docs).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the writer's one lock; no caller holds another guard"
+    )]
     fn lock(&self) -> MutexGuard<'_, StreamInner<W>> {
         for _ in 0..SPIN_ROUNDS {
             match self.inner.try_lock() {

@@ -96,9 +96,6 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-// sma-lint: allow(wallclock) — wall time IS this module's measurand;
-// it lands in BENCH_sweep.json's wall_ms fields, never in model state.
-use std::time::Instant;
 
 /// One named, self-contained unit of sweep work.
 pub struct SweepTask {
@@ -223,8 +220,11 @@ impl Sweep {
     /// same at every thread count — tasks are deterministic.
     #[must_use]
     pub fn run_parallel(&self, threads: usize) -> SweepRun {
-        // sma-lint: allow(wallclock) — timing the parallel pass is the point.
-        let start = Instant::now();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "timing the parallel pass is the point; wall_ms lands in BENCH_sweep_timing.json, never in model state"
+        )]
+        let start = std::time::Instant::now();
         let (tasks, workers) = run_ordered(self.tasks.len(), threads, |i| run_task(&self.tasks[i]));
         SweepRun {
             tasks,
@@ -282,8 +282,8 @@ impl Drop for ClearSlot<'_> {
 ///
 /// This is the crate's single work-stealing thread-spawn site: the
 /// sweep passes and the `dse` grid both fan out through it, so the
-/// determinism audit (`lint.toml` sanctions `sweep.rs` for
-/// `thread-spawn`) has exactly one loop to review. `work` receives each
+/// determinism audit (one `#[expect(clippy::disallowed_methods)]` on
+/// the spawn below) has exactly one loop to review. `work` receives each
 /// index exactly once; completion order is unspecified, so `work` must
 /// route any ordered output through an order-restoring sink such as
 /// [`StreamWriter`](crate::stream::StreamWriter) — or use
@@ -338,6 +338,10 @@ pub fn run_work_stealing(count: usize, threads: usize, work: impl Fn(usize) + Sy
     };
     std::thread::scope(|scope| {
         let drain = &drain;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sweep runs independent whole simulations; results land in index order whatever order the workers finish in"
+        )]
         let spawned: Vec<_> = (1..workers)
             .map(|me| scope.spawn(move || drain(me)))
             .collect();
@@ -372,7 +376,12 @@ pub fn run_ordered<T: Send>(
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
     let workers = run_work_stealing(count, threads, |i| {
         let result = job(i);
-        slots.lock().expect("a worker panicked")[i] = Some(result);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one guard, held for a single slot store"
+        )]
+        let mut slots = slots.lock().expect("a worker panicked");
+        slots[i] = Some(result);
     });
     let results = slots
         .into_inner()
@@ -384,8 +393,11 @@ pub fn run_ordered<T: Send>(
 }
 
 fn run_task(task: &SweepTask) -> TaskReport {
-    // sma-lint: allow(wallclock) — per-task wall_ms is reported, not modeled.
-    let start = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-task wall_ms is reported, not modeled"
+    )]
+    let start = std::time::Instant::now();
     let output = (task.run)();
     TaskReport {
         name: task.name.clone(),
@@ -1098,6 +1110,10 @@ mod tests {
     /// window: its slot clears as it unwinds, the waiters go on, and the
     /// caller gets the panic instead of hanging.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a watchdog thread turns a hung fan-out into a test failure instead of a stuck run"
+    )]
     fn a_panic_at_the_lowest_index_releases_the_window() {
         let (done, outcome) = std::sync::mpsc::channel();
         std::thread::spawn(move || {

@@ -43,7 +43,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 

@@ -29,7 +29,6 @@
 //! assert!(e.total() > e.pe);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 
@@ -218,11 +217,14 @@ impl EnergyModel {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
-// ledgers read best built up
-// Exact float equality in these tests asserts bit-reproducibility of
-// exactly-representable values; an epsilon would weaken them.
-#[allow(clippy::float_cmp)]
+#[expect(
+    clippy::field_reassign_with_default,
+    reason = "the test ledgers read best built up field by field"
+)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+)]
 mod tests {
 
     use super::*;

@@ -7,7 +7,7 @@ use std::fmt;
 /// Registers are warp-wide (one 32-lane vector value each), matching how
 /// GPGPU-Sim scoreboards track dependencies. The timing simulator only
 /// needs identity, not contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u16);
 
 impl fmt::Display for Reg {

@@ -31,7 +31,6 @@
 //! assert_eq!(program.dynamic_instruction_count(), 8);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 

@@ -2,29 +2,21 @@
 //! aware, with no external parser dependency.
 //!
 //! The scanner produces a flat token stream ([`Tok`]) annotated with
-//! 1-based line numbers, and as side products extracts:
+//! 1-based line numbers, plus the line ranges of `#[cfg(test)]` /
+//! `#[test]` items ([`LexedFile::test_ranges`]), so the surface listing
+//! can skip test code.
 //!
-//! * inline suppression comments
-//!   (`// sma-lint: allow(rule) — justification`, [`Suppression`]);
-//! * `#[cfg(test)]` / `#[test]` item ranges ([`LexedFile::test_ranges`]),
-//!   so rules that only police library code can skip test modules.
-//!
-//! It is deliberately *not* a parser: rules match short token patterns
-//! (`.partial_cmp(…).unwrap()`, `env :: var`, …), which is exactly the
-//! granularity the determinism rules need and keeps the whole linter
-//! self-contained — the container has no crates-registry access, so
-//! `syn` is not an option.
+//! It is deliberately *not* a parser: the surface extractor matches
+//! short token patterns (`pub fn name`, `impl … for Type {`), and the
+//! workspace builds offline, so `syn` is not an option.
 
-/// Token classes the rule engine distinguishes.
+/// Token classes the surface extractor distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
-    /// Identifier or keyword (`fn`, `unsafe`, `HashMap`, …).
+pub(crate) enum TokKind {
+    /// Identifier or keyword (`fn`, `pub`, `impl`, …).
     Ident,
-    /// Numeric literal; `float` is true for `1.5`, `2e3`, `1.0f64`, …
-    Number {
-        /// Whether the literal is a floating-point literal.
-        float: bool,
-    },
+    /// Numeric literal (`7`, `1.5`, `0xE0`, …).
+    Number,
     /// String literal (regular, raw or byte), contents dropped.
     Str,
     /// Character literal (`'x'`, `'\n'`).
@@ -38,14 +30,14 @@ pub enum TokKind {
 
 /// One scanned token with its 1-based source line.
 #[derive(Debug, Clone)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Token class.
-    pub kind: TokKind,
+    pub(crate) kind: TokKind,
     /// Verbatim text (empty for [`TokKind::Str`] — contents are never
     /// matched, only the fact that a string sat there).
-    pub text: String,
+    pub(crate) text: String,
     /// 1-based line of the token's first character.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 impl Tok {
@@ -62,44 +54,14 @@ impl Tok {
     }
 }
 
-/// One inline suppression comment.
-///
-/// Syntax (trailing on the offending line, or standalone on the line
-/// directly above it):
-///
-/// ```text
-/// // sma-lint: allow(rule-id, other-rule) — why this is sound
-/// ```
-///
-/// The justification — any non-empty text after the closing paren
-/// (leading `:`, `-`, `—` separators are stripped) — is **mandatory**;
-/// a blanket `allow` with no reason is itself a deny-severity finding.
-/// For standalone markers, plain `//` comment lines directly below the
-/// marker are folded into the justification, so a long reason can wrap.
-#[derive(Debug, Clone)]
-pub(crate) struct Suppression {
-    /// Line the comment sits on.
-    pub comment_line: u32,
-    /// Source line the suppression covers (its own line for trailing
-    /// comments, the next token-bearing line for standalone ones).
-    pub covers_line: u32,
-    /// Rule ids named in `allow(...)`; empty means the marker was
-    /// malformed.
-    pub rules: Vec<String>,
-    /// Justification text (may be empty — the engine rejects that).
-    pub justification: String,
-}
-
 /// The scanner's full output for one file.
 #[derive(Debug, Default)]
 pub(crate) struct LexedFile {
     /// Token stream in source order.
-    pub toks: Vec<Tok>,
-    /// Inline suppressions, in source order.
-    pub suppressions: Vec<Suppression>,
+    pub(crate) toks: Vec<Tok>,
     /// Inclusive `(start_line, end_line)` ranges of `#[cfg(test)]` /
     /// `#[test]` items.
-    pub test_ranges: Vec<(u32, u32)>,
+    pub(crate) test_ranges: Vec<(u32, u32)>,
 }
 
 impl LexedFile {
@@ -112,19 +74,13 @@ impl LexedFile {
     }
 }
 
-/// Scans `src` into tokens, suppressions and test ranges.
+/// Scans `src` into tokens and test ranges.
 #[must_use]
 pub(crate) fn lex(src: &str) -> LexedFile {
     let mut out = LexedFile::default();
     let bytes: Vec<char> = src.chars().collect();
     let mut i = 0usize;
     let mut line: u32 = 1;
-    // (comment_line, body) of standalone suppression comments waiting
-    // for their next token-bearing line, and the line of the last
-    // comment folded into the newest one (continuation lines extend
-    // the justification).
-    let mut pending: Vec<(u32, String)> = Vec::new();
-    let mut pending_last: u32 = 0;
 
     while i < bytes.len() {
         let c = bytes[i];
@@ -135,32 +91,8 @@ pub(crate) fn lex(src: &str) -> LexedFile {
             }
             c if c.is_whitespace() => i += 1,
             '/' if bytes.get(i + 1) == Some(&'/') => {
-                let start = i;
-                // Doc comments (`///`, `//!`) are prose, never
-                // suppressions — only a plain `//` comment that *starts*
-                // with the marker counts.
-                let doc = matches!(bytes.get(i + 2), Some('/' | '!'));
                 while i < bytes.len() && bytes[i] != '\n' {
                     i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                let body = text.trim_start_matches('/').trim_start();
-                if !doc && body.starts_with("sma-lint") {
-                    let trailing = out.toks.last().is_some_and(|t| t.line == line);
-                    if trailing {
-                        out.suppressions.push(parse_suppression(line, line, body));
-                    } else {
-                        pending.push((line, body.to_string()));
-                        pending_last = line;
-                    }
-                } else if !doc && pending_last + 1 == line {
-                    // A plain comment directly under a pending marker
-                    // continues its justification across lines.
-                    if let Some((_, text)) = pending.last_mut() {
-                        text.push(' ');
-                        text.push_str(body);
-                        pending_last = line;
-                    }
                 }
             }
             '/' if bytes.get(i + 1) == Some(&'*') => {
@@ -183,7 +115,7 @@ pub(crate) fn lex(src: &str) -> LexedFile {
                 }
             }
             '"' => {
-                push_tok(&mut out, &mut pending, TokKind::Str, String::new(), line);
+                push_tok(&mut out, TokKind::Str, String::new(), line);
                 i += 1;
                 line = skip_string(&bytes, &mut i, line);
             }
@@ -191,7 +123,7 @@ pub(crate) fn lex(src: &str) -> LexedFile {
                 // r"…", r#"…"#, br#"…"#, b"…" — scan to the matching
                 // closing quote + hashes.
                 let (quote_at, hashes) = raw_string_hashes(&bytes, i).expect("checked above");
-                push_tok(&mut out, &mut pending, TokKind::Str, String::new(), line);
+                push_tok(&mut out, TokKind::Str, String::new(), line);
                 if hashes == usize::MAX {
                     // plain b"…": an escaped string body.
                     i = quote_at + 1;
@@ -234,7 +166,7 @@ pub(crate) fn lex(src: &str) -> LexedFile {
                         i += 1;
                     }
                     let text: String = bytes[start..i].iter().collect();
-                    push_tok(&mut out, &mut pending, TokKind::Lifetime, text, line);
+                    push_tok(&mut out, TokKind::Lifetime, text, line);
                 } else {
                     // Char literal: consume to the closing quote,
                     // honouring `\'` and `\\` escapes.
@@ -249,37 +181,25 @@ pub(crate) fn lex(src: &str) -> LexedFile {
                             _ => i += 1,
                         }
                     }
-                    push_tok(&mut out, &mut pending, TokKind::Char, String::new(), line);
+                    push_tok(&mut out, TokKind::Char, String::new(), line);
                 }
             }
             c if c.is_ascii_digit() => {
                 let start = i;
-                let hex = c == '0' && matches!(bytes.get(i + 1), Some('x' | 'X' | 'o' | 'b'));
                 i += 1;
-                let mut float = false;
                 while i < bytes.len() {
                     let d = bytes[i];
-                    if d.is_alphanumeric() || d == '_' {
-                        if !hex && (d == 'e' || d == 'E') {
-                            float = true;
-                        }
-                        i += 1;
-                    } else if d == '.' && bytes.get(i + 1).is_some_and(|n| n.is_ascii_digit()) {
-                        float = true;
+                    if d.is_alphanumeric()
+                        || d == '_'
+                        || (d == '.' && bytes.get(i + 1).is_some_and(|n| n.is_ascii_digit()))
+                    {
                         i += 1;
                     } else {
                         break;
                     }
                 }
                 let text: String = bytes[start..i].iter().collect();
-                let float = float || text.ends_with("f32") || text.ends_with("f64");
-                push_tok(
-                    &mut out,
-                    &mut pending,
-                    TokKind::Number { float },
-                    text,
-                    line,
-                );
+                push_tok(&mut out, TokKind::Number, text, line);
             }
             c if c.is_alphabetic() || c == '_' => {
                 let start = i;
@@ -287,7 +207,7 @@ pub(crate) fn lex(src: &str) -> LexedFile {
                     i += 1;
                 }
                 let text: String = bytes[start..i].iter().collect();
-                push_tok(&mut out, &mut pending, TokKind::Ident, text, line);
+                push_tok(&mut out, TokKind::Ident, text, line);
             }
             _ => {
                 let two: String = bytes[i..(i + 2).min(bytes.len())].iter().collect();
@@ -301,33 +221,16 @@ pub(crate) fn lex(src: &str) -> LexedFile {
                         c.to_string()
                     }
                 };
-                push_tok(&mut out, &mut pending, TokKind::Punct, text, line);
+                push_tok(&mut out, TokKind::Punct, text, line);
             }
         }
-    }
-    // Standalone suppressions at EOF with no code after them: anchor to
-    // their own line so they surface as unused rather than vanish.
-    for (comment_line, body) in pending {
-        out.suppressions
-            .push(parse_suppression(comment_line, comment_line, &body));
     }
     out.test_ranges = test_ranges(&out.toks);
     out
 }
 
-/// Emits a token, resolving any standalone suppressions that were
-/// waiting for the next token-bearing line.
-fn push_tok(
-    out: &mut LexedFile,
-    pending: &mut Vec<(u32, String)>,
-    kind: TokKind,
-    text: String,
-    line: u32,
-) {
-    for (comment_line, body) in pending.drain(..) {
-        out.suppressions
-            .push(parse_suppression(comment_line, line, &body));
-    }
+/// Emits a token.
+fn push_tok(out: &mut LexedFile, kind: TokKind, text: String, line: u32) {
     out.toks.push(Tok { kind, text, line });
 }
 
@@ -382,40 +285,6 @@ fn raw_string_hashes(bytes: &[char], i: usize) -> Option<(usize, usize)> {
         Some((j, hashes))
     } else {
         None // raw identifier (r#fn) or a plain ident starting with r/br
-    }
-}
-
-/// Parses a `sma-lint` comment body (starting at the `sma-lint`
-/// marker) into a [`Suppression`]. A body that does not match
-/// `sma-lint: allow(rule, …)` yields empty `rules` — the engine
-/// reports that as a malformed suppression.
-fn parse_suppression(comment_line: u32, covers_line: u32, body: &str) -> Suppression {
-    let mut rules = Vec::new();
-    let mut justification = String::new();
-    let rest = body
-        .strip_prefix("sma-lint")
-        .map(|r| r.trim_start_matches([':', ' ']))
-        .unwrap_or("");
-    if let Some(open) = rest.strip_prefix("allow").map(str::trim_start) {
-        if let Some(args_start) = open.strip_prefix('(') {
-            if let Some(close) = args_start.find(')') {
-                rules = args_start[..close]
-                    .split(',')
-                    .map(|r| r.trim().to_string())
-                    .filter(|r| !r.is_empty())
-                    .collect();
-                justification = args_start[close + 1..]
-                    .trim_start_matches([':', '-', '—', '–', ' '])
-                    .trim()
-                    .to_string();
-            }
-        }
-    }
-    Suppression {
-        comment_line,
-        covers_line,
-        rules,
-        justification,
     }
 }
 
@@ -518,41 +387,13 @@ mod tests {
     }
 
     #[test]
-    fn float_literals_are_classified() {
-        let lexed = lex("let a = 1.5; let b = 2e3; let c = 3f64; let d = 7; let e = 0xE0;");
-        let floats: Vec<&str> = lexed
-            .toks
-            .iter()
-            .filter(|t| matches!(t.kind, TokKind::Number { float: true }))
-            .map(|t| t.text.as_str())
-            .collect();
-        assert_eq!(floats, ["1.5", "2e3", "3f64"]);
-    }
-
-    #[test]
     fn ranges_do_not_swallow_dots() {
         let lexed = lex("for i in 0..n { x(i); }");
         assert!(lexed.toks.iter().any(|t| t.is_punct("..")));
         assert!(lexed
             .toks
             .iter()
-            .any(|t| matches!(t.kind, TokKind::Number { float: false }) && t.text == "0"));
-    }
-
-    #[test]
-    fn trailing_and_standalone_suppressions_anchor_correctly() {
-        let src = "\
-let a = 1; // sma-lint: allow(float-eq) — same line
-// sma-lint: allow(wallclock): next line
-let b = 2;
-";
-        let lexed = lex(src);
-        assert_eq!(lexed.suppressions.len(), 2);
-        assert_eq!(lexed.suppressions[0].covers_line, 1);
-        assert_eq!(lexed.suppressions[0].rules, ["float-eq"]);
-        assert_eq!(lexed.suppressions[1].comment_line, 2);
-        assert_eq!(lexed.suppressions[1].covers_line, 3);
-        assert_eq!(lexed.suppressions[1].justification, "next line");
+            .any(|t| t.kind == TokKind::Number && t.text == "0"));
     }
 
     #[test]
@@ -560,13 +401,6 @@ let b = 2;
         let lexed = lex("let s = \"one \\\n two\";\nlet t = 1;\n");
         let t = lexed.toks.iter().find(|t| t.is_ident("t")).unwrap();
         assert_eq!(t.line, 3);
-    }
-
-    #[test]
-    fn malformed_suppression_yields_empty_rules() {
-        let lexed = lex("// sma-lint: allow everything\nlet x = 1;\n");
-        assert_eq!(lexed.suppressions.len(), 1);
-        assert!(lexed.suppressions[0].rules.is_empty());
     }
 
     #[test]
@@ -585,37 +419,5 @@ fn more_lib() {}
         assert!(lexed.in_test_code(3));
         assert!(lexed.in_test_code(5));
         assert!(!lexed.in_test_code(7));
-    }
-
-    #[test]
-    fn continuation_comment_lines_extend_the_justification() {
-        let src = "\
-// sma-lint: allow(wallclock) — wall time IS the measurand;
-// it lands in the report, never in model state.
-use std::time::Instant;
-";
-        let lexed = lex(src);
-        assert_eq!(lexed.suppressions.len(), 1);
-        let s = &lexed.suppressions[0];
-        assert_eq!(s.covers_line, 3);
-        assert_eq!(
-            s.justification,
-            "wall time IS the measurand; it lands in the report, never in model state."
-        );
-    }
-
-    #[test]
-    fn detached_comment_does_not_extend_a_justification() {
-        // A blank line breaks the block: the trailing comment is prose,
-        // not part of the suppression.
-        let src = "\
-// sma-lint: allow(wallclock) — reason.
-
-// unrelated comment
-use std::time::Instant;
-";
-        let lexed = lex(src);
-        assert_eq!(lexed.suppressions.len(), 1);
-        assert_eq!(lexed.suppressions[0].justification, "reason.");
     }
 }

@@ -1,15 +1,119 @@
 //! The workspace's public surface, one line per `pub` item.
 //!
-//! `surface_lines` reads one lexed file and lists every item declared
-//! plain `pub` outside test code, as `crate file kind name`. Items in an
-//! `impl` block are named `Type::name`; each name a `pub use`
-//! re-exports gets its own `use` line. Restricted visibility
+//! [`workspace_surface`] walks every member crate named in the root
+//! `Cargo.toml` (sorted traversal, so the listing is machine
+//! independent) and hands each `src/` file outside `crates/shims/` to
+//! [`surface_lines`]. That reads one lexed file and lists every item
+//! declared plain `pub` outside test code, as `crate file kind name`.
+//! Items in an `impl` block are named `Type::name`; each name a
+//! `pub use` re-exports gets its own `use` line. Restricted visibility
 //! (`pub(crate)`, `pub(super)`, `pub(in …)`), struct fields and items
 //! nested in function bodies are not part of the surface. The sorted
 //! union over the workspace is `API_surface.txt`, a committed file, so
 //! every change to the public surface shows up as a diff.
 
-use crate::lexer::{LexedFile, Tok, TokKind};
+use crate::lexer::{lex, LexedFile, Tok, TokKind};
+use std::io;
+use std::path::{Path, PathBuf};
+
+/// The surface of every member crate under `root`: sorted, one line
+/// per `pub` item.
+///
+/// # Errors
+///
+/// Propagates filesystem errors (unreadable manifests or sources).
+pub(crate) fn workspace_surface(root: &Path) -> io::Result<Vec<String>> {
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
+    let mut members = Vec::new();
+    if let Some(name) = package_name(&manifest) {
+        members.push((name, PathBuf::from("src")));
+    }
+    for dir in member_dirs(&manifest) {
+        if dir.starts_with("crates/shims") {
+            continue;
+        }
+        let member_manifest = std::fs::read_to_string(root.join(&dir).join("Cargo.toml"))?;
+        if let Some(name) = package_name(&member_manifest) {
+            members.push((name, PathBuf::from(dir).join("src")));
+        }
+    }
+    let mut surface = Vec::new();
+    for (name, src_dir) in members {
+        let src_dir = root.join(src_dir);
+        let mut files = Vec::new();
+        collect_rs_files(&src_dir, &mut files)?;
+        for path in files {
+            let source = std::fs::read_to_string(&path)?;
+            let file = path
+                .strip_prefix(&src_dir)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            surface.extend(surface_lines(&name, &file, &lex(&source)));
+        }
+    }
+    surface.sort();
+    surface.dedup();
+    Ok(surface)
+}
+
+/// The `[package] name` of one manifest.
+fn package_name(manifest: &str) -> Option<String> {
+    let mut in_package = false;
+    for line in manifest.lines() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_package = line == "[package]";
+            continue;
+        }
+        if in_package {
+            if let Some(value) = line.strip_prefix("name") {
+                let value = value.trim_start().strip_prefix('=')?.trim();
+                return Some(value.trim_matches('"').to_string());
+            }
+        }
+    }
+    None
+}
+
+/// The quoted entries of the workspace `members = [...]` array.
+fn member_dirs(manifest: &str) -> Vec<String> {
+    let Some(start) = manifest.find("members") else {
+        return Vec::new();
+    };
+    let Some(open) = manifest[start..].find('[') else {
+        return Vec::new();
+    };
+    let Some(close) = manifest[start + open..].find(']') else {
+        return Vec::new();
+    };
+    manifest[start + open + 1..start + open + close]
+        .split(',')
+        .map(|s| s.trim().trim_matches('"').to_string())
+        .filter(|s| !s.is_empty())
+        .collect()
+}
+
+/// Recursively collects `.rs` files, sorted by name at every level.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .collect::<io::Result<Vec<_>>>()?
+        .into_iter()
+        .map(|e| e.path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            collect_rs_files(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
 
 /// Keywords that name an item kind after `pub` and its qualifiers.
 const KINDS: [&str; 10] = [
@@ -191,7 +295,13 @@ fn use_names(tree: &[Tok]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+
+    #[test]
+    fn member_parsing_reads_names_and_dirs() {
+        let manifest = "[workspace]\nmembers = [\n  \"crates/a\",\n  \"crates/b\",\n]\n[package]\nname = \"root\"\n";
+        assert_eq!(member_dirs(manifest), ["crates/a", "crates/b"]);
+        assert_eq!(package_name(manifest).as_deref(), Some("root"));
+    }
 
     #[test]
     fn extractor_lists_pub_items_and_skips_the_rest() {

@@ -33,7 +33,6 @@
 //! assert_eq!(shared.access(&addrs).cycles, 32);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 
@@ -55,12 +54,14 @@ pub use stats::MemStats;
 /// below zero.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned round-up: finite and non-negative by the precondition, which debug builds assert"
+)]
 pub fn ceil_u64(x: f64) -> u64 {
     debug_assert!(
         x.is_finite() && x >= 0.0,
         "ceil_u64 needs a finite, non-negative count, got {x}"
     );
-    // sma-lint: allow(float-cast) — finite and non-negative by the
-    // precondition above, which debug builds assert.
     x.ceil() as u64
 }

@@ -18,7 +18,6 @@
 //!   inference), each verified against a naive reference, plus cost
 //!   descriptors used by the platform executors.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 

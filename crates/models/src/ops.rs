@@ -107,8 +107,11 @@ pub fn roi_align(feature: &Matrix<f32>, roi: (f32, f32, f32, f32), pooled: usize
 /// zero padding outside.
 #[must_use]
 pub(crate) fn bilinear(feature: &Matrix<f32>, y: f32, x: f32) -> f32 {
-    let y0 = y.floor();
-    let x0 = x.floor();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unchecked, pinned by tests/golden_profiles.txt: the casts below saturate, so a coordinate beyond isize reads zero padding in release builds (at isize::MAX the +1 neighbour overflows, which panics in debug builds), and a NaN one indexes 0 with NaN weights, so the sample is NaN"
+    )]
+    let (y0, x0) = (y.floor(), x.floor());
     let dy = y - y0;
     let dx = x - x0;
     let at = |r: isize, c: isize| -> f32 {
@@ -240,9 +243,10 @@ pub fn crf_mean_field(
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
 

@@ -118,7 +118,10 @@ pub fn vgg_a() -> Network {
 }
 
 /// One GoogLeNet inception module: 6 convolutions.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the six branch widths are GoogLeNet's table columns, in its order"
+)]
 fn inception(
     l: &mut Vec<Layer>,
     s: &TensorShape,

@@ -100,13 +100,15 @@ impl<C: FabricConfig> Fabric<C> {
     /// The fastest configuration for a shape, the first in
     /// [`FabricConfig::CONFIGS`] order on a tie.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "every fabric lists at least one configuration; unreachable by construction"
+    )]
     pub(crate) fn best(&self, shape: GemmShape) -> C {
         C::CONFIGS
             .iter()
             .copied()
             .min_by_key(|&config| self.compute_cycles(shape, config))
-            // sma-lint: allow(no-panic) — every fabric lists at least
-            // one configuration; unreachable by construction.
             .expect("a fabric has at least one configuration")
     }
 
@@ -263,9 +265,6 @@ impl<C: FabricConfig> GpuBackend<Fabric<C>> {
 /// per fabric.
 #[cfg(test)]
 pub(super) mod contract {
-    // Exact float equality asserts bit-reproducibility.
-    #![allow(clippy::float_cmp)]
-
     use super::*;
     use crate::backend::{Backend, CacheStats};
 

@@ -113,9 +113,6 @@ use sma_core::GemmEstimate;
 use sma_mem::MemStats;
 use sma_models::{Layer, LayerWork};
 use sma_tensor::GemmShape;
-// sma-lint: allow(hash-collection) — the GEMM cache is keyed-only
-// (get/insert by GemmShape, never iterated), so hash order is unobservable.
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -436,8 +433,11 @@ impl Hasher for ShapeHasher {
     }
 }
 
-// sma-lint: allow(hash-collection) — keyed-only; never iterated.
-type ShapeMap = HashMap<GemmShape, GemmEstimate, BuildHasherDefault<ShapeHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the GEMM cache is keyed-only (get/insert by GemmShape, never iterated), so hash order is unobservable"
+)]
+type ShapeMap = std::collections::HashMap<GemmShape, GemmEstimate, BuildHasherDefault<ShapeHasher>>;
 
 /// `shape`'s [`ShapeHasher`] hash, as the shard maps compute it.
 fn shape_hash(shape: &GemmShape) -> u64 {
@@ -508,18 +508,21 @@ impl GemmCache {
         compute: impl FnOnce() -> GemmEstimate,
     ) -> GemmEstimate {
         let shard = self.shard(&shape);
-        // sma-lint: allow(no-panic) — lock poisoning means a panic
-        // already unwound another thread; propagating it is the only
-        // sound response for a pure memo cache.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::expect_used,
+            reason = "one guard, a temporary of this statement; poisoning means a panic already unwound another thread, and propagating it is the only sound response for a pure memo cache"
+        )]
         if let Some(est) = shard.read().expect("GEMM cache poisoned").get(&shape) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return *est;
         }
         let est = compute();
-        // sma-lint: allow(nested-lock) — the read guard above is a
-        // temporary dropped at its own statement's end; read and write
-        // are strictly sequential, never held together.
-        // sma-lint: allow(no-panic) — poisoning propagation, as above.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::expect_used,
+            reason = "one guard: the read guard above was dropped at its statement's end, so read and write are sequential, never held together; poisoning propagates as above"
+        )]
         let mut map = shard.write().expect("GEMM cache poisoned");
         match map.entry(shape) {
             std::collections::hash_map::Entry::Occupied(raced) => {
@@ -539,9 +542,13 @@ impl GemmCache {
     /// Number of shapes resident across all shards.
     #[must_use]
     pub(crate) fn len(&self) -> usize {
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::expect_used,
+            reason = "one guard at a time, each a temporary of its closure; poisoning propagates as in get_or_compute"
+        )]
         self.shards
             .iter()
-            // sma-lint: allow(no-panic) — poisoning propagation, as above.
             .map(|s| s.read().expect("GEMM cache poisoned").len())
             .sum()
     }
@@ -682,9 +689,10 @@ pub(crate) fn backend_for(platform: Platform) -> Arc<dyn Backend> {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
 
@@ -716,6 +724,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test races threads on purpose to check the cache counters under contention"
+    )]
     fn gemm_cache_counters_exact_under_contention() {
         // 8 threads × 64 lookups over 16 shapes: misses must equal the
         // number of distinct shapes (one insert each, even when two
@@ -791,6 +803,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test races threads on purpose to check every reader sees one value"
+    )]
     fn concurrent_readers_see_one_value_per_shape() {
         let cache = GemmCache::default();
         let model = sma_core::SimdGemmModel::new(sma_sim::GpuConfig::volta());

@@ -306,10 +306,11 @@ impl Executor {
                 // lanes (boost 1.0); the SMA units' extra SIMD
                 // capacity is exploited by the *autonomous*
                 // scheduler, which raises the boost itself.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "from_layer is Some exactly when the work is irregular, which this match arm just established"
+                )]
                 let work = IrregularWork::from_layer(layer)
-                    // sma-lint: allow(no-panic) — from_layer is Some
-                    // exactly when the work is irregular, which this
-                    // match arm just established.
                     .expect("irregular LayerWork implies irregular layer");
                 let est = self.backend.irregular(work);
                 TemplateStep::Fixed(PlannedStep::Layer {
@@ -328,9 +329,10 @@ impl Executor {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
     use sma_models::zoo;

@@ -44,9 +44,12 @@
 //! root, because the benchmark crate under `perfbench/` imports them
 //! from there.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
+// Library code returns a `RuntimeError` on bad input and never panics;
+// each panic that guards an invariant carries an `#[expect]` with its
+// reason. Tests may panic (`allow-*-in-tests` in clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod autonomous;
 pub mod backend;

@@ -90,9 +90,10 @@ impl std::fmt::Display for Platform {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
     use sma_tensor::GemmShape;

@@ -1191,10 +1191,6 @@ impl<'a> Engine<'a> {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
-
     use super::*;
 
     #[test]

@@ -246,8 +246,10 @@ impl FaultPlan {
                     .wrapping_mul(0xA24B_AED4_963E_E407)
                     .wrapping_add(0x9E37_79B9_7F4A_7C15),
             );
-            // sma-lint: allow(float-cast) — rate was validated finite and
-            // non-negative above; floor() bounds the cast.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "rate was validated finite and non-negative above, so the floored cast is in range"
+            )]
             let count = rate.floor() as usize + usize::from(rng.next_unit() < rate.fract());
             for _ in 0..count {
                 // Faults land in the first 90% of the horizon so
@@ -775,9 +777,10 @@ pub struct ClassFaultStats {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
 

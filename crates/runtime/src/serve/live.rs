@@ -1,8 +1,8 @@
 //! The threaded serving twin: real threads, real queues, wall-clock
 //! pacing — with the discrete-event engine as its oracle.
 //!
-//! This is the **one** module in the workspace allowed to read the
-//! wall clock (`[rule.wallclock] sanctioned` in `lint.toml`; see
+//! This is the **one** serve module allowed to read the wall clock and
+//! spawn threads (the module-level `#![expect]` below; see
 //! `docs/LIVE_SERVING.md` for the full justification). Everything it
 //! does with that clock is bounded by a contract:
 //!
@@ -45,6 +45,12 @@
 //! stretch time without changing any discrete outcome. Crash and
 //! transient-compile-fail faults reroute work and are engine-only —
 //! [`LiveServer::new`] rejects them.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "pacing the seeded trace onto wall-clock time on real threads is this module's measurand; the discrete-event oracle replays what it realizes"
+)]
 
 use super::fault::{FaultEvent, FaultKind, ShardFaults};
 use super::load::Request;

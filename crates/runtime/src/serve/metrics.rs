@@ -373,10 +373,12 @@ where
         span: range.hi - range.lo,
         count: range.count,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "p is a percentile in [0, 100] and min() clamps the rank, so the cast cannot escape bounds"
+    )]
     let mut targets = ps.map(|p| Target {
         bucket: root,
-        // sma-lint: allow(float-cast) — p is a percentile in [0, 100] and the
-        // result is clamped by the min() below; the cast cannot escape bounds.
         rank: ((p / 100.0 * last as f64).round() as usize).min(last),
         value: None,
     });
@@ -597,9 +599,10 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
     use crate::serve::load::SeededRng;
@@ -635,6 +638,10 @@ mod tests {
 
     /// The full-sort reference: the bits of the sorted element at each
     /// rounded fractional index.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the full-sort reference rounds the fractional index exactly as percentile selection does"
+    )]
     fn sorted_lookups<const N: usize>(values: &[f64], ps: [f64; N]) -> [u64; N] {
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);

@@ -685,7 +685,7 @@ mod tests {
         assert!(tally
             .latencies_ms()
             .enumerate()
-            .all(|(n, latency)| latency == n as f64));
+            .all(|(n, latency)| latency.to_bits() == (n as f64).to_bits()));
     }
 
     #[test]

@@ -155,9 +155,10 @@ impl BatchPolicy for Deadline {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
 

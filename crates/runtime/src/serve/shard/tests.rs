@@ -1,9 +1,10 @@
 //! The dense plan cache, alone and against an ordered-map reference
 //! LRU, and the reconfiguration window's configuration choice.
 
-// Exact float equality in these tests asserts bit-reproducibility of
-// exactly-representable values; an epsilon would weaken them.
-#![allow(clippy::float_cmp)]
+#![expect(
+    clippy::float_cmp,
+    reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+)]
 
 use super::*;
 use crate::serve::load::SeededRng;

@@ -102,9 +102,10 @@ impl TransportModel {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality below asserts pure arithmetic on
-    // exactly-representable values.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts pure arithmetic on exactly-representable values"
+    )]
 
     use super::*;
 

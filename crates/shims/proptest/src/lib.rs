@@ -10,7 +10,6 @@
 //! so it can be reproduced as a plain unit test. Swapping in the real
 //! crate is a manifest-only change.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

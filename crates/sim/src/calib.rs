@@ -43,7 +43,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // documents the calibrated ranges
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "the assertions document the calibrated ranges"
+    )]
     fn constants_are_in_sane_ranges() {
         assert!(SIMD_INNER_OVERHEAD_PER_FMA > 0.0 && SIMD_INNER_OVERHEAD_PER_FMA < 1.0);
         assert!(SIMD_LDS_PER_FMA > 0.0 && SIMD_LDS_PER_FMA < 1.0);

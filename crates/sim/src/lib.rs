@@ -38,7 +38,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 

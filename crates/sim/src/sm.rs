@@ -522,7 +522,10 @@ impl SmSim {
 
     /// Timing of a global load: probe L1 per sector, L2 on miss, DRAM
     /// beyond, with a bandwidth bucket shared by the SM.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the two cache levels, the ledger and the DRAM clock are disjoint borrows of the SM's state"
+    )]
     fn global_access(
         &self,
         l1: &mut Cache,

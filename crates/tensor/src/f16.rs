@@ -182,6 +182,10 @@ impl PartialEq for F16 {
 }
 
 impl PartialOrd for F16 {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "F16 orders as its f32 value; this delegation is the partial order the trait defines, NaN included"
+    )]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         self.to_f32().partial_cmp(&other.to_f32())
     }
@@ -236,9 +240,10 @@ impl AddAssign for F16 {
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
 

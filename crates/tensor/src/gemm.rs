@@ -329,9 +329,10 @@ pub fn mixed_precision_f16(a: &Matrix<f32>, b: &Matrix<f32>) -> Result<Matrix<f3
 
 #[cfg(test)]
 mod tests {
-    // Exact float equality in these tests asserts bit-reproducibility
-    // of exactly-representable values; an epsilon would weaken them.
-    #![allow(clippy::float_cmp)]
+    #![expect(
+        clippy::float_cmp,
+        reason = "exact float equality asserts bit-reproducibility of exactly-representable values; an epsilon would weaken it"
+    )]
 
     use super::*;
 

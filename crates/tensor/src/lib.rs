@@ -32,7 +32,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(unreachable_pub)]
 

@@ -3,9 +3,10 @@
 //! every parity and serving suite covers a new platform, zoo model or
 //! batch point the moment it lands.
 
-// Each integration-test binary links this module and uses its own
-// subset of the fixtures.
-#![allow(dead_code)]
+#![expect(
+    dead_code,
+    reason = "each integration-test binary links this module and uses its own subset of the fixtures"
+)]
 
 use sma::models::{zoo, Network};
 use sma::runtime::serve::{LoadGenerator, Request, ServeRun};

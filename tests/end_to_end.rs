@@ -125,6 +125,10 @@ fn driving_pipeline_system_check() {
 /// recomputing a single estimate, and the warm pass is no slower than
 /// the cold one.
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test compares the wall time of a cold and a warm pass"
+)]
 fn gemm_cache_accelerates_repeated_zoo_profiles() {
     use sma::runtime::backend::{Backend, SmaBackend};
     use std::sync::Arc;

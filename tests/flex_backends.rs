@@ -60,6 +60,10 @@ fn plan_replay_is_bit_identical_on_reconfigurable_platforms() {
 /// (`hits + misses == lookups`) and `misses` equals the resident
 /// shapes, exactly as the shared built-in caches guarantee.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test races threads on purpose to check the cache counters under contention"
+)]
 fn flex_caches_stay_exact_under_contention() {
     let backends: [Arc<dyn Backend>; 2] = [
         Arc::new(ArrayFlexBackend::new()),

@@ -94,6 +94,10 @@ fn family_parity_holds_on_the_full_grid() {
 /// bit-identical profiles — the arena is read-only after compilation,
 /// and replay is pure aggregation (the `dse` hot-path contract).
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test races replays on purpose to check they are bit-identical"
+)]
 fn concurrent_arena_replay_is_bit_identical() {
     let mut arena = PlanArena::new();
     let mut entries = Vec::new();

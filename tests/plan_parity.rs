@@ -64,6 +64,10 @@ fn planned_replay_performs_zero_cache_misses() {
 /// Concurrent replays of shared plans agree with the serial profile —
 /// the lock-free property the parallel sweep driver relies on.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test races replays on purpose to check they match the serial run"
+)]
 fn concurrent_replays_match_serial() {
     let exec = Executor::kernel_study(Platform::Sma3);
     let net = zoo::mask_rcnn();

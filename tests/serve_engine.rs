@@ -419,6 +419,10 @@ fn fixed_ms_shard(name: &'static str, gemm_ms: f64) -> Executor {
 /// (the test checks that the observable ones really do). The digest was
 /// taken from the engine that kept hedges in the heap.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "flooring stamps to whole ms is how the test lands hedges on other events"
+)]
 fn hedges_landing_on_every_event_class_keep_their_order() {
     let cluster = Arc::new(
         ServeCluster::try_new(

@@ -41,7 +41,10 @@ fn grid_cluster() -> Arc<ServeCluster> {
 /// The benchmark's 16 fault-free combos, the 4 policy x 2 placement x
 /// 2 budget block, as (policy, placement, config) constructors so each
 /// run gets fresh state.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the tuple spells out the three constructors each combo takes"
+)]
 fn fault_free_grid(
     bounded_bytes: u64,
 ) -> Vec<(

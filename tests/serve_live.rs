@@ -294,6 +294,10 @@ fn zero_budget_rejects_everything_in_both_worlds() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "flooring stamps to a 25 ms grid is how the test makes ties"
+)]
 fn quantized_simultaneous_stamps_replay_deterministically() {
     // Arrival stamps floored to a 25 ms grid make identical stamps
     // routine; two replays of the same tied trace must agree bit for

@@ -143,6 +143,10 @@ fn matrix_blocks_pin_the_acceptance_criteria() {
 /// lookups` and `misses == resident shapes` — not just in isolation
 /// but through full serve runs racing each other.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test races serve runs on purpose to check the shared cache counters"
+)]
 fn shared_gemm_cache_counters_stay_exact_through_concurrent_serve_runs() {
     const SIMS: usize = 4;
     const SHARDS: usize = 4;
