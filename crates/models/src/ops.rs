@@ -104,14 +104,23 @@ pub fn roi_align(feature: &Matrix<f32>, roi: (f32, f32, f32, f32), pooled: usize
 }
 
 /// Bilinear sample of a feature map at continuous coordinates, with
-/// zero padding outside.
+/// zero padding outside. A coordinate whose 2×2 neighbourhood misses
+/// the map entirely — NaN and ±∞ included — reads the padding, 0.0.
 #[must_use]
 pub(crate) fn bilinear(feature: &Matrix<f32>, y: f32, x: f32) -> f32 {
     #[expect(
         clippy::disallowed_methods,
-        reason = "unchecked, pinned by tests/golden_profiles.txt: the casts below saturate, so a coordinate beyond isize reads zero padding in release builds (at isize::MAX the +1 neighbour overflows, which panics in debug builds), and a NaN one indexes 0 with NaN weights, so the sample is NaN"
+        reason = "checked: a floor() result indexes the map only inside -1..len (NaN and ±∞ fail that test), where its isize cast is exact and the + 1 neighbour cannot overflow"
     )]
     let (y0, x0) = (y.floor(), x.floor());
+    let (rows, cols) = feature.shape();
+    // The top-left neighbour's index, or `None` when the whole 2×2
+    // neighbourhood lies outside `0..len`.
+    let corner =
+        |floor: f32, len: usize| (floor >= -1.0 && floor < len as f32).then_some(floor as isize);
+    let (Some(r0), Some(c0)) = (corner(y0, rows), corner(x0, cols)) else {
+        return 0.0;
+    };
     let dy = y - y0;
     let dx = x - x0;
     let at = |r: isize, c: isize| -> f32 {
@@ -121,7 +130,6 @@ pub(crate) fn bilinear(feature: &Matrix<f32>, y: f32, x: f32) -> f32 {
             feature.get(r as usize, c as usize).copied().unwrap_or(0.0)
         }
     };
-    let (r0, c0) = (y0 as isize, x0 as isize);
     at(r0, c0) * (1.0 - dy) * (1.0 - dx)
         + at(r0, c0 + 1) * (1.0 - dy) * dx
         + at(r0 + 1, c0) * dy * (1.0 - dx)
@@ -302,6 +310,42 @@ mod tests {
         assert!((bilinear(&f, 0.0, 0.5) - 0.5).abs() < 1e-6);
         // Centre of the top-left 2x2: mean of 0,1,4,5.
         assert!((bilinear(&f, 0.5, 0.5) - 2.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn roi_align_reads_zero_padding_for_non_finite_and_huge_rois() {
+        let f = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
+        let out = roi_align(&f, (0.0, 1e30, 1.0, 2e30), 1);
+        assert_eq!(out.as_slice(), [0.0]);
+        let values = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e30,
+            -1e30,
+            f32::MIN_POSITIVE / 2.0,
+            0.0,
+            1.5,
+        ];
+        for &x1 in &values {
+            for &y1 in &values {
+                for &x2 in &values {
+                    for &y2 in &values {
+                        let out = roi_align(&f, (x1, y1, x2, y2), 2);
+                        assert!(
+                            out.as_slice().iter().all(|v| v.is_finite()),
+                            "roi ({x1}, {y1}, {x2}, {y2}) sampled {:?}",
+                            out.as_slice()
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(bilinear(&f, f32::NAN, 1.0), 0.0);
+        assert_eq!(bilinear(&f, 1.0, f32::NEG_INFINITY), 0.0);
+        // The padding ring still interpolates: half of (0,1) = 1 and
+        // half of the zero row above it.
+        assert_eq!(bilinear(&f, -0.5, 1.0), 0.5);
     }
 
     #[test]

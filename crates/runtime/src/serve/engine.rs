@@ -55,7 +55,7 @@
 //! untouched, pinned by `tests/serve_fault.rs`.
 
 use super::fault::{
-    ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, Hedging, Recovery, RetryPolicy,
+    ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, Hedging, IdSet, Recovery, RetryPolicy,
     ShardFaults, ShedPolicy,
 };
 use super::load::Request;
@@ -251,28 +251,34 @@ impl EngineConfig {
 /// buckets — served (in the reports), `rejected`, `shed`, `failed` —
 /// partition the trace exactly: no request is lost or double-counted
 /// (pinned by the reconciliation proptest in `tests/serve_fault.rs`).
+///
+/// `rejected`, `shed` and `preempted` are [`IdSet`]s, one bit per
+/// trace position: they iterate in ascending id, which is arrival
+/// order, and a caller that needs a whole [`Request`] reads it back
+/// from the trace by id. `failed` keeps its `Request`s in failure
+/// order.
 #[derive(Debug, Clone)]
 pub struct ServeRun {
     /// One report per shard, in shard order.
     pub reports: Vec<ShardReport>,
-    /// Requests rejected at admission (no shard's cache budget could
-    /// ever hold their plan), in arrival order. Empty under an
-    /// unbounded budget.
-    pub rejected: Vec<Request>,
-    /// Requests shed by the [`ShedPolicy`] watermark, in arrival
-    /// order. Empty without a shed policy.
-    pub shed: Vec<Request>,
+    /// Ids rejected at admission (no shard's cache budget could ever
+    /// hold their plan). Empty under an unbounded budget.
+    pub rejected: IdSet,
+    /// Ids shed by the [`ShedPolicy`] watermark (also counted per
+    /// class in [`ClassFaultStats::shed`]). Empty without a shed
+    /// policy.
+    pub shed: IdSet,
     /// Requests abandoned after exhausting their [`RetryPolicy`], in
     /// failure order. Empty without faults.
     pub failed: Vec<Request>,
     /// Per-SLO-class recovery counters, indexed by class.
     pub class_stats: Vec<ClassFaultStats>,
-    /// Ids whose batch a [`PreemptPolicy`] evicted at least once,
-    /// sorted. Not a fifth partition bucket — preemption re-queues, so
+    /// Ids whose batch a [`PreemptPolicy`] evicted at least once. Not
+    /// a fifth partition bucket — preemption re-queues, so
     /// every preempted id still lands in exactly one of the four
     /// buckets (preempted-then-served = this set ∩ served, pinned by
     /// `tests/serve_scale.rs`).
-    pub preempted: Vec<u64>,
+    pub preempted: IdSet,
     /// Autoscaler counters (zero counts and the whole fleet active
     /// without an enabled [`AutoscalePolicy`]).
     pub scale: ScaleStats,
@@ -475,8 +481,8 @@ struct Engine<'a> {
     shards: Vec<ShardState>,
     heap: BinaryHeap<Event>,
     seq: u64,
-    rejected: Vec<Request>,
-    shed: Vec<Request>,
+    rejected: IdSet,
+    shed: IdSet,
     /// Per-SLO-class recovery counters, one entry per class in the
     /// trace.
     class_stats: Vec<ClassFaultStats>,
@@ -563,10 +569,7 @@ impl<'a> Engine<'a> {
         config: &'a EngineConfig,
         trace: &'a [Request],
     ) -> Result<Self, RuntimeError> {
-        let hedging = config
-            .hedge
-            .map(|hedge| Hedging::new(hedge, trace.len()))
-            .transpose()?;
+        let hedging = config.hedge.map(Hedging::new).transpose()?;
         let shards: Vec<ShardState> = ShardCore::fleet(cluster, config)
             .into_iter()
             .map(|core| ShardState {
@@ -598,16 +601,14 @@ impl<'a> Engine<'a> {
             shards,
             heap: BinaryHeap::new(),
             seq: 0,
-            rejected: Vec::new(),
-            shed: Vec::new(),
+            rejected: IdSet::default(),
+            shed: IdSet::default(),
             class_stats: ServeRun::class_slots(max_class),
             global_future,
             view: LiveView::new(cluster.shard_count()),
-            recovery: config.track_ids().then(|| Recovery::new(trace.len())),
+            recovery: config.track_ids().then(Recovery::default),
             hedging,
-            preemption: config
-                .preempt
-                .map(|preempt| Preemption::new(preempt, trace.len())),
+            preemption: config.preempt.map(Preemption::new),
             autoscaler: Autoscaler::new(config.scale, cluster),
         })
     }
@@ -743,7 +744,8 @@ impl<'a> Engine<'a> {
 
         let mut target: Option<usize> = None;
         if shed_now {
-            self.shed.push(request);
+            self.class_stats[usize::from(request.class)].shed += 1;
+            self.shed.set(request.id);
         } else {
             target = self.replace_online(placement, &request)?;
             match target {
@@ -773,7 +775,9 @@ impl<'a> Engine<'a> {
                     }
                     self.attempt_dispatch(shard, now_ms)?;
                 }
-                None => self.rejected.push(request),
+                None => {
+                    self.rejected.set(request.id);
+                }
             }
         }
         // Tail flush: the last arrival of a network is an event for
@@ -1180,7 +1184,9 @@ impl<'a> Engine<'a> {
             shed: self.shed,
             failed: self.recovery.map_or_else(Vec::new, Recovery::into_failed),
             class_stats: self.class_stats,
-            preempted: self.preemption.map_or_else(Vec::new, Preemption::into_ids),
+            preempted: self
+                .preemption
+                .map_or_else(IdSet::default, Preemption::into_ids),
             scale: self
                 .autoscaler
                 .map_or(ServeRun::static_fleet(shard_count), Autoscaler::finish),

@@ -27,6 +27,7 @@ use super::ServeCluster;
 use crate::backend::RuntimeError;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 /// What happens to a shard when a [`FaultEvent`] fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -352,22 +353,16 @@ pub struct HedgePolicy {
 }
 
 /// A dense set of request ids: one bit per trace position, in `u64`
-/// words. Request ids are trace positions (checked before a run
-/// starts), so this replaces a tree set at a bit per request. A set
-/// sized for no ids allocates nothing and reads as empty.
-#[derive(Debug)]
-pub(super) struct IdSet {
+/// words grown on demand. Request ids are trace positions (checked
+/// before a run starts), so a set costs at most one bit per request
+/// up to its highest id, and an empty set allocates nothing. Equality
+/// compares members, not how many words happen to be allocated.
+#[derive(Clone, Default)]
+pub struct IdSet {
     words: Vec<u64>,
 }
 
 impl IdSet {
-    /// An empty set with room for ids `0..len`.
-    pub(super) fn with_len(len: usize) -> Self {
-        IdSet {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
     /// Whether `id` is in the set.
     #[inline]
     pub(super) fn contains(&self, id: u32) -> bool {
@@ -379,7 +374,11 @@ impl IdSet {
     /// Adds `id` and returns whether it was already in the set.
     #[inline]
     pub(super) fn set(&mut self, id: u32) -> bool {
-        let word = &mut self.words[(id / 64) as usize];
+        let index = (id / 64) as usize;
+        if index >= self.words.len() {
+            self.words.resize(index + 1, 0);
+        }
+        let word = &mut self.words[index];
         let bit = 1 << (id % 64);
         let was_set = *word & bit != 0;
         *word |= bit;
@@ -394,13 +393,47 @@ impl IdSet {
         }
     }
 
+    /// The number of ids in the set.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.words
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
+    }
+
+    /// Whether the set holds no id.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&word| word == 0)
+    }
+
     /// The ids in the set, ascending.
-    pub(super) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.words.iter().zip(0u64..).flat_map(|(&word, index)| {
             (0..64)
                 .filter(move |bit| word & (1 << bit) != 0)
                 .map(move |bit| index * 64 + bit)
         })
+    }
+}
+
+impl PartialEq for IdSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&word| word == 0)
+    }
+}
+
+impl Eq for IdSet {}
+
+impl fmt::Debug for IdSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -526,7 +559,7 @@ impl ShardFaults {
 /// Which ids a run has served or failed, and crash-retry's attempt
 /// counts. Built only when a run can try to serve one id twice:
 /// hedging, crash-retry or preemption.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct Recovery {
     /// Ids already served (first completion wins).
     served: IdSet,
@@ -538,16 +571,6 @@ pub(super) struct Recovery {
 }
 
 impl Recovery {
-    /// Recovery state for a trace of `len` requests.
-    pub(super) fn new(len: usize) -> Self {
-        Recovery {
-            served: IdSet::with_len(len),
-            failed_ids: IdSet::with_len(len),
-            failed: Vec::new(),
-            attempts: BTreeMap::new(),
-        }
-    }
-
     /// Whether `id` has been served.
     #[inline]
     pub(super) fn is_served(&self, id: u32) -> bool {
@@ -630,10 +653,10 @@ pub(super) struct Hedging {
 }
 
 impl Hedging {
-    /// Hedging over a trace of `len` requests. A negative or NaN delay
-    /// is refused ([`RuntimeError::InvalidHedgeDelay`]): its twin would
+    /// Hedging with `policy`'s delay. A negative or NaN delay is
+    /// refused ([`RuntimeError::InvalidHedgeDelay`]): its twin would
     /// fire before the request arrived. `-0.0` is a valid zero delay.
-    pub(super) fn new(policy: HedgePolicy, len: usize) -> Result<Self, RuntimeError> {
+    pub(super) fn new(policy: HedgePolicy) -> Result<Self, RuntimeError> {
         let HedgePolicy { delay_ms } = policy;
         if delay_ms.is_nan() || delay_ms < 0.0 {
             return Err(RuntimeError::InvalidHedgeDelay {
@@ -643,7 +666,7 @@ impl Hedging {
         Ok(Hedging {
             delay_ms,
             timers: VecDeque::new(),
-            hedged: IdSet::with_len(len),
+            hedged: IdSet::default(),
             served_twins: Vec::new(),
         })
     }
@@ -773,6 +796,9 @@ pub struct ClassFaultStats {
     /// Requests of this class evicted by an SLO-class preemption (and
     /// re-queued).
     pub preempted: u64,
+    /// Requests of this class dropped by the [`ShedPolicy`] watermark,
+    /// counted as they are shed.
+    pub shed: usize,
 }
 
 #[cfg(test)]
@@ -905,28 +931,52 @@ mod tests {
 
     #[test]
     fn id_set_tracks_word_edges_and_reports_the_previous_bit() {
-        let n = 130;
-        let mut set = IdSet::with_len(n);
-        let edges = [0, 63, 64, n as u32 - 1];
-        for &id in &edges {
+        // Growth from an empty set: nothing is allocated until a set.
+        let mut set = IdSet::default();
+        assert!(set.is_empty() && set.words.is_empty());
+        assert_eq!(set.len(), 0);
+        assert!(!set.contains(129));
+        let edges = [129, 0, 63, 64];
+        for (count, &id) in edges.iter().enumerate() {
             assert!(!set.contains(id));
             assert!(!set.set(id), "id {id} was clear");
             assert!(set.contains(id));
             assert!(set.set(id), "id {id} was already set");
+            assert_eq!(set.len(), count + 1);
         }
+        assert_eq!(set.words.len(), 3, "grown to the highest id's word");
+        assert!(!set.is_empty());
         assert!(!set.contains(1) && !set.contains(62) && !set.contains(65));
         assert_eq!(
             set.iter().collect::<Vec<_>>(),
-            edges.map(u64::from),
+            [0, 63, 64, 129],
             "ascending scan"
         );
         set.clear(63);
         assert!(!set.contains(63) && set.contains(64));
+        assert_eq!(set.len(), 3);
         assert!(!set.set(63), "a cleared id reads as clear");
-        // An unsized set is empty: reads are false, clears are no-ops.
-        let mut unsized_set = IdSet::with_len(0);
-        unsized_set.clear(5);
-        assert!(!unsized_set.contains(5));
-        assert_eq!(unsized_set.iter().count(), 0);
+        // An empty set reads false and clears as a no-op.
+        let mut empty = IdSet::default();
+        empty.clear(5);
+        assert!(!empty.contains(5));
+        assert_eq!(empty.iter().count(), 0);
+        // Equality is by members, not by allocated words.
+        let mut short = IdSet::default();
+        short.set(3);
+        let mut long = IdSet::default();
+        long.set(3);
+        long.set(200);
+        assert_ne!(short, long);
+        assert_ne!(long, short);
+        long.clear(200);
+        assert_eq!(long.words.len(), 4);
+        assert_eq!(short, long);
+        assert_eq!(long, short);
+        long.clear(3);
+        assert!(long.is_empty());
+        assert_eq!(long.len(), 0);
+        assert_eq!(long, empty);
+        assert_eq!(format!("{short:?}"), "{3}");
     }
 }

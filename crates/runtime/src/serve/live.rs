@@ -52,7 +52,7 @@
     reason = "pacing the seeded trace onto wall-clock time on real threads is this module's measurand; the discrete-event oracle replays what it realizes"
 )]
 
-use super::fault::{FaultEvent, FaultKind, ShardFaults};
+use super::fault::{FaultEvent, FaultKind, IdSet, ShardFaults};
 use super::load::Request;
 use super::placement::{LiveView, Placement, ShardGauge};
 use super::policy::BatchPolicy;
@@ -207,8 +207,10 @@ impl<'t> LiveServer<'t> {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is unsorted or names an unknown network, if
-    /// the live config is invalid (`time_scale` must be positive and
+    /// Panics if the trace is unsorted, names an unknown network or
+    /// has a request whose id is not its position (the replay refuses
+    /// such a trace, and the rejected bucket is an [`IdSet`]), if the
+    /// live config is invalid (`time_scale` must be positive and
     /// finite, the transport well-formed, a closed loop's window
     /// non-zero), or if the engine config asks for features the live
     /// twin does not implement: hedging, shedding, preemption,
@@ -223,6 +225,13 @@ impl<'t> LiveServer<'t> {
         live: LiveConfig,
     ) -> Self {
         super::check_trace(&cluster, trace);
+        assert!(
+            trace
+                .iter()
+                .zip(0u64..)
+                .all(|(request, position)| u64::from(request.id) == position),
+            "every request's id must be its trace position"
+        );
         assert!(
             live.time_scale > 0.0 && live.time_scale.is_finite(),
             "time_scale must be positive and finite, got {}",
@@ -346,10 +355,10 @@ impl<'t> LiveServer<'t> {
             run: ServeRun {
                 reports,
                 rejected,
-                shed: Vec::new(),
+                shed: IdSet::default(),
                 failed: Vec::new(),
                 class_stats: ServeRun::class_slots(max_class),
-                preempted: Vec::new(),
+                preempted: IdSet::default(),
                 scale: ServeRun::static_fleet(shard_count),
                 reconfig,
             },
@@ -359,7 +368,7 @@ impl<'t> LiveServer<'t> {
     }
 
     /// Paces admissions, runs placement + admission control, records
-    /// realized stamps. Returns `(realized_trace, rejected)`.
+    /// realized stamps. Returns `(realized_trace, rejected ids)`.
     fn front_door(
         &self,
         placement: &mut dyn Placement,
@@ -367,12 +376,12 @@ impl<'t> LiveServer<'t> {
         done_rx: &Receiver<()>,
         anchor: Instant,
         gauges: &[Gauges],
-    ) -> Result<(Vec<Request>, Vec<Request>), LiveError> {
+    ) -> Result<(Vec<Request>, IdSet), LiveError> {
         let scale = self.live.time_scale;
         let mut view = LiveView::new(to_shard.len());
 
         let mut realized_trace: Vec<Request> = Vec::with_capacity(self.trace.len());
-        let mut rejected: Vec<Request> = Vec::new();
+        let mut rejected = IdSet::default();
         let mut last_stamp = 0.0_f64;
         let mut outstanding = 0_usize;
 
@@ -458,7 +467,9 @@ impl<'t> LiveServer<'t> {
                     }
                     outstanding += 1;
                 }
-                None => rejected.push(realized),
+                None => {
+                    rejected.set(realized.id);
+                }
             }
         }
         Ok((realized_trace, rejected))

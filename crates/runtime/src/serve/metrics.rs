@@ -481,9 +481,10 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
         fault_totals.absorb(&report.fault);
     }
 
-    // Per-class rollup: served/misses off the tallies, shed/failed off
-    // the run's buckets, recovery counters off the engine's per-class
-    // stats. `class_stats` already spans every class in the trace.
+    // Per-class rollup: served/misses off the tallies, failed off the
+    // run's bucket, shed and the recovery counters off the engine's
+    // per-class stats. `class_stats` already spans every class in the
+    // trace.
     let mut classes: Vec<ClassSummary> = run
         .class_stats
         .iter()
@@ -494,6 +495,7 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
             hedges: stats.hedges,
             failovers: stats.failovers,
             preempted: stats.preempted,
+            shed: stats.shed,
             ..ClassSummary::default()
         })
         .collect();
@@ -519,10 +521,6 @@ pub fn aggregate(run: &ServeRun) -> ServeOutcome {
             classes[slot].served += served as usize;
             classes[slot].deadline_misses += misses;
         }
-    }
-    for request in &run.shed {
-        let slot = class_slot(&mut classes, usize::from(request.class));
-        classes[slot].shed += 1;
     }
     for request in &run.failed {
         let slot = class_slot(&mut classes, usize::from(request.class));

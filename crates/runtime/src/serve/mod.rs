@@ -97,7 +97,7 @@ mod transport;
 
 pub use engine::{CacheBudget, EngineConfig, ServeRun};
 pub use fault::{
-    ClassFaultStats, FaultEvent, FaultKind, FaultMix, FaultPlan, HedgePolicy, RetryPolicy,
+    ClassFaultStats, FaultEvent, FaultKind, FaultMix, FaultPlan, HedgePolicy, IdSet, RetryPolicy,
     ShardFaultStats, ShedPolicy,
 };
 pub use live::{LiveConfig, LiveError, LiveMode, LiveReport, LiveServer};

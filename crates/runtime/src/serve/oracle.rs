@@ -88,20 +88,19 @@ pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
                 .push(batch.size);
         }
     }
-    let sorted_ids = |requests: &[Request]| -> Vec<u64> {
-        let mut ids: Vec<u64> = requests.iter().map(|r| u64::from(r.id)).collect();
-        ids.sort_unstable();
-        ids
-    };
     DiscreteOutcomes {
         served_per_shard: run
             .reports
             .iter()
             .map(|report| report.requests.iter().map(|r| u64::from(r.id)).collect())
             .collect(),
-        rejected: sorted_ids(&run.rejected),
-        shed: sorted_ids(&run.shed),
-        failed: sorted_ids(&run.failed),
+        rejected: run.rejected.iter().collect(),
+        shed: run.shed.iter().collect(),
+        failed: {
+            let mut ids: Vec<u64> = run.failed.iter().map(|r| u64::from(r.id)).collect();
+            ids.sort_unstable();
+            ids
+        },
         batch_sizes,
         cache_counters: run
             .reports

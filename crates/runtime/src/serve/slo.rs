@@ -85,10 +85,12 @@ pub(super) struct Preemption {
 }
 
 impl Preemption {
-    /// Preemption over a trace of `len` requests.
-    pub(super) fn new(policy: PreemptPolicy, len: usize) -> Self {
-        let evicted = IdSet::with_len(len);
-        Preemption { policy, evicted }
+    /// Preemption under `policy`, with nothing evicted yet.
+    pub(super) fn new(policy: PreemptPolicy) -> Self {
+        Preemption {
+            policy,
+            evicted: IdSet::default(),
+        }
     }
 
     /// Whether an arrival of `class` evicts the batch `running`, whose
@@ -107,9 +109,9 @@ impl Preemption {
         }
     }
 
-    /// The evicted ids, ascending.
-    pub(super) fn into_ids(self) -> Vec<u64> {
-        self.evicted.iter().collect()
+    /// The evicted ids.
+    pub(super) fn into_ids(self) -> IdSet {
+        self.evicted
     }
 }
 

@@ -350,7 +350,8 @@ fn every_feature_at_once_is_pinned_by_digest() {
     assert!(outcome.shed > 0 && outcome.failed > 0);
     assert!(outcome.scale_ups > 0 && outcome.scale_downs > 0 && outcome.reconfigs > 0);
     let failed: Vec<u64> = run.failed.iter().map(|r| u64::from(r.id)).collect();
-    let rendered = format!("{outcome:?}|{:?}|{failed:?}", run.preempted);
+    let preempted: Vec<u64> = run.preempted.iter().collect();
+    let rendered = format!("{outcome:?}|{preempted:?}|{failed:?}");
     assert_eq!(
         fnv1a64(rendered.as_bytes()),
         0xa995_839c_beb5_360e,
@@ -544,7 +545,8 @@ fn hedges_landing_on_every_event_class_keep_their_order() {
     assert!(outcome.hedges > 0 && outcome.retries > 0 && outcome.preemptions > 0);
     assert!(outcome.scale_ups > 0 && outcome.scale_downs > 0);
     let failed: Vec<u64> = run.failed.iter().map(|r| u64::from(r.id)).collect();
-    let rendered = format!("{outcome:?}|{:?}|{failed:?}", run.preempted);
+    let preempted: Vec<u64> = run.preempted.iter().collect();
+    let rendered = format!("{outcome:?}|{preempted:?}|{failed:?}");
     assert_eq!(
         fnv1a64(rendered.as_bytes()),
         0xf59f_5230_a555_e431,

@@ -248,8 +248,8 @@ proptest! {
             served,
             "a request was served twice"
         );
-        ids.extend(run.rejected.iter().map(|r| r.id));
-        ids.extend(run.shed.iter().map(|r| r.id));
+        ids.extend(run.rejected.iter().map(|id| id as u32));
+        ids.extend(run.shed.iter().map(|id| id as u32));
         ids.extend(run.failed.iter().map(|r| r.id));
         ids.sort_unstable();
         prop_assert_eq!(
@@ -452,7 +452,23 @@ fn shedding_triages_the_lowest_class_first() {
     .unwrap();
     let run = sim.try_run(&mut RoundRobin::default()).unwrap();
     assert!(!run.shed.is_empty(), "an overloaded shard must shed");
-    let shed_of = |class: u8| run.shed.iter().filter(|r| r.class == class).count();
+    let shed_of = |class: u8| {
+        run.shed
+            .iter()
+            .filter(|&id| trace[id as usize].class == class)
+            .count()
+    };
+    // The per-class counts the engine keeps as it sheds agree with a
+    // recount from the trace and with what `aggregate` reports.
+    let outcome = sim.outcome(&run);
+    assert_eq!(run.class_stats.len(), 3);
+    assert_eq!(outcome.classes.len(), 3);
+    for (class, (stats, summary)) in run.class_stats.iter().zip(&outcome.classes).enumerate() {
+        let recount = shed_of(class as u8);
+        assert_eq!(stats.shed, recount, "class {class} shed counter");
+        assert_eq!(summary.shed, recount, "class {class} aggregated shed");
+    }
+    assert_eq!(outcome.shed, run.shed.len());
     assert!(
         shed_of(2) >= shed_of(1) && shed_of(1) >= shed_of(0),
         "shedding must be ordered by class priority: {} / {} / {}",

@@ -539,3 +539,19 @@ fn crash_faults_are_rejected_by_the_live_twin() {
         LiveConfig::new(0.02),
     );
 }
+
+#[test]
+#[should_panic(expected = "trace position")]
+fn ids_that_are_not_trace_positions_are_rejected_by_the_live_twin() {
+    // The rejected bucket sets one bit per id, so an id far past the
+    // trace would size it by that id; the constructor refuses it.
+    let mut requests = trace(3, 10);
+    requests[4].id = u32::MAX;
+    let _ = LiveServer::new(
+        small_cluster(),
+        Arc::new(Immediate),
+        &requests,
+        EngineConfig::default(),
+        LiveConfig::new(0.02),
+    );
+}

@@ -58,8 +58,8 @@ fn assert_partition_and_billing(run: &ServeRun, count: usize, label: &str) {
         assert_eq!(set.len(), n, "{label}: a request was served twice");
         set
     };
-    let rejected: BTreeSet<u64> = run.rejected.iter().map(id).collect();
-    let shed: BTreeSet<u64> = run.shed.iter().map(id).collect();
+    let rejected: BTreeSet<u64> = run.rejected.iter().collect();
+    let shed: BTreeSet<u64> = run.shed.iter().collect();
     let failed: BTreeSet<u64> = run.failed.iter().map(id).collect();
     let mut all: Vec<u64> = Vec::with_capacity(count);
     all.extend(&served);
@@ -77,7 +77,7 @@ fn assert_partition_and_billing(run: &ServeRun, count: usize, label: &str) {
     // intersect served (preempted-then-served) and failed (preempted
     // then crashed out of retries), never rejected or shed — both of
     // those buckets are decided at admission, before any dispatch.
-    let preempted: BTreeSet<u64> = run.preempted.iter().copied().collect();
+    let preempted: BTreeSet<u64> = run.preempted.iter().collect();
     assert_eq!(
         preempted.len(),
         run.preempted.len(),
@@ -180,7 +180,11 @@ fn preemption_evicts_the_running_batch_and_bills_the_partial_slice() {
         (report.fault.preempted_busy_ms - preempt_at).abs() < 1e-9,
         "the evicted batch bills exactly its elapsed slice"
     );
-    assert_eq!(run.preempted, vec![0], "the victim is annotated");
+    assert_eq!(
+        run.preempted.iter().collect::<Vec<u64>>(),
+        vec![0],
+        "the victim is annotated"
+    );
     assert_eq!(run.class_stats[2].preempted, 1);
     assert_eq!(run.class_stats[0].preempted, 0);
 
