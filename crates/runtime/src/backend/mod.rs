@@ -176,6 +176,12 @@ pub enum RuntimeError {
         /// is `Eq`).
         delay_ms_bits: u64,
     },
+    /// A serve run's engine config, trace or live config breaks a
+    /// validity rule (see [`ServeSim::try_run`](crate::serve::ServeSim::try_run)).
+    InvalidConfig {
+        /// The broken rule.
+        rule: &'static str,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -209,6 +215,7 @@ impl std::fmt::Display for RuntimeError {
                 "hedge delay {} ms is negative or NaN",
                 f64::from_bits(*delay_ms_bits)
             ),
+            RuntimeError::InvalidConfig { rule } => write!(f, "invalid serve config: {rule}"),
         }
     }
 }

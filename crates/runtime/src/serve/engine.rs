@@ -41,13 +41,14 @@
 //! windows), preemption (`serve/slo.rs`) and the autoscaler
 //! (`serve/scale.rs`). Reconfiguration lives in the shard core.
 //!
-//! Request ids are trace positions, checked before the first event: the
-//! per-request sets are bitsets indexed by id, and retry and hedge
-//! events carry a trace slot, not a copy of the request. A completion
-//! cancels queued copies only of ids that a hedge actually duplicated,
-//! and only in the finished batch's network queue; only shards that
-//! lost a copy refresh their live view. The cluster backlog the shed
-//! check and the autoscaler read is a counter kept beside that view.
+//! Request ids are trace positions, checked before the first event
+//! (`serve/validate.rs`): the per-request sets are bitsets indexed by
+//! id, and retry and hedge events carry a trace slot, not a copy of the
+//! request. A completion cancels queued copies only of ids that a hedge
+//! actually duplicated, and only in the finished batch's network queue;
+//! only shards that lost a copy refresh their live view. The cluster
+//! backlog the shed check and the autoscaler read is a counter kept
+//! beside that view.
 //!
 //! The fault model, injected-event ordering and recovery semantics are
 //! specified in `docs/FAULT_TOLERANCE.md`; an empty [`FaultPlan`] (the
@@ -503,11 +504,8 @@ struct Engine<'a> {
 /// Runs the engine. Consumes the placement's mutable state for one
 /// run; everything else is borrowed immutably, so distinct runs (and
 /// distinct combos in the benchmark matrix) share one compiled
-/// [`ServeCluster`].
-///
-/// A hedge delay that is negative or NaN is refused before any event
-/// runs ([`RuntimeError::InvalidHedgeDelay`]): its twin would fire
-/// before the request arrived. `-0.0` is a valid zero delay.
+/// [`ServeCluster`]. The config and trace are checked before any
+/// event runs ([`EngineConfig::validate`]).
 pub(super) fn run_engine(
     cluster: &ServeCluster,
     policy: &dyn BatchPolicy,
@@ -515,11 +513,8 @@ pub(super) fn run_engine(
     trace: &[Request],
     config: &EngineConfig,
 ) -> Result<ServeRun, RuntimeError> {
-    if let Some(scale) = &config.scale {
-        scale.validate(cluster.shard_count());
-    }
     let mut engine = Engine::new(cluster, policy, config, trace)?;
-    engine.schedule_faults()?;
+    engine.schedule_faults();
     if let Some(first_ms) = engine.autoscaler.as_ref().map(Autoscaler::first_tick_ms) {
         engine.push_event(first_ms, CLASS_SCALE, 0, EventKind::ScaleTick);
     }
@@ -559,17 +554,15 @@ pub(super) fn run_engine(
 }
 
 impl<'a> Engine<'a> {
-    /// Builds the run state in one pass over the trace, which also
-    /// checks the id contract: [`RuntimeError::TraceIdMismatch`] unless
-    /// every request's id is its trace position. A negative or NaN
-    /// hedge delay is refused first ([`RuntimeError::InvalidHedgeDelay`]).
+    /// Builds the run state, after [`EngineConfig::validate`] accepts
+    /// the config and trace.
     fn new(
         cluster: &'a ServeCluster,
         policy: &'a dyn BatchPolicy,
         config: &'a EngineConfig,
         trace: &'a [Request],
     ) -> Result<Self, RuntimeError> {
-        let hedging = config.hedge.map(Hedging::new).transpose()?;
+        config.validate(cluster, trace)?;
         let shards: Vec<ShardState> = ShardCore::fleet(cluster, config)
             .into_iter()
             .map(|core| ShardState {
@@ -583,13 +576,7 @@ impl<'a> Engine<'a> {
             .collect();
         let mut global_future = vec![0usize; cluster.networks().len()];
         let mut max_class = None;
-        for (position, request) in trace.iter().enumerate() {
-            if usize::try_from(request.id) != Ok(position) {
-                return Err(RuntimeError::TraceIdMismatch {
-                    position,
-                    id: u64::from(request.id),
-                });
-            }
+        for request in trace {
             global_future[usize::from(request.network)] += 1;
             max_class = max_class.max(Some(request.class));
         }
@@ -607,24 +594,15 @@ impl<'a> Engine<'a> {
             global_future,
             view: LiveView::new(cluster.shard_count()),
             recovery: config.track_ids().then(Recovery::default),
-            hedging,
+            hedging: config.hedge.map(Hedging::new),
             preemption: config.preempt.map(Preemption::new),
             autoscaler: Autoscaler::new(config.scale, cluster),
         })
     }
 
-    /// Seeds the event queue with the configured fault schedule;
-    /// [`RuntimeError::FaultShardOutOfRange`] if a fault names a shard
-    /// the cluster does not have.
-    fn schedule_faults(&mut self) -> Result<(), RuntimeError> {
-        let shard_count = self.shards.len();
+    /// Seeds the event queue with the configured fault schedule.
+    fn schedule_faults(&mut self) {
         for (index, fault) in self.config.faults.events().iter().enumerate() {
-            if fault.shard >= shard_count {
-                return Err(RuntimeError::FaultShardOutOfRange {
-                    shard: fault.shard,
-                    shard_count,
-                });
-            }
             self.push_event(
                 fault.at_ms,
                 CLASS_FAULT,
@@ -632,7 +610,6 @@ impl<'a> Engine<'a> {
                 EventKind::Fault { index },
             );
         }
-        Ok(())
     }
 
     fn push_event(&mut self, time: f64, class: u8, shard: usize, kind: EventKind) {

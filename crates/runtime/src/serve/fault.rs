@@ -24,7 +24,6 @@ use super::engine::CacheBudget;
 use super::load::{Request, SeededRng};
 use super::placement;
 use super::ServeCluster;
-use crate::backend::RuntimeError;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -166,38 +165,14 @@ impl FaultPlan {
     /// Adds one hand-built fault (tests and targeted experiments),
     /// keeping the schedule sorted.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-finite instants, non-positive windows or recovery
-    /// times, or a degrade factor below 1 — every one of those would
-    /// wedge or bias the engine silently.
+    /// None here: a run refuses a non-finite or negative instant, a
+    /// non-positive window or downtime, or a degrade factor below 1
+    /// ([`RuntimeError::InvalidConfig`](crate::backend::RuntimeError::InvalidConfig)),
+    /// each of which would wedge or bias the engine silently.
     #[must_use]
     pub fn with_event(mut self, event: FaultEvent) -> Self {
-        assert!(
-            event.at_ms.is_finite() && event.at_ms >= 0.0,
-            "fault instant must be finite and non-negative"
-        );
-        match event.kind {
-            FaultKind::Crash { recover_ms } => assert!(
-                recover_ms.is_finite() && recover_ms > 0.0,
-                "a crash must recover after a finite positive downtime"
-            ),
-            FaultKind::Degrade { factor, window_ms } => assert!(
-                factor.is_finite() && factor >= 1.0 && window_ms.is_finite() && window_ms > 0.0,
-                "degrade needs factor >= 1 and a finite positive window"
-            ),
-            FaultKind::StallCompile {
-                extra_ms,
-                window_ms,
-            } => assert!(
-                extra_ms.is_finite() && extra_ms >= 0.0 && window_ms.is_finite() && window_ms > 0.0,
-                "compile stall needs finite extra latency and window"
-            ),
-            FaultKind::TransientCompileFail { window_ms } => assert!(
-                window_ms.is_finite() && window_ms > 0.0,
-                "compile-fail window must be finite and positive"
-            ),
-        }
         self.events.push(event);
         self.events
             .sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms).then(a.shard.cmp(&b.shard)));
@@ -346,8 +321,8 @@ impl RetryPolicy {
 pub struct HedgePolicy {
     /// How long a request may remain incomplete before it is hedged,
     /// ms. Derive from a tail service percentile (the benchmark uses
-    /// the p99 of the cluster's batch-1 cost matrix). A negative or
-    /// NaN delay is refused with
+    /// the p99 of the cluster's batch-1 cost matrix). A run refuses a
+    /// negative or NaN delay before it starts, with
     /// [`RuntimeError::InvalidHedgeDelay`](crate::backend::RuntimeError::InvalidHedgeDelay).
     pub delay_ms: f64,
 }
@@ -653,22 +628,15 @@ pub(super) struct Hedging {
 }
 
 impl Hedging {
-    /// Hedging with `policy`'s delay. A negative or NaN delay is
-    /// refused ([`RuntimeError::InvalidHedgeDelay`]): its twin would
-    /// fire before the request arrived. `-0.0` is a valid zero delay.
-    pub(super) fn new(policy: HedgePolicy) -> Result<Self, RuntimeError> {
-        let HedgePolicy { delay_ms } = policy;
-        if delay_ms.is_nan() || delay_ms < 0.0 {
-            return Err(RuntimeError::InvalidHedgeDelay {
-                delay_ms_bits: delay_ms.to_bits(),
-            });
-        }
-        Ok(Hedging {
-            delay_ms,
+    /// Hedging with `policy`'s delay, which
+    /// [`EngineConfig::validate`](super::EngineConfig) has checked.
+    pub(super) fn new(policy: HedgePolicy) -> Self {
+        Hedging {
+            delay_ms: policy.delay_ms,
             timers: VecDeque::new(),
             hedged: IdSet::default(),
             served_twins: Vec::new(),
-        })
+        }
     }
 
     /// Arms the hedge of the request at trace position `slot`, admitted

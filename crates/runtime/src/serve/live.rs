@@ -44,7 +44,7 @@
 //! [`FaultKind::Degrade`] and [`FaultKind::StallCompile`] windows
 //! stretch time without changing any discrete outcome. Crash and
 //! transient-compile-fail faults reroute work and are engine-only —
-//! [`LiveServer::new`] rejects them.
+//! [`LiveServer::run`] refuses them.
 
 #![expect(
     clippy::disallowed_types,
@@ -58,6 +58,7 @@ use super::placement::{LiveView, Placement, ShardGauge};
 use super::policy::BatchPolicy;
 use super::shard::{self, NextBatch, ShardCore};
 use super::transport::TransportModel;
+use super::validate::require;
 use super::{EngineConfig, ServeCluster, ServeRun};
 use crate::backend::RuntimeError;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -150,7 +151,8 @@ pub struct LiveReport {
 /// Why a live run failed.
 #[derive(Debug)]
 pub enum LiveError {
-    /// A backend rejected a batched-plan compile mid-run, or the
+    /// The input broke a rule of the engine or the live twin, a
+    /// backend rejected a batched-plan compile mid-run, or the
     /// placement routed a request to a shard that does not exist.
     Runtime(RuntimeError),
     /// A shard worker died or wedged (details inside), or the closed
@@ -187,12 +189,11 @@ impl From<RuntimeError> for LiveError {
 
 /// The threaded serving twin over a compiled cluster.
 ///
-/// Construction validates the same invariants as
-/// [`ServeSim::with_cluster`](super::ServeSim::with_cluster) plus the
-/// live-support envelope; [`LiveServer::run`] spawns the shard workers
-/// and drives the front door on the calling thread. The trace is
-/// borrowed, not copied; the worker threads are scoped to
-/// [`LiveServer::run`], so they never outlive it.
+/// [`LiveServer::run`] checks the engine's input rules plus the
+/// live-support envelope, then spawns the shard workers and drives the
+/// front door on the calling thread. The trace is borrowed, not copied;
+/// the worker threads are scoped to [`LiveServer::run`], so they never
+/// outlive it.
 #[derive(Debug)]
 pub struct LiveServer<'t> {
     cluster: Arc<ServeCluster>,
@@ -203,19 +204,8 @@ pub struct LiveServer<'t> {
 }
 
 impl<'t> LiveServer<'t> {
-    /// Builds a live server over an already-compiled cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is unsorted, names an unknown network or
-    /// has a request whose id is not its position (the replay refuses
-    /// such a trace, and the rejected bucket is an [`IdSet`]), if the
-    /// live config is invalid (`time_scale` must be positive and
-    /// finite, the transport well-formed, a closed loop's window
-    /// non-zero), or if the engine config asks for features the live
-    /// twin does not implement: hedging, shedding, preemption,
-    /// autoscaling, or fault kinds other than [`FaultKind::Degrade`] /
-    /// [`FaultKind::StallCompile`].
+    /// Builds a live server over an already-compiled cluster. Nothing
+    /// is checked here: [`LiveServer::run`] refuses an invalid input.
     #[must_use]
     pub fn new(
         cluster: Arc<ServeCluster>,
@@ -224,42 +214,6 @@ impl<'t> LiveServer<'t> {
         engine: EngineConfig,
         live: LiveConfig,
     ) -> Self {
-        super::check_trace(&cluster, trace);
-        assert!(
-            trace
-                .iter()
-                .zip(0u64..)
-                .all(|(request, position)| u64::from(request.id) == position),
-            "every request's id must be its trace position"
-        );
-        assert!(
-            live.time_scale > 0.0 && live.time_scale.is_finite(),
-            "time_scale must be positive and finite, got {}",
-            live.time_scale
-        );
-        assert!(live.transport.is_valid(), "invalid transport model");
-        if let LiveMode::ClosedLoop { window } = live.mode {
-            assert!(window > 0, "closed-loop window must be non-zero");
-        }
-        assert!(
-            engine.hedge.is_none() && engine.shed.is_none(),
-            "hedging and shedding are engine-only features"
-        );
-        assert!(
-            engine.preempt.is_none() && engine.scale.is_none(),
-            "preemption and autoscaling are engine-only features \
-             (reconfiguration runs in both worlds: its window reads admissions only)"
-        );
-        for event in engine.faults.events() {
-            assert!(
-                matches!(
-                    event.kind,
-                    FaultKind::Degrade { .. } | FaultKind::StallCompile { .. }
-                ),
-                "live faults are the timing-only subset (degrade/stall); {:?} is engine-only",
-                event.kind
-            );
-        }
         LiveServer {
             cluster,
             policy,
@@ -269,6 +223,35 @@ impl<'t> LiveServer<'t> {
             engine: engine.with_records(),
             live,
         }
+    }
+
+    /// The live twin's own rules, on top of the engine's: a valid live
+    /// config, and none of the features it does not implement.
+    fn check_envelope(&self) -> Result<(), RuntimeError> {
+        let (live, engine) = (&self.live, &self.engine);
+        let time_scale = live.time_scale > 0.0 && live.time_scale.is_finite();
+        let window = live.mode != LiveMode::ClosedLoop { window: 0 };
+        let no_twins = engine.hedge.is_none() && engine.shed.is_none();
+        // Reconfiguration runs in both worlds: its window reads
+        // admissions only.
+        let no_control = engine.preempt.is_none() && engine.scale.is_none();
+        let timing_only = engine.faults.events().iter().all(|event| {
+            matches!(
+                event.kind,
+                FaultKind::Degrade { .. } | FaultKind::StallCompile { .. }
+            )
+        });
+        require([
+            (time_scale, "time_scale must be positive and finite"),
+            (live.transport.is_valid(), "invalid transport model"),
+            (window, "closed-loop window must be non-zero"),
+            (no_twins, "hedging and shedding are engine-only features"),
+            (
+                no_control,
+                "preemption and autoscaling are engine-only features",
+            ),
+            (timing_only, "crash and compile-fail faults are engine-only"),
+        ])
     }
 
     /// Runs the live twin: spawns one worker thread per shard, drives
@@ -281,16 +264,21 @@ impl<'t> LiveServer<'t> {
     ///
     /// # Errors
     ///
-    /// [`LiveError::Runtime`] when a backend rejects a batched-plan
-    /// compile or `placement` routes a request out of range
+    /// [`LiveError::Runtime`] before any thread starts: the engine's
+    /// input errors ([`ServeSim::try_run`](super::ServeSim::try_run)),
+    /// then [`RuntimeError::InvalidConfig`] for an invalid live config
+    /// (`time_scale` must be positive and finite, the transport
+    /// well-formed, a closed loop's window non-zero) or an engine-only
+    /// feature: hedging, shedding, preemption, autoscaling, or fault
+    /// kinds other than [`FaultKind::Degrade`] /
+    /// [`FaultKind::StallCompile`]. During the run, [`LiveError::Runtime`]
+    /// when a backend rejects a batched-plan compile or `placement`
+    /// routes a request out of range
     /// ([`RuntimeError::PlacementOutOfRange`]); [`LiveError::Worker`]
     /// when a worker thread dies or a policy wedges a queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid per-shard cache budget or reconfiguration
-    /// policy, as the engine does.
     pub fn run(&self, placement: &mut dyn Placement) -> Result<LiveReport, LiveError> {
+        self.engine.validate(&self.cluster, self.trace)?;
+        self.check_envelope()?;
         let shard_count = self.cluster.shard_count();
 
         // Live-view gauges, shared lock-free with the front door.

@@ -94,6 +94,7 @@ mod scale;
 mod shard;
 mod slo;
 mod transport;
+mod validate;
 
 pub use engine::{CacheBudget, EngineConfig, ServeRun};
 pub use fault::{
@@ -418,25 +419,6 @@ impl ServeCluster {
     }
 }
 
-/// Panics unless `trace` is in arrival order and names only hosted
-/// networks. The event queue merges the trace as a sorted stream and
-/// the backlog-aware placements assume arrival order; an unsorted
-/// trace would silently skew every latency, so reject it loudly.
-fn check_trace(cluster: &ServeCluster, trace: &[Request]) {
-    assert!(
-        trace.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
-        "trace must be sorted by arrival_ms"
-    );
-    for request in trace {
-        assert!(
-            usize::from(request.network) < cluster.networks().len(),
-            "request {} targets unknown network {}",
-            request.id,
-            request.network
-        );
-    }
-}
-
 /// A serving simulation: a compiled cluster, a batching policy, an
 /// arrival trace and the engine configuration.
 ///
@@ -464,12 +446,8 @@ impl<'t> ServeSim<'t> {
     ///
     /// [`RuntimeError::EmptyCluster`] if `shards` or `networks` is
     /// empty; otherwise the first [`RuntimeError`] from a backend
-    /// rejecting a hosted network during plan compilation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not in arrival order, or if a trace
-    /// request names a network outside the table.
+    /// rejecting a hosted network during plan compilation. The trace
+    /// and `config` are checked by [`ServeSim::try_run`].
     pub fn try_new(
         shards: Vec<Executor>,
         networks: Vec<Network>,
@@ -481,13 +459,10 @@ impl<'t> ServeSim<'t> {
         Ok(Self::with_cluster(cluster, policy, trace, config))
     }
 
-    /// Wraps an already-compiled cluster. No plan compilation happens
-    /// here, so building many simulations over one cluster is cheap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not in arrival order or if a request
-    /// names a network outside the cluster's table.
+    /// Wraps an already-compiled cluster. Nothing is compiled or
+    /// checked here ([`ServeSim::try_run`] checks the trace and
+    /// `config`), so building many simulations over one cluster is
+    /// cheap.
     #[must_use]
     pub fn with_cluster(
         cluster: Arc<ServeCluster>,
@@ -495,7 +470,6 @@ impl<'t> ServeSim<'t> {
         trace: &'t [Request],
         config: EngineConfig,
     ) -> Self {
-        check_trace(&cluster, trace);
         ServeSim {
             cluster,
             policy,
@@ -513,17 +487,24 @@ impl<'t> ServeSim<'t> {
     ///
     /// # Errors
     ///
-    /// Propagates a [`RuntimeError`] from the backend rejecting a lazy
-    /// batched-plan compile mid-run (a custom backend may accept a
-    /// shape at batch 1 but reject it scaled by the batch size). Before
-    /// any event runs, returns [`RuntimeError::InvalidHedgeDelay`] if
-    /// the hedge delay is negative or NaN,
-    /// [`RuntimeError::TraceIdMismatch`] if a request's id is not its
-    /// trace position and [`RuntimeError::FaultShardOutOfRange`] if the
-    /// fault plan names a shard the cluster does not have. Returns
-    /// [`RuntimeError::PlacementOutOfRange`] if `placement` routes a
-    /// request to a shard the cluster does not have. Panics if a policy
-    /// wedges a queue (never becomes ready).
+    /// Before any event runs, the first input rule broken:
+    /// [`RuntimeError::InvalidHedgeDelay`] for a negative or NaN hedge
+    /// delay, [`RuntimeError::TraceIdMismatch`] for an id that is not
+    /// its trace position, [`RuntimeError::FaultShardOutOfRange`] for a
+    /// fault on a missing shard, and [`RuntimeError::InvalidConfig`]
+    /// for any other: an unsorted trace (a NaN arrival included), an
+    /// unhosted network, a bad fault instant or parameter, a per-shard
+    /// budget without one entry per shard, or a reconfiguration or
+    /// autoscale policy out of range. During the run, a backend's
+    /// [`RuntimeError`] for a lazy batched-plan compile (a custom
+    /// backend may accept a shape at batch 1 but reject it scaled by
+    /// the batch size), and [`RuntimeError::PlacementOutOfRange`] if
+    /// `placement` routes a request to a shard the cluster lacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a policy wedges a queue (never becomes ready), an
+    /// internal invariant rather than a check on caller input.
     pub fn try_run(&self, placement: &mut dyn Placement) -> Result<ServeRun, RuntimeError> {
         engine::run_engine(
             &self.cluster,

@@ -130,12 +130,9 @@ pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
 ///
 /// Propagates a [`RuntimeError`] from a backend rejecting a batched
 /// plan compile — the same failure surface the live run has — or from
-/// the engine's input checks ([`ServeSim::try_run`]).
-///
-/// # Panics
-///
-/// Panics if `realized_trace` is unsorted (a live front door always
-/// records monotone stamps) or routes to an unknown network.
+/// the engine's input checks ([`ServeSim::try_run`]), which refuse an
+/// unsorted `realized_trace` (a live front door always records
+/// monotone stamps) or one naming an unknown network.
 pub fn replay(
     cluster: &Arc<ServeCluster>,
     policy: &Arc<dyn BatchPolicy>,

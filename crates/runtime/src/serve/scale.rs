@@ -87,36 +87,6 @@ impl AutoscalePolicy {
     pub(crate) fn enabled(&self) -> bool {
         self.energy_headroom > 0.0
     }
-
-    /// Validates the policy against a cluster size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive/non-finite period, non-finite or
-    /// inverted watermarks, zero hysteresis, or a `min_active` outside
-    /// `1..=shard_count` — each would wedge or bias the loop silently.
-    pub(crate) fn validate(&self, shard_count: usize) {
-        assert!(
-            self.period_ms.is_finite() && self.period_ms > 0.0,
-            "autoscale period must be finite and positive"
-        );
-        assert!(
-            self.high_watermark.is_finite()
-                && self.low_watermark.is_finite()
-                && self.low_watermark >= 0.0
-                && self.high_watermark >= self.low_watermark,
-            "autoscale watermarks must be finite with high >= low >= 0"
-        );
-        assert!(self.hysteresis_ticks >= 1, "hysteresis needs >= 1 tick");
-        assert!(
-            self.min_active >= 1 && self.min_active <= shard_count,
-            "min_active must be within 1..=shard_count"
-        );
-        assert!(
-            self.energy_headroom.is_finite(),
-            "energy headroom must be finite"
-        );
-    }
 }
 
 /// The goodput-per-joule frontier: expected joules to serve one
@@ -403,18 +373,6 @@ impl Default for ReconfigPolicy {
     }
 }
 
-impl ReconfigPolicy {
-    /// Validates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window or evaluation stride.
-    pub(crate) fn validate(&self) {
-        assert!(self.window >= 1, "reconfig window must be >= 1");
-        assert!(self.every >= 1, "reconfig stride must be >= 1");
-    }
-}
-
 /// Reconfiguration counters of one run (all zero without a
 /// [`ReconfigPolicy`] or without reconfigurable shards), reported in
 /// `ServeRun::reconfig`.
@@ -434,6 +392,9 @@ mod tests {
     )]
 
     use super::*;
+    use crate::backend::RuntimeError;
+    use crate::serve::EngineConfig;
+    use crate::{Executor, Platform};
 
     fn frontier() -> EnergyFrontier {
         // Two networks; shard 1 is cheapest on net 0, shard 2 on net 1.
@@ -475,19 +436,33 @@ mod tests {
         assert!(!policy.enabled());
     }
 
-    #[test]
-    fn policy_validation_accepts_the_default() {
-        AutoscalePolicy::default().validate(4);
-        ReconfigPolicy::default().validate();
+    /// Validates `config` with an empty trace against a four-shard
+    /// cluster.
+    fn validate_on_four_shards(config: &EngineConfig) -> Result<(), RuntimeError> {
+        let shards = (0..4).map(|_| Executor::new(Platform::Sma3)).collect();
+        let cluster = ServeCluster::try_new(shards, vec![sma_models::zoo::alexnet()]).unwrap();
+        config.validate(&cluster, &[])
     }
 
     #[test]
-    #[should_panic(expected = "min_active")]
+    fn policy_validation_accepts_the_default() {
+        let config = EngineConfig::default()
+            .with_scale(AutoscalePolicy::default())
+            .with_reconfig(ReconfigPolicy::default());
+        assert_eq!(validate_on_four_shards(&config), Ok(()));
+    }
+
+    #[test]
     fn min_active_cannot_exceed_the_fleet() {
-        AutoscalePolicy {
+        let config = EngineConfig::default().with_scale(AutoscalePolicy {
             min_active: 5,
             ..AutoscalePolicy::default()
-        }
-        .validate(4);
+        });
+        assert_eq!(
+            validate_on_four_shards(&config),
+            Err(RuntimeError::InvalidConfig {
+                rule: "min_active must be within 1..=shard_count"
+            })
+        );
     }
 }

@@ -288,23 +288,9 @@ pub(super) struct ShardCore {
 // The engine calls the per-request methods below from another codegen
 // unit; `#[inline]` lets them inline there, which its throughput needs.
 impl ShardCore {
-    /// One core per shard of `cluster`, configured by `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a per-shard cache budget does not have one entry per
-    /// shard, or if the reconfiguration policy is invalid.
+    /// One core per shard of `cluster`, configured by `config` (which
+    /// [`EngineConfig::validate`] has accepted).
     pub(super) fn fleet(cluster: &ServeCluster, config: &EngineConfig) -> Vec<ShardCore> {
-        if let CacheBudget::PerShard(budgets) = &config.cache_budget {
-            assert_eq!(
-                budgets.len(),
-                cluster.shard_count(),
-                "per-shard cache budget needs one entry per shard"
-            );
-        }
-        if let Some(reconfig) = &config.reconfig {
-            reconfig.validate();
-        }
         let net_count = cluster.networks().len();
         // Reconfiguration pricing: pure integers off the backend's
         // cycle model, computed once per run (and only when the

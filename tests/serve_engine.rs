@@ -8,6 +8,7 @@
 //! a cluster has shards and networks, a hedge delay is not negative or
 //! NaN).
 
+use proptest::prelude::*;
 use sma::core::GemmEstimate;
 use sma::mem::MemStats;
 use sma::runtime::backend::{Backend, ExecPath, IrregularEstimate, IrregularWork, RuntimeError};
@@ -711,4 +712,146 @@ fn negative_or_nan_hedge_delay_is_an_error() {
     let requests = served.reports.iter().flat_map(|r| &r.requests);
     assert!(requests.clone().count() > 0);
     assert!(requests.clone().all(|r| r.start_ms >= r.arrival_ms));
+}
+
+/// The float fields [`try_run_returns_ok_or_err_and_never_panics`]
+/// draws, by index: both NaNs, both infinities, both zeros, a negative,
+/// and tiny, unit and huge magnitudes.
+const FLOATS: [f64; 10] = [
+    f64::NAN,
+    -f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    -1.0,
+    1e-300,
+    1.0,
+    1e300,
+];
+/// Where `1e-300` and `1e300` sit in [`FLOATS`].
+const TINY: usize = 7;
+const HUGE: usize = 9;
+
+/// Decimal digit `k` of a packed draw: one [`FLOATS`] index.
+fn digit(code: usize, k: u32) -> usize {
+    code / 10usize.pow(k) % 10
+}
+
+/// Two shards, one of them reconfigurable, hosting two networks;
+/// compiled once for every case of the input proptest.
+fn input_check_cluster() -> Arc<ServeCluster> {
+    static CLUSTER: std::sync::OnceLock<Arc<ServeCluster>> = std::sync::OnceLock::new();
+    Arc::clone(CLUSTER.get_or_init(|| {
+        let shards = vec![
+            Executor::new(Platform::Sma3),
+            Executor::new(Platform::ArrayFlex),
+        ];
+        let networks = vec![sma::models::zoo::alexnet(), sma::models::zoo::vgg_a()];
+        Arc::new(ServeCluster::try_new(shards, networks).unwrap())
+    }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `ServeSim::try_run` answers any trace and engine config with
+    /// `Ok` or `Err`, never a panic. One request of a seeded trace
+    /// (0–4 requests) may take a drawn arrival and network (network 2
+    /// is not hosted), and the config may draw a fault on shard 0–2 (2
+    /// is missing) with [`FLOATS`] instant and parameters, a per-shard
+    /// budget of the wrong length, reconfiguration windows and strides
+    /// from 0, an autoscaler with [`FLOATS`] period, watermarks and
+    /// headroom, hysteresis from 0 and `min_active` from 0 to one past
+    /// the fleet, and a [`FLOATS`] hedge delay. A draw past its table
+    /// keeps the seeded or default value, so most cases break one rule
+    /// or none and the valid ones run the engine.
+    #[test]
+    fn try_run_returns_ok_or_err_and_never_panics(
+        seed in 0usize..10_000,
+        arrival in 0usize..40,
+        network in 0u16..12,
+        fault_kind in 0usize..12,
+        fault_shard in 0usize..3,
+        fault_floats in 0usize..1_000,
+        budget in 0usize..8,
+        reconfig in 0usize..30,
+        scale_floats in 0usize..10_000,
+        scale_ints in 0usize..36,
+        hedge in 0usize..40,
+        policy in 0usize..3,
+    ) {
+        let len = seed % 5;
+        let mut trace = LoadGenerator::new(seed as u64, 2.0)
+            .with_slo(20.0)
+            .with_classes(2)
+            .trace(len, 2);
+        if let Some(request) = trace.get_mut(seed / 5 % len.max(1)) {
+            request.arrival_ms = FLOATS.get(arrival).copied().unwrap_or(request.arrival_ms);
+            if network <= 2 {
+                request.network = network;
+            }
+        }
+
+        let (at_ms, p, q) = (
+            FLOATS[digit(fault_floats, 0)],
+            FLOATS[digit(fault_floats, 1)],
+            FLOATS[digit(fault_floats, 2)],
+        );
+        let kind = match fault_kind {
+            0 => Some(FaultKind::Crash { recover_ms: p }),
+            1 => Some(FaultKind::Degrade { factor: p, window_ms: q }),
+            2 => Some(FaultKind::StallCompile { extra_ms: p, window_ms: q }),
+            3 => Some(FaultKind::TransientCompileFail { window_ms: q }),
+            _ => None,
+        };
+        let faults = kind.map_or_else(FaultPlan::none, |kind| {
+            FaultPlan::none().with_event(FaultEvent { shard: fault_shard, at_ms, kind })
+        });
+        let scale = (scale_ints < 12).then(|| AutoscalePolicy {
+            period_ms: FLOATS[digit(scale_floats, 0)],
+            high_watermark: FLOATS[digit(scale_floats, 1)],
+            low_watermark: FLOATS[digit(scale_floats, 2)],
+            hysteresis_ticks: u32::try_from(scale_ints % 3).unwrap(),
+            min_active: scale_ints / 3,
+            energy_headroom: FLOATS[digit(scale_floats, 3)],
+        });
+        // A running autoscaler ticks once a period until the last
+        // arrival and its backlog are done, so a 1e-300 ms period, or a
+        // 1e300 ms instant anywhere in the run, never finishes: skip
+        // those runs (a hang, not a panic).
+        let huge_instant = arrival == HUGE || (0..3).any(|k| digit(fault_floats, k) == HUGE);
+        prop_assume!(!scale.is_some_and(|s| {
+            s.energy_headroom > 0.0 && (digit(scale_floats, 0) == TINY || huge_instant)
+        }));
+
+        let config = EngineConfig {
+            cache_budget: match budget {
+                0 => CacheBudget::PerShard(vec![1 << 30]),
+                1 => CacheBudget::PerShard(vec![1 << 30, 1]),
+                2 => CacheBudget::Uniform(1 << 30),
+                _ => CacheBudget::Unbounded,
+            },
+            faults,
+            hedge: FLOATS.get(hedge).map(|&delay_ms| HedgePolicy { delay_ms }),
+            scale,
+            reconfig: (reconfig < 9).then_some(ReconfigPolicy {
+                window: reconfig % 3,
+                every: reconfig / 3,
+            }),
+            ..EngineConfig::default()
+        };
+        let policy: Arc<dyn BatchPolicy> = match policy {
+            0 => Arc::new(Immediate),
+            1 => Arc::new(Deadline::new(8.0, 4)),
+            _ => Arc::new(EarliestDeadlineFirst::new(5.0, 4)),
+        };
+        // Nothing the closure touches is read after a panic.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ServeSim::with_cluster(input_check_cluster(), policy, &trace, config)
+                .try_run(&mut HealthWeighted)
+                .map(drop)
+        }));
+        prop_assert!(outcome.is_ok(), "try_run panicked");
+    }
 }

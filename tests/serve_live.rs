@@ -21,10 +21,10 @@
 
 use sma::runtime::backend::RuntimeError;
 use sma::runtime::serve::{
-    diff_outcomes, discrete_outcomes, replay, BatchPolicy, CacheBudget, ClusterView, EngineConfig,
-    FaultEvent, FaultKind, FaultPlan, Immediate, LiveConfig, LiveError, LiveMode, LiveReport,
-    LiveServer, LoadGenerator, Placement, PlatformAffinity, ReconfigPolicy, Request, RoundRobin,
-    ServeCluster, ServeSim, ShardTally, SizeK, TransportModel,
+    diff_outcomes, discrete_outcomes, replay, AutoscalePolicy, BatchPolicy, CacheBudget,
+    ClusterView, EngineConfig, FaultEvent, FaultKind, FaultPlan, Immediate, LiveConfig, LiveError,
+    LiveMode, LiveReport, LiveServer, LoadGenerator, Placement, PlatformAffinity, ReconfigPolicy,
+    Request, RoundRobin, ServeCluster, ServeSim, ShardTally, SizeK, TransportModel,
 };
 use sma::runtime::{Executor, Platform};
 use std::sync::Arc;
@@ -521,8 +521,64 @@ fn out_of_range_placement_is_an_error_in_both_worlds() {
     );
 }
 
+/// An unsorted trace, a per-shard budget of the wrong length, a zero
+/// reconfiguration window and a NaN autoscale period are the same
+/// `InvalidConfig` error from both worlds' runs, never a panic.
 #[test]
-#[should_panic(expected = "engine-only")]
+fn invalid_engine_inputs_are_errors_in_both_worlds() {
+    let cluster = small_cluster();
+    let policy: Arc<dyn BatchPolicy> = Arc::new(Immediate);
+    let sorted = trace(5, 8);
+    let mut unsorted = sorted.clone();
+    unsorted[3].arrival_ms = -1.0;
+    let defaults = EngineConfig::default;
+    let cases = [
+        (&unsorted, defaults(), "trace must be sorted by arrival_ms"),
+        (
+            &sorted,
+            defaults().with_cache_budget(CacheBudget::PerShard(vec![1])),
+            "per-shard cache budget needs one entry per shard",
+        ),
+        (
+            &sorted,
+            defaults().with_reconfig(ReconfigPolicy {
+                window: 0,
+                ..ReconfigPolicy::default()
+            }),
+            "reconfig window must be >= 1",
+        ),
+        (
+            &sorted,
+            defaults().with_scale(AutoscalePolicy {
+                period_ms: f64::NAN,
+                ..AutoscalePolicy::default()
+            }),
+            "autoscale period must be finite and positive",
+        ),
+    ];
+    for (trace, config, rule) in cases {
+        let expected = RuntimeError::InvalidConfig { rule };
+        let sim = ServeSim::with_cluster(cluster.clone(), policy.clone(), trace, config.clone());
+        assert_eq!(
+            sim.try_run(&mut RoundRobin::default()).err(),
+            Some(expected.clone())
+        );
+        let server = LiveServer::new(
+            cluster.clone(),
+            policy.clone(),
+            trace,
+            config,
+            LiveConfig::new(0.02),
+        );
+        let live = server.run(&mut RoundRobin::default());
+        assert!(
+            matches!(&live, Err(LiveError::Runtime(error)) if *error == expected),
+            "{live:?}"
+        );
+    }
+}
+
+#[test]
 fn crash_faults_are_rejected_by_the_live_twin() {
     let cluster = small_cluster();
     let policy: Arc<dyn BatchPolicy> = Arc::new(Immediate);
@@ -531,27 +587,43 @@ fn crash_faults_are_rejected_by_the_live_twin() {
         at_ms: 10.0,
         kind: FaultKind::Crash { recover_ms: 5.0 },
     });
-    let _ = LiveServer::new(
+    let requests = trace(3, 10);
+    let server = LiveServer::new(
         cluster,
         policy,
-        &trace(3, 10),
+        &requests,
         EngineConfig::default().with_faults(faults),
         LiveConfig::new(0.02),
+    );
+    let live = server.run(&mut RoundRobin::default());
+    assert!(
+        matches!(&live, Err(LiveError::Runtime(RuntimeError::InvalidConfig { rule }))
+            if rule.contains("engine-only")),
+        "{live:?}"
     );
 }
 
 #[test]
-#[should_panic(expected = "trace position")]
 fn ids_that_are_not_trace_positions_are_rejected_by_the_live_twin() {
     // The rejected bucket sets one bit per id, so an id far past the
-    // trace would size it by that id; the constructor refuses it.
+    // trace would size it by that id; the run refuses it before any
+    // thread starts, with the engine's own error.
     let mut requests = trace(3, 10);
     requests[4].id = u32::MAX;
-    let _ = LiveServer::new(
+    let server = LiveServer::new(
         small_cluster(),
         Arc::new(Immediate),
         &requests,
         EngineConfig::default(),
         LiveConfig::new(0.02),
+    );
+    let live = server.run(&mut RoundRobin::default());
+    assert!(
+        matches!(
+            &live,
+            Err(LiveError::Runtime(RuntimeError::TraceIdMismatch { position: 4, id }))
+                if *id == u64::from(u32::MAX)
+        ),
+        "{live:?}"
     );
 }
